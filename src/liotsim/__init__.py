@@ -20,6 +20,7 @@ from .energy import (
     implied_harvest_power,
     solve_sleep_time,
     stage_energy,
+    supercap_segment,
     supercap_step,
 )
 from .fsm import NodeConfig, NodeKind, NodeState, Phase, schedule_next_cycle

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import math
 import os
 import sys
 from typing import Optional
@@ -149,24 +148,9 @@ def cmd_simulate(args) -> int:
 
 def _sweep_one(doc: dict, param: str, value) -> list[dict]:
     scenario_mod.set_by_path(doc, param, value)
-    sc = scenario_mod.scenario_from_dict(doc)
-    result = kernel.run(sc)
-    rows = []
-    for n in result.summary.nodes:
-        rows.append(
-            {
-                "param_value": value,
-                "node_id": n.node_id,
-                "kind": n.kind,
-                "packets_sent": n.packets_sent,
-                "packets_received": n.packets_received,
-                "pdr": n.pdr,
-                "scap_avg_v": n.scap_avg_v,
-                "scap_min_v": n.scap_min_v,
-                "scap_max_v": n.scap_max_v,
-            }
-        )
-    return rows
+    result = kernel.run(scenario_mod.scenario_from_dict(doc))
+    return [{"param_value": value, **node}
+            for node in metrics.summary_dict(result.summary)["nodes"]]
 
 
 def cmd_sweep(args) -> int:
@@ -204,11 +188,9 @@ def cmd_sweep(args) -> int:
     rows = [row for rows_ in all_rows for row in rows_]
     rows.sort(key=lambda r: (str(type(r["param_value"])), r["param_value"],
                              r["node_id"]))
-    fields = ["param_value", "node_id", "kind", "packets_sent", "packets_received",
-              "pdr", "scap_avg_v", "scap_min_v", "scap_max_v"]
     try:
         out = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
-        writer = csv.DictWriter(out, fieldnames=fields)
+        writer = csv.DictWriter(out, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
         if args.out:

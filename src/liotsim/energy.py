@@ -196,24 +196,39 @@ class Supercap:
         return 0.5 * self.capacitance_f * self.voltage_v**2
 
 
+def supercap_segment(
+    cap: Supercap, p_net_mw: float, dt_s: float, efficiency: float = 1.0
+) -> tuple[float, bool]:
+    """Voltage after holding a constant net power for dt_s from cap's state.
+
+    Returns (voltage, depleted).  Under constant net power the stored energy
+    0.5*C*V^2 changes linearly, so V^2 = V0^2 + 2*P*t/C; charging (positive
+    p_net) is scaled by the round-trip efficiency factor, discharge is taken
+    at face value.  V^2 reaches v_max^2 (or v_min^2) at the single time
+    t* = (bound^2 - V0^2) * C / (2*P); from t* on the voltage is exactly the
+    bound, and a segment that passes v_min raises the depleted flag.  The
+    voltage is returned as a float so that sampling one segment at many
+    times builds no states.
+    """
+    p_w = p_net_mw * 1e-3
+    if p_w > 0:
+        p_w *= efficiency
+    v_sq = cap.voltage_v**2 + 2.0 * p_w * dt_s / cap.capacitance_f
+    if v_sq < cap.v_min**2:
+        return cap.v_min, True
+    return min(math.sqrt(v_sq), cap.v_max), False
+
+
 def supercap_step(
     cap: Supercap, p_net_mw: float, dt_s: float, efficiency: float = 1.0
 ) -> tuple[Supercap, bool]:
     """Integrate a constant net power over dt; returns (new state, depleted).
 
-    Charging (positive p_net) is scaled by the round-trip efficiency factor;
-    discharge is taken at face value.  The voltage is clamped to
-    [v_min, v_max]; a clamp at the bottom raises the depleted flag.
+    The state-valued form of supercap_segment, for a positive dt.
     """
     if dt_s <= 0:
         raise ValueError("dt must be > 0")
-    p_w = p_net_mw * 1e-3
-    if p_w > 0:
-        p_w *= efficiency
-    v_sq = cap.voltage_v**2 + 2.0 * p_w * dt_s / cap.capacitance_f
-    depleted = v_sq < cap.v_min**2
-    v_new = math.sqrt(max(cap.v_min**2, v_sq))
-    v_new = min(v_new, cap.v_max)
+    v_new, depleted = supercap_segment(cap, p_net_mw, dt_s, efficiency)
     return replace(cap, voltage_v=v_new), depleted
 
 

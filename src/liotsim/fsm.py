@@ -7,9 +7,10 @@ the elapsed phase, and emit the protocol frames of the two node variants.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from . import protocol
 from .energy import (
@@ -19,7 +20,7 @@ from .energy import (
     Supercap,
     active_totals,
     solve_sleep_time,
-    supercap_step,
+    supercap_segment,
     Feasibility,
 )
 from .protocol import (
@@ -35,6 +36,9 @@ from .protocol import (
     make_liot_session,
 )
 from .sensors import EnvironmentModel, SensorSample, read_sensors
+
+if TYPE_CHECKING:
+    from .kernel import LightSchedule
 
 
 class NodeKind(str, Enum):
@@ -131,6 +135,24 @@ class NodeConfig:
             )
 
 
+class SampleGrid:
+    """Trace sample times 0, dt, dt + dt, ..., built by repeated addition.
+
+    One grid serves every node of a run, so each sample time is a single
+    float object shared by all of their traces.
+    """
+
+    def __init__(self, interval_s: float):
+        self.interval_s = interval_s
+        self.times = [0.0]
+
+    def time(self, i: int) -> float:
+        times = self.times
+        while len(times) <= i:
+            times.append(times[-1] + self.interval_s)
+        return times[i]
+
+
 @dataclass
 class NodeState:
     phase: Phase
@@ -155,6 +177,10 @@ class NodeState:
     total_harvested_j: float = 0.0
     last_energy_update: float = 0.0
     transitions: list[tuple[Phase, Phase]] = field(default_factory=list)
+    # Supercap voltage at the grid's times, filled as the energy segments
+    # containing them close: trace[i] is sampled at trace_grid.time(i).
+    trace: list[tuple[float, float]] = field(default_factory=list)
+    trace_grid: Optional[SampleGrid] = None
 
 
 # Emissions returned to the kernel.
@@ -177,8 +203,14 @@ class CycleFinished:
 Emission = SendFrame | SessionStarted | CycleFinished
 
 
-def initial_state(cfg: NodeConfig, first_sleep_s: float) -> NodeState:
-    """Node boots asleep, charging, and wakes after its first solved sleep."""
+def initial_state(
+    cfg: NodeConfig, first_sleep_s: float, grid: Optional[SampleGrid] = None
+) -> NodeState:
+    """Node boots asleep, charging, and wakes after its first solved sleep.
+
+    The voltage trace samples the grid's times; without a grid it holds only
+    the boot voltage.
+    """
     return NodeState(
         phase=Phase.SLEEPING,
         phase_deadline=first_sleep_s,
@@ -186,6 +218,8 @@ def initial_state(cfg: NodeConfig, first_sleep_s: float) -> NodeState:
         supercap=cfg.supercap,
         next_sleep_s=first_sleep_s,
         cycle_v_start=cfg.supercap.voltage_v,
+        trace=[(0.0, cfg.supercap.voltage_v)],
+        trace_grid=grid or SampleGrid(math.inf),
     )
 
 
@@ -217,26 +251,44 @@ def phase_power_mw(cfg: NodeConfig, phase: Phase) -> float:
     return stage.current_ma * cfg.profile.voltage_v
 
 
-def accrue_energy(state: NodeState, cfg: NodeConfig, now: float, lux: float) -> None:
-    """Integrate harvest minus load from the last checkpoint up to now."""
-    dt = now - state.last_energy_update
-    if dt <= 0:
+def accrue_energy(
+    state: NodeState, cfg: NodeConfig, now: float, light: LightSchedule
+) -> None:
+    """Close the node's energy segment: integrate harvest minus load up to now.
+
+    The load is constant since the last checkpoint and the light changes only
+    at its change points, so the interval splits into pieces of constant net
+    power.  Each piece is integrated in closed form with the lux in force at
+    its start; trace grid points inside a piece are sampled from it.
+    """
+    t = state.last_energy_update
+    if now <= t:
         return
     p_load = phase_power_mw(cfg, state.phase)
-    p_harv = cfg.harvester.power_mw(lux)
-    cap, depleted = supercap_step(
-        state.supercap, p_harv - p_load, dt, cfg.efficiency
-    )
+    cap = state.supercap
+    trace, grid = state.trace, state.trace_grid
+    sample_t = grid.time(len(trace))
+    harvested = 0.0
+    for t_end, lux in light.pieces(t, now):
+        p_harv = cfg.harvester.power_mw(lux)
+        p_net = p_harv - p_load
+        while sample_t <= t_end:
+            v, _ = supercap_segment(cap, p_net, sample_t - t, cfg.efficiency)
+            trace.append((sample_t, v))
+            sample_t = grid.time(len(trace))
+        v, depleted = supercap_segment(cap, p_net, t_end - t, cfg.efficiency)
+        cap = Supercap(cap.capacitance_f, v, cap.v_min, cap.v_max)
+        if depleted:
+            state.depleted = True
+        harvested += p_harv * 1e-3 * (t_end - t)
+        t = t_end
     state.supercap = cap
-    consumed = p_load * 1e-3 * dt
-    harvested = p_harv * 1e-3 * dt
+    consumed = p_load * 1e-3 * (now - state.last_energy_update)
     state.cycle_consumed_j += consumed
     state.cycle_harvested_j += harvested
     state.total_consumed_j += consumed
     state.total_harvested_j += harvested
     state.last_energy_update = now
-    if depleted:
-        state.depleted = True
 
 
 def _set_phase(

@@ -4,10 +4,15 @@ Virtual clock with a (time, insertion-seq) ordered heap, a gateway agent,
 a seeded Bernoulli loss channel, time-varying illumination, and multi-node
 scenario execution.  One kernel owns all of its state; identical scenario
 and seed give byte-identical results.
+
+Energy needs no clock of its own: light is piecewise constant, so each
+node's supercap is integrated in closed form whenever one of its own events
+closes the segment since its previous one (see fsm.accrue_energy).
 """
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import hashlib
 import heapq
@@ -37,7 +42,6 @@ class EventKind(Enum):
     TIMER_FIRED = "timer_fired"
     FRAME_DELIVERED = "frame_delivered"
     FRAME_LOST = "frame_lost"
-    SUPERCAP_SAMPLED = "supercap_sampled"
     RUN_ENDED = "run_ended"
 
 
@@ -97,7 +101,12 @@ LIOT_SESSION_FRAMES = 4
 
 @dataclass(frozen=True)
 class IlluminationProfile:
-    """Illuminance vs time: constant, stepwise, or sinusoidal, optional jitter."""
+    """Illuminance vs time: constant, stepwise, or sinusoidal, optional jitter.
+
+    Light is piecewise constant: a step holds from its start time to the next
+    one, and the sinusoid and the multiplicative jitter are each held at
+    their value at the start of every whole second.
+    """
 
     kind: str = "constant"
     lux: float = 700.0
@@ -136,12 +145,70 @@ class IlluminationProfile:
                     break
         else:
             v = self.mean + self.amplitude * math.sin(
-                2.0 * math.pi * t_s / self.period_s
+                2.0 * math.pi * math.floor(t_s) / self.period_s
             )
         if self.jitter_pct > 0:
             rng = random.Random(f"{self.jitter_seed}|lux|{math.floor(t_s)}")
             v *= 1.0 + rng.uniform(-self.jitter_pct, self.jitter_pct)
         return max(v, 0.0)
+
+
+# Cached lux values a run keeps before it drops those no open segment needs.
+LIGHT_CACHE_MIN = 1024
+
+
+class LightSchedule:
+    """The lux in force during one run, shared by all of its nodes.
+
+    Light changes only at global change points: none for constant light, the
+    step starts for a step profile, and every whole second when jitter or a
+    sinusoid is on.  lux_at is evaluated once per change point; the value is
+    cached until forget_before drops it.
+    """
+
+    def __init__(self, profile: IlluminationProfile, duration_s: float):
+        self.profile = profile
+        self.duration_s = duration_s
+        self.starts = [t for t, _ in profile.steps] if profile.kind == "step" else [0.0]
+        self.per_second = profile.jitter_pct > 0 or profile.kind == "sinusoid"
+        self.cache: dict[float, float] = {}
+
+    def _piece(self, t: float) -> tuple[float, float]:
+        """(first change point at or before t, first change point after t)."""
+        i = bisect.bisect_right(self.starts, t)
+        start = self.starts[i - 1]
+        end = self.starts[i] if i < len(self.starts) else math.inf
+        if self.per_second:
+            second = float(math.floor(t))
+            start, end = max(start, second), min(end, second + 1.0)
+        return start, end
+
+    def _lux_from(self, start: float) -> float:
+        lux = self.cache.get(start)
+        if lux is None:
+            lux = self.cache[start] = self.profile.lux_at(start, max_t=self.duration_s)
+        return lux
+
+    def lux(self, t: float) -> float:
+        """Lux in force at t."""
+        return self._lux_from(self._piece(t)[0])
+
+    def pieces(self, t0: float, t1: float):
+        """(end, lux) of each constant piece of (t0, t1], in time order."""
+        t = t0
+        while True:
+            start, end = self._piece(t)
+            if end >= t1:
+                yield t1, self._lux_from(start)
+                return
+            yield end, self._lux_from(start)
+            t = end
+
+    def forget_before(self, t: float) -> None:
+        """Drop the cached lux of change points no segment from t onwards uses."""
+        start = self._piece(t)[0]
+        for point in [p for p in self.cache if p < start]:
+            del self.cache[point]
 
 
 @dataclass(frozen=True)
@@ -237,6 +304,8 @@ class _Kernel:
         self.frames: list[FrameLogEntry] = []
         self.gw_liot_busy: Optional[ExchangeSession] = None
         self.env = dataclasses.replace(scenario.environment, seed=scenario.seed)
+        self.light = LightSchedule(scenario.illumination, scenario.duration_s)
+        self.light_cache_limit = LIGHT_CACHE_MIN
 
     # -- plumbing ------------------------------------------------------------
 
@@ -247,8 +316,10 @@ class _Kernel:
         self._seq += 1
         return Event(time=time, seq=self._seq, kind=kind, **kw)
 
-    def _lux(self, t: float) -> float:
-        return self.sc.illumination.lux_at(t, max_t=self.sc.duration_s)
+    def _trim_light(self) -> None:
+        oldest = min(st.last_energy_update for st in self.node_state.values())
+        self.light.forget_before(oldest)
+        self.light_cache_limit = max(LIGHT_CACHE_MIN, 2 * len(self.light.cache))
 
     def _schedule_timer(self, node_id: str) -> None:
         state = self.node_state[node_id]
@@ -349,14 +420,17 @@ class _Kernel:
 
     def run(self) -> RunResult:
         sc = self.sc
+        grid = fsm.SampleGrid(sc.sample_interval_s)
         for cfg in sc.nodes:
-            first = fsm.schedule_next_cycle(cfg, self._lux(0.0))
-            state = fsm.initial_state(cfg, first if first is not None else cfg.backoff_s)
+            first = fsm.schedule_next_cycle(cfg, self.light.lux(0.0))
+            state = fsm.initial_state(
+                cfg, first if first is not None else cfg.backoff_s, grid
+            )
             if first is None:
                 state.awaiting_reeval = True
             self.node_state[cfg.node_id] = state
+            self.results[cfg.node_id].trace = state.trace
             self._schedule_timer(cfg.node_id)
-        self._push(self._mk_event(0.0, EventKind.SUPERCAP_SAMPLED))
         self._push(self._mk_event(sc.duration_s, EventKind.RUN_ENDED))
 
         while self._heap:
@@ -369,33 +443,21 @@ class _Kernel:
                 self._finalize(ev.time)
                 break
 
-            if ev.kind is EventKind.SUPERCAP_SAMPLED:
-                for node_id, state in self.node_state.items():
-                    fsm.accrue_energy(
-                        state, self.node_cfg[node_id], ev.time, self._lux(ev.time)
-                    )
-                    self.results[node_id].trace.append(
-                        (ev.time, state.supercap.voltage_v)
-                    )
-                nxt = ev.time + sc.sample_interval_s
-                if nxt <= sc.duration_s:
-                    self._push(self._mk_event(nxt, EventKind.SUPERCAP_SAMPLED))
-                continue
-
             if ev.kind is EventKind.TIMER_FIRED:
                 node_id = ev.node_id
                 state = self.node_state[node_id]
                 if ev.time != state.phase_deadline:
                     continue  # superseded deadline
                 cfg = self.node_cfg[node_id]
-                lux = self._lux(ev.time)
-                fsm.accrue_energy(state, cfg, ev.time, lux)
+                fsm.accrue_energy(state, cfg, ev.time, self.light)
                 emissions = fsm.advance(
-                    state, cfg, ev.time, lux=lux, env=self.env,
+                    state, cfg, ev.time, lux=self.light.lux(ev.time), env=self.env,
                     rng=self.node_rng[node_id],
                 )
                 self._handle_emissions(node_id, emissions, ev.time)
                 self._schedule_timer(node_id)
+                if len(self.light.cache) > self.light_cache_limit:
+                    self._trim_light()
                 continue
 
             if ev.kind is EventKind.FRAME_DELIVERED:
@@ -405,7 +467,7 @@ class _Kernel:
                 elif frame.dst in self.node_state:
                     cfg = self.node_cfg[frame.dst]
                     state = self.node_state[frame.dst]
-                    fsm.accrue_energy(state, cfg, ev.time, self._lux(ev.time))
+                    fsm.accrue_energy(state, cfg, ev.time, self.light)
                     emissions = fsm.receive(state, cfg, frame, ev.time)
                     self._handle_emissions(frame.dst, emissions, ev.time)
                 continue
@@ -416,10 +478,9 @@ class _Kernel:
 
     def _finalize(self, end: float) -> None:
         for node_id, state in self.node_state.items():
-            fsm.accrue_energy(state, self.node_cfg[node_id], end, self._lux(end))
-            trace = self.results[node_id].trace
-            if not trace or trace[-1][0] < end:
-                trace.append((end, state.supercap.voltage_v))
+            fsm.accrue_energy(state, self.node_cfg[node_id], end, self.light)
+            if state.trace[-1][0] < end:
+                state.trace.append((end, state.supercap.voltage_v))
             res = self.results[node_id]
             res.total_consumed_j = state.total_consumed_j
             res.total_harvested_j = state.total_harvested_j

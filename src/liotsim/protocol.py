@@ -175,7 +175,6 @@ class ExchangeSession:
     step: Enum
     outcome: SessionOutcome = SessionOutcome.PENDING
     fail_reason: Optional[FailReason] = None
-    deadline: Optional[float] = None
     lux: float = 0.0
     requested_channels: tuple[str, ...] = SENSOR_CHANNELS
     assigned_sleep_s: Optional[float] = None

@@ -237,6 +237,20 @@ def _parse_channel(spec: dict, path: str) -> ChannelModel:
         raise ScenarioError(path, str(exc)) from None
 
 
+def _parse_gateway(spec: dict, path: str) -> GatewayConfig:
+    _check_keys(spec, {"present", "liot_concurrency"}, set(), path)
+    present = spec.get("present", True)
+    if not isinstance(present, bool):
+        raise ScenarioError(f"{path}.present", "expected a boolean")
+    concurrency = spec.get("liot_concurrency", 1)
+    if type(concurrency) is not int or concurrency != 1:
+        raise ScenarioError(
+            f"{path}.liot_concurrency",
+            "must be 1: the gateway has a single optical transceiver",
+        )
+    return GatewayConfig(present=present, liot_concurrency=concurrency)
+
+
 def _parse_environment(spec: dict, path: str) -> EnvironmentModel:
     _check_keys(spec, {"channels", "seed"}, set(), path)
     channels = dict(DEFAULT_CHANNELS)
@@ -277,8 +291,6 @@ def scenario_from_dict(doc: dict) -> Scenario:
     nodes = tuple(
         _parse_node(n, f"nodes[{i}]") for i, n in enumerate(nodes_spec)
     )
-    gateway_spec = doc.get("gateway", {})
-    _check_keys(gateway_spec, {"present", "liot_concurrency"}, set(), "gateway")
     try:
         return Scenario(
             duration_s=_number(doc, "duration_s", "", positive=True),
@@ -286,10 +298,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
             channel=_parse_channel(doc.get("channel", {}), "channel"),
             illumination=_parse_illumination(doc.get("illumination", {}),
                                              "illumination"),
-            gateway=GatewayConfig(
-                present=bool(gateway_spec.get("present", True)),
-                liot_concurrency=int(gateway_spec.get("liot_concurrency", 1)),
-            ),
+            gateway=_parse_gateway(doc.get("gateway", {}), "gateway"),
             environment=_parse_environment(doc.get("environment", {}), "environment"),
             seed=int(_number(doc, "seed", "", default=1)),
             sample_interval_s=_number(doc, "sample_interval_s", "", default=1.0,

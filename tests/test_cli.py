@@ -119,6 +119,25 @@ def test_simulate_scenario_file(capsys, tmp_path):
     assert "n1" in out
 
 
+@pytest.mark.parametrize("gateway,path", [
+    ({"present": "no"}, "gateway.present"),
+    ({"liot_concurrency": 2}, "gateway.liot_concurrency"),
+])
+def test_simulate_rejects_coerced_gateway_values(capsys, tmp_path, gateway, path):
+    doc = {
+        "version": 1,
+        "duration_s": 100.0,
+        "gateway": gateway,
+        "nodes": [{"id": "n1", "kind": "liot",
+                   "supercap": {"capacitance_f": 0.4, "voltage_v": 4.235}}],
+    }
+    scenario_path = tmp_path / "s.yaml"
+    scenario_path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    code, _, err = run_cli(capsys, "simulate", "--scenario", str(scenario_path))
+    assert code == EXIT_VALIDATION
+    assert path in err
+
+
 def test_sweep_lux_reproduces_both_ble_operating_points(capsys, tmp_path):
     out = str(tmp_path / "sweep.csv")
     code, _, _ = run_cli(

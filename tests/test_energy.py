@@ -20,6 +20,7 @@ from liotsim.energy import (
     implied_harvest_power,
     solve_sleep_time,
     stage_energy,
+    supercap_segment,
     supercap_step,
 )
 
@@ -260,6 +261,34 @@ def test_supercap_closed_cycle_returns_to_start(steps):
     for p, dt in reversed(steps):
         cur, _ = supercap_step(cur, -p, dt)
     assert cur.voltage_v == pytest.approx(cap.voltage_v, rel=1e-9)
+
+
+def test_supercap_segment_lands_exactly_on_v_max():
+    cap = Supercap(capacitance_f=0.4, voltage_v=4.49, v_min=3.3, v_max=4.5)
+    # V^2 meets v_max^2 at t* = (4.5^2 - 4.49^2) * C / (2 * 1 mW) = 17.98 s.
+    below, _ = supercap_segment(cap, 1.0, 17.9)
+    assert below < cap.v_max
+    assert supercap_segment(cap, 1.0, 60.0) == (cap.v_max, False)
+
+
+def test_supercap_segment_flags_depletion_at_v_min():
+    cap = Supercap(capacitance_f=0.4, voltage_v=3.31, v_min=3.3, v_max=4.5)
+    # The crossing is at t* = (3.31^2 - 3.3^2) * C / (2 * 5 mW) = 2.636 s.
+    v, depleted = supercap_segment(cap, -5.0, 2.6)
+    assert v > cap.v_min and not depleted
+    assert supercap_segment(cap, -5.0, 10.0) == (cap.v_min, True)
+
+
+@pytest.mark.parametrize("p_net_mw", [0.8, -1.7])
+def test_supercap_segment_equals_chained_steps(p_net_mw):
+    cap = Supercap(capacitance_f=0.4, voltage_v=4.0, v_min=3.3, v_max=4.5)
+    chained = cap
+    for _ in range(1000):
+        chained, _ = supercap_step(chained, p_net_mw, 0.1, efficiency=0.9)
+    v, depleted = supercap_segment(cap, p_net_mw, 100.0, efficiency=0.9)
+    assert not depleted
+    assert cap.v_min < v < cap.v_max
+    assert abs(v - chained.voltage_v) <= 1e-9
 
 
 def test_supercap_invariants():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -10,11 +11,13 @@ from liotsim.energy import (
     LIOT_PROFILE,
     Supercap,
 )
+from liotsim import kernel
 from liotsim.fsm import NodeConfig, NodeKind
 from liotsim.kernel import (
     ChannelModel,
     GatewayConfig,
     IlluminationProfile,
+    LightSchedule,
     Scenario,
     deliver,
     per_frame_loss_for_session_pdr,
@@ -22,6 +25,7 @@ from liotsim.kernel import (
     scenario_fingerprint,
 )
 from liotsim.protocol import Frame, FrameKind, GATEWAY_ID, LinkType
+from liotsim.scenario import preset_dict, scenario_from_dict
 
 
 def ble_node(node_id="ble-1", **kw) -> NodeConfig:
@@ -72,6 +76,27 @@ def test_illumination_sinusoid():
     )
     assert prof.lux_at(7200.0) == pytest.approx(700.0)
     assert prof.lux_at(0.0) == pytest.approx(600.0)
+    # Held at its value at the start of each second.
+    assert prof.lux_at(100.9) == prof.lux_at(100.0) < prof.lux_at(101.0)
+
+
+def test_light_schedule_change_points():
+    steps = IlluminationProfile(kind="step", steps=((0.0, 700.0), (10.5, 500.0)))
+    light = LightSchedule(steps, 30.0)
+    assert list(light.pieces(2.0, 30.0)) == [(10.5, 700.0), (30.0, 500.0)]
+    assert light.lux(10.5) == 500.0
+    assert list(LightSchedule(IlluminationProfile(), 30.0).pieces(0.0, 30.0)) == [
+        (30.0, 700.0)
+    ]
+    jittered = dataclasses.replace(steps, jitter_pct=0.1, jitter_seed=4)
+    light = LightSchedule(jittered, 30.0)
+    pieces = list(light.pieces(9.25, 12.0))
+    assert [end for end, _ in pieces] == [10.0, 10.5, 11.0, 12.0]
+    assert [lux for _, lux in pieces] == [
+        jittered.lux_at(t) for t in (9.25, 10.0, 10.5, 11.0)
+    ]
+    light.forget_before(11.2)
+    assert sorted(light.cache) == [11.0]
 
 
 def test_illumination_domain_and_validation():
@@ -253,3 +278,61 @@ def test_energy_ledger_balances_voltage_change():
     assert per_cycle + nr.trailing_consumed_j == pytest.approx(
         nr.total_consumed_j, rel=1e-9
     )
+
+
+def test_lux_is_evaluated_once_per_change_point(monkeypatch):
+    # A small cache limit makes the run drop lux values no segment needs.
+    monkeypatch.setattr(kernel, "LIGHT_CACHE_MIN", 8)
+    evaluated = []
+    lux_at = IlluminationProfile.lux_at
+
+    def counting_lux_at(self, t_s, max_t=None):
+        evaluated.append(t_s)
+        return lux_at(self, t_s, max_t)
+
+    monkeypatch.setattr(IlluminationProfile, "lux_at", counting_lux_at)
+    sc = Scenario(
+        duration_s=1800.0,
+        nodes=(ble_node("ble-1"), ble_node("ble-2"), liot_node()),
+        illumination=IlluminationProfile(kind="constant", lux=650.0,
+                                         jitter_pct=0.05, jitter_seed=9),
+    )
+    result = run(sc)
+    assert sum(n.packets_sent for n in result.summary.nodes) > 0
+    assert len(evaluated) == len(set(evaluated)) <= 1801
+
+
+def _two_hour_step_run(sample_interval_s: float):
+    doc = preset_dict("liot-700lx")
+    doc["duration_s"] = 7200.0
+    doc["illumination"] = {"kind": "step", "steps": [[0, 700], [3600, 500]]}
+    doc["sample_interval_s"] = sample_interval_s
+    return run(scenario_from_dict(doc))
+
+
+def test_energy_is_independent_of_sample_interval():
+    # Each light level holds for one hour: P mW * 1e-3 * 3600 s = P * 3.6 J.
+    exact = (LIOT_HARVESTER.power_mw(700.0) + LIOT_HARVESTER.power_mw(500.0)) * 3.6
+    assert exact == pytest.approx(3.9373789562565094, abs=1e-12)
+    results = [_two_hour_step_run(dt) for dt in (1.0, 60.0, 3600.0)]
+    reference = results[0].nodes["liot-1"]
+    assert reference.packets_sent == reference.packets_received == 8
+    for result in results:
+        nr = result.nodes["liot-1"]
+        assert abs(nr.total_harvested_j - exact) <= 1e-9
+        assert (nr.packets_sent, nr.packets_received) == (8, 8)
+        assert len(nr.records) == len(reference.records)
+        for got, want in zip(nr.records, reference.records):
+            assert abs(got.energy_harvested_j - want.energy_harvested_j) <= 1e-9
+            assert abs(got.scap_v_end - want.scap_v_end) <= 1e-9
+    assert [len(r.nodes["liot-1"].trace) for r in results] == [7201, 121, 3]
+
+
+def test_trace_sample_after_a_v_max_crossing_reads_exactly_v_max():
+    # Asleep at 700 lx the node nets +0.356 mW, so V^2 climbs from 4.49^2 to
+    # 4.5^2 in about 50.6 s; its first wake-up is at 620 s.
+    sc = Scenario(duration_s=300.0,
+                  nodes=(liot_node(supercap=Supercap(0.4, 4.49)),))
+    trace = run(sc).nodes["liot-1"].trace
+    assert trace[50][0] == 50.0 and trace[50][1] < 4.5
+    assert all(v == 4.5 for _, v in trace[51:])

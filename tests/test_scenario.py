@@ -99,6 +99,29 @@ def test_type_and_range_validation():
         scenario_from_dict(doc)
 
 
+@pytest.mark.parametrize("gateway,path", [
+    ({"present": "no"}, "gateway.present"),
+    ({"present": 0}, "gateway.present"),
+    ({"liot_concurrency": 2}, "gateway.liot_concurrency"),
+    ({"liot_concurrency": True}, "gateway.liot_concurrency"),
+    ({"liot_concurrency": 1.0}, "gateway.liot_concurrency"),
+    ({"liot_concurrency": "1"}, "gateway.liot_concurrency"),
+])
+def test_gateway_values_are_never_coerced(gateway, path):
+    doc = minimal_doc()
+    doc["gateway"] = gateway
+    with pytest.raises(ScenarioError) as exc:
+        scenario_from_dict(doc)
+    assert exc.value.path == path
+
+
+def test_gateway_accepts_booleans_and_concurrency_one():
+    doc = minimal_doc()
+    doc["gateway"] = {"present": False, "liot_concurrency": 1}
+    gateway = scenario_from_dict(doc).gateway
+    assert gateway.present is False and gateway.liot_concurrency == 1
+
+
 def test_inline_profile_and_harvester():
     doc = minimal_doc()
     doc["nodes"][0]["kind"] = "ble"
