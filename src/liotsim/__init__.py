@@ -3,7 +3,6 @@
 from .energy import (
     BLE_HARVESTER,
     BLE_PROFILE,
-    CycleBudget,
     EnergyProfile,
     Feasibility,
     HarvesterCurve,
@@ -16,7 +15,6 @@ from .energy import (
     active_totals,
     builtin_harvester,
     builtin_profile,
-    cycle_budget,
     implied_harvest_power,
     solve_sleep_time,
     stage_energy,
@@ -50,6 +48,5 @@ from .protocol import (
     make_liot_session,
 )
 from .scenario import load_preset, load_scenario_file, PRESET_NAMES
-from .sensors import EnvironmentModel, SensorSample, read_sensors
 
 __version__ = "0.1.0"

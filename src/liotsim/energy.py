@@ -89,10 +89,6 @@ class SleepSolution:
     feasibility: Feasibility
     t_sleep_s: float  # 0.0 for CONTINUOUS, nan for INFEASIBLE
 
-    @property
-    def is_finite(self) -> bool:
-        return self.feasibility is Feasibility.FINITE
-
 
 def solve_sleep_time(profile: EnergyProfile, p_harv_mw: float) -> SleepSolution:
     """Minimal sleep time so harvested energy covers one full duty cycle.
@@ -125,27 +121,6 @@ def implied_harvest_power(profile: EnergyProfile, t_sleep_s: float) -> float:
 
 
 @dataclass(frozen=True)
-class CycleBudget:
-    """Energy ledger of one duty cycle under a constant harvest power."""
-
-    t_active_s: float
-    e_active_j: float
-    t_sleep_s: float
-    e_sleep_j: float
-    p_harv_mw: float
-
-    @property
-    def e_harvested_j(self) -> float:
-        return self.p_harv_mw * 1e-3 * (self.t_active_s + self.t_sleep_s)
-
-
-def cycle_budget(profile: EnergyProfile, p_harv_mw: float, t_sleep_s: float) -> CycleBudget:
-    t_active, e_active = active_totals(profile)
-    e_sleep = profile.sleep_power_mw * 1e-3 * t_sleep_s
-    return CycleBudget(t_active, e_active, t_sleep_s, e_sleep, p_harv_mw)
-
-
-@dataclass(frozen=True)
 class HarvesterCurve:
     """Harvested power vs illuminance, piecewise-linear, clamped at endpoints."""
 
@@ -171,7 +146,7 @@ class HarvesterCurve:
             return pts[0][1]
         if lux >= pts[-1][0]:
             return pts[-1][1]
-        i = bisect.bisect_right([p[0] for p in pts], lux)
+        i = bisect.bisect_right(pts, (lux, math.inf))
         (x0, y0), (x1, y1) = pts[i - 1], pts[i]
         return y0 + (y1 - y0) * (lux - x0) / (x1 - x0)
 

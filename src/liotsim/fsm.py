@@ -30,12 +30,10 @@ from .protocol import (
     FrameKind,
     SessionOutcome,
     ble_exchange_step,
-    exchange_step,
     liot_exchange_step,
     make_ble_session,
     make_liot_session,
 )
-from .sensors import EnvironmentModel, SensorSample, read_sensors
 
 if TYPE_CHECKING:
     from .kernel import LightSchedule
@@ -165,7 +163,6 @@ class NodeState:
     timeout_extended: bool = False
     phase_nominal_s: float = 0.0
     session: Optional[ExchangeSession] = None
-    sample: Optional[SensorSample] = None
     gw_request_end: float = 0.0
     # cycle bookkeeping (one cycle = one sleep period plus the active burst)
     cycle_index: int = 0
@@ -176,7 +173,6 @@ class NodeState:
     total_consumed_j: float = 0.0
     total_harvested_j: float = 0.0
     last_energy_update: float = 0.0
-    transitions: list[tuple[Phase, Phase]] = field(default_factory=list)
     # Supercap voltage at the grid's times, filled as the energy segments
     # containing them close: trace[i] is sampled at trace_grid.time(i).
     trace: list[tuple[float, float]] = field(default_factory=list)
@@ -300,7 +296,6 @@ def _set_phase(
             f"illegal transition {state.phase.value} -> {phase.value} "
             f"for {cfg.kind.value} node"
         )
-    state.transitions.append((state.phase, phase))
     state.phase = phase
     state.phase_started = now
     state.phase_deadline = deadline
@@ -337,7 +332,6 @@ def advance(
     now: float,
     *,
     lux: float,
-    env: EnvironmentModel,
     rng,
 ) -> list[Emission]:
     """Handle the expiry of the current phase deadline."""
@@ -384,7 +378,6 @@ def advance(
         return [SessionStarted(session), SendFrame(out)]
 
     if phase is Phase.SENSING and cfg.kind is NodeKind.BLE:
-        state.sample = read_sensors(env, now)
         session = make_ble_session(cfg.node_id, now)
         state.session = session
         out = ble_exchange_step(session, None)
@@ -454,7 +447,6 @@ def advance(
         )
 
     if phase is Phase.SENSING and cfg.kind is NodeKind.LIOT:
-        state.sample = read_sensors(env, now)
         session = state.session
         held = session.held
         session.held = None

@@ -25,7 +25,7 @@ from typing import Optional, Union
 
 from . import fsm, metrics
 from .energy import Feasibility, solve_sleep_time
-from .fsm import NodeConfig, NodeState, Phase
+from .fsm import NodeConfig, NodeState
 from .protocol import (
     GATEWAY_ID,
     ExchangeSession,
@@ -35,13 +35,11 @@ from .protocol import (
     SessionOutcome,
     exchange_step,
 )
-from .sensors import EnvironmentModel
 
 
 class EventKind(Enum):
     TIMER_FIRED = "timer_fired"
     FRAME_DELIVERED = "frame_delivered"
-    FRAME_LOST = "frame_lost"
     RUN_ENDED = "run_ended"
 
 
@@ -214,8 +212,6 @@ class LightSchedule:
 @dataclass(frozen=True)
 class GatewayConfig:
     present: bool = True
-    # Single optical transceiver: one LIoT session serviced at a time.
-    liot_concurrency: int = 1
 
 
 @dataclass(frozen=True)
@@ -225,7 +221,6 @@ class Scenario:
     channel: ChannelModel = ChannelModel()
     illumination: IlluminationProfile = IlluminationProfile()
     gateway: GatewayConfig = GatewayConfig()
-    environment: EnvironmentModel = EnvironmentModel()
     seed: int = 1
     sample_interval_s: float = 1.0
 
@@ -267,7 +262,6 @@ class NodeResult:
     total_consumed_j: float = 0.0
     total_harvested_j: float = 0.0
     trailing_consumed_j: float = 0.0  # consumed in the unfinished final cycle
-    transitions: list[tuple[Phase, Phase]] = field(default_factory=list)
 
 
 @dataclass
@@ -303,7 +297,6 @@ class _Kernel:
         self.results = {n.node_id: NodeResult() for n in scenario.nodes}
         self.frames: list[FrameLogEntry] = []
         self.gw_liot_busy: Optional[ExchangeSession] = None
-        self.env = dataclasses.replace(scenario.environment, seed=scenario.seed)
         self.light = LightSchedule(scenario.illumination, scenario.duration_s)
         self.light_cache_limit = LIGHT_CACHE_MIN
 
@@ -328,6 +321,7 @@ class _Kernel:
         )
 
     def _send(self, frame: Frame, now: float) -> None:
+        """Log a frame; only a delivered one becomes an event (losses time out)."""
         ok = deliver(frame, self.sc.channel, self.rng_channel)
         arrival = now + frame.airtime_s
         self.frames.append(
@@ -342,8 +336,8 @@ class _Kernel:
                 delivered=ok,
             )
         )
-        kind = EventKind.FRAME_DELIVERED if ok else EventKind.FRAME_LOST
-        self._push(self._mk_event(arrival, kind, frame=frame))
+        if ok:
+            self._push(self._mk_event(arrival, EventKind.FRAME_DELIVERED, frame=frame))
 
     def _handle_emissions(self, node_id: str, emissions, now: float) -> None:
         state = self.node_state[node_id]
@@ -403,11 +397,12 @@ class _Kernel:
         if session is None or session.outcome is not SessionOutcome.PENDING:
             return
         if frame.kind is FrameKind.NODE_ID_LUX:
+            # Single optical transceiver: one LIoT session serviced at a time.
             busy = self.gw_liot_busy
             if busy is not None and busy is not session and (
                 busy.outcome is SessionOutcome.PENDING
             ):
-                return  # single optical transceiver is occupied
+                return  # the transceiver is occupied
             self.gw_liot_busy = session
             session.sleep_for_lux = self._assigned_sleep_policy(cfg)
         out = exchange_step(session, frame)
@@ -451,7 +446,7 @@ class _Kernel:
                 cfg = self.node_cfg[node_id]
                 fsm.accrue_energy(state, cfg, ev.time, self.light)
                 emissions = fsm.advance(
-                    state, cfg, ev.time, lux=self.light.lux(ev.time), env=self.env,
+                    state, cfg, ev.time, lux=self.light.lux(ev.time),
                     rng=self.node_rng[node_id],
                 )
                 self._handle_emissions(node_id, emissions, ev.time)
@@ -460,19 +455,15 @@ class _Kernel:
                     self._trim_light()
                 continue
 
-            if ev.kind is EventKind.FRAME_DELIVERED:
-                frame = ev.frame
-                if frame.dst == GATEWAY_ID:
-                    self._gateway_receive(frame, ev.time)
-                elif frame.dst in self.node_state:
-                    cfg = self.node_cfg[frame.dst]
-                    state = self.node_state[frame.dst]
-                    fsm.accrue_energy(state, cfg, ev.time, self.light)
-                    emissions = fsm.receive(state, cfg, frame, ev.time)
-                    self._handle_emissions(frame.dst, emissions, ev.time)
-                continue
-
-            # FRAME_LOST: nothing to do, timeouts recover.
+            frame = ev.frame  # FRAME_DELIVERED
+            if frame.dst == GATEWAY_ID:
+                self._gateway_receive(frame, ev.time)
+            elif frame.dst in self.node_state:
+                cfg = self.node_cfg[frame.dst]
+                state = self.node_state[frame.dst]
+                fsm.accrue_energy(state, cfg, ev.time, self.light)
+                emissions = fsm.receive(state, cfg, frame, ev.time)
+                self._handle_emissions(frame.dst, emissions, ev.time)
 
         return self._result()
 
@@ -485,7 +476,6 @@ class _Kernel:
             res.total_consumed_j = state.total_consumed_j
             res.total_harvested_j = state.total_harvested_j
             res.trailing_consumed_j = state.cycle_consumed_j
-            res.transitions = list(state.transitions)
 
     def _result(self) -> RunResult:
         node_summaries = tuple(

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import csv
-import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .protocol import FailReason, SessionOutcome
@@ -65,13 +64,14 @@ def time_weighted_voltage_stats(
         return 0.0, 0.0, 0.0
     vs = [v for _, v in trace]
     lo, hi = min(vs), max(vs)
-    if len(trace) == 1:
-        return vs[0], lo, hi
     area = 0.0
     for (t0, v0), (t1, v1) in zip(trace, trace[1:]):
         area += 0.5 * (v0 + v1) * (t1 - t0)
     span = trace[-1][0] - trace[0][0]
-    return area / span if span > 0 else vs[0], lo, hi
+    if span <= 0:
+        return vs[0], lo, hi
+    # area / span rounds outside [lo, hi] when the span is tiny.
+    return min(max(area / span, lo), hi), lo, hi
 
 
 def summarize_node(

@@ -50,39 +50,37 @@ LINK_FOR_KIND: dict[FrameKind, LinkType] = {
 }
 
 ADV_CHANNELS = (37, 38, 39)
+# Radio channels a BLE session uses: the first advertising channel, then one
+# data channel for the connection.
+ADV_CHANNEL = ADV_CHANNELS[0]
+CONN_CHANNEL = 5
 SENSOR_CHANNELS = ("temperature", "humidity", "pressure", "gas")
 
 
 @dataclass(frozen=True)
 class AirtimeModel:
-    """Per-link airtime constants: overhead + payload_bytes * per_byte.
-
-    Defaults are calibrated so that the full 4-channel optical upload takes
-    3.58 s and the BLE attribute exchange fits its 1.3 s stage.
-    """
+    """Per-link airtime constants: overhead + payload_bytes * per_byte."""
 
     overhead_s: dict[LinkType, float]
     per_byte_s: dict[LinkType, float]
 
-    @classmethod
-    def default(cls) -> "AirtimeModel":
-        return cls(
-            overhead_s={
-                LinkType.BLE_ADV: 0.001,
-                LinkType.BLE_CONN: 0.02,
-                LinkType.IR_UPLINK: 0.02,
-                LinkType.VLC_DOWNLINK: 0.01,
-            },
-            per_byte_s={
-                LinkType.BLE_ADV: 0.0001,
-                LinkType.BLE_CONN: 0.01,
-                LinkType.IR_UPLINK: (3.58 - 0.02) / 64.0,
-                LinkType.VLC_DOWNLINK: 0.005,
-            },
-        )
 
-
-DEFAULT_AIRTIME = AirtimeModel.default()
+# Calibrated so that the full 4-channel optical upload takes 3.58 s and the
+# BLE attribute exchange fits its 1.3 s stage.
+DEFAULT_AIRTIME = AirtimeModel(
+    overhead_s={
+        LinkType.BLE_ADV: 0.001,
+        LinkType.BLE_CONN: 0.02,
+        LinkType.IR_UPLINK: 0.02,
+        LinkType.VLC_DOWNLINK: 0.01,
+    },
+    per_byte_s={
+        LinkType.BLE_ADV: 0.0001,
+        LinkType.BLE_CONN: 0.01,
+        LinkType.IR_UPLINK: (3.58 - 0.02) / 64.0,
+        LinkType.VLC_DOWNLINK: 0.005,
+    },
+)
 
 # Default payload sizes (bytes).
 ADV_PAYLOAD = 31
@@ -180,10 +178,6 @@ class ExchangeSession:
     assigned_sleep_s: Optional[float] = None
     # Gateway policy: sleep seconds to assign for a reported illuminance.
     sleep_for_lux: Optional[Callable[[float], float]] = None
-    airtime: AirtimeModel = field(default_factory=AirtimeModel.default)
-    adv_channel: int = 37
-    conn_channel: int = 5
-    attr_payload_bytes: int = ATTR_DATA_PAYLOAD
     held: Optional[Frame] = None  # frame received outside its service phase
 
 
@@ -202,7 +196,6 @@ def fail_session(session: ExchangeSession, reason: FailReason) -> None:
 
 
 def _frame(
-    session: ExchangeSession,
     src: str,
     dst: str,
     kind: FrameKind,
@@ -217,7 +210,7 @@ def _frame(
         link=link,
         kind=kind,
         payload_bytes=payload,
-        airtime_s=frame_airtime(kind, payload, link, session.airtime),
+        airtime_s=frame_airtime(kind, payload, link),
         channel=channel,
         meta=meta or {},
     )
@@ -242,24 +235,24 @@ def ble_exchange_step(
 
     if step is BleStep.START and kind is None:
         session.step = BleStep.ADV_SENT
-        return _frame(session, node, gw, FrameKind.ADV_ESS, ADV_PAYLOAD,
-                      channel=session.adv_channel)
+        return _frame(node, gw, FrameKind.ADV_ESS, ADV_PAYLOAD,
+                      channel=ADV_CHANNEL)
     if step is BleStep.ADV_SENT and kind is FrameKind.ADV_ESS:
         session.step = BleStep.CONN_SENT
-        return _frame(session, gw, node, FrameKind.CONN_REQ, CONN_REQ_PAYLOAD,
-                      channel=session.adv_channel)
+        return _frame(gw, node, FrameKind.CONN_REQ, CONN_REQ_PAYLOAD,
+                      channel=ADV_CHANNEL)
     if step is BleStep.CONN_SENT and kind is FrameKind.CONN_REQ:
         session.step = BleStep.ATTR_REQUESTED
-        return _frame(session, gw, node, FrameKind.ESS_ATTR_REQUEST,
-                      ATTR_REQUEST_PAYLOAD, channel=session.conn_channel)
+        return _frame(gw, node, FrameKind.ESS_ATTR_REQUEST,
+                      ATTR_REQUEST_PAYLOAD, channel=CONN_CHANNEL)
     if step is BleStep.ATTR_REQUESTED and kind is FrameKind.ESS_ATTR_REQUEST:
         session.step = BleStep.ATTR_SENT
-        return _frame(session, node, gw, FrameKind.ESS_ATTR_DATA,
-                      session.attr_payload_bytes, channel=session.conn_channel)
+        return _frame(node, gw, FrameKind.ESS_ATTR_DATA,
+                      ATTR_DATA_PAYLOAD, channel=CONN_CHANNEL)
     if step is BleStep.ATTR_SENT and kind is FrameKind.ESS_ATTR_DATA:
         session.step = BleStep.DONE
-        return _frame(session, gw, node, FrameKind.CONFIG_OR_DISCONNECT,
-                      CONFIG_PAYLOAD, channel=session.conn_channel)
+        return _frame(gw, node, FrameKind.CONFIG_OR_DISCONNECT,
+                      CONFIG_PAYLOAD, channel=CONN_CHANNEL)
     if step is BleStep.DONE and kind is FrameKind.CONFIG_OR_DISCONNECT:
         # Connection closed by the gateway: the attributes were received.
         session.outcome = SessionOutcome.DELIVERED
@@ -287,31 +280,31 @@ def liot_exchange_step(
 
     if step is LiotStep.START and kind is None:
         session.step = LiotStep.ID_SENT
-        return _frame(session, node, gw, FrameKind.NODE_ID_LUX,
+        return _frame(node, gw, FrameKind.NODE_ID_LUX,
                       NODE_ID_LUX_PAYLOAD, meta={"lux": session.lux})
     if step is LiotStep.ID_SENT and kind is FrameKind.NODE_ID_LUX:
         session.step = LiotStep.REQUEST_SENT
-        return _frame(session, gw, node, FrameKind.SENSOR_REQUEST,
+        return _frame(gw, node, FrameKind.SENSOR_REQUEST,
                       SENSOR_REQUEST_PAYLOAD,
                       meta={"channels": session.requested_channels})
     if step is LiotStep.REQUEST_SENT and kind is FrameKind.SENSOR_REQUEST:
         session.step = LiotStep.DATA_SENT
         payload = BYTES_PER_OPTICAL_CHANNEL * len(session.requested_channels)
-        return _frame(session, node, gw, FrameKind.SENSOR_DATA, payload)
+        return _frame(node, gw, FrameKind.SENSOR_DATA, payload)
     if step is LiotStep.DATA_SENT and kind is FrameKind.SENSOR_DATA:
         session.step = LiotStep.SLEEP_SENT
         if session.sleep_for_lux is None:
             raise ValueError("LIoT session needs a sleep_for_lux policy")
         reported = incoming.meta.get("lux", session.lux) if incoming else session.lux
         session.assigned_sleep_s = session.sleep_for_lux(reported)
-        return _frame(session, gw, node, FrameKind.SLEEP_SET, SLEEP_SET_PAYLOAD,
+        return _frame(gw, node, FrameKind.SLEEP_SET, SLEEP_SET_PAYLOAD,
                       meta={"sleep_s": session.assigned_sleep_s})
     if step is LiotStep.SLEEP_SENT and kind is FrameKind.SLEEP_SET:
         session.step = LiotStep.DONE
         # Delivered once the acknowledgment goes out; a lost Ack only keeps
         # the gateway from closing early, the readings were already decoded.
         session.outcome = SessionOutcome.DELIVERED
-        return _frame(session, node, gw, FrameKind.ACK, ACK_PAYLOAD)
+        return _frame(node, gw, FrameKind.ACK, ACK_PAYLOAD)
     fail_session(session, FailReason.PROTOCOL_VIOLATION)
     return None
 

@@ -7,7 +7,8 @@ the 8-hour evaluation scenarios of the two node builds at 700 and 500 lx.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+import math
+from typing import Any
 
 import yaml
 
@@ -30,7 +31,6 @@ from .kernel import (
     BLE_SESSION_FRAMES,
 )
 from .protocol import LinkType, SENSOR_CHANNELS
-from .sensors import ChannelSpec, DEFAULT_CHANNELS, EnvironmentModel
 
 SCHEMA_VERSION = 1
 
@@ -54,32 +54,53 @@ class ScenarioError(ValueError):
         self.path = path
 
 
+def _at(path: str, key: Any) -> str:
+    """Dotted path of key inside path; the document root is the empty path."""
+    return f"{path}.{key}" if path else str(key)
+
+
 def _check_keys(d: dict, allowed: set[str], required: set[str], path: str) -> None:
     if not isinstance(d, dict):
         raise ScenarioError(path, f"expected a mapping, got {type(d).__name__}")
     unknown = set(d) - allowed
     if unknown:
-        raise ScenarioError(
-            f"{path}.{sorted(unknown)[0]}" if path else sorted(unknown)[0],
-            "unknown key",
-        )
+        raise ScenarioError(_at(path, sorted(unknown, key=str)[0]), "unknown key")
     missing = required - set(d)
     if missing:
         raise ScenarioError(path, f"missing required key {sorted(missing)[0]!r}")
 
 
+def _finite(v: Any, path: str) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ScenarioError(path, "expected a number")
+    try:
+        v = float(v)
+    except OverflowError:
+        v = math.inf
+    if not math.isfinite(v):
+        raise ScenarioError(path, "must be finite")
+    return v
+
+
 def _number(d: dict, key: str, path: str, default=None, minimum=None, positive=False):
     if key not in d:
         return default
-    v = d[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ScenarioError(f"{path}.{key}", "expected a number")
-    v = float(v)
+    path = _at(path, key)
+    v = _finite(d[key], path)
     if positive and v <= 0:
-        raise ScenarioError(f"{path}.{key}", "must be > 0")
+        raise ScenarioError(path, "must be > 0")
     if minimum is not None and v < minimum:
-        raise ScenarioError(f"{path}.{key}", f"must be >= {minimum}")
+        raise ScenarioError(path, f"must be >= {minimum}")
     return v
+
+
+def _pairs(spec: Any, path: str) -> tuple[tuple[float, float], ...]:
+    """A list of [number, number] pairs, e.g. curve points or light steps."""
+    if not isinstance(spec, (list, tuple)) or not all(
+        isinstance(p, (list, tuple)) and len(p) == 2 for p in spec
+    ):
+        raise ScenarioError(path, "expected a list of [number, number] pairs")
+    return tuple((_finite(a, path), _finite(b, path)) for a, b in spec)
 
 
 def _parse_profile(spec: Any, path: str) -> EnergyProfile:
@@ -94,6 +115,8 @@ def _parse_profile(spec: Any, path: str) -> EnergyProfile:
         {"voltage_v", "sleep_current_ma", "stages"},
         path,
     )
+    if not isinstance(spec["stages"], list):
+        raise ScenarioError(f"{path}.stages", "expected a list of stages")
     stages = []
     for i, st in enumerate(spec["stages"]):
         spath = f"{path}.stages[{i}]"
@@ -126,12 +149,12 @@ def _parse_harvester(spec: Any, path: str) -> HarvesterCurve:
         except KeyError as exc:
             raise ScenarioError(path, str(exc)) from None
     _check_keys(spec, {"points"}, {"points"}, path)
+    points_path = f"{path}.points"
+    points = _pairs(spec["points"], points_path)
     try:
-        return HarvesterCurve(
-            points=tuple((float(l), float(p)) for l, p in spec["points"])
-        )
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{path}.points", str(exc)) from None
+        return HarvesterCurve(points=points)
+    except ValueError as exc:
+        raise ScenarioError(points_path, str(exc)) from None
 
 
 def _parse_supercap(spec: dict, path: str) -> Supercap:
@@ -204,7 +227,7 @@ def _parse_illumination(spec: dict, path: str) -> IlluminationProfile:
         return IlluminationProfile(
             kind=spec.get("kind", "constant"),
             lux=_number(spec, "lux", path, default=700.0, minimum=0.0),
-            steps=tuple((float(t), float(l)) for t, l in spec.get("steps", [])),
+            steps=_pairs(spec.get("steps", []), f"{path}.steps"),
             mean=_number(spec, "mean", path, default=0.0, minimum=0.0),
             amplitude=_number(spec, "amplitude", path, default=0.0, minimum=0.0),
             period_s=_number(spec, "period_s", path, default=86400.0, positive=True),
@@ -213,7 +236,7 @@ def _parse_illumination(spec: dict, path: str) -> IlluminationProfile:
         )
     except ScenarioError:
         raise
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ScenarioError(path, str(exc)) from None
 
 
@@ -221,13 +244,16 @@ def _parse_channel(spec: dict, path: str) -> ChannelModel:
     _check_keys(spec, {"loss", "per_link_loss", "seed"}, set(), path)
     loss: Any = _number(spec, "loss", path, default=0.0, minimum=0.0)
     if "per_link_loss" in spec:
+        links, links_path = spec["per_link_loss"], f"{path}.per_link_loss"
+        if not isinstance(links, dict):
+            raise ScenarioError(links_path, "expected a mapping of link to loss")
         per_link = {}
-        for key, p in spec["per_link_loss"].items():
+        for key in links:
             try:
                 link = LinkType(key)
             except ValueError:
-                raise ScenarioError(f"{path}.per_link_loss.{key}", "unknown link")
-            per_link[link] = float(p)
+                raise ScenarioError(_at(links_path, key), "unknown link") from None
+            per_link[link] = _number(links, key, links_path)
         loss = per_link
     try:
         return ChannelModel(loss=loss, seed=int(_number(spec, "seed", path, default=0)))
@@ -238,49 +264,23 @@ def _parse_channel(spec: dict, path: str) -> ChannelModel:
 
 
 def _parse_gateway(spec: dict, path: str) -> GatewayConfig:
-    _check_keys(spec, {"present", "liot_concurrency"}, set(), path)
+    _check_keys(spec, {"present"}, set(), path)
     present = spec.get("present", True)
     if not isinstance(present, bool):
         raise ScenarioError(f"{path}.present", "expected a boolean")
-    concurrency = spec.get("liot_concurrency", 1)
-    if type(concurrency) is not int or concurrency != 1:
-        raise ScenarioError(
-            f"{path}.liot_concurrency",
-            "must be 1: the gateway has a single optical transceiver",
-        )
-    return GatewayConfig(present=present, liot_concurrency=concurrency)
-
-
-def _parse_environment(spec: dict, path: str) -> EnvironmentModel:
-    _check_keys(spec, {"channels", "seed"}, set(), path)
-    channels = dict(DEFAULT_CHANNELS)
-    for name, ch in spec.get("channels", {}).items():
-        cpath = f"{path}.channels.{name}"
-        if name not in DEFAULT_CHANNELS:
-            raise ScenarioError(cpath, "unknown sensor channel")
-        _check_keys(ch, {"baseline", "amplitude", "period_s", "noise_sigma"},
-                    {"baseline"}, cpath)
-        channels[name] = ChannelSpec(
-            baseline=_number(ch, "baseline", cpath),
-            amplitude=_number(ch, "amplitude", cpath, default=0.0, minimum=0.0),
-            period_s=_number(ch, "period_s", cpath, default=86400.0, positive=True),
-            noise_sigma=_number(ch, "noise_sigma", cpath, default=0.0, minimum=0.0),
-        )
-    return EnvironmentModel(
-        channels=channels, seed=int(_number(spec, "seed", path, default=0))
-    )
+    return GatewayConfig(present=present)
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
     _check_keys(
         doc,
         {"version", "duration_s", "seed", "sample_interval_s", "nodes",
-         "illumination", "channel", "gateway", "environment"},
+         "illumination", "channel", "gateway"},
         {"version", "duration_s", "nodes"},
         "",
     )
     version = doc["version"]
-    if not isinstance(version, int):
+    if isinstance(version, bool) or not isinstance(version, int):
         raise ScenarioError("version", "expected an integer")
     if version > SCHEMA_VERSION:
         raise ScenarioError("version", f"schema version {version} is newer than "
@@ -299,15 +299,15 @@ def scenario_from_dict(doc: dict) -> Scenario:
             illumination=_parse_illumination(doc.get("illumination", {}),
                                              "illumination"),
             gateway=_parse_gateway(doc.get("gateway", {}), "gateway"),
-            environment=_parse_environment(doc.get("environment", {}), "environment"),
             seed=int(_number(doc, "seed", "", default=1)),
             sample_interval_s=_number(doc, "sample_interval_s", "", default=1.0,
                                       positive=True),
         )
+    except ScenarioError:
+        raise
     except ValueError as exc:
-        if isinstance(exc, ScenarioError):
-            raise
-        raise ScenarioError("", str(exc)) from None
+        # Scenario itself checks only what the parsers cannot: unique node ids.
+        raise ScenarioError("nodes", str(exc)) from None
 
 
 def load_scenario_file(path: str) -> Scenario:
@@ -357,13 +357,6 @@ def preset_dict(name: str) -> dict:
 
 def load_preset(name: str) -> Scenario:
     return scenario_from_dict(preset_dict(name))
-
-
-def resolve_scenario(ref: str) -> Scenario:
-    """Accept either a preset name or a path to a scenario YAML file."""
-    if ref in PRESET_NAMES:
-        return load_preset(ref)
-    return load_scenario_file(ref)
 
 
 def resolve_scenario_dict(ref: str) -> dict:

@@ -1,0 +1,39 @@
+"""Malformed scenario values shared by the scenario and CLI tests."""
+
+import math
+from collections import Counter
+
+import pytest
+
+# (dotted key, bad value, expected error path) rows; each document must be
+# rejected with a ScenarioError at exactly that path.
+BAD_VALUES = (
+    ("environment", {"seed": 7}, "environment"),
+    ("duration_s", math.inf, "duration_s"),
+    ("duration_s", math.nan, "duration_s"),
+    ("sample_interval_s", math.nan, "sample_interval_s"),
+    ("seed", "1", "seed"),
+    ("version", True, "version"),
+    ("illumination.lux", math.inf, "illumination.lux"),
+    ("illumination.steps", [1], "illumination.steps"),
+    ("nodes.0.supercap.capacitance_f", math.nan, "nodes[0].supercap.capacitance_f"),
+    ("channel.per_link_loss", [1], "channel.per_link_loss"),
+    ("channel.per_link_loss", {"ble_adv": "x"}, "channel.per_link_loss.ble_adv"),
+    ("nodes.0.profile", {"voltage_v": 3.3, "sleep_current_ma": 0.05, "stages": 5},
+     "nodes[0].profile.stages"),
+)
+
+
+def bad_value_cases(*rows):
+    """pytest params from (dotted key, bad value, expected error path) rows.
+
+    The key is set with scenario.set_by_path.  Ids number the rows of each
+    top-level section: gateway0-gateway.present, gateway1-..., seed0-seed.
+    """
+    seen: Counter = Counter()
+    params = []
+    for key, value, path in rows:
+        section = key.split(".")[0]
+        params.append(pytest.param(key, value, path, id=f"{section}{seen[section]}-{path}"))
+        seen[section] += 1
+    return params

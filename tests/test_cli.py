@@ -5,6 +5,7 @@ import os
 import pytest
 import yaml
 
+from cases import BAD_VALUES, bad_value_cases
 from liotsim.cli import (
     EXIT_INFEASIBLE,
     EXIT_IO,
@@ -12,6 +13,7 @@ from liotsim.cli import (
     EXIT_VALIDATION,
     main,
 )
+from liotsim.scenario import set_by_path
 
 
 def run_cli(capsys, *argv):
@@ -119,23 +121,24 @@ def test_simulate_scenario_file(capsys, tmp_path):
     assert "n1" in out
 
 
-@pytest.mark.parametrize("gateway,path", [
-    ({"present": "no"}, "gateway.present"),
-    ({"liot_concurrency": 2}, "gateway.liot_concurrency"),
-])
-def test_simulate_rejects_coerced_gateway_values(capsys, tmp_path, gateway, path):
+@pytest.mark.parametrize("key,value,path", bad_value_cases(
+    ("gateway.present", "no", "gateway.present"),
+    ("gateway.liot_concurrency", 2, "gateway.liot_concurrency"),
+    *BAD_VALUES,
+))
+def test_simulate_rejects_coerced_gateway_values(capsys, tmp_path, key, value, path):
     doc = {
         "version": 1,
         "duration_s": 100.0,
-        "gateway": gateway,
         "nodes": [{"id": "n1", "kind": "liot",
                    "supercap": {"capacitance_f": 0.4, "voltage_v": 4.235}}],
     }
+    set_by_path(doc, key, value)
     scenario_path = tmp_path / "s.yaml"
     scenario_path.write_text(yaml.safe_dump(doc), encoding="utf-8")
     code, _, err = run_cli(capsys, "simulate", "--scenario", str(scenario_path))
     assert code == EXIT_VALIDATION
-    assert path in err
+    assert f"invalid scenario: {path}: " in err
 
 
 def test_sweep_lux_reproduces_both_ble_operating_points(capsys, tmp_path):

@@ -16,7 +16,6 @@ from liotsim.energy import (
     active_totals,
     builtin_harvester,
     builtin_profile,
-    cycle_budget,
     implied_harvest_power,
     solve_sleep_time,
     stage_energy,
@@ -183,13 +182,6 @@ def test_solver_energy_conservation_and_monotonicity(data):
     assert lhs == pytest.approx(rhs, rel=1e-9)
     if p1 < p2:
         assert s1.t_sleep_s > solve_sleep_time(profile, p2).t_sleep_s
-
-
-def test_cycle_budget_fields():
-    b = cycle_budget(BLE_PROFILE, 0.9, 10.0)
-    assert b.t_active_s == pytest.approx(5.56)
-    assert b.e_sleep_j == pytest.approx(BLE_PROFILE.sleep_power_mw * 1e-3 * 10.0)
-    assert b.e_harvested_j == pytest.approx(0.9e-3 * 15.56)
 
 
 def test_harvester_curve_interpolation_and_clamp():

@@ -1,4 +1,3 @@
-import math
 import random
 
 import pytest
@@ -24,7 +23,6 @@ from liotsim.fsm import (
     schedule_next_cycle,
 )
 from liotsim.protocol import Frame, FrameKind, LinkType, GATEWAY_ID
-from liotsim.sensors import ChannelSpec, EnvironmentModel, read_sensors
 
 
 def ble_cfg(**kw) -> NodeConfig:
@@ -75,40 +73,6 @@ def test_schedule_infeasible_returns_none():
         schedule_next_cycle(ble_cfg(), -5.0)
 
 
-def test_read_sensors_baseline_and_determinism():
-    env = EnvironmentModel(seed=42)
-    s = read_sensors(env, 0.0)
-    assert (s.temperature, s.humidity, s.pressure) == (21.0, 40.0, 1013.0)
-    assert read_sensors(env, 1234.5) == read_sensors(env, 1234.5)
-
-
-def test_read_sensors_quarter_period_adds_amplitude():
-    env = EnvironmentModel(
-        channels={
-            "temperature": ChannelSpec(baseline=20.0, amplitude=3.0, period_s=400.0),
-            "humidity": ChannelSpec(baseline=40.0),
-            "pressure": ChannelSpec(baseline=1013.0),
-            "gas": ChannelSpec(baseline=50000.0),
-        },
-        seed=1,
-    )
-    assert read_sensors(env, 100.0).temperature == pytest.approx(23.0)
-
-
-def test_read_sensors_noise_is_seed_stable():
-    spec = {
-        "temperature": ChannelSpec(baseline=20.0, noise_sigma=0.5),
-        "humidity": ChannelSpec(baseline=40.0),
-        "pressure": ChannelSpec(baseline=1013.0),
-        "gas": ChannelSpec(baseline=50000.0),
-    }
-    a = read_sensors(EnvironmentModel(channels=spec, seed=7), 10.0)
-    b = read_sensors(EnvironmentModel(channels=spec, seed=7), 10.0)
-    c = read_sensors(EnvironmentModel(channels=spec, seed=8), 10.0)
-    assert a.temperature == b.temperature
-    assert a.temperature != c.temperature
-
-
 def test_phase_power_lookup():
     assert phase_power_mw(ble_cfg(), Phase.SLEEPING) == pytest.approx(0.231)
     assert phase_power_mw(ble_cfg(), Phase.EXCHANGING) == pytest.approx(0.8 * 3.3)
@@ -128,19 +92,17 @@ def test_profile_stage_mismatch_rejected():
 
 def test_ble_cycle_walkthrough_emits_adv_then_sleeps_without_gateway():
     cfg = ble_cfg()
-    env = EnvironmentModel()
     rng = random.Random(0)
     state = initial_state(cfg, 13.76)
-    ems = advance(state, cfg, 13.76, lux=700.0, env=env, rng=rng)
+    ems = advance(state, cfg, 13.76, lux=700.0, rng=rng)
     assert state.phase is Phase.SENSING and ems == []
-    ems = advance(state, cfg, state.phase_deadline, lux=700.0, env=env, rng=rng)
+    ems = advance(state, cfg, state.phase_deadline, lux=700.0, rng=rng)
     assert state.phase is Phase.ADVERTISING
     kinds = [type(e).__name__ for e in ems]
     assert kinds == ["SessionStarted", "SendFrame"]
     assert ems[1].frame.kind is FrameKind.ADV_ESS
-    assert state.sample is not None
     # No connection request: the advertising window expires into sleep.
-    ems = advance(state, cfg, state.phase_deadline, lux=700.0, env=env, rng=rng)
+    ems = advance(state, cfg, state.phase_deadline, lux=700.0, rng=rng)
     assert state.phase is Phase.SLEEPING
     finished = [e for e in ems if type(e).__name__ == "CycleFinished"]
     assert len(finished) == 1
@@ -149,12 +111,11 @@ def test_ble_cycle_walkthrough_emits_adv_then_sleeps_without_gateway():
 
 def test_uniform_advertising_mode_draws_in_range():
     cfg = ble_cfg(adv_mode="uniform")
-    env = EnvironmentModel()
     rng = random.Random(3)
     for _ in range(20):
         state = initial_state(cfg, 1.0)
-        advance(state, cfg, 1.0, lux=700.0, env=env, rng=rng)
-        advance(state, cfg, state.phase_deadline, lux=700.0, env=env, rng=rng)
+        advance(state, cfg, 1.0, lux=700.0, rng=rng)
+        advance(state, cfg, state.phase_deadline, lux=700.0, rng=rng)
         adv = state.phase_deadline - state.phase_started
         assert 0.5 <= adv <= 4.0
 
@@ -170,8 +131,7 @@ def test_depleted_node_emits_nothing():
     assert receive(state, cfg, frame, 5.0) == []
     # A depleted node stays asleep at its wake deadline.
     state.supercap = Supercap(0.4, 3.3, v_min=3.3)
-    ems = advance(state, cfg, 10.0, lux=0.0, env=EnvironmentModel(),
-                  rng=random.Random(0))
+    ems = advance(state, cfg, 10.0, lux=0.0, rng=random.Random(0))
     assert ems == [] and state.phase is Phase.SLEEPING
     assert state.phase_deadline == pytest.approx(10.0 + cfg.backoff_s)
 

@@ -1,9 +1,11 @@
-import copy
+import dataclasses
+import os
 
 import pytest
 import yaml
 
-from liotsim.kernel import BLE_SESSION_FRAMES, per_frame_loss_for_session_pdr
+from cases import BAD_VALUES, bad_value_cases
+from liotsim.kernel import BLE_SESSION_FRAMES, per_frame_loss_for_session_pdr, run
 from liotsim.scenario import (
     PRESET_NAMES,
     SCHEMA_VERSION,
@@ -11,9 +13,12 @@ from liotsim.scenario import (
     load_preset,
     load_scenario_file,
     preset_dict,
-    resolve_scenario,
     scenario_from_dict,
     set_by_path,
+)
+
+DOCS_EXAMPLE = os.path.join(
+    os.path.dirname(__file__), os.pardir, "docs", "scenario-example.yaml"
 )
 
 
@@ -97,29 +102,35 @@ def test_type_and_range_validation():
     doc["channel"] = {"loss": 1.5}
     with pytest.raises(ScenarioError):
         scenario_from_dict(doc)
-
-
-@pytest.mark.parametrize("gateway,path", [
-    ({"present": "no"}, "gateway.present"),
-    ({"present": 0}, "gateway.present"),
-    ({"liot_concurrency": 2}, "gateway.liot_concurrency"),
-    ({"liot_concurrency": True}, "gateway.liot_concurrency"),
-    ({"liot_concurrency": 1.0}, "gateway.liot_concurrency"),
-    ({"liot_concurrency": "1"}, "gateway.liot_concurrency"),
-])
-def test_gateway_values_are_never_coerced(gateway, path):
     doc = minimal_doc()
-    doc["gateway"] = gateway
+    doc["nodes"].append(dict(doc["nodes"][0]))
+    with pytest.raises(ScenarioError, match="unique") as exc:
+        scenario_from_dict(doc)
+    assert exc.value.path == "nodes"
+
+
+@pytest.mark.parametrize("key,value,path", bad_value_cases(
+    ("gateway.present", "no", "gateway.present"),
+    ("gateway.present", 0, "gateway.present"),
+    # The gateway has a single optical transceiver; the key is gone.
+    ("gateway.liot_concurrency", 2, "gateway.liot_concurrency"),
+    ("gateway.liot_concurrency", True, "gateway.liot_concurrency"),
+    ("gateway.liot_concurrency", 1.0, "gateway.liot_concurrency"),
+    ("gateway.liot_concurrency", 1, "gateway.liot_concurrency"),
+    *BAD_VALUES,
+))
+def test_gateway_values_are_never_coerced(key, value, path):
+    doc = minimal_doc()
+    set_by_path(doc, key, value)
     with pytest.raises(ScenarioError) as exc:
         scenario_from_dict(doc)
     assert exc.value.path == path
 
 
-def test_gateway_accepts_booleans_and_concurrency_one():
+def test_gateway_accepts_booleans():
     doc = minimal_doc()
-    doc["gateway"] = {"present": False, "liot_concurrency": 1}
-    gateway = scenario_from_dict(doc).gateway
-    assert gateway.present is False and gateway.liot_concurrency == 1
+    doc["gateway"] = {"present": False}
+    assert scenario_from_dict(doc).gateway.present is False
 
 
 def test_inline_profile_and_harvester():
@@ -165,8 +176,6 @@ def test_yaml_file_round_trip(tmp_path):
     path.write_text(yaml.safe_dump(minimal_doc()), encoding="utf-8")
     sc = load_scenario_file(str(path))
     assert sc.nodes[0].node_id == "n1"
-    assert resolve_scenario(str(path)) == sc
-    assert resolve_scenario("liot-700lx") == load_preset("liot-700lx")
     bad = tmp_path / "bad.yaml"
     bad.write_text("- just\n- a\n- list\n", encoding="utf-8")
     with pytest.raises(ScenarioError, match="mapping"):
@@ -185,3 +194,10 @@ def test_set_by_path():
         set_by_path(doc, "nodes.7.margin", 0.1)
     with pytest.raises(ScenarioError):
         set_by_path(doc, "duration_s.deeper", 1.0)
+
+
+def test_docs_example_loads_and_runs():
+    sc = dataclasses.replace(load_scenario_file(DOCS_EXAMPLE), duration_s=600.0)
+    result = run(sc)
+    assert set(result.nodes) == {"ble-1", "liot-1"}
+    assert result.summary.node("ble-1").packets_sent > 0
