@@ -20,7 +20,6 @@ from .energy import (
     Supercap,
     active_totals,
     solve_sleep_time,
-    supercap_segment,
     Feasibility,
 )
 from .protocol import (
@@ -133,22 +132,31 @@ class NodeConfig:
             )
 
 
+# Sample times a SampleGrid appends at a time.
+SAMPLE_CHUNK = 256
+
+
 class SampleGrid:
     """Trace sample times 0, dt, dt + dt, ..., built by repeated addition.
 
     One grid serves every node of a run, so each sample time is a single
-    float object shared by all of their traces.
+    float object shared by all of their traces.  The times grow in chunks,
+    so the list may run past the end of the run.
     """
 
     def __init__(self, interval_s: float):
         self.interval_s = interval_s
         self.times = [0.0]
 
-    def time(self, i: int) -> float:
-        times = self.times
-        while len(times) <= i:
-            times.append(times[-1] + self.interval_s)
-        return times[i]
+    def cover(self, t: float) -> list[float]:
+        """The times, grown until the last one lies past t."""
+        times, dt = self.times, self.interval_s
+        while times[-1] <= t:
+            last = times[-1]
+            for _ in range(SAMPLE_CHUNK):
+                last += dt
+                times.append(last)
+        return times
 
 
 @dataclass
@@ -174,7 +182,7 @@ class NodeState:
     total_harvested_j: float = 0.0
     last_energy_update: float = 0.0
     # Supercap voltage at the grid's times, filled as the energy segments
-    # containing them close: trace[i] is sampled at trace_grid.time(i).
+    # containing them close: trace[i] is sampled at trace_grid.times[i].
     trace: list[tuple[float, float]] = field(default_factory=list)
     trace_grid: Optional[SampleGrid] = None
 
@@ -255,30 +263,48 @@ def accrue_energy(
     The load is constant since the last checkpoint and the light changes only
     at its change points, so the interval splits into pieces of constant net
     power.  Each piece is integrated in closed form with the lux in force at
-    its start; trace grid points inside a piece are sampled from it.
+    its start; trace grid points inside a piece are sampled from it.  Every
+    voltage is supercap_segment's, written out here with V0^2 and 2*P hoisted
+    per piece (the same floats: the expression still evaluates left to right).
     """
     t = state.last_energy_update
     if now <= t:
         return
     p_load = phase_power_mw(cfg, state.phase)
+    power_mw, efficiency = cfg.harvester.power_mw, cfg.efficiency
     cap = state.supercap
+    c, v_min, v_max = cap.capacitance_f, cap.v_min, cap.v_max
+    v_min_sq = v_min**2
+    v = cap.voltage_v
     trace, grid = state.trace, state.trace_grid
-    sample_t = grid.time(len(trace))
+    times = grid.times if grid.times[-1] > now else grid.cover(now)
+    i = len(trace)
+    sample_t = times[i]
     harvested = 0.0
     for t_end, lux in light.pieces(t, now):
-        p_harv = cfg.harvester.power_mw(lux)
-        p_net = p_harv - p_load
+        p_harv = power_mw(lux)
+        p_w = (p_harv - p_load) * 1e-3
+        if p_w > 0:
+            p_w *= efficiency
+        v0_sq = v**2
+        two_p_w = 2.0 * p_w
         while sample_t <= t_end:
-            v, _ = supercap_segment(cap, p_net, sample_t - t, cfg.efficiency)
-            trace.append((sample_t, v))
-            sample_t = grid.time(len(trace))
-        v, depleted = supercap_segment(cap, p_net, t_end - t, cfg.efficiency)
-        cap = Supercap(cap.capacitance_f, v, cap.v_min, cap.v_max)
-        if depleted:
+            v_sq = v0_sq + two_p_w * (sample_t - t) / c
+            if v_sq < v_min_sq:
+                trace.append((sample_t, v_min))
+            else:
+                trace.append((sample_t, min(math.sqrt(v_sq), v_max)))
+            i += 1
+            sample_t = times[i]
+        v_sq = v0_sq + two_p_w * (t_end - t) / c
+        if v_sq < v_min_sq:
+            v = v_min
             state.depleted = True
+        else:
+            v = min(math.sqrt(v_sq), v_max)
         harvested += p_harv * 1e-3 * (t_end - t)
         t = t_end
-    state.supercap = cap
+    state.supercap = Supercap(c, v, v_min, v_max)
     consumed = p_load * 1e-3 * (now - state.last_energy_update)
     state.cycle_consumed_j += consumed
     state.cycle_harvested_j += harvested

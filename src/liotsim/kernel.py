@@ -1,9 +1,9 @@
 """Deterministic discrete-event engine.
 
-Virtual clock with a (time, insertion-seq) ordered heap, a gateway agent,
-a seeded Bernoulli loss channel, time-varying illumination, and multi-node
-scenario execution.  One kernel owns all of its state; identical scenario
-and seed give byte-identical results.
+Virtual clock with a heap of (time, insertion seq, kind, subject) tuples, a
+gateway agent, a seeded Bernoulli loss channel, time-varying illumination,
+and multi-node scenario execution.  One kernel owns all of its state;
+identical scenario and seed give byte-identical results.
 
 Energy needs no clock of its own: light is piecewise constant, so each
 node's supercap is integrated in closed form whenever one of its own events
@@ -38,18 +38,14 @@ from .protocol import (
 
 
 class EventKind(Enum):
-    TIMER_FIRED = "timer_fired"
-    FRAME_DELIVERED = "frame_delivered"
-    RUN_ENDED = "run_ended"
+    TIMER_FIRED = "timer_fired"  # subject: the node id
+    FRAME_DELIVERED = "frame_delivered"  # subject: the frame
+    RUN_ENDED = "run_ended"  # subject: None
 
 
-@dataclass(frozen=True)
-class Event:
-    time: float
-    seq: int
-    kind: EventKind
-    node_id: Optional[str] = None
-    frame: Optional[Frame] = None
+TIMER_FIRED = EventKind.TIMER_FIRED
+FRAME_DELIVERED = EventKind.FRAME_DELIVERED
+RUN_ENDED = EventKind.RUN_ENDED
 
 
 @dataclass(frozen=True)
@@ -241,7 +237,7 @@ def scenario_fingerprint(scenario: Scenario) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FrameLogEntry:
     sent_s: float
     arrival_s: float
@@ -268,7 +264,17 @@ class NodeResult:
 class RunResult:
     summary: metrics.RunSummary
     nodes: dict[str, NodeResult]
-    frames: list[FrameLogEntry]
+    # (sent_s, arrival_s, frame, delivered) of every frame sent, in send order
+    frame_log: list[tuple[float, float, Frame, bool]]
+
+    @property
+    def frames(self) -> list[FrameLogEntry]:
+        """The frame log as entries, built anew on each read."""
+        return [
+            FrameLogEntry(sent, arrival, f.src, f.dst, f.link.value, f.kind.value,
+                          f.payload_bytes, delivered)
+            for sent, arrival, f, delivered in self.frame_log
+        ]
 
     @property
     def records(self) -> list[metrics.CycleRecord]:
@@ -283,7 +289,7 @@ class _Kernel:
     def __init__(self, scenario: Scenario):
         self.sc = scenario
         self.clock = 0.0
-        self._heap: list[tuple[float, int, Event]] = []
+        self._heap: list[tuple[float, int, EventKind, object]] = []
         self._seq = 0
         self.rng_channel = random.Random(
             f"{scenario.seed}|channel|{scenario.channel.seed}"
@@ -295,49 +301,29 @@ class _Kernel:
             for n in scenario.nodes
         }
         self.results = {n.node_id: NodeResult() for n in scenario.nodes}
-        self.frames: list[FrameLogEntry] = []
+        self.frame_log: list[tuple[float, float, Frame, bool]] = []
         self.gw_liot_busy: Optional[ExchangeSession] = None
         self.light = LightSchedule(scenario.illumination, scenario.duration_s)
         self.light_cache_limit = LIGHT_CACHE_MIN
 
     # -- plumbing ------------------------------------------------------------
 
-    def _push(self, ev: Event) -> None:
-        heapq.heappush(self._heap, (ev.time, ev.seq, ev))
-
-    def _mk_event(self, time: float, kind: EventKind, **kw) -> Event:
+    def _push(self, time: float, kind: EventKind, subject: object) -> None:
         self._seq += 1
-        return Event(time=time, seq=self._seq, kind=kind, **kw)
+        heapq.heappush(self._heap, (time, self._seq, kind, subject))
 
     def _trim_light(self) -> None:
         oldest = min(st.last_energy_update for st in self.node_state.values())
         self.light.forget_before(oldest)
         self.light_cache_limit = max(LIGHT_CACHE_MIN, 2 * len(self.light.cache))
 
-    def _schedule_timer(self, node_id: str) -> None:
-        state = self.node_state[node_id]
-        self._push(
-            self._mk_event(state.phase_deadline, EventKind.TIMER_FIRED, node_id=node_id)
-        )
-
     def _send(self, frame: Frame, now: float) -> None:
         """Log a frame; only a delivered one becomes an event (losses time out)."""
         ok = deliver(frame, self.sc.channel, self.rng_channel)
         arrival = now + frame.airtime_s
-        self.frames.append(
-            FrameLogEntry(
-                sent_s=now,
-                arrival_s=arrival,
-                src=frame.src,
-                dst=frame.dst,
-                link=frame.link.value,
-                kind=frame.kind.value,
-                payload_bytes=frame.payload_bytes,
-                delivered=ok,
-            )
-        )
+        self.frame_log.append((now, arrival, frame, ok))
         if ok:
-            self._push(self._mk_event(arrival, EventKind.FRAME_DELIVERED, frame=frame))
+            self._push(arrival, FRAME_DELIVERED, frame)
 
     def _handle_emissions(self, node_id: str, emissions, now: float) -> None:
         state = self.node_state[node_id]
@@ -425,45 +411,46 @@ class _Kernel:
                 state.awaiting_reeval = True
             self.node_state[cfg.node_id] = state
             self.results[cfg.node_id].trace = state.trace
-            self._schedule_timer(cfg.node_id)
-        self._push(self._mk_event(sc.duration_s, EventKind.RUN_ENDED))
+            self._push(state.phase_deadline, TIMER_FIRED, cfg.node_id)
+        self._push(sc.duration_s, RUN_ENDED, None)
 
-        while self._heap:
-            _, _, ev = heapq.heappop(self._heap)
-            if ev.time < self.clock:
+        heap, pop, light = self._heap, heapq.heappop, self.light
+        node_state, node_cfg = self.node_state, self.node_cfg
+        while heap:
+            time, _, kind, subject = pop(heap)
+            if time < self.clock:
                 raise RuntimeError("causality violation: event in the past")
-            self.clock = ev.time
+            self.clock = time
 
-            if ev.kind is EventKind.RUN_ENDED:
-                self._finalize(ev.time)
-                break
-
-            if ev.kind is EventKind.TIMER_FIRED:
-                node_id = ev.node_id
-                state = self.node_state[node_id]
-                if ev.time != state.phase_deadline:
+            if kind is TIMER_FIRED:
+                state = node_state[subject]
+                if time != state.phase_deadline:
                     continue  # superseded deadline
-                cfg = self.node_cfg[node_id]
-                fsm.accrue_energy(state, cfg, ev.time, self.light)
+                cfg = node_cfg[subject]
+                fsm.accrue_energy(state, cfg, time, light)
                 emissions = fsm.advance(
-                    state, cfg, ev.time, lux=self.light.lux(ev.time),
-                    rng=self.node_rng[node_id],
+                    state, cfg, time, lux=light.lux(time),
+                    rng=self.node_rng[subject],
                 )
-                self._handle_emissions(node_id, emissions, ev.time)
-                self._schedule_timer(node_id)
-                if len(self.light.cache) > self.light_cache_limit:
+                self._handle_emissions(subject, emissions, time)
+                self._push(state.phase_deadline, TIMER_FIRED, subject)
+                if len(light.cache) > self.light_cache_limit:
                     self._trim_light()
                 continue
 
-            frame = ev.frame  # FRAME_DELIVERED
-            if frame.dst == GATEWAY_ID:
-                self._gateway_receive(frame, ev.time)
-            elif frame.dst in self.node_state:
-                cfg = self.node_cfg[frame.dst]
-                state = self.node_state[frame.dst]
-                fsm.accrue_energy(state, cfg, ev.time, self.light)
-                emissions = fsm.receive(state, cfg, frame, ev.time)
-                self._handle_emissions(frame.dst, emissions, ev.time)
+            if kind is RUN_ENDED:
+                self._finalize(time)
+                break
+
+            dst = subject.dst  # FRAME_DELIVERED
+            if dst == GATEWAY_ID:
+                self._gateway_receive(subject, time)
+            elif dst in node_state:
+                cfg = node_cfg[dst]
+                state = node_state[dst]
+                fsm.accrue_energy(state, cfg, time, light)
+                emissions = fsm.receive(state, cfg, subject, time)
+                self._handle_emissions(dst, emissions, time)
 
         return self._result()
 
@@ -494,7 +481,7 @@ class _Kernel:
             config_hash=scenario_fingerprint(self.sc),
             nodes=node_summaries,
         )
-        return RunResult(summary=summary, nodes=self.results, frames=self.frames)
+        return RunResult(summary=summary, nodes=self.results, frame_log=self.frame_log)
 
 
 def run(scenario: Scenario) -> RunResult:

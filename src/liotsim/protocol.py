@@ -8,6 +8,7 @@ calibrated against the measured stage durations of the two node builds.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
@@ -195,7 +196,7 @@ def fail_session(session: ExchangeSession, reason: FailReason) -> None:
         session.fail_reason = reason
 
 
-def _frame(
+def _new_frame(
     src: str,
     dst: str,
     kind: FrameKind,
@@ -214,6 +215,13 @@ def _frame(
         channel=channel,
         meta=meta or {},
     )
+
+
+# Frames are frozen values, so each distinct frame without meta is built once
+# and shared.  A run needs a few per node (more with several sensor subsets);
+# a frame with meta is always new (a dict argument would not even hash).
+FRAME_MEMO_SIZE = 4096
+_frame = functools.lru_cache(maxsize=FRAME_MEMO_SIZE)(_new_frame)
 
 
 def ble_exchange_step(
@@ -280,13 +288,13 @@ def liot_exchange_step(
 
     if step is LiotStep.START and kind is None:
         session.step = LiotStep.ID_SENT
-        return _frame(node, gw, FrameKind.NODE_ID_LUX,
-                      NODE_ID_LUX_PAYLOAD, meta={"lux": session.lux})
+        return _new_frame(node, gw, FrameKind.NODE_ID_LUX,
+                          NODE_ID_LUX_PAYLOAD, meta={"lux": session.lux})
     if step is LiotStep.ID_SENT and kind is FrameKind.NODE_ID_LUX:
         session.step = LiotStep.REQUEST_SENT
-        return _frame(gw, node, FrameKind.SENSOR_REQUEST,
-                      SENSOR_REQUEST_PAYLOAD,
-                      meta={"channels": session.requested_channels})
+        return _new_frame(gw, node, FrameKind.SENSOR_REQUEST,
+                          SENSOR_REQUEST_PAYLOAD,
+                          meta={"channels": session.requested_channels})
     if step is LiotStep.REQUEST_SENT and kind is FrameKind.SENSOR_REQUEST:
         session.step = LiotStep.DATA_SENT
         payload = BYTES_PER_OPTICAL_CHANNEL * len(session.requested_channels)
@@ -297,8 +305,8 @@ def liot_exchange_step(
             raise ValueError("LIoT session needs a sleep_for_lux policy")
         reported = incoming.meta.get("lux", session.lux) if incoming else session.lux
         session.assigned_sleep_s = session.sleep_for_lux(reported)
-        return _frame(gw, node, FrameKind.SLEEP_SET, SLEEP_SET_PAYLOAD,
-                      meta={"sleep_s": session.assigned_sleep_s})
+        return _new_frame(gw, node, FrameKind.SLEEP_SET, SLEEP_SET_PAYLOAD,
+                          meta={"sleep_s": session.assigned_sleep_s})
     if step is LiotStep.SLEEP_SENT and kind is FrameKind.SLEEP_SET:
         session.step = LiotStep.DONE
         # Delivered once the acknowledgment goes out; a lost Ack only keeps

@@ -94,6 +94,18 @@ def _number(d: dict, key: str, path: str, default=None, minimum=None, positive=F
     return v
 
 
+def _integer(d: dict, key: str, path: str, default: int) -> int:
+    """An integer key; an integral float such as 2.0 counts, 1.5 does not."""
+    if key not in d:
+        return default
+    path = _at(path, key)
+    v = d[key]
+    _finite(v, path)
+    if isinstance(v, float) and not v.is_integer():
+        raise ScenarioError(path, "must be an integer")
+    return int(v)
+
+
 def _pairs(spec: Any, path: str) -> tuple[tuple[float, float], ...]:
     """A list of [number, number] pairs, e.g. curve points or light steps."""
     if not isinstance(spec, (list, tuple)) or not all(
@@ -185,6 +197,8 @@ def _parse_node(spec: dict, path: str) -> NodeConfig:
         kind = NodeKind(spec["kind"])
     except ValueError:
         raise ScenarioError(f"{path}.kind", f"must be one of {[k.value for k in NodeKind]}")
+    if not isinstance(spec["id"], str):
+        raise ScenarioError(f"{path}.id", "expected a string")
     default_preset = "ble-table1" if kind is NodeKind.BLE else "liot-table2"
     sensors = spec.get("sensors", list(SENSOR_CHANNELS))
     if not isinstance(sensors, list) or not all(isinstance(s, str) for s in sensors):
@@ -194,7 +208,7 @@ def _parse_node(spec: dict, path: str) -> NodeConfig:
         raise ScenarioError(f"{path}.sensors", f"unknown channel {bad[0]!r}")
     try:
         return NodeConfig(
-            node_id=str(spec["id"]),
+            node_id=spec["id"],
             kind=kind,
             profile=_parse_profile(spec.get("profile", default_preset),
                                    f"{path}.profile"),
@@ -232,7 +246,7 @@ def _parse_illumination(spec: dict, path: str) -> IlluminationProfile:
             amplitude=_number(spec, "amplitude", path, default=0.0, minimum=0.0),
             period_s=_number(spec, "period_s", path, default=86400.0, positive=True),
             jitter_pct=_number(spec, "jitter_pct", path, default=0.0, minimum=0.0),
-            jitter_seed=int(_number(spec, "jitter_seed", path, default=0)),
+            jitter_seed=_integer(spec, "jitter_seed", path, default=0),
         )
     except ScenarioError:
         raise
@@ -256,7 +270,7 @@ def _parse_channel(spec: dict, path: str) -> ChannelModel:
             per_link[link] = _number(links, key, links_path)
         loss = per_link
     try:
-        return ChannelModel(loss=loss, seed=int(_number(spec, "seed", path, default=0)))
+        return ChannelModel(loss=loss, seed=_integer(spec, "seed", path, default=0))
     except ScenarioError:
         raise
     except ValueError as exc:
@@ -299,7 +313,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
             illumination=_parse_illumination(doc.get("illumination", {}),
                                              "illumination"),
             gateway=_parse_gateway(doc.get("gateway", {}), "gateway"),
-            seed=int(_number(doc, "seed", "", default=1)),
+            seed=_integer(doc, "seed", "", default=1),
             sample_interval_s=_number(doc, "sample_interval_s", "", default=1.0,
                                       positive=True),
         )

@@ -21,6 +21,11 @@ BAD_VALUES = (
     ("channel.per_link_loss", {"ble_adv": "x"}, "channel.per_link_loss.ble_adv"),
     ("nodes.0.profile", {"voltage_v": 3.3, "sleep_current_ma": 0.05, "stages": 5},
      "nodes[0].profile.stages"),
+    # Integer keys reject fractions instead of truncating them; ids are strings.
+    ("seed", 1.5, "seed"),
+    ("channel.seed", 1.5, "channel.seed"),
+    ("illumination.jitter_seed", 0.5, "illumination.jitter_seed"),
+    ("nodes.0.id", ["a"], "nodes[0].id"),
 )
 
 

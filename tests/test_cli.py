@@ -181,6 +181,25 @@ def test_sweep_parallel_matches_serial(capsys, tmp_path):
     assert open(a).read() == open(b).read()
 
 
+def test_sweep_over_seed_takes_integral_values(capsys, tmp_path):
+    # --values parses numbers as floats; 1.0 and 2.0 must still be seeds.
+    out = str(tmp_path / "seeds.csv")
+    code, _, _ = run_cli(
+        capsys, "sweep", "--scenario", "liot-700lx", "--param", "seed",
+        "--values", "1,2", "--out", out,
+    )
+    assert code == EXIT_OK
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(r["param_value"]) for r in rows] == [1.0, 2.0]
+    code, _, err = run_cli(
+        capsys, "sweep", "--scenario", "liot-700lx", "--param", "seed",
+        "--values", "1.5",
+    )
+    assert code == EXIT_VALIDATION
+    assert "seed: must be an integer" in err
+
+
 def test_sweep_validates_before_running(capsys):
     code, _, err = run_cli(
         capsys, "sweep", "--scenario", "liot-700lx",

@@ -9,12 +9,15 @@ from liotsim.energy import (
     BLE_PROFILE,
     LIOT_HARVESTER,
     LIOT_PROFILE,
+    HarvesterCurve,
     Supercap,
+    supercap_segment,
 )
-from liotsim import kernel
+from liotsim import fsm, kernel
 from liotsim.fsm import NodeConfig, NodeKind
 from liotsim.kernel import (
     ChannelModel,
+    FrameLogEntry,
     GatewayConfig,
     IlluminationProfile,
     LightSchedule,
@@ -336,3 +339,101 @@ def test_trace_sample_after_a_v_max_crossing_reads_exactly_v_max():
     trace = run(sc).nodes["liot-1"].trace
     assert trace[50][0] == 50.0 and trace[50][1] < 4.5
     assert all(v == 4.5 for _, v in trace[51:])
+
+
+def _check_accrue_against_supercap_segment(monkeypatch) -> list:
+    """Check every fsm.accrue_energy call of a run against supercap_segment.
+
+    Each new trace sample must equal supercap_segment from the voltage at
+    the start of its piece, and the closing voltage must equal the chained
+    piece ends.  Returns the grids the checked calls sampled.
+    """
+    accrue, grids = fsm.accrue_energy, []
+
+    def checked(state, cfg, now, light):
+        t, cap, n = state.last_energy_update, state.supercap, len(state.trace)
+        p_load = fsm.phase_power_mw(cfg, state.phase)
+        accrue(state, cfg, now, light)
+        new = state.trace[n:]
+        grid = state.trace_grid.times
+        assert [s for s, _ in new] == [g for g in grid if t < g <= now]
+        if now <= t:
+            return
+        expected = []
+        for t_end, lux in light.pieces(t, now):
+            p_net = cfg.harvester.power_mw(lux) - p_load
+            expected += [
+                (s, supercap_segment(cap, p_net, s - t, cfg.efficiency)[0])
+                for s, _ in new if t < s <= t_end
+            ]
+            v, _ = supercap_segment(cap, p_net, t_end - t, cfg.efficiency)
+            cap = dataclasses.replace(cap, voltage_v=v)
+            t = t_end
+        assert new == expected
+        assert state.supercap == cap
+        grids.append(state.trace_grid)
+
+    monkeypatch.setattr(fsm, "accrue_energy", checked)
+    return grids
+
+
+def test_inline_sampling_equals_supercap_segment_across_v_max(monkeypatch):
+    grids = _check_accrue_against_supercap_segment(monkeypatch)
+    # Both nodes start just under v_max; jittered step light splits segments
+    # into one piece per second.
+    sc = Scenario(
+        duration_s=1500.3,
+        nodes=(ble_node(supercap=Supercap(0.4, 4.49)),
+               liot_node(supercap=Supercap(0.4, 4.49), efficiency=0.9)),
+        illumination=IlluminationProfile(
+            kind="step", steps=((0.0, 700.0), (700.5, 650.0)), jitter_pct=0.05),
+        sample_interval_s=0.7,
+    )
+    result = run(sc)
+    assert grids
+    for nr in result.nodes.values():
+        volts = [v for _, v in nr.trace]
+        assert volts[0] < 4.5 and 4.5 in volts
+        assert nr.trace[-1][0] == 1500.3 and nr.trace[-2][0] < 1500.3
+    # The shared grid grows in chunks past the end of the run.
+    assert grids[-1].times[-1] > sc.duration_s
+
+
+def test_inline_sampling_equals_supercap_segment_down_to_v_min(monkeypatch):
+    grids = _check_accrue_against_supercap_segment(monkeypatch)
+    # Dark from 300 s to 2000 s: the node backs off and drains to v_min.
+    dark_harvester = HarvesterCurve(
+        points=((0.0, 0.0), (700.0, BLE_HARVESTER.power_mw(700.0))))
+    sc = Scenario(
+        duration_s=2500.0,
+        nodes=(ble_node(supercap=Supercap(0.4, 3.4), harvester=dark_harvester),),
+        illumination=IlluminationProfile(
+            kind="step", steps=((0.0, 700.0), (300.0, 0.0), (2000.0, 700.0))),
+        sample_interval_s=1.3,
+    )
+    trace = run(sc).nodes["ble-1"].trace
+    assert grids
+    assert any(v == 3.3 for _, v in trace)
+    assert trace[-1][1] > 3.3  # recovers once the light is back
+    assert trace[-1][0] == 2500.0
+
+
+def test_frame_log_lists_lost_frames_and_repeats():
+    sc = Scenario(
+        duration_s=2000.0,
+        nodes=(ble_node("ble-1"), ble_node("ble-2")),
+        channel=ChannelModel(loss=0.1),
+        seed=3,
+    )
+    a, b = run(sc), run(sc)
+    frames = a.frames
+    assert frames == b.frames
+    assert frames is not a.frames  # built anew on each read
+    assert all(type(f) is FrameLogEntry for f in frames)
+    assert not hasattr(frames[0], "__dict__")
+    lost = [f for f in frames if not f.delivered]
+    assert 0 < len(lost) < len(frames)
+    assert {f.src for f in lost} >= {"ble-1", GATEWAY_ID}
+    assert all(f.arrival_s > f.sent_s for f in frames)
+    assert [f.sent_s for f in frames] == sorted(f.sent_s for f in frames)
+    assert {f.src for f in frames} == {"ble-1", "ble-2", GATEWAY_ID}

@@ -177,3 +177,22 @@ def test_session_outcome_deterministic_replay():
         frames = _run_happy_path(session, ble_exchange_step)
         runs.append([(f.kind, f.src, f.dst, f.airtime_s) for f in frames])
     assert runs[0] == runs[1]
+
+
+def test_frames_with_meta_are_never_shared():
+    # Same node, same step: only the reported lux and the assigned sleep
+    # differ, so a memo that ignored meta would hand out one frame for both.
+    dim = make_liot_session("n2", 0.0, lux=500.0, sleep_for_lux=_liot_policy)
+    bright = make_liot_session("n2", 0.0, lux=700.0, sleep_for_lux=_liot_policy)
+    dim_frames = _run_happy_path(dim, liot_exchange_step)
+    bright_frames = _run_happy_path(bright, liot_exchange_step)
+    assert dim_frames[0].kind is FrameKind.NODE_ID_LUX
+    assert dim_frames[0].meta == {"lux": 500.0}
+    assert bright_frames[0].meta == {"lux": 700.0}
+    assert dim_frames[3].meta["sleep_s"] == pytest.approx(1350.0, abs=0.01)
+    assert bright_frames[3].meta["sleep_s"] == pytest.approx(620.0, abs=0.01)
+    for a, b in zip(dim_frames, bright_frames):
+        if a.meta or b.meta:
+            assert a is not b
+        else:
+            assert a is b  # meta-free frames are shared, equal values

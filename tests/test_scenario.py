@@ -127,6 +127,24 @@ def test_gateway_values_are_never_coerced(key, value, path):
     assert exc.value.path == path
 
 
+@pytest.mark.parametrize("key,read", [
+    ("seed", lambda sc: sc.seed),
+    ("channel.seed", lambda sc: sc.channel.seed),
+    ("illumination.jitter_seed", lambda sc: sc.illumination.jitter_seed),
+], ids=["seed", "channel.seed", "illumination.jitter_seed"])
+def test_integer_keys_take_integral_values_only(key, read):
+    doc = minimal_doc()
+    set_by_path(doc, key, 2.5)
+    with pytest.raises(ScenarioError, match="must be an integer"):
+        scenario_from_dict(doc)
+    set_by_path(doc, key, 2.0)
+    value = read(scenario_from_dict(doc))
+    assert value == 2 and type(value) is int
+    # Integers are kept exactly, not routed through a float.
+    set_by_path(doc, key, 2**60 + 1)
+    assert read(scenario_from_dict(doc)) == 2**60 + 1
+
+
 def test_gateway_accepts_booleans():
     doc = minimal_doc()
     doc["gateway"] = {"present": False}
