@@ -19,6 +19,7 @@ from .energy import (
     solve_sleep_time,
 )
 from .metrics import ExportError
+from .protocol import SessionOutcome
 from .scenario import ScenarioError
 
 EXIT_OK = 0
@@ -215,15 +216,16 @@ def cmd_report(args) -> int:
         by_node.setdefault(r.node_id, []).append(r)
     print(f"{'node':<10} {'sent':>6} {'received':>9} {'PDR':>6} "
           f"{'avg SCap (V)':>13}")
-    from .protocol import SessionOutcome
-
     for node_id in sorted(by_node):
         recs = by_node[node_id]
-        sent = len(recs)
-        received = sum(1 for r in recs if r.outcome is SessionOutcome.DELIVERED)
-        pdr = received / sent if sent else 0.0
-        avg, _, _ = metrics.time_weighted_voltage_stats(traces.get(node_id, []))
-        print(f"{node_id:<10} {sent:>6} {received:>9} {pdr:>6.3f} {avg:>13.3f}")
+        # Records do not carry the node kind, and the table does not show it.
+        n = metrics.summarize_node(
+            node_id, "", len(recs),
+            sum(1 for r in recs if r.outcome is SessionOutcome.DELIVERED),
+            traces.get(node_id, []),
+        )
+        print(f"{node_id:<10} {n.packets_sent:>6} {n.packets_received:>9} "
+              f"{n.pdr:>6.3f} {n.scap_avg_v:>13.3f}")
     return EXIT_OK
 
 

@@ -2,7 +2,8 @@
 
 The kernel drives each node with timer and frame-delivery callbacks; the
 functions here perform the phase transitions, debit the supercapacitor for
-the elapsed phase, and emit the protocol frames of the two node variants.
+the elapsed phase, return the protocol frames of the two node variants, and
+keep the node's cycle records and packet counts.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .energy import (
     solve_sleep_time,
     Feasibility,
 )
+from .metrics import CycleRecord
 from .protocol import (
     ExchangeSession,
     FailReason,
@@ -165,7 +167,6 @@ class NodeState:
     phase_deadline: float
     phase_started: float
     supercap: Supercap
-    next_sleep_s: float = 0.0
     depleted: bool = False
     awaiting_reeval: bool = False
     timeout_extended: bool = False
@@ -181,30 +182,13 @@ class NodeState:
     total_consumed_j: float = 0.0
     total_harvested_j: float = 0.0
     last_energy_update: float = 0.0
+    records: list[CycleRecord] = field(default_factory=list)
+    packets_sent: int = 0  # sessions started
+    packets_received: int = 0  # cycles closed as delivered
     # Supercap voltage at the grid's times, filled as the energy segments
     # containing them close: trace[i] is sampled at trace_grid.times[i].
     trace: list[tuple[float, float]] = field(default_factory=list)
     trace_grid: Optional[SampleGrid] = None
-
-
-# Emissions returned to the kernel.
-@dataclass(frozen=True)
-class SendFrame:
-    frame: Frame
-
-
-@dataclass(frozen=True)
-class SessionStarted:
-    session: ExchangeSession
-
-
-@dataclass(frozen=True)
-class CycleFinished:
-    outcome: SessionOutcome
-    fail_reason: Optional[FailReason]
-
-
-Emission = SendFrame | SessionStarted | CycleFinished
 
 
 def initial_state(
@@ -220,7 +204,6 @@ def initial_state(
         phase_deadline=first_sleep_s,
         phase_started=0.0,
         supercap=cfg.supercap,
-        next_sleep_s=first_sleep_s,
         cycle_v_start=cfg.supercap.voltage_v,
         trace=[(0.0, cfg.supercap.voltage_v)],
         trace_grid=grid or SampleGrid(math.inf),
@@ -332,24 +315,65 @@ def _stage_duration(cfg: NodeConfig, name: StageName) -> float:
     return cfg.profile.stage(name).duration_s
 
 
+def _close_cycle(
+    state: NodeState,
+    cfg: NodeConfig,
+    now: float,
+    fail_reason: Optional[FailReason],
+    sleep: float,
+) -> None:
+    """Record the cycle (delivered unless it has a fail reason), then sleep."""
+    delivered = fail_reason is None
+    if not delivered and state.session is not None:
+        protocol.fail_session(state.session, fail_reason)
+    state.records.append(CycleRecord(
+        node_id=cfg.node_id,
+        cycle_index=state.cycle_index,
+        start_s=state.cycle_start,
+        end_s=now,
+        outcome=SessionOutcome.DELIVERED if delivered else SessionOutcome.FAILED,
+        fail_reason=fail_reason,
+        scap_v_start=state.cycle_v_start,
+        scap_v_end=state.supercap.voltage_v,
+        energy_consumed_j=state.cycle_consumed_j,
+        energy_harvested_j=state.cycle_harvested_j,
+    ))
+    if delivered:
+        state.packets_received += 1
+    state.cycle_index += 1
+    state.cycle_start = now
+    state.cycle_v_start = state.supercap.voltage_v
+    state.cycle_consumed_j = 0.0
+    state.cycle_harvested_j = 0.0
+    _set_phase(state, cfg, Phase.SLEEPING, now, now + sleep)
+    state.session = None
+
+
 def _finish_cycle(
     state: NodeState,
     cfg: NodeConfig,
     now: float,
     lux: float,
-    outcome: SessionOutcome,
     fail_reason: Optional[FailReason],
-    assigned_sleep: Optional[float],
-) -> list[Emission]:
-    emissions: list[Emission] = [CycleFinished(outcome, fail_reason)]
+    assigned_sleep: Optional[float] = None,
+) -> None:
     sleep = schedule_next_cycle(cfg, lux, assigned_s=assigned_sleep)
     if sleep is None:
         sleep = cfg.backoff_s
         state.awaiting_reeval = True
-    state.next_sleep_s = sleep
-    _set_phase(state, cfg, Phase.SLEEPING, now, now + sleep)
-    state.session = None
-    return emissions
+    _close_cycle(state, cfg, now, fail_reason, sleep)
+
+
+def _await_or_time_out(
+    state: NodeState, cfg: NodeConfig, now: float, lux: float
+) -> None:
+    """An await step that expires unanswered runs on to twice its nominal
+    duration once, then fails the cycle with a timeout."""
+    if not state.timeout_extended:
+        state.phase_deadline = state.phase_started + 2.0 * state.phase_nominal_s
+        state.timeout_extended = True
+        return
+    _finish_cycle(state, cfg, now, lux, FailReason.TIMEOUT)
 
 
 def advance(
@@ -359,17 +383,12 @@ def advance(
     *,
     lux: float,
     rng,
-) -> list[Emission]:
-    """Handle the expiry of the current phase deadline."""
+) -> Optional[Frame]:
+    """Handle the expiry of the current phase deadline; returns the frame to send."""
     if state.depleted and state.phase is not Phase.SLEEPING:
         # Brown-out mid-cycle: abort, recover in sleep, count the cycle failed.
-        if state.session is not None:
-            protocol.fail_session(state.session, FailReason.BROWN_OUT)
-        emissions = [CycleFinished(SessionOutcome.FAILED, FailReason.BROWN_OUT)]
-        state.next_sleep_s = cfg.backoff_s
-        _set_phase(state, cfg, Phase.SLEEPING, now, now + cfg.backoff_s)
-        state.session = None
-        return emissions
+        _close_cycle(state, cfg, now, FailReason.BROWN_OUT, cfg.backoff_s)
+        return None
 
     phase = state.phase
 
@@ -379,41 +398,41 @@ def advance(
                 state.depleted = False
             else:
                 _set_phase(state, cfg, Phase.SLEEPING, now, now + cfg.backoff_s)
-                return []
+                return None
         if state.awaiting_reeval:
             sleep = schedule_next_cycle(cfg, lux)
             if sleep is None:
                 _set_phase(state, cfg, Phase.SLEEPING, now, now + cfg.backoff_s)
-                return []
+                return None
             state.awaiting_reeval = False
         if cfg.kind is NodeKind.BLE:
             _set_phase(
                 state, cfg, Phase.SENSING, now,
                 now + _stage_duration(cfg, StageName.SENSOR_READ),
             )
-            return []
+            return None
         # LIoT: read the LDR and open the session with an IR uplink.
         session = make_liot_session(
             cfg.node_id, now, lux=lux, requested_channels=cfg.sensors
         )
         state.session = session
+        state.packets_sent += 1
         out = liot_exchange_step(session, None)
-        assert out is not None
         state.gw_request_end = now + _stage_duration(cfg, StageName.GW_REQUEST)
         _set_phase(state, cfg, Phase.UPLINKING, now, now + out.airtime_s)
-        return [SessionStarted(session), SendFrame(out)]
+        return out
 
     if phase is Phase.SENSING and cfg.kind is NodeKind.BLE:
         session = make_ble_session(cfg.node_id, now)
         state.session = session
+        state.packets_sent += 1
         out = ble_exchange_step(session, None)
-        assert out is not None
         if cfg.adv_mode == "fixed":
             adv = _stage_duration(cfg, StageName.BLE_ADVERTISE)
         else:
             adv = rng.uniform(0.5, 4.0)
         _set_phase(state, cfg, Phase.ADVERTISING, now, now + adv)
-        return [SessionStarted(session), SendFrame(out)]
+        return out
 
     if phase is Phase.ADVERTISING:
         session = state.session
@@ -423,35 +442,23 @@ def advance(
             nominal = _stage_duration(cfg, StageName.BLE_DATA_EXCHANGE)
             state.phase_nominal_s = nominal
             _set_phase(state, cfg, Phase.EXCHANGING, now, now + nominal)
-            out = ble_exchange_step(session, held)
-            return [SendFrame(out)] if out is not None else []
-        if session is not None:
-            protocol.fail_session(session, FailReason.NO_GATEWAY)
-        return _finish_cycle(
-            state, cfg, now, lux, SessionOutcome.FAILED, FailReason.NO_GATEWAY, None
-        )
+            return ble_exchange_step(session, held)
+        _finish_cycle(state, cfg, now, lux, FailReason.NO_GATEWAY)
+        return None
 
-    if phase is Phase.EXCHANGING:
+    if phase is Phase.EXCHANGING or phase is Phase.AWAITING_SLEEP_SET:
+        # A BLE session has no assigned sleep, so both end the same way.
         session = state.session
         if session is not None and session.outcome is SessionOutcome.DELIVERED:
-            return _finish_cycle(
-                state, cfg, now, lux, SessionOutcome.DELIVERED, None, None
-            )
-        if not state.timeout_extended:
-            # Await steps time out at twice their nominal duration.
-            state.phase_deadline = state.phase_started + 2.0 * state.phase_nominal_s
-            state.timeout_extended = True
-            return []
-        if session is not None:
-            protocol.fail_session(session, FailReason.TIMEOUT)
-        return _finish_cycle(
-            state, cfg, now, lux, SessionOutcome.FAILED, FailReason.TIMEOUT, None
-        )
+            _finish_cycle(state, cfg, now, lux, None, session.assigned_sleep_s)
+        else:
+            _await_or_time_out(state, cfg, now, lux)
+        return None
 
     if phase is Phase.UPLINKING:
         state.phase_nominal_s = max(state.gw_request_end - now, 1e-9)
         _set_phase(state, cfg, Phase.AWAITING_REQUEST, now, state.gw_request_end)
-        return []
+        return None
 
     if phase is Phase.AWAITING_REQUEST:
         session = state.session
@@ -461,16 +468,9 @@ def advance(
                 state, cfg, Phase.SENSING, now,
                 now + _stage_duration(cfg, StageName.LIOT_SENSOR_READ),
             )
-            return []
-        if not state.timeout_extended:
-            state.phase_deadline = state.phase_started + 2.0 * state.phase_nominal_s
-            state.timeout_extended = True
-            return []
-        if session is not None:
-            protocol.fail_session(session, FailReason.TIMEOUT)
-        return _finish_cycle(
-            state, cfg, now, lux, SessionOutcome.FAILED, FailReason.TIMEOUT, None
-        )
+        else:
+            _await_or_time_out(state, cfg, now, lux)
+        return None
 
     if phase is Phase.SENSING and cfg.kind is NodeKind.LIOT:
         session = state.session
@@ -480,8 +480,7 @@ def advance(
             state, cfg, Phase.UPLOADING, now,
             now + _stage_duration(cfg, StageName.LIOT_DATA_UPLOAD),
         )
-        out = liot_exchange_step(session, held)
-        return [SendFrame(out)] if out is not None else []
+        return liot_exchange_step(session, held)
 
     if phase is Phase.UPLOADING:
         nominal = _stage_duration(cfg, StageName.LIOT_SLEEP_SET)
@@ -493,65 +492,41 @@ def advance(
             # Short (subset) uploads finish before the measured full-upload
             # window ends, so the assignment can already be waiting.
             session.held = None
-            out = liot_exchange_step(session, held)
-            return [SendFrame(out)] if out is not None else []
-        return []
-
-    if phase is Phase.AWAITING_SLEEP_SET:
-        session = state.session
-        if session is not None and session.outcome is SessionOutcome.DELIVERED:
-            return _finish_cycle(
-                state, cfg, now, lux, SessionOutcome.DELIVERED, None,
-                session.assigned_sleep_s,
-            )
-        if not state.timeout_extended:
-            state.phase_deadline = state.phase_started + 2.0 * state.phase_nominal_s
-            state.timeout_extended = True
-            return []
-        if session is not None:
-            protocol.fail_session(session, FailReason.TIMEOUT)
-        return _finish_cycle(
-            state, cfg, now, lux, SessionOutcome.FAILED, FailReason.TIMEOUT, None
-        )
+            return liot_exchange_step(session, held)
+        return None
 
     raise FsmError(f"unhandled phase {phase!r} for {cfg.kind.value} node")
 
 
 def receive(
     state: NodeState, cfg: NodeConfig, frame: Frame, now: float
-) -> list[Emission]:
-    """Handle a frame delivered to this node."""
+) -> Optional[Frame]:
+    """Handle a frame delivered to this node; returns the frame to send."""
     if state.depleted:
-        return []  # a browned-out node neither processes nor emits
+        return None  # a browned-out node neither processes nor emits
     session = state.session
     if session is None or session.outcome is not SessionOutcome.PENDING:
-        return []
+        return None
     kind = frame.kind
     # Frames that arrive ahead of their service phase are held and consumed
     # at the phase boundary (connection setup, sensor request).
     if kind is FrameKind.CONN_REQ and state.phase is Phase.ADVERTISING:
         session.held = frame
-        return []
+        return None
     if kind is FrameKind.SENSOR_REQUEST and state.phase in (
         Phase.UPLINKING, Phase.AWAITING_REQUEST
     ):
         session.held = frame
-        return []
+        return None
     if kind in (FrameKind.ESS_ATTR_REQUEST, FrameKind.CONFIG_OR_DISCONNECT):
         if state.phase is Phase.EXCHANGING:
-            out = ble_exchange_step(session, frame)
-            return [SendFrame(out)] if out is not None else []
-        protocol.fail_session(session, FailReason.PROTOCOL_VIOLATION)
-        return []
-    if kind is FrameKind.SLEEP_SET:
+            return ble_exchange_step(session, frame)
+    elif kind is FrameKind.SLEEP_SET:
         if state.phase is Phase.AWAITING_SLEEP_SET:
-            out = liot_exchange_step(session, frame)
-            return [SendFrame(out)] if out is not None else []
+            return liot_exchange_step(session, frame)
         if state.phase is Phase.UPLOADING:
             session.held = frame
-            return []
-        protocol.fail_session(session, FailReason.PROTOCOL_VIOLATION)
-        return []
+            return None
     # Anything else is out of sequence for a node-addressed frame.
     protocol.fail_session(session, FailReason.PROTOCOL_VIOLATION)
-    return []
+    return None

@@ -210,6 +210,20 @@ class GatewayConfig:
     present: bool = True
 
 
+def gateway_sleep_s(cfg: NodeConfig, lux: float) -> float:
+    """Sleep the gateway assigns a LIoT node that reports lux.
+
+    The balance-point sleep, used verbatim; 0 when the harvest covers
+    continuous operation, the node's back-off when it cannot cover sleep.
+    """
+    sol = solve_sleep_time(cfg.profile, cfg.harvester.power_mw(lux))
+    if sol.feasibility is Feasibility.FINITE:
+        return sol.t_sleep_s
+    if sol.feasibility is Feasibility.CONTINUOUS:
+        return 0.0
+    return cfg.backoff_s
+
+
 @dataclass(frozen=True)
 class Scenario:
     duration_s: float
@@ -300,7 +314,6 @@ class _Kernel:
             n.node_id: random.Random(f"{scenario.seed}|node|{n.node_id}")
             for n in scenario.nodes
         }
-        self.results = {n.node_id: NodeResult() for n in scenario.nodes}
         self.frame_log: list[tuple[float, float, Frame, bool]] = []
         self.gw_liot_busy: Optional[ExchangeSession] = None
         self.light = LightSchedule(scenario.illumination, scenario.duration_s)
@@ -325,52 +338,7 @@ class _Kernel:
         if ok:
             self._push(arrival, FRAME_DELIVERED, frame)
 
-    def _handle_emissions(self, node_id: str, emissions, now: float) -> None:
-        state = self.node_state[node_id]
-        result = self.results[node_id]
-        for em in emissions:
-            if isinstance(em, fsm.SendFrame):
-                self._send(em.frame, now)
-            elif isinstance(em, fsm.SessionStarted):
-                result.packets_sent += 1
-            elif isinstance(em, fsm.CycleFinished):
-                record = metrics.CycleRecord(
-                    node_id=node_id,
-                    cycle_index=state.cycle_index,
-                    start_s=state.cycle_start,
-                    end_s=now,
-                    outcome=em.outcome,
-                    fail_reason=em.fail_reason,
-                    scap_v_start=state.cycle_v_start,
-                    scap_v_end=state.supercap.voltage_v,
-                    energy_consumed_j=state.cycle_consumed_j,
-                    energy_harvested_j=state.cycle_harvested_j,
-                )
-                result.records.append(record)
-                if em.outcome is SessionOutcome.DELIVERED:
-                    result.packets_received += 1
-                state.cycle_index += 1
-                state.cycle_start = now
-                state.cycle_v_start = state.supercap.voltage_v
-                state.cycle_consumed_j = 0.0
-                state.cycle_harvested_j = 0.0
-                if self.gw_liot_busy is not None and (
-                    self.gw_liot_busy.node_id == node_id
-                ):
-                    self.gw_liot_busy = None
-
     # -- gateway -------------------------------------------------------------
-
-    def _assigned_sleep_policy(self, cfg: NodeConfig):
-        def policy(lux: float) -> float:
-            sol = solve_sleep_time(cfg.profile, cfg.harvester.power_mw(lux))
-            if sol.feasibility is Feasibility.FINITE:
-                return sol.t_sleep_s
-            if sol.feasibility is Feasibility.CONTINUOUS:
-                return 0.0
-            return cfg.backoff_s
-
-        return policy
 
     def _gateway_receive(self, frame: Frame, now: float) -> None:
         if not self.sc.gateway.present:
@@ -384,16 +352,16 @@ class _Kernel:
             return
         if frame.kind is FrameKind.NODE_ID_LUX:
             # Single optical transceiver: one LIoT session serviced at a time.
+            # A session that has ended, delivered or failed, leaves it free.
             busy = self.gw_liot_busy
             if busy is not None and busy is not session and (
                 busy.outcome is SessionOutcome.PENDING
             ):
                 return  # the transceiver is occupied
             self.gw_liot_busy = session
-            session.sleep_for_lux = self._assigned_sleep_policy(cfg)
+        elif frame.kind is FrameKind.SENSOR_DATA:
+            session.assigned_sleep_s = gateway_sleep_s(cfg, session.lux)
         out = exchange_step(session, frame)
-        if frame.kind is FrameKind.ACK and self.gw_liot_busy is session:
-            self.gw_liot_busy = None
         if out is not None:
             self._send(out, now)
 
@@ -410,7 +378,6 @@ class _Kernel:
             if first is None:
                 state.awaiting_reeval = True
             self.node_state[cfg.node_id] = state
-            self.results[cfg.node_id].trace = state.trace
             self._push(state.phase_deadline, TIMER_FIRED, cfg.node_id)
         self._push(sc.duration_s, RUN_ENDED, None)
 
@@ -428,11 +395,12 @@ class _Kernel:
                     continue  # superseded deadline
                 cfg = node_cfg[subject]
                 fsm.accrue_energy(state, cfg, time, light)
-                emissions = fsm.advance(
+                out = fsm.advance(
                     state, cfg, time, lux=light.lux(time),
                     rng=self.node_rng[subject],
                 )
-                self._handle_emissions(subject, emissions, time)
+                if out is not None:
+                    self._send(out, time)
                 self._push(state.phase_deadline, TIMER_FIRED, subject)
                 if len(light.cache) > self.light_cache_limit:
                     self._trim_light()
@@ -449,8 +417,9 @@ class _Kernel:
                 cfg = node_cfg[dst]
                 state = node_state[dst]
                 fsm.accrue_energy(state, cfg, time, light)
-                emissions = fsm.receive(state, cfg, subject, time)
-                self._handle_emissions(dst, emissions, time)
+                out = fsm.receive(state, cfg, subject, time)
+                if out is not None:
+                    self._send(out, time)
 
         return self._result()
 
@@ -459,21 +428,24 @@ class _Kernel:
             fsm.accrue_energy(state, self.node_cfg[node_id], end, self.light)
             if state.trace[-1][0] < end:
                 state.trace.append((end, state.supercap.voltage_v))
-            res = self.results[node_id]
-            res.total_consumed_j = state.total_consumed_j
-            res.total_harvested_j = state.total_harvested_j
-            res.trailing_consumed_j = state.cycle_consumed_j
 
     def _result(self) -> RunResult:
-        node_summaries = tuple(
-            metrics.summarize_node(
-                cfg.node_id,
-                cfg.kind.value,
-                self.results[cfg.node_id].packets_sent,
-                self.results[cfg.node_id].packets_received,
-                self.results[cfg.node_id].trace,
+        nodes = {
+            node_id: NodeResult(
+                records=state.records,
+                trace=state.trace,
+                packets_sent=state.packets_sent,
+                packets_received=state.packets_received,
+                total_consumed_j=state.total_consumed_j,
+                total_harvested_j=state.total_harvested_j,
+                trailing_consumed_j=state.cycle_consumed_j,
             )
-            for cfg in self.sc.nodes
+            for node_id, state in self.node_state.items()
+        }
+        node_summaries = tuple(
+            metrics.summarize_node(node_id, self.node_cfg[node_id].kind.value,
+                                   nr.packets_sent, nr.packets_received, nr.trace)
+            for node_id, nr in nodes.items()
         )
         summary = metrics.RunSummary(
             duration_s=self.sc.duration_s,
@@ -481,7 +453,7 @@ class _Kernel:
             config_hash=scenario_fingerprint(self.sc),
             nodes=node_summaries,
         )
-        return RunResult(summary=summary, nodes=self.results, frame_log=self.frame_log)
+        return RunResult(summary=summary, nodes=nodes, frame_log=self.frame_log)
 
 
 def run(scenario: Scenario) -> RunResult:

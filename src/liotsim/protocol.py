@@ -9,9 +9,9 @@ calibrated against the measured stage durations of the two node builds.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Optional
 
 GATEWAY_ID = "gw"
 
@@ -118,7 +118,6 @@ class Frame:
     payload_bytes: int
     airtime_s: float
     channel: Optional[int] = None  # BLE radio channel
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.airtime_s <= 0:
@@ -176,9 +175,7 @@ class ExchangeSession:
     fail_reason: Optional[FailReason] = None
     lux: float = 0.0
     requested_channels: tuple[str, ...] = SENSOR_CHANNELS
-    assigned_sleep_s: Optional[float] = None
-    # Gateway policy: sleep seconds to assign for a reported illuminance.
-    sleep_for_lux: Optional[Callable[[float], float]] = None
+    assigned_sleep_s: Optional[float] = None  # set by the gateway on SensorData
     held: Optional[Frame] = None  # frame received outside its service phase
 
 
@@ -196,32 +193,18 @@ def fail_session(session: ExchangeSession, reason: FailReason) -> None:
         session.fail_reason = reason
 
 
-def _new_frame(
-    src: str,
-    dst: str,
-    kind: FrameKind,
-    payload: int,
-    channel: Optional[int] = None,
-    meta: Optional[dict] = None,
+# Frames are frozen values, so each distinct frame is built once and shared.
+# A run needs a few per node (more with several sensor subsets).
+FRAME_MEMO_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=FRAME_MEMO_SIZE)
+def _frame(
+    src: str, dst: str, kind: FrameKind, payload: int, channel: Optional[int] = None
 ) -> Frame:
     link = LINK_FOR_KIND[kind]
-    return Frame(
-        src=src,
-        dst=dst,
-        link=link,
-        kind=kind,
-        payload_bytes=payload,
-        airtime_s=frame_airtime(kind, payload, link),
-        channel=channel,
-        meta=meta or {},
-    )
-
-
-# Frames are frozen values, so each distinct frame without meta is built once
-# and shared.  A run needs a few per node (more with several sensor subsets);
-# a frame with meta is always new (a dict argument would not even hash).
-FRAME_MEMO_SIZE = 4096
-_frame = functools.lru_cache(maxsize=FRAME_MEMO_SIZE)(_new_frame)
+    return Frame(src, dst, link, kind, payload, frame_airtime(kind, payload, link),
+                 channel)
 
 
 def ble_exchange_step(
@@ -275,7 +258,8 @@ def liot_exchange_step(
     """Advance the optical handshake; returns the next frame to transmit.
 
     Sequence: NodeIdLux(IR) -> SensorRequest(VLC) -> SensorData(IR) ->
-    SleepSet(VLC) -> Ack(IR).  The session counts as delivered once the
+    SleepSet(VLC) -> Ack(IR).  The gateway sets session.assigned_sleep_s
+    before it answers SensorData.  The session counts as delivered once the
     node acknowledges the assigned sleep time.
     """
     if session.protocol != "liot":
@@ -288,25 +272,19 @@ def liot_exchange_step(
 
     if step is LiotStep.START and kind is None:
         session.step = LiotStep.ID_SENT
-        return _new_frame(node, gw, FrameKind.NODE_ID_LUX,
-                          NODE_ID_LUX_PAYLOAD, meta={"lux": session.lux})
+        return _frame(node, gw, FrameKind.NODE_ID_LUX, NODE_ID_LUX_PAYLOAD)
     if step is LiotStep.ID_SENT and kind is FrameKind.NODE_ID_LUX:
         session.step = LiotStep.REQUEST_SENT
-        return _new_frame(gw, node, FrameKind.SENSOR_REQUEST,
-                          SENSOR_REQUEST_PAYLOAD,
-                          meta={"channels": session.requested_channels})
+        return _frame(gw, node, FrameKind.SENSOR_REQUEST, SENSOR_REQUEST_PAYLOAD)
     if step is LiotStep.REQUEST_SENT and kind is FrameKind.SENSOR_REQUEST:
         session.step = LiotStep.DATA_SENT
         payload = BYTES_PER_OPTICAL_CHANNEL * len(session.requested_channels)
         return _frame(node, gw, FrameKind.SENSOR_DATA, payload)
     if step is LiotStep.DATA_SENT and kind is FrameKind.SENSOR_DATA:
+        if session.assigned_sleep_s is None:
+            raise ValueError("LIoT session has no gateway-assigned sleep")
         session.step = LiotStep.SLEEP_SENT
-        if session.sleep_for_lux is None:
-            raise ValueError("LIoT session needs a sleep_for_lux policy")
-        reported = incoming.meta.get("lux", session.lux) if incoming else session.lux
-        session.assigned_sleep_s = session.sleep_for_lux(reported)
-        return _new_frame(gw, node, FrameKind.SLEEP_SET, SLEEP_SET_PAYLOAD,
-                          meta={"sleep_s": session.assigned_sleep_s})
+        return _frame(gw, node, FrameKind.SLEEP_SET, SLEEP_SET_PAYLOAD)
     if step is LiotStep.SLEEP_SENT and kind is FrameKind.SLEEP_SET:
         session.step = LiotStep.DONE
         # Delivered once the acknowledgment goes out; a lost Ack only keeps

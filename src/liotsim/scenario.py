@@ -36,6 +36,11 @@ SCHEMA_VERSION = 1
 
 PRESET_NAMES = ("ble-700lx", "ble-500lx", "liot-700lx", "liot-500lx")
 
+# Largest run a scenario may ask for: a leap year, and trace samples over
+# all nodes (one float pair each, so about 1 GB at the limit).
+MAX_DURATION_S = 366 * 86400.0
+MAX_TRACE_SAMPLES = 10**7
+
 # Table-III-observed session delivery rates the preset channels reproduce.
 _PRESET_PDR = {"ble-700lx": 0.991, "ble-500lx": 0.912}
 _PRESET_SCAP_V = {
@@ -305,17 +310,30 @@ def scenario_from_dict(doc: dict) -> Scenario:
     nodes = tuple(
         _parse_node(n, f"nodes[{i}]") for i, n in enumerate(nodes_spec)
     )
+    duration_s = _number(doc, "duration_s", "", positive=True)
+    if duration_s > MAX_DURATION_S:
+        raise ScenarioError("duration_s", f"must be at most {MAX_DURATION_S:.0f} s "
+                                          "(366 days)")
+    sample_interval_s = _number(doc, "sample_interval_s", "", default=1.0,
+                                positive=True)
+    samples = len(nodes) * duration_s / sample_interval_s
+    if samples > MAX_TRACE_SAMPLES:
+        raise ScenarioError(
+            "sample_interval_s",
+            f"{len(nodes)} node(s) x {duration_s:g} s / {sample_interval_s:g} s "
+            f"is {samples:.3g} trace samples, above the limit of "
+            f"{MAX_TRACE_SAMPLES:,}",
+        )
     try:
         return Scenario(
-            duration_s=_number(doc, "duration_s", "", positive=True),
+            duration_s=duration_s,
             nodes=nodes,
             channel=_parse_channel(doc.get("channel", {}), "channel"),
             illumination=_parse_illumination(doc.get("illumination", {}),
                                              "illumination"),
             gateway=_parse_gateway(doc.get("gateway", {}), "gateway"),
             seed=_integer(doc, "seed", "", default=1),
-            sample_interval_s=_number(doc, "sample_interval_s", "", default=1.0,
-                                      positive=True),
+            sample_interval_s=sample_interval_s,
         )
     except ScenarioError:
         raise

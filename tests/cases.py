@@ -26,6 +26,11 @@ BAD_VALUES = (
     ("channel.seed", 1.5, "channel.seed"),
     ("illumination.jitter_seed", 0.5, "illumination.jitter_seed"),
     ("nodes.0.id", ["a"], "nodes[0].id"),
+    # Finite but unrunnable sizes: over 366 days, or over 1e7 trace samples
+    # (1e8 on the one-node 100-s documents the tables use).
+    ("duration_s", 1e300, "duration_s"),
+    ("sample_interval_s", 1e-300, "sample_interval_s"),
+    ("sample_interval_s", 1e-6, "sample_interval_s"),
 )
 
 

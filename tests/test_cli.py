@@ -223,6 +223,24 @@ def test_report_round_trip(capsys, tmp_path):
     assert "1.000" in out
 
 
+def test_report_matches_the_simulate_table(capsys, tmp_path):
+    # Every ble-700lx session closes its cycle before the run ends, so the
+    # records count the packets sent and both tables agree.
+    out_dir = str(tmp_path / "out")
+    code, simulated, _ = run_cli(capsys, "simulate", "--scenario", "ble-700lx",
+                                 "--out", out_dir)
+    assert code == EXIT_OK
+    code, reported, _ = run_cli(
+        capsys, "report",
+        "--records", os.path.join(out_dir, "records.csv"),
+        "--trace", os.path.join(out_dir, "trace.csv"),
+    )
+    assert code == EXIT_OK
+    node, _kind, *columns = simulated.splitlines()[1].split()
+    assert reported.splitlines()[1].split() == [node, *columns]
+    assert columns[:2] == ["1490", "1479"]
+
+
 def test_report_missing_file(capsys, tmp_path):
     code, _, _ = run_cli(capsys, "report",
                          "--records", str(tmp_path / "nope.csv"))

@@ -94,19 +94,20 @@ def test_ble_cycle_walkthrough_emits_adv_then_sleeps_without_gateway():
     cfg = ble_cfg()
     rng = random.Random(0)
     state = initial_state(cfg, 13.76)
-    ems = advance(state, cfg, 13.76, lux=700.0, rng=rng)
-    assert state.phase is Phase.SENSING and ems == []
-    ems = advance(state, cfg, state.phase_deadline, lux=700.0, rng=rng)
+    out = advance(state, cfg, 13.76, lux=700.0, rng=rng)
+    assert state.phase is Phase.SENSING and out is None
+    assert state.packets_sent == 0
+    out = advance(state, cfg, state.phase_deadline, lux=700.0, rng=rng)
     assert state.phase is Phase.ADVERTISING
-    kinds = [type(e).__name__ for e in ems]
-    assert kinds == ["SessionStarted", "SendFrame"]
-    assert ems[1].frame.kind is FrameKind.ADV_ESS
+    assert state.packets_sent == 1
+    assert out.kind is FrameKind.ADV_ESS
+    assert state.records == []
     # No connection request: the advertising window expires into sleep.
-    ems = advance(state, cfg, state.phase_deadline, lux=700.0, rng=rng)
-    assert state.phase is Phase.SLEEPING
-    finished = [e for e in ems if type(e).__name__ == "CycleFinished"]
-    assert len(finished) == 1
-    assert finished[0].fail_reason.value == "no_gateway"
+    out = advance(state, cfg, state.phase_deadline, lux=700.0, rng=rng)
+    assert state.phase is Phase.SLEEPING and out is None
+    assert len(state.records) == 1
+    assert state.records[0].fail_reason.value == "no_gateway"
+    assert (state.packets_sent, state.packets_received) == (1, 0)
 
 
 def test_uniform_advertising_mode_draws_in_range():
@@ -128,11 +129,11 @@ def test_depleted_node_emits_nothing():
     frame = Frame(src=GATEWAY_ID, dst="ble-1", link=LinkType.BLE_ADV,
                   kind=FrameKind.CONN_REQ, payload_bytes=22, airtime_s=0.003,
                   channel=37)
-    assert receive(state, cfg, frame, 5.0) == []
+    assert receive(state, cfg, frame, 5.0) is None
     # A depleted node stays asleep at its wake deadline.
     state.supercap = Supercap(0.4, 3.3, v_min=3.3)
-    ems = advance(state, cfg, 10.0, lux=0.0, rng=random.Random(0))
-    assert ems == [] and state.phase is Phase.SLEEPING
+    out = advance(state, cfg, 10.0, lux=0.0, rng=random.Random(0))
+    assert out is None and state.phase is Phase.SLEEPING
     assert state.phase_deadline == pytest.approx(10.0 + cfg.backoff_s)
 
 

@@ -27,7 +27,7 @@ from liotsim.kernel import (
     run,
     scenario_fingerprint,
 )
-from liotsim.protocol import Frame, FrameKind, GATEWAY_ID, LinkType
+from liotsim.protocol import FailReason, Frame, FrameKind, GATEWAY_ID, LinkType
 from liotsim.scenario import preset_dict, scenario_from_dict
 
 
@@ -227,6 +227,19 @@ def test_absent_gateway_fails_every_session():
     assert {fr.value for fr in ble_reasons if fr} == {"no_gateway"}
 
 
+# (ir_uplink loss, scenario seed) -> ({node: (sent, received, timeouts)},
+# frames sent) for two LIoT nodes over 2 h; vlc_downlink loss is half the IR
+# loss, channel seed 1.
+TRANSCEIVER_TABLE = {
+    (0.0, 2): ({"liot-1": (11, 5, 6), "liot-2": (11, 6, 5)}, 66),
+    (0.0, 3): ({"liot-1": (11, 5, 6), "liot-2": (11, 6, 5)}, 66),
+    (0.2, 2): ({"liot-1": (11, 5, 6), "liot-2": (11, 3, 8)}, 64),
+    (0.2, 3): ({"liot-1": (11, 5, 6), "liot-2": (11, 5, 6)}, 73),
+    (0.5, 2): ({"liot-1": (11, 2, 9), "liot-2": (11, 1, 10)}, 46),
+    (0.5, 3): ({"liot-1": (11, 3, 8), "liot-2": (11, 1, 10)}, 46),
+}
+
+
 def test_two_liot_nodes_share_one_optical_transceiver():
     # Both boot together; the gateway services one at a time, the loser
     # times out and recovers on its next cycle.
@@ -243,6 +256,39 @@ def test_two_liot_nodes_share_one_optical_transceiver():
     assert total_recv < total_sent  # at least one collision loss
     for n in result.summary.nodes:
         assert n.scap_min_v >= 3.3
+    # Under optical loss the pinned counts of each node and the frame count
+    # show who held the transceiver when.
+    for (ir_loss, seed), (counts, n_frames) in TRANSCEIVER_TABLE.items():
+        sc = Scenario(
+            duration_s=7200.0,
+            nodes=(liot_node("liot-1"), liot_node("liot-2")),
+            channel=ChannelModel(loss={LinkType.IR_UPLINK: ir_loss,
+                                       LinkType.VLC_DOWNLINK: ir_loss / 2},
+                                 seed=1),
+            seed=seed,
+        )
+        result = run(sc)
+        got = {
+            node_id: (nr.packets_sent, nr.packets_received,
+                      sum(1 for r in nr.records
+                          if r.fail_reason is FailReason.TIMEOUT))
+            for node_id, nr in result.nodes.items()
+        }
+        assert (got, len(result.frame_log)) == (counts, n_frames), (ir_loss, seed)
+
+
+@pytest.mark.parametrize("harvester,lux,expected", [
+    (LIOT_HARVESTER, 700.0, pytest.approx(620.0, abs=0.01)),
+    (LIOT_HARVESTER, 500.0, pytest.approx(1350.0, abs=0.01)),
+    # Harvest covers the whole active burst: the node runs continuously.
+    (HarvesterCurve(points=((0.0, 500.0),)), 700.0, 0.0),
+    # Harvest cannot even cover sleep: the node backs off.
+    (HarvesterCurve(points=((0.0, 0.0),)), 700.0, 60.0),
+], ids=["700lx", "500lx", "continuous", "infeasible"])
+def test_gateway_assigned_sleep(harvester, lux, expected):
+    cfg = liot_node(harvester=harvester)
+    assert cfg.backoff_s == 60.0
+    assert kernel.gateway_sleep_s(cfg, lux) == expected
 
 
 def test_subset_upload_still_delivers():

@@ -1,6 +1,5 @@
 import pytest
 
-from liotsim.energy import LIOT_PROFILE, LIOT_HARVESTER, solve_sleep_time
 from liotsim.protocol import (
     ACK_PAYLOAD,
     BYTES_PER_OPTICAL_CHANNEL,
@@ -72,15 +71,17 @@ def test_ble_no_gateway_failure_is_explicit():
     assert session.fail_reason is FailReason.NO_GATEWAY
 
 
-def _liot_policy(lux):
-    return solve_sleep_time(LIOT_PROFILE, LIOT_HARVESTER.power_mw(lux)).t_sleep_s
-
-
 def test_liot_happy_path_delivers_and_assigns_sleep():
-    session = make_liot_session(
-        "n2", started_at=0.0, lux=700.0, sleep_for_lux=_liot_policy
-    )
-    frames = _run_happy_path(session, liot_exchange_step)
+    # The gateway assigns the sleep before it answers SensorData.
+    session = make_liot_session("n2", started_at=0.0, lux=700.0)
+    frames = [liot_exchange_step(session, None)]
+    for _ in range(2):
+        frames.append(liot_exchange_step(session, frames[-1]))
+    with pytest.raises(ValueError, match="no gateway-assigned sleep"):
+        liot_exchange_step(session, frames[-1])
+    session.assigned_sleep_s = 620.0
+    for _ in range(2):
+        frames.append(liot_exchange_step(session, frames[-1]))
     assert session.outcome is SessionOutcome.DELIVERED
     assert [f.kind for f in frames] == [
         FrameKind.NODE_ID_LUX,
@@ -89,25 +90,15 @@ def test_liot_happy_path_delivers_and_assigns_sleep():
         FrameKind.SLEEP_SET,
         FrameKind.ACK,
     ]
-    assert session.assigned_sleep_s == pytest.approx(620.0, abs=0.01)
-    sleep_set = frames[3]
-    assert sleep_set.meta["sleep_s"] == session.assigned_sleep_s
+    assert session.assigned_sleep_s == 620.0
     data = frames[2]
     assert data.airtime_s == pytest.approx(3.58, rel=1e-12)
 
 
-def test_liot_sleep_assignment_500lx():
-    session = make_liot_session(
-        "n2", started_at=0.0, lux=500.0, sleep_for_lux=_liot_policy
-    )
-    _run_happy_path(session, liot_exchange_step)
-    assert session.assigned_sleep_s == pytest.approx(1350.0, abs=0.01)
-
-
 def test_liot_subset_request_scales_upload_airtime():
-    full = make_liot_session("n", 0.0, lux=700.0, sleep_for_lux=_liot_policy)
+    full = make_liot_session("n", 0.0, lux=700.0, assigned_sleep_s=620.0)
     sub = make_liot_session(
-        "n", 0.0, lux=700.0, sleep_for_lux=_liot_policy,
+        "n", 0.0, lux=700.0, assigned_sleep_s=620.0,
         requested_channels=("temperature",),
     )
     f_full = _run_happy_path(full, liot_exchange_step)[2]
@@ -124,7 +115,7 @@ def test_liot_subset_request_scales_upload_airtime():
 
 
 def test_liot_out_of_sequence_is_violation():
-    session = make_liot_session("n2", 0.0, lux=700.0, sleep_for_lux=_liot_policy)
+    session = make_liot_session("n2", 0.0, lux=700.0)
     liot_exchange_step(session, None)
     rogue = Frame(
         src=GATEWAY_ID, dst="n2", link=LinkType.VLC_DOWNLINK,
@@ -179,20 +170,15 @@ def test_session_outcome_deterministic_replay():
     assert runs[0] == runs[1]
 
 
-def test_frames_with_meta_are_never_shared():
-    # Same node, same step: only the reported lux and the assigned sleep
-    # differ, so a memo that ignored meta would hand out one frame for both.
-    dim = make_liot_session("n2", 0.0, lux=500.0, sleep_for_lux=_liot_policy)
-    bright = make_liot_session("n2", 0.0, lux=700.0, sleep_for_lux=_liot_policy)
+def test_every_handshake_frame_is_memoised():
+    # Frames carry only their kind and size, so two sessions of one node
+    # share every frame, whatever lux they report or sleep they are assigned.
+    dim = make_liot_session("n2", 0.0, lux=500.0, assigned_sleep_s=1350.0)
+    bright = make_liot_session("n2", 0.0, lux=700.0, assigned_sleep_s=620.0)
     dim_frames = _run_happy_path(dim, liot_exchange_step)
     bright_frames = _run_happy_path(bright, liot_exchange_step)
-    assert dim_frames[0].kind is FrameKind.NODE_ID_LUX
-    assert dim_frames[0].meta == {"lux": 500.0}
-    assert bright_frames[0].meta == {"lux": 700.0}
-    assert dim_frames[3].meta["sleep_s"] == pytest.approx(1350.0, abs=0.01)
-    assert bright_frames[3].meta["sleep_s"] == pytest.approx(620.0, abs=0.01)
-    for a, b in zip(dim_frames, bright_frames):
-        if a.meta or b.meta:
-            assert a is not b
-        else:
-            assert a is b  # meta-free frames are shared, equal values
+    assert len(dim_frames) == len(bright_frames) == 5
+    assert all(a is b for a, b in zip(dim_frames, bright_frames))
+    ble = [_run_happy_path(make_ble_session("n1", t), ble_exchange_step)
+           for t in (0.0, 1.0)]
+    assert all(a is b for a, b in zip(*ble))

@@ -127,6 +127,24 @@ def test_gateway_values_are_never_coerced(key, value, path):
     assert exc.value.path == path
 
 
+def test_run_size_limits():
+    for name in PRESET_NAMES:
+        doc = preset_dict(name)
+        doc["sample_interval_s"] = 0.001
+        with pytest.raises(ScenarioError, match=r"is 2\.88e\+07 trace samples, "
+                           "above the limit of 10,000,000") as exc:
+            scenario_from_dict(doc)
+        assert exc.value.path == "sample_interval_s"
+        # A leap year is the longest run.
+        doc["sample_interval_s"] = 3600.0
+        doc["duration_s"] = 366 * 86400.0
+        assert scenario_from_dict(doc).duration_s == 31_622_400.0
+        doc["duration_s"] += 1.0
+        with pytest.raises(ScenarioError, match="at most 31622400 s") as exc:
+            scenario_from_dict(doc)
+        assert exc.value.path == "duration_s"
+
+
 @pytest.mark.parametrize("key,read", [
     ("seed", lambda sc: sc.seed),
     ("channel.seed", lambda sc: sc.channel.seed),
