@@ -218,14 +218,17 @@ def cmd_report(args) -> int:
           f"{'avg SCap (V)':>13}")
     for node_id in sorted(by_node):
         recs = by_node[node_id]
+        trace = traces.get(node_id, [])
         # Records do not carry the node kind, and the table does not show it.
         n = metrics.summarize_node(
             node_id, "", len(recs),
             sum(1 for r in recs if r.outcome is SessionOutcome.DELIVERED),
-            traces.get(node_id, []),
+            trace,
         )
+        # Without voltage samples there is no average to show.
+        avg = f"{n.scap_avg_v:>13.3f}" if trace else f"{'-':>13}"
         print(f"{node_id:<10} {n.packets_sent:>6} {n.packets_received:>9} "
-              f"{n.pdr:>6.3f} {n.scap_avg_v:>13.3f}")
+              f"{n.pdr:>6.3f} {avg}")
     return EXIT_OK
 
 

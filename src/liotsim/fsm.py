@@ -9,6 +9,8 @@ keep the node's cycle records and packet counts.
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Optional
@@ -166,13 +168,16 @@ class NodeState:
     phase: Phase
     phase_deadline: float
     phase_started: float
-    supercap: Supercap
+    voltage_v: float  # supercap voltage; capacitance and limits are cfg.supercap's
+    load_mw: dict[Phase, float]  # phase_power_mw of each of the node's phases
     depleted: bool = False
     awaiting_reeval: bool = False
     timeout_extended: bool = False
     phase_nominal_s: float = 0.0
     session: Optional[ExchangeSession] = None
     gw_request_end: float = 0.0
+    # (lux, schedule_next_cycle(cfg, lux)) of the last local solve
+    sleep_memo: tuple[float, Optional[float]] = (math.nan, None)
     # cycle bookkeeping (one cycle = one sleep period plus the active burst)
     cycle_index: int = 0
     cycle_start: float = 0.0
@@ -186,9 +191,11 @@ class NodeState:
     packets_sent: int = 0  # sessions started
     packets_received: int = 0  # cycles closed as delivered
     # Supercap voltage at the grid's times, filled as the energy segments
-    # containing them close: trace[i] is sampled at trace_grid.times[i].
-    trace: list[tuple[float, float]] = field(default_factory=list)
+    # containing them close: volts[i] is sampled at trace_grid.times[i],
+    # except that the last sample is at trace_end_s when that is set.
+    volts: array = field(default_factory=lambda: array("d"))
     trace_grid: Optional[SampleGrid] = None
+    trace_end_s: Optional[float] = None
 
 
 def initial_state(
@@ -199,13 +206,15 @@ def initial_state(
     The voltage trace samples the grid's times; without a grid it holds only
     the boot voltage.
     """
+    v0 = cfg.supercap.voltage_v
     return NodeState(
         phase=Phase.SLEEPING,
         phase_deadline=first_sleep_s,
         phase_started=0.0,
-        supercap=cfg.supercap,
-        cycle_v_start=cfg.supercap.voltage_v,
-        trace=[(0.0, cfg.supercap.voltage_v)],
+        voltage_v=v0,
+        load_mw={p: phase_power_mw(cfg, p) for p in LEGAL_TRANSITIONS[cfg.kind]},
+        cycle_v_start=v0,
+        volts=array("d", (v0,)),
         trace_grid=grid or SampleGrid(math.inf),
     )
 
@@ -253,16 +262,17 @@ def accrue_energy(
     t = state.last_energy_update
     if now <= t:
         return
-    p_load = phase_power_mw(cfg, state.phase)
+    p_load = state.load_mw[state.phase]
     power_mw, efficiency = cfg.harvester.power_mw, cfg.efficiency
-    cap = state.supercap
+    cap, sqrt = cfg.supercap, math.sqrt
     c, v_min, v_max = cap.capacitance_f, cap.v_min, cap.v_max
     v_min_sq = v_min**2
-    v = cap.voltage_v
-    trace, grid = state.trace, state.trace_grid
-    times = grid.times if grid.times[-1] > now else grid.cover(now)
-    i = len(trace)
-    sample_t = times[i]
+    v = state.voltage_v
+    volts, times = state.volts, state.trace_grid.times
+    if times[-1] <= now:
+        times = state.trace_grid.cover(now)
+    i = len(volts)
+    append = volts.append
     harvested = 0.0
     for t_end, lux in light.pieces(t, now):
         p_harv = power_mw(lux)
@@ -271,23 +281,25 @@ def accrue_energy(
             p_w *= efficiency
         v0_sq = v**2
         two_p_w = 2.0 * p_w
-        while sample_t <= t_end:
-            v_sq = v0_sq + two_p_w * (sample_t - t) / c
-            if v_sq < v_min_sq:
-                trace.append((sample_t, v_min))
-            else:
-                trace.append((sample_t, min(math.sqrt(v_sq), v_max)))
-            i += 1
-            sample_t = times[i]
+        if times[i] <= t_end:
+            j = bisect_right(times, t_end, i)
+            for sample_t in times[i:j]:
+                v_sq = v0_sq + two_p_w * (sample_t - t) / c
+                if v_sq < v_min_sq:
+                    append(v_min)
+                else:
+                    v_s = sqrt(v_sq)
+                    append(v_max if v_max < v_s else v_s)
+            i = j
         v_sq = v0_sq + two_p_w * (t_end - t) / c
         if v_sq < v_min_sq:
             v = v_min
             state.depleted = True
         else:
-            v = min(math.sqrt(v_sq), v_max)
+            v = min(sqrt(v_sq), v_max)
         harvested += p_harv * 1e-3 * (t_end - t)
         t = t_end
-    state.supercap = Supercap(c, v, v_min, v_max)
+    state.voltage_v = v
     consumed = p_load * 1e-3 * (now - state.last_energy_update)
     state.cycle_consumed_j += consumed
     state.cycle_harvested_j += harvested
@@ -334,7 +346,7 @@ def _close_cycle(
         outcome=SessionOutcome.DELIVERED if delivered else SessionOutcome.FAILED,
         fail_reason=fail_reason,
         scap_v_start=state.cycle_v_start,
-        scap_v_end=state.supercap.voltage_v,
+        scap_v_end=state.voltage_v,
         energy_consumed_j=state.cycle_consumed_j,
         energy_harvested_j=state.cycle_harvested_j,
     ))
@@ -342,7 +354,7 @@ def _close_cycle(
         state.packets_received += 1
     state.cycle_index += 1
     state.cycle_start = now
-    state.cycle_v_start = state.supercap.voltage_v
+    state.cycle_v_start = state.voltage_v
     state.cycle_consumed_j = 0.0
     state.cycle_harvested_j = 0.0
     _set_phase(state, cfg, Phase.SLEEPING, now, now + sleep)
@@ -357,7 +369,13 @@ def _finish_cycle(
     fail_reason: Optional[FailReason],
     assigned_sleep: Optional[float] = None,
 ) -> None:
-    sleep = schedule_next_cycle(cfg, lux, assigned_s=assigned_sleep)
+    if assigned_sleep is None and lux == state.sleep_memo[0]:
+        # schedule_next_cycle depends only on cfg and lux.
+        sleep = state.sleep_memo[1]
+    else:
+        sleep = schedule_next_cycle(cfg, lux, assigned_s=assigned_sleep)
+        if assigned_sleep is None:
+            state.sleep_memo = (lux, sleep)
     if sleep is None:
         sleep = cfg.backoff_s
         state.awaiting_reeval = True
@@ -394,7 +412,7 @@ def advance(
 
     if phase is Phase.SLEEPING:
         if state.depleted:
-            if state.supercap.voltage_v > state.supercap.v_min:
+            if state.voltage_v > cfg.supercap.v_min:
                 state.depleted = False
             else:
                 _set_phase(state, cfg, Phase.SLEEPING, now, now + cfg.backoff_s)

@@ -19,9 +19,11 @@ import heapq
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from itertools import chain, islice
+from typing import Iterator, Optional, Union
 
 from . import fsm, metrics
 from .energy import Feasibility, solve_sleep_time
@@ -188,15 +190,20 @@ class LightSchedule:
         return self._lux_from(self._piece(t)[0])
 
     def pieces(self, t0: float, t1: float):
-        """(end, lux) of each constant piece of (t0, t1], in time order."""
-        t = t0
-        while True:
-            start, end = self._piece(t)
-            if end >= t1:
-                yield t1, self._lux_from(start)
-                return
+        """(end, lux) of each constant piece of (t0, t1], in time order.
+
+        Most segments lie within one piece; those get a one-entry tuple.
+        """
+        start, end = self._piece(t0)
+        if end >= t1:
+            return ((t1, self._lux_from(start)),)
+        return self._split(start, end, t1)
+
+    def _split(self, start: float, end: float, t1: float):
+        while end < t1:
             yield end, self._lux_from(start)
-            t = end
+            start, end = self._piece(end)
+        yield t1, self._lux_from(start)
 
     def forget_before(self, t: float) -> None:
         """Drop the cached lux of change points no segment from t onwards uses."""
@@ -265,13 +272,30 @@ class FrameLogEntry:
 
 @dataclass
 class NodeResult:
-    records: list[metrics.CycleRecord] = field(default_factory=list)
-    trace: list[tuple[float, float]] = field(default_factory=list)
+    records: list[metrics.CycleRecord]
+    # Supercap voltage samples: volts[i] is at times[i], except that a last
+    # sample off the sample grid is at end_s.  times is the run's shared
+    # grid, so it may run past the samples.
+    times: list[float]
+    volts: array
+    end_s: Optional[float] = None
     packets_sent: int = 0
     packets_received: int = 0
     total_consumed_j: float = 0.0
     total_harvested_j: float = 0.0
     trailing_consumed_j: float = 0.0  # consumed in the unfinished final cycle
+
+    def sample_times(self) -> Iterator[float]:
+        """The time of each voltage sample, in order."""
+        n = len(self.volts)
+        if self.end_s is None:
+            return islice(self.times, n)
+        return chain(islice(self.times, n - 1), (self.end_s,))
+
+    @property
+    def trace(self) -> list[tuple[float, float]]:
+        """The (t, V) samples, built anew on each read."""
+        return list(zip(self.sample_times(), self.volts))
 
 
 @dataclass
@@ -296,6 +320,7 @@ class RunResult:
 
     @property
     def traces(self) -> dict[str, list[tuple[float, float]]]:
+        """Each node's (t, V) samples, built anew on each read."""
         return {nid: nr.trace for nid, nr in self.nodes.items()}
 
 
@@ -426,14 +451,17 @@ class _Kernel:
     def _finalize(self, end: float) -> None:
         for node_id, state in self.node_state.items():
             fsm.accrue_energy(state, self.node_cfg[node_id], end, self.light)
-            if state.trace[-1][0] < end:
-                state.trace.append((end, state.supercap.voltage_v))
+            if state.trace_grid.times[len(state.volts) - 1] < end:
+                state.volts.append(state.voltage_v)
+                state.trace_end_s = end
 
     def _result(self) -> RunResult:
         nodes = {
             node_id: NodeResult(
                 records=state.records,
-                trace=state.trace,
+                times=state.trace_grid.times,
+                volts=state.volts,
+                end_s=state.trace_end_s,
                 packets_sent=state.packets_sent,
                 packets_received=state.packets_received,
                 total_consumed_j=state.total_consumed_j,
@@ -444,7 +472,8 @@ class _Kernel:
         }
         node_summaries = tuple(
             metrics.summarize_node(node_id, self.node_cfg[node_id].kind.value,
-                                   nr.packets_sent, nr.packets_received, nr.trace)
+                                   nr.packets_sent, nr.packets_received,
+                                   nr.sample_times(), nr.volts)
             for node_id, nr in nodes.items()
         )
         summary = metrics.RunSummary(

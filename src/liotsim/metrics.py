@@ -5,7 +5,8 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from itertools import islice
+from typing import Iterable, Optional, Sequence
 
 from .protocol import FailReason, SessionOutcome
 
@@ -56,22 +57,35 @@ class RunSummary:
         raise KeyError(node_id)
 
 
+def voltage_stats(
+    times: Iterable[float], volts: Sequence[float]
+) -> tuple[float, float, float]:
+    """(avg, min, max) of volts[i] sampled at times[i], average trapezoid-weighted.
+
+    times may run past volts; the extra times are not read.
+    """
+    if not volts:
+        return 0.0, 0.0, 0.0
+    lo, hi = min(volts), max(volts)
+    times = iter(times)
+    t0 = first = next(times)
+    v0 = volts[0]
+    area = 0.0
+    for t1, v1 in zip(times, islice(volts, 1, None)):
+        area += 0.5 * (v0 + v1) * (t1 - t0)
+        t0, v0 = t1, v1
+    span = t0 - first
+    if span <= 0:
+        return volts[0], lo, hi
+    # area / span rounds outside [lo, hi] when the span is tiny.
+    return min(max(area / span, lo), hi), lo, hi
+
+
 def time_weighted_voltage_stats(
     trace: list[tuple[float, float]]
 ) -> tuple[float, float, float]:
-    """(avg, min, max) of a sampled voltage trace, average trapezoid-weighted."""
-    if not trace:
-        return 0.0, 0.0, 0.0
-    vs = [v for _, v in trace]
-    lo, hi = min(vs), max(vs)
-    area = 0.0
-    for (t0, v0), (t1, v1) in zip(trace, trace[1:]):
-        area += 0.5 * (v0 + v1) * (t1 - t0)
-    span = trace[-1][0] - trace[0][0]
-    if span <= 0:
-        return vs[0], lo, hi
-    # area / span rounds outside [lo, hi] when the span is tiny.
-    return min(max(area / span, lo), hi), lo, hi
+    """voltage_stats of a (t, V) trace."""
+    return voltage_stats([t for t, _ in trace], [v for _, v in trace])
 
 
 def summarize_node(
@@ -79,10 +93,19 @@ def summarize_node(
     kind: str,
     packets_sent: int,
     packets_received: int,
-    trace: list[tuple[float, float]],
+    samples: Iterable,
+    volts: Optional[Sequence[float]] = None,
 ) -> NodeSummary:
+    """Counts, PDR and voltage stats of one node.
+
+    The voltage samples are the (t, V) pairs of samples, or, when volts is
+    given, volts[i] at the i-th time of samples.
+    """
     pdr = packets_received / packets_sent if packets_sent > 0 else 0.0
-    avg, lo, hi = time_weighted_voltage_stats(trace)
+    if volts is None:
+        avg, lo, hi = time_weighted_voltage_stats(samples)
+    else:
+        avg, lo, hi = voltage_stats(samples, volts)
     return NodeSummary(node_id, kind, packets_sent, packets_received, pdr, avg, lo, hi)
 
 

@@ -241,6 +241,20 @@ def test_report_matches_the_simulate_table(capsys, tmp_path):
     assert columns[:2] == ["1490", "1479"]
 
 
+def test_report_without_voltage_samples_prints_a_dash(capsys, tmp_path):
+    out_dir = str(tmp_path / "out")
+    run_cli(capsys, "simulate", "--scenario", "liot-700lx",
+            "--duration", "3600", "--out", out_dir)
+    records = os.path.join(out_dir, "records.csv")
+    # A trace file whose rows all belong to another node.
+    other = tmp_path / "other-trace.csv"
+    other.write_text("node_id,time_s,scap_v\nliot-9,0.0,4.2\nliot-9,1.0,4.2\n")
+    for extra in ([], ["--trace", str(other)]):
+        code, out, _ = run_cli(capsys, "report", "--records", records, *extra)
+        assert code == EXIT_OK
+        assert out.splitlines()[1].split() == ["liot-1", "5", "5", "1.000", "-"]
+
+
 def test_report_missing_file(capsys, tmp_path):
     code, _, _ = run_cli(capsys, "report",
                          "--records", str(tmp_path / "nope.csv"))

@@ -131,7 +131,7 @@ def test_depleted_node_emits_nothing():
                   channel=37)
     assert receive(state, cfg, frame, 5.0) is None
     # A depleted node stays asleep at its wake deadline.
-    state.supercap = Supercap(0.4, 3.3, v_min=3.3)
+    state.voltage_v = 3.3  # cfg.supercap.v_min
     out = advance(state, cfg, 10.0, lux=0.0, rng=random.Random(0))
     assert out is None and state.phase is Phase.SLEEPING
     assert state.phase_deadline == pytest.approx(10.0 + cfg.backoff_s)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import random
 
@@ -27,8 +28,9 @@ from liotsim.kernel import (
     run,
     scenario_fingerprint,
 )
+from liotsim.metrics import time_weighted_voltage_stats
 from liotsim.protocol import FailReason, Frame, FrameKind, GATEWAY_ID, LinkType
-from liotsim.scenario import preset_dict, scenario_from_dict
+from liotsim.scenario import preset_dict, scenario_from_dict, set_by_path
 
 
 def ble_node(node_id="ble-1", **kw) -> NodeConfig:
@@ -397,11 +399,13 @@ def _check_accrue_against_supercap_segment(monkeypatch) -> list:
     accrue, grids = fsm.accrue_energy, []
 
     def checked(state, cfg, now, light):
-        t, cap, n = state.last_energy_update, state.supercap, len(state.trace)
+        t, n = state.last_energy_update, len(state.volts)
+        cap = dataclasses.replace(cfg.supercap, voltage_v=state.voltage_v)
         p_load = fsm.phase_power_mw(cfg, state.phase)
         accrue(state, cfg, now, light)
-        new = state.trace[n:]
         grid = state.trace_grid.times
+        new = list(zip(grid[n:], state.volts[n:]))
+        assert len(new) == len(state.volts) - n
         assert [s for s, _ in new] == [g for g in grid if t < g <= now]
         if now <= t:
             return
@@ -416,7 +420,7 @@ def _check_accrue_against_supercap_segment(monkeypatch) -> list:
             cap = dataclasses.replace(cap, voltage_v=v)
             t = t_end
         assert new == expected
-        assert state.supercap == cap
+        assert state.voltage_v == cap.voltage_v
         grids.append(state.trace_grid)
 
     monkeypatch.setattr(fsm, "accrue_energy", checked)
@@ -462,6 +466,90 @@ def test_inline_sampling_equals_supercap_segment_down_to_v_min(monkeypatch):
     assert any(v == 3.3 for _, v in trace)
     assert trace[-1][1] > 3.3  # recovers once the light is back
     assert trace[-1][0] == 2500.0
+
+
+def _records_digest(records) -> str:
+    """First 16 hex digits of a sha256 over every field of every record."""
+    h = hashlib.sha256()
+    for r in records:
+        h.update(repr((r.node_id, r.cycle_index, r.start_s, r.end_s, r.outcome.value,
+                       r.fail_reason and r.fail_reason.value, r.scap_v_start,
+                       r.scap_v_end, r.energy_consumed_j,
+                       r.energy_harvested_j)).encode())
+    return h.hexdigest()[:16]
+
+
+# (preset, document changes, len(trace), trace[-1], summary (sent, received,
+# scap_avg_v, scap_min_v, scap_max_v), len(records), records digest), each
+# recorded when the trace was still a list of (t, V) tuples.
+EDGE_RUNS = {
+    "off-grid-end": (
+        "liot-700lx", {"duration_s": 1000.5, "sample_interval_s": 7.0},
+        144, (1000.5, 4.3131763658558695),
+        (1, 1, 4.2898932372591165, 4.235, 4.362380774523844),
+        1, "2665b5b6b10dc46c"),
+    "mid-session-end": (
+        "liot-700lx", {"duration_s": 622.0},
+        623, (622.0, 4.30683460153058),
+        (1, 0, 4.299529762517636, 4.235, 4.363195769991584),
+        0, "e3b0c44298fc1c14"),
+    "near-v-min": (
+        "ble-500lx", {"sample_interval_s": 60.0, "nodes.0.supercap.voltage_v": 3.31},
+        481, (28800.0, 3.7743418916157143),
+        (1050, 953, 3.539712539782298, 3.31, 3.7752458886424605),
+        1050, "bcb51f45824f758d"),
+    "jittered-off-grid-interval": (
+        "ble-700lx", {"duration_s": 3600.0, "sample_interval_s": 0.37,
+                      "illumination": {"kind": "constant", "lux": 300.0,
+                                       "jitter_pct": 0.1, "jitter_seed": 0}},
+        9731, (3600.0, 4.497681812889823),
+        (131, 131, 4.487429679508789, 4.463, 4.5),
+        131, "b90babf28c96f88d"),
+}
+
+
+@pytest.mark.parametrize("case", EDGE_RUNS)
+def test_voltage_stats_and_trace_view_on_edge_runs(case):
+    preset, changes, n_samples, last, summary, n_records, digest = EDGE_RUNS[case]
+    doc = preset_dict(preset)
+    for path, value in changes.items():
+        set_by_path(doc, path, value)
+    result = run(scenario_from_dict(doc))
+    (nr,) = result.nodes.values()
+    (node,) = result.summary.nodes
+    trace = nr.trace
+    assert trace == nr.trace and trace is not nr.trace  # built anew on each read
+    assert result.traces == {node.node_id: trace}
+    assert (node.scap_avg_v, node.scap_min_v, node.scap_max_v) == (
+        time_weighted_voltage_stats(trace))
+    assert (len(trace), trace[-1]) == (n_samples, last)
+    assert (node.packets_sent, node.packets_received, node.scap_avg_v,
+            node.scap_min_v, node.scap_max_v) == summary
+    assert (len(nr.records), _records_digest(nr.records)) == (n_records, digest)
+
+
+def test_local_sleep_follows_the_light_back():
+    # 700 -> 500 -> 700 lx with lossy links: failed cycles solve their sleep
+    # locally at each level, so a sleep kept from an earlier lux would move
+    # these counts.  Recorded before the local solve was memoised.
+    sc = Scenario(
+        duration_s=10800.0,
+        nodes=(ble_node(), liot_node()),
+        channel=ChannelModel(loss=0.1),
+        illumination=IlluminationProfile(
+            kind="step", steps=((0.0, 700.0), (3600.0, 500.0), (7200.0, 700.0))),
+        seed=4,
+    )
+    result = run(sc)
+    got = {
+        nid: (nr.packets_sent, nr.packets_received, len(nr.records),
+              nr.records[-1].end_s, nr.records[-1].scap_v_end)
+        for nid, nr in result.nodes.items()
+    }
+    assert got == {
+        "ble-1": (503, 313, 502, 10785.965000000004, 4.494605597133684),
+        "liot-1": (13, 6, 13, 10290.389624999993, 4.484645513176975),
+    }
 
 
 def test_frame_log_lists_lost_frames_and_repeats():
