@@ -223,7 +223,7 @@ def cmd_report(args) -> int:
         n = metrics.summarize_node(
             node_id, "", len(recs),
             sum(1 for r in recs if r.outcome is SessionOutcome.DELIVERED),
-            trace,
+            [t for t, _ in trace], [v for _, v in trace],
         )
         # Without voltage samples there is no average to show.
         avg = f"{n.scap_avg_v:>13.3f}" if trace else f"{'-':>13}"

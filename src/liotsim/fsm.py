@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Optional
+from itertools import accumulate, repeat
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from . import protocol
 from .energy import (
@@ -90,21 +90,6 @@ _PHASE_STAGE: dict[NodeKind, dict[Phase, StageName]] = {
     },
 }
 
-_REQUIRED_STAGES: dict[NodeKind, set[StageName]] = {
-    NodeKind.BLE: {
-        StageName.SENSOR_READ,
-        StageName.BLE_ADVERTISE,
-        StageName.BLE_DATA_EXCHANGE,
-    },
-    NodeKind.LIOT: {
-        StageName.GW_REQUEST,
-        StageName.LIOT_SENSOR_READ,
-        StageName.LIOT_DATA_UPLOAD,
-        StageName.LIOT_SLEEP_SET,
-    },
-}
-
-
 class FsmError(RuntimeError):
     pass
 
@@ -128,7 +113,7 @@ class NodeConfig:
         if self.adv_mode not in ("fixed", "uniform"):
             raise ValueError("adv_mode must be 'fixed' or 'uniform'")
         have = {s.name for s in self.profile.active_stages}
-        missing = _REQUIRED_STAGES[self.kind] - have
+        missing = set(_PHASE_STAGE[self.kind].values()) - have
         if missing:
             raise ValueError(
                 f"profile lacks stages for {self.kind.value} node: "
@@ -136,31 +121,13 @@ class NodeConfig:
             )
 
 
-# Sample times a SampleGrid appends at a time.
-SAMPLE_CHUNK = 256
-
-
-class SampleGrid:
+def sample_times(interval_s: float) -> Iterator[float]:
     """Trace sample times 0, dt, dt + dt, ..., built by repeated addition.
 
-    One grid serves every node of a run, so each sample time is a single
-    float object shared by all of their traces.  The times grow in chunks,
-    so the list may run past the end of the run.
+    accrue_energy samples at exactly these floats; a run's last sample is at
+    its end instead when the end falls between two of them (see end_run).
     """
-
-    def __init__(self, interval_s: float):
-        self.interval_s = interval_s
-        self.times = [0.0]
-
-    def cover(self, t: float) -> list[float]:
-        """The times, grown until the last one lies past t."""
-        times, dt = self.times, self.interval_s
-        while times[-1] <= t:
-            last = times[-1]
-            for _ in range(SAMPLE_CHUNK):
-                last += dt
-                times.append(last)
-        return times
+    return accumulate(repeat(interval_s), initial=0.0)
 
 
 @dataclass
@@ -190,21 +157,21 @@ class NodeState:
     records: list[CycleRecord] = field(default_factory=list)
     packets_sent: int = 0  # sessions started
     packets_received: int = 0  # cycles closed as delivered
-    # Supercap voltage at the grid's times, filled as the energy segments
-    # containing them close: volts[i] is sampled at trace_grid.times[i],
-    # except that the last sample is at trace_end_s when that is set.
+    # Supercap voltage at sample_times(sample_interval_s), filled as the
+    # energy segments containing them close; last_sample_s is the time of
+    # volts[-1].
     volts: array = field(default_factory=lambda: array("d"))
-    trace_grid: Optional[SampleGrid] = None
-    trace_end_s: Optional[float] = None
+    sample_interval_s: float = math.inf
+    last_sample_s: float = 0.0
 
 
 def initial_state(
-    cfg: NodeConfig, first_sleep_s: float, grid: Optional[SampleGrid] = None
+    cfg: NodeConfig, first_sleep_s: float, sample_interval_s: float = math.inf
 ) -> NodeState:
     """Node boots asleep, charging, and wakes after its first solved sleep.
 
-    The voltage trace samples the grid's times; without a grid it holds only
-    the boot voltage.
+    The voltage trace samples every sample_interval_s; without an interval
+    it holds only the boot voltage.
     """
     v0 = cfg.supercap.voltage_v
     return NodeState(
@@ -215,7 +182,7 @@ def initial_state(
         load_mw={p: phase_power_mw(cfg, p) for p in LEGAL_TRANSITIONS[cfg.kind]},
         cycle_v_start=v0,
         volts=array("d", (v0,)),
-        trace_grid=grid or SampleGrid(math.inf),
+        sample_interval_s=sample_interval_s,
     )
 
 
@@ -255,7 +222,7 @@ def accrue_energy(
     The load is constant since the last checkpoint and the light changes only
     at its change points, so the interval splits into pieces of constant net
     power.  Each piece is integrated in closed form with the lux in force at
-    its start; trace grid points inside a piece are sampled from it.  Every
+    its start; sample times inside a piece are sampled from it.  Every
     voltage is supercap_segment's, written out here with V0^2 and 2*P hoisted
     per piece (the same floats: the expression still evaluates left to right).
     """
@@ -268,11 +235,8 @@ def accrue_energy(
     c, v_min, v_max = cap.capacitance_f, cap.v_min, cap.v_max
     v_min_sq = v_min**2
     v = state.voltage_v
-    volts, times = state.volts, state.trace_grid.times
-    if times[-1] <= now:
-        times = state.trace_grid.cover(now)
-    i = len(volts)
-    append = volts.append
+    dt, last = state.sample_interval_s, state.last_sample_s
+    append = state.volts.append
     harvested = 0.0
     for t_end, lux in light.pieces(t, now):
         p_harv = power_mw(lux)
@@ -281,16 +245,17 @@ def accrue_energy(
             p_w *= efficiency
         v0_sq = v**2
         two_p_w = 2.0 * p_w
-        if times[i] <= t_end:
-            j = bisect_right(times, t_end, i)
-            for sample_t in times[i:j]:
-                v_sq = v0_sq + two_p_w * (sample_t - t) / c
-                if v_sq < v_min_sq:
-                    append(v_min)
-                else:
-                    v_s = sqrt(v_sq)
-                    append(v_max if v_max < v_s else v_s)
-            i = j
+        # The same repeated addition as sample_times.
+        sample_t = last + dt
+        while sample_t <= t_end:
+            v_sq = v0_sq + two_p_w * (sample_t - t) / c
+            if v_sq < v_min_sq:
+                append(v_min)
+            else:
+                v_s = sqrt(v_sq)
+                append(v_max if v_max < v_s else v_s)
+            last = sample_t
+            sample_t += dt
         v_sq = v0_sq + two_p_w * (t_end - t) / c
         if v_sq < v_min_sq:
             v = v_min
@@ -300,12 +265,24 @@ def accrue_energy(
         harvested += p_harv * 1e-3 * (t_end - t)
         t = t_end
     state.voltage_v = v
+    state.last_sample_s = last
     consumed = p_load * 1e-3 * (now - state.last_energy_update)
     state.cycle_consumed_j += consumed
     state.cycle_harvested_j += harvested
     state.total_consumed_j += consumed
     state.total_harvested_j += harvested
     state.last_energy_update = now
+
+
+def end_run(
+    state: NodeState, cfg: NodeConfig, end: float, light: LightSchedule
+) -> None:
+    """Close the node's last energy segment at the end of the run, and sample
+    the voltage there unless a sample time falls on the end."""
+    accrue_energy(state, cfg, end, light)
+    if state.last_sample_s < end:
+        state.volts.append(state.voltage_v)
+        state.last_sample_s = end
 
 
 def _set_phase(

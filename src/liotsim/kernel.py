@@ -89,10 +89,8 @@ def per_frame_loss_for_session_pdr(target_pdr: float, n_frames: int) -> float:
     return 1.0 - target_pdr ** (1.0 / n_frames)
 
 
-# Frames a session must carry end to end for delivery (the trailing LIoT Ack
-# only closes the gateway side, see protocol.liot_exchange_step).
+# Frames a BLE session must carry end to end for delivery.
 BLE_SESSION_FRAMES = 5
-LIOT_SESSION_FRAMES = 4
 
 
 @dataclass(frozen=True)
@@ -273,12 +271,12 @@ class FrameLogEntry:
 @dataclass
 class NodeResult:
     records: list[metrics.CycleRecord]
-    # Supercap voltage samples: volts[i] is at times[i], except that a last
-    # sample off the sample grid is at end_s.  times is the run's shared
-    # grid, so it may run past the samples.
-    times: list[float]
+    # Supercap voltage samples: volts[i] is at the i-th of
+    # fsm.sample_times(sample_interval_s), except that the last one is at
+    # last_sample_s, the end of the run when that falls between two times.
+    sample_interval_s: float
     volts: array
-    end_s: Optional[float] = None
+    last_sample_s: float
     packets_sent: int = 0
     packets_received: int = 0
     total_consumed_j: float = 0.0
@@ -287,10 +285,8 @@ class NodeResult:
 
     def sample_times(self) -> Iterator[float]:
         """The time of each voltage sample, in order."""
-        n = len(self.volts)
-        if self.end_s is None:
-            return islice(self.times, n)
-        return chain(islice(self.times, n - 1), (self.end_s,))
+        grid = fsm.sample_times(self.sample_interval_s)
+        return chain(islice(grid, len(self.volts) - 1), (self.last_sample_s,))
 
     @property
     def trace(self) -> list[tuple[float, float]]:
@@ -394,11 +390,11 @@ class _Kernel:
 
     def run(self) -> RunResult:
         sc = self.sc
-        grid = fsm.SampleGrid(sc.sample_interval_s)
         for cfg in sc.nodes:
             first = fsm.schedule_next_cycle(cfg, self.light.lux(0.0))
             state = fsm.initial_state(
-                cfg, first if first is not None else cfg.backoff_s, grid
+                cfg, first if first is not None else cfg.backoff_s,
+                sc.sample_interval_s,
             )
             if first is None:
                 state.awaiting_reeval = True
@@ -432,7 +428,8 @@ class _Kernel:
                 continue
 
             if kind is RUN_ENDED:
-                self._finalize(time)
+                for node_id, state in node_state.items():
+                    fsm.end_run(state, node_cfg[node_id], time, light)
                 break
 
             dst = subject.dst  # FRAME_DELIVERED
@@ -448,20 +445,13 @@ class _Kernel:
 
         return self._result()
 
-    def _finalize(self, end: float) -> None:
-        for node_id, state in self.node_state.items():
-            fsm.accrue_energy(state, self.node_cfg[node_id], end, self.light)
-            if state.trace_grid.times[len(state.volts) - 1] < end:
-                state.volts.append(state.voltage_v)
-                state.trace_end_s = end
-
     def _result(self) -> RunResult:
         nodes = {
             node_id: NodeResult(
                 records=state.records,
-                times=state.trace_grid.times,
+                sample_interval_s=state.sample_interval_s,
                 volts=state.volts,
-                end_s=state.trace_end_s,
+                last_sample_s=state.last_sample_s,
                 packets_sent=state.packets_sent,
                 packets_received=state.packets_received,
                 total_consumed_j=state.total_consumed_j,

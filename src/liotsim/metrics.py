@@ -60,10 +60,7 @@ class RunSummary:
 def voltage_stats(
     times: Iterable[float], volts: Sequence[float]
 ) -> tuple[float, float, float]:
-    """(avg, min, max) of volts[i] sampled at times[i], average trapezoid-weighted.
-
-    times may run past volts; the extra times are not read.
-    """
+    """(avg, min, max) of volts[i] sampled at times[i], average trapezoid-weighted."""
     if not volts:
         return 0.0, 0.0, 0.0
     lo, hi = min(volts), max(volts)
@@ -93,19 +90,12 @@ def summarize_node(
     kind: str,
     packets_sent: int,
     packets_received: int,
-    samples: Iterable,
-    volts: Optional[Sequence[float]] = None,
+    times: Iterable[float],
+    volts: Sequence[float],
 ) -> NodeSummary:
-    """Counts, PDR and voltage stats of one node.
-
-    The voltage samples are the (t, V) pairs of samples, or, when volts is
-    given, volts[i] at the i-th time of samples.
-    """
+    """Counts, PDR and voltage stats of one node (volts[i] sampled at times[i])."""
     pdr = packets_received / packets_sent if packets_sent > 0 else 0.0
-    if volts is None:
-        avg, lo, hi = time_weighted_voltage_stats(samples)
-    else:
-        avg, lo, hi = voltage_stats(samples, volts)
+    avg, lo, hi = voltage_stats(times, volts)
     return NodeSummary(node_id, kind, packets_sent, packets_received, pdr, avg, lo, hi)
 
 

@@ -96,17 +96,13 @@ SLEEP_SET_PAYLOAD = 2
 ACK_PAYLOAD = 0
 
 
-def frame_airtime(
-    kind: FrameKind,
-    payload_bytes: int,
-    link: LinkType,
-    model: AirtimeModel = DEFAULT_AIRTIME,
-) -> float:
+def frame_airtime(kind: FrameKind, payload_bytes: int, link: LinkType) -> float:
     if payload_bytes < 0:
         raise ValueError("payload_bytes must be >= 0")
     if LINK_FOR_KIND[kind] is not link:
         raise ValueError(f"{kind.value} frames are not carried on {link.value}")
-    return model.overhead_s[link] + payload_bytes * model.per_byte_s[link]
+    return (DEFAULT_AIRTIME.overhead_s[link]
+            + payload_bytes * DEFAULT_AIRTIME.per_byte_s[link])
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,8 @@ SCHEMA_VERSION = 1
 PRESET_NAMES = ("ble-700lx", "ble-500lx", "liot-700lx", "liot-500lx")
 
 # Largest run a scenario may ask for: a leap year, and trace samples over
-# all nodes (one float pair each, so about 1 GB at the limit).
+# all nodes (8 bytes of voltage each, so 80 MB at the limit; reading the
+# (t, V) view also builds a tuple and a time float for every sample).
 MAX_DURATION_S = 366 * 86400.0
 MAX_TRACE_SAMPLES = 10**7
 

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from liotsim.energy import (
     HarvesterCurve,
     LIOT_HARVESTER,
     LIOT_PROFILE,
+    StageName,
     Supercap,
 )
 from liotsim.fsm import (
@@ -88,6 +90,14 @@ def test_profile_stage_mismatch_rejected():
             node_id="x", kind=NodeKind.LIOT, profile=BLE_PROFILE,
             harvester=LIOT_HARVESTER, supercap=Supercap(0.4, 4.2),
         )
+
+
+def test_profile_missing_a_phase_stage_rejected():
+    profile = dataclasses.replace(LIOT_PROFILE, active_stages=tuple(
+        s for s in LIOT_PROFILE.active_stages
+        if s.name is not StageName.LIOT_DATA_UPLOAD))
+    with pytest.raises(ValueError, match="liot_data_upload"):
+        liot_cfg(profile=profile)
 
 
 def test_ble_cycle_walkthrough_emits_adv_then_sleeps_without_gateway():

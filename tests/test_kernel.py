@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import random
+from itertools import islice, takewhile
 
 import pytest
 
@@ -392,21 +393,24 @@ def test_trace_sample_after_a_v_max_crossing_reads_exactly_v_max():
 def _check_accrue_against_supercap_segment(monkeypatch) -> list:
     """Check every fsm.accrue_energy call of a run against supercap_segment.
 
-    Each new trace sample must equal supercap_segment from the voltage at
-    the start of its piece, and the closing voltage must equal the chained
-    piece ends.  Returns the grids the checked calls sampled.
+    The new trace samples must lie exactly at fsm.sample_times's times in
+    (t, now], each must equal supercap_segment from the voltage at the start
+    of its piece, and the closing voltage must equal the chained piece ends.
+    Returns the end time of each checked call.
     """
-    accrue, grids = fsm.accrue_energy, []
+    accrue, calls = fsm.accrue_energy, []
 
     def checked(state, cfg, now, light):
         t, n = state.last_energy_update, len(state.volts)
         cap = dataclasses.replace(cfg.supercap, voltage_v=state.voltage_v)
         p_load = fsm.phase_power_mw(cfg, state.phase)
         accrue(state, cfg, now, light)
-        grid = state.trace_grid.times
-        new = list(zip(grid[n:], state.volts[n:]))
-        assert len(new) == len(state.volts) - n
-        assert [s for s, _ in new] == [g for g in grid if t < g <= now]
+        dt, new_volts = state.sample_interval_s, state.volts[n:]
+        # The i-th sample is at the i-th time of the rule.
+        new_times = list(islice(fsm.sample_times(dt), n, n + len(new_volts)))
+        due = takewhile(lambda s: s <= now, fsm.sample_times(dt))
+        assert new_times == [s for s in due if t < s]
+        new = list(zip(new_times, new_volts))
         if now <= t:
             return
         expected = []
@@ -421,14 +425,14 @@ def _check_accrue_against_supercap_segment(monkeypatch) -> list:
             t = t_end
         assert new == expected
         assert state.voltage_v == cap.voltage_v
-        grids.append(state.trace_grid)
+        calls.append(now)
 
     monkeypatch.setattr(fsm, "accrue_energy", checked)
-    return grids
+    return calls
 
 
 def test_inline_sampling_equals_supercap_segment_across_v_max(monkeypatch):
-    grids = _check_accrue_against_supercap_segment(monkeypatch)
+    calls = _check_accrue_against_supercap_segment(monkeypatch)
     # Both nodes start just under v_max; jittered step light splits segments
     # into one piece per second.
     sc = Scenario(
@@ -440,17 +444,15 @@ def test_inline_sampling_equals_supercap_segment_across_v_max(monkeypatch):
         sample_interval_s=0.7,
     )
     result = run(sc)
-    assert grids
+    assert calls
     for nr in result.nodes.values():
         volts = [v for _, v in nr.trace]
         assert volts[0] < 4.5 and 4.5 in volts
         assert nr.trace[-1][0] == 1500.3 and nr.trace[-2][0] < 1500.3
-    # The shared grid grows in chunks past the end of the run.
-    assert grids[-1].times[-1] > sc.duration_s
 
 
 def test_inline_sampling_equals_supercap_segment_down_to_v_min(monkeypatch):
-    grids = _check_accrue_against_supercap_segment(monkeypatch)
+    calls = _check_accrue_against_supercap_segment(monkeypatch)
     # Dark from 300 s to 2000 s: the node backs off and drains to v_min.
     dark_harvester = HarvesterCurve(
         points=((0.0, 0.0), (700.0, BLE_HARVESTER.power_mw(700.0))))
@@ -462,7 +464,7 @@ def test_inline_sampling_equals_supercap_segment_down_to_v_min(monkeypatch):
         sample_interval_s=1.3,
     )
     trace = run(sc).nodes["ble-1"].trace
-    assert grids
+    assert calls
     assert any(v == 3.3 for _, v in trace)
     assert trace[-1][1] > 3.3  # recovers once the light is back
     assert trace[-1][0] == 2500.0

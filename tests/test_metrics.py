@@ -40,14 +40,14 @@ def _record(i=0, outcome=SessionOutcome.DELIVERED, reason=None) -> CycleRecord:
 
 
 def test_pdr_from_counts():
-    assert summarize_node("n", "ble", 1491, 1479, []).pdr == pytest.approx(
+    assert summarize_node("n", "ble", 1491, 1479, [], []).pdr == pytest.approx(
         1479 / 1491
     )
-    assert summarize_node("n", "ble", 1491, 1479, []).pdr == pytest.approx(
+    assert summarize_node("n", "ble", 1491, 1479, [], []).pdr == pytest.approx(
         0.991, abs=0.001
     )
-    assert summarize_node("n", "liot", 21, 21, []).pdr == 1.0
-    assert summarize_node("n", "liot", 0, 0, []).pdr == 0.0
+    assert summarize_node("n", "liot", 21, 21, [], []).pdr == 1.0
+    assert summarize_node("n", "liot", 0, 0, [], []).pdr == 0.0
 
 
 def test_time_weighted_average_handles_uneven_sampling():
@@ -95,7 +95,7 @@ def test_trace_round_trip_is_lossless(tmp_path, fmt):
 def test_summary_round_trip(tmp_path):
     summary = RunSummary(
         duration_s=28800.0, seed=1, config_hash="abc123",
-        nodes=(summarize_node("n1", "liot", 46, 46, [(0.0, 4.3)]),),
+        nodes=(summarize_node("n1", "liot", 46, 46, [0.0], [4.3]),),
     )
     path = str(tmp_path / "summary.json")
     export_summary(summary, path)

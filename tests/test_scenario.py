@@ -49,6 +49,21 @@ def test_minimal_document_fills_defaults():
     assert node.sensors == ("temperature", "humidity", "pressure", "gas")
 
 
+def test_profile_missing_a_phase_stage_is_a_scenario_error():
+    doc = minimal_doc()
+    doc["nodes"][0]["profile"] = {
+        "voltage_v": 3.3,
+        "sleep_current_ma": 0.087,
+        "stages": [
+            {"name": name, "current_ma": 12.0, "duration_s": 0.5}
+            for name in ("gw_request", "liot_sensor_read", "liot_sleep_set")
+        ],
+    }
+    with pytest.raises(ScenarioError, match="liot_data_upload") as exc:
+        scenario_from_dict(doc)
+    assert exc.value.path == "nodes[0]"
+
+
 def test_unknown_key_error_carries_its_path():
     doc = minimal_doc()
     doc["nodes"][0]["supercap"]["capacitanceF"] = 0.4
