@@ -19,7 +19,6 @@ from .energy import (
     solve_sleep_time,
 )
 from .metrics import ExportError
-from .protocol import SessionOutcome
 from .scenario import ScenarioError
 
 EXIT_OK = 0
@@ -49,9 +48,11 @@ def _load_profile_arg(ref: str):
     try:
         with open(ref, encoding="utf-8") as fh:
             doc = yaml.safe_load(fh)
+        if not isinstance(doc, dict):
+            raise ScenarioError("", f"{ref} does not contain a mapping")
         profile = scenario_mod._parse_profile(doc.get("profile", doc), "profile")
         harvester = None
-        if isinstance(doc, dict) and "harvester" in doc:
+        if "harvester" in doc:
             harvester = scenario_mod._parse_harvester(doc["harvester"], "harvester")
         return profile, harvester
     except OSError as exc:
@@ -96,9 +97,10 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _resolve_scenario(ref: str, seed: Optional[int], duration: Optional[float]):
+def _load_scenario_doc(ref: str) -> dict:
+    """The scenario document of a preset name or a YAML file."""
     try:
-        doc = scenario_mod.resolve_scenario_dict(ref)
+        return scenario_mod.resolve_scenario_dict(ref)
     except FileNotFoundError:
         raise CliError(
             f"{ref!r} is neither a preset ({', '.join(scenario_mod.PRESET_NAMES)}) "
@@ -106,13 +108,7 @@ def _resolve_scenario(ref: str, seed: Optional[int], duration: Optional[float]):
         )
     except OSError as exc:
         raise CliError(str(exc), EXIT_IO)
-    if seed is not None:
-        doc["seed"] = seed
-    if duration is not None:
-        doc["duration_s"] = duration
-    try:
-        return scenario_mod.scenario_from_dict(doc)
-    except ScenarioError as exc:
+    except (ScenarioError, yaml.YAMLError) as exc:
         raise CliError(f"invalid scenario: {exc}", EXIT_VALIDATION)
 
 
@@ -138,7 +134,15 @@ def _write_outputs(result: kernel.RunResult, out_dir: str, fmt: str) -> None:
 
 
 def cmd_simulate(args) -> int:
-    sc = _resolve_scenario(args.scenario, args.seed, args.duration)
+    doc = _load_scenario_doc(args.scenario)
+    if args.seed is not None:
+        doc["seed"] = args.seed
+    if args.duration is not None:
+        doc["duration_s"] = args.duration
+    try:
+        sc = scenario_mod.scenario_from_dict(doc)
+    except ScenarioError as exc:
+        raise CliError(f"invalid scenario: {exc}", EXIT_VALIDATION)
     result = kernel.run(sc)
     out_dir = args.out or os.environ.get("LIOTSIM_OUT")
     if out_dir:
@@ -165,10 +169,7 @@ def cmd_sweep(args) -> int:
             values.append(float(raw))
         except ValueError:
             values.append(raw)
-    try:
-        base = scenario_mod.resolve_scenario_dict(args.scenario)
-    except (FileNotFoundError, OSError) as exc:
-        raise CliError(str(exc), EXIT_VALIDATION)
+    base = _load_scenario_doc(args.scenario)
     # Validate the parameter path and every value before running anything.
     jobs_args = []
     for v in values:
@@ -221,9 +222,7 @@ def cmd_report(args) -> int:
         trace = traces.get(node_id, [])
         # Records do not carry the node kind, and the table does not show it.
         n = metrics.summarize_node(
-            node_id, "", len(recs),
-            sum(1 for r in recs if r.outcome is SessionOutcome.DELIVERED),
-            [t for t, _ in trace], [v for _, v in trace],
+            node_id, "", recs, [t for t, _ in trace], [v for _, v in trace]
         )
         # Without voltage samples there is no average to show.
         avg = f"{n.scap_avg_v:>13.3f}" if trace else f"{'-':>13}"

@@ -3,7 +3,7 @@
 The kernel drives each node with timer and frame-delivery callbacks; the
 functions here perform the phase transitions, debit the supercapacitor for
 the elapsed phase, return the protocol frames of the two node variants, and
-keep the node's cycle records and packet counts.
+keep the node's cycle records, its one account of sessions and energy.
 """
 
 from __future__ import annotations
@@ -145,18 +145,12 @@ class NodeState:
     gw_request_end: float = 0.0
     # (lux, schedule_next_cycle(cfg, lux)) of the last local solve
     sleep_memo: tuple[float, Optional[float]] = (math.nan, None)
-    # cycle bookkeeping (one cycle = one sleep period plus the active burst)
-    cycle_index: int = 0
-    cycle_start: float = 0.0
-    cycle_v_start: float = 0.0
-    cycle_consumed_j: float = 0.0
-    cycle_harvested_j: float = 0.0
-    total_consumed_j: float = 0.0
-    total_harvested_j: float = 0.0
-    last_energy_update: float = 0.0
+    # One record per closed cycle (a sleep period plus the active burst);
+    # the open cycle starts where the last record ends.
     records: list[CycleRecord] = field(default_factory=list)
-    packets_sent: int = 0  # sessions started
-    packets_received: int = 0  # cycles closed as delivered
+    cycle_consumed_j: float = 0.0  # in the open cycle
+    cycle_harvested_j: float = 0.0
+    last_energy_update: float = 0.0
     # Supercap voltage at sample_times(sample_interval_s), filled as the
     # energy segments containing them close; last_sample_s is the time of
     # volts[-1].
@@ -180,7 +174,6 @@ def initial_state(
         phase_started=0.0,
         voltage_v=v0,
         load_mw={p: phase_power_mw(cfg, p) for p in LEGAL_TRANSITIONS[cfg.kind]},
-        cycle_v_start=v0,
         volts=array("d", (v0,)),
         sample_interval_s=sample_interval_s,
     )
@@ -266,11 +259,8 @@ def accrue_energy(
         t = t_end
     state.voltage_v = v
     state.last_sample_s = last
-    consumed = p_load * 1e-3 * (now - state.last_energy_update)
-    state.cycle_consumed_j += consumed
+    state.cycle_consumed_j += p_load * 1e-3 * (now - state.last_energy_update)
     state.cycle_harvested_j += harvested
-    state.total_consumed_j += consumed
-    state.total_harvested_j += harvested
     state.last_energy_update = now
 
 
@@ -278,11 +268,17 @@ def end_run(
     state: NodeState, cfg: NodeConfig, end: float, light: LightSchedule
 ) -> None:
     """Close the node's last energy segment at the end of the run, and sample
-    the voltage there unless a sample time falls on the end."""
+    the voltage there unless a sample time falls on the end.
+
+    A session still open is recorded as it stands: delivered if it was, else
+    failed with its own reason or, while pending, RUN_ENDED.
+    """
     accrue_energy(state, cfg, end, light)
     if state.last_sample_s < end:
         state.volts.append(state.voltage_v)
         state.last_sample_s = end
+    if state.session is not None:  # the sleep this arms never comes
+        _close_cycle(state, cfg, end, FailReason.RUN_ENDED, 0.0)
 
 
 def _set_phase(
@@ -305,37 +301,38 @@ def _stage_duration(cfg: NodeConfig, name: StageName) -> float:
 
 
 def _close_cycle(
-    state: NodeState,
-    cfg: NodeConfig,
-    now: float,
-    fail_reason: Optional[FailReason],
-    sleep: float,
+    state: NodeState, cfg: NodeConfig, now: float,
+    fail_reason: Optional[FailReason], sleep: float,
 ) -> None:
-    """Record the cycle (delivered unless it has a fail reason), then sleep."""
-    delivered = fail_reason is None
-    if not delivered and state.session is not None:
-        protocol.fail_session(state.session, fail_reason)
-    state.records.append(CycleRecord(
+    """Record the open cycle with its session's outcome, then sleep.
+
+    A pending session fails with fail_reason; one that has already ended
+    keeps its own outcome.  A cycle without a session (a BLE node that
+    browned out while reading its sensors) fails with fail_reason.
+    """
+    session, records = state.session, state.records
+    if session is None:
+        outcome = SessionOutcome.FAILED
+    else:
+        protocol.fail_session(session, fail_reason)
+        outcome, fail_reason = session.outcome, session.fail_reason
+    last = records[-1] if records else None
+    records.append(CycleRecord(
         node_id=cfg.node_id,
-        cycle_index=state.cycle_index,
-        start_s=state.cycle_start,
+        cycle_index=len(records),
+        start_s=last.end_s if last else 0.0,
         end_s=now,
-        outcome=SessionOutcome.DELIVERED if delivered else SessionOutcome.FAILED,
+        outcome=outcome,
         fail_reason=fail_reason,
-        scap_v_start=state.cycle_v_start,
+        scap_v_start=last.scap_v_end if last else cfg.supercap.voltage_v,
         scap_v_end=state.voltage_v,
         energy_consumed_j=state.cycle_consumed_j,
         energy_harvested_j=state.cycle_harvested_j,
     ))
-    if delivered:
-        state.packets_received += 1
-    state.cycle_index += 1
-    state.cycle_start = now
-    state.cycle_v_start = state.voltage_v
     state.cycle_consumed_j = 0.0
     state.cycle_harvested_j = 0.0
-    _set_phase(state, cfg, Phase.SLEEPING, now, now + sleep)
     state.session = None
+    _set_phase(state, cfg, Phase.SLEEPING, now, now + sleep)
 
 
 def _finish_cycle(
@@ -408,19 +405,17 @@ def advance(
             return None
         # LIoT: read the LDR and open the session with an IR uplink.
         session = make_liot_session(
-            cfg.node_id, now, lux=lux, requested_channels=cfg.sensors
+            cfg.node_id, lux=lux, requested_channels=cfg.sensors
         )
         state.session = session
-        state.packets_sent += 1
         out = liot_exchange_step(session, None)
         state.gw_request_end = now + _stage_duration(cfg, StageName.GW_REQUEST)
         _set_phase(state, cfg, Phase.UPLINKING, now, now + out.airtime_s)
         return out
 
     if phase is Phase.SENSING and cfg.kind is NodeKind.BLE:
-        session = make_ble_session(cfg.node_id, now)
+        session = make_ble_session(cfg.node_id)
         state.session = session
-        state.packets_sent += 1
         out = ble_exchange_step(session, None)
         if cfg.adv_mode == "fixed":
             adv = _stage_duration(cfg, StageName.BLE_ADVERTISE)

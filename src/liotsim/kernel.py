@@ -277,11 +277,10 @@ class NodeResult:
     sample_interval_s: float
     volts: array
     last_sample_s: float
-    packets_sent: int = 0
-    packets_received: int = 0
+    # The records' energy sums plus the unrecorded final cycle's.
     total_consumed_j: float = 0.0
     total_harvested_j: float = 0.0
-    trailing_consumed_j: float = 0.0  # consumed in the unfinished final cycle
+    trailing_consumed_j: float = 0.0  # consumed in the unrecorded final cycle
 
     def sample_times(self) -> Iterator[float]:
         """The time of each voltage sample, in order."""
@@ -452,18 +451,17 @@ class _Kernel:
                 sample_interval_s=state.sample_interval_s,
                 volts=state.volts,
                 last_sample_s=state.last_sample_s,
-                packets_sent=state.packets_sent,
-                packets_received=state.packets_received,
-                total_consumed_j=state.total_consumed_j,
-                total_harvested_j=state.total_harvested_j,
+                total_consumed_j=sum(r.energy_consumed_j for r in state.records)
+                + state.cycle_consumed_j,
+                total_harvested_j=sum(r.energy_harvested_j for r in state.records)
+                + state.cycle_harvested_j,
                 trailing_consumed_j=state.cycle_consumed_j,
             )
             for node_id, state in self.node_state.items()
         }
         node_summaries = tuple(
             metrics.summarize_node(node_id, self.node_cfg[node_id].kind.value,
-                                   nr.packets_sent, nr.packets_received,
-                                   nr.sample_times(), nr.volts)
+                                   nr.records, nr.sample_times(), nr.volts)
             for node_id, nr in nodes.items()
         )
         summary = metrics.RunSummary(

@@ -88,15 +88,19 @@ def time_weighted_voltage_stats(
 def summarize_node(
     node_id: str,
     kind: str,
-    packets_sent: int,
-    packets_received: int,
+    records: Sequence[CycleRecord],
     times: Iterable[float],
     volts: Sequence[float],
 ) -> NodeSummary:
-    """Counts, PDR and voltage stats of one node (volts[i] sampled at times[i])."""
-    pdr = packets_received / packets_sent if packets_sent > 0 else 0.0
+    """Counts, PDR and voltage stats of one node (volts[i] sampled at times[i]).
+
+    Each cycle record is one packet sent; the delivered ones were received.
+    """
+    sent = len(records)
+    received = sum(1 for r in records if r.outcome is SessionOutcome.DELIVERED)
+    pdr = received / sent if sent > 0 else 0.0
     avg, lo, hi = voltage_stats(times, volts)
-    return NodeSummary(node_id, kind, packets_sent, packets_received, pdr, avg, lo, hi)
+    return NodeSummary(node_id, kind, sent, received, pdr, avg, lo, hi)
 
 
 # --- export / import --------------------------------------------------------

@@ -139,6 +139,7 @@ class FailReason(Enum):
     NO_GATEWAY = "no_gateway"
     PROTOCOL_VIOLATION = "protocol_violation"
     BROWN_OUT = "brown_out"
+    RUN_ENDED = "run_ended"  # the run ended while the session was open
 
 
 class BleStep(Enum):
@@ -165,7 +166,6 @@ class ExchangeSession:
 
     node_id: str
     protocol: str  # "ble" | "liot"
-    started_at: float
     step: Enum
     outcome: SessionOutcome = SessionOutcome.PENDING
     fail_reason: Optional[FailReason] = None
@@ -175,12 +175,12 @@ class ExchangeSession:
     held: Optional[Frame] = None  # frame received outside its service phase
 
 
-def make_ble_session(node_id: str, started_at: float, **kw) -> ExchangeSession:
-    return ExchangeSession(node_id, "ble", started_at, BleStep.START, **kw)
+def make_ble_session(node_id: str, **kw) -> ExchangeSession:
+    return ExchangeSession(node_id, "ble", BleStep.START, **kw)
 
 
-def make_liot_session(node_id: str, started_at: float, **kw) -> ExchangeSession:
-    return ExchangeSession(node_id, "liot", started_at, LiotStep.START, **kw)
+def make_liot_session(node_id: str, **kw) -> ExchangeSession:
+    return ExchangeSession(node_id, "liot", LiotStep.START, **kw)
 
 
 def fail_session(session: ExchangeSession, reason: FailReason) -> None:

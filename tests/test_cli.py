@@ -141,6 +141,32 @@ def test_simulate_rejects_coerced_gateway_values(capsys, tmp_path, key, value, p
     assert f"invalid scenario: {path}: " in err
 
 
+# Files that hold no document of the expected shape.
+MALFORMED_FILES = {
+    "list": "- version: 1\n- duration_s: 100\n",
+    "empty": "",
+    "unparsable": "version: [1,\n",
+}
+
+
+@pytest.mark.parametrize("command,content", [
+    *((cmd, name) for cmd in ("simulate", "sweep") for name in MALFORMED_FILES),
+    ("solve", "list"),
+    ("solve", "empty"),
+])
+def test_malformed_files_exit_2(capsys, tmp_path, command, content):
+    path = tmp_path / "doc.yaml"
+    path.write_text(MALFORMED_FILES[content], encoding="utf-8")
+    argv = {
+        "simulate": ["--scenario", str(path)],
+        "sweep": ["--scenario", str(path), "--param", "seed", "--values", "1"],
+        "solve": ["--profile", str(path), "--harvest-mw", "1.0"],
+    }[command]
+    code, _, err = run_cli(capsys, command, *argv)
+    assert code == EXIT_VALIDATION
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_sweep_lux_reproduces_both_ble_operating_points(capsys, tmp_path):
     out = str(tmp_path / "sweep.csv")
     code, _, _ = run_cli(
@@ -224,21 +250,26 @@ def test_report_round_trip(capsys, tmp_path):
 
 
 def test_report_matches_the_simulate_table(capsys, tmp_path):
-    # Every ble-700lx session closes its cycle before the run ends, so the
-    # records count the packets sent and both tables agree.
-    out_dir = str(tmp_path / "out")
-    code, simulated, _ = run_cli(capsys, "simulate", "--scenario", "ble-700lx",
-                                 "--out", out_dir)
-    assert code == EXIT_OK
-    code, reported, _ = run_cli(
-        capsys, "report",
-        "--records", os.path.join(out_dir, "records.csv"),
-        "--trace", os.path.join(out_dir, "trace.csv"),
-    )
-    assert code == EXIT_OK
-    node, _kind, *columns = simulated.splitlines()[1].split()
-    assert reported.splitlines()[1].split() == [node, *columns]
-    assert columns[:2] == ["1490", "1479"]
+    # Both tables count the cycle records, so they agree.  The second run
+    # ends during liot-1's first session, which is recorded as run_ended:
+    # one packet sent, none received.
+    for preset, duration, row in (
+        ("ble-700lx", [], ["1490", "1479"]),
+        ("liot-700lx", ["--duration", "622"], ["1", "0", "0.000", "4.300"]),
+    ):
+        out_dir = str(tmp_path / preset)
+        code, simulated, _ = run_cli(capsys, "simulate", "--scenario", preset,
+                                     *duration, "--out", out_dir)
+        assert code == EXIT_OK
+        code, reported, _ = run_cli(
+            capsys, "report",
+            "--records", os.path.join(out_dir, "records.csv"),
+            "--trace", os.path.join(out_dir, "trace.csv"),
+        )
+        assert code == EXIT_OK
+        node, _kind, *columns = simulated.splitlines()[1].split()
+        assert reported.splitlines()[1].split() == [node, *columns]
+        assert columns[:len(row)] == row
 
 
 def test_report_without_voltage_samples_prints_a_dash(capsys, tmp_path):

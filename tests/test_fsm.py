@@ -19,12 +19,22 @@ from liotsim.fsm import (
     NodeKind,
     Phase,
     advance,
+    end_run,
     initial_state,
     phase_power_mw,
     receive,
     schedule_next_cycle,
 )
-from liotsim.protocol import Frame, FrameKind, LinkType, GATEWAY_ID
+from liotsim.kernel import IlluminationProfile, LightSchedule
+from liotsim.protocol import (
+    GATEWAY_ID,
+    FailReason,
+    Frame,
+    FrameKind,
+    LinkType,
+    SessionOutcome,
+    exchange_step,
+)
 
 
 def ble_cfg(**kw) -> NodeConfig:
@@ -106,10 +116,10 @@ def test_ble_cycle_walkthrough_emits_adv_then_sleeps_without_gateway():
     state = initial_state(cfg, 13.76)
     out = advance(state, cfg, 13.76, lux=700.0, rng=rng)
     assert state.phase is Phase.SENSING and out is None
-    assert state.packets_sent == 0
+    assert state.session is None
     out = advance(state, cfg, state.phase_deadline, lux=700.0, rng=rng)
     assert state.phase is Phase.ADVERTISING
-    assert state.packets_sent == 1
+    assert state.session is not None
     assert out.kind is FrameKind.ADV_ESS
     assert state.records == []
     # No connection request: the advertising window expires into sleep.
@@ -117,7 +127,67 @@ def test_ble_cycle_walkthrough_emits_adv_then_sleeps_without_gateway():
     assert state.phase is Phase.SLEEPING and out is None
     assert len(state.records) == 1
     assert state.records[0].fail_reason.value == "no_gateway"
-    assert (state.packets_sent, state.packets_received) == (1, 0)
+    assert state.records[0].outcome is SessionOutcome.FAILED
+    assert state.session is None
+
+
+def _ble_exchanging(cfg: NodeConfig):
+    """A BLE node walked into EXCHANGING, the gateway's steps played by hand.
+
+    Returns the node state, the connection request it took and the
+    attribute request its exchange opened with.
+    """
+    rng = random.Random(0)
+    state = initial_state(cfg, 1.0)
+    advance(state, cfg, 1.0, lux=700.0, rng=rng)
+    adv = advance(state, cfg, state.phase_deadline, lux=700.0, rng=rng)
+    conn = exchange_step(state.session, adv)
+    receive(state, cfg, conn, state.phase_started + adv.airtime_s + conn.airtime_s)
+    request = advance(state, cfg, state.phase_deadline, lux=700.0, rng=rng)
+    assert state.phase is Phase.EXCHANGING
+    assert request.kind is FrameKind.ESS_ATTR_REQUEST
+    return state, conn, request
+
+
+def test_out_of_sequence_frame_in_exchange_is_recorded_as_a_violation():
+    cfg = ble_cfg()
+    state, conn, _ = _ble_exchanging(cfg)
+    began = state.phase_started
+    # A second connection request is out of sequence in the exchange.
+    assert receive(state, cfg, conn, began + 0.1) is None
+    assert state.session.fail_reason is FailReason.PROTOCOL_VIOLATION
+    while not state.records:
+        advance(state, cfg, state.phase_deadline, lux=700.0, rng=random.Random(0))
+    (record,) = state.records
+    assert (record.outcome, record.fail_reason) == (
+        SessionOutcome.FAILED, FailReason.PROTOCOL_VIOLATION)
+    # Nothing answers the node, so it waits out twice the 1.3-s stage.
+    assert record.end_s == began + 2 * 1.3
+
+
+def test_end_run_records_the_open_session_as_it_stands():
+    cfg = ble_cfg()
+    light = LightSchedule(IlluminationProfile(lux=700.0), 100.0)
+    pending, _, _ = _ble_exchanging(cfg)
+    delivered, _, request = _ble_exchanging(cfg)
+    data = receive(delivered, cfg, request, delivered.phase_started + 0.1)
+    receive(delivered, cfg, exchange_step(delivered.session, data),
+            delivered.phase_started + 0.5)
+    assert delivered.session.outcome is SessionOutcome.DELIVERED
+    for state in (pending, delivered):
+        end_run(state, cfg, 100.0, light)
+        (record,) = state.records
+        assert (record.start_s, record.end_s) == (0.0, 100.0)
+        assert record.scap_v_start == cfg.supercap.voltage_v
+        assert record.scap_v_end == state.voltage_v
+        assert state.session is None
+    assert pending.records[0].fail_reason is FailReason.RUN_ENDED
+    assert delivered.records[0].outcome is SessionOutcome.DELIVERED
+    assert delivered.records[0].fail_reason is None
+    # A node asleep at the end has no session, so it records nothing.
+    asleep = initial_state(cfg, 13.76)
+    end_run(asleep, cfg, 10.0, light)
+    assert asleep.records == []
 
 
 def test_uniform_advertising_mode_draws_in_range():

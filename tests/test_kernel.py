@@ -230,6 +230,23 @@ def test_absent_gateway_fails_every_session():
     assert {fr.value for fr in ble_reasons if fr} == {"no_gateway"}
 
 
+def test_a_brown_out_while_sensing_counts_as_sent():
+    # Dark until 1500 s, then a quarter milliwatt: the node keeps browning
+    # out while it reads its sensors, before any session opens.  Each such
+    # cycle is a record, so it is a packet sent and not received.
+    doc = preset_dict("ble-700lx")
+    doc["duration_s"] = 7200.0
+    doc["illumination"] = {"kind": "step", "steps": [[0, 0], [1500, 1000]]}
+    doc["nodes"][0]["supercap"]["voltage_v"] = 3.4
+    doc["nodes"][0]["harvester"] = {"points": [[0, 0], [1000, 0.25]]}
+    result = run(scenario_from_dict(doc))
+    (node,) = result.summary.nodes
+    assert {r.fail_reason for r in result.records} == {FailReason.BROWN_OUT}
+    assert result.frame_log == []
+    assert (node.packets_sent, node.packets_received) == (94, 0)
+    assert len(result.records) == 94
+
+
 # (ir_uplink loss, scenario seed) -> ({node: (sent, received, timeouts)},
 # frames sent) for two LIoT nodes over 2 h; vlc_downlink loss is half the IR
 # loss, channel seed 1.
@@ -272,10 +289,10 @@ def test_two_liot_nodes_share_one_optical_transceiver():
         )
         result = run(sc)
         got = {
-            node_id: (nr.packets_sent, nr.packets_received,
-                      sum(1 for r in nr.records
-                          if r.fail_reason is FailReason.TIMEOUT))
-            for node_id, nr in result.nodes.items()
+            n.node_id: (n.packets_sent, n.packets_received,
+                        sum(1 for r in result.nodes[n.node_id].records
+                            if r.fail_reason is FailReason.TIMEOUT))
+            for n in result.summary.nodes
         }
         assert (got, len(result.frame_log)) == (counts, n_frames), (ir_loss, seed)
 
@@ -368,11 +385,11 @@ def test_energy_is_independent_of_sample_interval():
     assert exact == pytest.approx(3.9373789562565094, abs=1e-12)
     results = [_two_hour_step_run(dt) for dt in (1.0, 60.0, 3600.0)]
     reference = results[0].nodes["liot-1"]
-    assert reference.packets_sent == reference.packets_received == 8
     for result in results:
         nr = result.nodes["liot-1"]
         assert abs(nr.total_harvested_j - exact) <= 1e-9
-        assert (nr.packets_sent, nr.packets_received) == (8, 8)
+        node = result.summary.node("liot-1")
+        assert (node.packets_sent, node.packets_received) == (8, 8)
         assert len(nr.records) == len(reference.records)
         for got, want in zip(nr.records, reference.records):
             assert abs(got.energy_harvested_j - want.energy_harvested_j) <= 1e-9
@@ -482,37 +499,40 @@ def _records_digest(records) -> str:
 
 
 # (preset, document changes, len(trace), trace[-1], summary (sent, received,
-# scap_avg_v, scap_min_v, scap_max_v), len(records), records digest), each
-# recorded when the trace was still a list of (t, V) tuples.
+# scap_avg_v, scap_min_v, scap_max_v), number and digest of the cycles closed
+# before the end, run_ended records after them), each recorded when the trace
+# was still a list of (t, V) tuples, except the last column: the run_ended
+# record came later and left the closed cycles as they were.
 EDGE_RUNS = {
     "off-grid-end": (
         "liot-700lx", {"duration_s": 1000.5, "sample_interval_s": 7.0},
         144, (1000.5, 4.3131763658558695),
         (1, 1, 4.2898932372591165, 4.235, 4.362380774523844),
-        1, "2665b5b6b10dc46c"),
+        1, "2665b5b6b10dc46c", 0),
     "mid-session-end": (
         "liot-700lx", {"duration_s": 622.0},
         623, (622.0, 4.30683460153058),
         (1, 0, 4.299529762517636, 4.235, 4.363195769991584),
-        0, "e3b0c44298fc1c14"),
+        0, "e3b0c44298fc1c14", 1),
     "near-v-min": (
         "ble-500lx", {"sample_interval_s": 60.0, "nodes.0.supercap.voltage_v": 3.31},
         481, (28800.0, 3.7743418916157143),
         (1050, 953, 3.539712539782298, 3.31, 3.7752458886424605),
-        1050, "bcb51f45824f758d"),
+        1050, "bcb51f45824f758d", 0),
     "jittered-off-grid-interval": (
         "ble-700lx", {"duration_s": 3600.0, "sample_interval_s": 0.37,
                       "illumination": {"kind": "constant", "lux": 300.0,
                                        "jitter_pct": 0.1, "jitter_seed": 0}},
         9731, (3600.0, 4.497681812889823),
         (131, 131, 4.487429679508789, 4.463, 4.5),
-        131, "b90babf28c96f88d"),
+        131, "b90babf28c96f88d", 0),
 }
 
 
 @pytest.mark.parametrize("case", EDGE_RUNS)
 def test_voltage_stats_and_trace_view_on_edge_runs(case):
-    preset, changes, n_samples, last, summary, n_records, digest = EDGE_RUNS[case]
+    (preset, changes, n_samples, last, summary, n_closed, digest,
+     n_run_ended) = EDGE_RUNS[case]
     doc = preset_dict(preset)
     for path, value in changes.items():
         set_by_path(doc, path, value)
@@ -527,7 +547,10 @@ def test_voltage_stats_and_trace_view_on_edge_runs(case):
     assert (len(trace), trace[-1]) == (n_samples, last)
     assert (node.packets_sent, node.packets_received, node.scap_avg_v,
             node.scap_min_v, node.scap_max_v) == summary
-    assert (len(nr.records), _records_digest(nr.records)) == (n_records, digest)
+    closed, tail = nr.records[:n_closed], nr.records[n_closed:]
+    assert _records_digest(closed) == digest
+    assert [(r.fail_reason, r.end_s, r.scap_v_end) for r in tail] == (
+        [(FailReason.RUN_ENDED, *last)] * n_run_ended)
 
 
 def test_local_sleep_follows_the_light_back():
@@ -544,14 +567,20 @@ def test_local_sleep_follows_the_light_back():
     )
     result = run(sc)
     got = {
-        nid: (nr.packets_sent, nr.packets_received, len(nr.records),
-              nr.records[-1].end_s, nr.records[-1].scap_v_end)
-        for nid, nr in result.nodes.items()
+        n.node_id: (n.packets_sent, n.packets_received, len(nr.records),
+                    nr.records[-1].end_s, nr.records[-1].scap_v_end)
+        for n, nr in zip(result.summary.nodes, result.nodes.values())
     }
     assert got == {
-        "ble-1": (503, 313, 502, 10785.965000000004, 4.494605597133684),
+        "ble-1": (503, 313, 503, 10800.0, 4.4965399641300925),
         "liot-1": (13, 6, 13, 10290.389624999993, 4.484645513176975),
     }
+    # ble-1's session open at the end is its one run_ended record; the
+    # cycles before it were recorded first and are as they were.
+    ble = result.nodes["ble-1"].records
+    assert ble[-1].fail_reason is FailReason.RUN_ENDED
+    assert (len(ble[:-1]), ble[-2].end_s, ble[-2].scap_v_end) == (
+        502, 10785.965000000004, 4.494605597133684)
 
 
 def test_frame_log_lists_lost_frames_and_repeats():

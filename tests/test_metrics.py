@@ -39,15 +39,24 @@ def _record(i=0, outcome=SessionOutcome.DELIVERED, reason=None) -> CycleRecord:
     )
 
 
+def _records(sent: int, received: int) -> list[CycleRecord]:
+    """received delivered records, then timed-out ones up to sent."""
+    return [_record(i) if i < received
+            else _record(i, SessionOutcome.FAILED, FailReason.TIMEOUT)
+            for i in range(sent)]
+
+
 def test_pdr_from_counts():
-    assert summarize_node("n", "ble", 1491, 1479, [], []).pdr == pytest.approx(
-        1479 / 1491
-    )
-    assert summarize_node("n", "ble", 1491, 1479, [], []).pdr == pytest.approx(
-        0.991, abs=0.001
-    )
-    assert summarize_node("n", "liot", 21, 21, [], []).pdr == 1.0
-    assert summarize_node("n", "liot", 0, 0, [], []).pdr == 0.0
+    # Every record is a packet sent, a run_ended one too; delivered ones
+    # were received.
+    records = _records(1490, 1479)
+    records.append(_record(1490, SessionOutcome.FAILED, FailReason.RUN_ENDED))
+    ble = summarize_node("n", "ble", records, [], [])
+    assert (ble.packets_sent, ble.packets_received) == (1491, 1479)
+    assert ble.pdr == pytest.approx(1479 / 1491)
+    assert ble.pdr == pytest.approx(0.991, abs=0.001)
+    assert summarize_node("n", "liot", _records(21, 21), [], []).pdr == 1.0
+    assert summarize_node("n", "liot", [], [], []).pdr == 0.0
 
 
 def test_time_weighted_average_handles_uneven_sampling():
@@ -95,7 +104,7 @@ def test_trace_round_trip_is_lossless(tmp_path, fmt):
 def test_summary_round_trip(tmp_path):
     summary = RunSummary(
         duration_s=28800.0, seed=1, config_hash="abc123",
-        nodes=(summarize_node("n1", "liot", 46, 46, [0.0], [4.3]),),
+        nodes=(summarize_node("n1", "liot", _records(46, 46), [0.0], [4.3]),),
     )
     path = str(tmp_path / "summary.json")
     export_summary(summary, path)

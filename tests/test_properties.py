@@ -6,9 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from liotsim import fsm
 from liotsim.kernel import run
+from liotsim.protocol import FailReason, FrameKind, SessionOutcome
 from liotsim.scenario import preset_dict, scenario_from_dict
 
 LUX = st.floats(0.0, 1000.0)
+SESSION_OPENERS = (FrameKind.ADV_ESS, FrameKind.NODE_ID_LUX)
 
 
 @st.composite
@@ -41,6 +43,7 @@ def test_trace_follows_the_sampling_rule_and_nothing_else_moves(doc, interval_s)
     result = run(scenario_from_dict({**doc, "sample_interval_s": interval_s}))
     at_1s = run(scenario_from_dict({**doc, "sample_interval_s": 1.0}))
     end = doc["duration_s"]
+    boot_v = {n["id"]: n["supercap"]["voltage_v"] for n in doc["nodes"]}
     expected = list(takewhile(lambda t: t <= end, fsm.sample_times(interval_s)))
     if expected[-1] < end:
         expected.append(end)  # the run ends off the grid
@@ -50,7 +53,35 @@ def test_trace_follows_the_sampling_rule_and_nothing_else_moves(doc, interval_s)
         assert times[-1] == end
         ref = at_1s.nodes[node_id]
         assert nr.records == ref.records
-        assert (nr.packets_sent, nr.packets_received) == (
-            ref.packets_sent, ref.packets_received)
         assert nr.total_harvested_j == ref.total_harvested_j
-        assert nr.packets_received <= nr.packets_sent
+        summary = result.summary.node(node_id)
+        assert summary.packets_sent == len(nr.records)
+        assert summary.packets_received == sum(
+            1 for r in nr.records if r.outcome is SessionOutcome.DELIVERED)
+        check_records_are_the_account(nr.records, result.frame_log, node_id,
+                                      boot_v[node_id], end)
+
+
+def check_records_are_the_account(records, frame_log, node_id, boot_v, end) -> None:
+    """The records tile the run, and each holds the session its node opened.
+
+    Every session-opening frame the node sent lies in its own record, in
+    order; a record without one is a cycle that browned out before its
+    session opened.  A session still open at the end is the last record,
+    closed as run_ended at the end of the run.
+    """
+    opened = iter([sent for sent, _, frame, _ in frame_log
+                   if frame.src == node_id and frame.kind in SESSION_OPENERS])
+    next_open = next(opened, None)
+    start, v_start = 0.0, boot_v
+    for i, r in enumerate(records):
+        assert (r.cycle_index, r.start_s, r.scap_v_start) == (i, start, v_start)
+        start, v_start = r.end_s, r.scap_v_end
+        if next_open is not None and next_open <= r.end_s:
+            assert r.start_s <= next_open
+            next_open = next(opened, None)
+        else:
+            assert r.fail_reason is FailReason.BROWN_OUT
+        if r.fail_reason is FailReason.RUN_ENDED:
+            assert (i, r.end_s) == (len(records) - 1, end)
+    assert next_open is None

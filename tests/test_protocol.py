@@ -30,7 +30,7 @@ def _run_happy_path(session, step):
 
 
 def test_ble_happy_path_delivers():
-    session = make_ble_session("n1", started_at=0.0)
+    session = make_ble_session("n1")
     frames = _run_happy_path(session, ble_exchange_step)
     assert session.outcome is SessionOutcome.DELIVERED
     assert [f.kind for f in frames] == [
@@ -49,7 +49,7 @@ def test_ble_happy_path_delivers():
 
 
 def test_ble_out_of_sequence_is_violation():
-    session = make_ble_session("n1", started_at=0.0)
+    session = make_ble_session("n1")
     ble_exchange_step(session, None)  # advertise
     rogue = Frame(
         src=GATEWAY_ID, dst="n1", link=LinkType.BLE_CONN,
@@ -64,7 +64,7 @@ def test_ble_out_of_sequence_is_violation():
 
 
 def test_ble_no_gateway_failure_is_explicit():
-    session = make_ble_session("n1", started_at=0.0)
+    session = make_ble_session("n1")
     ble_exchange_step(session, None)
     fail_session(session, FailReason.NO_GATEWAY)
     assert session.outcome is SessionOutcome.FAILED
@@ -73,7 +73,7 @@ def test_ble_no_gateway_failure_is_explicit():
 
 def test_liot_happy_path_delivers_and_assigns_sleep():
     # The gateway assigns the sleep before it answers SensorData.
-    session = make_liot_session("n2", started_at=0.0, lux=700.0)
+    session = make_liot_session("n2", lux=700.0)
     frames = [liot_exchange_step(session, None)]
     for _ in range(2):
         frames.append(liot_exchange_step(session, frames[-1]))
@@ -96,9 +96,9 @@ def test_liot_happy_path_delivers_and_assigns_sleep():
 
 
 def test_liot_subset_request_scales_upload_airtime():
-    full = make_liot_session("n", 0.0, lux=700.0, assigned_sleep_s=620.0)
+    full = make_liot_session("n", lux=700.0, assigned_sleep_s=620.0)
     sub = make_liot_session(
-        "n", 0.0, lux=700.0, assigned_sleep_s=620.0,
+        "n", lux=700.0, assigned_sleep_s=620.0,
         requested_channels=("temperature",),
     )
     f_full = _run_happy_path(full, liot_exchange_step)[2]
@@ -115,7 +115,7 @@ def test_liot_subset_request_scales_upload_airtime():
 
 
 def test_liot_out_of_sequence_is_violation():
-    session = make_liot_session("n2", 0.0, lux=700.0)
+    session = make_liot_session("n2", lux=700.0)
     liot_exchange_step(session, None)
     rogue = Frame(
         src=GATEWAY_ID, dst="n2", link=LinkType.VLC_DOWNLINK,
@@ -164,7 +164,7 @@ def test_link_kind_safety():
 def test_session_outcome_deterministic_replay():
     runs = []
     for _ in range(2):
-        session = make_ble_session("n1", 0.0)
+        session = make_ble_session("n1")
         frames = _run_happy_path(session, ble_exchange_step)
         runs.append([(f.kind, f.src, f.dst, f.airtime_s) for f in frames])
     assert runs[0] == runs[1]
@@ -173,12 +173,12 @@ def test_session_outcome_deterministic_replay():
 def test_every_handshake_frame_is_memoised():
     # Frames carry only their kind and size, so two sessions of one node
     # share every frame, whatever lux they report or sleep they are assigned.
-    dim = make_liot_session("n2", 0.0, lux=500.0, assigned_sleep_s=1350.0)
-    bright = make_liot_session("n2", 0.0, lux=700.0, assigned_sleep_s=620.0)
+    dim = make_liot_session("n2", lux=500.0, assigned_sleep_s=1350.0)
+    bright = make_liot_session("n2", lux=700.0, assigned_sleep_s=620.0)
     dim_frames = _run_happy_path(dim, liot_exchange_step)
     bright_frames = _run_happy_path(bright, liot_exchange_step)
     assert len(dim_frames) == len(bright_frames) == 5
     assert all(a is b for a, b in zip(dim_frames, bright_frames))
-    ble = [_run_happy_path(make_ble_session("n1", t), ble_exchange_step)
-           for t in (0.0, 1.0)]
+    ble = [_run_happy_path(make_ble_session("n1"), ble_exchange_step)
+           for _ in range(2)]
     assert all(a is b for a, b in zip(*ble))
