@@ -210,7 +210,9 @@ def cmd_report(args) -> int:
     try:
         records = metrics.load_records(args.records)
         traces = metrics.load_trace(args.trace) if args.trace else {}
-    except (ExportError, KeyError, ValueError) as exc:
+    except ExportError as exc:
+        raise CliError(str(exc), EXIT_IO)
+    except ValueError as exc:
         raise CliError(f"cannot parse input: {exc}", EXIT_VALIDATION)
     by_node: dict[str, list] = {}
     for r in records:

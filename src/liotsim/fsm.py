@@ -360,8 +360,11 @@ def _await_or_time_out(
     state: NodeState, cfg: NodeConfig, now: float, lux: float
 ) -> None:
     """An await step that expires unanswered runs on to twice its nominal
-    duration once, then fails the cycle with a timeout."""
-    if not state.timeout_extended:
+    duration once, then fails the cycle with a timeout.  A session that has
+    already ended can no longer be answered, so its cycle closes at the
+    nominal deadline with the session's own outcome."""
+    pending = state.session.outcome is SessionOutcome.PENDING
+    if pending and not state.timeout_extended:
         state.phase_deadline = state.phase_started + 2.0 * state.phase_nominal_s
         state.timeout_extended = True
         return

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Optional, Sequence
+from operator import itemgetter
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .protocol import FailReason, SessionOutcome
 
@@ -105,15 +107,20 @@ def summarize_node(
 
 # --- export / import --------------------------------------------------------
 #
-# CSV files carry a header row; floats are serialized with repr() so an
-# export-parse round trip is lossless at full double precision.
+# CSV files carry a header row and end each line with CRLF; JSONL files hold
+# one object per line, keys sorted.  Floats are written with repr() (as JSON
+# strings in JSONL), so an export-parse round trip is lossless at full double
+# precision.  Readers take the columns or keys in any order; a row they cannot
+# parse raises ValueError naming the file and the line.
 
-RECORD_FIELDS = (
-    "node_id", "cycle_index", "start_s", "end_s", "outcome", "fail_reason",
-    "scap_v_start", "scap_v_end", "energy_consumed_j", "energy_harvested_j",
-)
+# Each column, with the JSON type of its cells in JSONL.
+RECORD_FIELDS = {
+    "node_id": str, "cycle_index": int, "start_s": str, "end_s": str,
+    "outcome": str, "fail_reason": str, "scap_v_start": str, "scap_v_end": str,
+    "energy_consumed_j": str, "energy_harvested_j": str,
+}
 
-TRACE_FIELDS = ("node_id", "time_s", "scap_v")
+TRACE_FIELDS = {"node_id": str, "time_s": str, "scap_v": str}
 
 
 class ExportError(OSError):
@@ -135,18 +142,21 @@ def _record_row(r: CycleRecord) -> dict:
     }
 
 
-def _parse_record(row: dict) -> CycleRecord:
+def _parse_record(
+    node_id, cycle_index, start_s, end_s, outcome, fail_reason,
+    scap_v_start, scap_v_end, energy_consumed_j, energy_harvested_j,
+) -> CycleRecord:
     return CycleRecord(
-        node_id=row["node_id"],
-        cycle_index=int(row["cycle_index"]),
-        start_s=float(row["start_s"]),
-        end_s=float(row["end_s"]),
-        outcome=SessionOutcome(row["outcome"]),
-        fail_reason=FailReason(row["fail_reason"]) if row["fail_reason"] else None,
-        scap_v_start=float(row["scap_v_start"]),
-        scap_v_end=float(row["scap_v_end"]),
-        energy_consumed_j=float(row["energy_consumed_j"]),
-        energy_harvested_j=float(row["energy_harvested_j"]),
+        node_id=node_id,
+        cycle_index=int(cycle_index),
+        start_s=float(start_s),
+        end_s=float(end_s),
+        outcome=SessionOutcome(outcome),
+        fail_reason=FailReason(fail_reason) if fail_reason else None,
+        scap_v_start=float(scap_v_start),
+        scap_v_end=float(scap_v_end),
+        energy_consumed_j=float(energy_consumed_j),
+        energy_harvested_j=float(energy_harvested_j),
     )
 
 
@@ -156,26 +166,45 @@ def export_records(records: Iterable[CycleRecord], fmt: str, path: str) -> None:
 
 
 def load_records(path: str) -> list[CycleRecord]:
-    return [_parse_record(row) for row in _read(path, RECORD_FIELDS)]
+    records = []
+    for line, cells in _read(path, RECORD_FIELDS):
+        try:
+            records.append(_parse_record(*cells))
+        except ValueError as exc:
+            raise _bad_row(path, line, exc) from None
+    return records
 
 
 def export_trace(
     traces: dict[str, list[tuple[float, float]]], fmt: str, path: str
 ) -> None:
-    rows = [
-        {"node_id": nid, "time_s": repr(t), "scap_v": repr(v)}
-        for nid in sorted(traces)
-        for t, v in traces[nid]
-    ]
-    _write(fmt, path, TRACE_FIELDS, rows)
+    """One row per sample, nodes in id order, laid out as _write lays out rows."""
+    _check_format(fmt)
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            if fmt == "csv":
+                fh.write(",".join(TRACE_FIELDS) + "\r\n")
+            for nid in sorted(traces):
+                if fmt == "csv":
+                    qid = _csv_cell(nid)
+                    fh.writelines([f"{qid},{t!r},{v!r}\r\n" for t, v in traces[nid]])
+                else:
+                    # The repr of a float needs no JSON escaping.
+                    head = '{"node_id": ' + json.dumps(nid) + ', "scap_v": "'
+                    fh.writelines([f'{head}{v!r}", "time_s": "{t!r}"}}\n'
+                                   for t, v in traces[nid]])
+    except OSError as exc:
+        raise ExportError(f"cannot write {fmt} to {path}: {exc}") from exc
 
 
 def load_trace(path: str) -> dict[str, list[tuple[float, float]]]:
     traces: dict[str, list[tuple[float, float]]] = {}
-    for row in _read(path, TRACE_FIELDS):
-        traces.setdefault(row["node_id"], []).append(
-            (float(row["time_s"]), float(row["scap_v"]))
-        )
+    for line, (nid, t, v) in _read(path, TRACE_FIELDS):
+        try:
+            point = (float(t), float(v))
+        except ValueError as exc:
+            raise _bad_row(path, line, exc) from None
+        traces.setdefault(nid, []).append(point)
     return traces
 
 
@@ -236,9 +265,13 @@ def load_summary(path: str) -> RunSummary:
         return summary_from_dict(json.load(fh))
 
 
-def _write(fmt: str, path: str, fields: tuple[str, ...], rows: list[dict]) -> None:
+def _check_format(fmt: str) -> None:
     if fmt not in ("csv", "jsonl"):
         raise ValueError(f"unsupported export format {fmt!r}")
+
+
+def _write(fmt: str, path: str, fields: dict[str, type], rows: list[dict]) -> None:
+    _check_format(fmt)
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             if fmt == "csv":
@@ -253,13 +286,75 @@ def _write(fmt: str, path: str, fields: tuple[str, ...], rows: list[dict]) -> No
         raise ExportError(f"cannot write {fmt} to {path}: {exc}") from exc
 
 
-def _read(path: str, fields: tuple[str, ...]) -> list[dict]:
+def _csv_cell(text: str) -> str:
+    """text as the csv module writes it in a row of several cells."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([text, ""])
+    return buf.getvalue()[:-len(",\r\n")]
+
+
+def _bad_row(path: str, line: int, problem) -> ValueError:
+    return ValueError(f"{path}: line {line}: {problem}")
+
+
+def _read(path: str, fields: dict[str, type]) -> Iterator[tuple[int, tuple]]:
+    """(line number, cells in fields order) of each row of a CSV or JSONL export."""
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             head = fh.read(1)
+            while head.isspace():
+                head = fh.read(1)
             fh.seek(0)
-            if head == "{":  # JSON-lines
-                return [json.loads(line) for line in fh if line.strip()]
-            return list(csv.DictReader(fh))
+            rows = _jsonl_rows if head == "{" else _csv_rows
+            yield from rows(fh, path, fields)
     except OSError as exc:
         raise ExportError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def _csv_rows(fh, path: str, fields: dict[str, type]) -> Iterator[tuple[int, tuple]]:
+    reader = csv.reader(fh)
+    try:
+        header = next(filter(None, reader), None)  # skips blank lines
+        if header is None:
+            return
+        if sorted(header) != sorted(fields):
+            raise _bad_row(path, reader.line_num,
+                           f"the header must name the columns {', '.join(fields)}")
+        cells = itemgetter(*map(header.index, fields))
+        width = len(fields)
+        for row in reader:
+            if len(row) != width:
+                if not row:
+                    continue  # a blank line
+                raise _bad_row(path, reader.line_num,
+                               f"{len(row)} cells where the header has {width}")
+            yield reader.line_num, cells(row)
+    except csv.Error as exc:
+        raise _bad_row(path, reader.line_num, exc) from None
+
+
+def _jsonl_rows(fh, path: str, fields: dict[str, type]) -> Iterator[tuple[int, tuple]]:
+    decode = json.JSONDecoder().raw_decode
+    cells = itemgetter(*fields)
+    width = len(fields)
+    types = tuple(fields.values())
+    for line, text in enumerate(fh, 1):
+        text = text.strip()
+        if not text:
+            continue
+        try:
+            obj, end = decode(text)
+        except ValueError as exc:
+            raise _bad_row(path, line, exc) from None
+        if end != len(text):
+            raise _bad_row(path, line, "data after the JSON value")
+        try:
+            row = cells(obj)
+        except (KeyError, TypeError):
+            row = None
+        if row is None or len(obj) != width or tuple(map(type, row)) != types:
+            raise _bad_row(path, line, "expected an object of " + ", ".join(
+                f"{name}: {kind.__name__}" for name, kind in fields.items()))
+        yield line, row

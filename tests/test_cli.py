@@ -287,6 +287,54 @@ def test_report_without_voltage_samples_prints_a_dash(capsys, tmp_path):
 
 
 def test_report_missing_file(capsys, tmp_path):
-    code, _, _ = run_cli(capsys, "report",
-                         "--records", str(tmp_path / "nope.csv"))
-    assert code in (EXIT_VALIDATION, EXIT_IO)
+    for path in (tmp_path / "nope.csv", tmp_path):  # missing, then a directory
+        code, _, err = run_cli(capsys, "report", "--records", str(path))
+        assert code == EXIT_IO
+        assert str(path) in err
+
+
+def _truncated(text):
+    """text cut in the middle of its last line."""
+    *lines, last = text.splitlines(keepends=True)
+    return "".join(lines) + last[:len(last) // 2]
+
+
+TRACE_ROW = '{"node_id": "liot-1", "scap_v": "4.3", "time_s": "0.0"}\n'
+
+# (file replaced, its content from the simulated one, line named in the error)
+MALFORMED_EXPORTS = {
+    "truncated records": ("records", _truncated, 6),
+    "records header lacks a column": (
+        "records", lambda text: text.replace(",fail_reason,", ",", 1), 1),
+    "jsonl records without keys": ("records", lambda text: "{}\n", 1),
+    "trace time null": (
+        "trace", lambda text: TRACE_ROW.replace('"0.0"', "null"), 1),
+    "trace voltage a number": (
+        "trace", lambda text: TRACE_ROW.replace('"4.3"', "4.3"), 1),
+    "trace only a json list": ("trace", lambda text: "[1,2]\n", 1),
+    "jsonl trace line not an object": (
+        "trace", lambda text: TRACE_ROW + "[1, 2]\n", 2),
+    "jsonl trace line with trailing data": (
+        "trace", lambda text: TRACE_ROW + TRACE_ROW.strip() + " 7\n", 2),
+    "unparsable jsonl trace line": ("trace", lambda text: TRACE_ROW[:-9] + "\n", 1),
+    "trace voltage not a number": (
+        "trace", lambda text: "node_id,time_s,scap_v\r\nliot-1,0.0,high\r\n", 2),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_EXPORTS))
+def test_report_on_a_malformed_export_exits_2(capsys, tmp_path, case):
+    which, corrupt, line = MALFORMED_EXPORTS[case]
+    out_dir = tmp_path / "out"
+    run_cli(capsys, "simulate", "--scenario", "liot-700lx",
+            "--duration", "3600", "--out", str(out_dir))
+    paths = {kind: out_dir / f"{kind}.csv" for kind in ("records", "trace")}
+    path = paths[which]
+    with open(path, encoding="utf-8", newline="") as fh:
+        text = corrupt(fh.read())
+    path.write_text(text, encoding="utf-8", newline="")
+    code, _, err = run_cli(capsys, "report", "--records", str(paths["records"]),
+                           "--trace", str(paths["trace"]))
+    assert code == EXIT_VALIDATION
+    assert err.startswith(f"error: cannot parse input: {path}: line {line}: ")
+    assert "Traceback" not in err

@@ -1,3 +1,5 @@
+import csv
+import json
 import math
 
 import pytest
@@ -99,6 +101,96 @@ def test_trace_round_trip_is_lossless(tmp_path, fmt):
     path = str(tmp_path / f"trace.{fmt}")
     export_trace(traces, fmt, path)
     assert load_trace(path) == traces
+
+
+def _dict_row_trace_export(traces, fmt, path):
+    """One dict per sample through csv.DictWriter or json.dumps; export_trace
+    must write the same bytes."""
+    rows = [{"node_id": nid, "time_s": repr(t), "scap_v": repr(v)}
+            for nid in sorted(traces) for t, v in traces[nid]]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        if fmt == "csv":
+            writer = csv.DictWriter(fh, fieldnames=["node_id", "time_s", "scap_v"])
+            writer.writeheader()
+            writer.writerows(rows)
+        else:
+            for row in rows:
+                fh.write(json.dumps(row, sort_keys=True) + "\n")
+
+
+# Ids the csv module must quote or JSON must escape, and floats whose repr
+# takes an exponent or all 17 digits.
+AWKWARD_TRACES = {
+    "a,b": [(0.0, 1e-300), (1e20, 1.0 / 3.0)],
+    'q"x': [(0.5, -0.0), (2.0 / 3.0, 4.463)],
+    "\u00e9\nz": [(1e-5, 5e-324)],
+    "n\u00f8de \u2603": [(0.1 + 0.2, 1.7976931348623157e308)],
+    "plain": [(float(i), 4.0 + i / 7.0) for i in range(5)],
+    "": [(3.0, 4.2)],
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_trace_export_writes_the_dict_writer_bytes(tmp_path, fmt):
+    ours, reference = tmp_path / f"ours.{fmt}", tmp_path / f"reference.{fmt}"
+    export_trace(AWKWARD_TRACES, fmt, str(ours))
+    _dict_row_trace_export(AWKWARD_TRACES, fmt, str(reference))
+    assert ours.read_bytes() == reference.read_bytes()
+    assert load_trace(str(ours)) == AWKWARD_TRACES
+
+
+def _interleaved(traces):
+    """(node_id, t, V) rows taking one sample of each node in turn."""
+    pending = {nid: list(points) for nid, points in traces.items()}
+    while any(pending.values()):
+        for nid, points in pending.items():
+            if points:
+                t, v = points.pop(0)
+                yield nid, t, v
+
+
+def _csv_text(columns, rows, newline):
+    lines = [",".join(columns)]
+    for nid, t, v in rows:
+        cells = {"node_id": nid, "time_s": repr(t), "scap_v": repr(v)}
+        lines.append(",".join(cells[c] for c in columns))
+    return newline.join(lines) + newline
+
+
+def _jsonl_text(keys, rows, blank=""):
+    lines = []
+    for nid, t, v in rows:
+        cells = {"node_id": nid, "time_s": repr(t), "scap_v": repr(v)}
+        lines.append(blank + json.dumps({k: cells[k] for k in keys}) + "\n")
+    return "".join(lines)
+
+
+TRACES = {
+    "n1": [(0.0, 4.463), (1.0, 4.462999871), (2.0, 1.0 / 3.0 + 4.0)],
+    "n2": [(0.0, 4.235), (0.5, 4.2)],
+}
+SORTED_ROWS = [(nid, t, v) for nid in TRACES for t, v in TRACES[nid]]
+FIELDS = ["node_id", "time_s", "scap_v"]
+REORDERED = ["scap_v", "node_id", "time_s"]
+
+
+LAYOUTS = {
+    "csv columns reordered": _csv_text(REORDERED, SORTED_ROWS, "\r\n"),
+    "csv lf line ends": _csv_text(FIELDS, SORTED_ROWS, "\n"),
+    "csv nodes interleaved": _csv_text(FIELDS, _interleaved(TRACES), "\r\n"),
+    "csv blank lines": "\r\n" + _csv_text(FIELDS, SORTED_ROWS, "\r\n\r\n"),
+    "jsonl keys reordered": _jsonl_text(REORDERED, SORTED_ROWS),
+    "jsonl nodes interleaved": _jsonl_text(FIELDS, _interleaved(TRACES)),
+    "jsonl blank lines": _jsonl_text(FIELDS, SORTED_ROWS, blank=" \n\n"),
+    "jsonl indented": _jsonl_text(FIELDS, SORTED_ROWS, blank="\t "),
+}
+
+
+@pytest.mark.parametrize("layout", list(LAYOUTS))
+def test_load_trace_reads_any_column_order_and_layout(tmp_path, layout):
+    path = tmp_path / "trace"
+    path.write_text(LAYOUTS[layout], encoding="utf-8", newline="")
+    assert load_trace(str(path)) == TRACES
 
 
 def test_summary_round_trip(tmp_path):
