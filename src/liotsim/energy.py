@@ -11,6 +11,7 @@ import bisect
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import Iterable, Optional
 
 
 class StageName(str, Enum):
@@ -71,10 +72,24 @@ def stage_energy(stage: Stage, voltage_v: float) -> float:
     return stage.current_ma * 1e-3 * voltage_v * stage.duration_s
 
 
+def fold_sum(values: Iterable[float]) -> float:
+    """Sum of floats added left to right, the same on every Python version.
+
+    sum() compensates float rounding from Python 3.12 on, so its totals,
+    and every result derived from them, would move by an ulp between
+    versions.
+    """
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def active_totals(profile: EnergyProfile) -> tuple[float, float]:
     """(total active time in seconds, total active energy in joules)."""
-    t = sum(s.duration_s for s in profile.active_stages)
-    e = sum(stage_energy(s, profile.voltage_v) for s in profile.active_stages)
+    stages = profile.active_stages
+    t = fold_sum(s.duration_s for s in stages)
+    e = fold_sum(stage_energy(s, profile.voltage_v) for s in stages)
     return t, e
 
 
@@ -90,15 +105,19 @@ class SleepSolution:
     t_sleep_s: float  # 0.0 for CONTINUOUS, nan for INFEASIBLE
 
 
-def solve_sleep_time(profile: EnergyProfile, p_harv_mw: float) -> SleepSolution:
+def solve_sleep_time(
+    profile: EnergyProfile, p_harv_mw: float,
+    totals: Optional[tuple[float, float]] = None,
+) -> SleepSolution:
     """Minimal sleep time so harvested energy covers one full duty cycle.
 
     Balances p_harv*(T_a + T_s) against E_active + P_sleep*T_s; returns the
     T_s achieving equality, or CONTINUOUS / INFEASIBLE at the boundaries.
+    totals is active_totals(profile), for a caller that already holds it.
     """
     if p_harv_mw < 0:
         raise ValueError("harvest power must be >= 0")
-    t_active, e_active = active_totals(profile)
+    t_active, e_active = totals if totals is not None else active_totals(profile)
     e_active_mj = e_active * 1e3
     if p_harv_mw * t_active >= e_active_mj:
         return SleepSolution(Feasibility.CONTINUOUS, 0.0)

@@ -27,11 +27,17 @@ from .energy import (
 )
 from .metrics import CycleRecord
 from .protocol import (
+    CONFIG_OR_DISCONNECT,
+    CONN_REQ,
+    DELIVERED,
+    ESS_ATTR_REQUEST,
+    FAILED,
+    PENDING,
+    SENSOR_REQUEST,
+    SLEEP_SET,
     ExchangeSession,
     FailReason,
     Frame,
-    FrameKind,
-    SessionOutcome,
     ble_exchange_step,
     liot_exchange_step,
     make_ble_session,
@@ -57,6 +63,19 @@ class Phase(str, Enum):
     UPLOADING = "uploading"
     AWAITING_SLEEP_SET = "awaiting_sleep_set"
 
+
+# Module constants for the members the FSM tests on every event (see the
+# note above protocol.ADV_ESS).
+BLE = NodeKind.BLE
+LIOT = NodeKind.LIOT
+SLEEPING = Phase.SLEEPING
+SENSING = Phase.SENSING
+ADVERTISING = Phase.ADVERTISING
+EXCHANGING = Phase.EXCHANGING
+UPLINKING = Phase.UPLINKING
+AWAITING_REQUEST = Phase.AWAITING_REQUEST
+UPLOADING = Phase.UPLOADING
+AWAITING_SLEEP_SET = Phase.AWAITING_SLEEP_SET
 
 LEGAL_TRANSITIONS: dict[NodeKind, dict[Phase, frozenset[Phase]]] = {
     NodeKind.BLE: {
@@ -90,6 +109,11 @@ _PHASE_STAGE: dict[NodeKind, dict[Phase, StageName]] = {
     },
 }
 
+# How a BLE node times its advertising: the profile's stage duration, or a
+# uniform draw from 0.5 to 4 s.
+ADV_MODES = ("fixed", "uniform")
+
+
 class FsmError(RuntimeError):
     pass
 
@@ -103,15 +127,15 @@ class NodeConfig:
     supercap: Supercap  # initial buffer state
     margin: float = 0.05
     sensors: tuple[str, ...] = protocol.SENSOR_CHANNELS
-    adv_mode: str = "fixed"  # "fixed" (profile duration) | "uniform" (0.5..4 s)
+    adv_mode: str = "fixed"  # one of ADV_MODES
     backoff_s: float = 60.0
     efficiency: float = 1.0
 
     def __post_init__(self) -> None:
         if self.margin < 0:
             raise ValueError("margin must be >= 0")
-        if self.adv_mode not in ("fixed", "uniform"):
-            raise ValueError("adv_mode must be 'fixed' or 'uniform'")
+        if self.adv_mode not in ADV_MODES:
+            raise ValueError(f"adv_mode must be one of {list(ADV_MODES)}")
         have = {s.name for s in self.profile.active_stages}
         missing = set(_PHASE_STAGE[self.kind].values()) - have
         if missing:
@@ -130,13 +154,17 @@ def sample_times(interval_s: float) -> Iterator[float]:
     return accumulate(repeat(interval_s), initial=0.0)
 
 
-@dataclass
+@dataclass(slots=True)
 class NodeState:
     phase: Phase
     phase_deadline: float
     phase_started: float
     voltage_v: float  # supercap voltage; capacitance and limits are cfg.supercap's
+    # Constants of the run, looked up once from cfg by initial_state:
     load_mw: dict[Phase, float]  # phase_power_mw of each of the node's phases
+    stage_s: dict[Phase, float]  # duration of the stage of each active phase
+    cap: tuple[float, float, float, float]  # (C, v_min, v_max, v_min**2)
+    active_totals: tuple[float, float]  # active_totals(cfg.profile)
     depleted: bool = False
     awaiting_reeval: bool = False
     timeout_extended: bool = False
@@ -145,6 +173,8 @@ class NodeState:
     gw_request_end: float = 0.0
     # (lux, schedule_next_cycle(cfg, lux)) of the last local solve
     sleep_memo: tuple[float, Optional[float]] = (math.nan, None)
+    # (lux, cfg.harvester.power_mw(lux)) of the last lux accrue_energy met
+    harvest_memo: tuple[float, float] = (math.nan, math.nan)
     # One record per closed cycle (a sleep period plus the active burst);
     # the open cycle starts where the last record ends.
     records: list[CycleRecord] = field(default_factory=list)
@@ -167,41 +197,49 @@ def initial_state(
     The voltage trace samples every sample_interval_s; without an interval
     it holds only the boot voltage.
     """
-    v0 = cfg.supercap.voltage_v
+    cap = cfg.supercap
     return NodeState(
-        phase=Phase.SLEEPING,
+        phase=SLEEPING,
         phase_deadline=first_sleep_s,
         phase_started=0.0,
-        voltage_v=v0,
+        voltage_v=cap.voltage_v,
         load_mw={p: phase_power_mw(cfg, p) for p in LEGAL_TRANSITIONS[cfg.kind]},
-        volts=array("d", (v0,)),
+        stage_s={phase: cfg.profile.stage(name).duration_s
+                 for phase, name in _PHASE_STAGE[cfg.kind].items()},
+        cap=(cap.capacitance_f, cap.v_min, cap.v_max, cap.v_min**2),
+        active_totals=active_totals(cfg.profile),
+        volts=array("d", (cap.voltage_v,)),
         sample_interval_s=sample_interval_s,
     )
 
 
 def schedule_next_cycle(
-    cfg: NodeConfig, lux: float, assigned_s: Optional[float] = None
+    cfg: NodeConfig, lux: float, assigned_s: Optional[float] = None,
+    totals: Optional[tuple[float, float]] = None,
 ) -> Optional[float]:
     """Sleep duration to arm the wake timer with; None when infeasible.
 
     Locally solved sleeps stretch the whole cycle by (1 + margin);
-    gateway-assigned sleeps are used verbatim.
+    gateway-assigned sleeps are used verbatim.  totals is
+    active_totals(cfg.profile), for a caller that already holds it.
     """
     if lux < 0:
         raise ValueError("lux must be >= 0")
     if assigned_s is not None:
         return assigned_s
-    sol = solve_sleep_time(cfg.profile, cfg.harvester.power_mw(lux))
+    if totals is None:
+        totals = active_totals(cfg.profile)
+    sol = solve_sleep_time(cfg.profile, cfg.harvester.power_mw(lux), totals)
     if sol.feasibility is Feasibility.INFEASIBLE:
         return None
     if sol.feasibility is Feasibility.CONTINUOUS:
         return 0.0
-    t_active, _ = active_totals(cfg.profile)
+    t_active = totals[0]
     return (t_active + sol.t_sleep_s) * (1.0 + cfg.margin) - t_active
 
 
 def phase_power_mw(cfg: NodeConfig, phase: Phase) -> float:
-    if phase is Phase.SLEEPING:
+    if phase is SLEEPING:
         return cfg.profile.sleep_power_mw
     stage = cfg.profile.stage(_PHASE_STAGE[cfg.kind][phase])
     return stage.current_ma * cfg.profile.voltage_v
@@ -223,16 +261,17 @@ def accrue_energy(
     if now <= t:
         return
     p_load = state.load_mw[state.phase]
-    power_mw, efficiency = cfg.harvester.power_mw, cfg.efficiency
-    cap, sqrt = cfg.supercap, math.sqrt
-    c, v_min, v_max = cap.capacitance_f, cap.v_min, cap.v_max
-    v_min_sq = v_min**2
+    c, v_min, v_max, v_min_sq = state.cap
+    memo = state.harvest_memo
+    memo_lux, p_harv = memo
+    efficiency, sqrt = cfg.efficiency, math.sqrt
     v = state.voltage_v
     dt, last = state.sample_interval_s, state.last_sample_s
     append = state.volts.append
     harvested = 0.0
     for t_end, lux in light.pieces(t, now):
-        p_harv = power_mw(lux)
+        if lux != memo_lux:
+            memo_lux, p_harv = lux, cfg.harvester.power_mw(lux)
         p_w = (p_harv - p_load) * 1e-3
         if p_w > 0:
             p_w *= efficiency
@@ -254,9 +293,13 @@ def accrue_energy(
             v = v_min
             state.depleted = True
         else:
-            v = min(sqrt(v_sq), v_max)
+            v = sqrt(v_sq)
+            if v_max < v:
+                v = v_max
         harvested += p_harv * 1e-3 * (t_end - t)
         t = t_end
+    if memo_lux != memo[0]:
+        state.harvest_memo = (memo_lux, p_harv)
     state.voltage_v = v
     state.last_sample_s = last
     state.cycle_consumed_j += p_load * 1e-3 * (now - state.last_energy_update)
@@ -296,10 +339,6 @@ def _set_phase(
     state.timeout_extended = False
 
 
-def _stage_duration(cfg: NodeConfig, name: StageName) -> float:
-    return cfg.profile.stage(name).duration_s
-
-
 def _close_cycle(
     state: NodeState, cfg: NodeConfig, now: float,
     fail_reason: Optional[FailReason], sleep: float,
@@ -312,7 +351,7 @@ def _close_cycle(
     """
     session, records = state.session, state.records
     if session is None:
-        outcome = SessionOutcome.FAILED
+        outcome = FAILED
     else:
         protocol.fail_session(session, fail_reason)
         outcome, fail_reason = session.outcome, session.fail_reason
@@ -332,7 +371,7 @@ def _close_cycle(
     state.cycle_consumed_j = 0.0
     state.cycle_harvested_j = 0.0
     state.session = None
-    _set_phase(state, cfg, Phase.SLEEPING, now, now + sleep)
+    _set_phase(state, cfg, SLEEPING, now, now + sleep)
 
 
 def _finish_cycle(
@@ -347,7 +386,7 @@ def _finish_cycle(
         # schedule_next_cycle depends only on cfg and lux.
         sleep = state.sleep_memo[1]
     else:
-        sleep = schedule_next_cycle(cfg, lux, assigned_s=assigned_sleep)
+        sleep = schedule_next_cycle(cfg, lux, assigned_sleep, state.active_totals)
         if assigned_sleep is None:
             state.sleep_memo = (lux, sleep)
     if sleep is None:
@@ -363,7 +402,7 @@ def _await_or_time_out(
     duration once, then fails the cycle with a timeout.  A session that has
     already ended can no longer be answered, so its cycle closes at the
     nominal deadline with the session's own outcome."""
-    pending = state.session.outcome is SessionOutcome.PENDING
+    pending = state.session.outcome is PENDING
     if pending and not state.timeout_extended:
         state.phase_deadline = state.phase_started + 2.0 * state.phase_nominal_s
         state.timeout_extended = True
@@ -380,30 +419,30 @@ def advance(
     rng,
 ) -> Optional[Frame]:
     """Handle the expiry of the current phase deadline; returns the frame to send."""
-    if state.depleted and state.phase is not Phase.SLEEPING:
+    if state.depleted and state.phase is not SLEEPING:
         # Brown-out mid-cycle: abort, recover in sleep, count the cycle failed.
         _close_cycle(state, cfg, now, FailReason.BROWN_OUT, cfg.backoff_s)
         return None
 
     phase = state.phase
 
-    if phase is Phase.SLEEPING:
+    if phase is SLEEPING:
         if state.depleted:
             if state.voltage_v > cfg.supercap.v_min:
                 state.depleted = False
             else:
-                _set_phase(state, cfg, Phase.SLEEPING, now, now + cfg.backoff_s)
+                _set_phase(state, cfg, SLEEPING, now, now + cfg.backoff_s)
                 return None
         if state.awaiting_reeval:
-            sleep = schedule_next_cycle(cfg, lux)
+            sleep = schedule_next_cycle(cfg, lux, totals=state.active_totals)
             if sleep is None:
-                _set_phase(state, cfg, Phase.SLEEPING, now, now + cfg.backoff_s)
+                _set_phase(state, cfg, SLEEPING, now, now + cfg.backoff_s)
                 return None
             state.awaiting_reeval = False
-        if cfg.kind is NodeKind.BLE:
+        if cfg.kind is BLE:
             _set_phase(
-                state, cfg, Phase.SENSING, now,
-                now + _stage_duration(cfg, StageName.SENSOR_READ),
+                state, cfg, SENSING, now,
+                now + state.stage_s[SENSING],
             )
             return None
         # LIoT: read the LDR and open the session with an IR uplink.
@@ -412,76 +451,77 @@ def advance(
         )
         state.session = session
         out = liot_exchange_step(session, None)
-        state.gw_request_end = now + _stage_duration(cfg, StageName.GW_REQUEST)
-        _set_phase(state, cfg, Phase.UPLINKING, now, now + out.airtime_s)
+        # The uplink and the wait for the request share the gw_request stage.
+        state.gw_request_end = now + state.stage_s[UPLINKING]
+        _set_phase(state, cfg, UPLINKING, now, now + out.airtime_s)
         return out
 
-    if phase is Phase.SENSING and cfg.kind is NodeKind.BLE:
+    if phase is SENSING and cfg.kind is BLE:
         session = make_ble_session(cfg.node_id)
         state.session = session
         out = ble_exchange_step(session, None)
         if cfg.adv_mode == "fixed":
-            adv = _stage_duration(cfg, StageName.BLE_ADVERTISE)
+            adv = state.stage_s[ADVERTISING]
         else:
             adv = rng.uniform(0.5, 4.0)
-        _set_phase(state, cfg, Phase.ADVERTISING, now, now + adv)
+        _set_phase(state, cfg, ADVERTISING, now, now + adv)
         return out
 
-    if phase is Phase.ADVERTISING:
+    if phase is ADVERTISING:
         session = state.session
         held = session.held if session else None
-        if held is not None and held.kind is FrameKind.CONN_REQ:
+        if held is not None and held.kind is CONN_REQ:
             session.held = None
-            nominal = _stage_duration(cfg, StageName.BLE_DATA_EXCHANGE)
+            nominal = state.stage_s[EXCHANGING]
             state.phase_nominal_s = nominal
-            _set_phase(state, cfg, Phase.EXCHANGING, now, now + nominal)
+            _set_phase(state, cfg, EXCHANGING, now, now + nominal)
             return ble_exchange_step(session, held)
         _finish_cycle(state, cfg, now, lux, FailReason.NO_GATEWAY)
         return None
 
-    if phase is Phase.EXCHANGING or phase is Phase.AWAITING_SLEEP_SET:
+    if phase is EXCHANGING or phase is AWAITING_SLEEP_SET:
         # A BLE session has no assigned sleep, so both end the same way.
         session = state.session
-        if session is not None and session.outcome is SessionOutcome.DELIVERED:
+        if session is not None and session.outcome is DELIVERED:
             _finish_cycle(state, cfg, now, lux, None, session.assigned_sleep_s)
         else:
             _await_or_time_out(state, cfg, now, lux)
         return None
 
-    if phase is Phase.UPLINKING:
+    if phase is UPLINKING:
         state.phase_nominal_s = max(state.gw_request_end - now, 1e-9)
-        _set_phase(state, cfg, Phase.AWAITING_REQUEST, now, state.gw_request_end)
+        _set_phase(state, cfg, AWAITING_REQUEST, now, state.gw_request_end)
         return None
 
-    if phase is Phase.AWAITING_REQUEST:
+    if phase is AWAITING_REQUEST:
         session = state.session
         held = session.held if session else None
-        if held is not None and held.kind is FrameKind.SENSOR_REQUEST:
+        if held is not None and held.kind is SENSOR_REQUEST:
             _set_phase(
-                state, cfg, Phase.SENSING, now,
-                now + _stage_duration(cfg, StageName.LIOT_SENSOR_READ),
+                state, cfg, SENSING, now,
+                now + state.stage_s[SENSING],
             )
         else:
             _await_or_time_out(state, cfg, now, lux)
         return None
 
-    if phase is Phase.SENSING and cfg.kind is NodeKind.LIOT:
+    if phase is SENSING and cfg.kind is LIOT:
         session = state.session
         held = session.held
         session.held = None
         _set_phase(
-            state, cfg, Phase.UPLOADING, now,
-            now + _stage_duration(cfg, StageName.LIOT_DATA_UPLOAD),
+            state, cfg, UPLOADING, now,
+            now + state.stage_s[UPLOADING],
         )
         return liot_exchange_step(session, held)
 
-    if phase is Phase.UPLOADING:
-        nominal = _stage_duration(cfg, StageName.LIOT_SLEEP_SET)
+    if phase is UPLOADING:
+        nominal = state.stage_s[AWAITING_SLEEP_SET]
         state.phase_nominal_s = nominal
-        _set_phase(state, cfg, Phase.AWAITING_SLEEP_SET, now, now + nominal)
+        _set_phase(state, cfg, AWAITING_SLEEP_SET, now, now + nominal)
         session = state.session
         held = session.held if session else None
-        if held is not None and held.kind is FrameKind.SLEEP_SET:
+        if held is not None and held.kind is SLEEP_SET:
             # Short (subset) uploads finish before the measured full-upload
             # window ends, so the assignment can already be waiting.
             session.held = None
@@ -498,26 +538,24 @@ def receive(
     if state.depleted:
         return None  # a browned-out node neither processes nor emits
     session = state.session
-    if session is None or session.outcome is not SessionOutcome.PENDING:
+    if session is None or session.outcome is not PENDING:
         return None
     kind = frame.kind
     # Frames that arrive ahead of their service phase are held and consumed
     # at the phase boundary (connection setup, sensor request).
-    if kind is FrameKind.CONN_REQ and state.phase is Phase.ADVERTISING:
+    if kind is CONN_REQ and state.phase is ADVERTISING:
         session.held = frame
         return None
-    if kind is FrameKind.SENSOR_REQUEST and state.phase in (
-        Phase.UPLINKING, Phase.AWAITING_REQUEST
-    ):
+    if kind is SENSOR_REQUEST and state.phase in (UPLINKING, AWAITING_REQUEST):
         session.held = frame
         return None
-    if kind in (FrameKind.ESS_ATTR_REQUEST, FrameKind.CONFIG_OR_DISCONNECT):
-        if state.phase is Phase.EXCHANGING:
+    if kind in (ESS_ATTR_REQUEST, CONFIG_OR_DISCONNECT):
+        if state.phase is EXCHANGING:
             return ble_exchange_step(session, frame)
-    elif kind is FrameKind.SLEEP_SET:
-        if state.phase is Phase.AWAITING_SLEEP_SET:
+    elif kind is SLEEP_SET:
+        if state.phase is AWAITING_SLEEP_SET:
             return liot_exchange_step(session, frame)
-        if state.phase is Phase.UPLOADING:
+        if state.phase is UPLOADING:
             session.held = frame
             return None
     # Anything else is out of sequence for a node-addressed frame.

@@ -26,15 +26,16 @@ from itertools import chain, islice
 from typing import Iterator, Optional, Union
 
 from . import fsm, metrics
-from .energy import Feasibility, solve_sleep_time
+from .energy import Feasibility, fold_sum, solve_sleep_time
 from .fsm import NodeConfig, NodeState
 from .protocol import (
     GATEWAY_ID,
+    NODE_ID_LUX,
+    PENDING,
+    SENSOR_DATA,
     ExchangeSession,
     Frame,
-    FrameKind,
     LinkType,
-    SessionOutcome,
     exchange_step,
 )
 
@@ -52,7 +53,8 @@ RUN_ENDED = EventKind.RUN_ENDED
 
 @dataclass(frozen=True)
 class ChannelModel:
-    """Per-frame Bernoulli loss; a scalar applies to every link."""
+    """Per-frame Bernoulli loss: a scalar applies to every link, a mapping
+    gives each link it lists its own loss and leaves the others lossless."""
 
     loss: Union[float, dict[LinkType, float]] = 0.0
     seed: int = 0
@@ -70,14 +72,14 @@ class ChannelModel:
         return self.loss
 
 
-def deliver(frame: Frame, channel: ChannelModel, rng: random.Random) -> bool:
-    """Bernoulli(1 - loss) delivery decision for one frame."""
-    p = channel.loss_for(frame.link)
-    if p <= 0.0:
+def deliver(loss: float, rng: random.Random) -> bool:
+    """Bernoulli(1 - loss) delivery decision for one frame on a link that
+    loses frames with probability loss; draws only when 0 < loss < 1."""
+    if loss <= 0.0:
         return True
-    if p >= 1.0:
+    if loss >= 1.0:
         return False
-    return rng.random() >= p
+    return rng.random() >= loss
 
 
 def per_frame_loss_for_session_pdr(target_pdr: float, n_frames: int) -> float:
@@ -91,6 +93,9 @@ def per_frame_loss_for_session_pdr(target_pdr: float, n_frames: int) -> float:
 
 # Frames a BLE session must carry end to end for delivery.
 BLE_SESSION_FRAMES = 5
+
+
+ILLUMINATION_KINDS = ("constant", "step", "sinusoid")
 
 
 @dataclass(frozen=True)
@@ -112,7 +117,7 @@ class IlluminationProfile:
     jitter_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("constant", "step", "sinusoid"):
+        if self.kind not in ILLUMINATION_KINDS:
             raise ValueError(f"unknown illumination kind {self.kind!r}")
         if self.kind == "step":
             if not self.steps:
@@ -157,7 +162,9 @@ class LightSchedule:
     Light changes only at global change points: none for constant light, the
     step starts for a step profile, and every whole second when jitter or a
     sinusoid is on.  lux_at is evaluated once per change point; the value is
-    cached until forget_before drops it.
+    cached until forget_before drops it.  The last piece resolved is kept
+    whole, so the queries that fall inside it need neither the search for
+    its change points nor the cache.
     """
 
     def __init__(self, profile: IlluminationProfile, duration_s: float):
@@ -166,6 +173,8 @@ class LightSchedule:
         self.starts = [t for t, _ in profile.steps] if profile.kind == "step" else [0.0]
         self.per_second = profile.jitter_pct > 0 or profile.kind == "sinusoid"
         self.cache: dict[float, float] = {}
+        # (start, end, lux) of the last piece resolved; empty at first.
+        self.last = (math.inf, -math.inf, math.nan)
 
     def _piece(self, t: float) -> tuple[float, float]:
         """(first change point at or before t, first change point after t)."""
@@ -177,31 +186,37 @@ class LightSchedule:
             start, end = max(start, second), min(end, second + 1.0)
         return start, end
 
-    def _lux_from(self, start: float) -> float:
+    def _resolve(self, t: float) -> tuple[float, float, float]:
+        """(start, end, lux) of the constant piece [start, end) holding t."""
+        last = self.last
+        if last[0] <= t < last[1]:
+            return last
+        start, end = self._piece(t)
         lux = self.cache.get(start)
         if lux is None:
             lux = self.cache[start] = self.profile.lux_at(start, max_t=self.duration_s)
-        return lux
+        last = self.last = (start, end, lux)
+        return last
 
     def lux(self, t: float) -> float:
         """Lux in force at t."""
-        return self._lux_from(self._piece(t)[0])
+        return self._resolve(t)[2]
 
     def pieces(self, t0: float, t1: float):
         """(end, lux) of each constant piece of (t0, t1], in time order.
 
         Most segments lie within one piece; those get a one-entry tuple.
         """
-        start, end = self._piece(t0)
+        _, end, lux = self._resolve(t0)
         if end >= t1:
-            return ((t1, self._lux_from(start)),)
-        return self._split(start, end, t1)
+            return ((t1, lux),)
+        return self._split(end, lux, t1)
 
-    def _split(self, start: float, end: float, t1: float):
+    def _split(self, end: float, lux: float, t1: float):
         while end < t1:
-            yield end, self._lux_from(start)
-            start, end = self._piece(end)
-        yield t1, self._lux_from(start)
+            yield end, lux
+            _, end, lux = self._resolve(end)
+        yield t1, lux
 
     def forget_before(self, t: float) -> None:
         """Drop the cached lux of change points no segment from t onwards uses."""
@@ -334,6 +349,7 @@ class _Kernel:
             n.node_id: random.Random(f"{scenario.seed}|node|{n.node_id}")
             for n in scenario.nodes
         }
+        self.link_loss = {link: scenario.channel.loss_for(link) for link in LinkType}
         self.frame_log: list[tuple[float, float, Frame, bool]] = []
         self.gw_liot_busy: Optional[ExchangeSession] = None
         self.light = LightSchedule(scenario.illumination, scenario.duration_s)
@@ -352,7 +368,7 @@ class _Kernel:
 
     def _send(self, frame: Frame, now: float) -> None:
         """Log a frame; only a delivered one becomes an event (losses time out)."""
-        ok = deliver(frame, self.sc.channel, self.rng_channel)
+        ok = deliver(self.link_loss[frame.link], self.rng_channel)
         arrival = now + frame.airtime_s
         self.frame_log.append((now, arrival, frame, ok))
         if ok:
@@ -368,18 +384,16 @@ class _Kernel:
         if cfg is None or state is None:
             return
         session = state.session
-        if session is None or session.outcome is not SessionOutcome.PENDING:
+        if session is None or session.outcome is not PENDING:
             return
-        if frame.kind is FrameKind.NODE_ID_LUX:
+        if frame.kind is NODE_ID_LUX:
             # Single optical transceiver: one LIoT session serviced at a time.
             # A session that has ended, delivered or failed, leaves it free.
             busy = self.gw_liot_busy
-            if busy is not None and busy is not session and (
-                busy.outcome is SessionOutcome.PENDING
-            ):
+            if busy is not None and busy is not session and busy.outcome is PENDING:
                 return  # the transceiver is occupied
             self.gw_liot_busy = session
-        elif frame.kind is FrameKind.SENSOR_DATA:
+        elif frame.kind is SENSOR_DATA:
             session.assigned_sleep_s = gateway_sleep_s(cfg, session.lux)
         out = exchange_step(session, frame)
         if out is not None:
@@ -451,9 +465,9 @@ class _Kernel:
                 sample_interval_s=state.sample_interval_s,
                 volts=state.volts,
                 last_sample_s=state.last_sample_s,
-                total_consumed_j=sum(r.energy_consumed_j for r in state.records)
+                total_consumed_j=fold_sum(r.energy_consumed_j for r in state.records)
                 + state.cycle_consumed_j,
-                total_harvested_j=sum(r.energy_harvested_j for r in state.records)
+                total_harvested_j=fold_sum(r.energy_harvested_j for r in state.records)
                 + state.cycle_harvested_j,
                 trailing_consumed_j=state.cycle_consumed_j,
             )

@@ -160,7 +160,38 @@ class LiotStep(Enum):
     DONE = 5
 
 
-@dataclass
+# The members tested on every frame, bound once as module constants: up to
+# Python 3.11 the Enum metaclass defines __getattr__, which makes each
+# lookup of a member through its class (FrameKind.ACK) several times slower
+# than reading a global.
+ADV_ESS = FrameKind.ADV_ESS
+CONN_REQ = FrameKind.CONN_REQ
+ESS_ATTR_REQUEST = FrameKind.ESS_ATTR_REQUEST
+ESS_ATTR_DATA = FrameKind.ESS_ATTR_DATA
+CONFIG_OR_DISCONNECT = FrameKind.CONFIG_OR_DISCONNECT
+NODE_ID_LUX = FrameKind.NODE_ID_LUX
+SENSOR_REQUEST = FrameKind.SENSOR_REQUEST
+SENSOR_DATA = FrameKind.SENSOR_DATA
+SLEEP_SET = FrameKind.SLEEP_SET
+ACK = FrameKind.ACK
+PENDING = SessionOutcome.PENDING
+DELIVERED = SessionOutcome.DELIVERED
+FAILED = SessionOutcome.FAILED
+BLE_START = BleStep.START
+BLE_ADV_SENT = BleStep.ADV_SENT
+BLE_CONN_SENT = BleStep.CONN_SENT
+BLE_ATTR_REQUESTED = BleStep.ATTR_REQUESTED
+BLE_ATTR_SENT = BleStep.ATTR_SENT
+BLE_DONE = BleStep.DONE
+LIOT_START = LiotStep.START
+LIOT_ID_SENT = LiotStep.ID_SENT
+LIOT_REQUEST_SENT = LiotStep.REQUEST_SENT
+LIOT_DATA_SENT = LiotStep.DATA_SENT
+LIOT_SLEEP_SENT = LiotStep.SLEEP_SENT
+LIOT_DONE = LiotStep.DONE
+
+
+@dataclass(slots=True)
 class ExchangeSession:
     """State of one node-gateway handshake attempt."""
 
@@ -176,16 +207,16 @@ class ExchangeSession:
 
 
 def make_ble_session(node_id: str, **kw) -> ExchangeSession:
-    return ExchangeSession(node_id, "ble", BleStep.START, **kw)
+    return ExchangeSession(node_id, "ble", BLE_START, **kw)
 
 
 def make_liot_session(node_id: str, **kw) -> ExchangeSession:
-    return ExchangeSession(node_id, "liot", LiotStep.START, **kw)
+    return ExchangeSession(node_id, "liot", LIOT_START, **kw)
 
 
 def fail_session(session: ExchangeSession, reason: FailReason) -> None:
-    if session.outcome is SessionOutcome.PENDING:
-        session.outcome = SessionOutcome.FAILED
+    if session.outcome is PENDING:
+        session.outcome = FAILED
         session.fail_reason = reason
 
 
@@ -214,35 +245,30 @@ def ble_exchange_step(
     """
     if session.protocol != "ble":
         raise ValueError("not a BLE session")
-    if session.outcome is not SessionOutcome.PENDING:
+    if session.outcome is not PENDING:
         return None
     node, gw = session.node_id, GATEWAY_ID
     step = session.step
     kind = incoming.kind if incoming is not None else None
 
-    if step is BleStep.START and kind is None:
-        session.step = BleStep.ADV_SENT
-        return _frame(node, gw, FrameKind.ADV_ESS, ADV_PAYLOAD,
-                      channel=ADV_CHANNEL)
-    if step is BleStep.ADV_SENT and kind is FrameKind.ADV_ESS:
-        session.step = BleStep.CONN_SENT
-        return _frame(gw, node, FrameKind.CONN_REQ, CONN_REQ_PAYLOAD,
-                      channel=ADV_CHANNEL)
-    if step is BleStep.CONN_SENT and kind is FrameKind.CONN_REQ:
-        session.step = BleStep.ATTR_REQUESTED
-        return _frame(gw, node, FrameKind.ESS_ATTR_REQUEST,
-                      ATTR_REQUEST_PAYLOAD, channel=CONN_CHANNEL)
-    if step is BleStep.ATTR_REQUESTED and kind is FrameKind.ESS_ATTR_REQUEST:
-        session.step = BleStep.ATTR_SENT
-        return _frame(node, gw, FrameKind.ESS_ATTR_DATA,
-                      ATTR_DATA_PAYLOAD, channel=CONN_CHANNEL)
-    if step is BleStep.ATTR_SENT and kind is FrameKind.ESS_ATTR_DATA:
-        session.step = BleStep.DONE
-        return _frame(gw, node, FrameKind.CONFIG_OR_DISCONNECT,
-                      CONFIG_PAYLOAD, channel=CONN_CHANNEL)
-    if step is BleStep.DONE and kind is FrameKind.CONFIG_OR_DISCONNECT:
+    if step is BLE_START and kind is None:
+        session.step = BLE_ADV_SENT
+        return _frame(node, gw, ADV_ESS, ADV_PAYLOAD, ADV_CHANNEL)
+    if step is BLE_ADV_SENT and kind is ADV_ESS:
+        session.step = BLE_CONN_SENT
+        return _frame(gw, node, CONN_REQ, CONN_REQ_PAYLOAD, ADV_CHANNEL)
+    if step is BLE_CONN_SENT and kind is CONN_REQ:
+        session.step = BLE_ATTR_REQUESTED
+        return _frame(gw, node, ESS_ATTR_REQUEST, ATTR_REQUEST_PAYLOAD, CONN_CHANNEL)
+    if step is BLE_ATTR_REQUESTED and kind is ESS_ATTR_REQUEST:
+        session.step = BLE_ATTR_SENT
+        return _frame(node, gw, ESS_ATTR_DATA, ATTR_DATA_PAYLOAD, CONN_CHANNEL)
+    if step is BLE_ATTR_SENT and kind is ESS_ATTR_DATA:
+        session.step = BLE_DONE
+        return _frame(gw, node, CONFIG_OR_DISCONNECT, CONFIG_PAYLOAD, CONN_CHANNEL)
+    if step is BLE_DONE and kind is CONFIG_OR_DISCONNECT:
         # Connection closed by the gateway: the attributes were received.
-        session.outcome = SessionOutcome.DELIVERED
+        session.outcome = DELIVERED
         return None
     fail_session(session, FailReason.PROTOCOL_VIOLATION)
     return None
@@ -260,33 +286,33 @@ def liot_exchange_step(
     """
     if session.protocol != "liot":
         raise ValueError("not a LIoT session")
-    if session.outcome is not SessionOutcome.PENDING:
+    if session.outcome is not PENDING:
         return None
     node, gw = session.node_id, GATEWAY_ID
     step = session.step
     kind = incoming.kind if incoming is not None else None
 
-    if step is LiotStep.START and kind is None:
-        session.step = LiotStep.ID_SENT
-        return _frame(node, gw, FrameKind.NODE_ID_LUX, NODE_ID_LUX_PAYLOAD)
-    if step is LiotStep.ID_SENT and kind is FrameKind.NODE_ID_LUX:
-        session.step = LiotStep.REQUEST_SENT
-        return _frame(gw, node, FrameKind.SENSOR_REQUEST, SENSOR_REQUEST_PAYLOAD)
-    if step is LiotStep.REQUEST_SENT and kind is FrameKind.SENSOR_REQUEST:
-        session.step = LiotStep.DATA_SENT
+    if step is LIOT_START and kind is None:
+        session.step = LIOT_ID_SENT
+        return _frame(node, gw, NODE_ID_LUX, NODE_ID_LUX_PAYLOAD)
+    if step is LIOT_ID_SENT and kind is NODE_ID_LUX:
+        session.step = LIOT_REQUEST_SENT
+        return _frame(gw, node, SENSOR_REQUEST, SENSOR_REQUEST_PAYLOAD)
+    if step is LIOT_REQUEST_SENT and kind is SENSOR_REQUEST:
+        session.step = LIOT_DATA_SENT
         payload = BYTES_PER_OPTICAL_CHANNEL * len(session.requested_channels)
-        return _frame(node, gw, FrameKind.SENSOR_DATA, payload)
-    if step is LiotStep.DATA_SENT and kind is FrameKind.SENSOR_DATA:
+        return _frame(node, gw, SENSOR_DATA, payload)
+    if step is LIOT_DATA_SENT and kind is SENSOR_DATA:
         if session.assigned_sleep_s is None:
             raise ValueError("LIoT session has no gateway-assigned sleep")
-        session.step = LiotStep.SLEEP_SENT
-        return _frame(gw, node, FrameKind.SLEEP_SET, SLEEP_SET_PAYLOAD)
-    if step is LiotStep.SLEEP_SENT and kind is FrameKind.SLEEP_SET:
-        session.step = LiotStep.DONE
+        session.step = LIOT_SLEEP_SENT
+        return _frame(gw, node, SLEEP_SET, SLEEP_SET_PAYLOAD)
+    if step is LIOT_SLEEP_SENT and kind is SLEEP_SET:
+        session.step = LIOT_DONE
         # Delivered once the acknowledgment goes out; a lost Ack only keeps
         # the gateway from closing early, the readings were already decoded.
-        session.outcome = SessionOutcome.DELIVERED
-        return _frame(node, gw, FrameKind.ACK, ACK_PAYLOAD)
+        session.outcome = DELIVERED
+        return _frame(node, gw, ACK, ACK_PAYLOAD)
     fail_session(session, FailReason.PROTOCOL_VIOLATION)
     return None
 

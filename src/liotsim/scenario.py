@@ -21,8 +21,9 @@ from .energy import (
     builtin_harvester,
     builtin_profile,
 )
-from .fsm import NodeConfig, NodeKind
+from .fsm import ADV_MODES, NodeConfig, NodeKind
 from .kernel import (
+    ILLUMINATION_KINDS,
     ChannelModel,
     GatewayConfig,
     IlluminationProfile,
@@ -88,7 +89,8 @@ def _finite(v: Any, path: str) -> float:
     return v
 
 
-def _number(d: dict, key: str, path: str, default=None, minimum=None, positive=False):
+def _number(d: dict, key: str, path: str, default=None, minimum=None, positive=False,
+            maximum=None):
     if key not in d:
         return default
     path = _at(path, key)
@@ -97,6 +99,8 @@ def _number(d: dict, key: str, path: str, default=None, minimum=None, positive=F
         raise ScenarioError(path, "must be > 0")
     if minimum is not None and v < minimum:
         raise ScenarioError(path, f"must be >= {minimum}")
+    if maximum is not None and v > maximum:
+        raise ScenarioError(path, f"must be <= {maximum}")
     return v
 
 
@@ -212,6 +216,9 @@ def _parse_node(spec: dict, path: str) -> NodeConfig:
     bad = [s for s in sensors if s not in SENSOR_CHANNELS]
     if bad:
         raise ScenarioError(f"{path}.sensors", f"unknown channel {bad[0]!r}")
+    adv_mode = spec.get("adv_mode", "fixed")
+    if adv_mode not in ADV_MODES:
+        raise ScenarioError(f"{path}.adv_mode", f"must be one of {list(ADV_MODES)}")
     try:
         return NodeConfig(
             node_id=spec["id"],
@@ -225,7 +232,7 @@ def _parse_node(spec: dict, path: str) -> NodeConfig:
                            default=0.05 if kind is NodeKind.BLE else 0.0,
                            minimum=0.0),
             sensors=tuple(sensors),
-            adv_mode=spec.get("adv_mode", "fixed"),
+            adv_mode=adv_mode,
             backoff_s=_number(spec, "backoff_s", path, default=60.0, positive=True),
             efficiency=_number(spec, "efficiency", path, default=1.0, positive=True),
         )
@@ -243,26 +250,35 @@ def _parse_illumination(spec: dict, path: str) -> IlluminationProfile:
         set(),
         path,
     )
+    kind = spec.get("kind", "constant")
+    if kind not in ILLUMINATION_KINDS:
+        raise ScenarioError(f"{path}.kind", f"must be one of {list(ILLUMINATION_KINDS)}")
+    jitter_pct = _number(spec, "jitter_pct", path, default=0.0, minimum=0.0)
+    if jitter_pct >= 1.0:
+        raise ScenarioError(f"{path}.jitter_pct", "must be < 1")
     try:
         return IlluminationProfile(
-            kind=spec.get("kind", "constant"),
+            kind=kind,
             lux=_number(spec, "lux", path, default=700.0, minimum=0.0),
             steps=_pairs(spec.get("steps", []), f"{path}.steps"),
             mean=_number(spec, "mean", path, default=0.0, minimum=0.0),
             amplitude=_number(spec, "amplitude", path, default=0.0, minimum=0.0),
             period_s=_number(spec, "period_s", path, default=86400.0, positive=True),
-            jitter_pct=_number(spec, "jitter_pct", path, default=0.0, minimum=0.0),
+            jitter_pct=jitter_pct,
             jitter_seed=_integer(spec, "jitter_seed", path, default=0),
         )
     except ScenarioError:
         raise
     except ValueError as exc:
-        raise ScenarioError(path, str(exc)) from None
+        # kind and jitter_pct are checked above, so what the profile can
+        # still reject is a step profile's steps or a sinusoid's amplitude.
+        key = {"step": "steps", "sinusoid": "amplitude"}.get(kind)
+        raise ScenarioError(_at(path, key) if key else path, str(exc)) from None
 
 
 def _parse_channel(spec: dict, path: str) -> ChannelModel:
     _check_keys(spec, {"loss", "per_link_loss", "seed"}, set(), path)
-    loss: Any = _number(spec, "loss", path, default=0.0, minimum=0.0)
+    loss: Any = _number(spec, "loss", path, default=0.0, minimum=0.0, maximum=1.0)
     if "per_link_loss" in spec:
         links, links_path = spec["per_link_loss"], f"{path}.per_link_loss"
         if not isinstance(links, dict):
@@ -273,8 +289,9 @@ def _parse_channel(spec: dict, path: str) -> ChannelModel:
                 link = LinkType(key)
             except ValueError:
                 raise ScenarioError(_at(links_path, key), "unknown link") from None
-            per_link[link] = _number(links, key, links_path)
-        loss = per_link
+            per_link[link] = _number(links, key, links_path, minimum=0.0, maximum=1.0)
+        # A link the mapping does not list keeps the scalar loss.
+        loss = {link: per_link.get(link, loss) for link in LinkType}
     try:
         return ChannelModel(loss=loss, seed=_integer(spec, "seed", path, default=0))
     except ScenarioError:

@@ -31,6 +31,19 @@ BAD_VALUES = (
     ("duration_s", 1e300, "duration_s"),
     ("sample_interval_s", 1e-300, "sample_interval_s"),
     ("sample_interval_s", 1e-6, "sample_interval_s"),
+    # Out-of-range values are reported at their own key, not their section.
+    ("channel.loss", 1.5, "channel.loss"),
+    ("channel.per_link_loss", {"ble_adv": -0.1}, "channel.per_link_loss.ble_adv"),
+    ("channel.per_link_loss", {"ble_conn": 1.5}, "channel.per_link_loss.ble_conn"),
+    ("illumination.jitter_pct", 1.0, "illumination.jitter_pct"),
+    ("illumination.kind", "foo", "illumination.kind"),
+    ("nodes.0.adv_mode", "bar", "nodes[0].adv_mode"),
+    ("illumination", {"kind": "step"}, "illumination.steps"),
+    ("illumination", {"kind": "step", "steps": [[5, 700]]}, "illumination.steps"),
+    ("illumination", {"kind": "step", "steps": [[0, 700], [0, 500]]},
+     "illumination.steps"),
+    ("illumination", {"kind": "sinusoid", "mean": 100, "amplitude": 200},
+     "illumination.amplitude"),
 )
 
 

@@ -5,6 +5,7 @@ import random
 from itertools import islice, takewhile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liotsim.energy import (
     BLE_HARVESTER,
@@ -30,7 +31,7 @@ from liotsim.kernel import (
     scenario_fingerprint,
 )
 from liotsim.metrics import time_weighted_voltage_stats
-from liotsim.protocol import FailReason, Frame, FrameKind, GATEWAY_ID, LinkType
+from liotsim.protocol import FailReason, GATEWAY_ID, LinkType
 from liotsim.scenario import preset_dict, scenario_from_dict, set_by_path
 
 
@@ -105,6 +106,66 @@ def test_light_schedule_change_points():
     assert sorted(light.cache) == [11.0]
 
 
+@st.composite
+def light_queries(draw):
+    """A light profile, its run length and a sequence of schedule queries.
+
+    Times are drawn from the whole run and from its change points, so
+    queries land on piece boundaries as well as inside pieces.
+    """
+    duration = draw(st.floats(1.0, 50.0))
+    kind = draw(st.sampled_from(("constant", "step", "sinusoid")))
+    kw = {}
+    if kind == "step":
+        starts = draw(st.lists(st.floats(0.1, duration), max_size=4, unique=True))
+        kw["steps"] = tuple((t, draw(st.floats(0.0, 1000.0)))
+                            for t in [0.0, *sorted(starts)])
+    elif kind == "sinusoid":
+        kw.update(mean=600.0, amplitude=draw(st.floats(0.0, 600.0)),
+                  period_s=draw(st.floats(1.0, 100.0)))
+    else:
+        kw["lux"] = draw(st.floats(0.0, 1000.0))
+    if draw(st.booleans()):
+        kw.update(jitter_pct=0.1, jitter_seed=draw(st.integers(0, 9)))
+    profile = IlluminationProfile(kind=kind, **kw)
+    points = [t for t, _ in profile.steps] + [float(s) for s in range(int(duration))]
+    times = st.one_of(st.floats(0.0, duration), st.sampled_from(points))
+    ops = st.one_of(st.tuples(st.just("lux"), times),
+                    st.tuples(st.just("pieces"), times, times),
+                    st.tuples(st.just("forget"), times))
+    return profile, duration, draw(st.lists(ops, max_size=30))
+
+
+@settings(max_examples=100, deadline=None)
+@given(light_queries())
+def test_light_schedule_answers_what_the_profile_says(case):
+    profile, duration, ops = case
+    light = LightSchedule(profile, duration)
+    step_starts = {t for t, _ in profile.steps}
+    per_second = profile.jitter_pct > 0 or profile.kind == "sinusoid"
+    for op, *args in ops:
+        if op == "lux":
+            (t,) = args
+            assert light.lux(t) == profile.lux_at(t)
+        elif op == "pieces":
+            t0, t1 = sorted(args)
+            if t0 == t1:
+                continue
+            pieces = list(light.pieces(t0, t1))
+            starts = [t0] + [end for end, _ in pieces[:-1]]
+            assert pieces[-1][0] == t1
+            assert all(a < b for a, (b, _) in zip(starts, pieces))
+            # Each piece holds the lux in force at its start, all the way
+            # through, and every end but the last is a change point.
+            assert [lux for _, lux in pieces] == [profile.lux_at(a) for a in starts]
+            assert all(profile.lux_at((a + b) / 2) == lux
+                       for a, (b, lux) in zip(starts, pieces))
+            assert all(end in step_starts or (per_second and end.is_integer())
+                       for end in starts[1:])
+        else:
+            light.forget_before(args[0])
+
+
 def test_illumination_domain_and_validation():
     prof = IlluminationProfile(kind="constant", lux=700.0)
     with pytest.raises(ValueError):
@@ -128,35 +189,25 @@ def test_illumination_jitter_is_seeded_and_bounded():
     assert prof.lux_at(200.1) == prof.lux_at(200.9)  # per-second granularity
 
 
-def _adv_frame():
-    return Frame(src="n", dst=GATEWAY_ID, link=LinkType.BLE_ADV,
-                 kind=FrameKind.ADV_ESS, payload_bytes=31, airtime_s=0.003,
-                 channel=37)
-
-
 def test_deliver_degenerate_probabilities():
     rng = random.Random(0)
-    frame = _adv_frame()
-    assert all(deliver(frame, ChannelModel(loss=0.0), rng) for _ in range(100))
-    assert not any(deliver(frame, ChannelModel(loss=1.0), rng) for _ in range(100))
+    assert all(deliver(0.0, rng) for _ in range(100))
+    assert not any(deliver(1.0, rng) for _ in range(100))
+    assert rng.random() == random.Random(0).random()  # neither draws
 
 
 def test_deliver_matches_loss_rate():
     rng = random.Random(17)
-    channel = ChannelModel(loss=0.088)
     n = 100_000
-    lost = sum(0 if deliver(_adv_frame(), channel, rng) else 1 for _ in range(n))
+    lost = sum(0 if deliver(0.088, rng) else 1 for _ in range(n))
     assert lost / n == pytest.approx(0.088, abs=0.003)
 
 
 def test_per_link_loss_map():
     channel = ChannelModel(loss={LinkType.BLE_ADV: 1.0})
-    rng = random.Random(0)
-    assert not deliver(_adv_frame(), channel, rng)
-    conn = Frame(src="n", dst=GATEWAY_ID, link=LinkType.BLE_CONN,
-                 kind=FrameKind.ESS_ATTR_DATA, payload_bytes=10,
-                 airtime_s=0.1, channel=5)
-    assert deliver(conn, channel, rng)
+    assert channel.loss_for(LinkType.BLE_ADV) == 1.0
+    assert channel.loss_for(LinkType.BLE_CONN) == 0.0
+    assert ChannelModel(loss=0.25).loss_for(LinkType.IR_UPLINK) == 0.25
     with pytest.raises(ValueError):
         ChannelModel(loss=1.5)
 
@@ -551,6 +602,52 @@ def test_voltage_stats_and_trace_view_on_edge_runs(case):
     assert _records_digest(closed) == digest
     assert [(r.fail_reason, r.end_s, r.scap_v_end) for r in tail] == (
         [(FailReason.RUN_ENDED, *last)] * n_run_ended)
+
+
+def test_jittered_lossy_four_node_run_is_pinned():
+    # Jittered step light through a dark spell, a loss per link, a uniform
+    # advertiser with conversion loss that browns out, and a LIoT node with
+    # a subset upload.  The digest covers every record, voltage sample and
+    # frame; it was recorded before the per-run constants were tabulated.
+    dark = HarvesterCurve(points=((0.0, 0.0), (700.0, BLE_HARVESTER.power_mw(700.0))))
+    sc = Scenario(
+        duration_s=5400.5,
+        nodes=(ble_node("ble-1"),
+               ble_node("ble-2", harvester=dark, supercap=Supercap(0.4, 3.35),
+                        adv_mode="uniform", efficiency=0.9),
+               liot_node("liot-1"),
+               liot_node("liot-2", supercap=Supercap(0.4, 4.49),
+                         sensors=("temperature", "gas"))),
+        channel=ChannelModel(loss={LinkType.BLE_ADV: 0.05, LinkType.BLE_CONN: 0.02,
+                                   LinkType.IR_UPLINK: 0.1,
+                                   LinkType.VLC_DOWNLINK: 0.03}, seed=2),
+        illumination=IlluminationProfile(
+            kind="step", steps=((0.0, 700.0), (1800.25, 0.0), (2400.0, 550.0)),
+            jitter_pct=0.08, jitter_seed=5),
+        seed=7,
+        sample_interval_s=0.9,
+    )
+    result = run(sc)
+    h = hashlib.sha256()
+    for node_id, nr in result.nodes.items():
+        for r in nr.records:
+            h.update(repr((r.node_id, r.cycle_index, r.start_s, r.end_s,
+                           r.outcome.value, r.fail_reason and r.fail_reason.value,
+                           r.scap_v_start, r.scap_v_end, r.energy_consumed_j,
+                           r.energy_harvested_j)).encode())
+        h.update(repr((node_id, nr.last_sample_s, nr.total_consumed_j,
+                       nr.total_harvested_j)).encode())
+        h.update(nr.volts.tobytes())
+    for sent, arrival, f, delivered in result.frame_log:
+        h.update(repr((sent, arrival, f.src, f.dst, f.link.value, f.kind.value,
+                       f.payload_bytes, f.channel, delivered)).encode())
+    reasons = {r.fail_reason for nr in result.nodes.values() for r in nr.records}
+    assert reasons >= {None, FailReason.BROWN_OUT, FailReason.TIMEOUT,
+                       FailReason.NO_GATEWAY}
+    assert (len(result.frame_log),
+            sum(1 for *_, delivered in result.frame_log if not delivered)) == (2134, 68)
+    assert h.hexdigest() == (
+        "50b8d53b6b363b58984a4542de145d241119ecd32ba9586b40c36a73d712546c")
 
 
 def test_local_sleep_follows_the_light_back():

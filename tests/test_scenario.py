@@ -6,6 +6,7 @@ import yaml
 
 from cases import BAD_VALUES, bad_value_cases
 from liotsim.kernel import BLE_SESSION_FRAMES, per_frame_loss_for_session_pdr, run
+from liotsim.protocol import LinkType
 from liotsim.scenario import (
     PRESET_NAMES,
     SCHEMA_VERSION,
@@ -245,6 +246,17 @@ def test_set_by_path():
         set_by_path(doc, "nodes.7.margin", 0.1)
     with pytest.raises(ScenarioError):
         set_by_path(doc, "duration_s.deeper", 1.0)
+
+
+def test_per_link_loss_overrides_the_scalar_for_listed_links_only():
+    doc = preset_dict("ble-700lx")
+    doc["duration_s"] = 600.0
+    doc["channel"] = {"loss": 0.5, "per_link_loss": {"ble_adv": 0.0}}
+    sc = scenario_from_dict(doc)
+    assert [sc.channel.loss_for(link) for link in LinkType] == [0.0, 0.5, 0.5, 0.5]
+    fates = {(f.link, f.delivered) for f in run(sc).frames}
+    assert ("ble_conn", False) in fates
+    assert ("ble_adv", False) not in fates
 
 
 def test_docs_example_loads_and_runs():
