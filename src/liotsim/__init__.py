@@ -19,7 +19,6 @@ from .energy import (
     solve_sleep_time,
     stage_energy,
     supercap_segment,
-    supercap_step,
 )
 from .fsm import NodeConfig, NodeKind, NodeState, Phase, schedule_next_cycle
 from .kernel import (
@@ -34,18 +33,16 @@ from .kernel import (
 )
 from .metrics import CycleRecord, NodeSummary, RunSummary
 from .protocol import (
-    AirtimeModel,
+    BLE_SCRIPT,
+    LIOT_SCRIPT,
     ExchangeSession,
     FailReason,
     Frame,
     FrameKind,
     LinkType,
     SessionOutcome,
-    ble_exchange_step,
+    exchange_step,
     frame_airtime,
-    liot_exchange_step,
-    make_ble_session,
-    make_liot_session,
 )
 from .scenario import load_preset, load_scenario_file, PRESET_NAMES
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional
 
@@ -185,10 +185,6 @@ class Supercap:
         if not (0 <= self.v_min <= self.voltage_v <= self.v_max):
             raise ValueError("need 0 <= v_min <= voltage <= v_max")
 
-    @property
-    def energy_j(self) -> float:
-        return 0.5 * self.capacitance_f * self.voltage_v**2
-
 
 def supercap_segment(
     cap: Supercap, p_net_mw: float, dt_s: float, efficiency: float = 1.0
@@ -211,19 +207,6 @@ def supercap_segment(
     if v_sq < cap.v_min**2:
         return cap.v_min, True
     return min(math.sqrt(v_sq), cap.v_max), False
-
-
-def supercap_step(
-    cap: Supercap, p_net_mw: float, dt_s: float, efficiency: float = 1.0
-) -> tuple[Supercap, bool]:
-    """Integrate a constant net power over dt; returns (new state, depleted).
-
-    The state-valued form of supercap_segment, for a positive dt.
-    """
-    if dt_s <= 0:
-        raise ValueError("dt must be > 0")
-    v_new, depleted = supercap_segment(cap, p_net_mw, dt_s, efficiency)
-    return replace(cap, voltage_v=v_new), depleted
 
 
 # --- Built-in presets -------------------------------------------------------

@@ -27,21 +27,21 @@ from .energy import (
 )
 from .metrics import CycleRecord
 from .protocol import (
+    BLE_SCRIPT,
     CONFIG_OR_DISCONNECT,
     CONN_REQ,
     DELIVERED,
     ESS_ATTR_REQUEST,
     FAILED,
+    LIOT_SCRIPT,
     PENDING,
     SENSOR_REQUEST,
     SLEEP_SET,
     ExchangeSession,
     FailReason,
     Frame,
-    ble_exchange_step,
-    liot_exchange_step,
-    make_ble_session,
-    make_liot_session,
+    FrameKind,
+    exchange_step,
 )
 
 if TYPE_CHECKING:
@@ -92,6 +92,17 @@ LEGAL_TRANSITIONS: dict[NodeKind, dict[Phase, frozenset[Phase]]] = {
         Phase.UPLOADING: frozenset({Phase.AWAITING_SLEEP_SET, Phase.SLEEPING}),
         Phase.AWAITING_SLEEP_SET: frozenset({Phase.SLEEPING}),
     },
+}
+
+# Each frame kind the gateway sends a node: the phase that serves it, and
+# the phases that hold it until a phase boundary consumes it.  The kind in
+# any other phase, or a kind not listed, is a protocol violation.
+_NODE_INBOX: dict[FrameKind, tuple[Optional[Phase], tuple[Phase, ...]]] = {
+    CONN_REQ: (None, (ADVERTISING,)),
+    ESS_ATTR_REQUEST: (EXCHANGING, ()),
+    CONFIG_OR_DISCONNECT: (EXCHANGING, ()),
+    SENSOR_REQUEST: (None, (UPLINKING, AWAITING_REQUEST)),
+    SLEEP_SET: (AWAITING_SLEEP_SET, (UPLOADING,)),
 }
 
 _PHASE_STAGE: dict[NodeKind, dict[Phase, StageName]] = {
@@ -446,20 +457,20 @@ def advance(
             )
             return None
         # LIoT: read the LDR and open the session with an IR uplink.
-        session = make_liot_session(
-            cfg.node_id, lux=lux, requested_channels=cfg.sensors
+        session = ExchangeSession(
+            cfg.node_id, LIOT_SCRIPT, lux=lux, requested_channels=cfg.sensors
         )
         state.session = session
-        out = liot_exchange_step(session, None)
+        out = exchange_step(session, None)
         # The uplink and the wait for the request share the gw_request stage.
         state.gw_request_end = now + state.stage_s[UPLINKING]
         _set_phase(state, cfg, UPLINKING, now, now + out.airtime_s)
         return out
 
     if phase is SENSING and cfg.kind is BLE:
-        session = make_ble_session(cfg.node_id)
+        session = ExchangeSession(cfg.node_id, BLE_SCRIPT)
         state.session = session
-        out = ble_exchange_step(session, None)
+        out = exchange_step(session, None)
         if cfg.adv_mode == "fixed":
             adv = state.stage_s[ADVERTISING]
         else:
@@ -469,13 +480,13 @@ def advance(
 
     if phase is ADVERTISING:
         session = state.session
-        held = session.held if session else None
-        if held is not None and held.kind is CONN_REQ:
+        held = session.held
+        if held is not None:
             session.held = None
             nominal = state.stage_s[EXCHANGING]
             state.phase_nominal_s = nominal
             _set_phase(state, cfg, EXCHANGING, now, now + nominal)
-            return ble_exchange_step(session, held)
+            return exchange_step(session, held)
         _finish_cycle(state, cfg, now, lux, FailReason.NO_GATEWAY)
         return None
 
@@ -494,9 +505,7 @@ def advance(
         return None
 
     if phase is AWAITING_REQUEST:
-        session = state.session
-        held = session.held if session else None
-        if held is not None and held.kind is SENSOR_REQUEST:
+        if state.session.held is not None:
             _set_phase(
                 state, cfg, SENSING, now,
                 now + state.stage_s[SENSING],
@@ -513,19 +522,19 @@ def advance(
             state, cfg, UPLOADING, now,
             now + state.stage_s[UPLOADING],
         )
-        return liot_exchange_step(session, held)
+        return exchange_step(session, held)
 
     if phase is UPLOADING:
         nominal = state.stage_s[AWAITING_SLEEP_SET]
         state.phase_nominal_s = nominal
         _set_phase(state, cfg, AWAITING_SLEEP_SET, now, now + nominal)
         session = state.session
-        held = session.held if session else None
-        if held is not None and held.kind is SLEEP_SET:
+        held = session.held
+        if held is not None:
             # Short (subset) uploads finish before the measured full-upload
             # window ends, so the assignment can already be waiting.
             session.held = None
-            return liot_exchange_step(session, held)
+            return exchange_step(session, held)
         return None
 
     raise FsmError(f"unhandled phase {phase!r} for {cfg.kind.value} node")
@@ -540,24 +549,13 @@ def receive(
     session = state.session
     if session is None or session.outcome is not PENDING:
         return None
-    kind = frame.kind
-    # Frames that arrive ahead of their service phase are held and consumed
-    # at the phase boundary (connection setup, sensor request).
-    if kind is CONN_REQ and state.phase is ADVERTISING:
+    served, holding = _NODE_INBOX.get(frame.kind, (None, ()))
+    phase = state.phase
+    if phase is served:
+        return exchange_step(session, frame)
+    if phase in holding:
         session.held = frame
         return None
-    if kind is SENSOR_REQUEST and state.phase in (UPLINKING, AWAITING_REQUEST):
-        session.held = frame
-        return None
-    if kind in (ESS_ATTR_REQUEST, CONFIG_OR_DISCONNECT):
-        if state.phase is EXCHANGING:
-            return ble_exchange_step(session, frame)
-    elif kind is SLEEP_SET:
-        if state.phase is AWAITING_SLEEP_SET:
-            return liot_exchange_step(session, frame)
-        if state.phase is UPLOADING:
-            session.held = frame
-            return None
     # Anything else is out of sequence for a node-addressed frame.
     protocol.fail_session(session, FailReason.PROTOCOL_VIOLATION)
     return None

@@ -91,10 +91,6 @@ def per_frame_loss_for_session_pdr(target_pdr: float, n_frames: int) -> float:
     return 1.0 - target_pdr ** (1.0 / n_frames)
 
 
-# Frames a BLE session must carry end to end for delivery.
-BLE_SESSION_FRAMES = 5
-
-
 ILLUMINATION_KINDS = ("constant", "step", "sinusoid")
 
 

@@ -80,13 +80,6 @@ def voltage_stats(
     return min(max(area / span, lo), hi), lo, hi
 
 
-def time_weighted_voltage_stats(
-    trace: list[tuple[float, float]]
-) -> tuple[float, float, float]:
-    """voltage_stats of a (t, V) trace."""
-    return voltage_stats([t for t, _ in trace], [v for _, v in trace])
-
-
 def summarize_node(
     node_id: str,
     kind: str,

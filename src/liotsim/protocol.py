@@ -1,9 +1,10 @@
 """Message-level models of the BLE and optical (IR up / VLC down) exchanges.
 
-Each exchange is a serialized handshake: given the frame just delivered,
-the step function returns the next frame to transmit (whichever side sends
-it) and advances the session state.  Airtimes follow a linear per-link model
-calibrated against the measured stage durations of the two node builds.
+Each handshake is one script, its frames in order (BLE_SCRIPT, LIOT_SCRIPT).
+Given the frame just delivered, exchange_step returns the next frame of the
+session's script (whichever side sends it) and advances the session.
+Airtimes follow a linear per-link model calibrated against the measured
+stage durations of the two node builds.
 """
 
 from __future__ import annotations
@@ -58,30 +59,21 @@ CONN_CHANNEL = 5
 SENSOR_CHANNELS = ("temperature", "humidity", "pressure", "gas")
 
 
-@dataclass(frozen=True)
-class AirtimeModel:
-    """Per-link airtime constants: overhead + payload_bytes * per_byte."""
-
-    overhead_s: dict[LinkType, float]
-    per_byte_s: dict[LinkType, float]
-
-
-# Calibrated so that the full 4-channel optical upload takes 3.58 s and the
-# BLE attribute exchange fits its 1.3 s stage.
-DEFAULT_AIRTIME = AirtimeModel(
-    overhead_s={
-        LinkType.BLE_ADV: 0.001,
-        LinkType.BLE_CONN: 0.02,
-        LinkType.IR_UPLINK: 0.02,
-        LinkType.VLC_DOWNLINK: 0.01,
-    },
-    per_byte_s={
-        LinkType.BLE_ADV: 0.0001,
-        LinkType.BLE_CONN: 0.01,
-        LinkType.IR_UPLINK: (3.58 - 0.02) / 64.0,
-        LinkType.VLC_DOWNLINK: 0.005,
-    },
-)
+# A frame's airtime is its link's overhead plus payload_bytes times the link's
+# per-byte time.  Calibrated so that the full 4-channel optical upload takes
+# 3.58 s and the BLE attribute exchange fits its 1.3 s stage.
+AIRTIME_OVERHEAD_S: dict[LinkType, float] = {
+    LinkType.BLE_ADV: 0.001,
+    LinkType.BLE_CONN: 0.02,
+    LinkType.IR_UPLINK: 0.02,
+    LinkType.VLC_DOWNLINK: 0.01,
+}
+AIRTIME_PER_BYTE_S: dict[LinkType, float] = {
+    LinkType.BLE_ADV: 0.0001,
+    LinkType.BLE_CONN: 0.01,
+    LinkType.IR_UPLINK: (3.58 - 0.02) / 64.0,
+    LinkType.VLC_DOWNLINK: 0.005,
+}
 
 # Default payload sizes (bytes).
 ADV_PAYLOAD = 31
@@ -101,8 +93,7 @@ def frame_airtime(kind: FrameKind, payload_bytes: int, link: LinkType) -> float:
         raise ValueError("payload_bytes must be >= 0")
     if LINK_FOR_KIND[kind] is not link:
         raise ValueError(f"{kind.value} frames are not carried on {link.value}")
-    return (DEFAULT_AIRTIME.overhead_s[link]
-            + payload_bytes * DEFAULT_AIRTIME.per_byte_s[link])
+    return AIRTIME_OVERHEAD_S[link] + payload_bytes * AIRTIME_PER_BYTE_S[link]
 
 
 @dataclass(frozen=True)
@@ -142,24 +133,6 @@ class FailReason(Enum):
     RUN_ENDED = "run_ended"  # the run ended while the session was open
 
 
-class BleStep(Enum):
-    START = 0
-    ADV_SENT = 1
-    CONN_SENT = 2
-    ATTR_REQUESTED = 3
-    ATTR_SENT = 4
-    DONE = 5
-
-
-class LiotStep(Enum):
-    START = 0
-    ID_SENT = 1
-    REQUEST_SENT = 2
-    DATA_SENT = 3
-    SLEEP_SENT = 4
-    DONE = 5
-
-
 # The members tested on every frame, bound once as module constants: up to
 # Python 3.11 the Enum metaclass defines __getattr__, which makes each
 # lookup of a member through its class (FrameKind.ACK) several times slower
@@ -177,18 +150,38 @@ ACK = FrameKind.ACK
 PENDING = SessionOutcome.PENDING
 DELIVERED = SessionOutcome.DELIVERED
 FAILED = SessionOutcome.FAILED
-BLE_START = BleStep.START
-BLE_ADV_SENT = BleStep.ADV_SENT
-BLE_CONN_SENT = BleStep.CONN_SENT
-BLE_ATTR_REQUESTED = BleStep.ATTR_REQUESTED
-BLE_ATTR_SENT = BleStep.ATTR_SENT
-BLE_DONE = BleStep.DONE
-LIOT_START = LiotStep.START
-LIOT_ID_SENT = LiotStep.ID_SENT
-LIOT_REQUEST_SENT = LiotStep.REQUEST_SENT
-LIOT_DATA_SENT = LiotStep.DATA_SENT
-LIOT_SLEEP_SENT = LiotStep.SLEEP_SENT
-LIOT_DONE = LiotStep.DONE
+
+
+# Each handshake is one script: its frames in order, one step per frame.  The
+# session opens with the first frame, and the delivery of frame i produces
+# frame i + 1.  A step is a plain tuple, which unpacks faster than a tuple
+# subclass, of:
+#   from_node  whether the node sends the frame, else the gateway does;
+#   kind       the frame's kind;
+#   payload    its bytes; None is BYTES_PER_OPTICAL_CHANNEL per requested channel;
+#   channel    its BLE radio channel, None on the optical links;
+#   delivers   whether the node's receipt of it delivers the session.
+# A script ends with its delivering frame or the node's answer to it.
+ScriptStep = tuple[bool, FrameKind, Optional[int], Optional[int], bool]
+
+BLE_SCRIPT: tuple[ScriptStep, ...] = (
+    (True, ADV_ESS, ADV_PAYLOAD, ADV_CHANNEL, False),
+    (False, CONN_REQ, CONN_REQ_PAYLOAD, ADV_CHANNEL, False),
+    (False, ESS_ATTR_REQUEST, ATTR_REQUEST_PAYLOAD, CONN_CHANNEL, False),
+    (True, ESS_ATTR_DATA, ATTR_DATA_PAYLOAD, CONN_CHANNEL, False),
+    # Connection closed by the gateway: the attributes were received.
+    (False, CONFIG_OR_DISCONNECT, CONFIG_PAYLOAD, CONN_CHANNEL, True),
+)
+# The gateway sets session.assigned_sleep_s before it answers SensorData.
+LIOT_SCRIPT: tuple[ScriptStep, ...] = (
+    (True, NODE_ID_LUX, NODE_ID_LUX_PAYLOAD, None, False),
+    (False, SENSOR_REQUEST, SENSOR_REQUEST_PAYLOAD, None, False),
+    (True, SENSOR_DATA, None, None, False),
+    # Delivered once the node has its sleep time; a lost Ack only keeps the
+    # gateway from closing early, the readings were already decoded.
+    (False, SLEEP_SET, SLEEP_SET_PAYLOAD, None, True),
+    (True, ACK, ACK_PAYLOAD, None, False),
+)
 
 
 @dataclass(slots=True)
@@ -196,22 +189,14 @@ class ExchangeSession:
     """State of one node-gateway handshake attempt."""
 
     node_id: str
-    protocol: str  # "ble" | "liot"
-    step: Enum
+    script: tuple[ScriptStep, ...]  # BLE_SCRIPT or LIOT_SCRIPT
+    step: int = 0  # frames of the script sent so far
     outcome: SessionOutcome = SessionOutcome.PENDING
     fail_reason: Optional[FailReason] = None
     lux: float = 0.0
     requested_channels: tuple[str, ...] = SENSOR_CHANNELS
     assigned_sleep_s: Optional[float] = None  # set by the gateway on SensorData
     held: Optional[Frame] = None  # frame received outside its service phase
-
-
-def make_ble_session(node_id: str, **kw) -> ExchangeSession:
-    return ExchangeSession(node_id, "ble", BLE_START, **kw)
-
-
-def make_liot_session(node_id: str, **kw) -> ExchangeSession:
-    return ExchangeSession(node_id, "liot", LIOT_START, **kw)
 
 
 def fail_session(session: ExchangeSession, reason: FailReason) -> None:
@@ -234,92 +219,38 @@ def _frame(
                  channel)
 
 
-def ble_exchange_step(
-    session: ExchangeSession, incoming: Optional[Frame]
-) -> Optional[Frame]:
-    """Advance the BLE handshake; returns the next frame to transmit, if any.
-
-    Sequence: AdvEss -> ConnReq -> EssAttrRequest -> EssAttrData ->
-    ConfigOrDisconnect -> Delivered.  An out-of-sequence frame tears the
-    session down as a protocol violation.
-    """
-    if session.protocol != "ble":
-        raise ValueError("not a BLE session")
-    if session.outcome is not PENDING:
-        return None
-    node, gw = session.node_id, GATEWAY_ID
-    step = session.step
-    kind = incoming.kind if incoming is not None else None
-
-    if step is BLE_START and kind is None:
-        session.step = BLE_ADV_SENT
-        return _frame(node, gw, ADV_ESS, ADV_PAYLOAD, ADV_CHANNEL)
-    if step is BLE_ADV_SENT and kind is ADV_ESS:
-        session.step = BLE_CONN_SENT
-        return _frame(gw, node, CONN_REQ, CONN_REQ_PAYLOAD, ADV_CHANNEL)
-    if step is BLE_CONN_SENT and kind is CONN_REQ:
-        session.step = BLE_ATTR_REQUESTED
-        return _frame(gw, node, ESS_ATTR_REQUEST, ATTR_REQUEST_PAYLOAD, CONN_CHANNEL)
-    if step is BLE_ATTR_REQUESTED and kind is ESS_ATTR_REQUEST:
-        session.step = BLE_ATTR_SENT
-        return _frame(node, gw, ESS_ATTR_DATA, ATTR_DATA_PAYLOAD, CONN_CHANNEL)
-    if step is BLE_ATTR_SENT and kind is ESS_ATTR_DATA:
-        session.step = BLE_DONE
-        return _frame(gw, node, CONFIG_OR_DISCONNECT, CONFIG_PAYLOAD, CONN_CHANNEL)
-    if step is BLE_DONE and kind is CONFIG_OR_DISCONNECT:
-        # Connection closed by the gateway: the attributes were received.
-        session.outcome = DELIVERED
-        return None
-    fail_session(session, FailReason.PROTOCOL_VIOLATION)
-    return None
-
-
-def liot_exchange_step(
-    session: ExchangeSession, incoming: Optional[Frame]
-) -> Optional[Frame]:
-    """Advance the optical handshake; returns the next frame to transmit.
-
-    Sequence: NodeIdLux(IR) -> SensorRequest(VLC) -> SensorData(IR) ->
-    SleepSet(VLC) -> Ack(IR).  The gateway sets session.assigned_sleep_s
-    before it answers SensorData.  The session counts as delivered once the
-    node acknowledges the assigned sleep time.
-    """
-    if session.protocol != "liot":
-        raise ValueError("not a LIoT session")
-    if session.outcome is not PENDING:
-        return None
-    node, gw = session.node_id, GATEWAY_ID
-    step = session.step
-    kind = incoming.kind if incoming is not None else None
-
-    if step is LIOT_START and kind is None:
-        session.step = LIOT_ID_SENT
-        return _frame(node, gw, NODE_ID_LUX, NODE_ID_LUX_PAYLOAD)
-    if step is LIOT_ID_SENT and kind is NODE_ID_LUX:
-        session.step = LIOT_REQUEST_SENT
-        return _frame(gw, node, SENSOR_REQUEST, SENSOR_REQUEST_PAYLOAD)
-    if step is LIOT_REQUEST_SENT and kind is SENSOR_REQUEST:
-        session.step = LIOT_DATA_SENT
-        payload = BYTES_PER_OPTICAL_CHANNEL * len(session.requested_channels)
-        return _frame(node, gw, SENSOR_DATA, payload)
-    if step is LIOT_DATA_SENT and kind is SENSOR_DATA:
-        if session.assigned_sleep_s is None:
-            raise ValueError("LIoT session has no gateway-assigned sleep")
-        session.step = LIOT_SLEEP_SENT
-        return _frame(gw, node, SLEEP_SET, SLEEP_SET_PAYLOAD)
-    if step is LIOT_SLEEP_SENT and kind is SLEEP_SET:
-        session.step = LIOT_DONE
-        # Delivered once the acknowledgment goes out; a lost Ack only keeps
-        # the gateway from closing early, the readings were already decoded.
-        session.outcome = DELIVERED
-        return _frame(node, gw, ACK, ACK_PAYLOAD)
-    fail_session(session, FailReason.PROTOCOL_VIOLATION)
-    return None
-
-
 def exchange_step(
     session: ExchangeSession, incoming: Optional[Frame]
 ) -> Optional[Frame]:
-    if session.protocol == "ble":
-        return ble_exchange_step(session, incoming)
-    return liot_exchange_step(session, incoming)
+    """Advance a session along its script; returns the next frame to send.
+
+    incoming is the frame just delivered, None to open the session.  Any
+    frame but the one the session sent last tears it down as a protocol
+    violation.  Raises ValueError for a SleepSet the gateway has no assigned
+    sleep for.
+    """
+    if session.outcome is not PENDING:
+        return None
+    script, i = session.script, session.step
+    if i:
+        _, awaited, _, _, delivers = script[i - 1]
+        if incoming is None or incoming.kind is not awaited:
+            fail_session(session, FailReason.PROTOCOL_VIOLATION)
+            return None
+        if delivers:
+            session.outcome = DELIVERED
+            if i == len(script):
+                return None
+    elif incoming is not None:
+        fail_session(session, FailReason.PROTOCOL_VIOLATION)
+        return None
+    from_node, kind, payload, channel, _ = script[i]
+    if kind is SLEEP_SET and session.assigned_sleep_s is None:
+        raise ValueError("LIoT session has no gateway-assigned sleep")
+    if payload is None:
+        payload = BYTES_PER_OPTICAL_CHANNEL * len(session.requested_channels)
+    session.step = i + 1
+    node = session.node_id
+    if from_node:
+        return _frame(node, GATEWAY_ID, kind, payload, channel)
+    return _frame(GATEWAY_ID, node, kind, payload, channel)

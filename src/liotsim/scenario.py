@@ -29,9 +29,8 @@ from .kernel import (
     IlluminationProfile,
     Scenario,
     per_frame_loss_for_session_pdr,
-    BLE_SESSION_FRAMES,
 )
-from .protocol import LinkType, SENSOR_CHANNELS
+from .protocol import BLE_SCRIPT, LinkType, SENSOR_CHANNELS
 
 SCHEMA_VERSION = 1
 
@@ -195,6 +194,10 @@ def _parse_supercap(spec: dict, path: str) -> Supercap:
         raise ScenarioError(path, str(exc)) from None
 
 
+# Node keys that only one kind of node reads.
+_KIND_KEYS = {"sensors": NodeKind.LIOT, "adv_mode": NodeKind.BLE}
+
+
 def _parse_node(spec: dict, path: str) -> NodeConfig:
     _check_keys(
         spec,
@@ -210,6 +213,10 @@ def _parse_node(spec: dict, path: str) -> NodeConfig:
     if not isinstance(spec["id"], str):
         raise ScenarioError(f"{path}.id", "expected a string")
     default_preset = "ble-table1" if kind is NodeKind.BLE else "liot-table2"
+    for key, owner in _KIND_KEYS.items():
+        if key in spec and kind is not owner:
+            raise ScenarioError(f"{path}.{key}",
+                                f"only {owner.value} nodes take this key")
     sensors = spec.get("sensors", list(SENSOR_CHANNELS))
     if not isinstance(sensors, list) or not all(isinstance(s, str) for s in sensors):
         raise ScenarioError(f"{path}.sensors", "expected a list of channel names")
@@ -394,13 +401,14 @@ def preset_dict(name: str) -> dict:
                     "v_max": 4.5,
                 },
                 "margin": 0.05 if is_ble else 0.0,
-                "adv_mode": "fixed",
             }
         ],
     }
+    if is_ble:
+        doc["nodes"][0]["adv_mode"] = "fixed"
     if name in _PRESET_PDR:
         doc["channel"]["loss"] = per_frame_loss_for_session_pdr(
-            _PRESET_PDR[name], BLE_SESSION_FRAMES
+            _PRESET_PDR[name], len(BLE_SCRIPT)
         )
     return doc
 

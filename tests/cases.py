@@ -44,6 +44,12 @@ BAD_VALUES = (
      "illumination.steps"),
     ("illumination", {"kind": "sinusoid", "mean": 100, "amplitude": 200},
      "illumination.amplitude"),
+    # A key the node's kind does not read is rejected, not ignored: adv_mode
+    # is a BLE key (the base node is LIoT) and sensors a LIoT key.
+    ("nodes.0.adv_mode", "fixed", "nodes[0].adv_mode"),
+    ("nodes.0", {"id": "b1", "kind": "ble", "sensors": ["temperature"],
+                 "supercap": {"capacitance_f": 0.4, "voltage_v": 4.4}},
+     "nodes[0].sensors"),
 )
 
 

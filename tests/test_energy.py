@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,6 @@ from liotsim.energy import (
     solve_sleep_time,
     stage_energy,
     supercap_segment,
-    supercap_step,
 )
 
 V = 3.3
@@ -202,35 +202,35 @@ def test_harvester_curve_interpolation_and_clamp():
 def test_supercap_step_discharge_matches_active_burst():
     # Net drain of one BLE active burst at the observed buffer voltage.
     cap = Supercap(capacitance_f=0.4, voltage_v=4.463, v_min=3.3, v_max=4.5)
-    new, depleted = supercap_step(cap, -1.738, 5.56)
+    v, depleted = supercap_segment(cap, -1.738, 5.56)
     assert not depleted
-    dv = new.voltage_v - cap.voltage_v
+    dv = v - cap.voltage_v
     assert dv == pytest.approx(-0.0054, abs=5e-4)
 
 
 def test_supercap_step_zero_power_and_floor():
     cap = Supercap(capacitance_f=0.4, voltage_v=4.0)
-    unchanged, depleted = supercap_step(cap, 0.0, 100.0)
-    assert unchanged.voltage_v == cap.voltage_v and not depleted
+    unchanged, depleted = supercap_segment(cap, 0.0, 100.0)
+    assert unchanged == cap.voltage_v and not depleted
     floor = Supercap(capacitance_f=0.4, voltage_v=3.3, v_min=3.3)
-    drained, depleted = supercap_step(floor, -1.0, 1.0)
-    assert depleted and drained.voltage_v == floor.v_min
+    drained, depleted = supercap_segment(floor, -1.0, 1.0)
+    assert depleted and drained == floor.v_min
 
 
 def test_supercap_step_energy_balance_exact():
     cap = Supercap(capacitance_f=0.25, voltage_v=4.0, v_min=0.0, v_max=10.0)
-    new, _ = supercap_step(cap, 2.5, 8.0)
-    delta_e = 0.5 * cap.capacitance_f * (new.voltage_v**2 - cap.voltage_v**2)
+    v, _ = supercap_segment(cap, 2.5, 8.0)
+    delta_e = 0.5 * cap.capacitance_f * (v**2 - cap.voltage_v**2)
     assert delta_e == pytest.approx(2.5e-3 * 8.0, rel=1e-12)
 
 
 def test_supercap_charging_efficiency_applies_only_inbound():
     cap = Supercap(capacitance_f=0.4, voltage_v=4.0, v_min=0.0, v_max=10.0)
-    up, _ = supercap_step(cap, 10.0, 10.0, efficiency=0.97)
-    gained = 0.5 * 0.4 * (up.voltage_v**2 - 16.0)
+    up, _ = supercap_segment(cap, 10.0, 10.0, efficiency=0.97)
+    gained = 0.5 * 0.4 * (up**2 - 16.0)
     assert gained == pytest.approx(0.97 * 0.1, rel=1e-12)
-    down, _ = supercap_step(cap, -10.0, 10.0, efficiency=0.97)
-    lost = 0.5 * 0.4 * (16.0 - down.voltage_v**2)
+    down, _ = supercap_segment(cap, -10.0, 10.0, efficiency=0.97)
+    lost = 0.5 * 0.4 * (16.0 - down**2)
     assert lost == pytest.approx(0.1, rel=1e-12)
 
 
@@ -249,9 +249,11 @@ def test_supercap_closed_cycle_returns_to_start(steps):
     cap = Supercap(capacitance_f=1.0, voltage_v=4.0, v_min=0.1, v_max=20.0)
     cur = cap
     for p, dt in steps:
-        cur, _ = supercap_step(cur, p, dt)
+        v, _ = supercap_segment(cur, p, dt)
+        cur = replace(cur, voltage_v=v)
     for p, dt in reversed(steps):
-        cur, _ = supercap_step(cur, -p, dt)
+        v, _ = supercap_segment(cur, -p, dt)
+        cur = replace(cur, voltage_v=v)
     assert cur.voltage_v == pytest.approx(cap.voltage_v, rel=1e-9)
 
 
@@ -276,7 +278,8 @@ def test_supercap_segment_equals_chained_steps(p_net_mw):
     cap = Supercap(capacitance_f=0.4, voltage_v=4.0, v_min=3.3, v_max=4.5)
     chained = cap
     for _ in range(1000):
-        chained, _ = supercap_step(chained, p_net_mw, 0.1, efficiency=0.9)
+        v, _ = supercap_segment(chained, p_net_mw, 0.1, efficiency=0.9)
+        chained = replace(chained, voltage_v=v)
     v, depleted = supercap_segment(cap, p_net_mw, 100.0, efficiency=0.9)
     assert not depleted
     assert cap.v_min < v < cap.v_max
@@ -286,8 +289,6 @@ def test_supercap_segment_equals_chained_steps(p_net_mw):
 def test_supercap_invariants():
     with pytest.raises(ValueError):
         Supercap(capacitance_f=0.4, voltage_v=3.0, v_min=3.3)
-    with pytest.raises(ValueError):
-        supercap_step(Supercap(0.4, 4.0), 1.0, 0.0)
 
 
 def test_builtin_lookup():

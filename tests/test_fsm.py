@@ -27,7 +27,11 @@ from liotsim.fsm import (
 )
 from liotsim.kernel import IlluminationProfile, LightSchedule
 from liotsim.protocol import (
+    BLE_SCRIPT,
     GATEWAY_ID,
+    LINK_FOR_KIND,
+    LIOT_SCRIPT,
+    ExchangeSession,
     FailReason,
     Frame,
     FrameKind,
@@ -237,3 +241,59 @@ def test_legal_transition_tables_cover_all_phases():
     for kind, table in LEGAL_TRANSITIONS.items():
         for src, dsts in table.items():
             assert dsts, f"{kind} {src} has no successors"
+
+
+K, P = FrameKind, Phase
+# What a node does with each frame the gateway may send it, in each of its
+# phases; every combination not listed is a protocol violation.
+RECEIVE_OUTCOMES = {
+    (NodeKind.BLE, P.ADVERTISING, K.CONN_REQ): "held",
+    (NodeKind.BLE, P.EXCHANGING, K.ESS_ATTR_REQUEST): "served",
+    (NodeKind.BLE, P.EXCHANGING, K.CONFIG_OR_DISCONNECT): "served",
+    (NodeKind.LIOT, P.UPLINKING, K.SENSOR_REQUEST): "held",
+    (NodeKind.LIOT, P.AWAITING_REQUEST, K.SENSOR_REQUEST): "held",
+    (NodeKind.LIOT, P.UPLOADING, K.SLEEP_SET): "held",
+    (NodeKind.LIOT, P.AWAITING_SLEEP_SET, K.SLEEP_SET): "served",
+}
+
+
+def _new_session(cfg):
+    script = BLE_SCRIPT if cfg.kind is NodeKind.BLE else LIOT_SCRIPT
+    return ExchangeSession(cfg.node_id, script, assigned_sleep_s=620.0)
+
+
+def _session_awaiting(cfg, kind):
+    """A session of cfg's node that has just sent the node its gateway frame
+    of kind, or that has just opened when its handshake has none."""
+    session, frame, sent = _new_session(cfg), None, []
+    while (frame := exchange_step(session, frame)) is not None:
+        sent.append(frame.kind if frame.src == GATEWAY_ID else None)
+    session, frame = _new_session(cfg), None
+    for _ in range(sent.index(kind) + 1 if kind in sent else 1):
+        frame = exchange_step(session, frame)
+    return session
+
+
+@pytest.mark.parametrize("cfg", [ble_cfg(), liot_cfg()], ids=["ble", "liot"])
+def test_receive_holds_serves_or_refuses_each_frame_in_each_phase(cfg):
+    for phase in LEGAL_TRANSITIONS[cfg.kind]:
+        for kind in FrameKind:
+            expected = RECEIVE_OUTCOMES.get((cfg.kind, phase, kind), "violation")
+            state = initial_state(cfg, 1.0)
+            state.phase = phase
+            session = state.session = _session_awaiting(cfg, kind)
+            twin = _session_awaiting(cfg, kind)
+            link = LINK_FOR_KIND[kind]
+            frame = Frame(GATEWAY_ID, cfg.node_id, link, kind, 1, 0.01,
+                          {LinkType.BLE_ADV: 37, LinkType.BLE_CONN: 5}.get(link))
+            out = receive(state, cfg, frame, 1.0)
+            where = (phase, kind, expected)
+            if expected == "held":
+                assert out is None and session.held is frame, where
+                assert session.outcome is SessionOutcome.PENDING, where
+            elif expected == "served":
+                assert out is exchange_step(twin, frame), where
+                assert session == twin and session.fail_reason is None, where
+            else:
+                assert out is None and session.held is None, where
+                assert session.fail_reason is FailReason.PROTOCOL_VIOLATION, where

@@ -30,7 +30,7 @@ from liotsim.kernel import (
     run,
     scenario_fingerprint,
 )
-from liotsim.metrics import time_weighted_voltage_stats
+from liotsim.metrics import voltage_stats
 from liotsim.protocol import FailReason, GATEWAY_ID, LinkType
 from liotsim.scenario import preset_dict, scenario_from_dict, set_by_path
 
@@ -594,7 +594,7 @@ def test_voltage_stats_and_trace_view_on_edge_runs(case):
     assert trace == nr.trace and trace is not nr.trace  # built anew on each read
     assert result.traces == {node.node_id: trace}
     assert (node.scap_avg_v, node.scap_min_v, node.scap_max_v) == (
-        time_weighted_voltage_stats(trace))
+        voltage_stats([t for t, _ in trace], [v for _, v in trace]))
     assert (len(trace), trace[-1]) == (n_samples, last)
     assert (node.packets_sent, node.packets_received, node.scap_avg_v,
             node.scap_min_v, node.scap_max_v) == summary

@@ -21,7 +21,7 @@ from liotsim.metrics import (
     summarize_node,
     summary_dict,
     summary_from_dict,
-    time_weighted_voltage_stats,
+    voltage_stats,
 )
 from liotsim.protocol import FailReason, SessionOutcome
 
@@ -63,12 +63,12 @@ def test_pdr_from_counts():
 
 def test_time_weighted_average_handles_uneven_sampling():
     # 4.0 V for 1 s then 5.0 V for 3 s; plain mean of samples would be 4.5.
-    trace = [(0.0, 4.0), (1.0, 4.0), (1.0, 5.0), (4.0, 5.0)]
-    avg, lo, hi = time_weighted_voltage_stats(trace)
+    times, volts = [0.0, 1.0, 1.0, 4.0], [4.0, 4.0, 5.0, 5.0]
+    avg, lo, hi = voltage_stats(times, volts)
     assert avg == pytest.approx((4.0 * 1.0 + 5.0 * 3.0) / 4.0)
     assert (lo, hi) == (4.0, 5.0)
-    assert time_weighted_voltage_stats([]) == (0.0, 0.0, 0.0)
-    assert time_weighted_voltage_stats([(3.0, 4.2)]) == (4.2, 4.2, 4.2)
+    assert voltage_stats([], []) == (0.0, 0.0, 0.0)
+    assert voltage_stats([3.0], [4.2]) == (4.2, 4.2, 4.2)
 
 
 def test_cycle_record_validation():
@@ -232,7 +232,7 @@ def test_time_weighted_average_bounded_by_extrema(trace):
     ts = [t for t, _ in trace]
     if ts[-1] == ts[0]:
         return
-    avg, lo, hi = time_weighted_voltage_stats(trace)
+    avg, lo, hi = voltage_stats(ts, [v for _, v in trace])
     assert lo - 1e-12 <= avg <= hi + 1e-12
 
 

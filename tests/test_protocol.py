@@ -2,44 +2,103 @@ import pytest
 
 from liotsim.protocol import (
     ACK_PAYLOAD,
+    AIRTIME_OVERHEAD_S,
+    AIRTIME_PER_BYTE_S,
+    BLE_SCRIPT,
     BYTES_PER_OPTICAL_CHANNEL,
-    DEFAULT_AIRTIME,
     GATEWAY_ID,
+    LINK_FOR_KIND,
+    LIOT_SCRIPT,
+    ExchangeSession,
     FailReason,
     Frame,
     FrameKind,
     LinkType,
     SessionOutcome,
-    ble_exchange_step,
+    exchange_step,
     fail_session,
     frame_airtime,
-    liot_exchange_step,
-    make_ble_session,
-    make_liot_session,
 )
 
+K = FrameKind
+# Each handshake as documented: its frames in order, and the index of the
+# frame whose delivery to the node delivers the session.
+HANDSHAKES = {
+    "ble": ([K.ADV_ESS, K.CONN_REQ, K.ESS_ATTR_REQUEST, K.ESS_ATTR_DATA,
+             K.CONFIG_OR_DISCONNECT], 4),
+    "liot": ([K.NODE_ID_LUX, K.SENSOR_REQUEST, K.SENSOR_DATA, K.SLEEP_SET,
+              K.ACK], 3),
+}
 
-def _run_happy_path(session, step):
-    frames = [step(session, None)]
+
+SCRIPTS = {"ble": BLE_SCRIPT, "liot": LIOT_SCRIPT}
+
+
+def _session(name, node_id="n1", **kw):
+    return ExchangeSession(node_id, SCRIPTS[name], **kw)
+
+
+def _run_happy_path(session):
+    frames = [exchange_step(session, None)]
     while session.outcome is SessionOutcome.PENDING:
-        out = step(session, frames[-1])
+        out = exchange_step(session, frames[-1])
         if out is None:
             break
         frames.append(out)
     return frames
 
 
-def test_ble_happy_path_delivers():
-    session = make_ble_session("n1")
-    frames = _run_happy_path(session, ble_exchange_step)
+def _stray(kind):
+    """A well-formed frame of any kind, sent from the gateway to n1."""
+    link = LINK_FOR_KIND[kind]
+    channel = {LinkType.BLE_ADV: 37, LinkType.BLE_CONN: 5}.get(link)
+    return Frame(GATEWAY_ID, "n1", link, kind, 1, 0.01, channel)
+
+
+@pytest.mark.parametrize("name", HANDSHAKES)
+def test_handshake_delivers_at_its_documented_frame(name):
+    order, delivering = HANDSHAKES[name]
+    session = _session(name, assigned_sleep_s=620.0)
+    frame = exchange_step(session, None)
+    sent = []
+    while frame is not None:
+        sent.append(frame.kind)
+        # Pending until the node has received the delivering frame.
+        assert session.outcome is (SessionOutcome.DELIVERED
+                                   if len(sent) > delivering + 1
+                                   else SessionOutcome.PENDING)
+        frame = exchange_step(session, frame)
+    assert sent == order
     assert session.outcome is SessionOutcome.DELIVERED
-    assert [f.kind for f in frames] == [
-        FrameKind.ADV_ESS,
-        FrameKind.CONN_REQ,
-        FrameKind.ESS_ATTR_REQUEST,
-        FrameKind.ESS_ATTR_DATA,
-        FrameKind.CONFIG_OR_DISCONNECT,
-    ]
+
+
+@pytest.mark.parametrize("name", HANDSHAKES)
+def test_any_frame_but_the_awaited_one_is_a_violation(name):
+    order, delivering = HANDSHAKES[name]
+    # A session that has sent `sent` frames awaits the last of them (nothing
+    # before it opens); it stays pending up to the delivering frame.
+    for sent in range(delivering + 2):
+        for kind in [*FrameKind, None]:
+            if kind is (order[sent - 1] if sent else None):
+                continue
+            session = _session(name, assigned_sleep_s=620.0)
+            awaited = None
+            for _ in range(sent):
+                awaited = exchange_step(session, awaited)
+            stray = None if kind is None else _stray(kind)
+            assert exchange_step(session, stray) is None, (sent, kind)
+            assert session.outcome is SessionOutcome.FAILED, (sent, kind)
+            assert session.fail_reason is FailReason.PROTOCOL_VIOLATION
+            # Torn-down sessions no longer respond.
+            assert exchange_step(session, awaited) is None
+            assert session.fail_reason is FailReason.PROTOCOL_VIOLATION
+
+
+def test_ble_happy_path_delivers():
+    session = _session("ble")
+    frames = _run_happy_path(session)
+    assert session.outcome is SessionOutcome.DELIVERED
+    assert [f.kind for f in frames] == HANDSHAKES["ble"][0]
     # Connection-phase traffic fits the measured 1.3 s exchange stage.
     conn_time = sum(
         f.airtime_s for f in frames if f.link is LinkType.BLE_CONN
@@ -48,24 +107,9 @@ def test_ble_happy_path_delivers():
     assert conn_time <= 1.3
 
 
-def test_ble_out_of_sequence_is_violation():
-    session = make_ble_session("n1")
-    ble_exchange_step(session, None)  # advertise
-    rogue = Frame(
-        src=GATEWAY_ID, dst="n1", link=LinkType.BLE_CONN,
-        kind=FrameKind.CONFIG_OR_DISCONNECT, payload_bytes=2,
-        airtime_s=0.04, channel=5,
-    )
-    assert ble_exchange_step(session, rogue) is None
-    assert session.outcome is SessionOutcome.FAILED
-    assert session.fail_reason is FailReason.PROTOCOL_VIOLATION
-    # Torn-down sessions no longer respond.
-    assert ble_exchange_step(session, rogue) is None
-
-
 def test_ble_no_gateway_failure_is_explicit():
-    session = make_ble_session("n1")
-    ble_exchange_step(session, None)
+    session = _session("ble")
+    exchange_step(session, None)
     fail_session(session, FailReason.NO_GATEWAY)
     assert session.outcome is SessionOutcome.FAILED
     assert session.fail_reason is FailReason.NO_GATEWAY
@@ -73,38 +117,32 @@ def test_ble_no_gateway_failure_is_explicit():
 
 def test_liot_happy_path_delivers_and_assigns_sleep():
     # The gateway assigns the sleep before it answers SensorData.
-    session = make_liot_session("n2", lux=700.0)
-    frames = [liot_exchange_step(session, None)]
+    session = _session("liot", "n2", lux=700.0)
+    frames = [exchange_step(session, None)]
     for _ in range(2):
-        frames.append(liot_exchange_step(session, frames[-1]))
+        frames.append(exchange_step(session, frames[-1]))
     with pytest.raises(ValueError, match="no gateway-assigned sleep"):
-        liot_exchange_step(session, frames[-1])
+        exchange_step(session, frames[-1])
     session.assigned_sleep_s = 620.0
     for _ in range(2):
-        frames.append(liot_exchange_step(session, frames[-1]))
+        frames.append(exchange_step(session, frames[-1]))
     assert session.outcome is SessionOutcome.DELIVERED
-    assert [f.kind for f in frames] == [
-        FrameKind.NODE_ID_LUX,
-        FrameKind.SENSOR_REQUEST,
-        FrameKind.SENSOR_DATA,
-        FrameKind.SLEEP_SET,
-        FrameKind.ACK,
-    ]
+    assert [f.kind for f in frames] == HANDSHAKES["liot"][0]
     assert session.assigned_sleep_s == 620.0
     data = frames[2]
     assert data.airtime_s == pytest.approx(3.58, rel=1e-12)
 
 
 def test_liot_subset_request_scales_upload_airtime():
-    full = make_liot_session("n", lux=700.0, assigned_sleep_s=620.0)
-    sub = make_liot_session(
-        "n", lux=700.0, assigned_sleep_s=620.0,
+    full = _session("liot", "n", lux=700.0, assigned_sleep_s=620.0)
+    sub = _session(
+        "liot", "n", lux=700.0, assigned_sleep_s=620.0,
         requested_channels=("temperature",),
     )
-    f_full = _run_happy_path(full, liot_exchange_step)[2]
-    f_sub = _run_happy_path(sub, liot_exchange_step)[2]
-    overhead = DEFAULT_AIRTIME.overhead_s[LinkType.IR_UPLINK]
-    per_byte = DEFAULT_AIRTIME.per_byte_s[LinkType.IR_UPLINK]
+    f_full = _run_happy_path(full)[2]
+    f_sub = _run_happy_path(sub)[2]
+    overhead = AIRTIME_OVERHEAD_S[LinkType.IR_UPLINK]
+    per_byte = AIRTIME_PER_BYTE_S[LinkType.IR_UPLINK]
     assert f_sub.payload_bytes == BYTES_PER_OPTICAL_CHANNEL
     assert f_sub.airtime_s == pytest.approx(
         overhead + (f_full.airtime_s - overhead) / 4.0, rel=1e-12
@@ -114,18 +152,6 @@ def test_liot_subset_request_scales_upload_airtime():
     )
 
 
-def test_liot_out_of_sequence_is_violation():
-    session = make_liot_session("n2", lux=700.0)
-    liot_exchange_step(session, None)
-    rogue = Frame(
-        src=GATEWAY_ID, dst="n2", link=LinkType.VLC_DOWNLINK,
-        kind=FrameKind.SLEEP_SET, payload_bytes=2, airtime_s=0.02,
-    )
-    liot_exchange_step(session, rogue)
-    assert session.outcome is SessionOutcome.FAILED
-    assert session.fail_reason is FailReason.PROTOCOL_VIOLATION
-
-
 def test_frame_airtime_model():
     # Full 4-channel optical upload is the calibration anchor.
     assert frame_airtime(
@@ -133,12 +159,12 @@ def test_frame_airtime_model():
     ) == pytest.approx(3.58, rel=1e-12)
     # Zero payload leaves only the link overhead.
     assert frame_airtime(FrameKind.ACK, 0, LinkType.IR_UPLINK) == pytest.approx(
-        DEFAULT_AIRTIME.overhead_s[LinkType.IR_UPLINK]
+        AIRTIME_OVERHEAD_S[LinkType.IR_UPLINK]
     )
     # Linearity in the payload term.
     a1 = frame_airtime(FrameKind.SENSOR_DATA, 64, LinkType.IR_UPLINK)
     a2 = frame_airtime(FrameKind.SENSOR_DATA, 32, LinkType.IR_UPLINK)
-    overhead = DEFAULT_AIRTIME.overhead_s[LinkType.IR_UPLINK]
+    overhead = AIRTIME_OVERHEAD_S[LinkType.IR_UPLINK]
     assert a2 - overhead == pytest.approx((a1 - overhead) / 2.0, rel=1e-12)
     with pytest.raises(ValueError):
         frame_airtime(FrameKind.SENSOR_DATA, -1, LinkType.IR_UPLINK)
@@ -164,8 +190,8 @@ def test_link_kind_safety():
 def test_session_outcome_deterministic_replay():
     runs = []
     for _ in range(2):
-        session = make_ble_session("n1")
-        frames = _run_happy_path(session, ble_exchange_step)
+        session = _session("ble")
+        frames = _run_happy_path(session)
         runs.append([(f.kind, f.src, f.dst, f.airtime_s) for f in frames])
     assert runs[0] == runs[1]
 
@@ -173,12 +199,12 @@ def test_session_outcome_deterministic_replay():
 def test_every_handshake_frame_is_memoised():
     # Frames carry only their kind and size, so two sessions of one node
     # share every frame, whatever lux they report or sleep they are assigned.
-    dim = make_liot_session("n2", lux=500.0, assigned_sleep_s=1350.0)
-    bright = make_liot_session("n2", lux=700.0, assigned_sleep_s=620.0)
-    dim_frames = _run_happy_path(dim, liot_exchange_step)
-    bright_frames = _run_happy_path(bright, liot_exchange_step)
+    dim = _session("liot", "n2", lux=500.0, assigned_sleep_s=1350.0)
+    bright = _session("liot", "n2", lux=700.0, assigned_sleep_s=620.0)
+    dim_frames = _run_happy_path(dim)
+    bright_frames = _run_happy_path(bright)
     assert len(dim_frames) == len(bright_frames) == 5
     assert all(a is b for a, b in zip(dim_frames, bright_frames))
-    ble = [_run_happy_path(make_ble_session("n1"), ble_exchange_step)
+    ble = [_run_happy_path(_session("ble"))
            for _ in range(2)]
     assert all(a is b for a, b in zip(*ble))

@@ -5,8 +5,8 @@ import pytest
 import yaml
 
 from cases import BAD_VALUES, bad_value_cases
-from liotsim.kernel import BLE_SESSION_FRAMES, per_frame_loss_for_session_pdr, run
-from liotsim.protocol import LinkType
+from liotsim.kernel import per_frame_loss_for_session_pdr, run
+from liotsim.protocol import BLE_SCRIPT, LinkType
 from liotsim.scenario import (
     PRESET_NAMES,
     SCHEMA_VERSION,
@@ -210,7 +210,7 @@ def test_presets_cover_both_builds_and_lux_levels():
         assert sc.illumination.lux == (700.0 if "700" in name else 500.0)
     # BLE presets carry a lossy channel calibrated per session frame count.
     assert load_preset("ble-700lx").channel.loss == pytest.approx(
-        per_frame_loss_for_session_pdr(0.991, BLE_SESSION_FRAMES)
+        per_frame_loss_for_session_pdr(0.991, len(BLE_SCRIPT))
     )
     assert load_preset("liot-700lx").channel.loss == 0.0
     with pytest.raises(KeyError):
