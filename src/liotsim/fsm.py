@@ -45,7 +45,7 @@ from .protocol import (
 )
 
 if TYPE_CHECKING:
-    from .kernel import LightSchedule
+    from .kernel import LightTable
 
 
 class NodeKind(str, Enum):
@@ -184,8 +184,9 @@ class NodeState:
     gw_request_end: float = 0.0
     # (lux, schedule_next_cycle(cfg, lux)) of the last local solve
     sleep_memo: tuple[float, Optional[float]] = (math.nan, None)
-    # (lux, cfg.harvester.power_mw(lux)) of the last lux accrue_energy met
-    harvest_memo: tuple[float, float] = (math.nan, math.nan)
+    # Cursor into the run's LightTable and its harvester's power column there
+    light_i: int = 0
+    p_harv: list[float] = field(default_factory=list)
     # One record per closed cycle (a sleep period plus the active burst);
     # the open cycle starts where the last record ends.
     records: list[CycleRecord] = field(default_factory=list)
@@ -257,32 +258,33 @@ def phase_power_mw(cfg: NodeConfig, phase: Phase) -> float:
 
 
 def accrue_energy(
-    state: NodeState, cfg: NodeConfig, now: float, light: LightSchedule
+    state: NodeState, cfg: NodeConfig, now: float, light: LightTable
 ) -> None:
     """Close the node's energy segment: integrate harvest minus load up to now.
 
-    The load is constant since the last checkpoint and the light changes only
-    at its change points, so the interval splits into pieces of constant net
-    power.  Each piece is integrated in closed form with the lux in force at
-    its start; sample times inside a piece are sampled from it.  Every
-    voltage is supercap_segment's, written out here with V0^2 and 2*P hoisted
-    per piece (the same floats: the expression still evaluates left to right).
+    The load is constant since the last checkpoint, so each piece of the
+    light table the node's cursor walks has constant net power.  Each piece
+    is integrated in closed form with the harvest power at its lux; sample
+    times inside a piece are sampled from it.  Every voltage is
+    supercap_segment's, written out here with V0^2 and 2*P hoisted per piece
+    (the same floats: the expression still evaluates left to right).  The
+    cursor ends on the piece in force at now.
     """
     t = state.last_energy_update
     if now <= t:
         return
     p_load = state.load_mw[state.phase]
     c, v_min, v_max, v_min_sq = state.cap
-    memo = state.harvest_memo
-    memo_lux, p_harv = memo
     efficiency, sqrt = cfg.efficiency, math.sqrt
     v = state.voltage_v
     dt, last = state.sample_interval_s, state.last_sample_s
     append = state.volts.append
+    i, ends, power = state.light_i, light.ends, state.p_harv
     harvested = 0.0
-    for t_end, lux in light.pieces(t, now):
-        if lux != memo_lux:
-            memo_lux, p_harv = lux, cfg.harvester.power_mw(lux)
+    while t < now:
+        end = ends[i]
+        t_end = end if end < now else now
+        p_harv = power[i]
         p_w = (p_harv - p_load) * 1e-3
         if p_w > 0:
             p_w *= efficiency
@@ -309,8 +311,13 @@ def accrue_energy(
                 v = v_max
         harvested += p_harv * 1e-3 * (t_end - t)
         t = t_end
-    if memo_lux != memo[0]:
-        state.harvest_memo = (memo_lux, p_harv)
+        if end <= now:
+            i += 1
+            if i == len(ends):  # past the filled pieces: the table fills more
+                state.light_i = i
+                light.fill()
+                i = state.light_i
+    state.light_i = i
     state.voltage_v = v
     state.last_sample_s = last
     state.cycle_consumed_j += p_load * 1e-3 * (now - state.last_energy_update)
@@ -319,7 +326,7 @@ def accrue_energy(
 
 
 def end_run(
-    state: NodeState, cfg: NodeConfig, end: float, light: LightSchedule
+    state: NodeState, cfg: NodeConfig, end: float, light: LightTable
 ) -> None:
     """Close the node's last energy segment at the end of the run, and sample
     the voltage there unless a sample time falls on the end.

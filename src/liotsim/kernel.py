@@ -7,7 +7,9 @@ identical scenario and seed give byte-identical results.
 
 Energy needs no clock of its own: light is piecewise constant, so each
 node's supercap is integrated in closed form whenever one of its own events
-closes the segment since its previous one (see fsm.accrue_energy).
+closes the segment since its previous one (see fsm.accrue_energy).  A run
+builds its light once, as a LightTable of constant pieces with the harvest
+power of each piece per harvester; every node walks it with its own cursor.
 """
 
 from __future__ import annotations
@@ -22,11 +24,12 @@ import random
 from array import array
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, islice
+from itertools import chain, groupby, islice, takewhile
+from operator import itemgetter
 from typing import Iterator, Optional, Union
 
 from . import fsm, metrics
-from .energy import Feasibility, fold_sum, solve_sleep_time
+from .energy import Feasibility, HarvesterCurve, fold_sum, solve_sleep_time
 from .fsm import NodeConfig, NodeState
 from .protocol import (
     GATEWAY_ID,
@@ -127,17 +130,13 @@ class IlluminationProfile:
             raise ValueError("jitter_pct must be in [0, 1)")
 
     def lux_at(self, t_s: float, max_t: Optional[float] = None) -> float:
-        if t_s < 0 or (max_t is not None and t_s > max_t):
+        if not t_s >= 0 or (max_t is not None and t_s > max_t):
             raise ValueError(f"time {t_s} outside the profile domain")
         if self.kind == "constant":
             v = self.lux
         elif self.kind == "step":
-            v = self.steps[0][1]
-            for t_start, lux in self.steps:
-                if t_start <= t_s:
-                    v = lux
-                else:
-                    break
+            i = bisect.bisect_right(self.steps, t_s, key=itemgetter(0))
+            v = self.steps[i - 1][1]
         else:
             v = self.mean + self.amplitude * math.sin(
                 2.0 * math.pi * math.floor(t_s) / self.period_s
@@ -148,77 +147,74 @@ class IlluminationProfile:
         return max(v, 0.0)
 
 
-# Cached lux values a run keeps before it drops those no open segment needs.
-LIGHT_CACHE_MIN = 1024
+# Pieces the light table appends at a time, after dropping those every node
+# has passed.
+LIGHT_CHUNK = 1024
 
 
-class LightSchedule:
-    """The lux in force during one run, shared by all of its nodes.
+def _change_points(profile: IlluminationProfile, duration_s: float) -> Iterator[float]:
+    """The times at which the light may change, in order, up to duration_s:
+    0 for constant light and the step starts for a step profile, merged with
+    every whole second when jitter or a sinusoid is on."""
+    points = iter([t for t, _ in profile.steps] if profile.kind == "step" else [0.0])
+    if profile.jitter_pct > 0 or profile.kind == "sinusoid":
+        seconds = map(float, range(math.floor(duration_s) + 1))
+        points = (t for t, _ in groupby(heapq.merge(points, seconds)))
+    return takewhile(lambda t: t <= duration_s, points)
 
-    Light changes only at global change points: none for constant light, the
-    step starts for a step profile, and every whole second when jitter or a
-    sinusoid is on.  lux_at is evaluated once per change point; the value is
-    cached until forget_before drops it.  The last piece resolved is kept
-    whole, so the queries that fall inside it need neither the search for
-    its change points nor the cache.
+
+class LightTable:
+    """The lux in force during one run, as a table of constant pieces that
+    all of its nodes share.
+
+    Piece i holds luxes[i] from starts[i] to ends[i], the next change point
+    (inf after the last); lux_at is evaluated once per change point, and
+    power[curve][i] is each of the run's harvester curves at luxes[i].  A
+    node walks the table with its cursor NodeState.light_i (see
+    fsm.accrue_energy).  The table fills LIGHT_CHUNK pieces at a time, and
+    first drops those before every cursor.
     """
 
     def __init__(self, profile: IlluminationProfile, duration_s: float):
         self.profile = profile
         self.duration_s = duration_s
-        self.starts = [t for t, _ in profile.steps] if profile.kind == "step" else [0.0]
-        self.per_second = profile.jitter_pct > 0 or profile.kind == "sinusoid"
-        self.cache: dict[float, float] = {}
-        # (start, end, lux) of the last piece resolved; empty at first.
-        self.last = (math.inf, -math.inf, math.nan)
+        self.starts: list[float] = []
+        self.ends: list[float] = []
+        self.luxes: list[float] = []
+        self.power: dict[HarvesterCurve, list[float]] = {}
+        self.readers: list[NodeState] = []
+        self._points = _change_points(profile, duration_s)
+        self._next = next(self._points)  # start of the first piece not filled
+        self.fill()
 
-    def _piece(self, t: float) -> tuple[float, float]:
-        """(first change point at or before t, first change point after t)."""
-        i = bisect.bisect_right(self.starts, t)
-        start = self.starts[i - 1]
-        end = self.starts[i] if i < len(self.starts) else math.inf
-        if self.per_second:
-            second = float(math.floor(t))
-            start, end = max(start, second), min(end, second + 1.0)
-        return start, end
+    def attach(self, state: NodeState, harvester: HarvesterCurve) -> None:
+        """Start a node at the first piece, reading its harvester's column."""
+        if harvester not in self.power:
+            self.power[harvester] = list(map(harvester.power_mw, self.luxes))
+        state.light_i, state.p_harv = 0, self.power[harvester]
+        self.readers.append(state)
 
-    def _resolve(self, t: float) -> tuple[float, float, float]:
-        """(start, end, lux) of the constant piece [start, end) holding t."""
-        last = self.last
-        if last[0] <= t < last[1]:
-            return last
-        start, end = self._piece(t)
-        lux = self.cache.get(start)
-        if lux is None:
-            lux = self.cache[start] = self.profile.lux_at(start, max_t=self.duration_s)
-        last = self.last = (start, end, lux)
-        return last
-
-    def lux(self, t: float) -> float:
-        """Lux in force at t."""
-        return self._resolve(t)[2]
-
-    def pieces(self, t0: float, t1: float):
-        """(end, lux) of each constant piece of (t0, t1], in time order.
-
-        Most segments lie within one piece; those get a one-entry tuple.
-        """
-        _, end, lux = self._resolve(t0)
-        if end >= t1:
-            return ((t1, lux),)
-        return self._split(end, lux, t1)
-
-    def _split(self, end: float, lux: float, t1: float):
-        while end < t1:
-            yield end, lux
-            _, end, lux = self._resolve(end)
-        yield t1, lux
-
-    def forget_before(self, t: float) -> None:
-        """Drop the cached lux of change points no segment from t onwards uses."""
-        start = self._piece(t)[0]
-        for point in [p for p in self.cache if p < start]:
-            del self.cache[point]
+    def fill(self) -> None:
+        """Drop the pieces before every reader's cursor, then append up to
+        LIGHT_CHUNK pieces; the columns shrink and grow in place."""
+        passed = min((st.light_i for st in self.readers), default=0)
+        for column in (self.starts, self.ends, self.luxes, *self.power.values()):
+            del column[:passed]
+        for st in self.readers:
+            st.light_i -= passed
+        if self._next == math.inf:
+            return
+        ends = list(islice(self._points, LIGHT_CHUNK))
+        if len(ends) < LIGHT_CHUNK:
+            ends.append(math.inf)
+        starts = [self._next, *ends[:-1]]
+        self._next = ends[-1]
+        luxes = [self.profile.lux_at(t, max_t=self.duration_s) for t in starts]
+        self.starts += starts
+        self.ends += ends
+        self.luxes += luxes
+        for curve, column in self.power.items():
+            column += map(curve.power_mw, luxes)
 
 
 @dataclass(frozen=True)
@@ -348,19 +344,13 @@ class _Kernel:
         self.link_loss = {link: scenario.channel.loss_for(link) for link in LinkType}
         self.frame_log: list[tuple[float, float, Frame, bool]] = []
         self.gw_liot_busy: Optional[ExchangeSession] = None
-        self.light = LightSchedule(scenario.illumination, scenario.duration_s)
-        self.light_cache_limit = LIGHT_CACHE_MIN
+        self.light = LightTable(scenario.illumination, scenario.duration_s)
 
     # -- plumbing ------------------------------------------------------------
 
     def _push(self, time: float, kind: EventKind, subject: object) -> None:
         self._seq += 1
         heapq.heappush(self._heap, (time, self._seq, kind, subject))
-
-    def _trim_light(self) -> None:
-        oldest = min(st.last_energy_update for st in self.node_state.values())
-        self.light.forget_before(oldest)
-        self.light_cache_limit = max(LIGHT_CACHE_MIN, 2 * len(self.light.cache))
 
     def _send(self, frame: Frame, now: float) -> None:
         """Log a frame; only a delivered one becomes an event (losses time out)."""
@@ -398,20 +388,21 @@ class _Kernel:
     # -- main loop -----------------------------------------------------------
 
     def run(self) -> RunResult:
-        sc = self.sc
+        sc, light = self.sc, self.light
         for cfg in sc.nodes:
-            first = fsm.schedule_next_cycle(cfg, self.light.lux(0.0))
+            first = fsm.schedule_next_cycle(cfg, light.luxes[0])
             state = fsm.initial_state(
                 cfg, first if first is not None else cfg.backoff_s,
                 sc.sample_interval_s,
             )
             if first is None:
                 state.awaiting_reeval = True
+            light.attach(state, cfg.harvester)
             self.node_state[cfg.node_id] = state
             self._push(state.phase_deadline, TIMER_FIRED, cfg.node_id)
         self._push(sc.duration_s, RUN_ENDED, None)
 
-        heap, pop, light = self._heap, heapq.heappop, self.light
+        heap, pop = self._heap, heapq.heappop
         node_state, node_cfg = self.node_state, self.node_cfg
         while heap:
             time, _, kind, subject = pop(heap)
@@ -426,14 +417,12 @@ class _Kernel:
                 cfg = node_cfg[subject]
                 fsm.accrue_energy(state, cfg, time, light)
                 out = fsm.advance(
-                    state, cfg, time, lux=light.lux(time),
+                    state, cfg, time, lux=light.luxes[state.light_i],
                     rng=self.node_rng[subject],
                 )
                 if out is not None:
                     self._send(out, time)
                 self._push(state.phase_deadline, TIMER_FIRED, subject)
-                if len(light.cache) > self.light_cache_limit:
-                    self._trim_light()
                 continue
 
             if kind is RUN_ENDED:

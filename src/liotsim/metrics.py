@@ -13,7 +13,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .protocol import FailReason, SessionOutcome
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CycleRecord:
     node_id: str
     cycle_index: int

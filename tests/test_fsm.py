@@ -25,7 +25,7 @@ from liotsim.fsm import (
     receive,
     schedule_next_cycle,
 )
-from liotsim.kernel import IlluminationProfile, LightSchedule
+from liotsim.kernel import IlluminationProfile, LightTable
 from liotsim.protocol import (
     BLE_SCRIPT,
     GATEWAY_ID,
@@ -172,7 +172,7 @@ def test_out_of_sequence_frame_in_exchange_is_recorded_as_a_violation():
 
 def test_end_run_records_the_open_session_as_it_stands():
     cfg = ble_cfg()
-    light = LightSchedule(IlluminationProfile(lux=700.0), 100.0)
+    light = LightTable(IlluminationProfile(lux=700.0), 100.0)
     pending, _, _ = _ble_exchanging(cfg)
     delivered, _, request = _ble_exchanging(cfg)
     data = receive(delivered, cfg, request, delivered.phase_started + 0.1)
@@ -180,6 +180,7 @@ def test_end_run_records_the_open_session_as_it_stands():
             delivered.phase_started + 0.5)
     assert delivered.session.outcome is SessionOutcome.DELIVERED
     for state in (pending, delivered):
+        light.attach(state, cfg.harvester)
         end_run(state, cfg, 100.0, light)
         (record,) = state.records
         assert (record.start_s, record.end_s) == (0.0, 100.0)
@@ -191,6 +192,7 @@ def test_end_run_records_the_open_session_as_it_stands():
     assert delivered.records[0].fail_reason is None
     # A node asleep at the end has no session, so it records nothing.
     asleep = initial_state(cfg, 13.76)
+    light.attach(asleep, cfg.harvester)
     end_run(asleep, cfg, 10.0, light)
     assert asleep.records == []
 

@@ -23,7 +23,7 @@ from liotsim.kernel import (
     FrameLogEntry,
     GatewayConfig,
     IlluminationProfile,
-    LightSchedule,
+    LightTable,
     Scenario,
     deliver,
     per_frame_loss_for_session_pdr,
@@ -87,31 +87,73 @@ def test_illumination_sinusoid():
     assert prof.lux_at(100.9) == prof.lux_at(100.0) < prof.lux_at(101.0)
 
 
-def test_light_schedule_change_points():
+def _reference_step_lux(steps, t):
+    """The lux of a step profile at t, by a linear scan of its steps."""
+    lux = steps[0][1]
+    for start, step_lux in steps:
+        if start <= t:
+            lux = step_lux
+    return lux
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.floats(0.001, 1e6), max_size=40, unique=True),
+       st.lists(st.floats(0.0, 2e6), max_size=20), st.data())
+def test_step_lux_is_the_last_step_started(starts, times, data):
+    steps = tuple((t, data.draw(st.floats(0.0, 1e5)))
+                  for t in [0.0, *sorted(starts)])
+    prof = IlluminationProfile(kind="step", steps=steps)
+    # The step starts themselves, and the floats just before them.
+    on_steps = [t for t, _ in steps] + [math.nextafter(t, 0.0) for t, _ in steps]
+    for t in times + on_steps:
+        assert prof.lux_at(t) == _reference_step_lux(steps, t)
+
+
+def _attached_node(light, node=None):
+    """The state of a node at boot, reading light from its first piece."""
+    cfg = node or ble_node()
+    state = fsm.initial_state(cfg, 1.0)
+    light.attach(state, cfg.harvester)
+    return state, cfg
+
+
+def test_light_schedule_change_points(monkeypatch):
+    monkeypatch.setattr(kernel, "LIGHT_CHUNK", 4)
     steps = IlluminationProfile(kind="step", steps=((0.0, 700.0), (10.5, 500.0)))
-    light = LightSchedule(steps, 30.0)
-    assert list(light.pieces(2.0, 30.0)) == [(10.5, 700.0), (30.0, 500.0)]
-    assert light.lux(10.5) == 500.0
-    assert list(LightSchedule(IlluminationProfile(), 30.0).pieces(0.0, 30.0)) == [
-        (30.0, 700.0)
-    ]
+    light = LightTable(steps, 30.0)
+    assert (light.starts, light.ends, light.luxes) == (
+        [0.0, 10.5], [10.5, math.inf], [700.0, 500.0])
+    constant = LightTable(IlluminationProfile(), 30.0)
+    assert (constant.starts, constant.ends, constant.luxes) == (
+        [0.0], [math.inf], [700.0])
+    # Jitter adds every whole second up to the end of the run, 4 at a time.
     jittered = dataclasses.replace(steps, jitter_pct=0.1, jitter_seed=4)
-    light = LightSchedule(jittered, 30.0)
-    pieces = list(light.pieces(9.25, 12.0))
-    assert [end for end, _ in pieces] == [10.0, 10.5, 11.0, 12.0]
-    assert [lux for _, lux in pieces] == [
-        jittered.lux_at(t) for t in (9.25, 10.0, 10.5, 11.0)
-    ]
-    light.forget_before(11.2)
-    assert sorted(light.cache) == [11.0]
+    light = LightTable(jittered, 12.0)
+    assert (light.starts, light.ends) == ([0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0])
+    state, cfg = _attached_node(light)
+    # Walking past the filled pieces drops those the only node has passed.
+    fsm.accrue_energy(state, cfg, 10.75, light)
+    assert (light.starts, light.ends) == ([8.0, 9.0, 10.0, 10.5],
+                                          [9.0, 10.0, 10.5, 11.0])
+    assert light.luxes == [jittered.lux_at(t) for t in light.starts]
+    assert light.power[cfg.harvester] == [
+        cfg.harvester.power_mw(lux) for lux in light.luxes]
+    assert state.light_i == 3
+    # A segment that ends on a change point leaves the cursor on the piece
+    # starting there; the last piece starts at the end of the run.
+    fsm.accrue_energy(state, cfg, 12.0, light)
+    assert (light.starts, light.ends) == ([11.0, 12.0], [12.0, math.inf])
+    assert state.light_i == 1
+    assert light.luxes == [jittered.lux_at(11.0), jittered.lux_at(12.0)]
 
 
 @st.composite
-def light_queries(draw):
-    """A light profile, its run length and a sequence of schedule queries.
+def light_walks(draw):
+    """A light profile, its run length and the times at which each of one to
+    three nodes closes an energy segment, ending with the end of the run.
 
     Times are drawn from the whole run and from its change points, so
-    queries land on piece boundaries as well as inside pieces.
+    segments end on piece boundaries as well as inside pieces.
     """
     duration = draw(st.floats(1.0, 50.0))
     kind = draw(st.sampled_from(("constant", "step", "sinusoid")))
@@ -130,46 +172,75 @@ def light_queries(draw):
     profile = IlluminationProfile(kind=kind, **kw)
     points = [t for t, _ in profile.steps] + [float(s) for s in range(int(duration))]
     times = st.one_of(st.floats(0.0, duration), st.sampled_from(points))
-    ops = st.one_of(st.tuples(st.just("lux"), times),
-                    st.tuples(st.just("pieces"), times, times),
-                    st.tuples(st.just("forget"), times))
-    return profile, duration, draw(st.lists(ops, max_size=30))
+    walks = draw(st.lists(st.lists(times, max_size=10).map(sorted),
+                          min_size=1, max_size=3))
+    order = draw(st.permutations([n for n, walk in enumerate(walks) for _ in walk]))
+    return profile, duration, walks, order
 
 
 @settings(max_examples=100, deadline=None)
-@given(light_queries())
+@given(light_walks())
 def test_light_schedule_answers_what_the_profile_says(case):
-    profile, duration, ops = case
-    light = LightSchedule(profile, duration)
-    step_starts = {t for t, _ in profile.steps}
-    per_second = profile.jitter_pct > 0 or profile.kind == "sinusoid"
-    for op, *args in ops:
-        if op == "lux":
-            (t,) = args
-            assert light.lux(t) == profile.lux_at(t)
-        elif op == "pieces":
-            t0, t1 = sorted(args)
-            if t0 == t1:
-                continue
-            pieces = list(light.pieces(t0, t1))
-            starts = [t0] + [end for end, _ in pieces[:-1]]
-            assert pieces[-1][0] == t1
-            assert all(a < b for a, (b, _) in zip(starts, pieces))
-            # Each piece holds the lux in force at its start, all the way
-            # through, and every end but the last is a change point.
-            assert [lux for _, lux in pieces] == [profile.lux_at(a) for a in starts]
-            assert all(profile.lux_at((a + b) / 2) == lux
-                       for a, (b, lux) in zip(starts, pieces))
-            assert all(end in step_starts or (per_second and end.is_integer())
-                       for end in starts[1:])
-        else:
-            light.forget_before(args[0])
+    # A small chunk makes the nodes walk across many fills and drops.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel, "LIGHT_CHUNK", 4)
+        _check_light_walks(*case)
+
+
+def _check_light_walks(profile, duration, walks, order):
+    """Walk the nodes of a light_walks case through a fresh table, and check
+    every piece the table holds at any time."""
+    light = LightTable(profile, duration)
+    seen: dict[float, tuple] = {}
+
+    def note_pieces():
+        for piece in zip(light.starts, light.ends, light.luxes):
+            assert seen.setdefault(piece[0], piece) == piece
+        for curve, column in light.power.items():
+            assert column == [curve.power_mw(lux) for lux in light.luxes]
+
+    def noting_fill(fill=light.fill):
+        note_pieces()
+        fill()
+        note_pieces()
+
+    light.fill = noting_fill
+    dark = HarvesterCurve(points=((0.0, 0.0), (1000.0, 2.0)))
+    harvesters = (BLE_HARVESTER, dark, BLE_HARVESTER)
+    nodes = [_attached_node(light, ble_node(f"n{n}", harvester=harvesters[n]))
+             for n in range(len(walks))]
+    note_pieces()
+    # The nodes close their segments interleaved, then all at the end.
+    nexts = [iter(walk) for walk in walks]
+    for n in [*order, *range(len(walks))]:
+        state, cfg = nodes[n]
+        fsm.accrue_energy(state, cfg, next(nexts[n], duration), light)
+        # The cursor holds the piece in force at the segment's end.
+        i = state.light_i
+        assert light.starts[i] <= state.last_energy_update < light.ends[i]
+        assert light.luxes[i] == profile.lux_at(state.last_energy_update)
+        note_pieces()
+    # The pieces seen tile the run, each holds the lux in force at its start
+    # all the way through, and the inner ends are the change points.
+    starts, ends, luxes = zip(*(seen[t] for t in sorted(seen)))
+    assert starts[0] == 0.0 and ends[-1] == math.inf
+    assert list(starts[1:]) == list(ends[:-1])
+    assert starts[-1] <= duration
+    assert list(luxes) == [profile.lux_at(a) for a in starts]
+    assert all(profile.lux_at((a + min(b, duration)) / 2) == lux
+               for a, b, lux in zip(starts, ends, luxes))
+    change_points = {t for t, _ in profile.steps}
+    if profile.jitter_pct > 0 or profile.kind == "sinusoid":
+        change_points.update(map(float, range(math.floor(duration) + 1)))
+    assert list(ends[:-1]) == sorted(t for t in change_points if 0 < t <= duration)
 
 
 def test_illumination_domain_and_validation():
     prof = IlluminationProfile(kind="constant", lux=700.0)
     with pytest.raises(ValueError):
         prof.lux_at(-1.0)
+    with pytest.raises(ValueError):
+        prof.lux_at(math.nan)
     with pytest.raises(ValueError):
         prof.lux_at(100.0, max_t=50.0)
     with pytest.raises(ValueError):
@@ -401,8 +472,8 @@ def test_energy_ledger_balances_voltage_change():
 
 
 def test_lux_is_evaluated_once_per_change_point(monkeypatch):
-    # A small cache limit makes the run drop lux values no segment needs.
-    monkeypatch.setattr(kernel, "LIGHT_CACHE_MIN", 8)
+    # A small chunk makes the run fill its light table many times.
+    monkeypatch.setattr(kernel, "LIGHT_CHUNK", 4)
     evaluated = []
     lux_at = IlluminationProfile.lux_at
 
@@ -458,6 +529,15 @@ def test_trace_sample_after_a_v_max_crossing_reads_exactly_v_max():
     assert all(v == 4.5 for _, v in trace[51:])
 
 
+def _profile_pieces(profile, t0, t1):
+    """(end, lux) of each constant piece of (t0, t1], from lux_at alone."""
+    points = {t for t, _ in profile.steps}
+    if profile.jitter_pct > 0 or profile.kind == "sinusoid":
+        points.update(map(float, range(math.ceil(t0), math.ceil(t1))))
+    ends = sorted(t for t in points if t0 < t < t1) + [t1]
+    return [(end, profile.lux_at(start)) for start, end in zip([t0, *ends], ends)]
+
+
 def _check_accrue_against_supercap_segment(monkeypatch) -> list:
     """Check every fsm.accrue_energy call of a run against supercap_segment.
 
@@ -482,7 +562,7 @@ def _check_accrue_against_supercap_segment(monkeypatch) -> list:
         if now <= t:
             return
         expected = []
-        for t_end, lux in light.pieces(t, now):
+        for t_end, lux in _profile_pieces(light.profile, t, now):
             p_net = cfg.harvester.power_mw(lux) - p_load
             expected += [
                 (s, supercap_segment(cap, p_net, s - t, cfg.efficiency)[0])
@@ -604,13 +684,12 @@ def test_voltage_stats_and_trace_view_on_edge_runs(case):
         [(FailReason.RUN_ENDED, *last)] * n_run_ended)
 
 
-def test_jittered_lossy_four_node_run_is_pinned():
-    # Jittered step light through a dark spell, a loss per link, a uniform
-    # advertiser with conversion loss that browns out, and a LIoT node with
-    # a subset upload.  The digest covers every record, voltage sample and
-    # frame; it was recorded before the per-run constants were tabulated.
+def _pinned_four_node_scenario() -> Scenario:
+    """Jittered step light through a dark spell, a loss per link, a uniform
+    advertiser with conversion loss that browns out, and a LIoT node with
+    a subset upload."""
     dark = HarvesterCurve(points=((0.0, 0.0), (700.0, BLE_HARVESTER.power_mw(700.0))))
-    sc = Scenario(
+    return Scenario(
         duration_s=5400.5,
         nodes=(ble_node("ble-1"),
                ble_node("ble-2", harvester=dark, supercap=Supercap(0.4, 3.35),
@@ -627,7 +706,10 @@ def test_jittered_lossy_four_node_run_is_pinned():
         seed=7,
         sample_interval_s=0.9,
     )
-    result = run(sc)
+
+
+def _run_digest(result) -> str:
+    """sha256 over every record, voltage sample, total and frame of a run."""
     h = hashlib.sha256()
     for node_id, nr in result.nodes.items():
         for r in nr.records:
@@ -641,13 +723,58 @@ def test_jittered_lossy_four_node_run_is_pinned():
     for sent, arrival, f, delivered in result.frame_log:
         h.update(repr((sent, arrival, f.src, f.dst, f.link.value, f.kind.value,
                        f.payload_bytes, f.channel, delivered)).encode())
+    return h.hexdigest()
+
+
+def test_jittered_lossy_four_node_run_is_pinned():
+    # The digest was recorded before the per-run constants were tabulated.
+    result = run(_pinned_four_node_scenario())
     reasons = {r.fail_reason for nr in result.nodes.values() for r in nr.records}
     assert reasons >= {None, FailReason.BROWN_OUT, FailReason.TIMEOUT,
                        FailReason.NO_GATEWAY}
     assert (len(result.frame_log),
             sum(1 for *_, delivered in result.frame_log if not delivered)) == (2134, 68)
-    assert h.hexdigest() == (
+    assert _run_digest(result) == (
         "50b8d53b6b363b58984a4542de145d241119ecd32ba9586b40c36a73d712546c")
+
+
+def _eighteen_node_scenario() -> Scenario:
+    """16 BLE and 2 LIoT nodes under jittered light with off-second steps."""
+    return Scenario(
+        duration_s=1200.0,
+        nodes=(*(ble_node(f"ble-{i}", supercap=Supercap(0.4, 4.3 + 0.01 * i),
+                          adv_mode="uniform") for i in range(16)),
+               liot_node("liot-1"),
+               liot_node("liot-2", supercap=Supercap(0.4, 4.4), sensors=("gas",))),
+        channel=ChannelModel(loss={link: 0.01 for link in LinkType}, seed=3),
+        illumination=IlluminationProfile(
+            kind="step", steps=((0.0, 700.0), (400.5, 500.0), (800.25, 650.0)),
+            jitter_pct=0.05, jitter_seed=11),
+        seed=9,
+    )
+
+
+@pytest.mark.parametrize("make", [_pinned_four_node_scenario, _eighteen_node_scenario])
+def test_light_chunk_size_changes_nothing(monkeypatch, make):
+    sc = make()
+    digest = _run_digest(run(sc))
+    chunk = 4
+    monkeypatch.setattr(kernel, "LIGHT_CHUNK", chunk)
+    tables = []
+    fill = LightTable.fill
+
+    def bounded_fill(light):
+        fill(light)
+        tables.append(light)
+        # Right after a fill the table holds the pieces from the slowest
+        # node's cursor to the fastest one's, plus at most one chunk.
+        cursors = [state.light_i for state in light.readers] or [0]
+        assert len(light.luxes) <= max(cursors) - min(cursors) + chunk
+
+    monkeypatch.setattr(LightTable, "fill", bounded_fill)
+    assert _run_digest(run(sc)) == digest
+    # Each second of the run is a piece: the table filled many times over.
+    assert len(tables) > sc.duration_s / chunk
 
 
 def test_local_sleep_follows_the_light_back():

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import pickle
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -78,6 +79,12 @@ def test_cycle_record_validation():
     with pytest.raises(ValueError):
         CycleRecord("n", 0, 0.0, 1.0, SessionOutcome.DELIVERED, None,
                     4.4, 4.4, -0.01, 0.01)
+
+
+def test_cycle_record_has_slots_and_pickles():
+    record = _record(1, SessionOutcome.FAILED, FailReason.TIMEOUT)
+    assert not hasattr(record, "__dict__")
+    assert pickle.loads(pickle.dumps(record)) == record
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])

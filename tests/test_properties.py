@@ -1,13 +1,22 @@
 """Properties of whole runs over generated small scenarios."""
 
+import copy
+import dataclasses
+import math
 from itertools import takewhile
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
 from liotsim import fsm
 from liotsim.kernel import run
 from liotsim.protocol import FailReason, FrameKind, SessionOutcome
-from liotsim.scenario import preset_dict, scenario_from_dict
+from liotsim.scenario import (
+    ScenarioError,
+    preset_dict,
+    resolve_scenario_dict,
+    scenario_from_dict,
+)
 
 LUX = st.floats(0.0, 1000.0)
 SESSION_OPENERS = (FrameKind.ADV_ESS, FrameKind.NODE_ID_LUX)
@@ -85,3 +94,61 @@ def check_records_are_the_account(records, frame_log, node_id, boot_v, end) -> N
         if r.fail_reason is FailReason.RUN_ENDED:
             assert (i, r.end_s) == (len(records) - 1, end)
     assert next_open is None
+
+
+EXAMPLE = Path(__file__).resolve().parent.parent / "docs" / "scenario-example.yaml"
+# Values put in place of a leaf: other types, edge numbers and empty containers.
+ODD_VALUES = (None, True, False, 0, -1, 0.0, -0.5, 0.5, 1e300, math.nan, math.inf,
+              -math.inf, "", "x", [], {}, [1], {"x": 1})
+
+
+def _leaves(doc, path=()):
+    """The path of every scalar in a document, list items by their index."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        yield path
+        return
+    for key, value in items:
+        yield from _leaves(value, (*path, key))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def one_leaf_mutants(draw) -> dict:
+    """Two presets or the docs example, 120 s long, with one leaf replaced
+    by an odd value, a multiple of itself or another leaf's value."""
+    base = draw(st.sampled_from(("ble-500lx", "liot-700lx", str(EXAMPLE))))
+    doc = resolve_scenario_dict(base)
+    doc["duration_s"] = 120.0
+    paths = list(_leaves(doc))
+    path = draw(st.sampled_from(paths))
+    old = _at(doc, path)
+    options = [st.sampled_from(ODD_VALUES),
+               st.sampled_from(paths).map(lambda p: copy.deepcopy(_at(doc, p)))]
+    if isinstance(old, (int, float)) and not isinstance(old, bool):
+        options.append(st.sampled_from((-1.0, 0.5, 2.0, 1e6)).map(lambda k: old * k))
+    *parent, leaf = path
+    _at(doc, parent)[leaf] = draw(st.one_of(options))
+    return doc
+
+
+@settings(max_examples=60, deadline=None)
+@given(one_leaf_mutants())
+def test_a_mutated_scenario_is_rejected_by_path_or_runs(doc):
+    try:
+        sc = scenario_from_dict(doc)
+    except ScenarioError:
+        return
+    result = run(dataclasses.replace(sc, duration_s=min(sc.duration_s, 120.0)))
+    boot_v = {n.node_id: n.supercap.voltage_v for n in sc.nodes}
+    for node_id, nr in result.nodes.items():
+        check_records_are_the_account(nr.records, result.frame_log, node_id,
+                                      boot_v[node_id], result.summary.duration_s)
