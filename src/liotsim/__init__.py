@@ -5,6 +5,7 @@ from .energy import (
     BLE_PROFILE,
     EnergyProfile,
     Feasibility,
+    FieldError,
     HarvesterCurve,
     LIOT_HARVESTER,
     LIOT_PROFILE,

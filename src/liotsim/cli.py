@@ -151,15 +151,13 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _sweep_one(doc: dict, param: str, value) -> list[dict]:
-    scenario_mod.set_by_path(doc, param, value)
-    result = kernel.run(scenario_mod.scenario_from_dict(doc))
+def _sweep_one(sc: kernel.Scenario, value) -> list[dict]:
+    result = kernel.run(sc)
     return [{"param_value": value, **node}
             for node in metrics.summary_dict(result.summary)["nodes"]]
 
 
 def cmd_sweep(args) -> int:
-    import copy
     import csv
 
     values = []
@@ -169,23 +167,22 @@ def cmd_sweep(args) -> int:
             values.append(float(raw))
         except ValueError:
             values.append(raw)
-    base = _load_scenario_doc(args.scenario)
-    # Validate the parameter path and every value before running anything.
-    jobs_args = []
+    doc = _load_scenario_doc(args.scenario)
+    # Build every point before running anything.  Each point sets the same
+    # path, so one document serves them all.
+    scenarios = []
     for v in values:
-        doc = copy.deepcopy(base)
         try:
             scenario_mod.set_by_path(doc, args.param, v)
-            scenario_mod.scenario_from_dict(doc)
+            scenarios.append(scenario_mod.scenario_from_dict(doc))
         except ScenarioError as exc:
             raise CliError(f"invalid sweep point {v!r}: {exc}", EXIT_VALIDATION)
-        jobs_args.append((copy.deepcopy(base), args.param, v))
 
     if args.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            all_rows = list(pool.map(_sweep_one_star, jobs_args))
+            all_rows = list(pool.map(_sweep_one, scenarios, values))
     else:
-        all_rows = [_sweep_one(*ja) for ja in jobs_args]
+        all_rows = list(map(_sweep_one, scenarios, values))
 
     rows = [row for rows_ in all_rows for row in rows_]
     rows.sort(key=lambda r: (str(type(r["param_value"])), r["param_value"],
@@ -200,10 +197,6 @@ def cmd_sweep(args) -> int:
     except OSError as exc:
         raise CliError(f"cannot write {args.out}: {exc}", EXIT_IO)
     return EXIT_OK
-
-
-def _sweep_one_star(ja):
-    return _sweep_one(*ja)
 
 
 def cmd_report(args) -> int:

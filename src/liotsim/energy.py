@@ -14,6 +14,15 @@ from enum import Enum
 from typing import Iterable, Optional
 
 
+class FieldError(ValueError):
+    """A value type's field that breaks a rule of its own, e.g. a current <= 0."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(f"{field}: {message}")
+        self.field = field
+        self.message = message
+
+
 class StageName(str, Enum):
     SENSOR_READ = "sensor_read"
     BLE_ADVERTISE = "ble_advertise"
@@ -34,10 +43,10 @@ class Stage:
     duration_s: float
 
     def __post_init__(self) -> None:
-        if self.current_ma <= 0:
-            raise ValueError(f"stage {self.name}: current must be > 0")
-        if self.duration_s <= 0:
-            raise ValueError(f"stage {self.name}: duration must be > 0")
+        if not self.current_ma > 0:
+            raise FieldError("current_ma", "must be > 0")
+        if not self.duration_s > 0:
+            raise FieldError("duration_s", "must be > 0")
 
 
 @dataclass(frozen=True)
@@ -49,8 +58,10 @@ class EnergyProfile:
     sleep_current_ma: float
 
     def __post_init__(self) -> None:
-        if self.voltage_v <= 0:
-            raise ValueError("voltage must be > 0")
+        if not self.voltage_v > 0:
+            raise FieldError("voltage_v", "must be > 0")
+        if not self.sleep_current_ma > 0:
+            raise FieldError("sleep_current_ma", "must be > 0")
         if not self.active_stages:
             raise ValueError("profile needs at least one active stage")
         if self.sleep_current_ma >= min(s.current_ma for s in self.active_stages):
@@ -147,15 +158,15 @@ class HarvesterCurve:
 
     def __post_init__(self) -> None:
         if not self.points:
-            raise ValueError("curve needs at least one point")
+            raise FieldError("points", "curve needs at least one point")
         luxes = [p[0] for p in self.points]
         if any(b <= a for a, b in zip(luxes, luxes[1:])):
-            raise ValueError("curve points must be strictly increasing in lux")
+            raise FieldError("points", "curve points must be strictly increasing in lux")
         powers = [p[1] for p in self.points]
         if any(p < 0 for p in powers):
-            raise ValueError("harvested power must be >= 0")
+            raise FieldError("points", "harvested power must be >= 0")
         if any(b < a for a, b in zip(powers, powers[1:])):
-            raise ValueError("harvested power must be non-decreasing in lux")
+            raise FieldError("points", "harvested power must be non-decreasing in lux")
 
     def power_mw(self, lux: float) -> float:
         if lux < 0:
@@ -180,10 +191,16 @@ class Supercap:
     v_max: float = 4.5
 
     def __post_init__(self) -> None:
-        if self.capacitance_f <= 0:
-            raise ValueError("capacitance must be > 0")
-        if not (0 <= self.v_min <= self.voltage_v <= self.v_max):
-            raise ValueError("need 0 <= v_min <= voltage <= v_max")
+        if not self.capacitance_f > 0:
+            raise FieldError("capacitance_f", "must be > 0")
+        if not self.voltage_v > 0:
+            raise FieldError("voltage_v", "must be > 0")
+        if not self.v_min >= 0:
+            raise FieldError("v_min", "must be >= 0")
+        if not self.v_max > 0:
+            raise FieldError("v_max", "must be > 0")
+        if not (self.v_min <= self.voltage_v <= self.v_max):
+            raise ValueError("need v_min <= voltage <= v_max")
 
 
 def supercap_segment(

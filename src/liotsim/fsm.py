@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING, Iterator, Optional
 from . import protocol
 from .energy import (
     EnergyProfile,
+    FieldError,
     HarvesterCurve,
     StageName,
     Supercap,
@@ -140,13 +141,17 @@ class NodeConfig:
     sensors: tuple[str, ...] = protocol.SENSOR_CHANNELS
     adv_mode: str = "fixed"  # one of ADV_MODES
     backoff_s: float = 60.0
-    efficiency: float = 1.0
+    efficiency: float = 1.0  # share of the harvest that charging stores
 
     def __post_init__(self) -> None:
-        if self.margin < 0:
-            raise ValueError("margin must be >= 0")
+        if not self.margin >= 0:
+            raise FieldError("margin", "must be >= 0")
         if self.adv_mode not in ADV_MODES:
-            raise ValueError(f"adv_mode must be one of {list(ADV_MODES)}")
+            raise FieldError("adv_mode", f"must be one of {list(ADV_MODES)}")
+        if not self.backoff_s > 0:
+            raise FieldError("backoff_s", "must be > 0")
+        if not 0 < self.efficiency <= 1:
+            raise FieldError("efficiency", "must lie in (0, 1]")
         have = {s.name for s in self.profile.active_stages}
         missing = set(_PHASE_STAGE[self.kind].values()) - have
         if missing:

@@ -29,7 +29,7 @@ from operator import itemgetter
 from typing import Iterator, Optional, Union
 
 from . import fsm, metrics
-from .energy import Feasibility, HarvesterCurve, fold_sum, solve_sleep_time
+from .energy import Feasibility, FieldError, HarvesterCurve, fold_sum, solve_sleep_time
 from .fsm import NodeConfig, NodeState
 from .protocol import (
     GATEWAY_ID,
@@ -67,7 +67,7 @@ class ChannelModel:
             [self.loss] if isinstance(self.loss, float) else list(self.loss.values())
         )
         if any(not (0.0 <= p <= 1.0) for p in probs):
-            raise ValueError("loss probabilities must lie in [0, 1]")
+            raise FieldError("loss", "loss probabilities must lie in [0, 1]")
 
     def loss_for(self, link: LinkType) -> float:
         if isinstance(self.loss, dict):
@@ -117,17 +117,22 @@ class IlluminationProfile:
 
     def __post_init__(self) -> None:
         if self.kind not in ILLUMINATION_KINDS:
-            raise ValueError(f"unknown illumination kind {self.kind!r}")
+            raise FieldError("kind", f"must be one of {list(ILLUMINATION_KINDS)}")
+        for name in ("lux", "mean", "amplitude"):
+            if not getattr(self, name) >= 0:
+                raise FieldError(name, "must be >= 0")
+        if not self.period_s > 0:
+            raise FieldError("period_s", "must be > 0")
+        if not (0.0 <= self.jitter_pct < 1.0):
+            raise FieldError("jitter_pct", "must be in [0, 1)")
         if self.kind == "step":
             if not self.steps:
-                raise ValueError("step profile needs at least one step")
+                raise FieldError("steps", "step profile needs at least one step")
             ts = [t for t, _ in self.steps]
             if ts[0] != 0.0 or any(b <= a for a, b in zip(ts, ts[1:])):
-                raise ValueError("steps must start at t=0 and increase")
+                raise FieldError("steps", "steps must start at t=0 and increase")
         if self.kind == "sinusoid" and self.amplitude > self.mean:
-            raise ValueError("sinusoid would go below zero lux")
-        if not (0.0 <= self.jitter_pct < 1.0):
-            raise ValueError("jitter_pct must be in [0, 1)")
+            raise FieldError("amplitude", "sinusoid would go below zero lux")
 
     def lux_at(self, t_s: float, max_t: Optional[float] = None) -> float:
         if not t_s >= 0 or (max_t is not None and t_s > max_t):
@@ -247,15 +252,15 @@ class Scenario:
     sample_interval_s: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.duration_s <= 0:
-            raise ValueError("duration must be > 0")
+        if not self.duration_s > 0:
+            raise FieldError("duration_s", "must be > 0")
         if not self.nodes:
-            raise ValueError("scenario needs at least one node")
+            raise FieldError("nodes", "scenario needs at least one node")
         ids = [n.node_id for n in self.nodes]
         if len(set(ids)) != len(ids):
-            raise ValueError("node ids must be unique")
-        if self.sample_interval_s <= 0:
-            raise ValueError("sample interval must be > 0")
+            raise FieldError("nodes", "node ids must be unique")
+        if not self.sample_interval_s > 0:
+            raise FieldError("sample_interval_s", "must be > 0")
 
 
 def scenario_fingerprint(scenario: Scenario) -> str:

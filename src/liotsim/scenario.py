@@ -1,19 +1,23 @@
 """Scenario files: documented YAML schema, validation, and built-in presets.
 
 The schema is versioned; unknown keys are rejected with their location so a
-typo in a config never silently changes a run.  The four presets reproduce
+typo in a config never silently changes a run.  The parser checks only the
+document's shape, keys, value types and names; each value type checks and
+defaults its own fields (see _build).  The four presets reproduce
 the 8-hour evaluation scenarios of the two node builds at 700 and 500 lx.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any
+from enum import Enum
+from typing import Any, Optional
 
 import yaml
 
 from .energy import (
     EnergyProfile,
+    FieldError,
     HarvesterCurve,
     Stage,
     StageName,
@@ -21,9 +25,8 @@ from .energy import (
     builtin_harvester,
     builtin_profile,
 )
-from .fsm import ADV_MODES, NodeConfig, NodeKind
+from .fsm import NodeConfig, NodeKind
 from .kernel import (
-    ILLUMINATION_KINDS,
     ChannelModel,
     GatewayConfig,
     IlluminationProfile,
@@ -66,6 +69,8 @@ def _at(path: str, key: Any) -> str:
 
 
 def _check_keys(d: dict, allowed: set[str], required: set[str], path: str) -> None:
+    """A mapping with known keys only, each holding a value: null is never
+    one, so that _build can read None as a key the document does not give."""
     if not isinstance(d, dict):
         raise ScenarioError(path, f"expected a mapping, got {type(d).__name__}")
     unknown = set(d) - allowed
@@ -74,6 +79,36 @@ def _check_keys(d: dict, allowed: set[str], required: set[str], path: str) -> No
     missing = required - set(d)
     if missing:
         raise ScenarioError(path, f"missing required key {sorted(missing)[0]!r}")
+    nulls = [key for key in d if d[key] is None]
+    if nulls:
+        raise ScenarioError(_at(path, nulls[0]), "expected a value, got null")
+
+
+def _check_kind_keys(d: dict, kind: str, owners: dict[str, str], path: str) -> None:
+    """Reject a key that only another kind reads, e.g. steps in constant light."""
+    for key, owner in owners.items():
+        if key in d and kind != owner:
+            raise ScenarioError(_at(path, key), f"only kind {owner} takes this key")
+
+
+def _build(cls, path: str, **fields):
+    """cls(**fields), leaving out the fields the document does not give (None)
+    so that the type's defaults apply.  The type's own rules decide: a broken
+    rule of one field is reported at path.field, a rule across fields at path."""
+    try:
+        return cls(**{k: v for k, v in fields.items() if v is not None})
+    except FieldError as exc:
+        raise ScenarioError(_at(path, exc.field), exc.message) from None
+    except ValueError as exc:
+        raise ScenarioError(path, str(exc)) from None
+
+
+def _member(enum: type[Enum], value: Any, path: str):
+    """The member of enum named by value, e.g. a node kind or a link."""
+    for member in enum:
+        if member.value == value:
+            return member
+    raise ScenarioError(path, f"must be one of {[m.value for m in enum]}")
 
 
 def _finite(v: Any, path: str) -> float:
@@ -88,31 +123,30 @@ def _finite(v: Any, path: str) -> float:
     return v
 
 
-def _number(d: dict, key: str, path: str, default=None, minimum=None, positive=False,
-            maximum=None):
+def _number(d: dict, key: str, path: str, default=None) -> Optional[float]:
     if key not in d:
         return default
-    path = _at(path, key)
-    v = _finite(d[key], path)
-    if positive and v <= 0:
-        raise ScenarioError(path, "must be > 0")
-    if minimum is not None and v < minimum:
-        raise ScenarioError(path, f"must be >= {minimum}")
-    if maximum is not None and v > maximum:
-        raise ScenarioError(path, f"must be <= {maximum}")
-    return v
+    return _finite(d[key], _at(path, key))
 
 
-def _integer(d: dict, key: str, path: str, default: int) -> int:
+def _integer(d: dict, key: str, path: str) -> Optional[int]:
     """An integer key; an integral float such as 2.0 counts, 1.5 does not."""
     if key not in d:
-        return default
+        return None
     path = _at(path, key)
     v = d[key]
     _finite(v, path)
     if isinstance(v, float) and not v.is_integer():
         raise ScenarioError(path, "must be an integer")
     return int(v)
+
+
+def _loss(d: dict, key: Any, path: str) -> Optional[float]:
+    """A loss probability; the channel checks it too, but without its key."""
+    v = _number(d, key, path)
+    if v is not None and not 0.0 <= v <= 1.0:
+        raise ScenarioError(_at(path, key), "must lie in [0, 1]")
+    return v
 
 
 def _pairs(spec: Any, path: str) -> tuple[tuple[float, float], ...]:
@@ -143,24 +177,17 @@ def _parse_profile(spec: Any, path: str) -> EnergyProfile:
         spath = f"{path}.stages[{i}]"
         _check_keys(st, {"name", "current_ma", "duration_s"},
                     {"name", "current_ma", "duration_s"}, spath)
-        try:
-            name = StageName(st["name"])
-        except ValueError:
-            raise ScenarioError(f"{spath}.name", f"unknown stage {st['name']!r}")
-        stages.append(
-            Stage(name, _number(st, "current_ma", spath, positive=True),
-                  _number(st, "duration_s", spath, positive=True))
-        )
-    try:
-        return EnergyProfile(
-            voltage_v=_number(spec, "voltage_v", path, positive=True),
-            active_stages=tuple(stages),
-            sleep_current_ma=_number(spec, "sleep_current_ma", path, positive=True),
-        )
-    except ScenarioError:
-        raise
-    except ValueError as exc:
-        raise ScenarioError(path, str(exc)) from None
+        stages.append(_build(
+            Stage, spath, name=_member(StageName, st["name"], f"{spath}.name"),
+            current_ma=_number(st, "current_ma", spath),
+            duration_s=_number(st, "duration_s", spath),
+        ))
+    return _build(
+        EnergyProfile, path,
+        voltage_v=_number(spec, "voltage_v", path),
+        active_stages=tuple(stages),
+        sleep_current_ma=_number(spec, "sleep_current_ma", path),
+    )
 
 
 def _parse_harvester(spec: Any, path: str) -> HarvesterCurve:
@@ -170,32 +197,22 @@ def _parse_harvester(spec: Any, path: str) -> HarvesterCurve:
         except KeyError as exc:
             raise ScenarioError(path, str(exc)) from None
     _check_keys(spec, {"points"}, {"points"}, path)
-    points_path = f"{path}.points"
-    points = _pairs(spec["points"], points_path)
-    try:
-        return HarvesterCurve(points=points)
-    except ValueError as exc:
-        raise ScenarioError(points_path, str(exc)) from None
+    return _build(HarvesterCurve, path,
+                  points=_pairs(spec["points"], f"{path}.points"))
 
 
 def _parse_supercap(spec: dict, path: str) -> Supercap:
     _check_keys(spec, {"capacitance_f", "voltage_v", "v_min", "v_max"},
                 {"capacitance_f", "voltage_v"}, path)
-    try:
-        return Supercap(
-            capacitance_f=_number(spec, "capacitance_f", path, positive=True),
-            voltage_v=_number(spec, "voltage_v", path, positive=True),
-            v_min=_number(spec, "v_min", path, default=3.3, minimum=0.0),
-            v_max=_number(spec, "v_max", path, default=4.5, positive=True),
-        )
-    except ScenarioError:
-        raise
-    except ValueError as exc:
-        raise ScenarioError(path, str(exc)) from None
+    return _build(Supercap, path, **{k: _number(spec, k, path) for k in spec})
 
 
 # Node keys that only one kind of node reads.
-_KIND_KEYS = {"sensors": NodeKind.LIOT, "adv_mode": NodeKind.BLE}
+_NODE_KIND_KEYS = {"sensors": "liot", "adv_mode": "ble"}
+
+# Illumination keys that only one kind of light reads.
+_LIGHT_KIND_KEYS = {"lux": "constant", "steps": "step", "mean": "sinusoid",
+                    "amplitude": "sinusoid", "period_s": "sinusoid"}
 
 
 def _parse_node(spec: dict, path: str) -> NodeConfig:
@@ -206,47 +223,35 @@ def _parse_node(spec: dict, path: str) -> NodeConfig:
         {"id", "kind", "supercap"},
         path,
     )
-    try:
-        kind = NodeKind(spec["kind"])
-    except ValueError:
-        raise ScenarioError(f"{path}.kind", f"must be one of {[k.value for k in NodeKind]}")
+    kind = _member(NodeKind, spec["kind"], f"{path}.kind")
     if not isinstance(spec["id"], str):
         raise ScenarioError(f"{path}.id", "expected a string")
     default_preset = "ble-table1" if kind is NodeKind.BLE else "liot-table2"
-    for key, owner in _KIND_KEYS.items():
-        if key in spec and kind is not owner:
-            raise ScenarioError(f"{path}.{key}",
-                                f"only {owner.value} nodes take this key")
-    sensors = spec.get("sensors", list(SENSOR_CHANNELS))
-    if not isinstance(sensors, list) or not all(isinstance(s, str) for s in sensors):
-        raise ScenarioError(f"{path}.sensors", "expected a list of channel names")
-    bad = [s for s in sensors if s not in SENSOR_CHANNELS]
-    if bad:
-        raise ScenarioError(f"{path}.sensors", f"unknown channel {bad[0]!r}")
-    adv_mode = spec.get("adv_mode", "fixed")
-    if adv_mode not in ADV_MODES:
-        raise ScenarioError(f"{path}.adv_mode", f"must be one of {list(ADV_MODES)}")
-    try:
-        return NodeConfig(
-            node_id=spec["id"],
-            kind=kind,
-            profile=_parse_profile(spec.get("profile", default_preset),
-                                   f"{path}.profile"),
-            harvester=_parse_harvester(spec.get("harvester", default_preset),
-                                       f"{path}.harvester"),
-            supercap=_parse_supercap(spec["supercap"], f"{path}.supercap"),
-            margin=_number(spec, "margin", path,
-                           default=0.05 if kind is NodeKind.BLE else 0.0,
-                           minimum=0.0),
-            sensors=tuple(sensors),
-            adv_mode=adv_mode,
-            backoff_s=_number(spec, "backoff_s", path, default=60.0, positive=True),
-            efficiency=_number(spec, "efficiency", path, default=1.0, positive=True),
-        )
-    except ScenarioError:
-        raise
-    except ValueError as exc:
-        raise ScenarioError(path, str(exc)) from None
+    _check_kind_keys(spec, kind.value, _NODE_KIND_KEYS, path)
+    sensors = spec.get("sensors")
+    if sensors is not None:
+        if not isinstance(sensors, list) or not all(isinstance(s, str) for s in sensors):
+            raise ScenarioError(f"{path}.sensors", "expected a list of channel names")
+        bad = [s for s in sensors if s not in SENSOR_CHANNELS]
+        if bad:
+            raise ScenarioError(f"{path}.sensors", f"unknown channel {bad[0]!r}")
+        sensors = tuple(sensors)
+    return _build(
+        NodeConfig, path,
+        node_id=spec["id"],
+        kind=kind,
+        profile=_parse_profile(spec.get("profile", default_preset), f"{path}.profile"),
+        harvester=_parse_harvester(spec.get("harvester", default_preset),
+                                   f"{path}.harvester"),
+        supercap=_parse_supercap(spec["supercap"], f"{path}.supercap"),
+        # NodeConfig's default margin is a BLE node's; a LIoT node takes none.
+        margin=_number(spec, "margin", path,
+                       default=0.0 if kind is NodeKind.LIOT else None),
+        sensors=sensors,
+        adv_mode=spec.get("adv_mode"),
+        backoff_s=_number(spec, "backoff_s", path),
+        efficiency=_number(spec, "efficiency", path),
+    )
 
 
 def _parse_illumination(spec: dict, path: str) -> IlluminationProfile:
@@ -257,62 +262,44 @@ def _parse_illumination(spec: dict, path: str) -> IlluminationProfile:
         set(),
         path,
     )
-    kind = spec.get("kind", "constant")
-    if kind not in ILLUMINATION_KINDS:
-        raise ScenarioError(f"{path}.kind", f"must be one of {list(ILLUMINATION_KINDS)}")
-    jitter_pct = _number(spec, "jitter_pct", path, default=0.0, minimum=0.0)
-    if jitter_pct >= 1.0:
-        raise ScenarioError(f"{path}.jitter_pct", "must be < 1")
-    try:
-        return IlluminationProfile(
-            kind=kind,
-            lux=_number(spec, "lux", path, default=700.0, minimum=0.0),
-            steps=_pairs(spec.get("steps", []), f"{path}.steps"),
-            mean=_number(spec, "mean", path, default=0.0, minimum=0.0),
-            amplitude=_number(spec, "amplitude", path, default=0.0, minimum=0.0),
-            period_s=_number(spec, "period_s", path, default=86400.0, positive=True),
-            jitter_pct=jitter_pct,
-            jitter_seed=_integer(spec, "jitter_seed", path, default=0),
-        )
-    except ScenarioError:
-        raise
-    except ValueError as exc:
-        # kind and jitter_pct are checked above, so what the profile can
-        # still reject is a step profile's steps or a sinusoid's amplitude.
-        key = {"step": "steps", "sinusoid": "amplitude"}.get(kind)
-        raise ScenarioError(_at(path, key) if key else path, str(exc)) from None
+    profile = _build(
+        IlluminationProfile, path,
+        kind=spec.get("kind"),
+        lux=_number(spec, "lux", path),
+        steps=_pairs(spec["steps"], f"{path}.steps") if "steps" in spec else None,
+        mean=_number(spec, "mean", path),
+        amplitude=_number(spec, "amplitude", path),
+        period_s=_number(spec, "period_s", path),
+        jitter_pct=_number(spec, "jitter_pct", path),
+        jitter_seed=_integer(spec, "jitter_seed", path),
+    )
+    _check_kind_keys(spec, profile.kind, _LIGHT_KIND_KEYS, path)
+    return profile
 
 
 def _parse_channel(spec: dict, path: str) -> ChannelModel:
     _check_keys(spec, {"loss", "per_link_loss", "seed"}, set(), path)
-    loss: Any = _number(spec, "loss", path, default=0.0, minimum=0.0, maximum=1.0)
+    loss: Any = _loss(spec, "loss", path)
     if "per_link_loss" in spec:
         links, links_path = spec["per_link_loss"], f"{path}.per_link_loss"
         if not isinstance(links, dict):
             raise ScenarioError(links_path, "expected a mapping of link to loss")
-        per_link = {}
-        for key in links:
-            try:
-                link = LinkType(key)
-            except ValueError:
-                raise ScenarioError(_at(links_path, key), "unknown link") from None
-            per_link[link] = _number(links, key, links_path, minimum=0.0, maximum=1.0)
+        per_link = {
+            _member(LinkType, key, _at(links_path, key)): _loss(links, key, links_path)
+            for key in links
+        }
         # A link the mapping does not list keeps the scalar loss.
-        loss = {link: per_link.get(link, loss) for link in LinkType}
-    try:
-        return ChannelModel(loss=loss, seed=_integer(spec, "seed", path, default=0))
-    except ScenarioError:
-        raise
-    except ValueError as exc:
-        raise ScenarioError(path, str(exc)) from None
+        scalar = ChannelModel.loss if loss is None else loss
+        loss = {link: per_link.get(link, scalar) for link in LinkType}
+    return _build(ChannelModel, path, loss=loss, seed=_integer(spec, "seed", path))
 
 
 def _parse_gateway(spec: dict, path: str) -> GatewayConfig:
     _check_keys(spec, {"present"}, set(), path)
-    present = spec.get("present", True)
-    if not isinstance(present, bool):
+    present = spec.get("present")
+    if present is not None and not isinstance(present, bool):
         raise ScenarioError(f"{path}.present", "expected a boolean")
-    return GatewayConfig(present=present)
+    return _build(GatewayConfig, path, present=present)
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
@@ -330,41 +317,30 @@ def scenario_from_dict(doc: dict) -> Scenario:
         raise ScenarioError("version", f"schema version {version} is newer than "
                                        f"supported version {SCHEMA_VERSION}")
     nodes_spec = doc["nodes"]
-    if not isinstance(nodes_spec, list) or not nodes_spec:
-        raise ScenarioError("nodes", "expected a non-empty list")
-    nodes = tuple(
-        _parse_node(n, f"nodes[{i}]") for i, n in enumerate(nodes_spec)
+    if not isinstance(nodes_spec, list):
+        raise ScenarioError("nodes", "expected a list")
+    sc = _build(
+        Scenario, "",
+        duration_s=_number(doc, "duration_s", ""),
+        nodes=tuple(_parse_node(n, f"nodes[{i}]") for i, n in enumerate(nodes_spec)),
+        channel=_parse_channel(doc.get("channel", {}), "channel"),
+        illumination=_parse_illumination(doc.get("illumination", {}), "illumination"),
+        gateway=_parse_gateway(doc.get("gateway", {}), "gateway"),
+        seed=_integer(doc, "seed", ""),
+        sample_interval_s=_number(doc, "sample_interval_s", ""),
     )
-    duration_s = _number(doc, "duration_s", "", positive=True)
-    if duration_s > MAX_DURATION_S:
+    if sc.duration_s > MAX_DURATION_S:
         raise ScenarioError("duration_s", f"must be at most {MAX_DURATION_S:.0f} s "
                                           "(366 days)")
-    sample_interval_s = _number(doc, "sample_interval_s", "", default=1.0,
-                                positive=True)
-    samples = len(nodes) * duration_s / sample_interval_s
+    samples = len(sc.nodes) * sc.duration_s / sc.sample_interval_s
     if samples > MAX_TRACE_SAMPLES:
         raise ScenarioError(
             "sample_interval_s",
-            f"{len(nodes)} node(s) x {duration_s:g} s / {sample_interval_s:g} s "
-            f"is {samples:.3g} trace samples, above the limit of "
-            f"{MAX_TRACE_SAMPLES:,}",
+            f"{len(sc.nodes)} node(s) x {sc.duration_s:g} s / "
+            f"{sc.sample_interval_s:g} s is {samples:.3g} trace samples, above "
+            f"the limit of {MAX_TRACE_SAMPLES:,}",
         )
-    try:
-        return Scenario(
-            duration_s=duration_s,
-            nodes=nodes,
-            channel=_parse_channel(doc.get("channel", {}), "channel"),
-            illumination=_parse_illumination(doc.get("illumination", {}),
-                                             "illumination"),
-            gateway=_parse_gateway(doc.get("gateway", {}), "gateway"),
-            seed=_integer(doc, "seed", "", default=1),
-            sample_interval_s=sample_interval_s,
-        )
-    except ScenarioError:
-        raise
-    except ValueError as exc:
-        # Scenario itself checks only what the parsers cannot: unique node ids.
-        raise ScenarioError("nodes", str(exc)) from None
+    return sc
 
 
 def load_scenario_file(path: str) -> Scenario:

@@ -5,6 +5,18 @@ from collections import Counter
 
 import pytest
 
+
+def _liot_profile(voltage_v=3.3, sleep_current_ma=0.087, current_ma=12.69,
+                  duration_s=0.428) -> dict:
+    """An inline LIoT profile document; current_ma and duration_s are its
+    first stage's."""
+    stages = [{"name": name, "current_ma": 10.0, "duration_s": 0.5}
+              for name in ("liot_sensor_read", "liot_data_upload", "liot_sleep_set")]
+    first = {"name": "gw_request", "current_ma": current_ma, "duration_s": duration_s}
+    return {"voltage_v": voltage_v, "sleep_current_ma": sleep_current_ma,
+            "stages": [first, *stages]}
+
+
 # (dotted key, bad value, expected error path) rows; each document must be
 # rejected with a ScenarioError at exactly that path.
 BAD_VALUES = (
@@ -50,6 +62,42 @@ BAD_VALUES = (
     ("nodes.0", {"id": "b1", "kind": "ble", "sensors": ["temperature"],
                  "supercap": {"capacitance_f": 0.4, "voltage_v": 4.4}},
      "nodes[0].sensors"),
+    # Range rules live in the value types; each is reported at its own key.
+    ("nodes.0.backoff_s", 0, "nodes[0].backoff_s"),
+    ("nodes.0.efficiency", 0, "nodes[0].efficiency"),
+    ("nodes.0.margin", -1, "nodes[0].margin"),
+    ("nodes.0.supercap.capacitance_f", 0, "nodes[0].supercap.capacitance_f"),
+    ("nodes.0.supercap.v_min", -1, "nodes[0].supercap.v_min"),
+    ("nodes.0.supercap.v_max", -1, "nodes[0].supercap.v_max"),
+    ("nodes.0.supercap.voltage_v", 0, "nodes[0].supercap.voltage_v"),
+    # A rule across fields is reported at the section.
+    ("nodes.0.supercap.v_min", 4.3, "nodes[0].supercap"),
+    ("illumination.lux", -1, "illumination.lux"),
+    ("illumination.mean", -1, "illumination.mean"),
+    ("illumination.amplitude", -1, "illumination.amplitude"),
+    ("illumination.period_s", 0, "illumination.period_s"),
+    ("illumination.jitter_pct", -0.1, "illumination.jitter_pct"),
+    ("channel.loss", -0.1, "channel.loss"),
+    ("duration_s", 0, "duration_s"),
+    ("sample_interval_s", 0, "sample_interval_s"),
+    ("nodes.0.profile", _liot_profile(voltage_v=0), "nodes[0].profile.voltage_v"),
+    ("nodes.0.profile", _liot_profile(sleep_current_ma=0),
+     "nodes[0].profile.sleep_current_ma"),
+    ("nodes.0.profile", _liot_profile(current_ma=0),
+     "nodes[0].profile.stages[0].current_ma"),
+    ("nodes.0.profile", _liot_profile(duration_s=0),
+     "nodes[0].profile.stages[0].duration_s"),
+    # Charging cannot store more than it harvests.
+    ("nodes.0.efficiency", 1.5, "nodes[0].efficiency"),
+    # An illumination key that the profile's kind does not read is rejected.
+    ("illumination", {"kind": "step", "steps": [[0, 700]], "lux": 100},
+     "illumination.lux"),
+    ("illumination", {"kind": "sinusoid", "mean": 600, "amplitude": 100,
+                      "steps": [[0, 100]]}, "illumination.steps"),
+    ("illumination", {"lux": 700, "mean": 5}, "illumination.mean"),
+    ("illumination", {"kind": "constant", "amplitude": 0}, "illumination.amplitude"),
+    ("illumination", {"kind": "step", "steps": [[0, 700]], "period_s": 3},
+     "illumination.period_s"),
 )
 
 

@@ -1,11 +1,25 @@
 import dataclasses
 import os
+import pickle
 
 import pytest
 import yaml
 
 from cases import BAD_VALUES, bad_value_cases
-from liotsim.kernel import per_frame_loss_for_session_pdr, run
+from liotsim.energy import (
+    BLE_PROFILE,
+    FieldError,
+    HarvesterCurve,
+    Stage,
+    StageName,
+    Supercap,
+)
+from liotsim.kernel import (
+    ChannelModel,
+    IlluminationProfile,
+    per_frame_loss_for_session_pdr,
+    run,
+)
 from liotsim.protocol import BLE_SCRIPT, LinkType
 from liotsim.scenario import (
     PRESET_NAMES,
@@ -261,6 +275,51 @@ def test_per_link_loss_overrides_the_scalar_for_listed_links_only():
 
 def test_docs_example_loads_and_runs():
     sc = dataclasses.replace(load_scenario_file(DOCS_EXAMPLE), duration_s=600.0)
+    # A sweep sends each built scenario to its worker process as a pickle.
+    assert pickle.loads(pickle.dumps(sc)) == sc
     result = run(sc)
     assert set(result.nodes) == {"ble-1", "liot-1"}
     assert result.summary.node("ble-1").packets_sent > 0
+
+
+def _bad_fields():
+    """(value, field, bad value) for every rule a value type checks on one of
+    its fields; the value is replaced with that one field set to the bad value."""
+    stage = Stage(StageName.SENSOR_READ, 7.55, 0.26)
+    cap = Supercap(0.4, 4.2)
+    sc = load_preset("ble-700lx")
+    light = IlluminationProfile()
+    step = IlluminationProfile(kind="step", steps=((0.0, 700.0),))
+    sinusoid = IlluminationProfile(kind="sinusoid", mean=600.0, amplitude=100.0)
+    rows = [
+        (stage, "current_ma", 0.0), (stage, "duration_s", 0.0),
+        (BLE_PROFILE, "voltage_v", 0.0), (BLE_PROFILE, "sleep_current_ma", 0.0),
+        (HarvesterCurve(((0.0, 0.0),)), "points", ()),
+        (HarvesterCurve(((0.0, 0.0),)), "points", ((1.0, 0.0), (0.0, 1.0))),
+        (HarvesterCurve(((0.0, 0.0),)), "points", ((0.0, -1.0),)),
+        (HarvesterCurve(((0.0, 0.0),)), "points", ((0.0, 1.0), (1.0, 0.5))),
+        (cap, "capacitance_f", 0.0), (cap, "voltage_v", 0.0),
+        (cap, "v_min", -1.0), (cap, "v_max", -1.0),
+        (sc.nodes[0], "margin", -1.0), (sc.nodes[0], "adv_mode", "bar"),
+        (sc.nodes[0], "backoff_s", 0.0), (sc.nodes[0], "efficiency", 0.0),
+        (sc.nodes[0], "efficiency", 1.5),
+        (light, "kind", "foo"), (light, "lux", -5.0),
+        (light, "mean", -1.0), (light, "amplitude", -1.0), (light, "period_s", 0.0),
+        (light, "jitter_pct", -0.1), (light, "jitter_pct", 1.0),
+        (step, "steps", ()), (step, "steps", ((5.0, 700.0),)),
+        (step, "steps", ((0.0, 700.0), (0.0, 500.0))),
+        (sinusoid, "amplitude", 700.0),
+        (ChannelModel(), "loss", 1.5), (ChannelModel(), "loss", {LinkType.BLE_ADV: -0.1}),
+        (sc, "duration_s", 0.0), (sc, "sample_interval_s", 0.0),
+        (sc, "nodes", ()), (sc, "nodes", sc.nodes * 2),
+    ]
+    return [pytest.param(value, field, bad, id=f"{type(value).__name__}.{field}-{i}")
+            for i, (value, field, bad) in enumerate(rows)]
+
+
+@pytest.mark.parametrize("value,field,bad", _bad_fields())
+def test_value_types_name_the_field_that_breaks_a_rule(value, field, bad):
+    """A value built in Python obeys the rules a scenario file does."""
+    with pytest.raises(FieldError) as exc:
+        dataclasses.replace(value, **{field: bad})
+    assert exc.value.field == field
