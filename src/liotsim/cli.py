@@ -125,10 +125,10 @@ def _write_outputs(result: kernel.RunResult, out_dir: str, fmt: str) -> None:
         os.makedirs(out_dir, exist_ok=True)
         metrics.export_summary(result.summary, os.path.join(out_dir, "summary.json"))
         ext = "csv" if fmt == "csv" else "jsonl"
-        metrics.export_records(
-            result.records, fmt, os.path.join(out_dir, f"records.{ext}")
-        )
-        metrics.export_trace(result.traces, fmt, os.path.join(out_dir, f"trace.{ext}"))
+        records = (r for nr in result.nodes.values() for r in nr.records)
+        metrics.export_records(records, fmt, os.path.join(out_dir, f"records.{ext}"))
+        samples = {nid: nr.samples() for nid, nr in result.nodes.items()}
+        metrics.export_trace(samples, fmt, os.path.join(out_dir, f"trace.{ext}"))
     except (OSError, ExportError) as exc:
         raise CliError(str(exc), EXIT_IO)
 
@@ -202,7 +202,7 @@ def cmd_sweep(args) -> int:
 def cmd_report(args) -> int:
     try:
         records = metrics.load_records(args.records)
-        traces = metrics.load_trace(args.trace) if args.trace else {}
+        traces = metrics.load_trace_columns(args.trace) if args.trace else {}
     except ExportError as exc:
         raise CliError(str(exc), EXIT_IO)
     except ValueError as exc:
@@ -214,13 +214,11 @@ def cmd_report(args) -> int:
           f"{'avg SCap (V)':>13}")
     for node_id in sorted(by_node):
         recs = by_node[node_id]
-        trace = traces.get(node_id, [])
+        times, volts = traces.get(node_id, ((), ()))
         # Records do not carry the node kind, and the table does not show it.
-        n = metrics.summarize_node(
-            node_id, "", recs, [t for t, _ in trace], [v for _, v in trace]
-        )
+        n = metrics.summarize_node(node_id, "", recs, times, volts)
         # Without voltage samples there is no average to show.
-        avg = f"{n.scap_avg_v:>13.3f}" if trace else f"{'-':>13}"
+        avg = f"{n.scap_avg_v:>13.3f}" if volts else f"{'-':>13}"
         print(f"{node_id:<10} {n.packets_sent:>6} {n.packets_received:>9} "
               f"{n.pdr:>6.3f} {avg}")
     return EXIT_OK

@@ -63,11 +63,10 @@ class ChannelModel:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        probs = (
-            [self.loss] if isinstance(self.loss, float) else list(self.loss.values())
-        )
-        if any(not (0.0 <= p <= 1.0) for p in probs):
-            raise FieldError("loss", "loss probabilities must lie in [0, 1]")
+        probs = list(self.loss.values()) if isinstance(self.loss, dict) else [self.loss]
+        if any(isinstance(p, bool) or not isinstance(p, (int, float))
+               or not 0.0 <= p <= 1.0 for p in probs):
+            raise FieldError("loss", "loss probabilities must be numbers in [0, 1]")
 
     def loss_for(self, link: LinkType) -> float:
         if isinstance(self.loss, dict):
@@ -131,6 +130,8 @@ class IlluminationProfile:
             ts = [t for t, _ in self.steps]
             if ts[0] != 0.0 or any(b <= a for a, b in zip(ts, ts[1:])):
                 raise FieldError("steps", "steps must start at t=0 and increase")
+            if not all(lux >= 0 for _, lux in self.steps):
+                raise FieldError("steps", "step lux must be >= 0")
         if self.kind == "sinusoid" and self.amplitude > self.mean:
             raise FieldError("amplitude", "sinusoid would go below zero lux")
 
@@ -299,10 +300,14 @@ class NodeResult:
         grid = fsm.sample_times(self.sample_interval_s)
         return chain(islice(grid, len(self.volts) - 1), (self.last_sample_s,))
 
+    def samples(self) -> Iterator[tuple[float, float]]:
+        """The (t, V) samples, in order, each made as it is read."""
+        return zip(self.sample_times(), self.volts)
+
     @property
     def trace(self) -> list[tuple[float, float]]:
         """The (t, V) samples, built anew on each read."""
-        return list(zip(self.sample_times(), self.volts))
+        return list(self.samples())
 
 
 @dataclass

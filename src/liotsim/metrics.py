@@ -5,10 +5,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+from array import array
 from dataclasses import dataclass
 from itertools import islice
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .protocol import FailReason, SessionOutcome
 
@@ -154,8 +155,7 @@ def _parse_record(
 
 
 def export_records(records: Iterable[CycleRecord], fmt: str, path: str) -> None:
-    rows = [_record_row(r) for r in records]
-    _write(fmt, path, RECORD_FIELDS, rows)
+    _write(fmt, path, RECORD_FIELDS, map(_record_row, records))
 
 
 def load_records(path: str) -> list[CycleRecord]:
@@ -168,10 +168,18 @@ def load_records(path: str) -> list[CycleRecord]:
     return records
 
 
+# Trace lines joined into one write: export memory stays at one chunk, under
+# 1 MiB in either format, however long the trace.
+EXPORT_CHUNK = 2048
+
+
 def export_trace(
-    traces: dict[str, list[tuple[float, float]]], fmt: str, path: str
+    traces: Mapping[str, Iterable[tuple[float, float]]], fmt: str, path: str
 ) -> None:
-    """One row per sample, nodes in id order, laid out as _write lays out rows."""
+    """One row per sample, nodes in id order, laid out as _write lays out rows.
+
+    Each node's (t, V) samples are read once, EXPORT_CHUNK lines per write.
+    """
     _check_format(fmt)
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -180,25 +188,39 @@ def export_trace(
             for nid in sorted(traces):
                 if fmt == "csv":
                     qid = _csv_cell(nid)
-                    fh.writelines([f"{qid},{t!r},{v!r}\r\n" for t, v in traces[nid]])
+                    lines = (f"{qid},{t!r},{v!r}\r\n" for t, v in traces[nid])
                 else:
                     # The repr of a float needs no JSON escaping.
                     head = '{"node_id": ' + json.dumps(nid) + ', "scap_v": "'
-                    fh.writelines([f'{head}{v!r}", "time_s": "{t!r}"}}\n'
-                                   for t, v in traces[nid]])
+                    lines = (f'{head}{v!r}", "time_s": "{t!r}"}}\n'
+                             for t, v in traces[nid])
+                while chunk := "".join(islice(lines, EXPORT_CHUNK)):
+                    fh.write(chunk)
     except OSError as exc:
         raise ExportError(f"cannot write {fmt} to {path}: {exc}") from exc
 
 
-def load_trace(path: str) -> dict[str, list[tuple[float, float]]]:
-    traces: dict[str, list[tuple[float, float]]] = {}
+def load_trace_columns(path: str) -> dict[str, tuple[array, array]]:
+    """Each node's (times, volts) columns, in file order, nodes in order of
+    first appearance."""
+    columns: dict[str, tuple[array, array]] = {}
+    last = None
     for line, (nid, t, v) in _read(path, TRACE_FIELDS):
+        if nid != last:
+            times, volts = columns.setdefault(nid, (array("d"), array("d")))
+            last = nid
         try:
-            point = (float(t), float(v))
+            times.append(float(t))
+            volts.append(float(v))
         except ValueError as exc:
             raise _bad_row(path, line, exc) from None
-        traces.setdefault(nid, []).append(point)
-    return traces
+    return columns
+
+
+def load_trace(path: str) -> dict[str, list[tuple[float, float]]]:
+    """The (t, V) samples of each node, as load_trace_columns reads them."""
+    return {nid: list(zip(times, volts))
+            for nid, (times, volts) in load_trace_columns(path).items()}
 
 
 def summary_dict(summary: RunSummary) -> dict:
@@ -263,7 +285,7 @@ def _check_format(fmt: str) -> None:
         raise ValueError(f"unsupported export format {fmt!r}")
 
 
-def _write(fmt: str, path: str, fields: dict[str, type], rows: list[dict]) -> None:
+def _write(fmt: str, path: str, fields: dict[str, type], rows: Iterable[dict]) -> None:
     _check_format(fmt)
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -98,6 +98,8 @@ BAD_VALUES = (
     ("illumination", {"kind": "constant", "amplitude": 0}, "illumination.amplitude"),
     ("illumination", {"kind": "step", "steps": [[0, 700]], "period_s": 3},
      "illumination.period_s"),
+    # Negative light is rejected, not run as darkness.
+    ("illumination", {"kind": "step", "steps": [[0, -5]]}, "illumination.steps"),
 )
 
 

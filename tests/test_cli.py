@@ -1,11 +1,13 @@
 import csv
 import json
 import os
+import tracemalloc
 
 import pytest
 import yaml
 
 from cases import BAD_VALUES, bad_value_cases
+from liotsim import cli, kernel, metrics, scenario
 from liotsim.cli import (
     EXIT_INFEASIBLE,
     EXIT_IO,
@@ -338,3 +340,26 @@ def test_report_on_a_malformed_export_exits_2(capsys, tmp_path, case):
     assert code == EXIT_VALIDATION
     assert err.startswith(f"error: cannot parse input: {path}: line {line}: ")
     assert "Traceback" not in err
+
+
+def test_export_and_read_back_hold_no_whole_trace(tmp_path):
+    """simulate --out writes a chunk of lines at a time, and report reads a
+    trace into two float columns: neither holds a (t, V) object per sample,
+    which takes over 100 B a sample (3 MiB for this 8-h trace)."""
+    result = kernel.run(scenario.load_preset("ble-700lx"))
+    nr, = result.nodes.values()
+    samples = len(nr.volts)
+    assert samples == 28801
+    tracemalloc.start()
+    try:
+        cli._write_outputs(result, str(tmp_path), "csv")
+        _, write_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        columns = metrics.load_trace_columns(str(tmp_path / "trace.csv"))
+        _, read_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert write_peak < 2**20
+    assert read_peak < 16 * samples + 2**20
+    times, volts = columns["ble-1"]
+    assert volts == nr.volts and list(times) == list(nr.sample_times())

@@ -2,10 +2,12 @@ import csv
 import json
 import math
 import pickle
+from array import array
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+from liotsim import metrics
 from liotsim.energy import BLE_HARVESTER, BLE_PROFILE, Supercap
 from liotsim.fsm import NodeConfig, NodeKind
 from liotsim.kernel import IlluminationProfile, Scenario, run
@@ -19,6 +21,7 @@ from liotsim.metrics import (
     load_records,
     load_summary,
     load_trace,
+    load_trace_columns,
     summarize_node,
     summary_dict,
     summary_from_dict,
@@ -100,6 +103,16 @@ def test_records_round_trip(tmp_path, fmt):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_records_export_reads_a_generator_once(tmp_path, fmt):
+    records = _records(5, 3)
+    ours, reference = tmp_path / f"ours.{fmt}", tmp_path / f"reference.{fmt}"
+    export_records((r for r in records), fmt, str(ours))
+    export_records(records, fmt, str(reference))
+    assert ours.read_bytes() == reference.read_bytes()
+    assert load_records(str(ours)) == records
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
 def test_trace_round_trip_is_lossless(tmp_path, fmt):
     traces = {
         "n1": [(0.0, 4.463), (1.0, 4.462999871), (2.0, 1.0 / 3.0 + 4.0)],
@@ -144,6 +157,30 @@ def test_trace_export_writes_the_dict_writer_bytes(tmp_path, fmt):
     _dict_row_trace_export(AWKWARD_TRACES, fmt, str(reference))
     assert ours.read_bytes() == reference.read_bytes()
     assert load_trace(str(ours)) == AWKWARD_TRACES
+
+
+def _columns(traces):
+    """traces as load_trace_columns returns them."""
+    return {nid: (array("d", [t for t, _ in points]),
+                  array("d", [v for _, v in points]))
+            for nid, points in traces.items()}
+
+
+# 1 ends every node's samples on a chunk boundary; 3 splits "plain" (5
+# samples) and leaves the other nodes a part of one chunk.
+@pytest.mark.parametrize("chunk", [1, 3])
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_trace_export_streams_one_pass_samples_in_chunks(
+    tmp_path, monkeypatch, fmt, chunk
+):
+    monkeypatch.setattr(metrics, "EXPORT_CHUNK", chunk)
+    ours, reference = tmp_path / f"ours.{fmt}", tmp_path / f"reference.{fmt}"
+    one_pass = {nid: (p for p in points) for nid, points in AWKWARD_TRACES.items()}
+    export_trace(one_pass, fmt, str(ours))
+    _dict_row_trace_export(AWKWARD_TRACES, fmt, str(reference))
+    assert ours.read_bytes() == reference.read_bytes()
+    assert load_trace(str(ours)) == AWKWARD_TRACES
+    assert load_trace_columns(str(ours)) == _columns(AWKWARD_TRACES)
 
 
 def _interleaved(traces):
@@ -198,6 +235,7 @@ def test_load_trace_reads_any_column_order_and_layout(tmp_path, layout):
     path = tmp_path / "trace"
     path.write_text(LAYOUTS[layout], encoding="utf-8", newline="")
     assert load_trace(str(path)) == TRACES
+    assert load_trace_columns(str(path)) == _columns(TRACES)
 
 
 def test_summary_round_trip(tmp_path):

@@ -312,6 +312,10 @@ def _bad_fields():
         (ChannelModel(), "loss", 1.5), (ChannelModel(), "loss", {LinkType.BLE_ADV: -0.1}),
         (sc, "duration_s", 0.0), (sc, "sample_interval_s", 0.0),
         (sc, "nodes", ()), (sc, "nodes", sc.nodes * 2),
+        (step, "steps", ((0.0, -5.0),)), (step, "steps", ((0.0, 700.0), (9.0, -1.0))),
+        (ChannelModel(), "loss", True), (ChannelModel(), "loss", "0.1"),
+        (ChannelModel(), "loss", None), (ChannelModel(), "loss", [0.1]),
+        (ChannelModel(), "loss", {LinkType.BLE_ADV: True}),
     ]
     return [pytest.param(value, field, bad, id=f"{type(value).__name__}.{field}-{i}")
             for i, (value, field, bad) in enumerate(rows)]
@@ -323,3 +327,9 @@ def test_value_types_name_the_field_that_breaks_a_rule(value, field, bad):
     with pytest.raises(FieldError) as exc:
         dataclasses.replace(value, **{field: bad})
     assert exc.value.field == field
+
+
+@pytest.mark.parametrize("loss", [0, 1, 0.25])
+def test_channel_loss_may_be_an_int_or_a_float(loss):
+    channel = ChannelModel(loss=loss)
+    assert all(channel.loss_for(link) == loss for link in LinkType)
