@@ -6,6 +6,7 @@ import argparse
 import concurrent.futures
 import os
 import sys
+from itertools import chain
 from typing import Optional
 
 import yaml
@@ -125,7 +126,8 @@ def _write_outputs(result: kernel.RunResult, out_dir: str, fmt: str) -> None:
         os.makedirs(out_dir, exist_ok=True)
         metrics.export_summary(result.summary, os.path.join(out_dir, "summary.json"))
         ext = "csv" if fmt == "csv" else "jsonl"
-        records = (r for nr in result.nodes.values() for r in nr.records)
+        # Each record is built from its node's columns as it is written.
+        records = chain.from_iterable(nr.record_columns for nr in result.nodes.values())
         metrics.export_records(records, fmt, os.path.join(out_dir, f"records.{ext}"))
         samples = {nid: nr.samples() for nid, nr in result.nodes.items()}
         metrics.export_trace(samples, fmt, os.path.join(out_dir, f"trace.{ext}"))
@@ -207,16 +209,15 @@ def cmd_report(args) -> int:
         raise CliError(str(exc), EXIT_IO)
     except ValueError as exc:
         raise CliError(f"cannot parse input: {exc}", EXIT_VALIDATION)
-    by_node: dict[str, list] = {}
+    by_node: dict[str, list] = {}  # the outcome of each record of each node
     for r in records:
-        by_node.setdefault(r.node_id, []).append(r)
+        by_node.setdefault(r.node_id, []).append(r.outcome)
     print(f"{'node':<10} {'sent':>6} {'received':>9} {'PDR':>6} "
           f"{'avg SCap (V)':>13}")
     for node_id in sorted(by_node):
-        recs = by_node[node_id]
         times, volts = traces.get(node_id, ((), ()))
         # Records do not carry the node kind, and the table does not show it.
-        n = metrics.summarize_node(node_id, "", recs, times, volts)
+        n = metrics.summarize_node(node_id, "", by_node[node_id], times, volts)
         # Without voltage samples there is no average to show.
         avg = f"{n.scap_avg_v:>13.3f}" if volts else f"{'-':>13}"
         print(f"{node_id:<10} {n.packets_sent:>6} {n.packets_received:>9} "

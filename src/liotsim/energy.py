@@ -23,6 +23,23 @@ class FieldError(ValueError):
         self.message = message
 
 
+def as_float(value):
+    """value as the equal float when it is an int (not a bool), else itself."""
+    return float(value) if type(value) is int else value
+
+
+def store_floats(obj, *names: str) -> None:
+    """Store each named field of the frozen dataclass obj with as_float, so
+    that equal values are stored, and hashed into a config_hash, alike."""
+    for name in names:
+        object.__setattr__(obj, name, as_float(getattr(obj, name)))
+
+
+def float_pairs(pairs) -> tuple[tuple, ...]:
+    """pairs as a tuple of tuples, each number passed through as_float."""
+    return tuple(tuple(map(as_float, pair)) for pair in pairs)
+
+
 class StageName(str, Enum):
     SENSOR_READ = "sensor_read"
     BLE_ADVERTISE = "ble_advertise"
@@ -43,6 +60,7 @@ class Stage:
     duration_s: float
 
     def __post_init__(self) -> None:
+        store_floats(self, "current_ma", "duration_s")
         if not self.current_ma > 0:
             raise FieldError("current_ma", "must be > 0")
         if not self.duration_s > 0:
@@ -58,6 +76,7 @@ class EnergyProfile:
     sleep_current_ma: float
 
     def __post_init__(self) -> None:
+        store_floats(self, "voltage_v", "sleep_current_ma")
         if not self.voltage_v > 0:
             raise FieldError("voltage_v", "must be > 0")
         if not self.sleep_current_ma > 0:
@@ -157,6 +176,7 @@ class HarvesterCurve:
     points: tuple[tuple[float, float], ...]  # (lux, milliwatts)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "points", float_pairs(self.points))
         if not self.points:
             raise FieldError("points", "curve needs at least one point")
         luxes = [p[0] for p in self.points]
@@ -191,6 +211,7 @@ class Supercap:
     v_max: float = 4.5
 
     def __post_init__(self) -> None:
+        store_floats(self, "capacitance_f", "voltage_v", "v_min", "v_max")
         if not self.capacitance_f > 0:
             raise FieldError("capacitance_f", "must be > 0")
         if not self.voltage_v > 0:

@@ -24,9 +24,10 @@ from .energy import (
     Supercap,
     active_totals,
     solve_sleep_time,
+    store_floats,
     Feasibility,
 )
-from .metrics import CycleRecord
+from .metrics import RecordColumns
 from .protocol import (
     BLE_SCRIPT,
     CONFIG_OR_DISCONNECT,
@@ -144,6 +145,7 @@ class NodeConfig:
     efficiency: float = 1.0  # share of the harvest that charging stores
 
     def __post_init__(self) -> None:
+        store_floats(self, "margin", "backoff_s", "efficiency")
         if not self.margin >= 0:
             raise FieldError("margin", "must be >= 0")
         if self.adv_mode not in ADV_MODES:
@@ -181,6 +183,9 @@ class NodeState:
     stage_s: dict[Phase, float]  # duration of the stage of each active phase
     cap: tuple[float, float, float, float]  # (C, v_min, v_max, v_min**2)
     active_totals: tuple[float, float]  # active_totals(cfg.profile)
+    # One record per closed cycle (a sleep period plus the active burst);
+    # the open cycle starts where the last record ends.
+    records: RecordColumns
     depleted: bool = False
     awaiting_reeval: bool = False
     timeout_extended: bool = False
@@ -192,9 +197,6 @@ class NodeState:
     # Cursor into the run's LightTable and its harvester's power column there
     light_i: int = 0
     p_harv: list[float] = field(default_factory=list)
-    # One record per closed cycle (a sleep period plus the active burst);
-    # the open cycle starts where the last record ends.
-    records: list[CycleRecord] = field(default_factory=list)
     cycle_consumed_j: float = 0.0  # in the open cycle
     cycle_harvested_j: float = 0.0
     last_energy_update: float = 0.0
@@ -225,6 +227,7 @@ def initial_state(
                  for phase, name in _PHASE_STAGE[cfg.kind].items()},
         cap=(cap.capacitance_f, cap.v_min, cap.v_max, cap.v_min**2),
         active_totals=active_totals(cfg.profile),
+        records=RecordColumns(cfg.node_id, cap.voltage_v),
         volts=array("d", (cap.voltage_v,)),
         sample_interval_s=sample_interval_s,
     )
@@ -372,25 +375,14 @@ def _close_cycle(
     keeps its own outcome.  A cycle without a session (a BLE node that
     browned out while reading its sensors) fails with fail_reason.
     """
-    session, records = state.session, state.records
+    session = state.session
     if session is None:
         outcome = FAILED
     else:
         protocol.fail_session(session, fail_reason)
         outcome, fail_reason = session.outcome, session.fail_reason
-    last = records[-1] if records else None
-    records.append(CycleRecord(
-        node_id=cfg.node_id,
-        cycle_index=len(records),
-        start_s=last.end_s if last else 0.0,
-        end_s=now,
-        outcome=outcome,
-        fail_reason=fail_reason,
-        scap_v_start=last.scap_v_end if last else cfg.supercap.voltage_v,
-        scap_v_end=state.voltage_v,
-        energy_consumed_j=state.cycle_consumed_j,
-        energy_harvested_j=state.cycle_harvested_j,
-    ))
+    state.records.append(now, outcome, fail_reason, state.voltage_v,
+                         state.cycle_consumed_j, state.cycle_harvested_j)
     state.cycle_consumed_j = 0.0
     state.cycle_harvested_j = 0.0
     state.session = None

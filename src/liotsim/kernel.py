@@ -29,7 +29,16 @@ from operator import itemgetter
 from typing import Iterator, Optional, Union
 
 from . import fsm, metrics
-from .energy import Feasibility, FieldError, HarvesterCurve, fold_sum, solve_sleep_time
+from .energy import (
+    Feasibility,
+    FieldError,
+    HarvesterCurve,
+    as_float,
+    float_pairs,
+    fold_sum,
+    solve_sleep_time,
+    store_floats,
+)
 from .fsm import NodeConfig, NodeState
 from .protocol import (
     GATEWAY_ID,
@@ -63,7 +72,13 @@ class ChannelModel:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        probs = list(self.loss.values()) if isinstance(self.loss, dict) else [self.loss]
+        if isinstance(self.loss, dict):
+            loss = {link: as_float(p) for link, p in self.loss.items()}
+            object.__setattr__(self, "loss", loss)
+            probs = list(loss.values())
+        else:
+            store_floats(self, "loss")
+            probs = [self.loss]
         if any(isinstance(p, bool) or not isinstance(p, (int, float))
                or not 0.0 <= p <= 1.0 for p in probs):
             raise FieldError("loss", "loss probabilities must be numbers in [0, 1]")
@@ -115,6 +130,8 @@ class IlluminationProfile:
     jitter_seed: int = 0
 
     def __post_init__(self) -> None:
+        store_floats(self, "lux", "mean", "amplitude", "period_s", "jitter_pct")
+        object.__setattr__(self, "steps", float_pairs(self.steps))
         if self.kind not in ILLUMINATION_KINDS:
             raise FieldError("kind", f"must be one of {list(ILLUMINATION_KINDS)}")
         for name in ("lux", "mean", "amplitude"):
@@ -253,6 +270,7 @@ class Scenario:
     sample_interval_s: float = 1.0
 
     def __post_init__(self) -> None:
+        store_floats(self, "duration_s", "sample_interval_s")
         if not self.duration_s > 0:
             raise FieldError("duration_s", "must be > 0")
         if not self.nodes:
@@ -281,9 +299,29 @@ class FrameLogEntry:
     delivered: bool
 
 
+@dataclass(slots=True)
+class FrameLog:
+    """Every frame a run sent, in send order, as three columns: the send
+    time, the frame (memoised, so each is shared) and whether the channel
+    delivered it.  A frame arrives at sent + frame.airtime_s, the float its
+    delivery was scheduled at."""
+
+    sent_s: array = dataclasses.field(default_factory=lambda: array("d"))
+    frames: list[Frame] = dataclasses.field(default_factory=list)
+    delivered: bytearray = dataclasses.field(default_factory=bytearray)  # 1 or 0
+
+    def __len__(self) -> int:
+        return len(self.frames)
+
+    def __iter__(self) -> Iterator[tuple[float, float, Frame, bool]]:
+        """(sent_s, arrival_s, frame, delivered) of each frame, in send order."""
+        for sent, frame, delivered in zip(self.sent_s, self.frames, self.delivered):
+            yield sent, sent + frame.airtime_s, frame, delivered == 1
+
+
 @dataclass
 class NodeResult:
-    records: list[metrics.CycleRecord]
+    record_columns: metrics.RecordColumns
     # Supercap voltage samples: volts[i] is at the i-th of
     # fsm.sample_times(sample_interval_s), except that the last one is at
     # last_sample_s, the end of the run when that falls between two times.
@@ -294,6 +332,11 @@ class NodeResult:
     total_consumed_j: float = 0.0
     total_harvested_j: float = 0.0
     trailing_consumed_j: float = 0.0  # consumed in the unrecorded final cycle
+
+    @property
+    def records(self) -> list[metrics.CycleRecord]:
+        """The cycle records, built anew on each read."""
+        return list(self.record_columns)
 
     def sample_times(self) -> Iterator[float]:
         """The time of each voltage sample, in order."""
@@ -314,8 +357,13 @@ class NodeResult:
 class RunResult:
     summary: metrics.RunSummary
     nodes: dict[str, NodeResult]
-    # (sent_s, arrival_s, frame, delivered) of every frame sent, in send order
-    frame_log: list[tuple[float, float, Frame, bool]]
+    log: FrameLog
+
+    @property
+    def frame_log(self) -> list[tuple[float, float, Frame, bool]]:
+        """(sent_s, arrival_s, frame, delivered) of every frame sent, in send
+        order, built anew on each read."""
+        return list(self.log)
 
     @property
     def frames(self) -> list[FrameLogEntry]:
@@ -323,12 +371,13 @@ class RunResult:
         return [
             FrameLogEntry(sent, arrival, f.src, f.dst, f.link.value, f.kind.value,
                           f.payload_bytes, delivered)
-            for sent, arrival, f, delivered in self.frame_log
+            for sent, arrival, f, delivered in self.log
         ]
 
     @property
     def records(self) -> list[metrics.CycleRecord]:
-        return [r for nr in self.nodes.values() for r in nr.records]
+        """Every node's cycle records, node by node, built anew on each read."""
+        return [r for nr in self.nodes.values() for r in nr.record_columns]
 
     @property
     def traces(self) -> dict[str, list[tuple[float, float]]]:
@@ -352,7 +401,10 @@ class _Kernel:
             for n in scenario.nodes
         }
         self.link_loss = {link: scenario.channel.loss_for(link) for link in LinkType}
-        self.frame_log: list[tuple[float, float, Frame, bool]] = []
+        self.log = FrameLog()
+        self._log_sent = self.log.sent_s.append
+        self._log_frame = self.log.frames.append
+        self._log_delivered = self.log.delivered.append
         self.gw_liot_busy: Optional[ExchangeSession] = None
         self.light = LightTable(scenario.illumination, scenario.duration_s)
 
@@ -365,10 +417,11 @@ class _Kernel:
     def _send(self, frame: Frame, now: float) -> None:
         """Log a frame; only a delivered one becomes an event (losses time out)."""
         ok = deliver(self.link_loss[frame.link], self.rng_channel)
-        arrival = now + frame.airtime_s
-        self.frame_log.append((now, arrival, frame, ok))
+        self._log_sent(now)
+        self._log_frame(frame)
+        self._log_delivered(ok)
         if ok:
-            self._push(arrival, FRAME_DELIVERED, frame)
+            self._push(now + frame.airtime_s, FRAME_DELIVERED, frame)
 
     # -- gateway -------------------------------------------------------------
 
@@ -456,13 +509,13 @@ class _Kernel:
     def _result(self) -> RunResult:
         nodes = {
             node_id: NodeResult(
-                records=state.records,
+                record_columns=state.records,
                 sample_interval_s=state.sample_interval_s,
                 volts=state.volts,
                 last_sample_s=state.last_sample_s,
-                total_consumed_j=fold_sum(r.energy_consumed_j for r in state.records)
+                total_consumed_j=fold_sum(state.records.consumed_j)
                 + state.cycle_consumed_j,
-                total_harvested_j=fold_sum(r.energy_harvested_j for r in state.records)
+                total_harvested_j=fold_sum(state.records.harvested_j)
                 + state.cycle_harvested_j,
                 trailing_consumed_j=state.cycle_consumed_j,
             )
@@ -470,7 +523,8 @@ class _Kernel:
         }
         node_summaries = tuple(
             metrics.summarize_node(node_id, self.node_cfg[node_id].kind.value,
-                                   nr.records, nr.sample_times(), nr.volts)
+                                   nr.record_columns.outcomes(), nr.sample_times(),
+                                   nr.volts)
             for node_id, nr in nodes.items()
         )
         summary = metrics.RunSummary(
@@ -479,7 +533,7 @@ class _Kernel:
             config_hash=scenario_fingerprint(self.sc),
             nodes=node_summaries,
         )
-        return RunResult(summary=summary, nodes=nodes, frame_log=self.frame_log)
+        return RunResult(summary=summary, nodes=nodes, log=self.log)
 
 
 def run(scenario: Scenario) -> RunResult:

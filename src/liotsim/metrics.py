@@ -6,8 +6,8 @@ import csv
 import io
 import json
 from array import array
-from dataclasses import dataclass
-from itertools import islice
+from dataclasses import dataclass, field
+from itertools import chain, islice
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -28,10 +28,75 @@ class CycleRecord:
     energy_harvested_j: float
 
     def __post_init__(self) -> None:
-        if self.end_s <= self.start_s:
-            raise ValueError("cycle must have positive duration")
-        if self.energy_consumed_j < 0 or self.energy_harvested_j < 0:
-            raise ValueError("energy fields must be >= 0")
+        check_cycle(self.start_s, self.end_s, self.energy_consumed_j,
+                    self.energy_harvested_j)
+
+
+def check_cycle(start_s: float, end_s: float, consumed_j: float,
+                harvested_j: float) -> None:
+    """The rule of every cycle record: it ends after it starts, and neither
+    of its energies is negative."""
+    if end_s <= start_s:
+        raise ValueError("cycle must have positive duration")
+    if consumed_j < 0 or harvested_j < 0:
+        raise ValueError("energy fields must be >= 0")
+
+
+# Each (outcome, fail reason) pair a record can hold; RecordColumns keeps
+# the pair of each record as its index here, one byte.
+RECORD_PAIRS = tuple((o, r) for o in SessionOutcome for r in (None, *FailReason))
+_OUTCOMES = tuple(o for o, _ in RECORD_PAIRS)
+# Keyed by identity: Enum.__hash__ is a Python function, slow once a cycle.
+_PAIR_CODE = {(id(o), id(r)): code for code, (o, r) in enumerate(RECORD_PAIRS)}
+
+
+@dataclass(slots=True)
+class RecordColumns:
+    """One node's cycle records, as columns with one entry per record.
+
+    A record starts where the one before it ends, at that one's voltage
+    (the first at 0.0 and boot_v); its cycle index is its position and its
+    node id is node_id.  Iterating builds each CycleRecord as it is read.
+    """
+
+    node_id: str
+    boot_v: float
+    end_s: array = field(default_factory=lambda: array("d"))
+    scap_v_end: array = field(default_factory=lambda: array("d"))
+    consumed_j: array = field(default_factory=lambda: array("d"))
+    harvested_j: array = field(default_factory=lambda: array("d"))
+    codes: bytearray = field(default_factory=bytearray)  # index into RECORD_PAIRS
+
+    def append(
+        self, end_s: float, outcome: SessionOutcome, fail_reason: Optional[FailReason],
+        scap_v_end: float, consumed_j: float, harvested_j: float,
+    ) -> None:
+        """Add the next record; one that breaks check_cycle raises ValueError
+        and adds nothing."""
+        ends = self.end_s
+        check_cycle(ends[-1] if ends else 0.0, end_s, consumed_j, harvested_j)
+        self.codes.append(_PAIR_CODE[id(outcome), id(fail_reason)])
+        ends.append(end_s)
+        self.scap_v_end.append(scap_v_end)
+        self.consumed_j.append(consumed_j)
+        self.harvested_j.append(harvested_j)
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __iter__(self) -> Iterator[CycleRecord]:
+        ends, volts = self.end_s, self.scap_v_end
+        rows = zip(chain((0.0,), ends), ends, self.codes,
+                   chain((self.boot_v,), volts), volts,
+                   self.consumed_j, self.harvested_j)
+        for i, (start, end, code, v_start, v_end, consumed, harvested) in enumerate(rows):
+            outcome, fail_reason = RECORD_PAIRS[code]
+            yield CycleRecord(self.node_id, i, start, end, outcome, fail_reason,
+                              v_start, v_end, consumed, harvested)
+
+    def outcomes(self) -> list[SessionOutcome]:
+        """The outcome of each record, in order."""
+        return list(map(_OUTCOMES.__getitem__, self.codes))
 
 
 @dataclass(frozen=True)
@@ -84,16 +149,17 @@ def voltage_stats(
 def summarize_node(
     node_id: str,
     kind: str,
-    records: Sequence[CycleRecord],
+    outcomes: Sequence[SessionOutcome],
     times: Iterable[float],
     volts: Sequence[float],
 ) -> NodeSummary:
-    """Counts, PDR and voltage stats of one node (volts[i] sampled at times[i]).
+    """Counts, PDR and voltage stats of one node from the outcome of each of
+    its cycle records (volts[i] sampled at times[i]).
 
     Each cycle record is one packet sent; the delivered ones were received.
     """
-    sent = len(records)
-    received = sum(1 for r in records if r.outcome is SessionOutcome.DELIVERED)
+    sent = len(outcomes)
+    received = outcomes.count(SessionOutcome.DELIVERED)
     pdr = received / sent if sent > 0 else 0.0
     avg, lo, hi = voltage_stats(times, volts)
     return NodeSummary(node_id, kind, sent, received, pdr, avg, lo, hi)

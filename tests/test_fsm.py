@@ -18,6 +18,7 @@ from liotsim.fsm import (
     NodeConfig,
     NodeKind,
     Phase,
+    _close_cycle,
     advance,
     end_run,
     initial_state,
@@ -125,13 +126,13 @@ def test_ble_cycle_walkthrough_emits_adv_then_sleeps_without_gateway():
     assert state.phase is Phase.ADVERTISING
     assert state.session is not None
     assert out.kind is FrameKind.ADV_ESS
-    assert state.records == []
+    assert len(state.records) == 0
     # No connection request: the advertising window expires into sleep.
     out = advance(state, cfg, state.phase_deadline, lux=700.0, rng=rng)
     assert state.phase is Phase.SLEEPING and out is None
-    assert len(state.records) == 1
-    assert state.records[0].fail_reason.value == "no_gateway"
-    assert state.records[0].outcome is SessionOutcome.FAILED
+    (record,) = state.records
+    assert record.fail_reason.value == "no_gateway"
+    assert record.outcome is SessionOutcome.FAILED
     assert state.session is None
 
 
@@ -170,6 +171,26 @@ def test_out_of_sequence_frame_in_exchange_is_recorded_as_a_violation():
     assert record.end_s == began + 1.3
 
 
+def test_a_cycle_that_breaks_the_record_rule_raises_and_adds_nothing():
+    cfg = ble_cfg()
+    state = initial_state(cfg, 13.76)
+    # A cycle without a session: a brown-out while reading the sensors.
+    _close_cycle(state, cfg, 10.0, FailReason.BROWN_OUT, 60.0)
+    (first,) = state.records
+    assert (first.start_s, first.end_s) == (0.0, 10.0)
+    # The next cycle cannot end where the last one ended...
+    with pytest.raises(ValueError, match="positive duration"):
+        _close_cycle(state, cfg, 10.0, FailReason.BROWN_OUT, 60.0)
+    # ...nor consume negative energy.
+    state.cycle_consumed_j = -1e-9
+    with pytest.raises(ValueError, match=">= 0"):
+        _close_cycle(state, cfg, 20.0, FailReason.BROWN_OUT, 60.0)
+    assert list(state.records) == [first]
+    assert [len(column) for column in (
+        state.records.end_s, state.records.scap_v_end, state.records.consumed_j,
+        state.records.harvested_j, state.records.codes)] == [1] * 5
+
+
 def test_end_run_records_the_open_session_as_it_stands():
     cfg = ble_cfg()
     light = LightTable(IlluminationProfile(lux=700.0), 100.0)
@@ -187,14 +208,15 @@ def test_end_run_records_the_open_session_as_it_stands():
         assert record.scap_v_start == cfg.supercap.voltage_v
         assert record.scap_v_end == state.voltage_v
         assert state.session is None
-    assert pending.records[0].fail_reason is FailReason.RUN_ENDED
-    assert delivered.records[0].outcome is SessionOutcome.DELIVERED
-    assert delivered.records[0].fail_reason is None
+    ((pending_record,), (delivered_record,)) = pending.records, delivered.records
+    assert pending_record.fail_reason is FailReason.RUN_ENDED
+    assert delivered_record.outcome is SessionOutcome.DELIVERED
+    assert delivered_record.fail_reason is None
     # A node asleep at the end has no session, so it records nothing.
     asleep = initial_state(cfg, 13.76)
     light.attach(asleep, cfg.harvester)
     end_run(asleep, cfg, 10.0, light)
-    assert asleep.records == []
+    assert len(asleep.records) == 0
 
 
 def test_uniform_advertising_mode_draws_in_range():

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import random
+import struct
 from itertools import islice, takewhile
 
 import pytest
@@ -314,6 +315,43 @@ def test_run_is_deterministic_and_fingerprinted():
         illumination=IlluminationProfile(kind="constant", lux=700.0), seed=6,
     ))
     assert c.summary.config_hash != a.summary.config_hash
+
+
+def _scenario_of(num) -> Scenario:
+    """One scenario with every number of a float field passed through num."""
+    profile = dataclasses.replace(
+        BLE_PROFILE, voltage_v=num(3),
+        active_stages=tuple(dataclasses.replace(s, duration_s=num(s.duration_s))
+                            for s in BLE_PROFILE.active_stages))
+    return Scenario(
+        duration_s=num(100),
+        nodes=(ble_node(profile=profile, margin=num(0), backoff_s=num(60),
+                        efficiency=num(1),
+                        harvester=HarvesterCurve(((num(0), num(0)), (num(700), num(1)))),
+                        supercap=Supercap(num(1), num(4), num(3), num(5))),),
+        channel=ChannelModel(loss={LinkType.BLE_ADV: num(0), LinkType.BLE_CONN: num(1)}),
+        illumination=IlluminationProfile(kind="step",
+                                         steps=((num(0), num(700)), (num(50), num(500)))),
+        sample_interval_s=num(2),
+    )
+
+
+def test_equal_scenarios_get_one_config_hash():
+    # A library caller may pass an int where the parser passes a float.
+    ints = _scenario_of(lambda x: int(x) if float(x).is_integer() else x)
+    floats = _scenario_of(float)
+    assert ints == floats
+    assert scenario_fingerprint(ints) == scenario_fingerprint(floats)
+    assert run(ints).summary == run(floats).summary
+    assert (scenario_fingerprint(Scenario(duration_s=100, nodes=(ble_node(),),
+                                          channel=ChannelModel(loss=1),
+                                          illumination=IlluminationProfile(lux=700)))
+            == scenario_fingerprint(Scenario(duration_s=100.0, nodes=(ble_node(),),
+                                             channel=ChannelModel(loss=1.0),
+                                             illumination=IlluminationProfile(lux=700.0))))
+    # Seeds stay integers.
+    assert type(ChannelModel(seed=3).seed) is int
+    assert type(IlluminationProfile(jitter_seed=3).jitter_seed) is int
 
 
 def test_short_run_yields_zero_packets_but_valid_summary():
@@ -807,6 +845,28 @@ def test_local_sleep_follows_the_light_back():
         502, 10785.965000000004, 4.494605597133684)
 
 
+def test_records_and_frame_log_take_a_few_bytes_each():
+    doc = preset_dict("ble-700lx")
+    doc.update(duration_s=86400.0, sample_interval_s=3600.0)
+    result = run(scenario_from_dict(doc))
+    (nr,) = result.nodes.values()
+
+    def nbytes(buffer) -> int:
+        return memoryview(buffer).itemsize * len(buffer)
+
+    records = nr.record_columns
+    assert len(records) == len(nr.records) > 4000
+    assert sum(map(nbytes, (records.end_s, records.scap_v_end, records.consumed_j,
+                            records.harvested_j, records.codes))) <= 40 * len(records)
+    log = result.log
+    assert len(log) == len(result.frame_log) > 20000
+    # The frames themselves are memoised, so the log holds a pointer to each.
+    assert len(set(map(id, log.frames))) < 20
+    frame_bytes = (nbytes(log.sent_s) + nbytes(log.delivered)
+                   + struct.calcsize("P") * len(log.frames))
+    assert frame_bytes <= 20 * len(log)
+
+
 def test_frame_log_lists_lost_frames_and_repeats():
     sc = Scenario(
         duration_s=2000.0,
@@ -818,6 +878,13 @@ def test_frame_log_lists_lost_frames_and_repeats():
     frames = a.frames
     assert frames == b.frames
     assert frames is not a.frames  # built anew on each read
+    frame_log = a.frame_log
+    assert frame_log == b.frame_log and frame_log is not a.frame_log
+    assert [(f.sent_s, f.arrival_s, f.delivered) for f in frames] == [
+        (sent, arrival, delivered) for sent, arrival, _, delivered in frame_log]
+    assert all(type(delivered) is bool for *_, delivered in frame_log)
+    records = a.records
+    assert records == b.records and records is not a.records
     assert all(type(f) is FrameLogEntry for f in frames)
     assert not hasattr(frames[0], "__dict__")
     lost = [f for f in frames if not f.delivered]

@@ -52,16 +52,20 @@ def _records(sent: int, received: int) -> list[CycleRecord]:
             for i in range(sent)]
 
 
+def _outcomes(records) -> list[SessionOutcome]:
+    return [r.outcome for r in records]
+
+
 def test_pdr_from_counts():
     # Every record is a packet sent, a run_ended one too; delivered ones
     # were received.
     records = _records(1490, 1479)
     records.append(_record(1490, SessionOutcome.FAILED, FailReason.RUN_ENDED))
-    ble = summarize_node("n", "ble", records, [], [])
+    ble = summarize_node("n", "ble", _outcomes(records), [], [])
     assert (ble.packets_sent, ble.packets_received) == (1491, 1479)
     assert ble.pdr == pytest.approx(1479 / 1491)
     assert ble.pdr == pytest.approx(0.991, abs=0.001)
-    assert summarize_node("n", "liot", _records(21, 21), [], []).pdr == 1.0
+    assert summarize_node("n", "liot", _outcomes(_records(21, 21)), [], []).pdr == 1.0
     assert summarize_node("n", "liot", [], [], []).pdr == 0.0
 
 
@@ -241,7 +245,7 @@ def test_load_trace_reads_any_column_order_and_layout(tmp_path, layout):
 def test_summary_round_trip(tmp_path):
     summary = RunSummary(
         duration_s=28800.0, seed=1, config_hash="abc123",
-        nodes=(summarize_node("n1", "liot", _records(46, 46), [0.0], [4.3]),),
+        nodes=(summarize_node("n1", "liot", _outcomes(_records(46, 46)), [0.0], [4.3]),),
     )
     path = str(tmp_path / "summary.json")
     export_summary(summary, path)

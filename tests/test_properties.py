@@ -3,6 +3,8 @@
 import copy
 import dataclasses
 import math
+import os
+import tempfile
 from itertools import takewhile
 from pathlib import Path
 
@@ -10,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from liotsim import fsm
 from liotsim.kernel import run
+from liotsim.metrics import export_records, load_records
 from liotsim.protocol import FailReason, FrameKind, SessionOutcome
 from liotsim.scenario import (
     ScenarioError,
@@ -67,18 +70,22 @@ def test_trace_follows_the_sampling_rule_and_nothing_else_moves(doc, interval_s)
         assert summary.packets_sent == len(nr.records)
         assert summary.packets_received == sum(
             1 for r in nr.records if r.outcome is SessionOutcome.DELIVERED)
-        check_records_are_the_account(nr.records, result.frame_log, node_id,
+        check_records_are_the_account(nr, result.frame_log, node_id,
                                       boot_v[node_id], end)
 
 
-def check_records_are_the_account(records, frame_log, node_id, boot_v, end) -> None:
+def check_records_are_the_account(nr, frame_log, node_id, boot_v, end) -> None:
     """The records tile the run, and each holds the session its node opened.
 
-    Every session-opening frame the node sent lies in its own record, in
-    order; a record without one is a cycle that browned out before its
-    session opened.  A session still open at the end is the last record,
-    closed as run_ended at the end of the run.
+    The record view chains: each record starts where the one before it
+    ended, at its voltage, and its cycle index is its position.  Every
+    session-opening frame the node sent lies in its own record, in order; a
+    record without one is a cycle that browned out before its session
+    opened.  A session still open at the end is the last record, closed as
+    run_ended at the end of the run.  An export of the node's record
+    columns in either format reads back as the view.
     """
+    records = nr.records
     opened = iter([sent for sent, _, frame, _ in frame_log
                    if frame.src == node_id and frame.kind in SESSION_OPENERS])
     next_open = next(opened, None)
@@ -94,6 +101,11 @@ def check_records_are_the_account(records, frame_log, node_id, boot_v, end) -> N
         if r.fail_reason is FailReason.RUN_ENDED:
             assert (i, r.end_s) == (len(records) - 1, end)
     assert next_open is None
+    with tempfile.TemporaryDirectory() as tmp:
+        for fmt in ("csv", "jsonl"):
+            path = os.path.join(tmp, f"records.{fmt}")
+            export_records(nr.record_columns, fmt, path)
+            assert load_records(path) == records
 
 
 EXAMPLE = Path(__file__).resolve().parent.parent / "docs" / "scenario-example.yaml"
@@ -150,5 +162,5 @@ def test_a_mutated_scenario_is_rejected_by_path_or_runs(doc):
     result = run(dataclasses.replace(sc, duration_s=min(sc.duration_s, 120.0)))
     boot_v = {n.node_id: n.supercap.voltage_v for n in sc.nodes}
     for node_id, nr in result.nodes.items():
-        check_records_are_the_account(nr.records, result.frame_log, node_id,
+        check_records_are_the_account(nr, result.frame_log, node_id,
                                       boot_v[node_id], result.summary.duration_s)
