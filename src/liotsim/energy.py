@@ -11,7 +11,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Iterable
 
 
 class FieldError(ValueError):
@@ -85,6 +85,12 @@ class EnergyProfile:
             raise ValueError("profile needs at least one active stage")
         if self.sleep_current_ma >= min(s.current_ma for s in self.active_stages):
             raise ValueError("sleep current must be below every active-stage current")
+        # Summed once, for active_totals; not a field, so no config_hash sees it.
+        stages = self.active_stages
+        object.__setattr__(self, "_active_totals", (
+            fold_sum(s.duration_s for s in stages),
+            fold_sum(stage_energy(s, self.voltage_v) for s in stages),
+        ))
 
     @property
     def sleep_power_mw(self) -> float:
@@ -117,10 +123,7 @@ def fold_sum(values: Iterable[float]) -> float:
 
 def active_totals(profile: EnergyProfile) -> tuple[float, float]:
     """(total active time in seconds, total active energy in joules)."""
-    stages = profile.active_stages
-    t = fold_sum(s.duration_s for s in stages)
-    e = fold_sum(stage_energy(s, profile.voltage_v) for s in stages)
-    return t, e
+    return profile._active_totals
 
 
 class Feasibility(Enum):
@@ -135,19 +138,15 @@ class SleepSolution:
     t_sleep_s: float  # 0.0 for CONTINUOUS, nan for INFEASIBLE
 
 
-def solve_sleep_time(
-    profile: EnergyProfile, p_harv_mw: float,
-    totals: Optional[tuple[float, float]] = None,
-) -> SleepSolution:
+def solve_sleep_time(profile: EnergyProfile, p_harv_mw: float) -> SleepSolution:
     """Minimal sleep time so harvested energy covers one full duty cycle.
 
     Balances p_harv*(T_a + T_s) against E_active + P_sleep*T_s; returns the
     T_s achieving equality, or CONTINUOUS / INFEASIBLE at the boundaries.
-    totals is active_totals(profile), for a caller that already holds it.
     """
     if p_harv_mw < 0:
         raise ValueError("harvest power must be >= 0")
-    t_active, e_active = totals if totals is not None else active_totals(profile)
+    t_active, e_active = active_totals(profile)
     e_active_mj = e_active * 1e3
     if p_harv_mw * t_active >= e_active_mj:
         return SleepSolution(Feasibility.CONTINUOUS, 0.0)

@@ -79,23 +79,6 @@ AWAITING_REQUEST = Phase.AWAITING_REQUEST
 UPLOADING = Phase.UPLOADING
 AWAITING_SLEEP_SET = Phase.AWAITING_SLEEP_SET
 
-LEGAL_TRANSITIONS: dict[NodeKind, dict[Phase, frozenset[Phase]]] = {
-    NodeKind.BLE: {
-        Phase.SLEEPING: frozenset({Phase.SLEEPING, Phase.SENSING}),
-        Phase.SENSING: frozenset({Phase.ADVERTISING, Phase.SLEEPING}),
-        Phase.ADVERTISING: frozenset({Phase.EXCHANGING, Phase.SLEEPING}),
-        Phase.EXCHANGING: frozenset({Phase.SLEEPING}),
-    },
-    NodeKind.LIOT: {
-        Phase.SLEEPING: frozenset({Phase.SLEEPING, Phase.UPLINKING}),
-        Phase.UPLINKING: frozenset({Phase.AWAITING_REQUEST, Phase.SLEEPING}),
-        Phase.AWAITING_REQUEST: frozenset({Phase.SENSING, Phase.SLEEPING}),
-        Phase.SENSING: frozenset({Phase.UPLOADING, Phase.SLEEPING}),
-        Phase.UPLOADING: frozenset({Phase.AWAITING_SLEEP_SET, Phase.SLEEPING}),
-        Phase.AWAITING_SLEEP_SET: frozenset({Phase.SLEEPING}),
-    },
-}
-
 # Each frame kind the gateway sends a node: the phase that serves it, and
 # the phases that hold it until a phase boundary consumes it.  The kind in
 # any other phase, or a kind not listed, is a protocol violation.
@@ -120,6 +103,22 @@ _PHASE_STAGE: dict[NodeKind, dict[Phase, StageName]] = {
         Phase.UPLOADING: StageName.LIOT_DATA_UPLOAD,
         Phase.AWAITING_SLEEP_SET: StageName.LIOT_SLEEP_SET,
     },
+}
+
+
+def _burst_transitions(burst: list[Phase]) -> dict[Phase, frozenset[Phase]]:
+    """The phases each phase may move to: sleep goes on or starts the burst,
+    each phase moves to the next or aborts to sleep, the last ends in sleep."""
+    table = {SLEEPING: frozenset({SLEEPING, burst[0]})}
+    for phase, after in zip(burst, burst[1:]):
+        table[phase] = frozenset({after, SLEEPING})
+    table[burst[-1]] = frozenset({SLEEPING})
+    return table
+
+
+# A node's burst runs through its phases in _PHASE_STAGE order.
+LEGAL_TRANSITIONS: dict[NodeKind, dict[Phase, frozenset[Phase]]] = {
+    kind: _burst_transitions(list(stages)) for kind, stages in _PHASE_STAGE.items()
 }
 
 # How a BLE node times its advertising: the profile's stage duration, or a
@@ -182,7 +181,6 @@ class NodeState:
     load_mw: dict[Phase, float]  # phase_power_mw of each of the node's phases
     stage_s: dict[Phase, float]  # duration of the stage of each active phase
     cap: tuple[float, float, float, float]  # (C, v_min, v_max, v_min**2)
-    active_totals: tuple[float, float]  # active_totals(cfg.profile)
     # One record per closed cycle (a sleep period plus the active burst);
     # the open cycle starts where the last record ends.
     records: RecordColumns
@@ -209,52 +207,45 @@ class NodeState:
 
 
 def initial_state(
-    cfg: NodeConfig, first_sleep_s: float, sample_interval_s: float = math.inf
+    cfg: NodeConfig, first_sleep_s: Optional[float], sample_interval_s: float = math.inf
 ) -> NodeState:
-    """Node boots asleep, charging, and wakes after its first solved sleep.
+    """Node boots asleep, charging, and wakes after its first solved sleep;
+    None (infeasible) backs off as _finish_cycle does.
 
     The voltage trace samples every sample_interval_s; without an interval
     it holds only the boot voltage.
     """
     cap = cfg.supercap
-    return NodeState(
+    state = NodeState(
         phase=SLEEPING,
-        phase_deadline=first_sleep_s,
+        phase_deadline=0.0,
         phase_started=0.0,
         voltage_v=cap.voltage_v,
         load_mw={p: phase_power_mw(cfg, p) for p in LEGAL_TRANSITIONS[cfg.kind]},
         stage_s={phase: cfg.profile.stage(name).duration_s
                  for phase, name in _PHASE_STAGE[cfg.kind].items()},
         cap=(cap.capacitance_f, cap.v_min, cap.v_max, cap.v_min**2),
-        active_totals=active_totals(cfg.profile),
         records=RecordColumns(cfg.node_id, cap.voltage_v),
         volts=array("d", (cap.voltage_v,)),
         sample_interval_s=sample_interval_s,
     )
+    state.phase_deadline = _sleep_or_back_off(state, cfg, first_sleep_s)
+    return state
 
 
-def schedule_next_cycle(
-    cfg: NodeConfig, lux: float, assigned_s: Optional[float] = None,
-    totals: Optional[tuple[float, float]] = None,
-) -> Optional[float]:
-    """Sleep duration to arm the wake timer with; None when infeasible.
+def schedule_next_cycle(cfg: NodeConfig, lux: float) -> Optional[float]:
+    """Locally solved sleep to arm the wake timer with; None when infeasible.
 
-    Locally solved sleeps stretch the whole cycle by (1 + margin);
-    gateway-assigned sleeps are used verbatim.  totals is
-    active_totals(cfg.profile), for a caller that already holds it.
+    The sleep stretches the whole cycle by (1 + margin).
     """
     if lux < 0:
         raise ValueError("lux must be >= 0")
-    if assigned_s is not None:
-        return assigned_s
-    if totals is None:
-        totals = active_totals(cfg.profile)
-    sol = solve_sleep_time(cfg.profile, cfg.harvester.power_mw(lux), totals)
+    sol = solve_sleep_time(cfg.profile, cfg.harvester.power_mw(lux))
     if sol.feasibility is Feasibility.INFEASIBLE:
         return None
     if sol.feasibility is Feasibility.CONTINUOUS:
         return 0.0
-    t_active = totals[0]
+    t_active = active_totals(cfg.profile)[0]
     return (t_active + sol.t_sleep_s) * (1.0 + cfg.margin) - t_active
 
 
@@ -389,6 +380,16 @@ def _close_cycle(
     _set_phase(state, cfg, SLEEPING, now, now + sleep)
 
 
+def _sleep_or_back_off(state: NodeState, cfg: NodeConfig,
+                       sleep: Optional[float]) -> float:
+    """The sleep to arm: sleep, or the node's back-off when sleep is None
+    (infeasible), after which the node solves again at wake."""
+    if sleep is None:
+        state.awaiting_reeval = True
+        return cfg.backoff_s
+    return sleep
+
+
 def _finish_cycle(
     state: NodeState,
     cfg: NodeConfig,
@@ -397,17 +398,17 @@ def _finish_cycle(
     fail_reason: Optional[FailReason],
     assigned_sleep: Optional[float] = None,
 ) -> None:
-    if assigned_sleep is None and lux == state.sleep_memo[0]:
+    """Close the cycle and sleep: the gateway's assigned sleep verbatim, else
+    the local solve at lux."""
+    if assigned_sleep is not None:
+        sleep = assigned_sleep
+    elif lux == state.sleep_memo[0]:
         # schedule_next_cycle depends only on cfg and lux.
         sleep = state.sleep_memo[1]
     else:
-        sleep = schedule_next_cycle(cfg, lux, assigned_sleep, state.active_totals)
-        if assigned_sleep is None:
-            state.sleep_memo = (lux, sleep)
-    if sleep is None:
-        sleep = cfg.backoff_s
-        state.awaiting_reeval = True
-    _close_cycle(state, cfg, now, fail_reason, sleep)
+        sleep = schedule_next_cycle(cfg, lux)
+        state.sleep_memo = (lux, sleep)
+    _close_cycle(state, cfg, now, fail_reason, _sleep_or_back_off(state, cfg, sleep))
 
 
 def _await_or_time_out(
@@ -449,7 +450,7 @@ def advance(
                 _set_phase(state, cfg, SLEEPING, now, now + cfg.backoff_s)
                 return None
         if state.awaiting_reeval:
-            sleep = schedule_next_cycle(cfg, lux, totals=state.active_totals)
+            sleep = schedule_next_cycle(cfg, lux)
             if sleep is None:
                 _set_phase(state, cfg, SLEEPING, now, now + cfg.backoff_s)
                 return None

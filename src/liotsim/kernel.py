@@ -296,6 +296,7 @@ class FrameLogEntry:
     link: str
     kind: str
     payload_bytes: int
+    channel: Optional[int]  # the BLE radio channel, None on the optical links
     delivered: bool
 
 
@@ -313,10 +314,11 @@ class FrameLog:
     def __len__(self) -> int:
         return len(self.frames)
 
-    def __iter__(self) -> Iterator[tuple[float, float, Frame, bool]]:
-        """(sent_s, arrival_s, frame, delivered) of each frame, in send order."""
-        for sent, frame, delivered in zip(self.sent_s, self.frames, self.delivered):
-            yield sent, sent + frame.airtime_s, frame, delivered == 1
+    def __iter__(self) -> Iterator[FrameLogEntry]:
+        """The entry of each frame, in send order, built as it is read."""
+        for sent, f, delivered in zip(self.sent_s, self.frames, self.delivered):
+            yield FrameLogEntry(sent, sent + f.airtime_s, f.src, f.dst, f.link.value,
+                                f.kind.value, f.payload_bytes, f.channel, delivered == 1)
 
 
 @dataclass
@@ -360,19 +362,9 @@ class RunResult:
     log: FrameLog
 
     @property
-    def frame_log(self) -> list[tuple[float, float, Frame, bool]]:
-        """(sent_s, arrival_s, frame, delivered) of every frame sent, in send
-        order, built anew on each read."""
-        return list(self.log)
-
-    @property
     def frames(self) -> list[FrameLogEntry]:
         """The frame log as entries, built anew on each read."""
-        return [
-            FrameLogEntry(sent, arrival, f.src, f.dst, f.link.value, f.kind.value,
-                          f.payload_bytes, delivered)
-            for sent, arrival, f, delivered in self.log
-        ]
+        return list(self.log)
 
     @property
     def records(self) -> list[metrics.CycleRecord]:
@@ -454,12 +446,7 @@ class _Kernel:
         sc, light = self.sc, self.light
         for cfg in sc.nodes:
             first = fsm.schedule_next_cycle(cfg, light.luxes[0])
-            state = fsm.initial_state(
-                cfg, first if first is not None else cfg.backoff_s,
-                sc.sample_interval_s,
-            )
-            if first is None:
-                state.awaiting_reeval = True
+            state = fsm.initial_state(cfg, first, sc.sample_interval_s)
             light.attach(state, cfg.harvester)
             self.node_state[cfg.node_id] = state
             self._push(state.phase_deadline, TIMER_FIRED, cfg.node_id)

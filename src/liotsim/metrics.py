@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from itertools import chain, islice
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -169,9 +170,10 @@ def summarize_node(
 #
 # CSV files carry a header row and end each line with CRLF; JSONL files hold
 # one object per line, keys sorted.  Floats are written with repr() (as JSON
-# strings in JSONL), so an export-parse round trip is lossless at full double
-# precision.  Readers take the columns or keys in any order; a row they cannot
-# parse raises ValueError naming the file and the line.
+# strings in JSONL; a repr needs no quoting or escaping in either format), so
+# an export-parse round trip is lossless at full double precision.  Readers
+# take the columns or keys in any order; a row they cannot parse raises
+# ValueError naming the file and the line.
 
 # Each column, with the JSON type of its cells in JSONL.
 RECORD_FIELDS = {
@@ -182,24 +184,13 @@ RECORD_FIELDS = {
 
 TRACE_FIELDS = {"node_id": str, "time_s": str, "scap_v": str}
 
+# Lines joined into one write: export memory stays at one chunk, under 1 MiB
+# in either format, however many rows there are.
+EXPORT_CHUNK = 2048
+
 
 class ExportError(OSError):
     pass
-
-
-def _record_row(r: CycleRecord) -> dict:
-    return {
-        "node_id": r.node_id,
-        "cycle_index": r.cycle_index,
-        "start_s": repr(r.start_s),
-        "end_s": repr(r.end_s),
-        "outcome": r.outcome.value,
-        "fail_reason": r.fail_reason.value if r.fail_reason else "",
-        "scap_v_start": repr(r.scap_v_start),
-        "scap_v_end": repr(r.scap_v_end),
-        "energy_consumed_j": repr(r.energy_consumed_j),
-        "energy_harvested_j": repr(r.energy_harvested_j),
-    }
 
 
 def _parse_record(
@@ -221,7 +212,23 @@ def _parse_record(
 
 
 def export_records(records: Iterable[CycleRecord], fmt: str, path: str) -> None:
-    _write(fmt, path, RECORD_FIELDS, map(_record_row, records))
+    """One row per record, in the order given, as _write_lines lays out rows."""
+    cell = _cell_encoder(fmt)
+    pairs = [(cell(o.value), cell(r.value if r else "")) for o, r in RECORD_PAIRS]
+    rows = ((r, *pairs[_PAIR_CODE[id(r.outcome), id(r.fail_reason)]]) for r in records)
+    if fmt == "csv":
+        lines = (f"{cell(r.node_id)},{r.cycle_index},{r.start_s!r},{r.end_s!r},{o},{f},"
+                 f"{r.scap_v_start!r},{r.scap_v_end!r},{r.energy_consumed_j!r},"
+                 f"{r.energy_harvested_j!r}\r\n" for r, o, f in rows)
+    else:
+        lines = (f'{{"cycle_index": {r.cycle_index}, "end_s": "{r.end_s!r}", '
+                 f'"energy_consumed_j": "{r.energy_consumed_j!r}", '
+                 f'"energy_harvested_j": "{r.energy_harvested_j!r}", '
+                 f'"fail_reason": {f}, "node_id": {cell(r.node_id)}, "outcome": {o}, '
+                 f'"scap_v_end": "{r.scap_v_end!r}", '
+                 f'"scap_v_start": "{r.scap_v_start!r}", "start_s": "{r.start_s!r}"}}\n'
+                 for r, o, f in rows)
+    _write_lines(fmt, path, RECORD_FIELDS, lines)
 
 
 def load_records(path: str) -> list[CycleRecord]:
@@ -234,36 +241,23 @@ def load_records(path: str) -> list[CycleRecord]:
     return records
 
 
-# Trace lines joined into one write: export memory stays at one chunk, under
-# 1 MiB in either format, however long the trace.
-EXPORT_CHUNK = 2048
-
-
 def export_trace(
     traces: Mapping[str, Iterable[tuple[float, float]]], fmt: str, path: str
 ) -> None:
-    """One row per sample, nodes in id order, laid out as _write lays out rows.
-
-    Each node's (t, V) samples are read once, EXPORT_CHUNK lines per write.
+    """One row per sample, nodes in id order, laid out as _write_lines lays
+    out rows.  Each node's (t, V) samples are read once, as they are written.
     """
-    _check_format(fmt)
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            if fmt == "csv":
-                fh.write(",".join(TRACE_FIELDS) + "\r\n")
-            for nid in sorted(traces):
-                if fmt == "csv":
-                    qid = _csv_cell(nid)
-                    lines = (f"{qid},{t!r},{v!r}\r\n" for t, v in traces[nid])
-                else:
-                    # The repr of a float needs no JSON escaping.
-                    head = '{"node_id": ' + json.dumps(nid) + ', "scap_v": "'
-                    lines = (f'{head}{v!r}", "time_s": "{t!r}"}}\n'
-                             for t, v in traces[nid])
-                while chunk := "".join(islice(lines, EXPORT_CHUNK)):
-                    fh.write(chunk)
-    except OSError as exc:
-        raise ExportError(f"cannot write {fmt} to {path}: {exc}") from exc
+    cell = _cell_encoder(fmt)
+
+    def node_lines(nid: str) -> Iterator[str]:
+        samples, qid = traces[nid], cell(nid)
+        if fmt == "csv":
+            return (f"{qid},{t!r},{v!r}\r\n" for t, v in samples)
+        return (f'{{"node_id": {qid}, "scap_v": "{v!r}", "time_s": "{t!r}"}}\n'
+                for t, v in samples)
+
+    lines = chain.from_iterable(map(node_lines, sorted(traces)))
+    _write_lines(fmt, path, TRACE_FIELDS, lines)
 
 
 def load_trace_columns(path: str) -> dict[str, tuple[array, array]]:
@@ -290,46 +284,19 @@ def load_trace(path: str) -> dict[str, list[tuple[float, float]]]:
 
 
 def summary_dict(summary: RunSummary) -> dict:
-    return {
-        "version": 1,
-        "duration_s": summary.duration_s,
-        "seed": summary.seed,
-        "config_hash": summary.config_hash,
-        "nodes": [
-            {
-                "node_id": n.node_id,
-                "kind": n.kind,
-                "packets_sent": n.packets_sent,
-                "packets_received": n.packets_received,
-                "pdr": n.pdr,
-                "scap_avg_v": n.scap_avg_v,
-                "scap_min_v": n.scap_min_v,
-                "scap_max_v": n.scap_max_v,
-            }
-            for n in summary.nodes
-        ],
-    }
+    """summary as summary.json v1 holds it: its fields, nodes a list."""
+    d = asdict(summary)
+    return {"version": 1, **d, "nodes": list(d["nodes"])}
+
+
+def _field_values(cls, d: dict) -> dict:
+    """The entry of d for each field of the dataclass cls."""
+    return {f.name: d[f.name] for f in fields(cls)}
 
 
 def summary_from_dict(d: dict) -> RunSummary:
-    return RunSummary(
-        duration_s=d["duration_s"],
-        seed=d["seed"],
-        config_hash=d["config_hash"],
-        nodes=tuple(
-            NodeSummary(
-                node_id=n["node_id"],
-                kind=n["kind"],
-                packets_sent=n["packets_sent"],
-                packets_received=n["packets_received"],
-                pdr=n["pdr"],
-                scap_avg_v=n["scap_avg_v"],
-                scap_min_v=n["scap_min_v"],
-                scap_max_v=n["scap_max_v"],
-            )
-            for n in d["nodes"]
-        ),
-    )
+    nodes = tuple(NodeSummary(**_field_values(NodeSummary, n)) for n in d["nodes"])
+    return RunSummary(**{**_field_values(RunSummary, d), "nodes": nodes})
 
 
 def export_summary(summary: RunSummary, path: str) -> None:
@@ -351,20 +318,26 @@ def _check_format(fmt: str) -> None:
         raise ValueError(f"unsupported export format {fmt!r}")
 
 
-def _write(fmt: str, path: str, fields: dict[str, type], rows: Iterable[dict]) -> None:
+def _write_lines(fmt: str, path: str, fields: dict[str, type],
+                 lines: Iterable[str]) -> None:
+    """Write a CSV file's header row, then lines, EXPORT_CHUNK lines per write."""
     _check_format(fmt)
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             if fmt == "csv":
-                writer = csv.DictWriter(fh, fieldnames=list(fields))
-                writer.writeheader()
-                writer.writerows(rows)
-            else:
-                for row in rows:
-                    fh.write(json.dumps(row, sort_keys=True))
-                    fh.write("\n")
+                fh.write(",".join(fields) + "\r\n")
+            lines = iter(lines)
+            while chunk := "".join(islice(lines, EXPORT_CHUNK)):
+                fh.write(chunk)
     except OSError as exc:
         raise ExportError(f"cannot write {fmt} to {path}: {exc}") from exc
+
+
+def _cell_encoder(fmt: str):
+    """A function that encodes a text cell as fmt writes it in a row of
+    several cells: quoted by the csv module, or as a JSON string.  It encodes
+    each distinct text once."""
+    return functools.cache(_csv_cell if fmt == "csv" else json.dumps)
 
 
 def _csv_cell(text: str) -> str:

@@ -19,6 +19,7 @@ from liotsim.fsm import (
     NodeKind,
     Phase,
     _close_cycle,
+    _finish_cycle,
     advance,
     end_run,
     initial_state,
@@ -74,8 +75,29 @@ def test_schedule_local_solve_ble_700lx_gives_published_duty_cycle():
     assert 5.56 + sleep == pytest.approx(19.3, abs=0.2)
 
 
-def test_schedule_gateway_assigned_is_verbatim():
-    assert schedule_next_cycle(liot_cfg(), 700.0, assigned_s=620.0) == 620.0
+def test_finish_cycle_arms_the_gateway_assigned_sleep_verbatim():
+    # At 500 lx the node's own solve would give about 1350 s.
+    cfg = liot_cfg()
+    state = initial_state(cfg, 1.0)
+    state.phase = Phase.AWAITING_SLEEP_SET
+    state.session = ExchangeSession(cfg.node_id, LIOT_SCRIPT,
+                                    outcome=SessionOutcome.DELIVERED,
+                                    assigned_sleep_s=620.0)
+    _finish_cycle(state, cfg, 10.0, 500.0, None, state.session.assigned_sleep_s)
+    assert state.phase is Phase.SLEEPING
+    assert state.phase_deadline - state.phase_started == 620.0
+    assert not state.awaiting_reeval
+    (record,) = state.records
+    assert record.outcome is SessionOutcome.DELIVERED
+
+
+def test_an_infeasible_first_sleep_backs_off_and_solves_again_at_wake():
+    cfg = liot_cfg(harvester=HarvesterCurve(points=((0.0, 0.0),)))
+    assert schedule_next_cycle(cfg, 700.0) is None
+    state = initial_state(cfg, None)
+    assert (state.phase, state.phase_deadline) == (Phase.SLEEPING, cfg.backoff_s)
+    assert state.awaiting_reeval
+    assert not initial_state(cfg, 13.76).awaiting_reeval
 
 
 def test_schedule_continuous_when_harvest_covers_active_power():
@@ -265,6 +287,25 @@ def test_legal_transition_tables_cover_all_phases():
     for kind, table in LEGAL_TRANSITIONS.items():
         for src, dsts in table.items():
             assert dsts, f"{kind} {src} has no successors"
+
+
+def test_legal_transitions_follow_each_burst_in_order():
+    assert LEGAL_TRANSITIONS == {
+        NodeKind.BLE: {
+            P.SLEEPING: {P.SLEEPING, P.SENSING},
+            P.SENSING: {P.ADVERTISING, P.SLEEPING},
+            P.ADVERTISING: {P.EXCHANGING, P.SLEEPING},
+            P.EXCHANGING: {P.SLEEPING},
+        },
+        NodeKind.LIOT: {
+            P.SLEEPING: {P.SLEEPING, P.UPLINKING},
+            P.UPLINKING: {P.AWAITING_REQUEST, P.SLEEPING},
+            P.AWAITING_REQUEST: {P.SENSING, P.SLEEPING},
+            P.SENSING: {P.UPLOADING, P.SLEEPING},
+            P.UPLOADING: {P.AWAITING_SLEEP_SET, P.SLEEPING},
+            P.AWAITING_SLEEP_SET: {P.SLEEPING},
+        },
+    }
 
 
 K, P = FrameKind, Phase

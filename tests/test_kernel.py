@@ -402,7 +402,7 @@ def test_a_brown_out_while_sensing_counts_as_sent():
     result = run(scenario_from_dict(doc))
     (node,) = result.summary.nodes
     assert {r.fail_reason for r in result.records} == {FailReason.BROWN_OUT}
-    assert result.frame_log == []
+    assert result.frames == []
     assert (node.packets_sent, node.packets_received) == (94, 0)
     assert len(result.records) == 94
 
@@ -454,7 +454,7 @@ def test_two_liot_nodes_share_one_optical_transceiver():
                             if r.fail_reason is FailReason.TIMEOUT))
             for n in result.summary.nodes
         }
-        assert (got, len(result.frame_log)) == (counts, n_frames), (ir_loss, seed)
+        assert (got, len(result.frames)) == (counts, n_frames), (ir_loss, seed)
 
 
 @pytest.mark.parametrize("harvester,lux,expected", [
@@ -758,9 +758,9 @@ def _run_digest(result) -> str:
         h.update(repr((node_id, nr.last_sample_s, nr.total_consumed_j,
                        nr.total_harvested_j)).encode())
         h.update(nr.volts.tobytes())
-    for sent, arrival, f, delivered in result.frame_log:
-        h.update(repr((sent, arrival, f.src, f.dst, f.link.value, f.kind.value,
-                       f.payload_bytes, f.channel, delivered)).encode())
+    for f in result.log:
+        h.update(repr((f.sent_s, f.arrival_s, f.src, f.dst, f.link, f.kind,
+                       f.payload_bytes, f.channel, f.delivered)).encode())
     return h.hexdigest()
 
 
@@ -770,8 +770,8 @@ def test_jittered_lossy_four_node_run_is_pinned():
     reasons = {r.fail_reason for nr in result.nodes.values() for r in nr.records}
     assert reasons >= {None, FailReason.BROWN_OUT, FailReason.TIMEOUT,
                        FailReason.NO_GATEWAY}
-    assert (len(result.frame_log),
-            sum(1 for *_, delivered in result.frame_log if not delivered)) == (2134, 68)
+    frames = result.frames
+    assert (len(frames), sum(1 for f in frames if not f.delivered)) == (2134, 68)
     assert _run_digest(result) == (
         "50b8d53b6b363b58984a4542de145d241119ecd32ba9586b40c36a73d712546c")
 
@@ -859,7 +859,7 @@ def test_records_and_frame_log_take_a_few_bytes_each():
     assert sum(map(nbytes, (records.end_s, records.scap_v_end, records.consumed_j,
                             records.harvested_j, records.codes))) <= 40 * len(records)
     log = result.log
-    assert len(log) == len(result.frame_log) > 20000
+    assert len(log) == len(result.frames) > 20000
     # The frames themselves are memoised, so the log holds a pointer to each.
     assert len(set(map(id, log.frames))) < 20
     frame_bytes = (nbytes(log.sent_s) + nbytes(log.delivered)
@@ -878,11 +878,14 @@ def test_frame_log_lists_lost_frames_and_repeats():
     frames = a.frames
     assert frames == b.frames
     assert frames is not a.frames  # built anew on each read
-    frame_log = a.frame_log
-    assert frame_log == b.frame_log and frame_log is not a.frame_log
-    assert [(f.sent_s, f.arrival_s, f.delivered) for f in frames] == [
-        (sent, arrival, delivered) for sent, arrival, _, delivered in frame_log]
-    assert all(type(delivered) is bool for *_, delivered in frame_log)
+    # Each entry is its logged frame's, arriving one airtime after it is sent.
+    assert [(f.arrival_s, f.src, f.dst, f.link, f.kind, f.payload_bytes, f.channel)
+            for f in frames] == [
+        (sent + lf.airtime_s, lf.src, lf.dst, lf.link.value, lf.kind.value,
+         lf.payload_bytes, lf.channel)
+        for sent, lf in zip(a.log.sent_s, a.log.frames)]
+    assert [f.delivered for f in frames] == [d == 1 for d in a.log.delivered]
+    assert all(type(f.delivered) is bool for f in frames)
     records = a.records
     assert records == b.records and records is not a.records
     assert all(type(f) is FrameLogEntry for f in frames)

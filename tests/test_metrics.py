@@ -163,6 +163,70 @@ def test_trace_export_writes_the_dict_writer_bytes(tmp_path, fmt):
     assert load_trace(str(ours)) == AWKWARD_TRACES
 
 
+def _record_row(r: CycleRecord) -> dict:
+    return {
+        "node_id": r.node_id,
+        "cycle_index": r.cycle_index,
+        "start_s": repr(r.start_s),
+        "end_s": repr(r.end_s),
+        "outcome": r.outcome.value,
+        "fail_reason": r.fail_reason.value if r.fail_reason else "",
+        "scap_v_start": repr(r.scap_v_start),
+        "scap_v_end": repr(r.scap_v_end),
+        "energy_consumed_j": repr(r.energy_consumed_j),
+        "energy_harvested_j": repr(r.energy_harvested_j),
+    }
+
+
+def _dict_row_records_export(records, fmt, path):
+    """One dict per record through csv.DictWriter or json.dumps;
+    export_records must write the same bytes."""
+    rows = list(map(_record_row, records))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        if fmt == "csv":
+            writer = csv.DictWriter(fh, fieldnames=list(metrics.RECORD_FIELDS))
+            writer.writeheader()
+            writer.writerows(rows)
+        else:
+            for row in rows:
+                fh.write(json.dumps(row, sort_keys=True) + "\n")
+
+
+# In increasing order, so that each but the last can start a cycle that
+# ends at the next.
+EXTREME_FLOATS = (0.0, 5e-324, 1e-300, 1e-5, 0.1 + 0.2, 1.0 / 3.0, 1e20,
+                  1.7976931348623157e308)
+
+
+def _awkward_records() -> list[CycleRecord]:
+    """For each AWKWARD_TRACES id, in that (unsorted) order, a record of
+    every (outcome, fail reason) pair a closed cycle can hold, its floats
+    drawn from EXTREME_FLOATS (and -0.0)."""
+    pairs = [(o, r) for o, r in metrics.RECORD_PAIRS if o is not SessionOutcome.PENDING]
+    x, n = EXTREME_FLOATS, len(EXTREME_FLOATS)
+    records = []
+    for nid in AWKWARD_TRACES:
+        for i, (outcome, reason) in enumerate(pairs):
+            k = (i + len(records)) % (n - 1)
+            records.append(CycleRecord(
+                nid, i, x[k], x[k + 1], outcome, reason,
+                -0.0 if i % 2 else x[(k + 2) % n], x[(k + 3) % n],
+                x[(k + 4) % n], x[(k + 5) % n]))
+    return records
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_records_export_writes_the_dict_writer_bytes(tmp_path, monkeypatch, fmt, chunk):
+    monkeypatch.setattr(metrics, "EXPORT_CHUNK", chunk)
+    records = _awkward_records()
+    ours, reference = tmp_path / f"ours.{fmt}", tmp_path / f"reference.{fmt}"
+    export_records(iter(records), fmt, str(ours))
+    _dict_row_records_export(records, fmt, str(reference))
+    assert ours.read_bytes() == reference.read_bytes()
+    assert load_records(str(ours)) == records
+
+
 def _columns(traces):
     """traces as load_trace_columns returns them."""
     return {nid: (array("d", [t for t, _ in points]),

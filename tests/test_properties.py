@@ -22,7 +22,7 @@ from liotsim.scenario import (
 )
 
 LUX = st.floats(0.0, 1000.0)
-SESSION_OPENERS = (FrameKind.ADV_ESS, FrameKind.NODE_ID_LUX)
+SESSION_OPENERS = (FrameKind.ADV_ESS.value, FrameKind.NODE_ID_LUX.value)
 
 
 @st.composite
@@ -70,11 +70,11 @@ def test_trace_follows_the_sampling_rule_and_nothing_else_moves(doc, interval_s)
         assert summary.packets_sent == len(nr.records)
         assert summary.packets_received == sum(
             1 for r in nr.records if r.outcome is SessionOutcome.DELIVERED)
-        check_records_are_the_account(nr, result.frame_log, node_id,
+        check_records_are_the_account(nr, result.frames, node_id,
                                       boot_v[node_id], end)
 
 
-def check_records_are_the_account(nr, frame_log, node_id, boot_v, end) -> None:
+def check_records_are_the_account(nr, frames, node_id, boot_v, end) -> None:
     """The records tile the run, and each holds the session its node opened.
 
     The record view chains: each record starts where the one before it
@@ -86,8 +86,8 @@ def check_records_are_the_account(nr, frame_log, node_id, boot_v, end) -> None:
     columns in either format reads back as the view.
     """
     records = nr.records
-    opened = iter([sent for sent, _, frame, _ in frame_log
-                   if frame.src == node_id and frame.kind in SESSION_OPENERS])
+    opened = iter([f.sent_s for f in frames
+                   if f.src == node_id and f.kind in SESSION_OPENERS])
     next_open = next(opened, None)
     start, v_start = 0.0, boot_v
     for i, r in enumerate(records):
@@ -162,5 +162,5 @@ def test_a_mutated_scenario_is_rejected_by_path_or_runs(doc):
     result = run(dataclasses.replace(sc, duration_s=min(sc.duration_s, 120.0)))
     boot_v = {n.node_id: n.supercap.voltage_v for n in sc.nodes}
     for node_id, nr in result.nodes.items():
-        check_records_are_the_account(nr, result.frame_log, node_id,
+        check_records_are_the_account(nr, result.frames, node_id,
                                       boot_v[node_id], result.summary.duration_s)
