@@ -162,6 +162,8 @@ def _sweep_one(sc: kernel.Scenario, value) -> list[dict]:
 def cmd_sweep(args) -> int:
     import csv
 
+    if args.jobs < 1:
+        raise CliError(f"--jobs must be >= 1, got {args.jobs}", EXIT_VALIDATION)
     values = []
     for raw in args.values.split(","):
         raw = raw.strip()
@@ -180,8 +182,10 @@ def cmd_sweep(args) -> int:
         except ScenarioError as exc:
             raise CliError(f"invalid sweep point {v!r}: {exc}", EXIT_VALIDATION)
 
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # A pool starts all of its workers at once: no more than there are points.
+    workers = min(args.jobs, len(scenarios))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             all_rows = list(pool.map(_sweep_one, scenarios, values))
     else:
         all_rows = list(map(_sweep_one, scenarios, values))
@@ -202,16 +206,16 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_report(args) -> int:
+    by_node: dict[str, list] = {}  # the outcome of each record of each node
     try:
-        records = metrics.load_records(args.records)
+        # Only the outcomes are kept, as the records stream from the file.
+        for r in metrics.iter_records(args.records):
+            by_node.setdefault(r.node_id, []).append(r.outcome)
         traces = metrics.load_trace_columns(args.trace) if args.trace else {}
     except ExportError as exc:
         raise CliError(str(exc), EXIT_IO)
     except ValueError as exc:
         raise CliError(f"cannot parse input: {exc}", EXIT_VALIDATION)
-    by_node: dict[str, list] = {}  # the outcome of each record of each node
-    for r in records:
-        by_node.setdefault(r.node_id, []).append(r.outcome)
     print(f"{'node':<10} {'sent':>6} {'received':>9} {'PDR':>6} "
           f"{'avg SCap (V)':>13}")
     for node_id in sorted(by_node):
@@ -258,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="dotted schema path, e.g. illumination.lux")
     p.add_argument("--values", required=True, help="comma-separated values")
     p.add_argument("--out", default=None, help="merged CSV path (default stdout)")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes, at most one per value (default 1)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("report", help="summarize exported cycle records")

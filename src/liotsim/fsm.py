@@ -44,6 +44,7 @@ from .protocol import (
     Frame,
     FrameKind,
     exchange_step,
+    handshake_frames,
 )
 
 if TYPE_CHECKING:
@@ -121,6 +122,9 @@ LEGAL_TRANSITIONS: dict[NodeKind, dict[Phase, frozenset[Phase]]] = {
     kind: _burst_transitions(list(stages)) for kind, stages in _PHASE_STAGE.items()
 }
 
+# The handshake each kind of node runs.
+_SCRIPT = {NodeKind.BLE: BLE_SCRIPT, NodeKind.LIOT: LIOT_SCRIPT}
+
 # How a BLE node times its advertising: the profile's stage duration, or a
 # uniform draw from 0.5 to 4 s.
 ADV_MODES = ("fixed", "uniform")
@@ -181,6 +185,7 @@ class NodeState:
     load_mw: dict[Phase, float]  # phase_power_mw of each of the node's phases
     stage_s: dict[Phase, float]  # duration of the stage of each active phase
     cap: tuple[float, float, float, float]  # (C, v_min, v_max, v_min**2)
+    frames: tuple[Frame, ...]  # handshake_frames of the node's script
     # One record per closed cycle (a sleep period plus the active burst);
     # the open cycle starts where the last record ends.
     records: RecordColumns
@@ -225,6 +230,7 @@ def initial_state(
         stage_s={phase: cfg.profile.stage(name).duration_s
                  for phase, name in _PHASE_STAGE[cfg.kind].items()},
         cap=(cap.capacitance_f, cap.v_min, cap.v_max, cap.v_min**2),
+        frames=handshake_frames(cfg.node_id, _SCRIPT[cfg.kind], cfg.sensors),
         records=RecordColumns(cfg.node_id, cap.voltage_v),
         volts=array("d", (cap.voltage_v,)),
         sample_interval_s=sample_interval_s,
@@ -462,9 +468,7 @@ def advance(
             )
             return None
         # LIoT: read the LDR and open the session with an IR uplink.
-        session = ExchangeSession(
-            cfg.node_id, LIOT_SCRIPT, lux=lux, requested_channels=cfg.sensors
-        )
+        session = ExchangeSession(LIOT_SCRIPT, state.frames, lux=lux)
         state.session = session
         out = exchange_step(session, None)
         # The uplink and the wait for the request share the gw_request stage.
@@ -473,7 +477,7 @@ def advance(
         return out
 
     if phase is SENSING and cfg.kind is BLE:
-        session = ExchangeSession(cfg.node_id, BLE_SCRIPT)
+        session = ExchangeSession(BLE_SCRIPT, state.frames)
         state.session = session
         out = exchange_step(session, None)
         if cfg.adv_mode == "fixed":

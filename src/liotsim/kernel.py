@@ -24,7 +24,7 @@ import random
 from array import array
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, groupby, islice, takewhile
+from itertools import chain, count, groupby, islice, takewhile
 from operator import itemgetter
 from typing import Iterator, Optional, Union
 
@@ -303,9 +303,9 @@ class FrameLogEntry:
 @dataclass(slots=True)
 class FrameLog:
     """Every frame a run sent, in send order, as three columns: the send
-    time, the frame (memoised, so each is shared) and whether the channel
-    delivered it.  A frame arrives at sent + frame.airtime_s, the float its
-    delivery was scheduled at."""
+    time, the frame (one of its node's handshake frames, so each is shared)
+    and whether the channel delivered it.  A frame arrives at
+    sent + frame.airtime_s, the float its delivery was scheduled at."""
 
     sent_s: array = dataclasses.field(default_factory=lambda: array("d"))
     frames: list[Frame] = dataclasses.field(default_factory=list)
@@ -380,18 +380,13 @@ class RunResult:
 class _Kernel:
     def __init__(self, scenario: Scenario):
         self.sc = scenario
-        self.clock = 0.0
         self._heap: list[tuple[float, int, EventKind, object]] = []
-        self._seq = 0
+        self._seq = count(1)  # insertion order, to break ties in time
         self.rng_channel = random.Random(
             f"{scenario.seed}|channel|{scenario.channel.seed}"
         )
-        self.node_cfg = {n.node_id: n for n in scenario.nodes}
-        self.node_state: dict[str, NodeState] = {}
-        self.node_rng = {
-            n.node_id: random.Random(f"{scenario.seed}|node|{n.node_id}")
-            for n in scenario.nodes
-        }
+        # Each node's (state, cfg, rng), so that an event looks its node up once.
+        self.nodes: dict[str, tuple[NodeState, NodeConfig, random.Random]] = {}
         self.link_loss = {link: scenario.channel.loss_for(link) for link in LinkType}
         self.log = FrameLog()
         self._log_sent = self.log.sent_s.append
@@ -402,10 +397,6 @@ class _Kernel:
 
     # -- plumbing ------------------------------------------------------------
 
-    def _push(self, time: float, kind: EventKind, subject: object) -> None:
-        self._seq += 1
-        heapq.heappush(self._heap, (time, self._seq, kind, subject))
-
     def _send(self, frame: Frame, now: float) -> None:
         """Log a frame; only a delivered one becomes an event (losses time out)."""
         ok = deliver(self.link_loss[frame.link], self.rng_channel)
@@ -413,17 +404,18 @@ class _Kernel:
         self._log_frame(frame)
         self._log_delivered(ok)
         if ok:
-            self._push(now + frame.airtime_s, FRAME_DELIVERED, frame)
+            heapq.heappush(self._heap, (now + frame.airtime_s, next(self._seq),
+                                        FRAME_DELIVERED, frame))
 
     # -- gateway -------------------------------------------------------------
 
     def _gateway_receive(self, frame: Frame, now: float) -> None:
         if not self.sc.gateway.present:
             return
-        cfg = self.node_cfg.get(frame.src)
-        state = self.node_state.get(frame.src)
-        if cfg is None or state is None:
+        node = self.nodes.get(frame.src)
+        if node is None:
             return
+        state, cfg, _ = node
         session = state.session
         if session is None or session.outcome is not PENDING:
             return
@@ -443,53 +435,52 @@ class _Kernel:
     # -- main loop -----------------------------------------------------------
 
     def run(self) -> RunResult:
-        sc, light = self.sc, self.light
+        sc, light, nodes = self.sc, self.light, self.nodes
+        heap, push, pop, seq = self._heap, heapq.heappush, heapq.heappop, self._seq
         for cfg in sc.nodes:
             first = fsm.schedule_next_cycle(cfg, light.luxes[0])
             state = fsm.initial_state(cfg, first, sc.sample_interval_s)
             light.attach(state, cfg.harvester)
-            self.node_state[cfg.node_id] = state
-            self._push(state.phase_deadline, TIMER_FIRED, cfg.node_id)
-        self._push(sc.duration_s, RUN_ENDED, None)
+            rng = random.Random(f"{sc.seed}|node|{cfg.node_id}")
+            nodes[cfg.node_id] = (state, cfg, rng)
+            push(heap, (state.phase_deadline, next(seq), TIMER_FIRED, cfg.node_id))
+        push(heap, (sc.duration_s, next(seq), RUN_ENDED, None))
 
-        heap, pop = self._heap, heapq.heappop
-        node_state, node_cfg = self.node_state, self.node_cfg
+        clock = 0.0
         while heap:
             time, _, kind, subject = pop(heap)
-            if time < self.clock:
+            if time < clock:
                 raise RuntimeError("causality violation: event in the past")
-            self.clock = time
+            clock = time
 
             if kind is TIMER_FIRED:
-                state = node_state[subject]
+                state, cfg, rng = nodes[subject]
                 if time != state.phase_deadline:
                     continue  # superseded deadline
-                cfg = node_cfg[subject]
                 fsm.accrue_energy(state, cfg, time, light)
-                out = fsm.advance(
-                    state, cfg, time, lux=light.luxes[state.light_i],
-                    rng=self.node_rng[subject],
-                )
+                out = fsm.advance(state, cfg, time, lux=light.luxes[state.light_i],
+                                  rng=rng)
                 if out is not None:
                     self._send(out, time)
-                self._push(state.phase_deadline, TIMER_FIRED, subject)
+                push(heap, (state.phase_deadline, next(seq), TIMER_FIRED, subject))
                 continue
 
             if kind is RUN_ENDED:
-                for node_id, state in node_state.items():
-                    fsm.end_run(state, node_cfg[node_id], time, light)
+                for state, cfg, _ in nodes.values():
+                    fsm.end_run(state, cfg, time, light)
                 break
 
             dst = subject.dst  # FRAME_DELIVERED
             if dst == GATEWAY_ID:
                 self._gateway_receive(subject, time)
-            elif dst in node_state:
-                cfg = node_cfg[dst]
-                state = node_state[dst]
-                fsm.accrue_energy(state, cfg, time, light)
-                out = fsm.receive(state, cfg, subject, time)
-                if out is not None:
-                    self._send(out, time)
+            else:
+                node = nodes.get(dst)
+                if node is not None:
+                    state, cfg, _ = node
+                    fsm.accrue_energy(state, cfg, time, light)
+                    out = fsm.receive(state, cfg, subject, time)
+                    if out is not None:
+                        self._send(out, time)
 
         return self._result()
 
@@ -506,10 +497,10 @@ class _Kernel:
                 + state.cycle_harvested_j,
                 trailing_consumed_j=state.cycle_consumed_j,
             )
-            for node_id, state in self.node_state.items()
+            for node_id, (state, _, _) in self.nodes.items()
         }
         node_summaries = tuple(
-            metrics.summarize_node(node_id, self.node_cfg[node_id].kind.value,
+            metrics.summarize_node(node_id, self.nodes[node_id][1].kind.value,
                                    nr.record_columns.outcomes(), nr.sample_times(),
                                    nr.volts)
             for node_id, nr in nodes.items()

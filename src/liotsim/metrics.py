@@ -231,14 +231,18 @@ def export_records(records: Iterable[CycleRecord], fmt: str, path: str) -> None:
     _write_lines(fmt, path, RECORD_FIELDS, lines)
 
 
-def load_records(path: str) -> list[CycleRecord]:
-    records = []
+def iter_records(path: str) -> Iterator[CycleRecord]:
+    """The records of an export, in file order, each parsed as it is read."""
     for line, cells in _read(path, RECORD_FIELDS):
         try:
-            records.append(_parse_record(*cells))
+            record = _parse_record(*cells)
         except ValueError as exc:
             raise _bad_row(path, line, exc) from None
-    return records
+        yield record
+
+
+def load_records(path: str) -> list[CycleRecord]:
+    return list(iter_records(path))
 
 
 def export_trace(

@@ -1,15 +1,15 @@
 """Message-level models of the BLE and optical (IR up / VLC down) exchanges.
 
 Each handshake is one script, its frames in order (BLE_SCRIPT, LIOT_SCRIPT).
-Given the frame just delivered, exchange_step returns the next frame of the
-session's script (whichever side sends it) and advances the session.
+A node builds the frames of its script once, with handshake_frames; given
+the frame just delivered, exchange_step returns the next of those frames
+(whichever side sends it) and advances the session.
 Airtimes follow a linear per-link model calibrated against the measured
 stage durations of the two node builds.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -158,7 +158,7 @@ FAILED = SessionOutcome.FAILED
 # subclass, of:
 #   from_node  whether the node sends the frame, else the gateway does;
 #   kind       the frame's kind;
-#   payload    its bytes; None is BYTES_PER_OPTICAL_CHANNEL per requested channel;
+#   payload    its bytes; None is BYTES_PER_OPTICAL_CHANNEL per sensor of the node;
 #   channel    its BLE radio channel, None on the optical links;
 #   delivers   whether the node's receipt of it delivers the session.
 # A script ends with its delivering frame or the node's answer to it.
@@ -184,17 +184,35 @@ LIOT_SCRIPT: tuple[ScriptStep, ...] = (
 )
 
 
+def handshake_frames(
+    node_id: str, script: tuple[ScriptStep, ...], sensors: tuple[str, ...]
+) -> tuple[Frame, ...]:
+    """The frames of node_id's handshake, one per step of script, in order.
+
+    A step without a payload is the upload of the node's sensors, 16 B each.
+    A node builds these once per run and every session of it sends them.
+    """
+    frames = []
+    for from_node, kind, payload, channel, _ in script:
+        if payload is None:
+            payload = BYTES_PER_OPTICAL_CHANNEL * len(sensors)
+        link = LINK_FOR_KIND[kind]
+        src, dst = (node_id, GATEWAY_ID) if from_node else (GATEWAY_ID, node_id)
+        frames.append(Frame(src, dst, link, kind, payload,
+                            frame_airtime(kind, payload, link), channel))
+    return tuple(frames)
+
+
 @dataclass(slots=True)
 class ExchangeSession:
     """State of one node-gateway handshake attempt."""
 
-    node_id: str
     script: tuple[ScriptStep, ...]  # BLE_SCRIPT or LIOT_SCRIPT
+    frames: tuple[Frame, ...]  # the node's handshake_frames of script
     step: int = 0  # frames of the script sent so far
     outcome: SessionOutcome = SessionOutcome.PENDING
     fail_reason: Optional[FailReason] = None
     lux: float = 0.0
-    requested_channels: tuple[str, ...] = SENSOR_CHANNELS
     assigned_sleep_s: Optional[float] = None  # set by the gateway on SensorData
     held: Optional[Frame] = None  # frame received outside its service phase
 
@@ -203,20 +221,6 @@ def fail_session(session: ExchangeSession, reason: FailReason) -> None:
     if session.outcome is PENDING:
         session.outcome = FAILED
         session.fail_reason = reason
-
-
-# Frames are frozen values, so each distinct frame is built once and shared.
-# A run needs a few per node (more with several sensor subsets).
-FRAME_MEMO_SIZE = 4096
-
-
-@functools.lru_cache(maxsize=FRAME_MEMO_SIZE)
-def _frame(
-    src: str, dst: str, kind: FrameKind, payload: int, channel: Optional[int] = None
-) -> Frame:
-    link = LINK_FOR_KIND[kind]
-    return Frame(src, dst, link, kind, payload, frame_airtime(kind, payload, link),
-                 channel)
 
 
 def exchange_step(
@@ -244,13 +248,8 @@ def exchange_step(
     elif incoming is not None:
         fail_session(session, FailReason.PROTOCOL_VIOLATION)
         return None
-    from_node, kind, payload, channel, _ = script[i]
-    if kind is SLEEP_SET and session.assigned_sleep_s is None:
+    out = session.frames[i]
+    if out.kind is SLEEP_SET and session.assigned_sleep_s is None:
         raise ValueError("LIoT session has no gateway-assigned sleep")
-    if payload is None:
-        payload = BYTES_PER_OPTICAL_CHANNEL * len(session.requested_channels)
     session.step = i + 1
-    node = session.node_id
-    if from_node:
-        return _frame(node, GATEWAY_ID, kind, payload, channel)
-    return _frame(GATEWAY_ID, node, kind, payload, channel)
+    return out

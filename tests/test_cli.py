@@ -1,6 +1,8 @@
+import concurrent.futures
 import csv
 import json
 import os
+import re
 import tracemalloc
 
 import pytest
@@ -209,6 +211,49 @@ def test_sweep_parallel_matches_serial(capsys, tmp_path):
     assert open(a).read() == open(b).read()
 
 
+class _InProcessPool:
+    """Stands in for ProcessPoolExecutor: keeps the worker count it is
+    asked for and maps in this process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return None
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def test_sweep_pool_has_at_most_one_worker_per_point(capsys, monkeypatch):
+    monkeypatch.setattr(_InProcessPool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
+    args = ["sweep", "--scenario", "liot-700lx", "--param", "duration_s"]
+    tables = {}
+    for values, jobs in (("100,200", "64"), ("100,200", "2"), ("100,200", "1"),
+                         ("100", "64")):
+        code, out, _ = run_cli(capsys, *args, "--values", values, "--jobs", jobs)
+        assert code == EXIT_OK
+        tables.setdefault(values, set()).add(out)
+    # Only the two-point sweeps with two jobs or more use a pool, of two.
+    assert _InProcessPool.sizes == [2, 2]
+    assert all(len(outs) == 1 for outs in tables.values())
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_rejects_fewer_than_one_job(capsys, jobs):
+    code, out, err = run_cli(capsys, "sweep", "--scenario", "liot-700lx",
+                             "--param", "duration_s", "--values", "100",
+                             "--jobs", jobs)
+    assert code == EXIT_VALIDATION
+    assert out == "" and "--jobs" in err
+
+
 def test_sweep_over_seed_takes_integral_values(capsys, tmp_path):
     # --values parses numbers as floats; 1.0 and 2.0 must still be seeds.
     out = str(tmp_path / "seeds.csv")
@@ -286,6 +331,44 @@ def test_report_without_voltage_samples_prints_a_dash(capsys, tmp_path):
         code, out, _ = run_cli(capsys, "report", "--records", records, *extra)
         assert code == EXIT_OK
         assert out.splitlines()[1].split() == ["liot-1", "5", "5", "1.000", "-"]
+
+
+def test_report_keeps_no_record_object(capsys, tmp_path):
+    """report streams the records and keeps each one's outcome, 8 B, not a
+    CycleRecord of over 200 B."""
+    out_dir = tmp_path / "out"
+    doc = scenario.preset_dict("ble-700lx")
+    doc.update(duration_s=259200.0, sample_interval_s=3600.0)
+    path = tmp_path / "three-days.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    run_cli(capsys, "simulate", "--scenario", str(path), "--out", str(out_dir))
+    records = str(out_dir / "records.csv")
+    n = sum(1 for _ in metrics.iter_records(records))
+    assert n > 13000
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(capsys, "report", "--records", records,
+                               "--trace", str(out_dir / "trace.csv"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert out.splitlines()[1].split()[:2] == ["ble-1", str(n)]
+    assert peak < 64 * n + 2**20
+
+
+def test_iter_records_yields_the_rows_before_a_bad_one(tmp_path):
+    out_dir = tmp_path / "out"
+    result = kernel.run(scenario.load_preset("liot-700lx"))
+    cli._write_outputs(result, str(out_dir), "csv")
+    path = out_dir / "records.csv"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    bad = lines[4].replace(",3,", ",three,", 1)  # record 3's cycle index
+    path.write_text("".join(lines[:4]) + bad, encoding="utf-8")
+    records = metrics.iter_records(str(path))
+    assert [next(records) for _ in range(3)] == result.records[:3]
+    with pytest.raises(ValueError, match=re.escape(f"{path}: line 5: ")):
+        next(records)
 
 
 def test_report_missing_file(capsys, tmp_path):

@@ -80,7 +80,7 @@ def test_finish_cycle_arms_the_gateway_assigned_sleep_verbatim():
     cfg = liot_cfg()
     state = initial_state(cfg, 1.0)
     state.phase = Phase.AWAITING_SLEEP_SET
-    state.session = ExchangeSession(cfg.node_id, LIOT_SCRIPT,
+    state.session = ExchangeSession(LIOT_SCRIPT, state.frames,
                                     outcome=SessionOutcome.DELIVERED,
                                     assigned_sleep_s=620.0)
     _finish_cycle(state, cfg, 10.0, 500.0, None, state.session.assigned_sleep_s)
@@ -322,18 +322,19 @@ RECEIVE_OUTCOMES = {
 }
 
 
-def _new_session(cfg):
+def _new_session(cfg, frames):
     script = BLE_SCRIPT if cfg.kind is NodeKind.BLE else LIOT_SCRIPT
-    return ExchangeSession(cfg.node_id, script, assigned_sleep_s=620.0)
+    return ExchangeSession(script, frames, assigned_sleep_s=620.0)
 
 
-def _session_awaiting(cfg, kind):
-    """A session of cfg's node that has just sent the node its gateway frame
-    of kind, or that has just opened when its handshake has none."""
-    session, frame, sent = _new_session(cfg), None, []
+def _session_awaiting(cfg, frames, kind):
+    """A session of cfg's node, sending frames, that has just sent the node
+    its gateway frame of kind, or that has just opened when its handshake
+    has none."""
+    session, frame, sent = _new_session(cfg, frames), None, []
     while (frame := exchange_step(session, frame)) is not None:
         sent.append(frame.kind if frame.src == GATEWAY_ID else None)
-    session, frame = _new_session(cfg), None
+    session, frame = _new_session(cfg, frames), None
     for _ in range(sent.index(kind) + 1 if kind in sent else 1):
         frame = exchange_step(session, frame)
     return session
@@ -346,8 +347,9 @@ def test_receive_holds_serves_or_refuses_each_frame_in_each_phase(cfg):
             expected = RECEIVE_OUTCOMES.get((cfg.kind, phase, kind), "violation")
             state = initial_state(cfg, 1.0)
             state.phase = phase
-            session = state.session = _session_awaiting(cfg, kind)
-            twin = _session_awaiting(cfg, kind)
+            session = state.session = _session_awaiting(cfg, state.frames, kind)
+            # Both sessions send the node's frames, so they return the same ones.
+            twin = _session_awaiting(cfg, state.frames, kind)
             link = LINK_FOR_KIND[kind]
             frame = Frame(GATEWAY_ID, cfg.node_id, link, kind, 1, 0.01,
                           {LinkType.BLE_ADV: 37, LinkType.BLE_CONN: 5}.get(link))

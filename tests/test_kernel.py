@@ -32,7 +32,14 @@ from liotsim.kernel import (
     scenario_fingerprint,
 )
 from liotsim.metrics import voltage_stats
-from liotsim.protocol import FailReason, GATEWAY_ID, LinkType
+from liotsim.protocol import (
+    BLE_SCRIPT,
+    GATEWAY_ID,
+    LIOT_SCRIPT,
+    FailReason,
+    Frame,
+    LinkType,
+)
 from liotsim.scenario import preset_dict, scenario_from_dict, set_by_path
 
 
@@ -776,6 +783,38 @@ def test_jittered_lossy_four_node_run_is_pinned():
         "50b8d53b6b363b58984a4542de145d241119ecd32ba9586b40c36a73d712546c")
 
 
+def test_each_run_builds_each_nodes_frames_once(monkeypatch):
+    sc = _pinned_four_node_scenario()
+    built, states = [], []
+    check = Frame.__post_init__
+
+    def counted_check(frame):
+        check(frame)
+        built.append(frame)
+
+    initial_state = fsm.initial_state
+
+    def kept_initial_state(*args, **kwargs):
+        states.append(initial_state(*args, **kwargs))
+        return states[-1]
+
+    monkeypatch.setattr(Frame, "__post_init__", counted_check)
+    monkeypatch.setattr(fsm, "initial_state", kept_initial_state)
+    script = {NodeKind.BLE: BLE_SCRIPT, NodeKind.LIOT: LIOT_SCRIPT}
+    for _ in range(2):  # a second run in the process builds its own
+        built.clear()
+        states.clear()
+        result = run(sc)
+        assert len(built) == sum(len(script[cfg.kind]) for cfg in sc.nodes)
+        own = {cfg.node_id: st.frames for cfg, st in zip(sc.nodes, states)}
+        assert [f for frames in own.values() for f in frames] == built
+        # Every session of a node sends and is answered with its node's frames.
+        for f in result.log.frames:
+            node = f.src if f.dst == GATEWAY_ID else f.dst
+            assert any(f is mine for mine in own[node])
+        assert {id(f) for f in result.log.frames} == {id(f) for f in built}
+
+
 def _eighteen_node_scenario() -> Scenario:
     """16 BLE and 2 LIoT nodes under jittered light with off-second steps."""
     return Scenario(
@@ -860,7 +899,7 @@ def test_records_and_frame_log_take_a_few_bytes_each():
                             records.harvested_j, records.codes))) <= 40 * len(records)
     log = result.log
     assert len(log) == len(result.frames) > 20000
-    # The frames themselves are memoised, so the log holds a pointer to each.
+    # The node's five frames are built once, so the log holds a pointer to each.
     assert len(set(map(id, log.frames))) < 20
     frame_bytes = (nbytes(log.sent_s) + nbytes(log.delivered)
                    + struct.calcsize("P") * len(log.frames))

@@ -9,6 +9,7 @@ from liotsim.protocol import (
     GATEWAY_ID,
     LINK_FOR_KIND,
     LIOT_SCRIPT,
+    SENSOR_CHANNELS,
     ExchangeSession,
     FailReason,
     Frame,
@@ -18,6 +19,7 @@ from liotsim.protocol import (
     exchange_step,
     fail_session,
     frame_airtime,
+    handshake_frames,
 )
 
 K = FrameKind
@@ -34,8 +36,9 @@ HANDSHAKES = {
 SCRIPTS = {"ble": BLE_SCRIPT, "liot": LIOT_SCRIPT}
 
 
-def _session(name, node_id="n1", **kw):
-    return ExchangeSession(node_id, SCRIPTS[name], **kw)
+def _session(name, node_id="n1", sensors=SENSOR_CHANNELS, **kw):
+    script = SCRIPTS[name]
+    return ExchangeSession(script, handshake_frames(node_id, script, sensors), **kw)
 
 
 def _run_happy_path(session):
@@ -137,7 +140,7 @@ def test_liot_subset_request_scales_upload_airtime():
     full = _session("liot", "n", lux=700.0, assigned_sleep_s=620.0)
     sub = _session(
         "liot", "n", lux=700.0, assigned_sleep_s=620.0,
-        requested_channels=("temperature",),
+        sensors=("temperature",),
     )
     f_full = _run_happy_path(full)[2]
     f_sub = _run_happy_path(sub)[2]
@@ -196,15 +199,20 @@ def test_session_outcome_deterministic_replay():
     assert runs[0] == runs[1]
 
 
-def test_every_handshake_frame_is_memoised():
-    # Frames carry only their kind and size, so two sessions of one node
-    # share every frame, whatever lux they report or sleep they are assigned.
-    dim = _session("liot", "n2", lux=500.0, assigned_sleep_s=1350.0)
-    bright = _session("liot", "n2", lux=700.0, assigned_sleep_s=620.0)
-    dim_frames = _run_happy_path(dim)
-    bright_frames = _run_happy_path(bright)
-    assert len(dim_frames) == len(bright_frames) == 5
-    assert all(a is b for a, b in zip(dim_frames, bright_frames))
-    ble = [_run_happy_path(_session("ble"))
-           for _ in range(2)]
-    assert all(a is b for a, b in zip(*ble))
+def test_every_session_of_a_node_returns_its_frames():
+    # Frames carry only their kind and size, so every session of one node
+    # sends the same frames, whatever lux it reports or sleep it is assigned.
+    frames = handshake_frames("n2", LIOT_SCRIPT, SENSOR_CHANNELS)
+    dim = ExchangeSession(LIOT_SCRIPT, frames, lux=500.0, assigned_sleep_s=1350.0)
+    bright = ExchangeSession(LIOT_SCRIPT, frames, lux=700.0, assigned_sleep_s=620.0)
+    for session in (dim, bright):
+        sent = _run_happy_path(session)
+        assert len(sent) == 5
+        assert all(a is b for a, b in zip(sent, frames))
+    # Each frame is its step's, between the node and the gateway.
+    for name, script in SCRIPTS.items():
+        frames = handshake_frames("n1", script, SENSOR_CHANNELS)
+        assert [f.kind for f in frames] == HANDSHAKES[name][0]
+        assert all((f.src, f.dst) == (("n1", GATEWAY_ID) if from_node
+                                      else (GATEWAY_ID, "n1"))
+                   for f, (from_node, *_) in zip(frames, script))
