@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import io
 import json
+import re
 from array import array
 from dataclasses import asdict, dataclass, field, fields
-from itertools import chain, islice
-from operator import itemgetter
+from itertools import chain, groupby, islice
+from math import isfinite
+from operator import itemgetter, lt
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .protocol import FailReason, SessionOutcome
@@ -36,10 +39,10 @@ class CycleRecord:
 def check_cycle(start_s: float, end_s: float, consumed_j: float,
                 harvested_j: float) -> None:
     """The rule of every cycle record: it ends after it starts, and neither
-    of its energies is negative."""
-    if end_s <= start_s:
+    of its energies is negative.  Written so that NaN breaks it."""
+    if not end_s > start_s:
         raise ValueError("cycle must have positive duration")
-    if consumed_j < 0 or harvested_j < 0:
+    if not (consumed_j >= 0 and harvested_j >= 0):
         raise ValueError("energy fields must be >= 0")
 
 
@@ -172,8 +175,8 @@ def summarize_node(
 # one object per line, keys sorted.  Floats are written with repr() (as JSON
 # strings in JSONL; a repr needs no quoting or escaping in either format), so
 # an export-parse round trip is lossless at full double precision.  Readers
-# take the columns or keys in any order; a row they cannot parse raises
-# ValueError naming the file and the line.
+# take the columns or keys in any order; a row they cannot parse, or whose
+# floats are not finite, raises ValueError naming the file and the line.
 
 # Each column, with the JSON type of its cells in JSONL.
 RECORD_FIELDS = {
@@ -188,6 +191,20 @@ TRACE_FIELDS = {"node_id": str, "time_s": str, "scap_v": str}
 # in either format, however many rows there are.
 EXPORT_CHUNK = 2048
 
+# Lines of a trace read back per chunk.  A chunk of 512 exported lines and
+# the cells matched from it take about 150 kB.
+READ_CHUNK = 512
+
+# A trace line as export_trace writes it, one group per cell, a JSON line's
+# groups in sorted key order.  A JSON string free of '"', backslash and U+0000-U+001F
+# is its own raw text; a CSV cell free of ',', '"', CR, LF and NUL is read as it
+# is written.  Compiled, and cached by re, at the first read.
+_STRING = r'"([^"\\\x00-\x1f]*)"'
+_JSONL_TRACE_LINE = (r"^\{" + ", ".join(f'"{key}": {_STRING}' for key in sorted(TRACE_FIELDS))
+                     + r"\}\n")
+_CELL = r'([^,"\r\n\x00]*)'
+_CSV_TRACE_LINE = "^" + ",".join([_CELL] * 3) + r"\r\n"
+
 
 class ExportError(OSError):
     pass
@@ -197,17 +214,22 @@ def _parse_record(
     node_id, cycle_index, start_s, end_s, outcome, fail_reason,
     scap_v_start, scap_v_end, energy_consumed_j, energy_harvested_j,
 ) -> CycleRecord:
+    floats = tuple(map(float, (start_s, end_s, scap_v_start, scap_v_end,
+                               energy_consumed_j, energy_harvested_j)))
+    if not all(map(isfinite, floats)):
+        raise ValueError("times, voltages and energies must be finite")
+    start_s, end_s, scap_v_start, scap_v_end, consumed_j, harvested_j = floats
     return CycleRecord(
         node_id=node_id,
         cycle_index=int(cycle_index),
-        start_s=float(start_s),
-        end_s=float(end_s),
+        start_s=start_s,
+        end_s=end_s,
         outcome=SessionOutcome(outcome),
         fail_reason=FailReason(fail_reason) if fail_reason else None,
-        scap_v_start=float(scap_v_start),
-        scap_v_end=float(scap_v_end),
-        energy_consumed_j=float(energy_consumed_j),
-        energy_harvested_j=float(energy_harvested_j),
+        scap_v_start=scap_v_start,
+        scap_v_end=scap_v_end,
+        energy_consumed_j=consumed_j,
+        energy_harvested_j=harvested_j,
     )
 
 
@@ -266,19 +288,111 @@ def export_trace(
 
 def load_trace_columns(path: str) -> dict[str, tuple[array, array]]:
     """Each node's (times, volts) columns, in file order, nodes in order of
-    first appearance."""
+    first appearance.  A node's times must be finite and increase, and every
+    voltage must be finite.
+
+    The file is read READ_CHUNK lines at a time.  A chunk whose every line is
+    laid out as export_trace writes it is matched in one regex pass and
+    converted column-wise; any other chunk, and any run of one node's rows
+    that breaks a rule, goes through the row reader, which names the line.
+    """
     columns: dict[str, tuple[array, array]] = {}
-    last = None
-    for line, (nid, t, v) in _read(path, TRACE_FIELDS):
+    with _export_file(path) as (fh, jsonl):
+        if jsonl:
+            start, names = 0, sorted(TRACE_FIELDS)
+            pattern = re.compile(_JSONL_TRACE_LINE, re.M)
+            rows = functools.partial(_jsonl_rows, path=path, fields=TRACE_FIELDS)
+        else:
+            names, start = _csv_header(fh, path, TRACE_FIELDS)
+            if names is None:
+                return columns
+            pattern = re.compile(_CSV_TRACE_LINE, re.M)
+            rows = functools.partial(_csv_body, path=path, fields=TRACE_FIELDS, header=names)
+        order = tuple(map(names.index, TRACE_FIELDS))  # each field's group
+        source = fh
+        while True:
+            lines: list[str] = []
+            try:
+                lines.extend(islice(source, READ_CHUNK))
+            except UnicodeDecodeError as exc:
+                if not lines:
+                    raise
+                # extend kept the lines before the bad byte: read them as the
+                # row reader would, and raise exc where it would.
+                source = _raising(exc)
+            if not lines:
+                return columns
+            text = "".join(lines)
+            # The csv module rejects a cell longer than its field size limit.
+            matched = (pattern.findall(text)
+                       if jsonl or len(text) <= csv.field_size_limit() else ())
+            # A match runs from a line's start to its end: one a line means
+            # every line is the exporter's.
+            taken = _add_matched(columns, matched, order) if len(matched) == len(lines) else 0
+            end = start + len(lines)
+            if taken < len(lines):
+                end = _add_rows(columns, rows(chain(lines[taken:], source),
+                                              start=start + taken), path, end)
+            start = end
+
+
+def _add_matched(columns: dict, matched: list[tuple], order: tuple) -> int:
+    """Add the rows matched from a chunk (cells in pattern order; order gives
+    where node_id, time_s and scap_v are) to columns, a run of one node at a
+    time; return the index of the first row of the first run that fails to
+    parse or breaks a rule, and len(matched) when every run is added."""
+    cells = tuple(zip(*matched))
+    ids, ts, vs = (cells[k] for k in order)
+    i = 0
+    for nid, run in groupby(ids):
+        j = i + len(list(run))
+        try:
+            times = array("d", map(float, ts[i:j]))
+            volts = array("d", map(float, vs[i:j]))
+        except ValueError:
+            return i
+        column_times, column_volts = columns.setdefault(nid, (array("d"), array("d")))
+        # Increasing times between finite ends are all finite.
+        if not (isfinite(times[0]) and isfinite(times[-1])
+                and (not column_times or column_times[-1] < times[0])
+                and all(map(lt, times, islice(times, 1, None)))
+                and all(map(isfinite, volts))):
+            return i
+        column_times.extend(times)
+        column_volts.extend(volts)
+        i = j
+    return i
+
+
+def _add_rows(columns: dict, rows: Iterator[tuple[int, tuple]], path: str, end: int) -> int:
+    """Add each (line, (node id, time, voltage)) row to columns, each checked,
+    until one ends on line end or after; return the last line read."""
+    line, last = end, None
+    for line, (nid, t, v) in rows:
         if nid != last:
             times, volts = columns.setdefault(nid, (array("d"), array("d")))
             last = nid
         try:
-            times.append(float(t))
-            volts.append(float(v))
+            t, v = float(t), float(v)
         except ValueError as exc:
             raise _bad_row(path, line, exc) from None
-    return columns
+        if not (isfinite(t) and isfinite(v)):
+            raise _bad_row(path, line, "time_s and scap_v must be finite")
+        if times and not times[-1] < t:
+            raise _bad_row(path, line, f"node {nid!r}: time_s {t!r} is not after "
+                                       f"the time before it, {times[-1]!r}")
+        times.append(t)
+        volts.append(v)
+        if line >= end:
+            break
+    return line
+
+
+def _raising(exc: Exception) -> Iterator[str]:
+    """An iterator that raises exc at its first step (and then ends: the
+    reader lets exc propagate the first time)."""
+    raise exc
+    yield
 
 
 def load_trace(path: str) -> dict[str, list[tuple[float, float]]]:
@@ -355,50 +469,75 @@ def _bad_row(path: str, line: int, problem) -> ValueError:
     return ValueError(f"{path}: line {line}: {problem}")
 
 
-def _read(path: str, fields: dict[str, type]) -> Iterator[tuple[int, tuple]]:
-    """(line number, cells in fields order) of each row of a CSV or JSONL export."""
+@contextlib.contextmanager
+def _export_file(path: str) -> Iterator[tuple[io.TextIOBase, bool]]:
+    """(the open file, whether it holds JSONL) of a CSV or JSONL export; an
+    error reading it raises ExportError, and bytes that are not UTF-8 raise
+    ValueError."""
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             head = fh.read(1)
             while head.isspace():
                 head = fh.read(1)
             fh.seek(0)
-            rows = _jsonl_rows if head == "{" else _csv_rows
-            yield from rows(fh, path, fields)
+            yield fh, head == "{"
     except OSError as exc:
         raise ExportError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
 
 
-def _csv_rows(fh, path: str, fields: dict[str, type]) -> Iterator[tuple[int, tuple]]:
+def _read(path: str, fields: dict[str, type]) -> Iterator[tuple[int, tuple]]:
+    """(line number, cells in fields order) of each row of a CSV or JSONL export."""
+    with _export_file(path) as (fh, jsonl):
+        if jsonl:
+            yield from _jsonl_rows(fh, path, fields, 0)
+        else:
+            header, start = _csv_header(fh, path, fields)
+            if header is not None:
+                yield from _csv_body(fh, path, fields, header, start)
+
+
+def _csv_header(fh, path: str, fields: dict[str, type]) -> tuple[Optional[list[str]], int]:
+    """(the header row, None if the file has no row; the lines it took),
+    blank lines before it skipped."""
     reader = csv.reader(fh)
     try:
-        header = next(filter(None, reader), None)  # skips blank lines
-        if header is None:
-            return
-        if sorted(header) != sorted(fields):
-            raise _bad_row(path, reader.line_num,
-                           f"the header must name the columns {', '.join(fields)}")
-        cells = itemgetter(*map(header.index, fields))
-        width = len(fields)
+        header = next(filter(None, reader), None)
+    except csv.Error as exc:
+        raise _bad_row(path, reader.line_num, exc) from None
+    if header is not None and sorted(header) != sorted(fields):
+        raise _bad_row(path, reader.line_num,
+                       f"the header must name the columns {', '.join(fields)}")
+    return header, reader.line_num
+
+
+def _csv_body(lines: Iterable[str], path: str, fields: dict[str, type],
+              header: list[str], start: int) -> Iterator[tuple[int, tuple]]:
+    """The rows of CSV lines after the header, the first line numbered start + 1."""
+    reader = csv.reader(lines)
+    cells = itemgetter(*map(header.index, fields))
+    width = len(fields)
+    try:
         for row in reader:
             if len(row) != width:
                 if not row:
                     continue  # a blank line
-                raise _bad_row(path, reader.line_num,
+                raise _bad_row(path, start + reader.line_num,
                                f"{len(row)} cells where the header has {width}")
-            yield reader.line_num, cells(row)
+            yield start + reader.line_num, cells(row)
     except csv.Error as exc:
-        raise _bad_row(path, reader.line_num, exc) from None
+        raise _bad_row(path, start + reader.line_num, exc) from None
 
 
-def _jsonl_rows(fh, path: str, fields: dict[str, type]) -> Iterator[tuple[int, tuple]]:
+def _jsonl_rows(lines: Iterable[str], path: str, fields: dict[str, type],
+                start: int) -> Iterator[tuple[int, tuple]]:
+    """The rows of JSONL lines, the first line numbered start + 1."""
     decode = json.JSONDecoder().raw_decode
     cells = itemgetter(*fields)
     width = len(fields)
     types = tuple(fields.values())
-    for line, text in enumerate(fh, 1):
+    for line, text in enumerate(lines, start + 1):
         text = text.strip()
         if not text:
             continue

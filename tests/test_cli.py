@@ -386,6 +386,29 @@ def _truncated(text):
 
 TRACE_ROW = '{"node_id": "liot-1", "scap_v": "4.3", "time_s": "0.0"}\n'
 
+
+def _first_record_with(column, value, fmt):
+    """A corruption that sets column of the first record to value and writes
+    the records as fmt."""
+    def corrupt(text):
+        rows = list(csv.DictReader(text.splitlines()))
+        rows[0][column] = value
+        if fmt == "jsonl":
+            return "".join(json.dumps({**r, "cycle_index": int(r["cycle_index"])},
+                                      sort_keys=True) + "\n" for r in rows)
+        lines = [rows[0].keys(), *(r.values() for r in rows)]
+        return "".join(",".join(cells) + "\r\n" for cells in lines)
+    return corrupt
+
+
+def _trace_rows(fmt, *rows):
+    """A corruption that replaces the trace with rows of liot-1, as fmt."""
+    if fmt == "jsonl":
+        return lambda text: "".join(json.dumps(
+            {"node_id": "liot-1", "scap_v": v, "time_s": t}) + "\n" for t, v in rows)
+    return lambda text: "node_id,time_s,scap_v\r\n" + "".join(
+        f"liot-1,{t},{v}\r\n" for t, v in rows)
+
 # (file replaced, its content from the simulated one, line named in the error)
 MALFORMED_EXPORTS = {
     "truncated records": ("records", _truncated, 6),
@@ -405,6 +428,21 @@ MALFORMED_EXPORTS = {
     "trace voltage not a number": (
         "trace", lambda text: "node_id,time_s,scap_v\r\nliot-1,0.0,high\r\n", 2),
 }
+# Rows that parse but break a rule; the header of a CSV file is its line 1.
+for _fmt, _first in (("csv", 2), ("jsonl", 1)):
+    MALFORMED_EXPORTS.update({
+        f"{_fmt} records end_s nan": (
+            "records", _first_record_with("end_s", "nan", _fmt), _first),
+        f"{_fmt} records energy_consumed_j nan": (
+            "records", _first_record_with("energy_consumed_j", "nan", _fmt), _first),
+        f"{_fmt} records scap_v_end inf": (
+            "records", _first_record_with("scap_v_end", "inf", _fmt), _first),
+        f"{_fmt} trace time going back": (
+            "trace", _trace_rows(_fmt, ("0.0", "4.4"), ("5.0", "4.0"), ("1.0", "4.5")),
+            _first + 2),
+        f"{_fmt} trace voltage nan": (
+            "trace", _trace_rows(_fmt, ("0.0", "nan")), _first),
+    })
 
 
 @pytest.mark.parametrize("case", list(MALFORMED_EXPORTS))

@@ -2,10 +2,11 @@ import csv
 import json
 import math
 import pickle
+import re
 from array import array
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from liotsim import metrics
 from liotsim.energy import BLE_HARVESTER, BLE_PROFILE, Supercap
@@ -86,6 +87,14 @@ def test_cycle_record_validation():
     with pytest.raises(ValueError):
         CycleRecord("n", 0, 0.0, 1.0, SessionOutcome.DELIVERED, None,
                     4.4, 4.4, -0.01, 0.01)
+
+
+@pytest.mark.parametrize("field", ["start_s", "end_s", "consumed_j", "harvested_j"])
+def test_cycle_rule_rejects_nan(field):
+    cells = {"start_s": 0.0, "end_s": 1.0, "consumed_j": 0.01, "harvested_j": 0.01}
+    cells[field] = math.nan
+    with pytest.raises(ValueError):
+        metrics.check_cycle(**cells)
 
 
 def test_cycle_record_has_slots_and_pickles():
@@ -304,6 +313,151 @@ def test_load_trace_reads_any_column_order_and_layout(tmp_path, layout):
     path.write_text(LAYOUTS[layout], encoding="utf-8", newline="")
     assert load_trace(str(path)) == TRACES
     assert load_trace_columns(str(path)) == _columns(TRACES)
+
+
+def _row_reader_columns(path):
+    """path's columns as the row reader alone reads them, checks included."""
+    columns = {}
+    metrics._add_rows(columns, metrics._read(path, metrics.TRACE_FIELDS), path, math.inf)
+    return columns
+
+
+def _read_back(read, path):
+    """(each node's id and column bytes, in order) or the message read raises."""
+    try:
+        columns = read(path)
+    except ValueError as exc:
+        return str(exc)
+    return [(nid, times.tobytes(), volts.tobytes())
+            for nid, (times, volts) in columns.items()]
+
+
+def _escaped(text):
+    """text as a JSON string with every character escaped."""
+    return '"' + "".join(json.dumps(c)[1:-1] if ord(c) > 0xFFFF else f"\\u{ord(c):04x}"
+                         for c in text) + '"'
+
+
+def _trace_line(fmt, nid, t, v, kind=None):
+    """The line export_trace writes for a sample, changed as the mutant kind
+    says (None: unchanged)."""
+    cells = {"node_id": nid, "time_s": repr(t), "scap_v": repr(v)}
+    if kind == "bad float":
+        cells["scap_v"] = "4.2.1"
+    elif kind == "nan voltage":
+        cells["scap_v"] = "nan"
+    elif kind in ("inf time", "-inf time"):
+        cells["time_s"] = kind.split()[0]
+    elif kind == "backwards time":  # unless it is its node's first sample
+        cells["time_s"] = repr(-1.7976931348623157e308)
+    if fmt == "csv":
+        quoted = '"' + nid.replace('"', '""') + '"'
+        row = [quoted if kind == "quoted id" else metrics._csv_cell(nid),
+               cells["time_s"], cells["scap_v"]]
+        if kind == "short row":
+            row.pop()
+        line = ",".join(row) + ("\n" if kind == "reordered" else "\r\n")
+    else:
+        keys = ["node_id", "scap_v", "time_s"]
+        if kind == "reordered":
+            keys.reverse()
+        if kind == "short row":
+            keys.pop()
+        line = "{" + ", ".join(
+            f'"{k}": ' + (_escaped(cells[k]) if kind == "quoted id" and k == "node_id"
+                          else json.dumps(cells[k])) for k in keys) + "}\n"
+    return ("\r\n" if fmt == "csv" else "\n") + line if kind == "blank" else line
+
+
+MUTANTS = ["blank", "quoted id", "reordered", "short row", "bad float", "nan voltage",
+           "inf time", "-inf time", "backwards time"]
+
+_ids = st.text(st.characters(blacklist_categories=("Cs",)), max_size=4)
+_times = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=8,
+                  unique=True)
+_traces = st.dictionaries(_ids, _times.map(sorted).flatmap(lambda ts: st.lists(
+    st.floats(allow_nan=False, allow_infinity=False), min_size=len(ts), max_size=len(ts)
+).map(lambda vs: list(zip(ts, vs)))), max_size=4)
+# (chunk index, line in that chunk, mutant)
+_mutants = st.lists(st.tuples(st.integers(0, 8), st.integers(0, 4), st.sampled_from(MUTANTS)),
+                    max_size=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(traces=_traces, mutants=_mutants, fmt=st.sampled_from(["csv", "jsonl"]),
+       chunk=st.sampled_from([1, 3, metrics.READ_CHUNK]))
+@example(traces=AWKWARD_TRACES, mutants=[], fmt="csv", chunk=1)
+@example(traces=AWKWARD_TRACES, mutants=[], fmt="jsonl", chunk=3)
+# With chunk 3, "plain" (lines 4-8) starts in chunk 1 and has chunk 2 to itself.
+@example(traces=AWKWARD_TRACES, mutants=[(1, 1, "quoted id"), (2, 0, "backwards time")],
+         fmt="csv", chunk=3)
+@example(traces=AWKWARD_TRACES, mutants=[(1, 1, "-inf time")], fmt="csv", chunk=3)
+@example(traces=AWKWARD_TRACES, mutants=[(2, 2, "inf time")], fmt="csv", chunk=3)
+def test_chunked_trace_read_matches_the_row_reader(tmp_path_factory, traces, mutants,
+                                                   fmt, chunk):
+    """load_trace_columns returns what the row reader returns, or raises its
+    message naming the same line, whichever chunks the mutated lines are in."""
+    path = tmp_path_factory.mktemp("trace") / f"trace.{fmt}"
+    samples = [(nid, t, v) for nid in sorted(traces) for t, v in traces[nid]]
+    kinds = {min(k * chunk + offset, len(samples) - 1): kind
+             for k, offset, kind in mutants if samples}
+    export_trace(traces, fmt, str(path))
+    unchanged = path.read_bytes()
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        if fmt == "csv":
+            fh.write("node_id,time_s,scap_v\r\n")
+        fh.writelines(_trace_line(fmt, *sample, kinds.get(i))
+                      for i, sample in enumerate(samples))
+    expected = _read_back(_row_reader_columns, str(path))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "READ_CHUNK", chunk)
+        assert _read_back(load_trace_columns, str(path)) == expected
+    if not kinds:  # the exporter writes the nodes in id order
+        assert path.read_bytes() == unchanged
+        in_order = {nid: traces[nid] for nid in sorted(traces)}
+        assert expected == _read_back(lambda _: _columns(in_order), None)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("rows, line", [
+    ([("n1", 0.0, 4.4), ("n1", 5.0, 4.0), ("n1", 1.0, 4.5)], 3),
+    ([("n1", 0.0, 4.4), ("n2", 0.0, 4.0), ("n1", 0.0, 4.5)], 3),
+    ([("n1", 0.0, 4.4), ("n1", 1.0, math.nan)], 2),
+    ([("n1", math.inf, 4.4)], 1),
+])
+def test_load_trace_rejects_times_out_of_order_and_non_finite_floats(tmp_path, fmt,
+                                                                     rows, line):
+    text = _csv_text(FIELDS, rows, "\r\n") if fmt == "csv" else _jsonl_text(FIELDS, rows)
+    path = tmp_path / f"trace.{fmt}"
+    path.write_text(text, encoding="utf-8", newline="")
+    line += fmt == "csv"  # the header
+    with pytest.raises(ValueError, match=re.escape(f"{path}: line {line}: ")):
+        load_trace_columns(str(path))
+
+
+@pytest.mark.parametrize("bad_row", [False, True])
+def test_a_byte_not_utf8_fails_where_the_row_reader_fails(tmp_path, bad_row):
+    """The bad byte lies in a later 8 KiB block of the file than line 11,
+    but in the same chunk of lines: a bad row before it is still reported."""
+    rows = [("node-with-a-long-id", float(i), 4.0) for i in range(400)]
+    if bad_row:
+        rows[9] = ("node-with-a-long-id", 0.0, 4.0)  # line 11, not after line 10
+    path = tmp_path / "trace.csv"
+    data = _csv_text(FIELDS, rows, "\r\n").encode()
+    assert len(data) > 8192 + 100 * 40
+    path.write_bytes(data[:-100 * 40] + b"\xff" + data[-100 * 40:])
+    message = _read_back(load_trace_columns, str(path))
+    assert message == _read_back(_row_reader_columns, str(path))
+    assert message.startswith(f"{path}: line 11: " if bad_row else f"{path}: not UTF-8 text")
+
+
+def test_a_csv_cell_over_the_field_size_limit_fails_as_in_the_row_reader(tmp_path):
+    path = tmp_path / "trace.csv"
+    nid = "n" * (csv.field_size_limit() + 1)
+    path.write_text(_csv_text(FIELDS, [(nid, 0.0, 4.0)], "\r\n"), encoding="utf-8", newline="")
+    message = _read_back(load_trace_columns, str(path))
+    assert message == _read_back(_row_reader_columns, str(path))
+    assert message.startswith(f"{path}: line 2: field larger than field limit")
 
 
 def test_summary_round_trip(tmp_path):
