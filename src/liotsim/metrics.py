@@ -293,8 +293,9 @@ def load_trace_columns(path: str) -> dict[str, tuple[array, array]]:
 
     The file is read READ_CHUNK lines at a time.  A chunk whose every line is
     laid out as export_trace writes it is matched in one regex pass and
-    converted column-wise; any other chunk, and any run of one node's rows
-    that breaks a rule, goes through the row reader, which names the line.
+    converted column-wise.  From the first chunk in any other layout, or the
+    first run of one node's rows that breaks a rule, the row reader reads the
+    rest of the file and names the line of a bad row.
     """
     columns: dict[str, tuple[array, array]] = {}
     with _export_file(path) as (fh, jsonl):
@@ -329,11 +330,13 @@ def load_trace_columns(path: str) -> dict[str, tuple[array, array]]:
             # A match runs from a line's start to its end: one a line means
             # every line is the exporter's.
             taken = _add_matched(columns, matched, order) if len(matched) == len(lines) else 0
-            end = start + len(lines)
             if taken < len(lines):
-                end = _add_rows(columns, rows(chain(lines[taken:], source),
-                                              start=start + taken), path, end)
-            start = end
+                # The row reader reads the rest of the file, from the first
+                # line of the first run not taken.
+                _add_rows(columns, rows(chain(lines[taken:], source), start=start + taken),
+                          path)
+                return columns
+            start += len(lines)
 
 
 def _add_matched(columns: dict, matched: list[tuple], order: tuple) -> int:
@@ -364,10 +367,9 @@ def _add_matched(columns: dict, matched: list[tuple], order: tuple) -> int:
     return i
 
 
-def _add_rows(columns: dict, rows: Iterator[tuple[int, tuple]], path: str, end: int) -> int:
-    """Add each (line, (node id, time, voltage)) row to columns, each checked,
-    until one ends on line end or after; return the last line read."""
-    line, last = end, None
+def _add_rows(columns: dict, rows: Iterator[tuple[int, tuple]], path: str) -> None:
+    """Add each (line, (node id, time, voltage)) row to columns, each checked."""
+    last = None
     for line, (nid, t, v) in rows:
         if nid != last:
             times, volts = columns.setdefault(nid, (array("d"), array("d")))
@@ -383,9 +385,6 @@ def _add_rows(columns: dict, rows: Iterator[tuple[int, tuple]], path: str, end: 
                                        f"the time before it, {times[-1]!r}")
         times.append(t)
         volts.append(v)
-        if line >= end:
-            break
-    return line
 
 
 def _raising(exc: Exception) -> Iterator[str]:

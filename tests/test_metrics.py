@@ -318,7 +318,7 @@ def test_load_trace_reads_any_column_order_and_layout(tmp_path, layout):
 def _row_reader_columns(path):
     """path's columns as the row reader alone reads them, checks included."""
     columns = {}
-    metrics._add_rows(columns, metrics._read(path, metrics.TRACE_FIELDS), path, math.inf)
+    metrics._add_rows(columns, metrics._read(path, metrics.TRACE_FIELDS), path)
     return columns
 
 
