@@ -221,7 +221,8 @@ def cmd_report(args) -> int:
     for node_id in sorted(by_node):
         times, volts = traces.get(node_id, ((), ()))
         # Records do not carry the node kind, and the table does not show it.
-        n = metrics.summarize_node(node_id, "", by_node[node_id], times, volts)
+        n = metrics.summarize_node(node_id, "", by_node[node_id],
+                                   metrics.voltage_stats(times, volts))
         # Without voltage samples there is no average to show.
         avg = f"{n.scap_avg_v:>13.3f}" if volts else f"{'-':>13}"
         print(f"{node_id:<10} {n.packets_sent:>6} {n.packets_received:>9} "

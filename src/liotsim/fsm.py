@@ -204,11 +204,18 @@ class NodeState:
     cycle_harvested_j: float = 0.0
     last_energy_update: float = 0.0
     # Supercap voltage at sample_times(sample_interval_s), filled as the
-    # energy segments containing them close; last_sample_s is the time of
-    # volts[-1].
+    # energy segments containing them close (a sample on a light piece's end
+    # is that piece's end voltage, the same float); last_sample_s is the time
+    # of volts[-1].
     volts: array = field(default_factory=lambda: array("d"))
     sample_interval_s: float = math.inf
     last_sample_s: float = 0.0
+    # The trace's trapezoid area, sum of 0.5 * (v0 + v1) * (t1 - t0) over
+    # consecutive samples, added left to right as each sample is taken (by
+    # accrue_energy, and by end_run for a last sample off the grid); the
+    # summary's average is this area over last_sample_s, as voltage_stats
+    # would compute it from the trace.
+    trace_area: float = 0.0
 
 
 def initial_state(
@@ -272,7 +279,11 @@ def accrue_energy(
     is integrated in closed form with the harvest power at its lux; sample
     times inside a piece are sampled from it.  Every voltage is
     supercap_segment's, written out here with V0^2 and 2*P hoisted per piece
-    (the same floats: the expression still evaluates left to right).  The
+    (the same floats: the expression still evaluates left to right).  A
+    sample time on a piece's end takes the piece-end voltage, which is the
+    same expression at the same time, computed once.  Each sample adds its
+    trapezoid to NodeState.trace_area, term for term as voltage_stats sums
+    them, so the run's summary needs no second pass over the trace.  The
     cursor ends on the piece in force at now.
     """
     t = state.last_energy_update
@@ -283,8 +294,15 @@ def accrue_energy(
     efficiency, sqrt = cfg.efficiency, math.sqrt
     v = state.voltage_v
     dt, last = state.sample_interval_s, state.last_sample_s
-    append = state.volts.append
+    # The same repeated addition as sample_times.
+    sample_t = last + dt
+    # Most calls take no sample; only those that do load the trace's state.
+    sampling = sample_t <= now
+    if sampling:
+        volts = state.volts
+        append, v_last, area = volts.append, volts[-1], state.trace_area
     i, ends, power = state.light_i, light.ends, state.p_harv
+    n_ends = len(ends)
     harvested = 0.0
     while t < now:
         end = ends[i]
@@ -295,36 +313,45 @@ def accrue_energy(
             p_w *= efficiency
         v0_sq = v**2
         two_p_w = 2.0 * p_w
-        # The same repeated addition as sample_times.
-        sample_t = last + dt
-        while sample_t <= t_end:
-            v_sq = v0_sq + two_p_w * (sample_t - t) / c
-            if v_sq < v_min_sq:
-                append(v_min)
-            else:
-                v_s = sqrt(v_sq)
-                append(v_max if v_max < v_s else v_s)
-            last = sample_t
-            sample_t += dt
         v_sq = v0_sq + two_p_w * (t_end - t) / c
         if v_sq < v_min_sq:
-            v = v_min
+            v_end = v_min
             state.depleted = True
         else:
-            v = sqrt(v_sq)
-            if v_max < v:
-                v = v_max
+            v_end = sqrt(v_sq)
+            if v_max < v_end:
+                v_end = v_max
+        while sample_t < t_end:
+            v_sq = v0_sq + two_p_w * (sample_t - t) / c
+            if v_sq < v_min_sq:
+                v_s = v_min
+            else:
+                v_s = sqrt(v_sq)
+                if v_max < v_s:
+                    v_s = v_max
+            append(v_s)
+            area += 0.5 * (v_last + v_s) * (sample_t - last)
+            v_last, last = v_s, sample_t
+            sample_t += dt
+        if sample_t == t_end:
+            append(v_end)
+            area += 0.5 * (v_last + v_end) * (sample_t - last)
+            v_last, last = v_end, sample_t
+            sample_t += dt
+        v = v_end
         harvested += p_harv * 1e-3 * (t_end - t)
         t = t_end
         if end <= now:
             i += 1
-            if i == len(ends):  # past the filled pieces: the table fills more
+            if i == n_ends:  # past the filled pieces: the table fills more
                 state.light_i = i
                 light.fill()
-                i = state.light_i
+                i, n_ends = state.light_i, len(ends)
     state.light_i = i
     state.voltage_v = v
-    state.last_sample_s = last
+    if sampling:
+        state.last_sample_s = last
+        state.trace_area = area
     state.cycle_consumed_j += p_load * 1e-3 * (now - state.last_energy_update)
     state.cycle_harvested_j += harvested
     state.last_energy_update = now
@@ -340,8 +367,11 @@ def end_run(
     failed with its own reason or, while pending, RUN_ENDED.
     """
     accrue_energy(state, cfg, end, light)
-    if state.last_sample_s < end:
-        state.volts.append(state.voltage_v)
+    last = state.last_sample_s
+    if last < end:
+        volts, v = state.volts, state.voltage_v
+        state.trace_area += 0.5 * (volts[-1] + v) * (end - last)
+        volts.append(v)
         state.last_sample_s = end
     if state.session is not None:  # the sleep this arms never comes
         _close_cycle(state, cfg, end, FailReason.RUN_ENDED, 0.0)

@@ -499,11 +499,14 @@ class _Kernel:
             )
             for node_id, (state, _, _) in self.nodes.items()
         }
+        # The trace's area was summed as its samples were taken; its span
+        # runs from time 0 to its last sample.
         node_summaries = tuple(
-            metrics.summarize_node(node_id, self.nodes[node_id][1].kind.value,
-                                   nr.record_columns.outcomes(), nr.sample_times(),
-                                   nr.volts)
-            for node_id, nr in nodes.items()
+            metrics.summarize_node(
+                node_id, cfg.kind.value, state.records.outcomes(),
+                metrics.stats_from_area(state.volts, state.trace_area,
+                                        state.last_sample_s))
+            for node_id, (state, cfg, _) in self.nodes.items()
         )
         summary = metrics.RunSummary(
             duration_s=self.sc.duration_s,

@@ -135,7 +135,6 @@ def voltage_stats(
     """(avg, min, max) of volts[i] sampled at times[i], average trapezoid-weighted."""
     if not volts:
         return 0.0, 0.0, 0.0
-    lo, hi = min(volts), max(volts)
     times = iter(times)
     t0 = first = next(times)
     v0 = volts[0]
@@ -143,7 +142,15 @@ def voltage_stats(
     for t1, v1 in zip(times, islice(volts, 1, None)):
         area += 0.5 * (v0 + v1) * (t1 - t0)
         t0, v0 = t1, v1
-    span = t0 - first
+    return stats_from_area(volts, area, t0 - first)
+
+
+def stats_from_area(
+    volts: Sequence[float], area: float, span: float
+) -> tuple[float, float, float]:
+    """(avg, min, max) of a trace of volts whose trapezoid area over its span
+    of time is area, as voltage_stats sums it."""
+    lo, hi = min(volts), max(volts)
     if span <= 0:
         return volts[0], lo, hi
     # area / span rounds outside [lo, hi] when the span is tiny.
@@ -154,19 +161,17 @@ def summarize_node(
     node_id: str,
     kind: str,
     outcomes: Sequence[SessionOutcome],
-    times: Iterable[float],
-    volts: Sequence[float],
+    stats: tuple[float, float, float],
 ) -> NodeSummary:
     """Counts, PDR and voltage stats of one node from the outcome of each of
-    its cycle records (volts[i] sampled at times[i]).
+    its cycle records and its trace's (avg, min, max) voltage.
 
     Each cycle record is one packet sent; the delivered ones were received.
     """
     sent = len(outcomes)
     received = outcomes.count(SessionOutcome.DELIVERED)
     pdr = received / sent if sent > 0 else 0.0
-    avg, lo, hi = voltage_stats(times, volts)
-    return NodeSummary(node_id, kind, sent, received, pdr, avg, lo, hi)
+    return NodeSummary(node_id, kind, sent, received, pdr, *stats)
 
 
 # --- export / import --------------------------------------------------------

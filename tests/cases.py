@@ -1,9 +1,11 @@
-"""Malformed scenario values shared by the scenario and CLI tests."""
+"""Malformed and oversized scenario documents shared by the scenario and CLI tests."""
 
 import math
 from collections import Counter
 
 import pytest
+
+from liotsim.scenario import preset_dict
 
 
 def _liot_profile(voltage_v=3.3, sleep_current_ma=0.087, current_ma=12.69,
@@ -116,3 +118,13 @@ def bad_value_cases(*rows):
         params.append(pytest.param(key, value, path, id=f"{section}{seen[section]}-{path}"))
         seen[section] += 1
     return params
+
+
+def ble_fleet_year(n_nodes: int) -> dict:
+    """n_nodes ble-700lx nodes for a leap year, sampled every 1e7 s: within
+    the trace-sample limit, so only the cycle budget can reject it."""
+    doc = preset_dict("ble-700lx")
+    node = doc["nodes"][0]
+    doc["nodes"] = [{**node, "id": f"ble-{i}"} for i in range(n_nodes)]
+    doc.update(duration_s=366 * 86400.0, sample_interval_s=1e7)
+    return doc

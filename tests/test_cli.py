@@ -8,7 +8,7 @@ import tracemalloc
 import pytest
 import yaml
 
-from cases import BAD_VALUES, bad_value_cases
+from cases import BAD_VALUES, bad_value_cases, ble_fleet_year
 from liotsim import cli, kernel, metrics, scenario
 from liotsim.cli import (
     EXIT_INFEASIBLE,
@@ -145,6 +145,15 @@ def test_simulate_rejects_coerced_gateway_values(capsys, tmp_path, key, value, p
     assert f"invalid scenario: {path}: " in err
 
 
+def test_simulate_rejects_a_run_over_the_cycle_budget(capsys, tmp_path):
+    # About 1.7e7 cycle records, past the limit of 1.5e7.
+    path = tmp_path / "fleet.yaml"
+    path.write_text(yaml.safe_dump(ble_fleet_year(7)), encoding="utf-8")
+    code, _, err = run_cli(capsys, "simulate", "--scenario", str(path))
+    assert code == EXIT_VALIDATION
+    assert "invalid scenario: duration_s: 7 node(s) x 3.16224e+07 s" in err
+
+
 # Files that hold no document of the expected shape.
 MALFORMED_FILES = {
     "list": "- version: 1\n- duration_s: 100\n",
@@ -204,11 +213,11 @@ def test_sweep_loss_makes_pdr_monotone(capsys, tmp_path):
 def test_sweep_parallel_matches_serial(capsys, tmp_path):
     args = ["sweep", "--scenario", "liot-700lx", "--param", "duration_s",
             "--values", "1000,2000"]
-    a = str(tmp_path / "serial.csv")
-    b = str(tmp_path / "parallel.csv")
-    assert run_cli(capsys, *args, "--out", a, "--jobs", "1")[0] == EXIT_OK
-    assert run_cli(capsys, *args, "--out", b, "--jobs", "2")[0] == EXIT_OK
-    assert open(a).read() == open(b).read()
+    a = tmp_path / "serial.csv"
+    b = tmp_path / "parallel.csv"
+    assert run_cli(capsys, *args, "--out", str(a), "--jobs", "1")[0] == EXIT_OK
+    assert run_cli(capsys, *args, "--out", str(b), "--jobs", "2")[0] == EXIT_OK
+    assert a.read_text() == b.read_text()
 
 
 class _InProcessPool:

@@ -663,6 +663,33 @@ def test_inline_sampling_equals_supercap_segment_down_to_v_min(monkeypatch):
     assert trace[-1][0] == 2500.0
 
 
+def test_inline_sampling_on_piece_ends_equals_supercap_segment(monkeypatch):
+    calls = _check_accrue_against_supercap_segment(monkeypatch)
+    # Jittered light changes every second and the grid is 1 s, so every
+    # sample lies on a piece end and is that piece's end voltage.  The LIoT
+    # node starts just under v_max; the BLE node drains to v_min in the dark
+    # from 300 s to 2000 s.
+    dark_harvester = HarvesterCurve(
+        points=((0.0, 0.0), (700.0, BLE_HARVESTER.power_mw(700.0))))
+    sc = Scenario(
+        duration_s=2500.0,
+        nodes=(liot_node(supercap=Supercap(0.4, 4.49)),
+               ble_node(supercap=Supercap(0.4, 3.4), harvester=dark_harvester)),
+        illumination=IlluminationProfile(
+            kind="step", steps=((0.0, 700.0), (300.0, 0.0), (2000.0, 700.0)),
+            jitter_pct=0.05),
+        sample_interval_s=1.0,
+    )
+    result = run(sc)
+    assert calls
+    liot, ble = result.nodes["liot-1"].trace, result.nodes["ble-1"].trace
+    for trace in (liot, ble):
+        assert [t for t, _ in trace] == list(map(float, range(2501)))
+    assert liot[0][1] < 4.5 and any(v == 4.5 for _, v in liot)
+    assert any(v == 3.3 for _, v in ble)
+    assert ble[-1][1] > 3.3
+
+
 def _records_digest(records) -> str:
     """First 16 hex digits of a sha256 over every field of every record."""
     h = hashlib.sha256()

@@ -62,12 +62,13 @@ def test_pdr_from_counts():
     # were received.
     records = _records(1490, 1479)
     records.append(_record(1490, SessionOutcome.FAILED, FailReason.RUN_ENDED))
-    ble = summarize_node("n", "ble", _outcomes(records), [], [])
+    no_trace = (0.0, 0.0, 0.0)
+    ble = summarize_node("n", "ble", _outcomes(records), no_trace)
     assert (ble.packets_sent, ble.packets_received) == (1491, 1479)
     assert ble.pdr == pytest.approx(1479 / 1491)
     assert ble.pdr == pytest.approx(0.991, abs=0.001)
-    assert summarize_node("n", "liot", _outcomes(_records(21, 21)), [], []).pdr == 1.0
-    assert summarize_node("n", "liot", [], [], []).pdr == 0.0
+    assert summarize_node("n", "liot", _outcomes(_records(21, 21)), no_trace).pdr == 1.0
+    assert summarize_node("n", "liot", [], no_trace).pdr == 0.0
 
 
 def test_time_weighted_average_handles_uneven_sampling():
@@ -463,7 +464,8 @@ def test_a_csv_cell_over_the_field_size_limit_fails_as_in_the_row_reader(tmp_pat
 def test_summary_round_trip(tmp_path):
     summary = RunSummary(
         duration_s=28800.0, seed=1, config_hash="abc123",
-        nodes=(summarize_node("n1", "liot", _outcomes(_records(46, 46)), [0.0], [4.3]),),
+        nodes=(summarize_node("n1", "liot", _outcomes(_records(46, 46)),
+                              voltage_stats([0.0], [4.3])),),
     )
     path = str(tmp_path / "summary.json")
     export_summary(summary, path)

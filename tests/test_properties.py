@@ -11,14 +11,23 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 from liotsim import fsm
+from liotsim.energy import builtin_harvester
 from liotsim.kernel import run
-from liotsim.metrics import export_records, load_records
-from liotsim.protocol import FailReason, FrameKind, SessionOutcome
+from liotsim.metrics import export_records, load_records, voltage_stats
+from liotsim.protocol import (
+    BLE_SCRIPT,
+    LIOT_SCRIPT,
+    FailReason,
+    FrameKind,
+    SessionOutcome,
+)
 from liotsim.scenario import (
     ScenarioError,
+    estimated_cycles,
     preset_dict,
     resolve_scenario_dict,
     scenario_from_dict,
+    shortest_cycle_s,
 )
 
 LUX = st.floats(0.0, 1000.0)
@@ -67,11 +76,47 @@ def test_trace_follows_the_sampling_rule_and_nothing_else_moves(doc, interval_s)
         assert nr.records == ref.records
         assert nr.total_harvested_j == ref.total_harvested_j
         summary = result.summary.node(node_id)
+        # The average summed as the samples were taken is the trace's.
+        assert (summary.scap_avg_v, summary.scap_min_v, summary.scap_max_v) == (
+            voltage_stats(nr.sample_times(), nr.volts))
         assert summary.packets_sent == len(nr.records)
         assert summary.packets_received == sum(
             1 for r in nr.records if r.outcome is SessionOutcome.DELIVERED)
         check_records_are_the_account(nr, result.frames, node_id,
                                       boot_v[node_id], end)
+
+
+@st.composite
+def fast_cycling_scenarios(draw) -> dict:
+    """small_scenarios whose nodes may boot at v_min, back off for as little
+    as 0.5 s, harvest nothing in the dark, or harvest enough to run
+    continuously, so that their cycles come near the shortest that
+    scenario.shortest_cycle_s allows."""
+    doc = draw(small_scenarios())
+    for node in doc["nodes"]:
+        v_boot = node["supercap"]["voltage_v"]
+        node["supercap"]["voltage_v"] = draw(st.sampled_from((3.3, 3.31, v_boot)))
+        node["backoff_s"] = draw(st.sampled_from((0.5, 5.0, 60.0)))
+        gain = draw(st.sampled_from((1.0, 10.0, 1000.0)))
+        curve = builtin_harvester(node["harvester"])
+        points = [[lux, p * gain] for lux, p in curve.points]
+        node["harvester"] = {"points": [[0.0, 0.0], *points]}
+    return doc
+
+
+@settings(max_examples=40, deadline=None)
+@given(fast_cycling_scenarios())
+def test_no_run_closes_more_records_than_its_estimate(doc):
+    sc = scenario_from_dict(doc)
+    result = run(sc)
+    closed = {node_id: len(nr.record_columns) for node_id, nr in result.nodes.items()}
+    for cfg in sc.nodes:
+        assert closed[cfg.node_id] <= sc.duration_s / shortest_cycle_s(cfg) + 1
+    assert sum(closed.values()) <= estimated_cycles(sc)
+    # Each cycle logs at most one handshake's frames.
+    script = {fsm.NodeKind.BLE: BLE_SCRIPT, fsm.NodeKind.LIOT: LIOT_SCRIPT}
+    assert len(result.log) <= sum(len(script[cfg.kind]) * closed[cfg.node_id]
+                                  for cfg in sc.nodes)
 
 
 def check_records_are_the_account(nr, frames, node_id, boot_v, end) -> None:

@@ -5,7 +5,7 @@ import pickle
 import pytest
 import yaml
 
-from cases import BAD_VALUES, bad_value_cases
+from cases import BAD_VALUES, bad_value_cases, ble_fleet_year
 from liotsim.energy import (
     BLE_PROFILE,
     FieldError,
@@ -20,8 +20,9 @@ from liotsim.kernel import (
     per_frame_loss_for_session_pdr,
     run,
 )
-from liotsim.protocol import BLE_SCRIPT, LinkType
+from liotsim.protocol import BLE_SCRIPT, LIOT_SCRIPT, LinkType
 from liotsim.scenario import (
+    MAX_CYCLES,
     PRESET_NAMES,
     SCHEMA_VERSION,
     ScenarioError,
@@ -173,6 +174,22 @@ def test_run_size_limits():
         with pytest.raises(ScenarioError, match="at most 31622400 s") as exc:
             scenario_from_dict(doc)
         assert exc.value.path == "duration_s"
+
+
+def test_cycle_budget_bounds_records_and_frames():
+    # A cycle keeps one 33-B record and at most one handshake of 17-B frames.
+    longest_script = max(len(BLE_SCRIPT), len(LIOT_SCRIPT))
+    # With growth slack and the trace at its limit, still under 2 GiB.
+    assert MAX_CYCLES * (33 + 17 * longest_script) * 9 / 8 + 8e7 <= 2 * 2**30
+    # A ble-700lx node's shortest cycle is its 12.842-s sleep solved at
+    # 700 lx, its curve's top, plus its 0.26-s sensor read: 2.41e6 a year.
+    assert len(scenario_from_dict(ble_fleet_year(6)).nodes) == 6
+    with pytest.raises(ScenarioError, match=r"7 node\(s\) x 3\.16224e\+07 s is an "
+                       r"estimated 1\.69e\+07 cycles, above the limit of 15,000,000"):
+        scenario_from_dict(ble_fleet_year(7))
+    with pytest.raises(ScenarioError) as exc:
+        scenario_from_dict(ble_fleet_year(1000))
+    assert exc.value.path == "duration_s"
 
 
 @pytest.mark.parametrize("key,read", [
