@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import os
 import sys
 from itertools import chain
@@ -47,10 +48,7 @@ def _load_profile_arg(ref: str):
             f"profile {ref!r} is neither a built-in preset nor a file", EXIT_VALIDATION
         )
     try:
-        with open(ref, encoding="utf-8") as fh:
-            doc = yaml.safe_load(fh)
-        if not isinstance(doc, dict):
-            raise ScenarioError("", f"{ref} does not contain a mapping")
+        doc = scenario_mod.load_mapping(ref)
         profile = scenario_mod._parse_profile(doc.get("profile", doc), "profile")
         harvester = None
         if "harvester" in doc:
@@ -194,12 +192,12 @@ def cmd_sweep(args) -> int:
     rows.sort(key=lambda r: (str(type(r["param_value"])), r["param_value"],
                              r["node_id"]))
     try:
-        out = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
-        writer = csv.DictWriter(out, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
-        if args.out:
-            out.close()
+        # The file is closed however the write ends; stdout stays open.
+        with (open(args.out, "w", encoding="utf-8", newline="") if args.out
+              else contextlib.nullcontext(sys.stdout)) as out:
+            writer = csv.DictWriter(out, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
     except OSError as exc:
         raise CliError(f"cannot write {args.out}: {exc}", EXIT_IO)
     return EXIT_OK

@@ -195,7 +195,7 @@ class NodeState:
     phase_nominal_s: float = 0.0
     session: Optional[ExchangeSession] = None
     gw_request_end: float = 0.0
-    # (lux, schedule_next_cycle(cfg, lux)) of the last local solve
+    # (p_harv, schedule_next_cycle(cfg, p_harv)) of the node's last solve
     sleep_memo: tuple[float, Optional[float]] = (math.nan, None)
     # Cursor into the run's LightTable and its harvester's power column there
     light_i: int = 0
@@ -246,14 +246,13 @@ def initial_state(
     return state
 
 
-def schedule_next_cycle(cfg: NodeConfig, lux: float) -> Optional[float]:
-    """Locally solved sleep to arm the wake timer with; None when infeasible.
+def schedule_next_cycle(cfg: NodeConfig, p_harv_mw: float) -> Optional[float]:
+    """Locally solved sleep at harvest power p_harv_mw to arm the wake timer
+    with; None when infeasible.
 
     The sleep stretches the whole cycle by (1 + margin).
     """
-    if lux < 0:
-        raise ValueError("lux must be >= 0")
-    sol = solve_sleep_time(cfg.profile, cfg.harvester.power_mw(lux))
+    sol = solve_sleep_time(cfg.profile, p_harv_mw)
     if sol.feasibility is Feasibility.INFEASIBLE:
         return None
     if sol.feasibility is Feasibility.CONTINUOUS:
@@ -276,7 +275,7 @@ def accrue_energy(
 
     The load is constant since the last checkpoint, so each piece of the
     light table the node's cursor walks has constant net power.  Each piece
-    is integrated in closed form with the harvest power at its lux; sample
+    is integrated in closed form with its harvest power; sample
     times inside a piece are sampled from it.  Every voltage is
     supercap_segment's, written out here with V0^2 and 2*P hoisted per piece
     (the same floats: the expression still evaluates left to right).  A
@@ -426,30 +425,30 @@ def _sleep_or_back_off(state: NodeState, cfg: NodeConfig,
     return sleep
 
 
+def _local_sleep(state: NodeState, cfg: NodeConfig) -> Optional[float]:
+    """schedule_next_cycle at the harvest power in force, solved only when
+    that power has changed since the node's last local solve (the solve
+    depends only on cfg and the power)."""
+    p_harv = state.p_harv[state.light_i]
+    if p_harv != state.sleep_memo[0]:
+        state.sleep_memo = (p_harv, schedule_next_cycle(cfg, p_harv))
+    return state.sleep_memo[1]
+
+
 def _finish_cycle(
     state: NodeState,
     cfg: NodeConfig,
     now: float,
-    lux: float,
     fail_reason: Optional[FailReason],
     assigned_sleep: Optional[float] = None,
 ) -> None:
     """Close the cycle and sleep: the gateway's assigned sleep verbatim, else
-    the local solve at lux."""
-    if assigned_sleep is not None:
-        sleep = assigned_sleep
-    elif lux == state.sleep_memo[0]:
-        # schedule_next_cycle depends only on cfg and lux.
-        sleep = state.sleep_memo[1]
-    else:
-        sleep = schedule_next_cycle(cfg, lux)
-        state.sleep_memo = (lux, sleep)
+    the local solve at the harvest power in force."""
+    sleep = _local_sleep(state, cfg) if assigned_sleep is None else assigned_sleep
     _close_cycle(state, cfg, now, fail_reason, _sleep_or_back_off(state, cfg, sleep))
 
 
-def _await_or_time_out(
-    state: NodeState, cfg: NodeConfig, now: float, lux: float
-) -> None:
+def _await_or_time_out(state: NodeState, cfg: NodeConfig, now: float) -> None:
     """An await step that expires unanswered runs on to twice its nominal
     duration once, then fails the cycle with a timeout.  A session that has
     already ended can no longer be answered, so its cycle closes at the
@@ -459,7 +458,7 @@ def _await_or_time_out(
         state.phase_deadline = state.phase_started + 2.0 * state.phase_nominal_s
         state.timeout_extended = True
         return
-    _finish_cycle(state, cfg, now, lux, FailReason.TIMEOUT)
+    _finish_cycle(state, cfg, now, FailReason.TIMEOUT)
 
 
 def advance(
@@ -467,7 +466,6 @@ def advance(
     cfg: NodeConfig,
     now: float,
     *,
-    lux: float,
     rng,
 ) -> Optional[Frame]:
     """Handle the expiry of the current phase deadline; returns the frame to send."""
@@ -486,8 +484,7 @@ def advance(
                 _set_phase(state, cfg, SLEEPING, now, now + cfg.backoff_s)
                 return None
         if state.awaiting_reeval:
-            sleep = schedule_next_cycle(cfg, lux)
-            if sleep is None:
+            if _local_sleep(state, cfg) is None:
                 _set_phase(state, cfg, SLEEPING, now, now + cfg.backoff_s)
                 return None
             state.awaiting_reeval = False
@@ -497,8 +494,10 @@ def advance(
                 now + state.stage_s[SENSING],
             )
             return None
-        # LIoT: read the LDR and open the session with an IR uplink.
-        session = ExchangeSession(LIOT_SCRIPT, state.frames, lux=lux)
+        # LIoT: read the LDR and open the session with an IR uplink; the
+        # gateway reads the harvest power the reading implies.
+        session = ExchangeSession(LIOT_SCRIPT, state.frames,
+                                  harvest_mw=state.p_harv[state.light_i])
         state.session = session
         out = exchange_step(session, None)
         # The uplink and the wait for the request share the gw_request stage.
@@ -526,16 +525,16 @@ def advance(
             state.phase_nominal_s = nominal
             _set_phase(state, cfg, EXCHANGING, now, now + nominal)
             return exchange_step(session, held)
-        _finish_cycle(state, cfg, now, lux, FailReason.NO_GATEWAY)
+        _finish_cycle(state, cfg, now, FailReason.NO_GATEWAY)
         return None
 
     if phase is EXCHANGING or phase is AWAITING_SLEEP_SET:
         # A BLE session has no assigned sleep, so both end the same way.
         session = state.session
         if session is not None and session.outcome is DELIVERED:
-            _finish_cycle(state, cfg, now, lux, None, session.assigned_sleep_s)
+            _finish_cycle(state, cfg, now, None, session.assigned_sleep_s)
         else:
-            _await_or_time_out(state, cfg, now, lux)
+            _await_or_time_out(state, cfg, now)
         return None
 
     if phase is UPLINKING:
@@ -550,7 +549,7 @@ def advance(
                 now + state.stage_s[SENSING],
             )
         else:
-            _await_or_time_out(state, cfg, now, lux)
+            _await_or_time_out(state, cfg, now)
         return None
 
     if phase is SENSING and cfg.kind is LIOT:

@@ -8,8 +8,9 @@ identical scenario and seed give byte-identical results.
 Energy needs no clock of its own: light is piecewise constant, so each
 node's supercap is integrated in closed form whenever one of its own events
 closes the segment since its previous one (see fsm.accrue_energy).  A run
-builds its light once, as a LightTable of constant pieces with the harvest
-power of each piece per harvester; every node walks it with its own cursor.
+builds its light once, as a LightTable of constant pieces that holds each
+piece's end and its harvest power per harvester; every node walks it with
+its own cursor, and light reaches a node only as that power.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, count, groupby, islice, takewhile
 from operator import itemgetter
-from typing import Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from . import fsm, metrics
 from .energy import (
@@ -152,8 +153,8 @@ class IlluminationProfile:
         if self.kind == "sinusoid" and self.amplitude > self.mean:
             raise FieldError("amplitude", "sinusoid would go below zero lux")
 
-    def lux_at(self, t_s: float, max_t: Optional[float] = None) -> float:
-        if not t_s >= 0 or (max_t is not None and t_s > max_t):
+    def lux_at(self, t_s: float) -> float:
+        if not t_s >= 0:
             raise ValueError(f"time {t_s} outside the profile domain")
         if self.kind == "constant":
             v = self.lux
@@ -187,24 +188,22 @@ def _change_points(profile: IlluminationProfile, duration_s: float) -> Iterator[
 
 
 class LightTable:
-    """The lux in force during one run, as a table of constant pieces that
-    all of its nodes share.
+    """The harvest power in force during one run, as a table of constant
+    pieces that all of its nodes share.
 
-    Piece i holds luxes[i] from starts[i] to ends[i], the next change point
-    (inf after the last); lux_at is evaluated once per change point, and
-    power[curve][i] is each of the run's harvester curves at luxes[i].  A
-    node walks the table with its cursor NodeState.light_i (see
-    fsm.accrue_energy).  The table fills LIGHT_CHUNK pieces at a time, and
-    first drops those before every cursor.
+    Piece i runs from the previous piece's end (0 for the first) to ends[i],
+    the next change point (inf after the last); lux_at is evaluated once at
+    each piece's start, and power[curve][i] is each of the run's harvester
+    curves at that lux.  A node walks the table with its cursor
+    NodeState.light_i (see fsm.accrue_energy).  The table fills LIGHT_CHUNK
+    pieces at a time, and first drops those before every cursor.
     """
 
-    def __init__(self, profile: IlluminationProfile, duration_s: float):
+    def __init__(self, profile: IlluminationProfile, duration_s: float,
+                 curves: Iterable[HarvesterCurve]):
         self.profile = profile
-        self.duration_s = duration_s
-        self.starts: list[float] = []
         self.ends: list[float] = []
-        self.luxes: list[float] = []
-        self.power: dict[HarvesterCurve, list[float]] = {}
+        self.power: dict[HarvesterCurve, list[float]] = {c: [] for c in curves}
         self.readers: list[NodeState] = []
         self._points = _change_points(profile, duration_s)
         self._next = next(self._points)  # start of the first piece not filled
@@ -212,8 +211,6 @@ class LightTable:
 
     def attach(self, state: NodeState, harvester: HarvesterCurve) -> None:
         """Start a node at the first piece, reading its harvester's column."""
-        if harvester not in self.power:
-            self.power[harvester] = list(map(harvester.power_mw, self.luxes))
         state.light_i, state.p_harv = 0, self.power[harvester]
         self.readers.append(state)
 
@@ -221,7 +218,7 @@ class LightTable:
         """Drop the pieces before every reader's cursor, then append up to
         LIGHT_CHUNK pieces; the columns shrink and grow in place."""
         passed = min((st.light_i for st in self.readers), default=0)
-        for column in (self.starts, self.ends, self.luxes, *self.power.values()):
+        for column in (self.ends, *self.power.values()):
             del column[:passed]
         for st in self.readers:
             st.light_i -= passed
@@ -230,12 +227,9 @@ class LightTable:
         ends = list(islice(self._points, LIGHT_CHUNK))
         if len(ends) < LIGHT_CHUNK:
             ends.append(math.inf)
-        starts = [self._next, *ends[:-1]]
+        luxes = list(map(self.profile.lux_at, [self._next, *ends[:-1]]))
         self._next = ends[-1]
-        luxes = [self.profile.lux_at(t, max_t=self.duration_s) for t in starts]
-        self.starts += starts
         self.ends += ends
-        self.luxes += luxes
         for curve, column in self.power.items():
             column += map(curve.power_mw, luxes)
 
@@ -245,13 +239,14 @@ class GatewayConfig:
     present: bool = True
 
 
-def gateway_sleep_s(cfg: NodeConfig, lux: float) -> float:
-    """Sleep the gateway assigns a LIoT node that reports lux.
+def gateway_sleep_s(cfg: NodeConfig, p_harv_mw: float) -> float:
+    """Sleep the gateway assigns a LIoT node whose lux reading implies the
+    harvest power p_harv_mw under the node's curve.
 
     The balance-point sleep, used verbatim; 0 when the harvest covers
     continuous operation, the node's back-off when it cannot cover sleep.
     """
-    sol = solve_sleep_time(cfg.profile, cfg.harvester.power_mw(lux))
+    sol = solve_sleep_time(cfg.profile, p_harv_mw)
     if sol.feasibility is Feasibility.FINITE:
         return sol.t_sleep_s
     if sol.feasibility is Feasibility.CONTINUOUS:
@@ -393,7 +388,8 @@ class _Kernel:
         self._log_frame = self.log.frames.append
         self._log_delivered = self.log.delivered.append
         self.gw_liot_busy: Optional[ExchangeSession] = None
-        self.light = LightTable(scenario.illumination, scenario.duration_s)
+        self.light = LightTable(scenario.illumination, scenario.duration_s,
+                                [cfg.harvester for cfg in scenario.nodes])
 
     # -- plumbing ------------------------------------------------------------
 
@@ -427,7 +423,7 @@ class _Kernel:
                 return  # the transceiver is occupied
             self.gw_liot_busy = session
         elif frame.kind is SENSOR_DATA:
-            session.assigned_sleep_s = gateway_sleep_s(cfg, session.lux)
+            session.assigned_sleep_s = gateway_sleep_s(cfg, session.harvest_mw)
         out = exchange_step(session, frame)
         if out is not None:
             self._send(out, now)
@@ -438,8 +434,10 @@ class _Kernel:
         sc, light, nodes = self.sc, self.light, self.nodes
         heap, push, pop, seq = self._heap, heapq.heappush, heapq.heappop, self._seq
         for cfg in sc.nodes:
-            first = fsm.schedule_next_cycle(cfg, light.luxes[0])
+            p_harv = light.power[cfg.harvester][0]
+            first = fsm.schedule_next_cycle(cfg, p_harv)
             state = fsm.initial_state(cfg, first, sc.sample_interval_s)
+            state.sleep_memo = (p_harv, first)
             light.attach(state, cfg.harvester)
             rng = random.Random(f"{sc.seed}|node|{cfg.node_id}")
             nodes[cfg.node_id] = (state, cfg, rng)
@@ -454,12 +452,10 @@ class _Kernel:
             clock = time
 
             if kind is TIMER_FIRED:
+                # A node's one timer: pushed after its last advance, at its deadline.
                 state, cfg, rng = nodes[subject]
-                if time != state.phase_deadline:
-                    continue  # superseded deadline
                 fsm.accrue_energy(state, cfg, time, light)
-                out = fsm.advance(state, cfg, time, lux=light.luxes[state.light_i],
-                                  rng=rng)
+                out = fsm.advance(state, cfg, time, rng=rng)
                 if out is not None:
                     self._send(out, time)
                 push(heap, (state.phase_deadline, next(seq), TIMER_FIRED, subject))

@@ -212,7 +212,7 @@ class ExchangeSession:
     step: int = 0  # frames of the script sent so far
     outcome: SessionOutcome = SessionOutcome.PENDING
     fail_reason: Optional[FailReason] = None
-    lux: float = 0.0
+    harvest_mw: float = 0.0  # a LIoT node's lux reading, as its harvest power
     assigned_sleep_s: Optional[float] = None  # set by the gateway on SensorData
     held: Optional[Frame] = None  # frame received outside its service phase
 

@@ -406,12 +406,17 @@ def estimated_cycles(sc: Scenario) -> float:
     return sum(sc.duration_s / shortest_cycle_s(cfg) + 1 for cfg in sc.nodes)
 
 
-def load_scenario_file(path: str) -> Scenario:
+def load_mapping(path: str) -> dict:
+    """The YAML document of a scenario or profile file, which must be a mapping."""
     with open(path, encoding="utf-8") as fh:
         doc = yaml.safe_load(fh)
     if not isinstance(doc, dict):
         raise ScenarioError("", f"{path} does not contain a mapping")
-    return scenario_from_dict(doc)
+    return doc
+
+
+def load_scenario_file(path: str) -> Scenario:
+    return scenario_from_dict(load_mapping(path))
 
 
 def preset_dict(name: str) -> dict:
@@ -459,11 +464,7 @@ def load_preset(name: str) -> Scenario:
 def resolve_scenario_dict(ref: str) -> dict:
     if ref in PRESET_NAMES:
         return preset_dict(ref)
-    with open(ref, encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
-    if not isinstance(doc, dict):
-        raise ScenarioError("", f"{ref} does not contain a mapping")
-    return doc
+    return load_mapping(ref)
 
 
 def set_by_path(doc: dict, dotted: str, value: Any) -> None:

@@ -1,9 +1,11 @@
 import concurrent.futures
 import csv
+import gc
 import json
 import os
 import re
 import tracemalloc
+import warnings
 
 import pytest
 import yaml
@@ -163,9 +165,7 @@ MALFORMED_FILES = {
 
 
 @pytest.mark.parametrize("command,content", [
-    *((cmd, name) for cmd in ("simulate", "sweep") for name in MALFORMED_FILES),
-    ("solve", "list"),
-    ("solve", "empty"),
+    (cmd, name) for cmd in ("simulate", "sweep", "solve") for name in MALFORMED_FILES
 ])
 def test_malformed_files_exit_2(capsys, tmp_path, command, content):
     path = tmp_path / "doc.yaml"
@@ -178,6 +178,8 @@ def test_malformed_files_exit_2(capsys, tmp_path, command, content):
     code, _, err = run_cli(capsys, command, *argv)
     assert code == EXIT_VALIDATION
     assert err.startswith("error: ") and "Traceback" not in err
+    if content != "unparsable":
+        assert f"{path} does not contain a mapping" in err
 
 
 def test_sweep_lux_reproduces_both_ble_operating_points(capsys, tmp_path):
@@ -280,6 +282,22 @@ def test_sweep_over_seed_takes_integral_values(capsys, tmp_path):
     )
     assert code == EXIT_VALIDATION
     assert "seed: must be an integer" in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_sweep_out_is_closed_when_its_write_fails(capsys):
+    # 120 rows overflow the file's buffer, so the write itself fails, not
+    # only the flush at close.
+    values = ",".join(str(d) for d in range(1, 121))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run_cli(capsys, "sweep", "--scenario", "liot-700lx",
+                               "--param", "duration_s", "--values", values,
+                               "--out", "/dev/full")
+        gc.collect()
+    assert code == EXIT_IO
+    assert err.startswith("error: cannot write /dev/full: ")
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_sweep_validates_before_running(capsys):

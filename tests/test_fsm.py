@@ -69,8 +69,17 @@ def liot_cfg(**kw) -> NodeConfig:
     return NodeConfig(**defaults)
 
 
+def lit_state(cfg: NodeConfig, first_sleep_s, lux: float = 700.0):
+    """A node at boot, its cursor on a table of constant light at lux."""
+    state = initial_state(cfg, first_sleep_s)
+    light = LightTable(IlluminationProfile(lux=lux), 1e6, [cfg.harvester])
+    light.attach(state, cfg.harvester)
+    return state
+
+
 def test_schedule_local_solve_ble_700lx_gives_published_duty_cycle():
-    sleep = schedule_next_cycle(ble_cfg(), 700.0)
+    cfg = ble_cfg()
+    sleep = schedule_next_cycle(cfg, cfg.harvester.power_mw(700.0))
     # Full duty cycle: active burst plus the margin-stretched sleep.
     assert 5.56 + sleep == pytest.approx(19.3, abs=0.2)
 
@@ -78,12 +87,12 @@ def test_schedule_local_solve_ble_700lx_gives_published_duty_cycle():
 def test_finish_cycle_arms_the_gateway_assigned_sleep_verbatim():
     # At 500 lx the node's own solve would give about 1350 s.
     cfg = liot_cfg()
-    state = initial_state(cfg, 1.0)
+    state = lit_state(cfg, 1.0, lux=500.0)
     state.phase = Phase.AWAITING_SLEEP_SET
     state.session = ExchangeSession(LIOT_SCRIPT, state.frames,
                                     outcome=SessionOutcome.DELIVERED,
                                     assigned_sleep_s=620.0)
-    _finish_cycle(state, cfg, 10.0, 500.0, None, state.session.assigned_sleep_s)
+    _finish_cycle(state, cfg, 10.0, None, state.session.assigned_sleep_s)
     assert state.phase is Phase.SLEEPING
     assert state.phase_deadline - state.phase_started == 620.0
     assert not state.awaiting_reeval
@@ -93,7 +102,7 @@ def test_finish_cycle_arms_the_gateway_assigned_sleep_verbatim():
 
 def test_an_infeasible_first_sleep_backs_off_and_solves_again_at_wake():
     cfg = liot_cfg(harvester=HarvesterCurve(points=((0.0, 0.0),)))
-    assert schedule_next_cycle(cfg, 700.0) is None
+    assert schedule_next_cycle(cfg, cfg.harvester.power_mw(700.0)) is None
     state = initial_state(cfg, None)
     assert (state.phase, state.phase_deadline) == (Phase.SLEEPING, cfg.backoff_s)
     assert state.awaiting_reeval
@@ -102,12 +111,12 @@ def test_an_infeasible_first_sleep_backs_off_and_solves_again_at_wake():
 
 def test_schedule_continuous_when_harvest_covers_active_power():
     bright = HarvesterCurve(points=((0.0, 50.0),))
-    assert schedule_next_cycle(ble_cfg(harvester=bright), 99999.0) == 0.0
+    assert schedule_next_cycle(ble_cfg(harvester=bright), bright.power_mw(99999.0)) == 0.0
 
 
 def test_schedule_infeasible_returns_none():
     dark = HarvesterCurve(points=((0.0, 0.0),))
-    assert schedule_next_cycle(ble_cfg(harvester=dark), 0.0) is None
+    assert schedule_next_cycle(ble_cfg(harvester=dark), dark.power_mw(0.0)) is None
     with pytest.raises(ValueError):
         schedule_next_cycle(ble_cfg(), -5.0)
 
@@ -140,17 +149,17 @@ def test_profile_missing_a_phase_stage_rejected():
 def test_ble_cycle_walkthrough_emits_adv_then_sleeps_without_gateway():
     cfg = ble_cfg()
     rng = random.Random(0)
-    state = initial_state(cfg, 13.76)
-    out = advance(state, cfg, 13.76, lux=700.0, rng=rng)
+    state = lit_state(cfg, 13.76)
+    out = advance(state, cfg, 13.76, rng=rng)
     assert state.phase is Phase.SENSING and out is None
     assert state.session is None
-    out = advance(state, cfg, state.phase_deadline, lux=700.0, rng=rng)
+    out = advance(state, cfg, state.phase_deadline, rng=rng)
     assert state.phase is Phase.ADVERTISING
     assert state.session is not None
     assert out.kind is FrameKind.ADV_ESS
     assert len(state.records) == 0
     # No connection request: the advertising window expires into sleep.
-    out = advance(state, cfg, state.phase_deadline, lux=700.0, rng=rng)
+    out = advance(state, cfg, state.phase_deadline, rng=rng)
     assert state.phase is Phase.SLEEPING and out is None
     (record,) = state.records
     assert record.fail_reason.value == "no_gateway"
@@ -165,12 +174,12 @@ def _ble_exchanging(cfg: NodeConfig):
     attribute request its exchange opened with.
     """
     rng = random.Random(0)
-    state = initial_state(cfg, 1.0)
-    advance(state, cfg, 1.0, lux=700.0, rng=rng)
-    adv = advance(state, cfg, state.phase_deadline, lux=700.0, rng=rng)
+    state = lit_state(cfg, 1.0)
+    advance(state, cfg, 1.0, rng=rng)
+    adv = advance(state, cfg, state.phase_deadline, rng=rng)
     conn = exchange_step(state.session, adv)
     receive(state, cfg, conn, state.phase_started + adv.airtime_s + conn.airtime_s)
-    request = advance(state, cfg, state.phase_deadline, lux=700.0, rng=rng)
+    request = advance(state, cfg, state.phase_deadline, rng=rng)
     assert state.phase is Phase.EXCHANGING
     assert request.kind is FrameKind.ESS_ATTR_REQUEST
     return state, conn, request
@@ -184,7 +193,7 @@ def test_out_of_sequence_frame_in_exchange_is_recorded_as_a_violation():
     assert receive(state, cfg, conn, began + 0.1) is None
     assert state.session.fail_reason is FailReason.PROTOCOL_VIOLATION
     while not state.records:
-        advance(state, cfg, state.phase_deadline, lux=700.0, rng=random.Random(0))
+        advance(state, cfg, state.phase_deadline, rng=random.Random(0))
     (record,) = state.records
     assert (record.outcome, record.fail_reason) == (
         SessionOutcome.FAILED, FailReason.PROTOCOL_VIOLATION)
@@ -215,7 +224,7 @@ def test_a_cycle_that_breaks_the_record_rule_raises_and_adds_nothing():
 
 def test_end_run_records_the_open_session_as_it_stands():
     cfg = ble_cfg()
-    light = LightTable(IlluminationProfile(lux=700.0), 100.0)
+    light = LightTable(IlluminationProfile(lux=700.0), 100.0, [cfg.harvester])
     pending, _, _ = _ble_exchanging(cfg)
     delivered, _, request = _ble_exchanging(cfg)
     data = receive(delivered, cfg, request, delivered.phase_started + 0.1)
@@ -245,16 +254,16 @@ def test_uniform_advertising_mode_draws_in_range():
     cfg = ble_cfg(adv_mode="uniform")
     rng = random.Random(3)
     for _ in range(20):
-        state = initial_state(cfg, 1.0)
-        advance(state, cfg, 1.0, lux=700.0, rng=rng)
-        advance(state, cfg, state.phase_deadline, lux=700.0, rng=rng)
+        state = lit_state(cfg, 1.0)
+        advance(state, cfg, 1.0, rng=rng)
+        advance(state, cfg, state.phase_deadline, rng=rng)
         adv = state.phase_deadline - state.phase_started
         assert 0.5 <= adv <= 4.0
 
 
 def test_depleted_node_emits_nothing():
     cfg = ble_cfg()
-    state = initial_state(cfg, 10.0)
+    state = lit_state(cfg, 10.0, lux=0.0)
     state.depleted = True
     state.session = None
     frame = Frame(src=GATEWAY_ID, dst="ble-1", link=LinkType.BLE_ADV,
@@ -263,7 +272,7 @@ def test_depleted_node_emits_nothing():
     assert receive(state, cfg, frame, 5.0) is None
     # A depleted node stays asleep at its wake deadline.
     state.voltage_v = 3.3  # cfg.supercap.v_min
-    out = advance(state, cfg, 10.0, lux=0.0, rng=random.Random(0))
+    out = advance(state, cfg, 10.0, rng=random.Random(0))
     assert out is None and state.phase is Phase.SLEEPING
     assert state.phase_deadline == pytest.approx(10.0 + cfg.backoff_s)
 
@@ -279,7 +288,8 @@ def test_illegal_transition_raises():
 
 
 def test_margin_zero_liot_cycle_is_exact():
-    sleep = schedule_next_cycle(liot_cfg(), 700.0)
+    cfg = liot_cfg()
+    sleep = schedule_next_cycle(cfg, cfg.harvester.power_mw(700.0))
     assert 4.611 + sleep == pytest.approx(624.611, abs=1e-6)
 
 

@@ -127,32 +127,36 @@ def _attached_node(light, node=None):
 
 def test_light_schedule_change_points(monkeypatch):
     monkeypatch.setattr(kernel, "LIGHT_CHUNK", 4)
+    curve = BLE_HARVESTER
+
+    def powers(profile, starts):
+        return [curve.power_mw(profile.lux_at(t)) for t in starts]
+
     steps = IlluminationProfile(kind="step", steps=((0.0, 700.0), (10.5, 500.0)))
-    light = LightTable(steps, 30.0)
-    assert (light.starts, light.ends, light.luxes) == (
-        [0.0, 10.5], [10.5, math.inf], [700.0, 500.0])
-    constant = LightTable(IlluminationProfile(), 30.0)
-    assert (constant.starts, constant.ends, constant.luxes) == (
-        [0.0], [math.inf], [700.0])
+    light = LightTable(steps, 30.0, [curve])
+    assert (light.ends, light.power) == (
+        [10.5, math.inf], {curve: powers(steps, [0.0, 10.5])})
+    constant = LightTable(IlluminationProfile(), 30.0, [curve, curve])
+    assert (constant.ends, constant.power) == (
+        [math.inf], {curve: [curve.power_mw(700.0)]})
     # Jitter adds every whole second up to the end of the run, 4 at a time.
     jittered = dataclasses.replace(steps, jitter_pct=0.1, jitter_seed=4)
-    light = LightTable(jittered, 12.0)
-    assert (light.starts, light.ends) == ([0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0])
+    light = LightTable(jittered, 12.0, [curve])
+    assert light.ends == [1.0, 2.0, 3.0, 4.0]
+    assert light.power[curve] == powers(jittered, [0.0, 1.0, 2.0, 3.0])
     state, cfg = _attached_node(light)
+    assert state.p_harv is light.power[curve]
     # Walking past the filled pieces drops those the only node has passed.
     fsm.accrue_energy(state, cfg, 10.75, light)
-    assert (light.starts, light.ends) == ([8.0, 9.0, 10.0, 10.5],
-                                          [9.0, 10.0, 10.5, 11.0])
-    assert light.luxes == [jittered.lux_at(t) for t in light.starts]
-    assert light.power[cfg.harvester] == [
-        cfg.harvester.power_mw(lux) for lux in light.luxes]
+    assert light.ends == [9.0, 10.0, 10.5, 11.0]
+    assert light.power[curve] == powers(jittered, [8.0, 9.0, 10.0, 10.5])
     assert state.light_i == 3
     # A segment that ends on a change point leaves the cursor on the piece
     # starting there; the last piece starts at the end of the run.
     fsm.accrue_energy(state, cfg, 12.0, light)
-    assert (light.starts, light.ends) == ([11.0, 12.0], [12.0, math.inf])
+    assert light.ends == [12.0, math.inf]
     assert state.light_i == 1
-    assert light.luxes == [jittered.lux_at(11.0), jittered.lux_at(12.0)]
+    assert light.power[curve] == powers(jittered, [11.0, 12.0])
 
 
 @st.composite
@@ -198,23 +202,36 @@ def test_light_schedule_answers_what_the_profile_says(case):
 def _check_light_walks(profile, duration, walks, order):
     """Walk the nodes of a light_walks case through a fresh table, and check
     every piece the table holds at any time."""
-    light = LightTable(profile, duration)
+    dark = HarvesterCurve(points=((0.0, 0.0), (1000.0, 2.0)))
+    harvesters = (BLE_HARVESTER, dark, BLE_HARVESTER)
+    light = LightTable(profile, duration, harvesters)
+    # Each piece starts where the one before it ends, the first one at 0;
+    # start_of holds the start of every piece seen by its end.
+    start_of = {light.ends[0]: 0.0}
     seen: dict[float, tuple] = {}
 
+    def head_start():
+        return start_of[light.ends[0]]
+
     def note_pieces():
-        for piece in zip(light.starts, light.ends, light.luxes):
-            assert seen.setdefault(piece[0], piece) == piece
+        starts = [head_start(), *light.ends[:-1]]
+        for i, (start, end) in enumerate(zip(starts, light.ends)):
+            assert start_of.setdefault(end, start) == start
+            piece = (start, end, *(column[i] for column in light.power.values()))
+            assert seen.setdefault(start, piece) == piece
         for curve, column in light.power.items():
-            assert column == [curve.power_mw(lux) for lux in light.luxes]
+            assert column == [curve.power_mw(profile.lux_at(t)) for t in starts]
 
     def noting_fill(fill=light.fill):
         note_pieces()
+        last_end = light.ends[-1]
         fill()
+        # The head piece was seen unless the fill dropped every piece, and
+        # then it starts where the last of them ended.
+        start_of.setdefault(light.ends[0], last_end)
         note_pieces()
 
     light.fill = noting_fill
-    dark = HarvesterCurve(points=((0.0, 0.0), (1000.0, 2.0)))
-    harvesters = (BLE_HARVESTER, dark, BLE_HARVESTER)
     nodes = [_attached_node(light, ble_node(f"n{n}", harvester=harvesters[n]))
              for n in range(len(walks))]
     note_pieces()
@@ -225,18 +242,19 @@ def _check_light_walks(profile, duration, walks, order):
         fsm.accrue_energy(state, cfg, next(nexts[n], duration), light)
         # The cursor holds the piece in force at the segment's end.
         i = state.light_i
-        assert light.starts[i] <= state.last_energy_update < light.ends[i]
-        assert light.luxes[i] == profile.lux_at(state.last_energy_update)
+        start = light.ends[i - 1] if i else head_start()
+        assert start <= state.last_energy_update < light.ends[i]
+        assert state.p_harv[i] == cfg.harvester.power_mw(
+            profile.lux_at(state.last_energy_update))
         note_pieces()
     # The pieces seen tile the run, each holds the lux in force at its start
     # all the way through, and the inner ends are the change points.
-    starts, ends, luxes = zip(*(seen[t] for t in sorted(seen)))
+    starts, ends = zip(*(seen[t][:2] for t in sorted(seen)))
     assert starts[0] == 0.0 and ends[-1] == math.inf
     assert list(starts[1:]) == list(ends[:-1])
     assert starts[-1] <= duration
-    assert list(luxes) == [profile.lux_at(a) for a in starts]
-    assert all(profile.lux_at((a + min(b, duration)) / 2) == lux
-               for a, b, lux in zip(starts, ends, luxes))
+    assert all(profile.lux_at((a + min(b, duration)) / 2) == profile.lux_at(a)
+               for a, b in zip(starts, ends))
     change_points = {t for t, _ in profile.steps}
     if profile.jitter_pct > 0 or profile.kind == "sinusoid":
         change_points.update(map(float, range(math.floor(duration) + 1)))
@@ -249,8 +267,6 @@ def test_illumination_domain_and_validation():
         prof.lux_at(-1.0)
     with pytest.raises(ValueError):
         prof.lux_at(math.nan)
-    with pytest.raises(ValueError):
-        prof.lux_at(100.0, max_t=50.0)
     with pytest.raises(ValueError):
         IlluminationProfile(kind="step", steps=((5.0, 700.0),))
     with pytest.raises(ValueError):
@@ -475,7 +491,7 @@ def test_two_liot_nodes_share_one_optical_transceiver():
 def test_gateway_assigned_sleep(harvester, lux, expected):
     cfg = liot_node(harvester=harvester)
     assert cfg.backoff_s == 60.0
-    assert kernel.gateway_sleep_s(cfg, lux) == expected
+    assert kernel.gateway_sleep_s(cfg, harvester.power_mw(lux)) == expected
 
 
 def test_subset_upload_still_delivers():
@@ -522,9 +538,9 @@ def test_lux_is_evaluated_once_per_change_point(monkeypatch):
     evaluated = []
     lux_at = IlluminationProfile.lux_at
 
-    def counting_lux_at(self, t_s, max_t=None):
+    def counting_lux_at(self, t_s):
         evaluated.append(t_s)
-        return lux_at(self, t_s, max_t)
+        return lux_at(self, t_s)
 
     monkeypatch.setattr(IlluminationProfile, "lux_at", counting_lux_at)
     sc = Scenario(
@@ -873,7 +889,7 @@ def test_light_chunk_size_changes_nothing(monkeypatch, make):
         # Right after a fill the table holds the pieces from the slowest
         # node's cursor to the fastest one's, plus at most one chunk.
         cursors = [state.light_i for state in light.readers] or [0]
-        assert len(light.luxes) <= max(cursors) - min(cursors) + chunk
+        assert len(light.ends) <= max(cursors) - min(cursors) + chunk
 
     monkeypatch.setattr(LightTable, "fill", bounded_fill)
     assert _run_digest(run(sc)) == digest
@@ -909,6 +925,32 @@ def test_local_sleep_follows_the_light_back():
     assert ble[-1].fail_reason is FailReason.RUN_ENDED
     assert (len(ble[:-1]), ble[-2].end_s, ble[-2].scap_v_end) == (
         502, 10785.965000000004, 4.494605597133684)
+
+
+def test_luxes_of_one_harvest_power_share_a_local_solve(monkeypatch):
+    # The BLE curve holds its 700-lx power above 700 lx, so 800 and 900 lx
+    # are one harvest power: the lossy node solves its sleep once, at boot,
+    # and runs as it does under a constant 800 lx.
+    power = BLE_HARVESTER.power_mw(800.0)
+    assert BLE_HARVESTER.power_mw(900.0) == power == BLE_HARVESTER.power_mw(700.0)
+    solved = []
+    schedule = fsm.schedule_next_cycle
+
+    def counting(cfg, p_harv_mw):
+        solved.append(p_harv_mw)
+        return schedule(cfg, p_harv_mw)
+
+    monkeypatch.setattr(fsm, "schedule_next_cycle", counting)
+
+    def lit(illumination):
+        return run(Scenario(duration_s=3600.0, nodes=(ble_node(),),
+                            channel=ChannelModel(loss=0.1),
+                            illumination=illumination, seed=4))
+
+    step = lit(IlluminationProfile(kind="step", steps=((0.0, 800.0), (1800.0, 900.0))))
+    assert solved == [power]
+    assert len(step.records) > 100 and step.records[-1].end_s > 1800.0
+    assert step.records == lit(IlluminationProfile(lux=800.0)).records
 
 
 def test_records_and_frame_log_take_a_few_bytes_each():

@@ -8,6 +8,7 @@ import tempfile
 from itertools import takewhile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from liotsim import fsm
@@ -117,6 +118,28 @@ def test_no_run_closes_more_records_than_its_estimate(doc):
     script = {fsm.NodeKind.BLE: BLE_SCRIPT, fsm.NodeKind.LIOT: LIOT_SCRIPT}
     assert len(result.log) <= sum(len(script[cfg.kind]) * closed[cfg.node_id]
                                   for cfg in sc.nodes)
+
+
+@settings(max_examples=30, deadline=None)
+@given(fast_cycling_scenarios(), st.sampled_from((0.0, 0.2, 1.0)))
+def test_every_timer_fires_at_its_nodes_deadline(doc, loss):
+    # A node has one timer at a time, the one pushed after its last advance,
+    # so no timer is ever superseded: each advance comes at the deadline the
+    # node's previous one set.
+    advance, calls = fsm.advance, []
+
+    def checked(state, cfg, now, **kw):
+        assert now == state.phase_deadline
+        calls.append(now)
+        return advance(state, cfg, now, **kw)
+
+    doc["channel"] = {"loss": loss, "seed": 0}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fsm, "advance", checked)
+        result = run(scenario_from_dict(doc))
+    # Every record but a run_ended one is closed by an advance.
+    assert len(calls) >= sum(1 for r in result.records
+                             if r.fail_reason is not FailReason.RUN_ENDED)
 
 
 def check_records_are_the_account(nr, frames, node_id, boot_v, end) -> None:

@@ -1,5 +1,6 @@
 import pytest
 
+from liotsim.energy import LIOT_HARVESTER
 from liotsim.protocol import (
     ACK_PAYLOAD,
     AIRTIME_OVERHEAD_S,
@@ -120,7 +121,7 @@ def test_ble_no_gateway_failure_is_explicit():
 
 def test_liot_happy_path_delivers_and_assigns_sleep():
     # The gateway assigns the sleep before it answers SensorData.
-    session = _session("liot", "n2", lux=700.0)
+    session = _session("liot", "n2", harvest_mw=LIOT_HARVESTER.power_mw(700.0))
     frames = [exchange_step(session, None)]
     for _ in range(2):
         frames.append(exchange_step(session, frames[-1]))
@@ -137,9 +138,10 @@ def test_liot_happy_path_delivers_and_assigns_sleep():
 
 
 def test_liot_subset_request_scales_upload_airtime():
-    full = _session("liot", "n", lux=700.0, assigned_sleep_s=620.0)
+    bright = LIOT_HARVESTER.power_mw(700.0)
+    full = _session("liot", "n", harvest_mw=bright, assigned_sleep_s=620.0)
     sub = _session(
-        "liot", "n", lux=700.0, assigned_sleep_s=620.0,
+        "liot", "n", harvest_mw=bright, assigned_sleep_s=620.0,
         sensors=("temperature",),
     )
     f_full = _run_happy_path(full)[2]
@@ -203,8 +205,11 @@ def test_every_session_of_a_node_returns_its_frames():
     # Frames carry only their kind and size, so every session of one node
     # sends the same frames, whatever lux it reports or sleep it is assigned.
     frames = handshake_frames("n2", LIOT_SCRIPT, SENSOR_CHANNELS)
-    dim = ExchangeSession(LIOT_SCRIPT, frames, lux=500.0, assigned_sleep_s=1350.0)
-    bright = ExchangeSession(LIOT_SCRIPT, frames, lux=700.0, assigned_sleep_s=620.0)
+    dim = ExchangeSession(LIOT_SCRIPT, frames, harvest_mw=LIOT_HARVESTER.power_mw(500.0),
+                          assigned_sleep_s=1350.0)
+    bright = ExchangeSession(LIOT_SCRIPT, frames,
+                             harvest_mw=LIOT_HARVESTER.power_mw(700.0),
+                             assigned_sleep_s=620.0)
     for session in (dim, bright):
         sent = _run_happy_path(session)
         assert len(sent) == 5
