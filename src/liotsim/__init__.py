@@ -4,12 +4,10 @@ from .energy import (
     BLE_HARVESTER,
     BLE_PROFILE,
     EnergyProfile,
-    Feasibility,
     FieldError,
     HarvesterCurve,
     LIOT_HARVESTER,
     LIOT_PROFILE,
-    SleepSolution,
     Stage,
     StageName,
     Supercap,

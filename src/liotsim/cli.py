@@ -7,14 +7,12 @@ import concurrent.futures
 import contextlib
 import os
 import sys
-from itertools import chain
 from typing import Optional
 
 import yaml
 
 from . import kernel, metrics, scenario as scenario_mod
 from .energy import (
-    Feasibility,
     active_totals,
     builtin_harvester,
     builtin_profile,
@@ -78,19 +76,19 @@ def cmd_solve(args) -> int:
     if margin is None:
         margin = 0.05 if args.profile == "ble-table1" else 0.0
 
-    sol = solve_sleep_time(profile, p_harv)
+    sleep = solve_sleep_time(profile, p_harv)
     t_active, e_active = active_totals(profile)
     print(f"harvest power:    {p_harv:.5f} mW")
     print(f"active cycle:     {t_active:.3f} s, {e_active:.5f} J")
-    if sol.feasibility is Feasibility.INFEASIBLE:
+    if sleep is None:
         print("sleep time:       infeasible (harvest cannot cover even sleep)")
         return EXIT_INFEASIBLE
-    if sol.feasibility is Feasibility.CONTINUOUS:
+    if sleep == 0.0:
         print("sleep time:       0 s (harvest covers continuous operation)")
         cycle = t_active
     else:
-        cycle = (t_active + sol.t_sleep_s) * (1.0 + margin)
-        print(f"sleep time:       {sol.t_sleep_s:.3f} s")
+        cycle = (t_active + sleep) * (1.0 + margin)
+        print(f"sleep time:       {sleep:.3f} s")
     print(f"duty cycle:       {cycle:.3f} s (margin {margin:.0%})")
     print(f"samples per 8 h:  {int(EIGHT_HOURS_S // cycle)}")
     return EXIT_OK
@@ -124,9 +122,8 @@ def _write_outputs(result: kernel.RunResult, out_dir: str, fmt: str) -> None:
         os.makedirs(out_dir, exist_ok=True)
         metrics.export_summary(result.summary, os.path.join(out_dir, "summary.json"))
         ext = "csv" if fmt == "csv" else "jsonl"
-        # Each record is built from its node's columns as it is written.
-        records = chain.from_iterable(nr.record_columns for nr in result.nodes.values())
-        metrics.export_records(records, fmt, os.path.join(out_dir, f"records.{ext}"))
+        columns = (nr.record_columns for nr in result.nodes.values())
+        metrics.export_records(columns, fmt, os.path.join(out_dir, f"records.{ext}"))
         samples = {nid: nr.samples() for nid, nr in result.nodes.items()}
         metrics.export_trace(samples, fmt, os.path.join(out_dir, f"trace.{ext}"))
     except (OSError, ExportError) as exc:

@@ -11,7 +11,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Optional
 
 
 class FieldError(ValueError):
@@ -126,41 +126,32 @@ def active_totals(profile: EnergyProfile) -> tuple[float, float]:
     return profile._active_totals
 
 
-class Feasibility(Enum):
-    FINITE = "finite"
-    CONTINUOUS = "continuous"  # harvest covers active power, no sleep needed
-    INFEASIBLE = "infeasible"  # sleep can never recover the active deficit
-
-
-@dataclass(frozen=True)
-class SleepSolution:
-    feasibility: Feasibility
-    t_sleep_s: float  # 0.0 for CONTINUOUS, nan for INFEASIBLE
-
-
-def solve_sleep_time(profile: EnergyProfile, p_harv_mw: float) -> SleepSolution:
+def solve_sleep_time(profile: EnergyProfile, p_harv_mw: float) -> Optional[float]:
     """Minimal sleep time so harvested energy covers one full duty cycle.
 
-    Balances p_harv*(T_a + T_s) against E_active + P_sleep*T_s; returns the
-    T_s achieving equality, or CONTINUOUS / INFEASIBLE at the boundaries.
+    Balances p_harv*(T_a + T_s) against E_active + P_sleep*T_s and returns
+    the T_s achieving equality; 0.0 when the harvest covers the burst
+    (p_harv*T_a >= E_active), and None when no sleep can recover it
+    (p_harv <= P_sleep).  A balance sleep is always > 0, since its
+    numerator E_active - p_harv*T_a and its divisor p_harv - P_sleep are
+    both positive, so 0.0 means continuous operation and nothing else.
     """
     if p_harv_mw < 0:
         raise ValueError("harvest power must be >= 0")
     t_active, e_active = active_totals(profile)
     e_active_mj = e_active * 1e3
     if p_harv_mw * t_active >= e_active_mj:
-        return SleepSolution(Feasibility.CONTINUOUS, 0.0)
+        return 0.0
     p_sleep = profile.sleep_power_mw
     if p_harv_mw <= p_sleep:
-        return SleepSolution(Feasibility.INFEASIBLE, math.nan)
-    t_sleep = (e_active_mj - p_harv_mw * t_active) / (p_harv_mw - p_sleep)
-    return SleepSolution(Feasibility.FINITE, t_sleep)
+        return None
+    return (e_active_mj - p_harv_mw * t_active) / (p_harv_mw - p_sleep)
 
 
 def implied_harvest_power(profile: EnergyProfile, t_sleep_s: float) -> float:
     """Harvest power (mW) for which t_sleep_s is the exact balance point.
 
-    Inverse of solve_sleep_time on its finite branch.
+    Inverse of solve_sleep_time where it returns a sleep above 0.
     """
     if t_sleep_s <= 0:
         raise ValueError("sleep time must be > 0")

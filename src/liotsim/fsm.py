@@ -25,7 +25,6 @@ from .energy import (
     active_totals,
     solve_sleep_time,
     store_floats,
-    Feasibility,
 )
 from .metrics import RecordColumns
 from .protocol import (
@@ -248,17 +247,15 @@ def initial_state(
 
 def schedule_next_cycle(cfg: NodeConfig, p_harv_mw: float) -> Optional[float]:
     """Locally solved sleep at harvest power p_harv_mw to arm the wake timer
-    with; None when infeasible.
+    with; None when infeasible and 0.0 when continuous, as solved.
 
-    The sleep stretches the whole cycle by (1 + margin).
+    A balance sleep stretches the whole cycle by (1 + margin).
     """
-    sol = solve_sleep_time(cfg.profile, p_harv_mw)
-    if sol.feasibility is Feasibility.INFEASIBLE:
-        return None
-    if sol.feasibility is Feasibility.CONTINUOUS:
-        return 0.0
+    sleep = solve_sleep_time(cfg.profile, p_harv_mw)
+    if not sleep:
+        return sleep
     t_active = active_totals(cfg.profile)[0]
-    return (t_active + sol.t_sleep_s) * (1.0 + cfg.margin) - t_active
+    return (t_active + sleep) * (1.0 + cfg.margin) - t_active
 
 
 def phase_power_mw(cfg: NodeConfig, phase: Phase) -> float:

@@ -31,18 +31,19 @@ from typing import Iterable, Iterator, Optional, Union
 
 from . import fsm, metrics
 from .energy import (
-    Feasibility,
     FieldError,
     HarvesterCurve,
+    StageName,
     as_float,
     float_pairs,
     fold_sum,
     solve_sleep_time,
     store_floats,
 )
-from .fsm import NodeConfig, NodeState
+from .fsm import NodeConfig, NodeKind, NodeState
 from .protocol import (
     GATEWAY_ID,
+    LIOT_SCRIPT,
     NODE_ID_LUX,
     PENDING,
     SENSOR_DATA,
@@ -50,6 +51,7 @@ from .protocol import (
     Frame,
     LinkType,
     exchange_step,
+    handshake_frames,
 )
 
 
@@ -246,12 +248,21 @@ def gateway_sleep_s(cfg: NodeConfig, p_harv_mw: float) -> float:
     The balance-point sleep, used verbatim; 0 when the harvest covers
     continuous operation, the node's back-off when it cannot cover sleep.
     """
-    sol = solve_sleep_time(cfg.profile, p_harv_mw)
-    if sol.feasibility is Feasibility.FINITE:
-        return sol.t_sleep_s
-    if sol.feasibility is Feasibility.CONTINUOUS:
-        return 0.0
-    return cfg.backoff_s
+    sleep = solve_sleep_time(cfg.profile, p_harv_mw)
+    return cfg.backoff_s if sleep is None else sleep
+
+
+# Largest run a scenario may ask for: a leap year, and trace samples over
+# all nodes (8 bytes of voltage each, so 80 MB at the limit; reading the
+# (t, V) view also builds a tuple and a time float for every sample).
+MAX_DURATION_S = 366 * 86400.0
+MAX_TRACE_SAMPLES = 10**7
+# Cycles a run may be estimated to close over all of its nodes (see
+# shortest_cycle_s).  A cycle keeps one record (33 B of RecordColumns) and
+# at most one handshake of up to 5 frames (17 B each in the FrameLog), so
+# the limit's records and frames take 1.77e9 B; with the columns' growth
+# slack (at most 1/8) and 80 MB of trace at its limit, under 2 GiB.
+MAX_CYCLES = 15_000_000
 
 
 @dataclass(frozen=True)
@@ -275,6 +286,63 @@ class Scenario:
             raise FieldError("nodes", "node ids must be unique")
         if not self.sample_interval_s > 0:
             raise FieldError("sample_interval_s", "must be > 0")
+        if self.duration_s > MAX_DURATION_S:
+            raise FieldError("duration_s", f"must be at most {MAX_DURATION_S:.0f} s "
+                                           "(366 days)")
+        samples = len(self.nodes) * self.duration_s / self.sample_interval_s
+        if samples > MAX_TRACE_SAMPLES:
+            raise FieldError(
+                "sample_interval_s",
+                f"{len(self.nodes)} node(s) x {self.duration_s:g} s / "
+                f"{self.sample_interval_s:g} s is {samples:.3g} trace samples, "
+                f"above the limit of {MAX_TRACE_SAMPLES:,}",
+            )
+        cycles = estimated_cycles(self)
+        if cycles > MAX_CYCLES:
+            raise FieldError(
+                "duration_s",
+                f"{len(self.nodes)} node(s) x {self.duration_s:g} s is an estimated "
+                f"{cycles:.3g} cycles, above the limit of {MAX_CYCLES:,}",
+            )
+
+
+def shortest_cycle_s(cfg: NodeConfig) -> float:
+    """A lower bound on the length of each of the node's cycles.
+
+    A cycle is the sleep armed when the cycle before it closed, then a
+    burst (see fsm.advance).  That sleep is never shorter than the sleep
+    solved at the curve's highest power, without margin, or than the
+    back-off:
+    - a local solve (fsm.schedule_next_cycle) adds the margin to the solved
+      sleep, and a LIoT node's assigned sleep (gateway_sleep_s) is the
+      solved sleep, both at the power of some lux;
+    - the solved sleep falls as the power rises: it is finite only while
+      the active energy exceeds sleep power times active time, and is 0
+      from the power that covers the burst on; a curve is non-decreasing
+      and clamps above its last point, so its last point's power gives the
+      shortest solve (None there means infeasible at every lux);
+    - an infeasible solve and a brown-out arm the back-off, and a node that
+      wakes depleted or still infeasible sleeps it again, which only
+      lengthens the cycle.
+    A burst lasts at least its first phase, even when it browns out, since
+    fsm.advance checks for a brown-out only at a phase deadline: a BLE
+    node's sensor read, or the airtime of a LIoT node's first uplink frame.
+    Each cycle record but a RUN_ENDED one closes a whole cycle, so a run of
+    d seconds closes at most d / shortest_cycle_s(cfg) + 1 records.
+    """
+    # The solved sleep at the curve's top, or the back-off where that is None.
+    sleep = min(gateway_sleep_s(cfg, cfg.harvester.points[-1][1]), cfg.backoff_s)
+    if cfg.kind is NodeKind.BLE:
+        burst = cfg.profile.stage(StageName.SENSOR_READ).duration_s
+    else:
+        burst = handshake_frames(cfg.node_id, LIOT_SCRIPT, cfg.sensors)[0].airtime_s
+    return sleep + burst
+
+
+def estimated_cycles(sc: Scenario) -> float:
+    """An upper bound on the cycle records a run of sc closes, over all of its
+    nodes."""
+    return sum(sc.duration_s / shortest_cycle_s(cfg) + 1 for cfg in sc.nodes)
 
 
 def scenario_fingerprint(scenario: Scenario) -> str:

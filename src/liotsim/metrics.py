@@ -238,23 +238,32 @@ def _parse_record(
     )
 
 
-def export_records(records: Iterable[CycleRecord], fmt: str, path: str) -> None:
-    """One row per record, in the order given, as _write_lines lays out rows."""
+def export_records(columns: Iterable[RecordColumns], fmt: str, path: str) -> None:
+    """One row per record, node by node in the order given, as _write_lines
+    lays out rows.  Each row is written from its node's columns; no
+    CycleRecord is built."""
     cell = _cell_encoder(fmt)
     pairs = [(cell(o.value), cell(r.value if r else "")) for o, r in RECORD_PAIRS]
-    rows = ((r, *pairs[_PAIR_CODE[id(r.outcome), id(r.fail_reason)]]) for r in records)
-    if fmt == "csv":
-        lines = (f"{cell(r.node_id)},{r.cycle_index},{r.start_s!r},{r.end_s!r},{o},{f},"
-                 f"{r.scap_v_start!r},{r.scap_v_end!r},{r.energy_consumed_j!r},"
-                 f"{r.energy_harvested_j!r}\r\n" for r, o, f in rows)
-    else:
-        lines = (f'{{"cycle_index": {r.cycle_index}, "end_s": "{r.end_s!r}", '
-                 f'"energy_consumed_j": "{r.energy_consumed_j!r}", '
-                 f'"energy_harvested_j": "{r.energy_harvested_j!r}", '
-                 f'"fail_reason": {f}, "node_id": {cell(r.node_id)}, "outcome": {o}, '
-                 f'"scap_v_end": "{r.scap_v_end!r}", '
-                 f'"scap_v_start": "{r.scap_v_start!r}", "start_s": "{r.start_s!r}"}}\n'
-                 for r, o, f in rows)
+
+    def node_lines(c: RecordColumns) -> Iterator[str]:
+        qid, ends, volts = cell(c.node_id), c.end_s, c.scap_v_end
+        rows = enumerate(zip(chain((0.0,), ends), ends, map(pairs.__getitem__, c.codes),
+                             chain((c.boot_v,), volts), volts, c.consumed_j,
+                             c.harvested_j))
+        if fmt == "csv":
+            return (f"{qid},{i},{start!r},{end!r},{o},{f},{v_start!r},{v_end!r},"
+                    f"{consumed!r},{harvested!r}\r\n"
+                    for i, (start, end, (o, f), v_start, v_end, consumed, harvested)
+                    in rows)
+        return (f'{{"cycle_index": {i}, "end_s": "{end!r}", '
+                f'"energy_consumed_j": "{consumed!r}", '
+                f'"energy_harvested_j": "{harvested!r}", '
+                f'"fail_reason": {f}, "node_id": {qid}, "outcome": {o}, '
+                f'"scap_v_end": "{v_end!r}", '
+                f'"scap_v_start": "{v_start!r}", "start_s": "{start!r}"}}\n'
+                for i, (start, end, (o, f), v_start, v_end, consumed, harvested) in rows)
+
+    lines = chain.from_iterable(map(node_lines, columns))
     _write_lines(fmt, path, RECORD_FIELDS, lines)
 
 

@@ -17,7 +17,6 @@ import yaml
 
 from .energy import (
     EnergyProfile,
-    Feasibility,
     FieldError,
     HarvesterCurve,
     Stage,
@@ -25,39 +24,27 @@ from .energy import (
     Supercap,
     builtin_harvester,
     builtin_profile,
-    solve_sleep_time,
 )
 from .fsm import NodeConfig, NodeKind
-from .kernel import (
+from .kernel import (  # MAX_CYCLES and the cycle estimates, for their callers
+    MAX_CYCLES,
     ChannelModel,
     GatewayConfig,
     IlluminationProfile,
     Scenario,
+    estimated_cycles,
     per_frame_loss_for_session_pdr,
+    shortest_cycle_s,
 )
 from .protocol import (
     BLE_SCRIPT,
-    LIOT_SCRIPT,
     SENSOR_CHANNELS,
     LinkType,
-    handshake_frames,
 )
 
 SCHEMA_VERSION = 1
 
 PRESET_NAMES = ("ble-700lx", "ble-500lx", "liot-700lx", "liot-500lx")
-
-# Largest run a scenario may ask for: a leap year, and trace samples over
-# all nodes (8 bytes of voltage each, so 80 MB at the limit; reading the
-# (t, V) view also builds a tuple and a time float for every sample).
-MAX_DURATION_S = 366 * 86400.0
-MAX_TRACE_SAMPLES = 10**7
-# Cycles a run may be estimated to close over all of its nodes (see
-# shortest_cycle_s).  A cycle keeps one record (33 B of RecordColumns) and
-# at most one handshake of up to 5 frames (17 B each in the FrameLog), so
-# the limit's records and frames take 1.77e9 B; with the columns' growth
-# slack (at most 1/8) and 80 MB of trace at its limit, under 2 GiB.
-MAX_CYCLES = 15_000_000
 
 # Table-III-observed session delivery rates the preset channels reproduce.
 _PRESET_PDR = {"ble-700lx": 0.991, "ble-500lx": 0.912}
@@ -333,7 +320,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     nodes_spec = doc["nodes"]
     if not isinstance(nodes_spec, list):
         raise ScenarioError("nodes", "expected a list")
-    sc = _build(
+    return _build(
         Scenario, "",
         duration_s=_number(doc, "duration_s", ""),
         nodes=tuple(_parse_node(n, f"nodes[{i}]") for i, n in enumerate(nodes_spec)),
@@ -343,67 +330,6 @@ def scenario_from_dict(doc: dict) -> Scenario:
         seed=_integer(doc, "seed", ""),
         sample_interval_s=_number(doc, "sample_interval_s", ""),
     )
-    if sc.duration_s > MAX_DURATION_S:
-        raise ScenarioError("duration_s", f"must be at most {MAX_DURATION_S:.0f} s "
-                                          "(366 days)")
-    samples = len(sc.nodes) * sc.duration_s / sc.sample_interval_s
-    if samples > MAX_TRACE_SAMPLES:
-        raise ScenarioError(
-            "sample_interval_s",
-            f"{len(sc.nodes)} node(s) x {sc.duration_s:g} s / "
-            f"{sc.sample_interval_s:g} s is {samples:.3g} trace samples, above "
-            f"the limit of {MAX_TRACE_SAMPLES:,}",
-        )
-    cycles = estimated_cycles(sc)
-    if cycles > MAX_CYCLES:
-        raise ScenarioError(
-            "duration_s",
-            f"{len(sc.nodes)} node(s) x {sc.duration_s:g} s is an estimated "
-            f"{cycles:.3g} cycles, above the limit of {MAX_CYCLES:,}",
-        )
-    return sc
-
-
-def shortest_cycle_s(cfg: NodeConfig) -> float:
-    """A lower bound on the length of each of the node's cycles.
-
-    A cycle is the sleep armed when the cycle before it closed, then a
-    burst (see fsm.advance).  That sleep is never shorter than the sleep
-    solved at the curve's highest power, without margin, or than the
-    back-off:
-    - a local solve (fsm.schedule_next_cycle) adds the margin to the solved
-      sleep, and a LIoT node's assigned sleep (kernel.gateway_sleep_s) is
-      the solved sleep, both at the power of some lux;
-    - the solved sleep falls as the power rises: it is finite only while
-      the active energy exceeds sleep power times active time, and is 0
-      from the power that covers the burst on; a curve is non-decreasing
-      and clamps above its last point, so its last point's power gives the
-      shortest solve (INFEASIBLE there means infeasible at every lux);
-    - an infeasible solve and a brown-out arm the back-off, and a node that
-      wakes depleted or still infeasible sleeps it again, which only
-      lengthens the cycle.
-    A burst lasts at least its first phase, even when it browns out, since
-    fsm.advance checks for a brown-out only at a phase deadline: a BLE
-    node's sensor read, or the airtime of a LIoT node's first uplink frame.
-    Each cycle record but a RUN_ENDED one closes a whole cycle, so a run of
-    d seconds closes at most d / shortest_cycle_s(cfg) + 1 records.
-    """
-    sol = solve_sleep_time(cfg.profile, cfg.harvester.points[-1][1])
-    if sol.feasibility is Feasibility.INFEASIBLE:
-        sleep = cfg.backoff_s
-    else:
-        sleep = min(sol.t_sleep_s, cfg.backoff_s)
-    if cfg.kind is NodeKind.BLE:
-        burst = cfg.profile.stage(StageName.SENSOR_READ).duration_s
-    else:
-        burst = handshake_frames(cfg.node_id, LIOT_SCRIPT, cfg.sensors)[0].airtime_s
-    return sleep + burst
-
-
-def estimated_cycles(sc: Scenario) -> float:
-    """An upper bound on the cycle records a run of sc closes, over all of its
-    nodes."""
-    return sum(sc.duration_s / shortest_cycle_s(cfg) + 1 for cfg in sc.nodes)
 
 
 def load_mapping(path: str) -> dict:

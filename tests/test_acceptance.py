@@ -77,7 +77,7 @@ def test_criterion_2_sleep_solver(capsys):
     worst = 0.0
     for profile, t_sleep in targets:
         p = implied_harvest_power(profile, t_sleep)
-        got = solve_sleep_time(profile, p).t_sleep_s
+        got = solve_sleep_time(profile, p)
         worst = max(worst, abs(got - t_sleep))
     _report(capsys, 2, "sleep-time solver round trip", worst <= 0.01,
             f"worst deviation {worst:.2e} s (limit 0.01 s)")
@@ -179,17 +179,15 @@ def test_criterion_7_behavioral_invariants(capsys, tmp_path):
     # Producer-consumer balance holds exactly at the solver output.
     for profile in (BLE_PROFILE, LIOT_PROFILE):
         for p_harv in (0.45, 0.76, 0.99):
-            sol = solve_sleep_time(profile, p_harv)
+            t_s = solve_sleep_time(profile, p_harv)
             t_a, e_a = active_totals(profile)
-            t_s = sol.t_sleep_s
             harvested = p_harv * (t_a + t_s) * 1e-3
             consumed = e_a + profile.sleep_power_mw * t_s * 1e-3
             if abs(harvested - consumed) > 1e-9 * max(harvested, 1.0):
                 failures.append(f"balance violated at {p_harv} mW")
 
     # More harvest power never lengthens sleep.
-    sleeps = [solve_sleep_time(LIOT_PROFILE, p).t_sleep_s
-              for p in (0.45, 0.55, 0.65, 0.75)]
+    sleeps = [solve_sleep_time(LIOT_PROFILE, p) for p in (0.45, 0.55, 0.65, 0.75)]
     if sleeps != sorted(sleeps, reverse=True):
         failures.append("solver not monotone in harvest power")
 
@@ -216,10 +214,10 @@ def test_criterion_7_behavioral_invariants(capsys, tmp_path):
         failures.append(f"PDR not monotone in loss: {pdrs}")
 
     # Lossless export round trip.
-    records = run(load_preset("liot-700lx")).records
+    result = run(load_preset("liot-700lx"))
     path = str(tmp_path / "records.csv")
-    export_records(records, "csv", path)
-    if load_records(path) != records:
+    export_records((nr.record_columns for nr in result.nodes.values()), "csv", path)
+    if load_records(path) != result.records:
         failures.append("record export round trip lossy")
 
     _report(capsys, 7, "behavioral invariants", not failures,

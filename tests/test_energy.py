@@ -1,4 +1,3 @@
-import math
 from dataclasses import replace
 
 import pytest
@@ -6,10 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liotsim.energy import (
+    BLE_HARVESTER,
     BLE_PROFILE,
     LIOT_PROFILE,
     EnergyProfile,
-    Feasibility,
     HarvesterCurve,
     Stage,
     StageName,
@@ -22,6 +21,8 @@ from liotsim.energy import (
     stage_energy,
     supercap_segment,
 )
+from liotsim.fsm import NodeConfig, NodeKind, schedule_next_cycle
+from liotsim.kernel import gateway_sleep_s
 
 V = 3.3
 
@@ -108,21 +109,14 @@ def test_solver_reproduces_published_sleep_times():
         (LIOT_PROFILE, 1350.0),
     ]:
         p = implied_harvest_power(profile, t_target)
-        sol = solve_sleep_time(profile, p)
-        assert sol.feasibility is Feasibility.FINITE
-        assert sol.t_sleep_s == pytest.approx(t_target, abs=0.01)
+        assert solve_sleep_time(profile, p) == pytest.approx(t_target, abs=0.01)
 
 
 def test_solver_boundaries():
     t_active, e_active = active_totals(BLE_PROFILE)
     p_break_even = e_active * 1e3 / t_active
-    assert solve_sleep_time(BLE_PROFILE, p_break_even).feasibility is (
-        Feasibility.CONTINUOUS
-    )
-    p_sleep = BLE_PROFILE.sleep_power_mw
-    sol = solve_sleep_time(BLE_PROFILE, p_sleep)
-    assert sol.feasibility is Feasibility.INFEASIBLE
-    assert math.isnan(sol.t_sleep_s)
+    assert solve_sleep_time(BLE_PROFILE, p_break_even) == 0.0
+    assert solve_sleep_time(BLE_PROFILE, BLE_PROFILE.sleep_power_mw) is None
     with pytest.raises(ValueError):
         solve_sleep_time(BLE_PROFILE, -1.0)
 
@@ -158,9 +152,7 @@ def test_implied_power_flat_consumption_gives_sleep_power():
 def test_round_trip_solve_implied(t_sleep):
     for profile in (BLE_PROFILE, LIOT_PROFILE):
         p = implied_harvest_power(profile, t_sleep)
-        sol = solve_sleep_time(profile, p)
-        assert sol.feasibility is Feasibility.FINITE
-        assert sol.t_sleep_s == pytest.approx(t_sleep, rel=1e-9)
+        assert solve_sleep_time(profile, p) == pytest.approx(t_sleep, rel=1e-9)
 
 
 @given(data=st.data())
@@ -176,12 +168,53 @@ def test_solver_energy_conservation_and_monotonicity(data):
         st.floats(min_value=p_sleep * 1.0001, max_value=p_max * 0.9999)
     )
     s1 = solve_sleep_time(profile, p1)
-    assert s1.feasibility is Feasibility.FINITE
-    lhs = p1 * (t_active + s1.t_sleep_s)
-    rhs = e_active * 1e3 + p_sleep * s1.t_sleep_s
+    assert s1 > 0
+    lhs = p1 * (t_active + s1)
+    rhs = e_active * 1e3 + p_sleep * s1
     assert lhs == pytest.approx(rhs, rel=1e-9)
     if p1 < p2:
-        assert s1.t_sleep_s > solve_sleep_time(profile, p2).t_sleep_s
+        assert s1 > solve_sleep_time(profile, p2)
+
+
+@st.composite
+def ble_profiles(draw) -> EnergyProfile:
+    """A profile with a BLE node's stages, of generated currents, durations,
+    voltage and sleep current."""
+    currents, durations = st.floats(0.01, 50.0), st.floats(0.01, 10.0)
+    stages = tuple(Stage(name, draw(currents), draw(durations)) for name in (
+        StageName.SENSOR_READ, StageName.BLE_ADVERTISE, StageName.BLE_DATA_EXCHANGE))
+    sleep_ma = draw(st.floats(1e-3, 0.999)) * min(s.current_ma for s in stages)
+    return EnergyProfile(draw(st.floats(1.0, 5.0)), stages, sleep_ma)
+
+
+@given(data=st.data())
+def test_the_solve_is_the_sleep_and_its_callers_read_it_alike(data):
+    profile = data.draw(ble_profiles())
+    t_active, e_active = active_totals(profile)
+    p_sleep, e_active_mj = profile.sleep_power_mw, e_active * 1e3
+    # The two boundaries themselves, or any power up to twice the one that
+    # covers the burst.
+    p = data.draw(st.one_of(st.sampled_from([0.0, p_sleep, e_active_mj / t_active]),
+                            st.floats(0.0, 2 * e_active_mj / t_active)))
+    sleep = solve_sleep_time(profile, p)
+    if p * t_active >= e_active_mj:
+        assert sleep == 0.0
+    elif p <= p_sleep:
+        assert sleep is None
+    else:
+        assert sleep > 0
+        assert p * (t_active + sleep) == pytest.approx(e_active_mj + p_sleep * sleep,
+                                                       rel=1e-9)
+    cfg = NodeConfig("n", NodeKind.BLE, profile, BLE_HARVESTER, Supercap(0.4, 4.0),
+                     margin=data.draw(st.sampled_from([0.0, 0.05])))
+    local, assigned = schedule_next_cycle(cfg, p), gateway_sleep_s(cfg, p)
+    if sleep is None:
+        assert local is None and assigned == cfg.backoff_s
+    elif sleep == 0.0:
+        assert local == assigned == 0.0
+    else:
+        assert local == (t_active + sleep) * (1.0 + cfg.margin) - t_active
+        assert assigned == sleep
 
 
 def test_harvester_curve_interpolation_and_clamp():

@@ -15,6 +15,7 @@ from liotsim.kernel import IlluminationProfile, Scenario, run
 from liotsim.metrics import (
     CycleRecord,
     ExportError,
+    RecordColumns,
     RunSummary,
     export_records,
     export_summary,
@@ -104,26 +105,47 @@ def test_cycle_record_has_slots_and_pickles():
     assert pickle.loads(pickle.dumps(record)) == record
 
 
+def _node_columns(node_id: str, boot_v: float, rows) -> RecordColumns:
+    """node_id's columns, built with append from (end_s, outcome, fail
+    reason, scap_v_end, consumed J, harvested J) rows."""
+    columns = RecordColumns(node_id, boot_v)
+    for row in rows:
+        columns.append(*row)
+    return columns
+
+
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
 def test_records_round_trip(tmp_path, fmt):
-    records = [
-        _record(0),
-        _record(1, SessionOutcome.FAILED, FailReason.TIMEOUT),
-        _record(2, SessionOutcome.FAILED, FailReason.NO_GATEWAY),
+    columns = [
+        _node_columns("n1", 4.463, [
+            (9.5, SessionOutcome.DELIVERED, None, 4.4576, 0.0151899, 0.0148),
+            (19.5, SessionOutcome.FAILED, FailReason.TIMEOUT, 4.45, 0.0151, 0.0147),
+            (29.5, SessionOutcome.FAILED, FailReason.NO_GATEWAY, 4.44, 0.015, 0.0146),
+        ]),
+        _node_columns("n0", 4.235, [
+            (624.6, SessionOutcome.DELIVERED, None, 4.1, 0.2234, 0.2233),
+        ]),
     ]
     path = str(tmp_path / f"records.{fmt}")
-    export_records(records, fmt, path)
-    assert load_records(path) == records
+    export_records(columns, fmt, path)
+    # Node by node in the order given, each record where its node's last ended.
+    assert load_records(path) == [*columns[0], *columns[1]]
+    assert [r.start_s for r in load_records(path)] == [0.0, 9.5, 19.5, 0.0]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
 def test_records_export_reads_a_generator_once(tmp_path, fmt):
-    records = _records(5, 3)
+    # Three delivered cycles, then two timed out, for each of two nodes.
+    delivered = (SessionOutcome.DELIVERED, None)
+    timed_out = (SessionOutcome.FAILED, FailReason.TIMEOUT)
+    rows = [(10.0 * i, *(delivered if i <= 3 else timed_out), 4.4, 0.015, 0.0148)
+            for i in range(1, 6)]
+    columns = [_node_columns(nid, 4.463, rows) for nid in ("n1", "n0")]
     ours, reference = tmp_path / f"ours.{fmt}", tmp_path / f"reference.{fmt}"
-    export_records((r for r in records), fmt, str(ours))
-    export_records(records, fmt, str(reference))
+    export_records((c for c in columns), fmt, str(ours))
+    export_records(columns, fmt, str(reference))
     assert ours.read_bytes() == reference.read_bytes()
-    assert load_records(str(ours)) == records
+    assert load_records(str(ours)) == [r for c in columns for r in c]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
@@ -208,30 +230,38 @@ EXTREME_FLOATS = (0.0, 5e-324, 1e-300, 1e-5, 0.1 + 0.2, 1.0 / 3.0, 1e20,
                   1.7976931348623157e308)
 
 
-def _awkward_records() -> list[CycleRecord]:
-    """For each AWKWARD_TRACES id, in that (unsorted) order, a record of
-    every (outcome, fail reason) pair a closed cycle can hold, its floats
-    drawn from EXTREME_FLOATS (and -0.0)."""
+# Increasing cycle ends, one for each pair _awkward_columns writes: the
+# extreme floats above 0.0, and more between them.
+AWKWARD_ENDS = (5e-324, 1e-300, 1e-5, 0.1 + 0.2, 1.0 / 3.0, 2.0 / 3.0, 7.0, 1e20,
+                1e100, 1e300, 1e307, 1.7976931348623157e308)
+
+
+def _awkward_columns() -> list[RecordColumns]:
+    """For each AWKWARD_TRACES id, in that (unsorted) order, columns built
+    with append of a record of every (outcome, fail reason) pair a closed
+    cycle can hold, ending at AWKWARD_ENDS, its other floats drawn from
+    EXTREME_FLOATS (and -0.0)."""
     pairs = [(o, r) for o, r in metrics.RECORD_PAIRS if o is not SessionOutcome.PENDING]
     x, n = EXTREME_FLOATS, len(EXTREME_FLOATS)
-    records = []
-    for nid in AWKWARD_TRACES:
-        for i, (outcome, reason) in enumerate(pairs):
-            k = (i + len(records)) % (n - 1)
-            records.append(CycleRecord(
-                nid, i, x[k], x[k + 1], outcome, reason,
-                -0.0 if i % 2 else x[(k + 2) % n], x[(k + 3) % n],
-                x[(k + 4) % n], x[(k + 5) % n]))
-    return records
+    nodes = []
+    for k, nid in enumerate(AWKWARD_TRACES):
+        rows = []
+        for i, ((outcome, reason), end) in enumerate(zip(pairs, AWKWARD_ENDS, strict=True)):
+            j = (i + k) % n
+            rows.append((end, outcome, reason, -0.0 if i % 2 else x[j],
+                         x[(j + 1) % n], x[(j + 2) % n]))
+        nodes.append(_node_columns(nid, -0.0 if k % 2 else x[k], rows))
+    return nodes
 
 
 @pytest.mark.parametrize("chunk", [1, 3])
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
 def test_records_export_writes_the_dict_writer_bytes(tmp_path, monkeypatch, fmt, chunk):
     monkeypatch.setattr(metrics, "EXPORT_CHUNK", chunk)
-    records = _awkward_records()
+    columns = _awkward_columns()
+    records = [r for c in columns for r in c]
     ours, reference = tmp_path / f"ours.{fmt}", tmp_path / f"reference.{fmt}"
-    export_records(iter(records), fmt, str(ours))
+    export_records(iter(columns), fmt, str(ours))
     _dict_row_records_export(records, fmt, str(reference))
     assert ours.read_bytes() == reference.read_bytes()
     assert load_records(str(ours)) == records

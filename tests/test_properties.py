@@ -172,7 +172,7 @@ def check_records_are_the_account(nr, frames, node_id, boot_v, end) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         for fmt in ("csv", "jsonl"):
             path = os.path.join(tmp, f"records.{fmt}")
-            export_records(nr.record_columns, fmt, path)
+            export_records([nr.record_columns], fmt, path)
             assert load_records(path) == records
 
 

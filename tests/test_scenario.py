@@ -1,6 +1,7 @@
 import dataclasses
 import os
 import pickle
+import re
 
 import pytest
 import yaml
@@ -190,6 +191,23 @@ def test_cycle_budget_bounds_records_and_frames():
     with pytest.raises(ScenarioError) as exc:
         scenario_from_dict(ble_fleet_year(1000))
     assert exc.value.path == "duration_s"
+
+
+def test_a_scenario_built_in_python_obeys_the_run_size_limits():
+    sc = load_preset("ble-700lx")
+    fleet = scenario_from_dict(ble_fleet_year(6))
+    nodes = (*fleet.nodes, dataclasses.replace(fleet.nodes[0], node_id="ble-6"))
+    for base, changes, field, message in [
+        (sc, {"duration_s": 1e9}, "duration_s",
+         "duration_s: must be at most 31622400 s (366 days)"),
+        (sc, {"sample_interval_s": 0.001}, "sample_interval_s",
+         "is 2.88e+07 trace samples, above the limit of 10,000,000"),
+        (fleet, {"nodes": nodes}, "duration_s",
+         "is an estimated 1.69e+07 cycles, above the limit of 15,000,000"),
+    ]:
+        with pytest.raises(FieldError, match=re.escape(message)) as exc:
+            dataclasses.replace(base, **changes)
+        assert exc.value.field == field
 
 
 @pytest.mark.parametrize("key,read", [
