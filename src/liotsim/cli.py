@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import contextlib
+import math
 import os
 import sys
 from typing import Optional
@@ -61,10 +62,13 @@ def _load_profile_arg(ref: str):
 def cmd_solve(args) -> int:
     if (args.lux is None) == (args.harvest_mw is None):
         raise CliError("pass exactly one of --lux or --harvest-mw", EXIT_VALIDATION)
+    # The rules of a scenario file: numbers are finite, a margin is >= 0.
+    for flag, value in (("--lux", args.lux), ("--harvest-mw", args.harvest_mw),
+                        ("--margin", args.margin)):
+        if value is not None and not (math.isfinite(value) and value >= 0):
+            raise CliError(f"{flag} must be a finite number >= 0", EXIT_VALIDATION)
     profile, harvester = _load_profile_arg(args.profile)
     if args.harvest_mw is not None:
-        if args.harvest_mw < 0:
-            raise CliError("--harvest-mw must be >= 0", EXIT_VALIDATION)
         p_harv = args.harvest_mw
     else:
         if harvester is None:

@@ -136,7 +136,7 @@ def solve_sleep_time(profile: EnergyProfile, p_harv_mw: float) -> Optional[float
     numerator E_active - p_harv*T_a and its divisor p_harv - P_sleep are
     both positive, so 0.0 means continuous operation and nothing else.
     """
-    if p_harv_mw < 0:
+    if not p_harv_mw >= 0:
         raise ValueError("harvest power must be >= 0")
     t_active, e_active = active_totals(profile)
     e_active_mj = e_active * 1e3
@@ -179,7 +179,7 @@ class HarvesterCurve:
             raise FieldError("points", "harvested power must be non-decreasing in lux")
 
     def power_mw(self, lux: float) -> float:
-        if lux < 0:
+        if not lux >= 0:
             raise ValueError("lux must be >= 0")
         pts = self.points
         if lux <= pts[0][0]:

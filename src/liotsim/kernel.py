@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
-import hashlib
 import heapq
 import json
 import math
@@ -28,6 +27,16 @@ from enum import Enum
 from itertools import chain, count, groupby, islice, takewhile
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Union
+
+# hashlib maps OpenSSL's libcrypto, a few MiB resident for one digest a run;
+# the interpreter's own SHA-256 gives the same bytes (as random.py does).
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 from . import fsm, metrics
 from .energy import (
@@ -347,7 +356,7 @@ def estimated_cycles(sc: Scenario) -> float:
 
 def scenario_fingerprint(scenario: Scenario) -> str:
     blob = json.dumps(dataclasses.asdict(scenario), default=str, sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+    return sha256(blob.encode()).hexdigest()[:16]
 
 
 @dataclass(frozen=True, slots=True)
@@ -425,9 +434,10 @@ class RunResult:
     log: FrameLog
 
     @property
-    def frames(self) -> list[FrameLogEntry]:
-        """The frame log as entries, built anew on each read."""
-        return list(self.log)
+    def frames(self) -> FrameLog:
+        """The frame log itself, an alias of log: its length is the frame
+        count, and iterating it builds one FrameLogEntry at a time."""
+        return self.log
 
     @property
     def records(self) -> list[metrics.CycleRecord]:

@@ -72,6 +72,17 @@ def test_solve_argument_validation(capsys):
                            "--lux", "700")
     assert code == EXIT_VALIDATION
     assert "no-such-thing" in err
+    # A scenario file's rules: every number finite, the margin >= 0.
+    for flag, value in (("--harvest-mw", "nan"), ("--harvest-mw", "inf"),
+                        ("--lux", "nan"), ("--lux", "-5"), ("--lux", "inf"),
+                        ("--margin", "nan"), ("--margin", "-1"), ("--margin", "-2"),
+                        ("--margin", "inf")):
+        argv = ["solve", "--profile", "ble-table1", flag, value]
+        if flag == "--margin":
+            argv += ["--lux", "700"]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (EXIT_VALIDATION, ""), (flag, value)
+        assert err == f"error: {flag} must be a finite number >= 0\n"
 
 
 def test_simulate_preset_writes_outputs(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import pytest
@@ -117,8 +118,9 @@ def test_solver_boundaries():
     p_break_even = e_active * 1e3 / t_active
     assert solve_sleep_time(BLE_PROFILE, p_break_even) == 0.0
     assert solve_sleep_time(BLE_PROFILE, BLE_PROFILE.sleep_power_mw) is None
-    with pytest.raises(ValueError):
-        solve_sleep_time(BLE_PROFILE, -1.0)
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError):
+            solve_sleep_time(BLE_PROFILE, bad)
 
 
 def test_implied_power_values():
@@ -224,8 +226,9 @@ def test_harvester_curve_interpolation_and_clamp():
     assert curve.power_mw(600) == pytest.approx(1.5)
     assert curve.power_mw(100) == 1.0  # clamped below
     assert curve.power_mw(10000) == 2.0  # clamped above
-    with pytest.raises(ValueError):
-        curve.power_mw(-1)
+    for bad in (-1, math.nan):
+        with pytest.raises(ValueError):
+            curve.power_mw(bad)
     with pytest.raises(ValueError):
         HarvesterCurve(points=((700.0, 1.0), (500.0, 2.0)))
     with pytest.raises(ValueError):

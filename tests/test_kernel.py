@@ -1,8 +1,13 @@
 import dataclasses
 import hashlib
+import importlib.util
+import json
 import math
+import os
 import random
 import struct
+import subprocess
+import sys
 from itertools import islice, takewhile
 
 import pytest
@@ -40,7 +45,18 @@ from liotsim.protocol import (
     Frame,
     LinkType,
 )
-from liotsim.scenario import preset_dict, scenario_from_dict, set_by_path
+from liotsim.scenario import (
+    PRESET_NAMES,
+    load_preset,
+    load_scenario_file,
+    preset_dict,
+    scenario_from_dict,
+    set_by_path,
+)
+
+DOCS_EXAMPLE = os.path.join(
+    os.path.dirname(__file__), os.pardir, "docs", "scenario-example.yaml"
+)
 
 
 def ble_node(node_id="ble-1", **kw) -> NodeConfig:
@@ -375,6 +391,25 @@ def test_equal_scenarios_get_one_config_hash():
     # Seeds stay integers.
     assert type(ChannelModel(seed=3).seed) is int
     assert type(IlluminationProfile(jitter_seed=3).jitter_seed) is int
+    # The hash is hashlib's SHA-256 of the scenario's JSON, whichever module
+    # computes it.
+    for sc in [*map(load_preset, PRESET_NAMES), load_scenario_file(DOCS_EXAMPLE)]:
+        blob = json.dumps(dataclasses.asdict(sc), default=str, sort_keys=True)
+        assert scenario_fingerprint(sc) == hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+@pytest.mark.skipif(not any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")),
+                    reason="the interpreter has no built-in SHA-256 module")
+def test_importing_the_cli_leaves_openssl_unloaded():
+    # hashlib maps OpenSSL's libcrypto, a few MiB of resident memory per process.
+    src = os.path.dirname(os.path.dirname(kernel.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    probe = ("import sys, liotsim, liotsim.cli; "
+             "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "[]"
 
 
 def test_short_run_yields_zero_packets_but_valid_summary():
@@ -425,7 +460,7 @@ def test_a_brown_out_while_sensing_counts_as_sent():
     result = run(scenario_from_dict(doc))
     (node,) = result.summary.nodes
     assert {r.fail_reason for r in result.records} == {FailReason.BROWN_OUT}
-    assert result.frames == []
+    assert len(result.frames) == 0
     assert (node.packets_sent, node.packets_received) == (94, 0)
     assert len(result.records) == 94
 
@@ -985,7 +1020,7 @@ def test_frame_log_lists_lost_frames_and_repeats():
     a, b = run(sc), run(sc)
     frames = a.frames
     assert frames == b.frames
-    assert frames is not a.frames  # built anew on each read
+    assert a.frames is a.log
     # Each entry is its logged frame's, arriving one airtime after it is sent.
     assert [(f.arrival_s, f.src, f.dst, f.link, f.kind, f.payload_bytes, f.channel)
             for f in frames] == [
@@ -997,7 +1032,7 @@ def test_frame_log_lists_lost_frames_and_repeats():
     records = a.records
     assert records == b.records and records is not a.records
     assert all(type(f) is FrameLogEntry for f in frames)
-    assert not hasattr(frames[0], "__dict__")
+    assert not hasattr(next(iter(frames)), "__dict__")
     lost = [f for f in frames if not f.delivered]
     assert 0 < len(lost) < len(frames)
     assert {f.src for f in lost} >= {"ble-1", GATEWAY_ID}
