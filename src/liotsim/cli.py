@@ -205,11 +205,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_report(args) -> int:
-    by_node: dict[str, list] = {}  # the outcome of each record of each node
     try:
-        # Only the outcomes are kept, as the records stream from the file.
-        for r in metrics.iter_records(args.records):
-            by_node.setdefault(r.node_id, []).append(r.outcome)
+        records = metrics.load_record_columns(args.records)
         traces = metrics.load_trace_columns(args.trace) if args.trace else {}
     except ExportError as exc:
         raise CliError(str(exc), EXIT_IO)
@@ -217,10 +214,10 @@ def cmd_report(args) -> int:
         raise CliError(f"cannot parse input: {exc}", EXIT_VALIDATION)
     print(f"{'node':<10} {'sent':>6} {'received':>9} {'PDR':>6} "
           f"{'avg SCap (V)':>13}")
-    for node_id in sorted(by_node):
+    for node_id in sorted(records):
         times, volts = traces.get(node_id, ((), ()))
         # Records do not carry the node kind, and the table does not show it.
-        n = metrics.summarize_node(node_id, "", by_node[node_id],
+        n = metrics.summarize_node(node_id, "", records[node_id].outcomes(),
                                    metrics.voltage_stats(times, volts))
         # Without voltage samples there is no average to show.
         avg = f"{n.scap_avg_v:>13.3f}" if volts else f"{'-':>13}"

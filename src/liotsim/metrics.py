@@ -180,8 +180,9 @@ def summarize_node(
 # one object per line, keys sorted.  Floats are written with repr() (as JSON
 # strings in JSONL; a repr needs no quoting or escaping in either format), so
 # an export-parse round trip is lossless at full double precision.  Readers
-# take the columns or keys in any order; a row they cannot parse, or whose
-# floats are not finite, raises ValueError naming the file and the line.
+# take the columns or keys in any order; a row they cannot parse, or that
+# breaks its export's rules (_add_record_run, _add_trace_run), raises
+# ValueError naming the file and the line.
 
 # Each column, with the JSON type of its cells in JSONL.
 RECORD_FIELDS = {
@@ -196,46 +197,30 @@ TRACE_FIELDS = {"node_id": str, "time_s": str, "scap_v": str}
 # in either format, however many rows there are.
 EXPORT_CHUNK = 2048
 
-# Lines of a trace read back per chunk.  A chunk of 512 exported lines and
-# the cells matched from it take about 150 kB.
+# Cells read back per chunk, counted in trace lines of 3 cells: a chunk is
+# 512 lines of a trace or 153 of records.  A chunk and the cells matched from
+# it take about 150 kB.
 READ_CHUNK = 512
 
-# A trace line as export_trace writes it, one group per cell, a JSON line's
-# groups in sorted key order.  A JSON string free of '"', backslash and U+0000-U+001F
-# is its own raw text; a CSV cell free of ',', '"', CR, LF and NUL is read as it
-# is written.  Compiled, and cached by re, at the first read.
-_STRING = r'"([^"\\\x00-\x1f]*)"'
-_JSONL_TRACE_LINE = (r"^\{" + ", ".join(f'"{key}": {_STRING}' for key in sorted(TRACE_FIELDS))
-                     + r"\}\n")
+# A line as the exporter writes it, one group per cell, a JSON line's groups
+# in sorted key order.  A JSON string free of '"', backslash and U+0000-U+001F
+# is its own raw text, and a JSON int its own digits; a CSV cell free of ',',
+# '"', CR, LF and NUL is read as it is written.
+_JSON_CELL = {str: r'"([^"\\\x00-\x1f]*)"', int: r"(-?(?:0|[1-9][0-9]*))"}
 _CELL = r'([^,"\r\n\x00]*)'
-_CSV_TRACE_LINE = "^" + ",".join([_CELL] * 3) + r"\r\n"
+
+
+def _line_pattern(fields: dict[str, type], jsonl: bool) -> str:
+    """The regex of one line of an export of fields, laid out as the exporter
+    lays it out."""
+    if jsonl:
+        return (r"^\{" + ", ".join(f'"{key}": {_JSON_CELL[fields[key]]}'
+                                   for key in sorted(fields)) + r"\}\n")
+    return "^" + ",".join([_CELL] * len(fields)) + r"\r\n"
 
 
 class ExportError(OSError):
     pass
-
-
-def _parse_record(
-    node_id, cycle_index, start_s, end_s, outcome, fail_reason,
-    scap_v_start, scap_v_end, energy_consumed_j, energy_harvested_j,
-) -> CycleRecord:
-    floats = tuple(map(float, (start_s, end_s, scap_v_start, scap_v_end,
-                               energy_consumed_j, energy_harvested_j)))
-    if not all(map(isfinite, floats)):
-        raise ValueError("times, voltages and energies must be finite")
-    start_s, end_s, scap_v_start, scap_v_end, consumed_j, harvested_j = floats
-    return CycleRecord(
-        node_id=node_id,
-        cycle_index=int(cycle_index),
-        start_s=start_s,
-        end_s=end_s,
-        outcome=SessionOutcome(outcome),
-        fail_reason=FailReason(fail_reason) if fail_reason else None,
-        scap_v_start=scap_v_start,
-        scap_v_end=scap_v_end,
-        energy_consumed_j=consumed_j,
-        energy_harvested_j=harvested_j,
-    )
 
 
 def export_records(columns: Iterable[RecordColumns], fmt: str, path: str) -> None:
@@ -267,18 +252,55 @@ def export_records(columns: Iterable[RecordColumns], fmt: str, path: str) -> Non
     _write_lines(fmt, path, RECORD_FIELDS, lines)
 
 
-def iter_records(path: str) -> Iterator[CycleRecord]:
-    """The records of an export, in file order, each parsed as it is read."""
-    for line, cells in _read(path, RECORD_FIELDS):
-        try:
-            record = _parse_record(*cells)
-        except ValueError as exc:
-            raise _bad_row(path, line, exc) from None
-        yield record
+def load_record_columns(path: str) -> dict[str, RecordColumns]:
+    """Each node's records, nodes in order of first appearance, read by
+    _load_columns and checked by _add_record_run."""
+    return _load_columns(path, RECORD_FIELDS, _add_record_run)
 
 
 def load_records(path: str) -> list[CycleRecord]:
-    return list(iter_records(path))
+    """The records of an export, node by node, as load_record_columns reads them."""
+    return [r for c in load_record_columns(path).values() for r in c]
+
+
+# The code of each (outcome, fail reason) pair, by the text of its two cells.
+_CODE_OF_CELLS = {(o.value, r.value if r else ""): code
+                  for code, (o, r) in enumerate(RECORD_PAIRS)}
+
+
+def _add_record_run(columns: dict[str, RecordColumns], node_id: str, cycle_index, start_s,
+                    end_s, outcome, fail_reason, scap_v_start, scap_v_end,
+                    energy_consumed_j, energy_harvested_j) -> None:
+    """The add_run of records (see _load_columns): every float is finite, each
+    record holds a known (outcome, fail reason) pair and keeps check_cycle,
+    and the records tile their node's run: each cycle index is the record's
+    position, and each record starts at the time (0.0 for the first) and
+    voltage the record before it ends at."""
+    floats = [array("d", map(float, cells)) for cells in (
+        start_s, end_s, scap_v_start, scap_v_end, energy_consumed_j, energy_harvested_j)]
+    if not all(map(isfinite, chain.from_iterable(floats))):
+        raise ValueError("times, voltages and energies must be finite")
+    starts, ends, v_starts, v_ends, consumed, harvested = floats
+    try:
+        codes = bytearray(map(_CODE_OF_CELLS.__getitem__, zip(outcome, fail_reason)))
+    except KeyError as exc:
+        raise ValueError("no outcome %r with fail_reason %r" % exc.args[0]) from None
+    node = columns.get(node_id) or RecordColumns(node_id, v_starts[0])
+    first = len(node)
+    if (list(map(int, cycle_index)) != list(range(first, first + len(codes)))
+            or starts != (node.end_s[-1:] or array("d", [0.0])) + ends[:-1]
+            or v_starts != (node.scap_v_end[-1:] or v_starts[:1]) + v_ends[:-1]):
+        raise ValueError(f"node {node_id!r}: a record's cycle_index must be its position, "
+                         "its start_s and scap_v_start the end_s and scap_v_end of the "
+                         "record before it")
+    for cycle in zip(starts, ends, consumed, harvested):
+        check_cycle(*cycle)
+    node.end_s.extend(ends)
+    node.scap_v_end.extend(v_ends)
+    node.consumed_j.extend(consumed)
+    node.harvested_j.extend(harvested)
+    node.codes.extend(codes)
+    columns[node_id] = node
 
 
 def export_trace(
@@ -301,34 +323,61 @@ def export_trace(
 
 
 def load_trace_columns(path: str) -> dict[str, tuple[array, array]]:
-    """Each node's (times, volts) columns, in file order, nodes in order of
-    first appearance.  A node's times must be finite and increase, and every
-    voltage must be finite.
+    """Each node's (times, volts) columns, nodes in order of first appearance,
+    read by _load_columns and checked by _add_trace_run."""
+    return _load_columns(path, TRACE_FIELDS, _add_trace_run)
 
-    The file is read READ_CHUNK lines at a time.  A chunk whose every line is
-    laid out as export_trace writes it is matched in one regex pass and
-    converted column-wise.  From the first chunk in any other layout, or the
-    first run of one node's rows that breaks a rule, the row reader reads the
-    rest of the file and names the line of a bad row.
+
+def _add_trace_run(columns: dict[str, tuple[array, array]], node_id: str, time_s,
+                   scap_v) -> None:
+    """The add_run of traces (see _load_columns): every time and voltage is
+    finite, and a node's times increase."""
+    times = array("d", map(float, time_s))
+    volts = array("d", map(float, scap_v))
+    # Increasing times between finite ends are all finite.
+    if not (isfinite(times[0]) and isfinite(times[-1]) and all(map(isfinite, volts))):
+        raise ValueError("time_s and scap_v must be finite")
+    column_times, column_volts = columns.get(node_id) or (array("d"), array("d"))
+    ordered = column_times[-1:] + times
+    if not all(map(lt, ordered, islice(ordered, 1, None))):
+        k = next(k for k in range(len(times)) if not ordered[k] < ordered[k + 1])
+        raise ValueError(f"node {node_id!r}: time_s {ordered[k + 1]!r} is not after "
+                         f"the time before it, {ordered[k]!r}")
+    column_times.extend(times)
+    column_volts.extend(volts)
+    columns[node_id] = column_times, column_volts
+
+
+def _load_columns(path: str, fields: dict[str, type], add_run) -> dict:
+    """Each node's columns of an export of fields (node_id first), built by
+    add_run(columns, node_id, *cells), which adds a run of one node's rows,
+    given as the cells of each other field, to that node's columns, or adds
+    nothing and raises ValueError when a row breaks one of its export's rules.
+
+    The file is read READ_CHUNK trace lines' worth of cells at a time.  A
+    chunk whose every line is laid out as the exporter writes it is matched
+    in one regex pass and added a run at a time.  From the first chunk in
+    any other layout, or the first run that add_run rejects, the row reader
+    reads the rest of the file, each row a run, and names a bad row's line.
     """
-    columns: dict[str, tuple[array, array]] = {}
+    columns: dict = {}
     with _export_file(path) as (fh, jsonl):
         if jsonl:
-            start, names = 0, sorted(TRACE_FIELDS)
-            pattern = re.compile(_JSONL_TRACE_LINE, re.M)
-            rows = functools.partial(_jsonl_rows, path=path, fields=TRACE_FIELDS)
+            start, names = 0, sorted(fields)
+            rows = functools.partial(_jsonl_rows, path=path, fields=fields)
         else:
-            names, start = _csv_header(fh, path, TRACE_FIELDS)
+            names, start = _csv_header(fh, path, fields)
             if names is None:
                 return columns
-            pattern = re.compile(_CSV_TRACE_LINE, re.M)
-            rows = functools.partial(_csv_body, path=path, fields=TRACE_FIELDS, header=names)
-        order = tuple(map(names.index, TRACE_FIELDS))  # each field's group
+            rows = functools.partial(_csv_body, path=path, fields=fields, header=names)
+        pattern = re.compile(_line_pattern(fields, jsonl), re.M)
+        order = tuple(map(names.index, fields))  # each field's group
+        size = max(1, READ_CHUNK * len(TRACE_FIELDS) // len(fields))
         source = fh
         while True:
             lines: list[str] = []
             try:
-                lines.extend(islice(source, READ_CHUNK))
+                lines.extend(islice(source, size))
             except UnicodeDecodeError as exc:
                 if not lines:
                     raise
@@ -341,64 +390,29 @@ def load_trace_columns(path: str) -> dict[str, tuple[array, array]]:
             # The csv module rejects a cell longer than its field size limit.
             matched = (pattern.findall(text)
                        if jsonl or len(text) <= csv.field_size_limit() else ())
+            taken = 0
             # A match runs from a line's start to its end: one a line means
             # every line is the exporter's.
-            taken = _add_matched(columns, matched, order) if len(matched) == len(lines) else 0
+            if len(matched) == len(lines):
+                ids, *cells = itemgetter(*order)(tuple(zip(*matched)))
+                for nid, run in groupby(ids):
+                    end = taken + len(list(run))
+                    try:
+                        add_run(columns, nid, *(column[taken:end] for column in cells))
+                    except ValueError:
+                        break
+                    taken = end
             if taken < len(lines):
                 # The row reader reads the rest of the file, from the first
                 # line of the first run not taken.
-                _add_rows(columns, rows(chain(lines[taken:], source), start=start + taken),
-                          path)
+                for line, (nid, *cells) in rows(chain(lines[taken:], source),
+                                                start=start + taken):
+                    try:
+                        add_run(columns, nid, *[(cell,) for cell in cells])
+                    except ValueError as exc:
+                        raise _bad_row(path, line, exc) from None
                 return columns
             start += len(lines)
-
-
-def _add_matched(columns: dict, matched: list[tuple], order: tuple) -> int:
-    """Add the rows matched from a chunk (cells in pattern order; order gives
-    where node_id, time_s and scap_v are) to columns, a run of one node at a
-    time; return the index of the first row of the first run that fails to
-    parse or breaks a rule, and len(matched) when every run is added."""
-    cells = tuple(zip(*matched))
-    ids, ts, vs = (cells[k] for k in order)
-    i = 0
-    for nid, run in groupby(ids):
-        j = i + len(list(run))
-        try:
-            times = array("d", map(float, ts[i:j]))
-            volts = array("d", map(float, vs[i:j]))
-        except ValueError:
-            return i
-        column_times, column_volts = columns.setdefault(nid, (array("d"), array("d")))
-        # Increasing times between finite ends are all finite.
-        if not (isfinite(times[0]) and isfinite(times[-1])
-                and (not column_times or column_times[-1] < times[0])
-                and all(map(lt, times, islice(times, 1, None)))
-                and all(map(isfinite, volts))):
-            return i
-        column_times.extend(times)
-        column_volts.extend(volts)
-        i = j
-    return i
-
-
-def _add_rows(columns: dict, rows: Iterator[tuple[int, tuple]], path: str) -> None:
-    """Add each (line, (node id, time, voltage)) row to columns, each checked."""
-    last = None
-    for line, (nid, t, v) in rows:
-        if nid != last:
-            times, volts = columns.setdefault(nid, (array("d"), array("d")))
-            last = nid
-        try:
-            t, v = float(t), float(v)
-        except ValueError as exc:
-            raise _bad_row(path, line, exc) from None
-        if not (isfinite(t) and isfinite(v)):
-            raise _bad_row(path, line, "time_s and scap_v must be finite")
-        if times and not times[-1] < t:
-            raise _bad_row(path, line, f"node {nid!r}: time_s {t!r} is not after "
-                                       f"the time before it, {times[-1]!r}")
-        times.append(t)
-        volts.append(v)
 
 
 def _raising(exc: Exception) -> Iterator[str]:
@@ -498,17 +512,6 @@ def _export_file(path: str) -> Iterator[tuple[io.TextIOBase, bool]]:
         raise ExportError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
-
-
-def _read(path: str, fields: dict[str, type]) -> Iterator[tuple[int, tuple]]:
-    """(line number, cells in fields order) of each row of a CSV or JSONL export."""
-    with _export_file(path) as (fh, jsonl):
-        if jsonl:
-            yield from _jsonl_rows(fh, path, fields, 0)
-        else:
-            header, start = _csv_header(fh, path, fields)
-            if header is not None:
-                yield from _csv_body(fh, path, fields, header, start)
 
 
 def _csv_header(fh, path: str, fields: dict[str, type]) -> tuple[Optional[list[str]], int]:

@@ -26,15 +26,12 @@ from .energy import (
     builtin_profile,
 )
 from .fsm import NodeConfig, NodeKind
-from .kernel import (  # MAX_CYCLES and the cycle estimates, for their callers
-    MAX_CYCLES,
+from .kernel import (
     ChannelModel,
     GatewayConfig,
     IlluminationProfile,
     Scenario,
-    estimated_cycles,
     per_frame_loss_for_session_pdr,
-    shortest_cycle_s,
 )
 from .protocol import (
     BLE_SCRIPT,

@@ -371,9 +371,9 @@ def test_report_without_voltage_samples_prints_a_dash(capsys, tmp_path):
         assert out.splitlines()[1].split() == ["liot-1", "5", "5", "1.000", "-"]
 
 
-def test_report_keeps_no_record_object(capsys, tmp_path):
-    """report streams the records and keeps each one's outcome, 8 B, not a
-    CycleRecord of over 200 B."""
+def test_report_keeps_records_as_columns(capsys, tmp_path):
+    """report reads the records into RecordColumns, 33 B a record, not a
+    CycleRecord of over 200 B each."""
     out_dir = tmp_path / "out"
     doc = scenario.preset_dict("ble-700lx")
     doc.update(duration_s=259200.0, sample_interval_s=3600.0)
@@ -381,7 +381,7 @@ def test_report_keeps_no_record_object(capsys, tmp_path):
     path.write_text(yaml.safe_dump(doc))
     run_cli(capsys, "simulate", "--scenario", str(path), "--out", str(out_dir))
     records = str(out_dir / "records.csv")
-    n = sum(1 for _ in metrics.iter_records(records))
+    n = sum(map(len, metrics.load_record_columns(records).values()))
     assert n > 13000
     tracemalloc.start()
     try:
@@ -395,18 +395,21 @@ def test_report_keeps_no_record_object(capsys, tmp_path):
     assert peak < 64 * n + 2**20
 
 
-def test_iter_records_yields_the_rows_before_a_bad_one(tmp_path):
+# Line 5 of a CSV export holds record 3.
+@pytest.mark.parametrize("bad", [
+    pytest.param(lambda lines: lines[4].replace(",3,", ",three,", 1), id="index-three"),
+    pytest.param(lambda lines: lines[4].replace(",3,", ",4,", 1), id="index-4"),
+    pytest.param(lambda lines: lines[3], id="record-2-again"),
+])
+def test_load_record_columns_names_the_line_of_a_bad_record(tmp_path, bad):
     out_dir = tmp_path / "out"
     result = kernel.run(scenario.load_preset("liot-700lx"))
     cli._write_outputs(result, str(out_dir), "csv")
     path = out_dir / "records.csv"
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-    bad = lines[4].replace(",3,", ",three,", 1)  # record 3's cycle index
-    path.write_text("".join(lines[:4]) + bad, encoding="utf-8")
-    records = metrics.iter_records(str(path))
-    assert [next(records) for _ in range(3)] == result.records[:3]
+    path.write_text("".join([*lines[:4], bad(lines), *lines[5:]]), encoding="utf-8")
     with pytest.raises(ValueError, match=re.escape(f"{path}: line 5: ")):
-        next(records)
+        metrics.load_record_columns(str(path))
 
 
 def test_report_missing_file(capsys, tmp_path):

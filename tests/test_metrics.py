@@ -346,11 +346,12 @@ def test_load_trace_reads_any_column_order_and_layout(tmp_path, layout):
     assert load_trace_columns(str(path)) == _columns(TRACES)
 
 
-def _row_reader_columns(path):
-    """path's columns as the row reader alone reads them, checks included."""
-    columns = {}
-    metrics._add_rows(columns, metrics._read(path, metrics.TRACE_FIELDS), path)
-    return columns
+def _row_reader_columns(path, load=load_trace_columns):
+    """path's columns as load reads them with the chunk path disabled: no
+    line matches its pattern, so the row reader reads every line."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "_line_pattern", lambda fields, jsonl: "(?!)")
+        return load(path)
 
 
 def _read_back(read, path):
@@ -359,8 +360,16 @@ def _read_back(read, path):
         columns = read(path)
     except ValueError as exc:
         return str(exc)
-    return [(nid, times.tobytes(), volts.tobytes())
-            for nid, (times, volts) in columns.items()]
+    return [(nid, *_column_bytes(c)) for nid, c in columns.items()]
+
+
+def _column_bytes(c) -> list[bytes]:
+    """The bytes of each of a node's columns, and of its boot voltage if it
+    has one, so that -0.0 is not 0.0."""
+    if isinstance(c, RecordColumns):
+        c = (array("d", [c.boot_v]), c.end_s, c.scap_v_end, c.consumed_j, c.harvested_j,
+             c.codes)
+    return list(map(bytes, c))
 
 
 def _escaped(text):
@@ -381,15 +390,23 @@ def _trace_line(fmt, nid, t, v, kind=None):
         cells["time_s"] = kind.split()[0]
     elif kind == "backwards time":  # unless it is its node's first sample
         cells["time_s"] = repr(-1.7976931348623157e308)
+    return _mutated_line(fmt, cells, kind)
+
+
+def _mutated_line(fmt, cells, kind):
+    """The line of cells (a dict in the columns' order) as an exporter writes
+    it, laid out as the mutant kind says: "blank", "quoted id", "reordered"
+    or "short row"."""
     if fmt == "csv":
-        quoted = '"' + nid.replace('"', '""') + '"'
-        row = [quoted if kind == "quoted id" else metrics._csv_cell(nid),
-               cells["time_s"], cells["scap_v"]]
+        nid = cells["node_id"]
+        row = [metrics._csv_cell(str(cell)) for cell in cells.values()]
+        if kind == "quoted id":
+            row[0] = '"' + nid.replace('"', '""') + '"'
         if kind == "short row":
             row.pop()
         line = ",".join(row) + ("\n" if kind == "reordered" else "\r\n")
     else:
-        keys = ["node_id", "scap_v", "time_s"]
+        keys = sorted(cells)
         if kind == "reordered":
             keys.reverse()
         if kind == "short row":
@@ -399,6 +416,9 @@ def _trace_line(fmt, nid, t, v, kind=None):
                           else json.dumps(cells[k])) for k in keys) + "}\n"
     return ("\r\n" if fmt == "csv" else "\n") + line if kind == "blank" else line
 
+
+# Ids that neither format quotes or escapes: "n1" fills chunks 0 and 1 of 3 lines.
+PLAIN_TRACES = {"n1": [(float(i), 4.0 + i / 8.0) for i in range(6)], "n2": [(0.5, 4.1)]}
 
 MUTANTS = ["blank", "quoted id", "reordered", "short row", "bad float", "nan voltage",
            "inf time", "-inf time", "backwards time"]
@@ -419,11 +439,17 @@ _mutants = st.lists(st.tuples(st.integers(0, 8), st.integers(0, 4), st.sampled_f
        chunk=st.sampled_from([1, 3, metrics.READ_CHUNK]))
 @example(traces=AWKWARD_TRACES, mutants=[], fmt="csv", chunk=1)
 @example(traces=AWKWARD_TRACES, mutants=[], fmt="jsonl", chunk=3)
-# With chunk 3, "plain" (lines 4-8) starts in chunk 1 and has chunk 2 to itself.
+# Chunk 0 of these holds the quoted id "a,b": the row reader reads all of it.
 @example(traces=AWKWARD_TRACES, mutants=[(1, 1, "quoted id"), (2, 0, "backwards time")],
          fmt="csv", chunk=3)
 @example(traces=AWKWARD_TRACES, mutants=[(1, 1, "-inf time")], fmt="csv", chunk=3)
 @example(traces=AWKWARD_TRACES, mutants=[(2, 2, "inf time")], fmt="csv", chunk=3)
+# Chunk 0 of these is the exporter's, so chunk 1 reaches the chunk path: its
+# run of "n1" ends at an inf time, or goes back in its middle.
+@example(traces=PLAIN_TRACES, mutants=[(1, 2, "inf time")], fmt="csv", chunk=3)
+@example(traces=PLAIN_TRACES, mutants=[(1, 1, "backwards time")], fmt="csv", chunk=3)
+@example(traces=PLAIN_TRACES, mutants=[(1, 2, "inf time")], fmt="jsonl", chunk=3)
+@example(traces=PLAIN_TRACES, mutants=[(1, 1, "backwards time")], fmt="jsonl", chunk=3)
 def test_chunked_trace_read_matches_the_row_reader(tmp_path_factory, traces, mutants,
                                                    fmt, chunk):
     """load_trace_columns returns what the row reader returns, or raises its
@@ -447,6 +473,101 @@ def test_chunked_trace_read_matches_the_row_reader(tmp_path_factory, traces, mut
         assert path.read_bytes() == unchanged
         in_order = {nid: traces[nid] for nid in sorted(traces)}
         assert expected == _read_back(lambda _: _columns(in_order), None)
+
+
+def _record_line(fmt, r: CycleRecord, kind=None):
+    """The line export_records writes for a record, changed as the mutant
+    kind says (None: unchanged)."""
+    cells = _record_row(r)
+    if kind == "bad float":
+        cells["scap_v_end"] = "4.2.1"
+    elif kind == "nan energy":
+        cells["energy_consumed_j"] = "nan"
+    elif kind == "index off by one":
+        cells["cycle_index"] += 1
+    elif kind == "start moved":  # before any record ends, and before this one
+        cells["start_s"] = "-1.0"
+    elif kind == "voltage moved" and r.cycle_index:  # a first record's is the boot voltage
+        cells["scap_v_start"] = repr(math.nextafter(r.scap_v_start, math.inf))
+    elif kind == "unknown outcome":
+        cells["outcome"] = "lost"
+    return _mutated_line(fmt, cells, kind)
+
+
+LAYOUT_MUTANTS = ["blank", "quoted id", "reordered"]
+RECORD_MUTANTS = [*LAYOUT_MUTANTS, "short row", "bad float", "nan energy",
+                  "index off by one", "start moved", "voltage moved", "unknown outcome"]
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_energies = st.floats(min_value=0.0, allow_infinity=False)
+_ends = st.lists(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+                 min_size=1, max_size=6, unique=True).map(sorted)
+# (end_s, outcome, fail reason, scap_v_end, consumed J, harvested J) rows.
+_record_rows = _ends.flatmap(lambda ends: st.lists(
+    st.tuples(st.sampled_from(metrics.RECORD_PAIRS), _finite, _energies, _energies),
+    min_size=len(ends), max_size=len(ends),
+).map(lambda rest: [(end, *pair, v, c, h) for end, (pair, v, c, h) in zip(ends, rest)]))
+_record_columns = st.dictionaries(_ids, st.tuples(_finite, _record_rows), max_size=3).map(
+    lambda nodes: [_node_columns(nid, boot_v, rows) for nid, (boot_v, rows) in nodes.items()])
+
+# Ids that neither format quotes or escapes: "n1" fills chunks 0 and 1 of 3 lines.
+PLAIN_COLUMNS = [
+    _node_columns("n1", 4.4, [(10.0 * i, *pair, 4.4 - i / 8.0, 0.015, 0.0148)
+                              for i, pair in enumerate(metrics.RECORD_PAIRS[:6], 1)]),
+    _node_columns("n2", 4.2, [(7.0, SessionOutcome.DELIVERED, None, 4.1, 0.2, 0.0)]),
+]
+
+
+# READ_CHUNK counts trace lines of 3 cells: 1, 10 and 512 of them make
+# chunks of 1, 3 and 153 record lines of 10 cells.
+@settings(max_examples=150, deadline=None)
+@given(columns=_record_columns,
+       mutants=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 4),
+                                  st.sampled_from(RECORD_MUTANTS)), max_size=3),
+       fmt=st.sampled_from(["csv", "jsonl"]),
+       read_chunk=st.sampled_from([1, 10, metrics.READ_CHUNK]))
+@example(columns=_awkward_columns(), mutants=[], fmt="csv", read_chunk=10)
+@example(columns=_awkward_columns(), mutants=[], fmt="jsonl", read_chunk=10)
+@example(columns=PLAIN_COLUMNS, mutants=[(1, 1, "start moved")], fmt="csv", read_chunk=10)
+@example(columns=PLAIN_COLUMNS, mutants=[(1, 2, "index off by one")], fmt="csv",
+         read_chunk=10)
+@example(columns=PLAIN_COLUMNS, mutants=[(1, 0, "voltage moved")], fmt="csv", read_chunk=10)
+@example(columns=PLAIN_COLUMNS, mutants=[(1, 0, "nan energy")], fmt="jsonl", read_chunk=10)
+@example(columns=PLAIN_COLUMNS, mutants=[(1, 1, "unknown outcome")], fmt="jsonl",
+         read_chunk=10)
+def test_chunked_record_read_matches_the_row_reader(tmp_path_factory, columns, mutants,
+                                                    fmt, read_chunk):
+    """load_record_columns returns what the row reader returns, or raises its
+    message naming the same line, whichever chunks the mutated lines are in.
+    The line it names is that of the first mutant that breaks a rule, and
+    with none the columns read back are the ones exported."""
+    path = tmp_path_factory.mktemp("records") / f"records.{fmt}"
+    records = [r for c in columns for r in c]
+    chunk = max(1, read_chunk * 3 // 10)
+    kinds = {min(k * chunk + offset, len(records) - 1): kind
+             for k, offset, kind in mutants if records}
+    export_records(columns, fmt, str(path))
+    unchanged = path.read_bytes()
+    lines = [_record_line(fmt, r, kinds.get(i)) for i, r in enumerate(records)]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        if fmt == "csv":
+            fh.write(",".join(metrics.RECORD_FIELDS) + "\r\n")
+        fh.writelines(lines)
+    expected = _read_back(
+        lambda p: _row_reader_columns(p, metrics.load_record_columns), str(path))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "READ_CHUNK", read_chunk)
+        assert _read_back(metrics.load_record_columns, str(path)) == expected
+    bad = [i for i, kind in sorted(kinds.items()) if kind not in LAYOUT_MUTANTS
+           and not (kind == "voltage moved" and records[i].cycle_index == 0)]
+    if bad:
+        # The line a row ends on, an id with a line break in CSV taking two.
+        line = (fmt == "csv") + "".join(lines[:bad[0] + 1]).count("\n")
+        assert expected.startswith(f"{path}: line {line}: ")
+    else:
+        assert expected == _read_back(lambda _: {c.node_id: c for c in columns}, None)
+    if not kinds:
+        assert path.read_bytes() == unchanged
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])

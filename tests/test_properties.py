@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from liotsim import fsm
 from liotsim.energy import builtin_harvester
-from liotsim.kernel import run
+from liotsim.kernel import estimated_cycles, run, shortest_cycle_s
 from liotsim.metrics import export_records, load_records, voltage_stats
 from liotsim.protocol import (
     BLE_SCRIPT,
@@ -24,11 +24,9 @@ from liotsim.protocol import (
 )
 from liotsim.scenario import (
     ScenarioError,
-    estimated_cycles,
     preset_dict,
     resolve_scenario_dict,
     scenario_from_dict,
-    shortest_cycle_s,
 )
 
 LUX = st.floats(0.0, 1000.0)
@@ -92,7 +90,7 @@ def fast_cycling_scenarios(draw) -> dict:
     """small_scenarios whose nodes may boot at v_min, back off for as little
     as 0.5 s, harvest nothing in the dark, or harvest enough to run
     continuously, so that their cycles come near the shortest that
-    scenario.shortest_cycle_s allows."""
+    kernel.shortest_cycle_s allows."""
     doc = draw(small_scenarios())
     for node in doc["nodes"]:
         v_boot = node["supercap"]["voltage_v"]

@@ -16,6 +16,7 @@ from liotsim.energy import (
     Supercap,
 )
 from liotsim.kernel import (
+    MAX_CYCLES,
     ChannelModel,
     IlluminationProfile,
     per_frame_loss_for_session_pdr,
@@ -23,7 +24,6 @@ from liotsim.kernel import (
 )
 from liotsim.protocol import BLE_SCRIPT, LIOT_SCRIPT, LinkType
 from liotsim.scenario import (
-    MAX_CYCLES,
     PRESET_NAMES,
     SCHEMA_VERSION,
     ScenarioError,
