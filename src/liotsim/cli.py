@@ -145,9 +145,8 @@ def cmd_simulate(args) -> int:
     except ScenarioError as exc:
         raise CliError(f"invalid scenario: {exc}", EXIT_VALIDATION)
     result = kernel.run(sc)
-    out_dir = args.out or os.environ.get("LIOTSIM_OUT")
-    if out_dir:
-        _write_outputs(result, out_dir, args.format)
+    if args.out:
+        _write_outputs(result, args.out, args.format)
     _print_summary(result.summary)
     return EXIT_OK
 
@@ -240,7 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lux", type=float, help="illuminance; uses the harvester curve")
     p.add_argument("--harvest-mw", type=float, help="harvest power directly, in mW")
     p.add_argument("--margin", type=float, default=None,
-                   help="duty-cycle stretch fraction (default 0.05 BLE, 0 otherwise)")
+                   help="duty-cycle stretch fraction (default 0.05 for ble-table1, "
+                        "0 otherwise)")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("simulate", help="run one scenario")
@@ -248,8 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--duration", type=float, default=None,
                    help="override the scenario duration in seconds")
-    p.add_argument("--out", default=None,
-                   help="output directory (or set LIOTSIM_OUT)")
+    p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     p.set_defaults(func=cmd_simulate)
 

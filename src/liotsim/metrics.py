@@ -9,7 +9,7 @@ import io
 import json
 import re
 from array import array
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from itertools import chain, groupby, islice
 from math import isfinite
 from operator import itemgetter, lt
@@ -356,9 +356,12 @@ def _load_columns(path: str, fields: dict[str, type], add_run) -> dict:
 
     The file is read READ_CHUNK trace lines' worth of cells at a time.  A
     chunk whose every line is laid out as the exporter writes it is matched
-    in one regex pass and added a run at a time.  From the first chunk in
-    any other layout, or the first run that add_run rejects, the row reader
-    reads the rest of the file, each row a run, and names a bad row's line.
+    in one regex pass.  From the first chunk in any other layout, the row
+    reader reads the rest of the file, up to as many rows at a time as a
+    chunk has lines.  Either way
+    each run of one node's rows goes to add_run whole (see _add_runs), and
+    an error met reading a chunk or a row is raised after the rows before
+    it are added, so a bad file fails at its first bad line.
     """
     columns: dict = {}
     with _export_file(path) as (fh, jsonl):
@@ -371,55 +374,64 @@ def _load_columns(path: str, fields: dict[str, type], add_run) -> dict:
                 return columns
             rows = functools.partial(_csv_body, path=path, fields=fields, header=names)
         pattern = re.compile(_line_pattern(fields, jsonl), re.M)
-        order = tuple(map(names.index, fields))  # each field's group
+        groups = itemgetter(*map(names.index, fields))  # each field's group
         size = max(1, READ_CHUNK * len(TRACE_FIELDS) // len(fields))
-        source = fh
-        while True:
-            lines: list[str] = []
-            try:
-                lines.extend(islice(source, size))
-            except UnicodeDecodeError as exc:
-                if not lines:
-                    raise
-                # extend kept the lines before the bad byte: read them as the
-                # row reader would, and raise exc where it would.
-                source = _raising(exc)
-            if not lines:
-                return columns
+        chunks = _batched(fh, size)
+        for lines in chunks:
             text = "".join(lines)
             # The csv module rejects a cell longer than its field size limit.
             matched = (pattern.findall(text)
                        if jsonl or len(text) <= csv.field_size_limit() else ())
-            taken = 0
             # A match runs from a line's start to its end: one a line means
             # every line is the exporter's.
-            if len(matched) == len(lines):
-                ids, *cells = itemgetter(*order)(tuple(zip(*matched)))
-                for nid, run in groupby(ids):
-                    end = taken + len(list(run))
-                    try:
-                        add_run(columns, nid, *(column[taken:end] for column in cells))
-                    except ValueError:
-                        break
-                    taken = end
-            if taken < len(lines):
-                # The row reader reads the rest of the file, from the first
-                # line of the first run not taken.
-                for line, (nid, *cells) in rows(chain(lines[taken:], source),
-                                                start=start + taken):
-                    try:
-                        add_run(columns, nid, *[(cell,) for cell in cells])
-                    except ValueError as exc:
-                        raise _bad_row(path, line, exc) from None
-                return columns
+            if len(matched) < len(lines):
+                # The row reader reads the rest of the file, from this chunk's
+                # first line.
+                rest = rows(chain(lines, chain.from_iterable(chunks)), start=start)
+                for batch in _batched(rest, size):
+                    numbers, cells = zip(*batch)
+                    _add_runs(columns, add_run, path, numbers, *zip(*cells))
+                break
+            _add_runs(columns, add_run, path, range(start + 1, start + len(lines) + 1),
+                      *groups(tuple(zip(*matched))))
             start += len(lines)
+    return columns
 
 
-def _raising(exc: Exception) -> Iterator[str]:
-    """An iterator that raises exc at its first step (and then ends: the
-    reader lets exc propagate the first time)."""
-    raise exc
-    yield
+def _batched(items: Iterable, size: int) -> Iterator[list]:
+    """items in lists of up to size; a ValueError met reading them is
+    raised after the list of the items before it."""
+    while True:
+        batch: list = []
+        try:
+            batch.extend(islice(items, size))
+        except ValueError:
+            if batch:
+                yield batch
+            raise
+        if batch:
+            yield batch
+        if len(batch) < size:
+            return
+
+
+def _add_runs(columns: dict, add_run, path: str, line_numbers: Sequence[int],
+              ids: Sequence[str], *cells: Sequence) -> None:
+    """Hand add_run each run of one node's rows, row i being that of node
+    ids[i] with cells column[i], read from line line_numbers[i].  A run
+    add_run rejects is added again a row at a time, so the error names its
+    first bad line."""
+    end = 0
+    for nid, run in groupby(ids):
+        first, end = end, end + len(list(run))
+        try:
+            add_run(columns, nid, *(column[first:end] for column in cells))
+        except ValueError:
+            for i in range(first, end):
+                try:
+                    add_run(columns, nid, *(column[i:i + 1] for column in cells))
+                except ValueError as exc:
+                    raise _bad_row(path, line_numbers[i], exc) from None
 
 
 def load_trace(path: str) -> dict[str, list[tuple[float, float]]]:
@@ -434,16 +446,6 @@ def summary_dict(summary: RunSummary) -> dict:
     return {"version": 1, **d, "nodes": list(d["nodes"])}
 
 
-def _field_values(cls, d: dict) -> dict:
-    """The entry of d for each field of the dataclass cls."""
-    return {f.name: d[f.name] for f in fields(cls)}
-
-
-def summary_from_dict(d: dict) -> RunSummary:
-    nodes = tuple(NodeSummary(**_field_values(NodeSummary, n)) for n in d["nodes"])
-    return RunSummary(**{**_field_values(RunSummary, d), "nodes": nodes})
-
-
 def export_summary(summary: RunSummary, path: str) -> None:
     try:
         with open(path, "w", encoding="utf-8") as fh:
@@ -451,11 +453,6 @@ def export_summary(summary: RunSummary, path: str) -> None:
             fh.write("\n")
     except OSError as exc:
         raise ExportError(f"cannot write summary to {path}: {exc}") from exc
-
-
-def load_summary(path: str) -> RunSummary:
-    with open(path, encoding="utf-8") as fh:
-        return summary_from_dict(json.load(fh))
 
 
 def _check_format(fmt: str) -> None:

@@ -101,15 +101,6 @@ def test_simulate_preset_writes_outputs(capsys, tmp_path):
     assert summary["nodes"][0]["pdr"] == 1.0
 
 
-def test_simulate_env_var_output(capsys, tmp_path, monkeypatch):
-    out_dir = str(tmp_path / "envout")
-    monkeypatch.setenv("LIOTSIM_OUT", out_dir)
-    code, _, _ = run_cli(capsys, "simulate", "--scenario", "liot-700lx",
-                         "--duration", "1000", "--format", "jsonl")
-    assert code == EXIT_OK
-    assert os.path.exists(os.path.join(out_dir, "records.jsonl"))
-
-
 def test_simulate_rejects_bad_duration_and_scenario(capsys):
     code, _, err = run_cli(capsys, "simulate", "--scenario", "liot-700lx",
                            "--duration", "0")
@@ -410,6 +401,30 @@ def test_load_record_columns_names_the_line_of_a_bad_record(tmp_path, bad):
     path.write_text("".join([*lines[:4], bad(lines), *lines[5:]]), encoding="utf-8")
     with pytest.raises(ValueError, match=re.escape(f"{path}: line 5: ")):
         metrics.load_record_columns(str(path))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("preset", scenario.PRESET_NAMES)
+def test_exported_files_never_reach_the_row_reader(capsys, tmp_path, monkeypatch, preset,
+                                                   fmt):
+    """Every line simulate --out writes is laid out as the chunk path
+    matches it, so reading the files back never starts the row reader."""
+    out_dir = tmp_path / "out"
+    code, _, _ = run_cli(capsys, "simulate", "--scenario", preset, "--format", fmt,
+                         "--out", str(out_dir))
+    assert code == EXIT_OK
+
+    def row_reader(*args, **kwargs):
+        raise AssertionError("an exported file reached the row reader")
+
+    monkeypatch.setattr(metrics, "_csv_body", row_reader)
+    monkeypatch.setattr(metrics, "_jsonl_rows", row_reader)
+    records = metrics.load_record_columns(str(out_dir / f"records.{fmt}"))
+    traces = metrics.load_trace_columns(str(out_dir / f"trace.{fmt}"))
+    nodes = json.loads((out_dir / "summary.json").read_text(encoding="utf-8"))["nodes"]
+    sent = {node["node_id"]: node["packets_sent"] for node in nodes}
+    assert {nid: len(c) for nid, c in records.items()} == sent
+    assert traces.keys() == sent.keys()
 
 
 def test_report_missing_file(capsys, tmp_path):

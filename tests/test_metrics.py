@@ -21,12 +21,10 @@ from liotsim.metrics import (
     export_summary,
     export_trace,
     load_records,
-    load_summary,
     load_trace,
     load_trace_columns,
     summarize_node,
     summary_dict,
-    summary_from_dict,
     voltage_stats,
 )
 from liotsim.protocol import FailReason, SessionOutcome
@@ -535,6 +533,10 @@ PLAIN_COLUMNS = [
 @example(columns=PLAIN_COLUMNS, mutants=[(1, 0, "nan energy")], fmt="jsonl", read_chunk=10)
 @example(columns=PLAIN_COLUMNS, mutants=[(1, 1, "unknown outcome")], fmt="jsonl",
          read_chunk=10)
+# A bare CR in a quoted CSV id ends a line, as CRLF and LF do.
+@example(columns=[_node_columns("\r", 4.4, [(7.0, SessionOutcome.DELIVERED, None, 4.1,
+                                             0.2, 0.0)])],
+         mutants=[(0, 0, "short row")], fmt="csv", read_chunk=1)
 def test_chunked_record_read_matches_the_row_reader(tmp_path_factory, columns, mutants,
                                                     fmt, read_chunk):
     """load_record_columns returns what the row reader returns, or raises its
@@ -562,7 +564,9 @@ def test_chunked_record_read_matches_the_row_reader(tmp_path_factory, columns, m
            and not (kind == "voltage moved" and records[i].cycle_index == 0)]
     if bad:
         # The line a row ends on, an id with a line break in CSV taking two.
-        line = (fmt == "csv") + "".join(lines[:bad[0] + 1]).count("\n")
+        # The file is read with newline="", so CRLF, a bare CR and LF each
+        # end a line.
+        line = (fmt == "csv") + len(re.findall(r"\r\n|\r|\n", "".join(lines[:bad[0] + 1])))
         assert expected.startswith(f"{path}: line {line}: ")
     else:
         assert expected == _read_back(lambda _: {c.node_id: c for c in columns}, None)
@@ -590,17 +594,20 @@ def test_load_trace_rejects_times_out_of_order_and_non_finite_floats(tmp_path, f
 @pytest.mark.parametrize("bad_row", [False, True])
 def test_a_byte_not_utf8_fails_where_the_row_reader_fails(tmp_path, bad_row):
     """The bad byte lies in a later 8 KiB block of the file than line 11,
-    but in the same chunk of lines: a bad row before it is still reported."""
+    but in the same chunk of lines: a bad row before it is still reported,
+    on the chunk path (CRLF) and in the row reader (LF)."""
     rows = [("node-with-a-long-id", float(i), 4.0) for i in range(400)]
     if bad_row:
         rows[9] = ("node-with-a-long-id", 0.0, 4.0)  # line 11, not after line 10
     path = tmp_path / "trace.csv"
-    data = _csv_text(FIELDS, rows, "\r\n").encode()
-    assert len(data) > 8192 + 100 * 40
-    path.write_bytes(data[:-100 * 40] + b"\xff" + data[-100 * 40:])
-    message = _read_back(load_trace_columns, str(path))
-    assert message == _read_back(_row_reader_columns, str(path))
-    assert message.startswith(f"{path}: line 11: " if bad_row else f"{path}: not UTF-8 text")
+    for newline in ("\r\n", "\n"):
+        data = _csv_text(FIELDS, rows, newline).encode()
+        assert len(data) > 8192 + 2000
+        path.write_bytes(data[:-2000] + b"\xff" + data[-2000:])
+        message = _read_back(load_trace_columns, str(path))
+        assert message == _read_back(_row_reader_columns, str(path))
+        assert message.startswith(f"{path}: line 11: " if bad_row
+                                  else f"{path}: not UTF-8 text")
 
 
 def test_a_csv_cell_over_the_field_size_limit_fails_as_in_the_row_reader(tmp_path):
@@ -612,6 +619,63 @@ def test_a_csv_cell_over_the_field_size_limit_fails_as_in_the_row_reader(tmp_pat
     assert message.startswith(f"{path}: line 2: field larger than field limit")
 
 
+def _relaid(path, bad=None, cell=None):
+    """path rewritten in a layout the exporter does not write (CSV lines end
+    with LF, JSONL keys are in reverse order), the cell of row bad set to nan."""
+    csv_file = path.endswith(".csv")
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh) if csv_file else map(json.loads, fh))
+    if bad is not None:
+        rows[bad][cell] = "nan"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        if csv_file:
+            writer = csv.DictWriter(fh, list(rows[0]), lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
+        else:
+            fh.writelines(json.dumps(dict(reversed(row.items()))) + "\n" for row in rows)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("export", ["trace", "records"])
+@pytest.mark.parametrize("bad", [None, 0, 200, 399])
+def test_the_row_reader_hands_add_run_whole_runs(tmp_path, monkeypatch, fmt, export, bad):
+    """One node's 400 rows in a layout the exporter does not write reach the
+    rule function a chunk's worth at a time; a run it rejects is added again
+    a row at a time, up to the row that breaks a rule."""
+    n = 400
+    path = str(tmp_path / f"{export}.{fmt}")
+    if export == "trace":
+        export_trace({"n1": [(float(i), 4.0) for i in range(n)]}, fmt, path)
+        fields, rule, load, cell = (metrics.TRACE_FIELDS, "_add_trace_run",
+                                    load_trace_columns, "scap_v")
+    else:
+        rows = [(10.0 * i, SessionOutcome.DELIVERED, None, 4.0, 0.01, 0.01)
+                for i in range(1, n + 1)]
+        export_records([_node_columns("n1", 4.0, rows)], fmt, path)
+        fields, rule, load, cell = (metrics.RECORD_FIELDS, "_add_record_run",
+                                    metrics.load_record_columns, "energy_consumed_j")
+    _relaid(path, bad, cell)
+    add_run, sizes = getattr(metrics, rule), []
+
+    def counted(columns, nid, *cells):
+        sizes.append(len(cells[0]))
+        add_run(columns, nid, *cells)
+
+    monkeypatch.setattr(metrics, rule, counted)
+    size = metrics.READ_CHUNK * len(metrics.TRACE_FIELDS) // len(fields)  # rows a chunk
+    if bad is None:
+        load(path)
+        assert len(sizes) <= math.ceil(n / size)
+        return
+    line = bad + 1 + (fmt == "csv")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: line {line}: ")):
+        load(path)
+    # The runs before the bad one, the bad run, then its rows up to the bad one.
+    k = bad // size
+    assert sizes == [size] * k + [min(size, n - k * size)] + [1] * (bad - k * size + 1)
+
+
 def test_summary_round_trip(tmp_path):
     summary = RunSummary(
         duration_s=28800.0, seed=1, config_hash="abc123",
@@ -620,8 +684,8 @@ def test_summary_round_trip(tmp_path):
     )
     path = str(tmp_path / "summary.json")
     export_summary(summary, path)
-    assert load_summary(path) == summary
-    assert summary_from_dict(summary_dict(summary)) == summary
+    with open(path, encoding="utf-8") as fh:
+        assert json.load(fh) == summary_dict(summary)
     assert summary.node("n1").packets_sent == 46
     with pytest.raises(KeyError):
         summary.node("missing")
