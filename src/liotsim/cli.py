@@ -135,6 +135,9 @@ def _write_outputs(result: kernel.RunResult, out_dir: str, fmt: str) -> None:
 
 
 def cmd_simulate(args) -> int:
+    if args.format is not None and not args.out:
+        raise CliError("--format needs --out, the directory to export to",
+                       EXIT_VALIDATION)
     doc = _load_scenario_doc(args.scenario)
     if args.seed is not None:
         doc["seed"] = args.seed
@@ -146,7 +149,7 @@ def cmd_simulate(args) -> int:
         raise CliError(f"invalid scenario: {exc}", EXIT_VALIDATION)
     result = kernel.run(sc)
     if args.out:
-        _write_outputs(result, args.out, args.format)
+        _write_outputs(result, args.out, args.format or "csv")
     _print_summary(result.summary)
     return EXIT_OK
 
@@ -249,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--duration", type=float, default=None,
                    help="override the scenario duration in seconds")
     p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
+    p.add_argument("--format", choices=("csv", "jsonl"), default=None,
+                   help="export format of --out (default csv)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", help="run a scenario across parameter values")

@@ -176,9 +176,11 @@ def sample_times(interval_s: float) -> Iterator[float]:
 
 @dataclass(slots=True)
 class NodeState:
+    """What the node's next event reads; its run's outputs are the records
+    and the voltage trace (volts)."""
+
     phase: Phase
     phase_deadline: float
-    phase_started: float
     voltage_v: float  # supercap voltage; capacitance and limits are cfg.supercap's
     # Constants of the run, looked up once from cfg by initial_state:
     load_mw: dict[Phase, float]  # phase_power_mw of each of the node's phases
@@ -190,8 +192,9 @@ class NodeState:
     records: RecordColumns
     depleted: bool = False
     awaiting_reeval: bool = False
-    timeout_extended: bool = False
-    phase_nominal_s: float = 0.0
+    # An await phase's timeout, twice its nominal length after it was
+    # entered; None once the phase has run on to it (see _await_or_time_out).
+    timeout_s: Optional[float] = None
     session: Optional[ExchangeSession] = None
     gw_request_end: float = 0.0
     # (p_harv, schedule_next_cycle(cfg, p_harv)) of the node's last solve
@@ -209,12 +212,6 @@ class NodeState:
     volts: array = field(default_factory=lambda: array("d"))
     sample_interval_s: float = math.inf
     last_sample_s: float = 0.0
-    # The trace's trapezoid area, sum of 0.5 * (v0 + v1) * (t1 - t0) over
-    # consecutive samples, added left to right as each sample is taken (by
-    # accrue_energy, and by end_run for a last sample off the grid); the
-    # summary's average is this area over last_sample_s, as voltage_stats
-    # would compute it from the trace.
-    trace_area: float = 0.0
 
 
 def initial_state(
@@ -230,7 +227,6 @@ def initial_state(
     state = NodeState(
         phase=SLEEPING,
         phase_deadline=0.0,
-        phase_started=0.0,
         voltage_v=cap.voltage_v,
         load_mw={p: phase_power_mw(cfg, p) for p in LEGAL_TRANSITIONS[cfg.kind]},
         stage_s={phase: cfg.profile.stage(name).duration_s
@@ -277,10 +273,9 @@ def accrue_energy(
     supercap_segment's, written out here with V0^2 and 2*P hoisted per piece
     (the same floats: the expression still evaluates left to right).  A
     sample time on a piece's end takes the piece-end voltage, which is the
-    same expression at the same time, computed once.  Each sample adds its
-    trapezoid to NodeState.trace_area, term for term as voltage_stats sums
-    them, so the run's summary needs no second pass over the trace.  The
-    cursor ends on the piece in force at now.
+    same expression at the same time, computed once.  Samples are only
+    appended: the run's voltage stats are taken from the trace after the
+    run.  The cursor ends on the piece in force at now.
     """
     t = state.last_energy_update
     if now <= t:
@@ -295,8 +290,7 @@ def accrue_energy(
     # Most calls take no sample; only those that do load the trace's state.
     sampling = sample_t <= now
     if sampling:
-        volts = state.volts
-        append, v_last, area = volts.append, volts[-1], state.trace_area
+        append = state.volts.append
     i, ends, power = state.light_i, light.ends, state.p_harv
     n_ends = len(ends)
     harvested = 0.0
@@ -326,13 +320,11 @@ def accrue_energy(
                 if v_max < v_s:
                     v_s = v_max
             append(v_s)
-            area += 0.5 * (v_last + v_s) * (sample_t - last)
-            v_last, last = v_s, sample_t
+            last = sample_t
             sample_t += dt
         if sample_t == t_end:
             append(v_end)
-            area += 0.5 * (v_last + v_end) * (sample_t - last)
-            v_last, last = v_end, sample_t
+            last = sample_t
             sample_t += dt
         v = v_end
         harvested += p_harv * 1e-3 * (t_end - t)
@@ -347,7 +339,6 @@ def accrue_energy(
     state.voltage_v = v
     if sampling:
         state.last_sample_s = last
-        state.trace_area = area
     state.cycle_consumed_j += p_load * 1e-3 * (now - state.last_energy_update)
     state.cycle_harvested_j += harvested
     state.last_energy_update = now
@@ -357,24 +348,22 @@ def end_run(
     state: NodeState, cfg: NodeConfig, end: float, light: LightTable
 ) -> None:
     """Close the node's last energy segment at the end of the run, and sample
-    the voltage there unless a sample time falls on the end.
+    the voltage there unless a sample time falls on the end; the run's
+    voltage stats are taken from the finished trace.
 
     A session still open is recorded as it stands: delivered if it was, else
     failed with its own reason or, while pending, RUN_ENDED.
     """
     accrue_energy(state, cfg, end, light)
-    last = state.last_sample_s
-    if last < end:
-        volts, v = state.volts, state.voltage_v
-        state.trace_area += 0.5 * (volts[-1] + v) * (end - last)
-        volts.append(v)
+    if state.last_sample_s < end:
+        state.volts.append(state.voltage_v)
         state.last_sample_s = end
     if state.session is not None:  # the sleep this arms never comes
         _close_cycle(state, cfg, end, FailReason.RUN_ENDED, 0.0)
 
 
 def _set_phase(
-    state: NodeState, cfg: NodeConfig, phase: Phase, now: float, deadline: float
+    state: NodeState, cfg: NodeConfig, phase: Phase, deadline: float
 ) -> None:
     allowed = LEGAL_TRANSITIONS[cfg.kind].get(state.phase, frozenset())
     if phase not in allowed:
@@ -383,9 +372,7 @@ def _set_phase(
             f"for {cfg.kind.value} node"
         )
     state.phase = phase
-    state.phase_started = now
     state.phase_deadline = deadline
-    state.timeout_extended = False
 
 
 def _close_cycle(
@@ -409,7 +396,7 @@ def _close_cycle(
     state.cycle_consumed_j = 0.0
     state.cycle_harvested_j = 0.0
     state.session = None
-    _set_phase(state, cfg, SLEEPING, now, now + sleep)
+    _set_phase(state, cfg, SLEEPING, now + sleep)
 
 
 def _sleep_or_back_off(state: NodeState, cfg: NodeConfig,
@@ -446,14 +433,13 @@ def _finish_cycle(
 
 
 def _await_or_time_out(state: NodeState, cfg: NodeConfig, now: float) -> None:
-    """An await step that expires unanswered runs on to twice its nominal
-    duration once, then fails the cycle with a timeout.  A session that has
-    already ended can no longer be answered, so its cycle closes at the
-    nominal deadline with the session's own outcome."""
-    pending = state.session.outcome is PENDING
-    if pending and not state.timeout_extended:
-        state.phase_deadline = state.phase_started + 2.0 * state.phase_nominal_s
-        state.timeout_extended = True
+    """An await step that expires unanswered runs on once, to the timeout_s
+    set where the phase was entered, then fails the cycle with a timeout.
+    A session that has already ended can no longer be answered, so its cycle
+    closes at the nominal deadline with the session's own outcome."""
+    if state.session.outcome is PENDING and state.timeout_s is not None:
+        state.phase_deadline = state.timeout_s
+        state.timeout_s = None
         return
     _finish_cycle(state, cfg, now, FailReason.TIMEOUT)
 
@@ -478,18 +464,15 @@ def advance(
             if state.voltage_v > cfg.supercap.v_min:
                 state.depleted = False
             else:
-                _set_phase(state, cfg, SLEEPING, now, now + cfg.backoff_s)
+                _set_phase(state, cfg, SLEEPING, now + cfg.backoff_s)
                 return None
         if state.awaiting_reeval:
             if _local_sleep(state, cfg) is None:
-                _set_phase(state, cfg, SLEEPING, now, now + cfg.backoff_s)
+                _set_phase(state, cfg, SLEEPING, now + cfg.backoff_s)
                 return None
             state.awaiting_reeval = False
         if cfg.kind is BLE:
-            _set_phase(
-                state, cfg, SENSING, now,
-                now + state.stage_s[SENSING],
-            )
+            _set_phase(state, cfg, SENSING, now + state.stage_s[SENSING])
             return None
         # LIoT: read the LDR and open the session with an IR uplink; the
         # gateway reads the harvest power the reading implies.
@@ -499,7 +482,7 @@ def advance(
         out = exchange_step(session, None)
         # The uplink and the wait for the request share the gw_request stage.
         state.gw_request_end = now + state.stage_s[UPLINKING]
-        _set_phase(state, cfg, UPLINKING, now, now + out.airtime_s)
+        _set_phase(state, cfg, UPLINKING, now + out.airtime_s)
         return out
 
     if phase is SENSING and cfg.kind is BLE:
@@ -510,7 +493,7 @@ def advance(
             adv = state.stage_s[ADVERTISING]
         else:
             adv = rng.uniform(0.5, 4.0)
-        _set_phase(state, cfg, ADVERTISING, now, now + adv)
+        _set_phase(state, cfg, ADVERTISING, now + adv)
         return out
 
     if phase is ADVERTISING:
@@ -519,8 +502,8 @@ def advance(
         if held is not None:
             session.held = None
             nominal = state.stage_s[EXCHANGING]
-            state.phase_nominal_s = nominal
-            _set_phase(state, cfg, EXCHANGING, now, now + nominal)
+            state.timeout_s = now + 2.0 * nominal
+            _set_phase(state, cfg, EXCHANGING, now + nominal)
             return exchange_step(session, held)
         _finish_cycle(state, cfg, now, FailReason.NO_GATEWAY)
         return None
@@ -535,16 +518,13 @@ def advance(
         return None
 
     if phase is UPLINKING:
-        state.phase_nominal_s = max(state.gw_request_end - now, 1e-9)
-        _set_phase(state, cfg, AWAITING_REQUEST, now, state.gw_request_end)
+        state.timeout_s = now + 2.0 * max(state.gw_request_end - now, 1e-9)
+        _set_phase(state, cfg, AWAITING_REQUEST, state.gw_request_end)
         return None
 
     if phase is AWAITING_REQUEST:
         if state.session.held is not None:
-            _set_phase(
-                state, cfg, SENSING, now,
-                now + state.stage_s[SENSING],
-            )
+            _set_phase(state, cfg, SENSING, now + state.stage_s[SENSING])
         else:
             _await_or_time_out(state, cfg, now)
         return None
@@ -553,16 +533,13 @@ def advance(
         session = state.session
         held = session.held
         session.held = None
-        _set_phase(
-            state, cfg, UPLOADING, now,
-            now + state.stage_s[UPLOADING],
-        )
+        _set_phase(state, cfg, UPLOADING, now + state.stage_s[UPLOADING])
         return exchange_step(session, held)
 
     if phase is UPLOADING:
         nominal = state.stage_s[AWAITING_SLEEP_SET]
-        state.phase_nominal_s = nominal
-        _set_phase(state, cfg, AWAITING_SLEEP_SET, now, now + nominal)
+        state.timeout_s = now + 2.0 * nominal
+        _set_phase(state, cfg, AWAITING_SLEEP_SET, now + nominal)
         session = state.session
         held = session.held
         if held is not None:

@@ -573,13 +573,10 @@ class _Kernel:
             )
             for node_id, (state, _, _) in self.nodes.items()
         }
-        # The trace's area was summed as its samples were taken; its span
-        # runs from time 0 to its last sample.
         node_summaries = tuple(
             metrics.summarize_node(
                 node_id, cfg.kind.value, state.records.outcomes(),
-                metrics.stats_from_area(state.volts, state.trace_area,
-                                        state.last_sample_s))
+                metrics.voltage_stats(nodes[node_id].sample_times(), state.volts))
             for node_id, (state, cfg, _) in self.nodes.items()
         )
         summary = metrics.RunSummary(

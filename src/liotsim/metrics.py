@@ -142,15 +142,8 @@ def voltage_stats(
     for t1, v1 in zip(times, islice(volts, 1, None)):
         area += 0.5 * (v0 + v1) * (t1 - t0)
         t0, v0 = t1, v1
-    return stats_from_area(volts, area, t0 - first)
-
-
-def stats_from_area(
-    volts: Sequence[float], area: float, span: float
-) -> tuple[float, float, float]:
-    """(avg, min, max) of a trace of volts whose trapezoid area over its span
-    of time is area, as voltage_stats sums it."""
     lo, hi = min(volts), max(volts)
+    span = t0 - first
     if span <= 0:
         return volts[0], lo, hi
     # area / span rounds outside [lo, hi] when the span is tiny.

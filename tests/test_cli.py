@@ -110,6 +110,15 @@ def test_simulate_rejects_bad_duration_and_scenario(capsys):
     assert code == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_simulate_format_without_out_exits_2(capsys, fmt):
+    code, out, err = run_cli(capsys, "simulate", "--scenario", "liot-700lx",
+                             "--format", fmt)
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert "--out" in err
+
+
 def test_simulate_scenario_file(capsys, tmp_path):
     doc = {
         "version": 1,
@@ -403,14 +412,25 @@ def test_load_record_columns_names_the_line_of_a_bad_record(tmp_path, bad):
         metrics.load_record_columns(str(path))
 
 
+EXAMPLE = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "scenario-example.yaml")
+
+
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
-@pytest.mark.parametrize("preset", scenario.PRESET_NAMES)
-def test_exported_files_never_reach_the_row_reader(capsys, tmp_path, monkeypatch, preset,
+@pytest.mark.parametrize("argv", [
+    *(pytest.param([preset], id=preset) for preset in scenario.PRESET_NAMES),
+    # Jittered steps put samples on light pieces' ends.
+    pytest.param([EXAMPLE], id="scenario-example"),
+    # The run ends between two sample times.
+    pytest.param(["liot-700lx", "--duration", "622"], id="liot-700lx-622s"),
+])
+def test_exported_files_never_reach_the_row_reader(capsys, tmp_path, monkeypatch, argv,
                                                    fmt):
     """Every line simulate --out writes is laid out as the chunk path
-    matches it, so reading the files back never starts the row reader."""
+    matches it, so reading the files back never starts the row reader.  The
+    summary's voltage stats are voltage_stats of the trace read back, bit
+    for bit, not only to the table's three decimals."""
     out_dir = tmp_path / "out"
-    code, _, _ = run_cli(capsys, "simulate", "--scenario", preset, "--format", fmt,
+    code, _, _ = run_cli(capsys, "simulate", "--scenario", *argv, "--format", fmt,
                          "--out", str(out_dir))
     assert code == EXIT_OK
 
@@ -424,7 +444,9 @@ def test_exported_files_never_reach_the_row_reader(capsys, tmp_path, monkeypatch
     nodes = json.loads((out_dir / "summary.json").read_text(encoding="utf-8"))["nodes"]
     sent = {node["node_id"]: node["packets_sent"] for node in nodes}
     assert {nid: len(c) for nid, c in records.items()} == sent
-    assert traces.keys() == sent.keys()
+    assert {n["node_id"]: (n["scap_avg_v"], n["scap_min_v"], n["scap_max_v"])
+            for n in nodes} == {nid: metrics.voltage_stats(times, volts)
+                                for nid, (times, volts) in traces.items()}
 
 
 def test_report_missing_file(capsys, tmp_path):

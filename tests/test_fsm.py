@@ -94,7 +94,7 @@ def test_finish_cycle_arms_the_gateway_assigned_sleep_verbatim():
                                     assigned_sleep_s=620.0)
     _finish_cycle(state, cfg, 10.0, None, state.session.assigned_sleep_s)
     assert state.phase is Phase.SLEEPING
-    assert state.phase_deadline - state.phase_started == 620.0
+    assert state.phase_deadline - 10.0 == 620.0
     assert not state.awaiting_reeval
     (record,) = state.records
     assert record.outcome is SessionOutcome.DELIVERED
@@ -170,25 +170,26 @@ def test_ble_cycle_walkthrough_emits_adv_then_sleeps_without_gateway():
 def _ble_exchanging(cfg: NodeConfig):
     """A BLE node walked into EXCHANGING, the gateway's steps played by hand.
 
-    Returns the node state, the connection request it took and the
-    attribute request its exchange opened with.
+    Returns the node state, the connection request it took, the attribute
+    request its exchange opened with and the time it entered EXCHANGING.
     """
     rng = random.Random(0)
     state = lit_state(cfg, 1.0)
     advance(state, cfg, 1.0, rng=rng)
-    adv = advance(state, cfg, state.phase_deadline, rng=rng)
+    advertised = state.phase_deadline
+    adv = advance(state, cfg, advertised, rng=rng)
     conn = exchange_step(state.session, adv)
-    receive(state, cfg, conn, state.phase_started + adv.airtime_s + conn.airtime_s)
-    request = advance(state, cfg, state.phase_deadline, rng=rng)
+    receive(state, cfg, conn, advertised + adv.airtime_s + conn.airtime_s)
+    began = state.phase_deadline
+    request = advance(state, cfg, began, rng=rng)
     assert state.phase is Phase.EXCHANGING
     assert request.kind is FrameKind.ESS_ATTR_REQUEST
-    return state, conn, request
+    return state, conn, request, began
 
 
 def test_out_of_sequence_frame_in_exchange_is_recorded_as_a_violation():
     cfg = ble_cfg()
-    state, conn, _ = _ble_exchanging(cfg)
-    began = state.phase_started
+    state, conn, _, began = _ble_exchanging(cfg)
     # A second connection request is out of sequence in the exchange.
     assert receive(state, cfg, conn, began + 0.1) is None
     assert state.session.fail_reason is FailReason.PROTOCOL_VIOLATION
@@ -200,6 +201,72 @@ def test_out_of_sequence_frame_in_exchange_is_recorded_as_a_violation():
     # The failed session cannot be answered, so the cycle closes at the end
     # of the 1.3-s stage instead of waiting out twice its length.
     assert record.end_s == began + 1.3
+
+
+def _awaiting(phase: Phase):
+    """A node walked into the await phase phase, the gateway's steps played
+    by hand and its answer withheld.
+
+    Returns the node state, its config, the time it entered the phase, the
+    phase's nominal length and a frame out of sequence there.
+    """
+    if phase is Phase.EXCHANGING:
+        cfg = ble_cfg()
+        state, conn, _, began = _ble_exchanging(cfg)
+        return state, cfg, began, cfg.profile.stage(
+            StageName.BLE_DATA_EXCHANGE).duration_s, conn
+    cfg = liot_cfg()
+    rng = random.Random(0)
+    state = lit_state(cfg, 1.0)
+    uplink = advance(state, cfg, 1.0, rng=rng)
+    uplinked = state.phase_deadline
+    advance(state, cfg, uplinked, rng=rng)
+    assert state.phase is Phase.AWAITING_REQUEST
+    request, sleep_set = state.frames[1], state.frames[3]
+    if phase is Phase.AWAITING_REQUEST:
+        # The wait shares the gw_request stage with the uplink before it.
+        return state, cfg, uplinked, state.phase_deadline - uplinked, sleep_set
+    assert exchange_step(state.session, uplink) is request
+    receive(state, cfg, request, uplinked + request.airtime_s)
+    advance(state, cfg, state.phase_deadline, rng=rng)
+    assert state.phase is Phase.SENSING
+    assert advance(state, cfg, state.phase_deadline, rng=rng).kind is FrameKind.SENSOR_DATA
+    began = state.phase_deadline
+    advance(state, cfg, began, rng=rng)
+    assert state.phase is Phase.AWAITING_SLEEP_SET
+    return state, cfg, began, cfg.profile.stage(
+        StageName.LIOT_SLEEP_SET).duration_s, request
+
+
+AWAIT_PHASES = (Phase.EXCHANGING, Phase.AWAITING_REQUEST, Phase.AWAITING_SLEEP_SET)
+
+
+@pytest.mark.parametrize("phase", AWAIT_PHASES, ids=lambda p: p.value)
+def test_an_unanswered_await_runs_on_once_and_times_out_at_twice_its_length(phase):
+    state, cfg, began, nominal, _ = _awaiting(phase)
+    rng = random.Random(0)
+    assert advance(state, cfg, state.phase_deadline, rng=rng) is None
+    assert state.phase is phase
+    assert len(state.records) == 0
+    timeout = began + 2.0 * nominal
+    assert state.phase_deadline == timeout
+    assert advance(state, cfg, timeout, rng=rng) is None
+    assert state.phase is Phase.SLEEPING
+    (record,) = state.records
+    assert (record.outcome, record.fail_reason, record.end_s) == (
+        SessionOutcome.FAILED, FailReason.TIMEOUT, timeout)
+
+
+@pytest.mark.parametrize("phase", AWAIT_PHASES, ids=lambda p: p.value)
+def test_an_await_whose_session_failed_closes_at_its_nominal_deadline(phase):
+    state, cfg, began, _, stray = _awaiting(phase)
+    deadline = state.phase_deadline
+    assert receive(state, cfg, stray, began + stray.airtime_s) is None
+    assert advance(state, cfg, deadline, rng=random.Random(0)) is None
+    assert state.phase is Phase.SLEEPING
+    (record,) = state.records
+    assert (record.outcome, record.fail_reason, record.end_s) == (
+        SessionOutcome.FAILED, FailReason.PROTOCOL_VIOLATION, deadline)
 
 
 def test_a_cycle_that_breaks_the_record_rule_raises_and_adds_nothing():
@@ -225,11 +292,10 @@ def test_a_cycle_that_breaks_the_record_rule_raises_and_adds_nothing():
 def test_end_run_records_the_open_session_as_it_stands():
     cfg = ble_cfg()
     light = LightTable(IlluminationProfile(lux=700.0), 100.0, [cfg.harvester])
-    pending, _, _ = _ble_exchanging(cfg)
-    delivered, _, request = _ble_exchanging(cfg)
-    data = receive(delivered, cfg, request, delivered.phase_started + 0.1)
-    receive(delivered, cfg, exchange_step(delivered.session, data),
-            delivered.phase_started + 0.5)
+    pending, _, _, _ = _ble_exchanging(cfg)
+    delivered, _, request, began = _ble_exchanging(cfg)
+    data = receive(delivered, cfg, request, began + 0.1)
+    receive(delivered, cfg, exchange_step(delivered.session, data), began + 0.5)
     assert delivered.session.outcome is SessionOutcome.DELIVERED
     for state in (pending, delivered):
         light.attach(state, cfg.harvester)
@@ -256,8 +322,9 @@ def test_uniform_advertising_mode_draws_in_range():
     for _ in range(20):
         state = lit_state(cfg, 1.0)
         advance(state, cfg, 1.0, rng=rng)
-        advance(state, cfg, state.phase_deadline, rng=rng)
-        adv = state.phase_deadline - state.phase_started
+        began = state.phase_deadline
+        advance(state, cfg, began, rng=rng)
+        adv = state.phase_deadline - began
         assert 0.5 <= adv <= 4.0
 
 
@@ -284,7 +351,7 @@ def test_illegal_transition_raises():
     from liotsim.fsm import _set_phase
 
     with pytest.raises(FsmError):
-        _set_phase(state, cfg, Phase.SENSING, 0.0, 1.0)
+        _set_phase(state, cfg, Phase.SENSING, 1.0)
 
 
 def test_margin_zero_liot_cycle_is_exact():

@@ -6,7 +6,7 @@ import re
 from array import array
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from liotsim import metrics
 from liotsim.energy import BLE_HARVESTER, BLE_PROFILE, Supercap
@@ -430,9 +430,14 @@ _traces = st.dictionaries(_ids, _times.map(sorted).flatmap(lambda ts: st.lists(
 # (chunk index, line in that chunk, mutant)
 _mutants = st.lists(st.tuples(st.integers(0, 8), st.integers(0, 4), st.sampled_from(MUTANTS)),
                     max_size=3)
+# The reader properties below write a file per example.  Shrinking a failure
+# has no bound on the examples it runs, so a broken reader could hold the
+# suite for minutes and grow it to nearly a GiB; a failure is reported as
+# drawn.
+NO_SHRINK = tuple(phase for phase in Phase if phase is not Phase.shrink)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, phases=NO_SHRINK)
 @given(traces=_traces, mutants=_mutants, fmt=st.sampled_from(["csv", "jsonl"]),
        chunk=st.sampled_from([1, 3, metrics.READ_CHUNK]))
 @example(traces=AWKWARD_TRACES, mutants=[], fmt="csv", chunk=1)
@@ -448,6 +453,11 @@ _mutants = st.lists(st.tuples(st.integers(0, 8), st.integers(0, 4), st.sampled_f
 @example(traces=PLAIN_TRACES, mutants=[(1, 1, "backwards time")], fmt="csv", chunk=3)
 @example(traces=PLAIN_TRACES, mutants=[(1, 2, "inf time")], fmt="jsonl", chunk=3)
 @example(traces=PLAIN_TRACES, mutants=[(1, 1, "backwards time")], fmt="jsonl", chunk=3)
+# Chunks of one line reach the row reader at line 1 a row at a time, while
+# the row reader alone reads a batch of many rows that ends in the short
+# row: line 1's bad float is still the error raised.
+@example(traces=PLAIN_TRACES, mutants=[(0, 0, "bad float"), (0, 1, "short row")],
+         fmt="csv", chunk=1)
 def test_chunked_trace_read_matches_the_row_reader(tmp_path_factory, traces, mutants,
                                                    fmt, chunk):
     """load_trace_columns returns what the row reader returns, or raises its
@@ -518,7 +528,7 @@ PLAIN_COLUMNS = [
 
 # READ_CHUNK counts trace lines of 3 cells: 1, 10 and 512 of them make
 # chunks of 1, 3 and 153 record lines of 10 cells.
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, phases=NO_SHRINK)
 @given(columns=_record_columns,
        mutants=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 4),
                                   st.sampled_from(RECORD_MUTANTS)), max_size=3),
@@ -537,6 +547,10 @@ PLAIN_COLUMNS = [
 @example(columns=[_node_columns("\r", 4.4, [(7.0, SessionOutcome.DELIVERED, None, 4.1,
                                              0.2, 0.0)])],
          mutants=[(0, 0, "short row")], fmt="csv", read_chunk=1)
+# The row reader's batch ends in the short row; record 0's bad float is
+# still the error raised.
+@example(columns=PLAIN_COLUMNS, mutants=[(0, 0, "bad float"), (0, 1, "short row")],
+         fmt="csv", read_chunk=1)
 def test_chunked_record_read_matches_the_row_reader(tmp_path_factory, columns, mutants,
                                                     fmt, read_chunk):
     """load_record_columns returns what the row reader returns, or raises its

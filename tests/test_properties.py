@@ -75,7 +75,7 @@ def test_trace_follows_the_sampling_rule_and_nothing_else_moves(doc, interval_s)
         assert nr.records == ref.records
         assert nr.total_harvested_j == ref.total_harvested_j
         summary = result.summary.node(node_id)
-        # The average summed as the samples were taken is the trace's.
+        # The summary's voltage stats are the trace's.
         assert (summary.scap_avg_v, summary.scap_min_v, summary.scap_max_v) == (
             voltage_stats(nr.sample_times(), nr.volts))
         assert summary.packets_sent == len(nr.records)
