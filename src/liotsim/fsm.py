@@ -163,6 +163,23 @@ class NodeConfig:
                 f"profile lacks stages for {self.kind.value} node: "
                 f"{sorted(m.value for m in missing)}"
             )
+        # A node waits for V^2 >= funded_v_sq before each burst (see advance),
+        # so a supercap that cannot reach it would wait forever.
+        cap = self.supercap
+        if cap.v_max * cap.v_max < funded_v_sq(self):
+            raise FieldError(
+                "supercap",
+                f"holds {0.5 * cap.capacitance_f * (cap.v_max**2 - cap.v_min**2):.4g} J "
+                f"between v_min and v_max, less than the "
+                f"{active_totals(self.profile)[1]:.4g} J of one active burst",
+            )
+
+
+def funded_v_sq(cfg: NodeConfig) -> float:
+    """V_need^2: the squared supercap voltage at which the energy stored above
+    v_min, 0.5*C*(V^2 - v_min^2), equals the profile's active energy."""
+    cap = cfg.supercap
+    return cap.v_min**2 + 2.0 * active_totals(cfg.profile)[1] / cap.capacitance_f
 
 
 def sample_times(interval_s: float) -> Iterator[float]:
@@ -185,19 +202,19 @@ class NodeState:
     # Constants of the run, looked up once from cfg by initial_state:
     load_mw: dict[Phase, float]  # phase_power_mw of each of the node's phases
     stage_s: dict[Phase, float]  # duration of the stage of each active phase
-    cap: tuple[float, float, float, float]  # (C, v_min, v_max, v_min**2)
+    # (C, v_min, v_max, v_min**2, funded_v_sq(cfg))
+    cap: tuple[float, float, float, float, float]
     frames: tuple[Frame, ...]  # handshake_frames of the node's script
     # One record per closed cycle (a sleep period plus the active burst);
     # the open cycle starts where the last record ends.
     records: RecordColumns
     depleted: bool = False
-    awaiting_reeval: bool = False
     # An await phase's timeout, twice its nominal length after it was
     # entered; None once the phase has run on to it (see _await_or_time_out).
     timeout_s: Optional[float] = None
     session: Optional[ExchangeSession] = None
     gw_request_end: float = 0.0
-    # (p_harv, schedule_next_cycle(cfg, p_harv)) of the node's last solve
+    # (p_harv, schedule_next_cycle(cfg, p_harv)) of the node's last local solve
     sleep_memo: tuple[float, Optional[float]] = (math.nan, None)
     # Cursor into the run's LightTable and its harvester's power column there
     light_i: int = 0
@@ -218,7 +235,8 @@ def initial_state(
     cfg: NodeConfig, first_sleep_s: Optional[float], sample_interval_s: float = math.inf
 ) -> NodeState:
     """Node boots asleep, charging, and wakes after its first solved sleep;
-    None (infeasible) backs off as _finish_cycle does.
+    None (infeasible) backs off as _finish_cycle does.  Like every wake, that
+    one starts a burst only if the energy gate of advance lets it.
 
     The voltage trace samples every sample_interval_s; without an interval
     it holds only the boot voltage.
@@ -231,13 +249,13 @@ def initial_state(
         load_mw={p: phase_power_mw(cfg, p) for p in LEGAL_TRANSITIONS[cfg.kind]},
         stage_s={phase: cfg.profile.stage(name).duration_s
                  for phase, name in _PHASE_STAGE[cfg.kind].items()},
-        cap=(cap.capacitance_f, cap.v_min, cap.v_max, cap.v_min**2),
+        cap=(cap.capacitance_f, cap.v_min, cap.v_max, cap.v_min**2, funded_v_sq(cfg)),
         frames=handshake_frames(cfg.node_id, _SCRIPT[cfg.kind], cfg.sensors),
         records=RecordColumns(cfg.node_id, cap.voltage_v),
         volts=array("d", (cap.voltage_v,)),
         sample_interval_s=sample_interval_s,
     )
-    state.phase_deadline = _sleep_or_back_off(state, cfg, first_sleep_s)
+    state.phase_deadline = _sleep_or_back_off(cfg, first_sleep_s)
     return state
 
 
@@ -281,7 +299,7 @@ def accrue_energy(
     if now <= t:
         return
     p_load = state.load_mw[state.phase]
-    c, v_min, v_max, v_min_sq = state.cap
+    c, v_min, v_max, v_min_sq, _ = state.cap
     efficiency, sqrt = cfg.efficiency, math.sqrt
     v = state.voltage_v
     dt, last = state.sample_interval_s, state.last_sample_s
@@ -399,24 +417,74 @@ def _close_cycle(
     _set_phase(state, cfg, SLEEPING, now + sleep)
 
 
-def _sleep_or_back_off(state: NodeState, cfg: NodeConfig,
-                       sleep: Optional[float]) -> float:
+def _sleep_or_back_off(cfg: NodeConfig, sleep: Optional[float]) -> float:
     """The sleep to arm: sleep, or the node's back-off when sleep is None
-    (infeasible), after which the node solves again at wake."""
-    if sleep is None:
-        state.awaiting_reeval = True
-        return cfg.backoff_s
-    return sleep
+    (infeasible); the energy gate of advance then decides the wake."""
+    return cfg.backoff_s if sleep is None else sleep
 
 
-def _local_sleep(state: NodeState, cfg: NodeConfig) -> Optional[float]:
-    """schedule_next_cycle at the harvest power in force, solved only when
-    that power has changed since the node's last local solve (the solve
+def _local_sleep(state: NodeState, cfg: NodeConfig, p_harv: float) -> Optional[float]:
+    """schedule_next_cycle at harvest power p_harv, solved only when it
+    differs from the power of the node's last local solve (the solve
     depends only on cfg and the power)."""
-    p_harv = state.p_harv[state.light_i]
     if p_harv != state.sleep_memo[0]:
         state.sleep_memo = (p_harv, schedule_next_cycle(cfg, p_harv))
     return state.sleep_memo[1]
+
+
+def _feasible(state: NodeState, cfg: NodeConfig, p_harv: float) -> bool:
+    """Whether the local solve at harvest power p_harv is feasible (not
+    None).  A harvest above sleep power always is (see solve_sleep_time),
+    so only one at or below it is solved."""
+    return p_harv > state.load_mw[SLEEPING] or _local_sleep(state, cfg, p_harv) is not None
+
+
+def _funded_wake(state: NodeState, cfg: NodeConfig, now: float,
+                 light: LightTable) -> float:
+    """The first time from now at which the energy gate of advance holds, or
+    the end of the run if none comes before it.
+
+    Walks the light table's pieces from the node's cursor at sleep load with
+    accrue_energy's own arithmetic, so accrue_energy reaches the voltage the
+    walk checks.  In a piece of positive net power P (a harvest above sleep
+    power, so a feasible solve) V^2 crosses funded_v_sq at
+    t + (funded_v_sq - V0^2) * C / (2P); that time moves up by float steps
+    until the voltage there passes the gate, so a wake never falls an ulp
+    short.  Elsewhere V^2 holds or falls, so the gate can hold only from a
+    piece's start.
+    """
+    p_load = state.load_mw[SLEEPING]
+    c, v_min, v_max, v_min_sq, need_sq = state.cap
+    efficiency, sqrt, run_end = cfg.efficiency, math.sqrt, light.end_s
+    t, v = now, state.voltage_v
+    for end, p_harv in light.ahead(state):
+        if v * v >= need_sq and _feasible(state, cfg, p_harv):
+            return t
+        t_end = end if end < run_end else run_end
+        p_w = (p_harv - p_load) * 1e-3
+        if p_w > 0:
+            p_w *= efficiency
+        v0_sq = v**2
+        two_p_w = 2.0 * p_w
+        v_sq = v0_sq + two_p_w * (t_end - t) / c
+        if v_sq < v_min_sq:
+            v = v_min
+        else:
+            v = sqrt(v_sq)
+            if v_max < v:
+                v = v_max
+        if p_w > 0 and v * v >= need_sq:
+            wake = t + (need_sq - v0_sq) * c / two_p_w
+            step = math.ulp(wake)
+            while wake < t_end:
+                v_wake = min(sqrt(v0_sq + two_p_w * (wake - t) / c), v_max)
+                if v_wake * v_wake >= need_sq:
+                    return wake
+                wake += step
+                step += step
+            return t_end
+        t = t_end
+    return run_end
 
 
 def _finish_cycle(
@@ -428,8 +496,11 @@ def _finish_cycle(
 ) -> None:
     """Close the cycle and sleep: the gateway's assigned sleep verbatim, else
     the local solve at the harvest power in force."""
-    sleep = _local_sleep(state, cfg) if assigned_sleep is None else assigned_sleep
-    _close_cycle(state, cfg, now, fail_reason, _sleep_or_back_off(state, cfg, sleep))
+    if assigned_sleep is None:
+        sleep = _local_sleep(state, cfg, state.p_harv[state.light_i])
+    else:
+        sleep = assigned_sleep
+    _close_cycle(state, cfg, now, fail_reason, _sleep_or_back_off(cfg, sleep))
 
 
 def _await_or_time_out(state: NodeState, cfg: NodeConfig, now: float) -> None:
@@ -450,8 +521,17 @@ def advance(
     now: float,
     *,
     rng,
+    light: LightTable,
 ) -> Optional[Frame]:
-    """Handle the expiry of the current phase deadline; returns the frame to send."""
+    """Handle the expiry of the current phase deadline; returns the frame to send.
+
+    A wake is gated on energy: the node starts its burst only when its
+    supercap holds the profile's active energy above v_min and the local
+    solve at the harvest power in force is feasible.  Otherwise it sleeps on,
+    with no record, to the first time both hold (_funded_wake).  A burst
+    that browns out all the same (an await phase run on to its timeout)
+    closes its cycle and sleeps the back-off.
+    """
     if state.depleted and state.phase is not SLEEPING:
         # Brown-out mid-cycle: abort, recover in sleep, count the cycle failed.
         _close_cycle(state, cfg, now, FailReason.BROWN_OUT, cfg.backoff_s)
@@ -460,17 +540,11 @@ def advance(
     phase = state.phase
 
     if phase is SLEEPING:
-        if state.depleted:
-            if state.voltage_v > cfg.supercap.v_min:
-                state.depleted = False
-            else:
-                _set_phase(state, cfg, SLEEPING, now + cfg.backoff_s)
-                return None
-        if state.awaiting_reeval:
-            if _local_sleep(state, cfg) is None:
-                _set_phase(state, cfg, SLEEPING, now + cfg.backoff_s)
-                return None
-            state.awaiting_reeval = False
+        v = state.voltage_v
+        if v * v < state.cap[4] or not _feasible(state, cfg, state.p_harv[state.light_i]):
+            _set_phase(state, cfg, SLEEPING, _funded_wake(state, cfg, now, light))
+            return None
+        state.depleted = False  # a funded wake is above v_min
         if cfg.kind is BLE:
             _set_phase(state, cfg, SENSING, now + state.stage_s[SENSING])
             return None

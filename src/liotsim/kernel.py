@@ -198,6 +198,13 @@ def _change_points(profile: IlluminationProfile, duration_s: float) -> Iterator[
     return takewhile(lambda t: t <= duration_s, points)
 
 
+@dataclass(slots=True)
+class _Cursor:
+    """A place in a LightTable that is not a node's, kept up to date by fill."""
+
+    light_i: int
+
+
 class LightTable:
     """The harvest power in force during one run, as a table of constant
     pieces that all of its nodes share.
@@ -206,16 +213,18 @@ class LightTable:
     the next change point (inf after the last); lux_at is evaluated once at
     each piece's start, and power[curve][i] is each of the run's harvester
     curves at that lux.  A node walks the table with its cursor
-    NodeState.light_i (see fsm.accrue_energy).  The table fills LIGHT_CHUNK
-    pieces at a time, and first drops those before every cursor.
+    NodeState.light_i (see fsm.accrue_energy), and may read ahead of it
+    (see ahead).  The table fills LIGHT_CHUNK pieces at a time, and first
+    drops those before every reader's cursor.
     """
 
     def __init__(self, profile: IlluminationProfile, duration_s: float,
                  curves: Iterable[HarvesterCurve]):
         self.profile = profile
+        self.end_s = duration_s
         self.ends: list[float] = []
         self.power: dict[HarvesterCurve, list[float]] = {c: [] for c in curves}
-        self.readers: list[NodeState] = []
+        self.readers: list[Union[NodeState, _Cursor]] = []
         self._points = _change_points(profile, duration_s)
         self._next = next(self._points)  # start of the first piece not filled
         self.fill()
@@ -225,9 +234,30 @@ class LightTable:
         state.light_i, state.p_harv = 0, self.power[harvester]
         self.readers.append(state)
 
+    def ahead(self, state: NodeState) -> Iterator[tuple[float, float]]:
+        """(end, harvest power) of each piece from the node's cursor on, up to
+        the piece in force at the end of the run, filling the table as the
+        walk reaches its end.  While the walk is open its place is a
+        reader's cursor, so a fill keeps the pieces it has yet to read."""
+        walk = _Cursor(state.light_i)
+        self.readers.append(walk)
+        ends, power = self.ends, state.p_harv
+        try:
+            while True:
+                if walk.light_i == len(ends):
+                    self.fill()
+                end = ends[walk.light_i]
+                yield end, power[walk.light_i]
+                if end >= self.end_s:
+                    return
+                walk.light_i += 1
+        finally:
+            self.readers.remove(walk)
+
     def fill(self) -> None:
         """Drop the pieces before every reader's cursor, then append up to
-        LIGHT_CHUNK pieces; the columns shrink and grow in place."""
+        LIGHT_CHUNK pieces; the columns shrink and grow in place, and the
+        cursors move with them."""
         passed = min((st.light_i for st in self.readers), default=0)
         for column in (self.ends, *self.power.values()):
             del column[:passed]
@@ -330,8 +360,9 @@ def shortest_cycle_s(cfg: NodeConfig) -> float:
       from the power that covers the burst on; a curve is non-decreasing
       and clamps above its last point, so its last point's power gives the
       shortest solve (None there means infeasible at every lux);
-    - an infeasible solve and a brown-out arm the back-off, and a node that
-      wakes depleted or still infeasible sleeps it again, which only
+    - an infeasible solve and a brown-out arm the back-off;
+    - a wake that the energy gate of fsm.advance refuses starts no burst and
+      closes no cycle: the node sleeps on to a later wake, which only
       lengthens the cycle.
     A burst lasts at least its first phase, even when it browns out, since
     fsm.advance checks for a brown-out only at a phase deadline: a BLE
@@ -533,7 +564,7 @@ class _Kernel:
                 # A node's one timer: pushed after its last advance, at its deadline.
                 state, cfg, rng = nodes[subject]
                 fsm.accrue_energy(state, cfg, time, light)
-                out = fsm.advance(state, cfg, time, rng=rng)
+                out = fsm.advance(state, cfg, time, rng=rng, light=light)
                 if out is not None:
                     self._send(out, time)
                 push(heap, (state.phase_deadline, next(seq), TIMER_FIRED, subject))

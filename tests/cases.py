@@ -1,11 +1,26 @@
-"""Malformed and oversized scenario documents shared by the scenario and CLI tests."""
+"""Malformed and oversized scenario documents shared by the scenario and CLI
+tests, and the runs that tests share."""
 
 import math
 from collections import Counter
 
 import pytest
 
+from liotsim.kernel import RunResult, Scenario, run
 from liotsim.scenario import preset_dict
+
+# kernel.run results by the repr of their scenario, which is exact.
+_RUNS: dict[str, RunResult] = {}
+
+
+def shared_run(scenario: Scenario) -> RunResult:
+    """kernel.run(scenario), run once a test session and shared by every
+    test that only reads the result.  A test that changes a result, patches
+    the program or checks that a run repeats runs its own."""
+    key = repr(scenario)
+    if key not in _RUNS:
+        _RUNS[key] = run(scenario)
+    return _RUNS[key]
 
 
 def _liot_profile(voltage_v=3.3, sleep_current_ma=0.087, current_ma=12.69,
@@ -102,6 +117,9 @@ BAD_VALUES = (
      "illumination.period_s"),
     # Negative light is rejected, not run as darkness.
     ("illumination", {"kind": "step", "steps": [[0, -5]]}, "illumination.steps"),
+    # A supercap that cannot hold one burst between v_min and v_max: the
+    # node would never be funded to start one.
+    ("nodes.0.supercap.capacitance_f", 0.04, "nodes[0].supercap"),
 )
 
 

@@ -27,6 +27,7 @@ from liotsim.energy import (
     stage_energy,
     supercap_segment,
 )
+from cases import shared_run
 from liotsim.kernel import run
 from liotsim.metrics import export_records, load_records
 from liotsim.scenario import load_preset, preset_dict, scenario_from_dict
@@ -84,7 +85,7 @@ def test_criterion_2_sleep_solver(capsys):
 
 
 def _cycle_periods(preset: str) -> list[float]:
-    result = run(load_preset(preset))
+    result = shared_run(load_preset(preset))
     ends = [r.end_s for nr in result.nodes.values() for r in nr.records]
     return [b - a for a, b in zip(ends, ends[1:])]
 
@@ -113,7 +114,7 @@ def _lossless(preset: str) -> dict:
 
 def test_criterion_4_packet_counts(capsys):
     sent = {
-        name: run(scenario_from_dict(_lossless(name))).summary.nodes[0].packets_sent
+        name: shared_run(scenario_from_dict(_lossless(name))).summary.nodes[0].packets_sent
         for name in ("liot-700lx", "liot-500lx", "ble-700lx", "ble-500lx")
     }
     ok = (
@@ -136,9 +137,9 @@ def test_criterion_5_pdr_calibration(capsys):
         for seed in range(1, 25):
             doc = preset_dict(preset)
             doc["seed"] = seed
-            pdrs.append(run(scenario_from_dict(doc)).summary.nodes[0].pdr)
+            pdrs.append(shared_run(scenario_from_dict(doc)).summary.nodes[0].pdr)
         means[preset] = statistics.mean(pdrs)
-    liot = run(load_preset("liot-700lx")).summary.nodes[0].pdr
+    liot = shared_run(load_preset("liot-700lx")).summary.nodes[0].pdr
     ok = (
         abs(means["ble-700lx"] - 0.991) <= 0.01
         and abs(means["ble-500lx"] - 0.912) <= 0.02
@@ -151,7 +152,7 @@ def test_criterion_5_pdr_calibration(capsys):
 
 
 def _mean_active_dip(preset: str) -> float:
-    result = run(load_preset(preset))
+    result = shared_run(load_preset(preset))
     (node_id, nr), = result.nodes.items()
     times = [t for t, _ in nr.trace]
     volts = [v for _, v in nr.trace]
@@ -198,9 +199,9 @@ def test_criterion_7_behavioral_invariants(capsys, tmp_path):
     if abs(back - cap.voltage_v) > 1e-9:
         failures.append("supercap closed cycle did not return")
 
-    # Byte-identical reruns.
+    # Byte-identical reruns: a new run equals the one the session keeps.
     sc = load_preset("ble-500lx")
-    if run(sc) != run(sc):
+    if run(sc) != shared_run(sc):
         failures.append("rerun not deterministic")
 
     # Delivery rate never improves when the channel gets worse.
@@ -209,12 +210,12 @@ def test_criterion_7_behavioral_invariants(capsys, tmp_path):
         doc = preset_dict("ble-700lx")
         doc["duration_s"] = 3600.0
         doc["channel"]["loss"] = loss
-        pdrs.append(run(scenario_from_dict(doc)).summary.nodes[0].pdr)
+        pdrs.append(shared_run(scenario_from_dict(doc)).summary.nodes[0].pdr)
     if pdrs != sorted(pdrs, reverse=True):
         failures.append(f"PDR not monotone in loss: {pdrs}")
 
     # Lossless export round trip.
-    result = run(load_preset("liot-700lx"))
+    result = shared_run(load_preset("liot-700lx"))
     path = str(tmp_path / "records.csv")
     export_records((nr.record_columns for nr in result.nodes.values()), "csv", path)
     if load_records(path) != result.records:

@@ -10,8 +10,8 @@ import warnings
 import pytest
 import yaml
 
-from cases import BAD_VALUES, bad_value_cases, ble_fleet_year
-from liotsim import cli, kernel, metrics, scenario
+from cases import BAD_VALUES, bad_value_cases, ble_fleet_year, shared_run
+from liotsim import cli, metrics, scenario
 from liotsim.cli import (
     EXIT_INFEASIBLE,
     EXIT_IO,
@@ -403,7 +403,7 @@ def test_report_keeps_records_as_columns(capsys, tmp_path):
 ])
 def test_load_record_columns_names_the_line_of_a_bad_record(tmp_path, bad):
     out_dir = tmp_path / "out"
-    result = kernel.run(scenario.load_preset("liot-700lx"))
+    result = shared_run(scenario.load_preset("liot-700lx"))
     cli._write_outputs(result, str(out_dir), "csv")
     path = out_dir / "records.csv"
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
@@ -545,7 +545,7 @@ def test_export_and_read_back_hold_no_whole_trace(tmp_path):
     """simulate --out writes a chunk of lines at a time, and report reads a
     trace into two float columns: neither holds a (t, V) object per sample,
     which takes over 100 B a sample (3 MiB for this 8-h trace)."""
-    result = kernel.run(scenario.load_preset("ble-700lx"))
+    result = shared_run(scenario.load_preset("ble-700lx"))
     nr, = result.nodes.values()
     samples = len(nr.volts)
     assert samples == 28801

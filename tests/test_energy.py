@@ -207,7 +207,8 @@ def test_the_solve_is_the_sleep_and_its_callers_read_it_alike(data):
         assert sleep > 0
         assert p * (t_active + sleep) == pytest.approx(e_active_mj + p_sleep * sleep,
                                                        rel=1e-9)
-    cfg = NodeConfig("n", NodeKind.BLE, profile, BLE_HARVESTER, Supercap(0.4, 4.0),
+    # 10 F holds 46.8 J between v_min and v_max, above any generated burst.
+    cfg = NodeConfig("n", NodeKind.BLE, profile, BLE_HARVESTER, Supercap(10.0, 4.0),
                      margin=data.draw(st.sampled_from([0.0, 0.05])))
     local, assigned = schedule_next_cycle(cfg, p), gateway_sleep_s(cfg, p)
     if sleep is None:

@@ -11,6 +11,7 @@ from liotsim.energy import (
     LIOT_PROFILE,
     StageName,
     Supercap,
+    active_totals,
 )
 from liotsim.fsm import (
     LEGAL_TRANSITIONS,
@@ -20,6 +21,7 @@ from liotsim.fsm import (
     Phase,
     _close_cycle,
     _finish_cycle,
+    accrue_energy,
     advance,
     end_run,
     initial_state,
@@ -70,11 +72,12 @@ def liot_cfg(**kw) -> NodeConfig:
 
 
 def lit_state(cfg: NodeConfig, first_sleep_s, lux: float = 700.0):
-    """A node at boot, its cursor on a table of constant light at lux."""
+    """A node at boot and a table of constant light at lux, with the node's
+    cursor on it."""
     state = initial_state(cfg, first_sleep_s)
     light = LightTable(IlluminationProfile(lux=lux), 1e6, [cfg.harvester])
     light.attach(state, cfg.harvester)
-    return state
+    return state, light
 
 
 def test_schedule_local_solve_ble_700lx_gives_published_duty_cycle():
@@ -87,7 +90,7 @@ def test_schedule_local_solve_ble_700lx_gives_published_duty_cycle():
 def test_finish_cycle_arms_the_gateway_assigned_sleep_verbatim():
     # At 500 lx the node's own solve would give about 1350 s.
     cfg = liot_cfg()
-    state = lit_state(cfg, 1.0, lux=500.0)
+    state, _ = lit_state(cfg, 1.0, lux=500.0)
     state.phase = Phase.AWAITING_SLEEP_SET
     state.session = ExchangeSession(LIOT_SCRIPT, state.frames,
                                     outcome=SessionOutcome.DELIVERED,
@@ -95,18 +98,30 @@ def test_finish_cycle_arms_the_gateway_assigned_sleep_verbatim():
     _finish_cycle(state, cfg, 10.0, None, state.session.assigned_sleep_s)
     assert state.phase is Phase.SLEEPING
     assert state.phase_deadline - 10.0 == 620.0
-    assert not state.awaiting_reeval
     (record,) = state.records
     assert record.outcome is SessionOutcome.DELIVERED
 
 
 def test_an_infeasible_first_sleep_backs_off_and_solves_again_at_wake():
-    cfg = liot_cfg(harvester=HarvesterCurve(points=((0.0, 0.0),)))
-    assert schedule_next_cycle(cfg, cfg.harvester.power_mw(700.0)) is None
+    # Dark until 100 s, then 700 lx on a curve that harvests nothing at 0 lx.
+    cfg = liot_cfg(harvester=HarvesterCurve(
+        points=((0.0, 0.0), (700.0, LIOT_HARVESTER.power_mw(700.0)))))
+    assert schedule_next_cycle(cfg, cfg.harvester.power_mw(0.0)) is None
     state = initial_state(cfg, None)
     assert (state.phase, state.phase_deadline) == (Phase.SLEEPING, cfg.backoff_s)
-    assert state.awaiting_reeval
-    assert not initial_state(cfg, 13.76).awaiting_reeval
+    light = LightTable(IlluminationProfile(kind="step", steps=((0.0, 0.0), (100.0, 700.0))),
+                       1000.0, [cfg.harvester])
+    light.attach(state, cfg.harvester)
+    # Still infeasible at the wake: the node sleeps on, with no record, to
+    # the start of the light in which its solve is feasible...
+    accrue_energy(state, cfg, cfg.backoff_s, light)
+    assert advance(state, cfg, cfg.backoff_s, rng=random.Random(0), light=light) is None
+    assert (state.phase, state.phase_deadline) == (Phase.SLEEPING, 100.0)
+    assert len(state.records) == 0
+    # ...and starts its burst there.
+    accrue_energy(state, cfg, 100.0, light)
+    uplink = advance(state, cfg, 100.0, rng=random.Random(0), light=light)
+    assert state.phase is Phase.UPLINKING and uplink.kind is FrameKind.NODE_ID_LUX
 
 
 def test_schedule_continuous_when_harvest_covers_active_power():
@@ -149,17 +164,17 @@ def test_profile_missing_a_phase_stage_rejected():
 def test_ble_cycle_walkthrough_emits_adv_then_sleeps_without_gateway():
     cfg = ble_cfg()
     rng = random.Random(0)
-    state = lit_state(cfg, 13.76)
-    out = advance(state, cfg, 13.76, rng=rng)
+    state, light = lit_state(cfg, 13.76)
+    out = advance(state, cfg, 13.76, rng=rng, light=light)
     assert state.phase is Phase.SENSING and out is None
     assert state.session is None
-    out = advance(state, cfg, state.phase_deadline, rng=rng)
+    out = advance(state, cfg, state.phase_deadline, rng=rng, light=light)
     assert state.phase is Phase.ADVERTISING
     assert state.session is not None
     assert out.kind is FrameKind.ADV_ESS
     assert len(state.records) == 0
     # No connection request: the advertising window expires into sleep.
-    out = advance(state, cfg, state.phase_deadline, rng=rng)
+    out = advance(state, cfg, state.phase_deadline, rng=rng, light=light)
     assert state.phase is Phase.SLEEPING and out is None
     (record,) = state.records
     assert record.fail_reason.value == "no_gateway"
@@ -170,31 +185,32 @@ def test_ble_cycle_walkthrough_emits_adv_then_sleeps_without_gateway():
 def _ble_exchanging(cfg: NodeConfig):
     """A BLE node walked into EXCHANGING, the gateway's steps played by hand.
 
-    Returns the node state, the connection request it took, the attribute
-    request its exchange opened with and the time it entered EXCHANGING.
+    Returns the node state, its light table, the connection request it took,
+    the attribute request its exchange opened with and the time it entered
+    EXCHANGING.
     """
     rng = random.Random(0)
-    state = lit_state(cfg, 1.0)
-    advance(state, cfg, 1.0, rng=rng)
+    state, light = lit_state(cfg, 1.0)
+    advance(state, cfg, 1.0, rng=rng, light=light)
     advertised = state.phase_deadline
-    adv = advance(state, cfg, advertised, rng=rng)
+    adv = advance(state, cfg, advertised, rng=rng, light=light)
     conn = exchange_step(state.session, adv)
     receive(state, cfg, conn, advertised + adv.airtime_s + conn.airtime_s)
     began = state.phase_deadline
-    request = advance(state, cfg, began, rng=rng)
+    request = advance(state, cfg, began, rng=rng, light=light)
     assert state.phase is Phase.EXCHANGING
     assert request.kind is FrameKind.ESS_ATTR_REQUEST
-    return state, conn, request, began
+    return state, light, conn, request, began
 
 
 def test_out_of_sequence_frame_in_exchange_is_recorded_as_a_violation():
     cfg = ble_cfg()
-    state, conn, _, began = _ble_exchanging(cfg)
+    state, light, conn, _, began = _ble_exchanging(cfg)
     # A second connection request is out of sequence in the exchange.
     assert receive(state, cfg, conn, began + 0.1) is None
     assert state.session.fail_reason is FailReason.PROTOCOL_VIOLATION
     while not state.records:
-        advance(state, cfg, state.phase_deadline, rng=random.Random(0))
+        advance(state, cfg, state.phase_deadline, rng=random.Random(0), light=light)
     (record,) = state.records
     assert (record.outcome, record.fail_reason) == (
         SessionOutcome.FAILED, FailReason.PROTOCOL_VIOLATION)
@@ -207,34 +223,35 @@ def _awaiting(phase: Phase):
     """A node walked into the await phase phase, the gateway's steps played
     by hand and its answer withheld.
 
-    Returns the node state, its config, the time it entered the phase, the
-    phase's nominal length and a frame out of sequence there.
+    Returns the node state, its light table, its config, the time it entered
+    the phase, the phase's nominal length and a frame out of sequence there.
     """
     if phase is Phase.EXCHANGING:
         cfg = ble_cfg()
-        state, conn, _, began = _ble_exchanging(cfg)
-        return state, cfg, began, cfg.profile.stage(
+        state, light, conn, _, began = _ble_exchanging(cfg)
+        return state, light, cfg, began, cfg.profile.stage(
             StageName.BLE_DATA_EXCHANGE).duration_s, conn
     cfg = liot_cfg()
     rng = random.Random(0)
-    state = lit_state(cfg, 1.0)
-    uplink = advance(state, cfg, 1.0, rng=rng)
+    state, light = lit_state(cfg, 1.0)
+    uplink = advance(state, cfg, 1.0, rng=rng, light=light)
     uplinked = state.phase_deadline
-    advance(state, cfg, uplinked, rng=rng)
+    advance(state, cfg, uplinked, rng=rng, light=light)
     assert state.phase is Phase.AWAITING_REQUEST
     request, sleep_set = state.frames[1], state.frames[3]
     if phase is Phase.AWAITING_REQUEST:
         # The wait shares the gw_request stage with the uplink before it.
-        return state, cfg, uplinked, state.phase_deadline - uplinked, sleep_set
+        return state, light, cfg, uplinked, state.phase_deadline - uplinked, sleep_set
     assert exchange_step(state.session, uplink) is request
     receive(state, cfg, request, uplinked + request.airtime_s)
-    advance(state, cfg, state.phase_deadline, rng=rng)
+    advance(state, cfg, state.phase_deadline, rng=rng, light=light)
     assert state.phase is Phase.SENSING
-    assert advance(state, cfg, state.phase_deadline, rng=rng).kind is FrameKind.SENSOR_DATA
+    data = advance(state, cfg, state.phase_deadline, rng=rng, light=light)
+    assert data.kind is FrameKind.SENSOR_DATA
     began = state.phase_deadline
-    advance(state, cfg, began, rng=rng)
+    advance(state, cfg, began, rng=rng, light=light)
     assert state.phase is Phase.AWAITING_SLEEP_SET
-    return state, cfg, began, cfg.profile.stage(
+    return state, light, cfg, began, cfg.profile.stage(
         StageName.LIOT_SLEEP_SET).duration_s, request
 
 
@@ -243,14 +260,14 @@ AWAIT_PHASES = (Phase.EXCHANGING, Phase.AWAITING_REQUEST, Phase.AWAITING_SLEEP_S
 
 @pytest.mark.parametrize("phase", AWAIT_PHASES, ids=lambda p: p.value)
 def test_an_unanswered_await_runs_on_once_and_times_out_at_twice_its_length(phase):
-    state, cfg, began, nominal, _ = _awaiting(phase)
+    state, light, cfg, began, nominal, _ = _awaiting(phase)
     rng = random.Random(0)
-    assert advance(state, cfg, state.phase_deadline, rng=rng) is None
+    assert advance(state, cfg, state.phase_deadline, rng=rng, light=light) is None
     assert state.phase is phase
     assert len(state.records) == 0
     timeout = began + 2.0 * nominal
     assert state.phase_deadline == timeout
-    assert advance(state, cfg, timeout, rng=rng) is None
+    assert advance(state, cfg, timeout, rng=rng, light=light) is None
     assert state.phase is Phase.SLEEPING
     (record,) = state.records
     assert (record.outcome, record.fail_reason, record.end_s) == (
@@ -259,10 +276,10 @@ def test_an_unanswered_await_runs_on_once_and_times_out_at_twice_its_length(phas
 
 @pytest.mark.parametrize("phase", AWAIT_PHASES, ids=lambda p: p.value)
 def test_an_await_whose_session_failed_closes_at_its_nominal_deadline(phase):
-    state, cfg, began, _, stray = _awaiting(phase)
+    state, light, cfg, began, _, stray = _awaiting(phase)
     deadline = state.phase_deadline
     assert receive(state, cfg, stray, began + stray.airtime_s) is None
-    assert advance(state, cfg, deadline, rng=random.Random(0)) is None
+    assert advance(state, cfg, deadline, rng=random.Random(0), light=light) is None
     assert state.phase is Phase.SLEEPING
     (record,) = state.records
     assert (record.outcome, record.fail_reason, record.end_s) == (
@@ -292,8 +309,8 @@ def test_a_cycle_that_breaks_the_record_rule_raises_and_adds_nothing():
 def test_end_run_records_the_open_session_as_it_stands():
     cfg = ble_cfg()
     light = LightTable(IlluminationProfile(lux=700.0), 100.0, [cfg.harvester])
-    pending, _, _, _ = _ble_exchanging(cfg)
-    delivered, _, request, began = _ble_exchanging(cfg)
+    pending, _, _, _, _ = _ble_exchanging(cfg)
+    delivered, _, _, request, began = _ble_exchanging(cfg)
     data = receive(delivered, cfg, request, began + 0.1)
     receive(delivered, cfg, exchange_step(delivered.session, data), began + 0.5)
     assert delivered.session.outcome is SessionOutcome.DELIVERED
@@ -320,28 +337,41 @@ def test_uniform_advertising_mode_draws_in_range():
     cfg = ble_cfg(adv_mode="uniform")
     rng = random.Random(3)
     for _ in range(20):
-        state = lit_state(cfg, 1.0)
-        advance(state, cfg, 1.0, rng=rng)
+        state, light = lit_state(cfg, 1.0)
+        advance(state, cfg, 1.0, rng=rng, light=light)
         began = state.phase_deadline
-        advance(state, cfg, began, rng=rng)
+        advance(state, cfg, began, rng=rng, light=light)
         adv = state.phase_deadline - began
         assert 0.5 <= adv <= 4.0
 
 
 def test_depleted_node_emits_nothing():
     cfg = ble_cfg()
-    state = lit_state(cfg, 10.0, lux=0.0)
+    state, light = lit_state(cfg, 10.0, lux=0.0)
     state.depleted = True
     state.session = None
     frame = Frame(src=GATEWAY_ID, dst="ble-1", link=LinkType.BLE_ADV,
                   kind=FrameKind.CONN_REQ, payload_bytes=22, airtime_s=0.003,
                   channel=37)
     assert receive(state, cfg, frame, 5.0) is None
-    # A depleted node stays asleep at its wake deadline.
+    # A node at v_min sleeps on at its wake deadline, with no record, until
+    # its supercap holds one active burst above v_min: from v_min at 0 s,
+    # V^2 rises by 2P/C a second at the net harvest P over sleep power.
     state.voltage_v = 3.3  # cfg.supercap.v_min
-    out = advance(state, cfg, 10.0, rng=random.Random(0))
+    accrue_energy(state, cfg, 10.0, light)
+    out = advance(state, cfg, 10.0, rng=random.Random(0), light=light)
     assert out is None and state.phase is Phase.SLEEPING
-    assert state.phase_deadline == pytest.approx(10.0 + cfg.backoff_s)
+    assert len(state.records) == 0
+    net_w = (cfg.harvester.power_mw(0.0) - cfg.profile.sleep_power_mw) * 1e-3
+    e_active = active_totals(cfg.profile)[1]
+    wake = state.phase_deadline
+    assert wake == pytest.approx(e_active / net_w, rel=1e-9)
+    # At the wake the supercap holds the burst and the node starts it.
+    accrue_energy(state, cfg, wake, light)
+    c, v_min = cfg.supercap.capacitance_f, cfg.supercap.v_min
+    assert 0.5 * c * (state.voltage_v**2 - v_min**2) == pytest.approx(e_active, rel=1e-12)
+    assert advance(state, cfg, wake, rng=random.Random(0), light=light) is None
+    assert state.phase is Phase.SENSING and not state.depleted
 
 
 def test_illegal_transition_raises():

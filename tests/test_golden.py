@@ -17,7 +17,7 @@ import os
 
 import pytest
 
-from liotsim.kernel import run
+from cases import shared_run
 from liotsim.metrics import export_summary
 from liotsim.scenario import PRESET_NAMES, load_preset
 
@@ -27,6 +27,6 @@ GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_preset_summary_matches_golden(name, tmp_path):
     actual = tmp_path / f"{name}.json"
-    export_summary(run(load_preset(name)).summary, str(actual))
+    export_summary(shared_run(load_preset(name)).summary, str(actual))
     with open(os.path.join(GOLDEN_DIR, f"{name}.json"), "rb") as fh:
         assert actual.read_bytes() == fh.read()

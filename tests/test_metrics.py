@@ -8,10 +8,11 @@ from array import array
 import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
+from cases import shared_run
 from liotsim import metrics
 from liotsim.energy import BLE_HARVESTER, BLE_PROFILE, Supercap
 from liotsim.fsm import NodeConfig, NodeKind
-from liotsim.kernel import IlluminationProfile, Scenario, run
+from liotsim.kernel import IlluminationProfile, Scenario
 from liotsim.metrics import (
     CycleRecord,
     ExportError,
@@ -427,9 +428,23 @@ _times = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, 
 _traces = st.dictionaries(_ids, _times.map(sorted).flatmap(lambda ts: st.lists(
     st.floats(allow_nan=False, allow_infinity=False), min_size=len(ts), max_size=len(ts)
 ).map(lambda vs: list(zip(ts, vs)))), max_size=4)
-# (chunk index, line in that chunk, mutant)
-_mutants = st.lists(st.tuples(st.integers(0, 8), st.integers(0, 4), st.sampled_from(MUTANTS)),
-                    max_size=3)
+
+
+def _broken_then_short(breakers):
+    """A mutant that breaks a rule of the export and, on the next line, a
+    short row, which does not parse: the row reader reads the two in one
+    batch, and the error raised must still be the first one's."""
+    return st.tuples(st.integers(0, 1), st.integers(0, 3), st.sampled_from(breakers)).map(
+        lambda m: [m, (m[0], m[1] + 1, "short row")])
+
+
+# (chunk index, line in that chunk, mutant) lists; half of them a pair of
+# _broken_then_short.
+_mutants = st.one_of(
+    st.lists(st.tuples(st.integers(0, 8), st.integers(0, 4), st.sampled_from(MUTANTS)),
+             max_size=3),
+    _broken_then_short(["bad float", "nan voltage", "inf time", "-inf time",
+                        "backwards time"]))
 # The reader properties below write a file per example.  Shrinking a failure
 # has no bound on the examples it runs, so a broken reader could hold the
 # suite for minutes and grow it to nearly a GiB; a failure is reported as
@@ -530,8 +545,11 @@ PLAIN_COLUMNS = [
 # chunks of 1, 3 and 153 record lines of 10 cells.
 @settings(max_examples=150, deadline=None, phases=NO_SHRINK)
 @given(columns=_record_columns,
-       mutants=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 4),
-                                  st.sampled_from(RECORD_MUTANTS)), max_size=3),
+       mutants=st.one_of(
+           st.lists(st.tuples(st.integers(0, 8), st.integers(0, 4),
+                              st.sampled_from(RECORD_MUTANTS)), max_size=3),
+           _broken_then_short(["bad float", "nan energy", "index off by one",
+                               "start moved", "voltage moved", "unknown outcome"])),
        fmt=st.sampled_from(["csv", "jsonl"]),
        read_chunk=st.sampled_from([1, 10, metrics.READ_CHUNK]))
 @example(columns=_awkward_columns(), mutants=[], fmt="csv", read_chunk=10)
@@ -746,7 +764,7 @@ def _short_scenario():
 
 
 def test_run_energy_totals_match_per_cycle_sum():
-    result = run(_short_scenario())
+    result = shared_run(_short_scenario())
     nr = result.nodes["b"]
     per_cycle = sum(r.energy_consumed_j for r in nr.records)
     assert per_cycle + nr.trailing_consumed_j == pytest.approx(
@@ -755,6 +773,6 @@ def test_run_energy_totals_match_per_cycle_sum():
 
 
 def test_trace_row_count_matches_sample_interval():
-    result = run(_short_scenario())
+    result = shared_run(_short_scenario())
     # 1 Hz sampling over 600 s plus the t=0 sample.
     assert len(result.nodes["b"].trace) == 601

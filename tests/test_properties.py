@@ -11,9 +11,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cases import shared_run
 from liotsim import fsm
 from liotsim.energy import builtin_harvester
-from liotsim.kernel import estimated_cycles, run, shortest_cycle_s
+from liotsim.kernel import LightTable, estimated_cycles, run, shortest_cycle_s
 from liotsim.metrics import export_records, load_records, voltage_stats
 from liotsim.protocol import (
     BLE_SCRIPT,
@@ -60,8 +61,8 @@ def small_scenarios(draw) -> dict:
 @settings(max_examples=20, deadline=None)
 @given(small_scenarios(), st.sampled_from((0.1, 0.37, 1.0, 60.0, 3600.0)))
 def test_trace_follows_the_sampling_rule_and_nothing_else_moves(doc, interval_s):
-    result = run(scenario_from_dict({**doc, "sample_interval_s": interval_s}))
-    at_1s = run(scenario_from_dict({**doc, "sample_interval_s": 1.0}))
+    result = shared_run(scenario_from_dict({**doc, "sample_interval_s": interval_s}))
+    at_1s = shared_run(scenario_from_dict({**doc, "sample_interval_s": 1.0}))
     end = doc["duration_s"]
     boot_v = {n["id"]: n["supercap"]["voltage_v"] for n in doc["nodes"]}
     expected = list(takewhile(lambda t: t <= end, fsm.sample_times(interval_s)))
@@ -107,7 +108,7 @@ def fast_cycling_scenarios(draw) -> dict:
 @given(fast_cycling_scenarios())
 def test_no_run_closes_more_records_than_its_estimate(doc):
     sc = scenario_from_dict(doc)
-    result = run(sc)
+    result = shared_run(sc)
     closed = {node_id: len(nr.record_columns) for node_id, nr in result.nodes.items()}
     for cfg in sc.nodes:
         assert closed[cfg.node_id] <= sc.duration_s / shortest_cycle_s(cfg) + 1
@@ -225,8 +226,120 @@ def test_a_mutated_scenario_is_rejected_by_path_or_runs(doc):
         sc = scenario_from_dict(doc)
     except ScenarioError:
         return
-    result = run(dataclasses.replace(sc, duration_s=min(sc.duration_s, 120.0)))
+    result = shared_run(dataclasses.replace(sc, duration_s=min(sc.duration_s, 120.0)))
     boot_v = {n.node_id: n.supercap.voltage_v for n in sc.nodes}
     for node_id, nr in result.nodes.items():
         check_records_are_the_account(nr, result.frames, node_id,
                                       boot_v[node_id], result.summary.duration_s)
+
+
+@st.composite
+def lean_light_scenarios(draw) -> dict:
+    """One or two nodes that boot near v_min, on curves that harvest nothing
+    in the dark, under step light with dark spells, per-second jitter or a
+    sinusoid of a few cycles a run."""
+    duration = draw(st.floats(60.0, 1200.0))
+    kind = draw(st.sampled_from(("step", "jitter", "sinusoid")))
+    if kind == "sinusoid":
+        mean = draw(st.floats(100.0, 1000.0))
+        light = {"kind": "sinusoid", "mean": mean,
+                 "amplitude": draw(st.floats(0.0, mean)),
+                 "period_s": draw(st.floats(60.0, 1200.0))}
+    else:
+        starts = draw(st.lists(st.floats(1.0, duration), max_size=3, unique=True))
+        light = {"kind": "step",
+                 "steps": [[t, draw(st.sampled_from((0.0, 300.0, 700.0, 1000.0)))]
+                           for t in [0.0, *sorted(starts)]]}
+        if kind == "jitter":
+            light.update(jitter_pct=0.5, jitter_seed=draw(st.integers(0, 99)))
+    nodes = []
+    for i, node_kind in enumerate(draw(st.lists(st.sampled_from(("ble", "liot")),
+                                                min_size=1, max_size=2))):
+        node = preset_dict(f"{node_kind}-700lx")["nodes"][0]
+        node["id"] = f"{node_kind}-{i}"
+        node["supercap"]["voltage_v"] = draw(st.floats(3.3, 3.5))
+        node["efficiency"] = draw(st.sampled_from((1.0, 0.8)))
+        gain = draw(st.sampled_from((1.0, 5.0, 20.0)))
+        curve = builtin_harvester(node["harvester"])
+        node["harvester"] = {"points": [[0.0, 0.0],
+                                        *[[lux, p * gain] for lux, p in curve.points]]}
+        nodes.append(node)
+    return {**preset_dict("ble-700lx"), "duration_s": duration, "illumination": light,
+            "nodes": nodes, "channel": {"loss": draw(st.sampled_from((0.0, 0.3)))}}
+
+
+def _first_funded_ms(pieces, cfg, now, v, end) -> float:
+    """The first time on a 1-ms grid after now at which the node, sleeping
+    from voltage v at now, could start a burst: V^2 >= funded_v_sq, and a
+    feasible solve at the light in force.  pieces are (start, end, harvest
+    power) in time order; end when no grid time before the run's end is.
+    The grid is stepped through only in pieces where V^2 reaches
+    funded_v_sq."""
+    cap, need_sq = cfg.supercap, fsm.funded_v_sq(cfg)
+    p_load = cfg.profile.sleep_power_mw
+    k = 1
+    for start, stop, p_harv in pieces:
+        if stop <= now:
+            continue
+        t0, stop = max(start, now), min(stop, end)
+        p_w = (p_harv - p_load) * 1e-3
+        if p_w > 0:
+            p_w *= cfg.efficiency
+        v_sq_end = v * v + 2.0 * p_w * (stop - t0) / cap.capacitance_f
+        v_sq_end = min(max(v_sq_end, cap.v_min**2), cap.v_max**2)
+        if (max(v * v, v_sq_end) >= need_sq
+                and fsm.schedule_next_cycle(cfg, p_harv) is not None):
+            while now + k * 1e-3 < stop:
+                t = now + k * 1e-3
+                if t >= t0:
+                    v_sq = v * v + 2.0 * p_w * (t - t0) / cap.capacitance_f
+                    if min(max(v_sq, cap.v_min**2), cap.v_max**2) >= need_sq:
+                        return t
+                k += 1
+        k = max(k, math.ceil((stop - now) / 1e-3))
+        v = v_sq_end ** 0.5
+    return end
+
+
+@settings(max_examples=25, deadline=None)
+@given(lean_light_scenarios())
+def test_every_burst_is_funded_and_every_wait_is_the_shortest(doc):
+    sc = scenario_from_dict(doc)
+    cfgs = {cfg.node_id: cfg for cfg in sc.nodes}
+    advance, funded_wake = fsm.advance, fsm._funded_wake
+    bursts, waits = [], []
+
+    def checked_advance(state, cfg, now, **kw):
+        asleep = state.phase is fsm.Phase.SLEEPING
+        out = advance(state, cfg, now, **kw)
+        if asleep and state.phase is not fsm.Phase.SLEEPING:
+            bursts.append((cfg.node_id, now, state.voltage_v))
+        return out
+
+    def kept_wake(state, cfg, now, light):
+        wake = funded_wake(state, cfg, now, light)
+        waits.append((cfg.node_id, now, state.voltage_v, wake))
+        return wake
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fsm, "advance", checked_advance)
+        mp.setattr(fsm, "_funded_wake", kept_wake)
+        run(sc)
+    # Every burst starts with the supercap holding its energy above v_min.
+    for node_id, _, v in bursts:
+        need_sq = fsm.funded_v_sq(cfgs[node_id])
+        assert v * v >= need_sq - 4 * math.ulp(need_sq)
+    # The run's whole light table, none of it dropped: it has no readers.
+    light = LightTable(sc.illumination, sc.duration_s, [c.harvester for c in sc.nodes])
+    while light.ends[-1] != math.inf:
+        light.fill()
+    for node_id, now, v, wake in waits:
+        cfg = cfgs[node_id]
+        pieces = zip([0.0, *light.ends], light.ends, light.power[cfg.harvester])
+        assert wake <= _first_funded_ms(pieces, cfg, now, v, sc.duration_s) + 1e-9
+        if wake == sc.duration_s:
+            continue  # a wake at the end of the run never comes
+        # A wake before the end starts a burst: at once, or after a wait of a
+        # few ulps when a frame that came in the wait moved V's last bits.
+        assert now < wake
+        assert any(b == node_id and wake <= t <= wake + 1e-6 for b, t, _ in bursts)

@@ -159,6 +159,19 @@ def test_gateway_values_are_never_coerced(key, value, path):
     assert exc.value.path == path
 
 
+def test_a_supercap_that_cannot_hold_one_burst_is_rejected():
+    # liot-700lx's burst takes 0.2234 J; 0.04 F holds 0.1872 J between v_min
+    # and v_max, and 0.05 F holds 0.234 J.
+    doc = preset_dict("liot-700lx")
+    set_by_path(doc, "nodes.0.supercap.capacitance_f", 0.04)
+    with pytest.raises(ScenarioError, match="holds 0.1872 J between v_min and "
+                       "v_max, less than the 0.2234 J of one active burst") as exc:
+        scenario_from_dict(doc)
+    assert exc.value.path == "nodes[0].supercap"
+    set_by_path(doc, "nodes.0.supercap.capacitance_f", 0.05)
+    assert scenario_from_dict(doc).nodes[0].supercap.capacitance_f == 0.05
+
+
 def test_run_size_limits():
     for name in PRESET_NAMES:
         doc = preset_dict(name)
