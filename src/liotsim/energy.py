@@ -7,7 +7,6 @@ supercapacitor buffer.  All functions are pure and operate on value types.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -181,14 +180,36 @@ class HarvesterCurve:
     def power_mw(self, lux: float) -> float:
         if not lux >= 0:
             raise ValueError("lux must be >= 0")
+        return self.power_column((lux,))[0]
+
+    def power_column(self, luxes: Iterable[float]) -> list[float]:
+        """power_mw at each of luxes, which are >= 0, in one walk.
+
+        A lux between the first and last points is interpolated on the
+        segment whose start is the last point at or below it.  A pointer
+        keeps the segment of the previous such lux and steps from there,
+        since the luxes of consecutive light pieces lie close together.
+        """
         pts = self.points
-        if lux <= pts[0][0]:
-            return pts[0][1]
-        if lux >= pts[-1][0]:
-            return pts[-1][1]
-        i = bisect.bisect_right(pts, (lux, math.inf))
-        (x0, y0), (x1, y1) = pts[i - 1], pts[i]
-        return y0 + (y1 - y0) * (lux - x0) / (x1 - x0)
+        (x_lo, y_lo), (x_hi, y_hi) = pts[0], pts[-1]
+        i = min(1, len(pts) - 1)  # the segment runs from pts[i - 1] to pts[i]
+        (x0, y0), (x1, y1) = pts[0], pts[i]
+        column = []
+        append = column.append
+        for lux in luxes:
+            if lux <= x_lo:
+                append(y_lo)
+            elif lux >= x_hi:
+                append(y_hi)
+            else:
+                while lux >= x1:
+                    i += 1
+                    (x0, y0), (x1, y1) = (x1, y1), pts[i]
+                while lux < x0:
+                    i -= 1
+                    (x0, y0), (x1, y1) = pts[i - 1], (x0, y0)
+                append(y0 + (y1 - y0) * (lux - x0) / (x1 - x0))
+        return column
 
 
 @dataclass(frozen=True)

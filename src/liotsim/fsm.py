@@ -255,7 +255,7 @@ def initial_state(
         volts=array("d", (cap.voltage_v,)),
         sample_interval_s=sample_interval_s,
     )
-    state.phase_deadline = _sleep_or_back_off(cfg, first_sleep_s)
+    state.phase_deadline = sleep_or_back_off(cfg, first_sleep_s)
     return state
 
 
@@ -417,7 +417,7 @@ def _close_cycle(
     _set_phase(state, cfg, SLEEPING, now + sleep)
 
 
-def _sleep_or_back_off(cfg: NodeConfig, sleep: Optional[float]) -> float:
+def sleep_or_back_off(cfg: NodeConfig, sleep: Optional[float]) -> float:
     """The sleep to arm: sleep, or the node's back-off when sleep is None
     (infeasible); the energy gate of advance then decides the wake."""
     return cfg.backoff_s if sleep is None else sleep
@@ -500,7 +500,7 @@ def _finish_cycle(
         sleep = _local_sleep(state, cfg, state.p_harv[state.light_i])
     else:
         sleep = assigned_sleep
-    _close_cycle(state, cfg, now, fail_reason, _sleep_or_back_off(cfg, sleep))
+    _close_cycle(state, cfg, now, fail_reason, sleep_or_back_off(cfg, sleep))
 
 
 def _await_or_time_out(state: NodeState, cfg: NodeConfig, now: float) -> None:

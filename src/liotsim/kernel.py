@@ -24,9 +24,9 @@ import random
 from array import array
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, count, groupby, islice, takewhile
+from itertools import chain, count, islice
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 # hashlib maps OpenSSL's libcrypto, a few MiB resident for one digest a run;
 # the interpreter's own SHA-256 gives the same bytes (as random.py does).
@@ -167,19 +167,46 @@ class IlluminationProfile:
     def lux_at(self, t_s: float) -> float:
         if not t_s >= 0:
             raise ValueError(f"time {t_s} outside the profile domain")
+        return self.lux_column((t_s,))[0]
+
+    def lux_column(self, starts: Sequence[float]) -> list[float]:
+        """lux_at of each of starts, one or more times that are >= 0 and
+        non-decreasing, in one pass per kind.
+
+        A step profile bisects its steps once, for the first start, and
+        then moves on a step at a time, giving each step's lux to the run of
+        starts before the next step's start.  The jitter of a second comes
+        from one generator, reseeded from the second's seed string, and is
+        drawn once for all the starts in that second.  No clamp at 0 is
+        needed: every lux, step lux and mean - amplitude is validated
+        >= 0, and a jitter factor lies in (0, 2).
+        """
         if self.kind == "constant":
-            v = self.lux
+            luxes = [self.lux] * len(starts)
         elif self.kind == "step":
-            i = bisect.bisect_right(self.steps, t_s, key=itemgetter(0))
-            v = self.steps[i - 1][1]
+            steps, n = self.steps, len(starts)
+            i = bisect.bisect_right(steps, starts[0], key=itemgetter(0))
+            luxes, done = [], 0
+            while done < n:
+                upto = (bisect.bisect_left(starts, steps[i][0], done)
+                        if i < len(steps) else n)
+                luxes += [steps[i - 1][1]] * (upto - done)
+                done, i = upto, i + 1
         else:
-            v = self.mean + self.amplitude * math.sin(
-                2.0 * math.pi * math.floor(t_s) / self.period_s
-            )
+            mean, amplitude, period, floor, sin = (
+                self.mean, self.amplitude, self.period_s, math.floor, math.sin)
+            two_pi = 2.0 * math.pi
+            luxes = [mean + amplitude * sin(two_pi * floor(t) / period) for t in starts]
         if self.jitter_pct > 0:
-            rng = random.Random(f"{self.jitter_seed}|lux|{math.floor(t_s)}")
-            v *= 1.0 + rng.uniform(-self.jitter_pct, self.jitter_pct)
-        return max(v, 0.0)
+            p, prefix = self.jitter_pct, f"{self.jitter_seed}|lux|"
+            rng, second = random.Random(f"{prefix}{math.floor(starts[0])}"), None
+            for k, t in enumerate(starts):
+                if (s := math.floor(t)) != second:
+                    if second is not None:
+                        rng.seed(f"{prefix}{s}")
+                    second, factor = s, 1.0 + rng.uniform(-p, p)
+                luxes[k] *= factor
+        return luxes
 
 
 # Pieces the light table appends at a time, after dropping those every node
@@ -190,12 +217,21 @@ LIGHT_CHUNK = 1024
 def _change_points(profile: IlluminationProfile, duration_s: float) -> Iterator[float]:
     """The times at which the light may change, in order, up to duration_s:
     0 for constant light and the step starts for a step profile, merged with
-    every whole second when jitter or a sinusoid is on."""
-    points = iter([t for t, _ in profile.steps] if profile.kind == "step" else [0.0])
-    if profile.jitter_pct > 0 or profile.kind == "sinusoid":
-        seconds = map(float, range(math.floor(duration_s) + 1))
-        points = (t for t, _ in groupby(heapq.merge(points, seconds)))
-    return takewhile(lambda t: t <= duration_s, points)
+    every whole second when jitter or a sinusoid is on.  The loop runs over
+    the step starts; the whole seconds between two of them come from one
+    range."""
+    starts = ([t for t, _ in profile.steps if t <= duration_s]
+              if profile.kind == "step" else [0.0])
+    if not (profile.jitter_pct > 0 or profile.kind == "sinusoid"):
+        yield from starts
+        return
+    second = 0  # the first whole second not yet yielded
+    for t in starts:
+        whole = math.ceil(t)  # the first whole second at or after t
+        yield from map(float, range(second, whole))
+        yield t
+        second = max(second, whole + (whole == t))
+    yield from map(float, range(second, math.floor(duration_s) + 1))
 
 
 @dataclass(slots=True)
@@ -210,12 +246,16 @@ class LightTable:
     pieces that all of its nodes share.
 
     Piece i runs from the previous piece's end (0 for the first) to ends[i],
-    the next change point (inf after the last); lux_at is evaluated once at
-    each piece's start, and power[curve][i] is each of the run's harvester
-    curves at that lux.  A node walks the table with its cursor
-    NodeState.light_i (see fsm.accrue_energy), and may read ahead of it
-    (see ahead).  The table fills LIGHT_CHUNK pieces at a time, and first
-    drops those before every reader's cursor.
+    the next change point (inf after the last), and power[curve][i] is each
+    of the run's harvester curves at the lux in force at the piece's start.
+    A node walks the table with its cursor NodeState.light_i (see
+    fsm.accrue_energy), and may read ahead of it (see ahead).  The table
+    fills LIGHT_CHUNK pieces at a time, and first drops those before every
+    reader's cursor.  A fill builds its chunk as columns: the ends from the
+    change points, the luxes of the pieces' starts in one
+    IlluminationProfile.lux_column pass, and each curve's power in one
+    HarvesterCurve.power_column walk, so no per-piece lux_at or power_mw
+    call is made.
     """
 
     def __init__(self, profile: IlluminationProfile, duration_s: float,
@@ -268,11 +308,11 @@ class LightTable:
         ends = list(islice(self._points, LIGHT_CHUNK))
         if len(ends) < LIGHT_CHUNK:
             ends.append(math.inf)
-        luxes = list(map(self.profile.lux_at, [self._next, *ends[:-1]]))
+        luxes = self.profile.lux_column([self._next, *ends[:-1]])
         self._next = ends[-1]
         self.ends += ends
         for curve, column in self.power.items():
-            column += map(curve.power_mw, luxes)
+            column += curve.power_column(luxes)
 
 
 @dataclass(frozen=True)
@@ -287,8 +327,7 @@ def gateway_sleep_s(cfg: NodeConfig, p_harv_mw: float) -> float:
     The balance-point sleep, used verbatim; 0 when the harvest covers
     continuous operation, the node's back-off when it cannot cover sleep.
     """
-    sleep = solve_sleep_time(cfg.profile, p_harv_mw)
-    return cfg.backoff_s if sleep is None else sleep
+    return fsm.sleep_or_back_off(cfg, solve_sleep_time(cfg.profile, p_harv_mw))
 
 
 # Largest run a scenario may ask for: a leap year, and trace samples over

@@ -1,3 +1,4 @@
+import bisect
 import dataclasses
 import hashlib
 import importlib.util
@@ -9,6 +10,7 @@ import struct
 import subprocess
 import sys
 from itertools import islice, takewhile
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +28,7 @@ from liotsim.energy import (
 from liotsim import fsm, kernel
 from liotsim.fsm import NodeConfig, NodeKind
 from liotsim.kernel import (
+    ILLUMINATION_KINDS,
     ChannelModel,
     FrameLogEntry,
     GatewayConfig,
@@ -299,6 +302,102 @@ def test_illumination_jitter_is_seeded_and_bounded():
     assert all(630.0 <= v <= 770.0 for v in vals)
     assert vals == [prof.lux_at(t) for t in (0.0, 100.0, 200.5)]
     assert prof.lux_at(200.1) == prof.lux_at(200.9)  # per-second granularity
+
+
+def _reference_lux(profile, t):
+    """The lux at t, one time at a time: a bisect over the steps, and a
+    fresh generator seeded for the second of t when jitter is on."""
+    if profile.kind == "constant":
+        v = profile.lux
+    elif profile.kind == "step":
+        v = profile.steps[bisect.bisect_right(profile.steps, t, key=itemgetter(0)) - 1][1]
+    else:
+        v = profile.mean + profile.amplitude * math.sin(
+            2.0 * math.pi * math.floor(t) / profile.period_s)
+    if profile.jitter_pct > 0:
+        rng = random.Random(f"{profile.jitter_seed}|lux|{math.floor(t)}")
+        v *= 1.0 + rng.uniform(-profile.jitter_pct, profile.jitter_pct)
+    return max(v, 0.0)
+
+
+def _reference_power(curve, lux):
+    """The curve's power at lux, one lux at a time: a bisect over its points."""
+    pts = curve.points
+    if lux <= pts[0][0]:
+        return pts[0][1]
+    if lux >= pts[-1][0]:
+        return pts[-1][1]
+    i = bisect.bisect_right(pts, (lux, math.inf))
+    (x0, y0), (x1, y1) = pts[i - 1], pts[i]
+    return y0 + (y1 - y0) * (lux - x0) / (x1 - x0)
+
+
+def _bits(values):
+    return [v.hex() for v in values]
+
+
+@st.composite
+def light_columns(draw):
+    """A light profile of any kind, two lists of times to evaluate it at, and
+    a harvester curve of 1-6 points over the luxes that it reaches.
+
+    The first list is a chunk of the run's change points from anywhere in
+    it, the second any one or more non-decreasing times.  Step starts fall
+    on whole seconds and between them, and jitter of up to 90 % moves
+    consecutive luxes across several of the curve's segments, up and down.
+    """
+    duration = draw(st.floats(1.0, 60.0))
+    kind = draw(st.sampled_from(ILLUMINATION_KINDS))
+    kw = {}
+    if kind == "step":
+        starts = draw(st.lists(st.one_of(st.integers(1, 60).map(float),
+                                         st.floats(0.01, 60.0)),
+                               max_size=8, unique=True))
+        kw["steps"] = tuple((t, draw(st.floats(0.0, 1200.0)))
+                            for t in [0.0, *sorted(starts)])
+    elif kind == "sinusoid":
+        mean = draw(st.floats(0.0, 1000.0))
+        kw.update(mean=mean, amplitude=draw(st.floats(0.0, mean)),
+                  period_s=draw(st.floats(1.0, 100.0)))
+    else:
+        kw["lux"] = draw(st.floats(0.0, 1200.0))
+    if draw(st.booleans()):
+        kw.update(jitter_pct=draw(st.floats(0.01, 0.9)),
+                  jitter_seed=draw(st.integers(0, 2**31)))
+    profile = IlluminationProfile(kind=kind, **kw)
+    points = list(kernel._change_points(profile, duration))
+    first = draw(st.integers(0, len(points) - 1))
+    chunk = points[first:draw(st.integers(first + 1, len(points)))]
+    times = sorted(draw(st.lists(st.floats(0.0, duration), min_size=1, max_size=20)))
+    luxes = sorted(draw(st.lists(st.floats(0.0, 1300.0), min_size=1, max_size=6,
+                                 unique=True)))
+    powers = sorted(draw(st.lists(st.floats(0.0, 5.0), min_size=len(luxes),
+                                  max_size=len(luxes))))
+    return profile, chunk, times, HarvesterCurve(points=tuple(zip(luxes, powers)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(light_columns())
+def test_light_columns_equal_the_value_at_a_time_reference(case):
+    profile, chunk, times, curve = case
+    for starts in (chunk, times):
+        luxes = profile.lux_column(starts)
+        assert _bits(luxes) == _bits(_reference_lux(profile, t) for t in starts)
+        # The luxes forth and back, and the curve's points and their neighbours.
+        xs = [x for x, _ in curve.points]
+        luxes += [*luxes[::-1], *xs, *(math.nextafter(x, 0.0) for x in xs),
+                  *(math.nextafter(x, math.inf) for x in xs), 0.0]
+        luxes = [x for x in luxes if x >= 0]
+        assert _bits(curve.power_column(luxes)) == _bits(
+            _reference_power(curve, x) for x in luxes)
+    # The one-value cases are the columns' and keep their errors.
+    for t in [*chunk, *times]:
+        assert profile.lux_at(t) == _reference_lux(profile, t)
+    for bad in (-1.0, -1e-300, math.nan):
+        with pytest.raises(ValueError):
+            profile.lux_at(bad)
+        with pytest.raises(ValueError):
+            curve.power_mw(bad)
 
 
 def test_deliver_degenerate_probabilities():
@@ -596,13 +695,13 @@ def test_lux_is_evaluated_once_per_change_point(monkeypatch):
     # A small chunk makes the run fill its light table many times.
     monkeypatch.setattr(kernel, "LIGHT_CHUNK", 4)
     evaluated = []
-    lux_at = IlluminationProfile.lux_at
+    lux_column = IlluminationProfile.lux_column
 
-    def counting_lux_at(self, t_s):
-        evaluated.append(t_s)
-        return lux_at(self, t_s)
+    def counting_lux_column(self, starts):
+        evaluated.extend(starts)
+        return lux_column(self, starts)
 
-    monkeypatch.setattr(IlluminationProfile, "lux_at", counting_lux_at)
+    monkeypatch.setattr(IlluminationProfile, "lux_column", counting_lux_column)
     sc = Scenario(
         duration_s=1800.0,
         nodes=(ble_node("ble-1"), ble_node("ble-2"), liot_node()),
@@ -611,7 +710,27 @@ def test_lux_is_evaluated_once_per_change_point(monkeypatch):
     )
     result = run(sc)
     assert sum(n.packets_sent for n in result.summary.nodes) > 0
-    assert len(evaluated) == len(set(evaluated)) <= 1801
+    # Each whole second of the run starts one piece, evaluated once, in order.
+    assert evaluated == [float(t) for t in range(1801)]
+
+
+def test_a_second_ble_node_leaves_the_first_as_it_was_at_loss_0():
+    # BLE nodes hold no lock at the gateway, and a lossless channel draws
+    # nothing, so a second BLE node cannot move the first one's cycles or
+    # its trace.  Under loss the nodes draw from one channel stream, and a
+    # second node then moves the first one's losses.
+    doc = preset_dict("ble-700lx")
+    doc["channel"]["loss"] = 0.0
+    alone = run(scenario_from_dict(doc)).nodes["ble-1"]
+    doc["nodes"].append({"id": "ble-2", "kind": "ble", "adv_mode": "uniform",
+                         "supercap": {"capacitance_f": 0.4, "voltage_v": 4.3}})
+    paired = run(scenario_from_dict(doc)).nodes["ble-1"]
+    assert (len(alone.record_columns), len(alone.volts)) == (1490, 28801)
+    for name in ("end_s", "scap_v_end", "consumed_j", "harvested_j", "codes"):
+        assert (bytes(getattr(alone.record_columns, name))
+                == bytes(getattr(paired.record_columns, name))), name
+    assert bytes(alone.volts) == bytes(paired.volts)
+    assert alone.last_sample_s == paired.last_sample_s
 
 
 def _two_hour_step_run(sample_interval_s: float):
