@@ -7,6 +7,7 @@ supercapacitor buffer.  All functions are pure and operate on value types.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -183,17 +184,13 @@ class HarvesterCurve:
         return self.power_column((lux,))[0]
 
     def power_column(self, luxes: Iterable[float]) -> list[float]:
-        """power_mw at each of luxes, which are >= 0, in one walk.
+        """power_mw at each of luxes, which are >= 0, in one loop.
 
         A lux between the first and last points is interpolated on the
-        segment whose start is the last point at or below it.  A pointer
-        keeps the segment of the previous such lux and steps from there,
-        since the luxes of consecutive light pieces lie close together.
+        segment whose start is the last point at or below it.
         """
-        pts = self.points
+        pts, xs = self.points, [x for x, _ in self.points]
         (x_lo, y_lo), (x_hi, y_hi) = pts[0], pts[-1]
-        i = min(1, len(pts) - 1)  # the segment runs from pts[i - 1] to pts[i]
-        (x0, y0), (x1, y1) = pts[0], pts[i]
         column = []
         append = column.append
         for lux in luxes:
@@ -202,12 +199,8 @@ class HarvesterCurve:
             elif lux >= x_hi:
                 append(y_hi)
             else:
-                while lux >= x1:
-                    i += 1
-                    (x0, y0), (x1, y1) = (x1, y1), pts[i]
-                while lux < x0:
-                    i -= 1
-                    (x0, y0), (x1, y1) = pts[i - 1], (x0, y0)
+                i = bisect.bisect_right(xs, lux)
+                (x0, y0), (x1, y1) = pts[i - 1], pts[i]
                 append(y0 + (y1 - y0) * (lux - x0) / (x1 - x0))
         return column
 

@@ -25,7 +25,6 @@ from array import array
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, count, islice
-from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 # hashlib maps OpenSSL's libcrypto, a few MiB resident for one digest a run;
@@ -173,25 +172,17 @@ class IlluminationProfile:
         """lux_at of each of starts, one or more times that are >= 0 and
         non-decreasing, in one pass per kind.
 
-        A step profile bisects its steps once, for the first start, and
-        then moves on a step at a time, giving each step's lux to the run of
-        starts before the next step's start.  The jitter of a second comes
-        from one generator, reseeded from the second's seed string, and is
-        drawn once for all the starts in that second.  No clamp at 0 is
-        needed: every lux, step lux and mean - amplitude is validated
-        >= 0, and a jitter factor lies in (0, 2).
+        A step profile bisects its step starts for each start.  The jitter
+        of a second comes from one generator, reseeded from the second's
+        seed string, and is drawn once for all the starts in that second.
+        No clamp at 0 is needed: every lux, step lux and mean - amplitude is
+        validated >= 0, and a jitter factor lies in (0, 2).
         """
         if self.kind == "constant":
             luxes = [self.lux] * len(starts)
         elif self.kind == "step":
-            steps, n = self.steps, len(starts)
-            i = bisect.bisect_right(steps, starts[0], key=itemgetter(0))
-            luxes, done = [], 0
-            while done < n:
-                upto = (bisect.bisect_left(starts, steps[i][0], done)
-                        if i < len(steps) else n)
-                luxes += [steps[i - 1][1]] * (upto - done)
-                done, i = upto, i + 1
+            steps, ts = self.steps, [t for t, _ in self.steps]
+            luxes = [steps[bisect.bisect_right(ts, t) - 1][1] for t in starts]
         else:
             mean, amplitude, period, floor, sin = (
                 self.mean, self.amplitude, self.period_s, math.floor, math.sin)
@@ -253,8 +244,8 @@ class LightTable:
     fills LIGHT_CHUNK pieces at a time, and first drops those before every
     reader's cursor.  A fill builds its chunk as columns: the ends from the
     change points, the luxes of the pieces' starts in one
-    IlluminationProfile.lux_column pass, and each curve's power in one
-    HarvesterCurve.power_column walk, so no per-piece lux_at or power_mw
+    IlluminationProfile.lux_column call, and each curve's power in one
+    HarvesterCurve.power_column call, so no per-piece lux_at or power_mw
     call is made.
     """
 

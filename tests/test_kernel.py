@@ -10,7 +10,6 @@ import struct
 import subprocess
 import sys
 from itertools import islice, takewhile
-from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -305,12 +304,12 @@ def test_illumination_jitter_is_seeded_and_bounded():
 
 
 def _reference_lux(profile, t):
-    """The lux at t, one time at a time: a bisect over the steps, and a
+    """The lux at t, one time at a time: a scan over the steps, and a
     fresh generator seeded for the second of t when jitter is on."""
     if profile.kind == "constant":
         v = profile.lux
     elif profile.kind == "step":
-        v = profile.steps[bisect.bisect_right(profile.steps, t, key=itemgetter(0)) - 1][1]
+        v = _reference_step_lux(profile.steps, t)
     else:
         v = profile.mean + profile.amplitude * math.sin(
             2.0 * math.pi * math.floor(t) / profile.period_s)
