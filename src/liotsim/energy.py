@@ -130,21 +130,24 @@ def solve_sleep_time(profile: EnergyProfile, p_harv_mw: float) -> Optional[float
     """Minimal sleep time so harvested energy covers one full duty cycle.
 
     Balances p_harv*(T_a + T_s) against E_active + P_sleep*T_s and returns
-    the T_s achieving equality; 0.0 when the harvest covers the burst
-    (p_harv*T_a >= E_active), and None when no sleep can recover it
-    (p_harv <= P_sleep).  A balance sleep is always > 0, since its
+    the T_s achieving equality; None whenever no sleep can recover the
+    burst (p_harv <= P_sleep), and 0.0 when a harvest above sleep power
+    covers it (p_harv*T_a >= E_active).  The sleep-power test is made
+    first: for a burst that draws barely more than sleep, P_sleep*T_a can
+    round to at least E_active, and sleep power must not read as
+    continuous operation.  A balance sleep is always > 0, since its
     numerator E_active - p_harv*T_a and its divisor p_harv - P_sleep are
     both positive, so 0.0 means continuous operation and nothing else.
     """
     if not p_harv_mw >= 0:
         raise ValueError("harvest power must be >= 0")
+    p_sleep = profile.sleep_power_mw
+    if p_harv_mw <= p_sleep:
+        return None
     t_active, e_active = active_totals(profile)
     e_active_mj = e_active * 1e3
     if p_harv_mw * t_active >= e_active_mj:
         return 0.0
-    p_sleep = profile.sleep_power_mw
-    if p_harv_mw <= p_sleep:
-        return None
     return (e_active_mj - p_harv_mw * t_active) / (p_harv_mw - p_sleep)
 
 

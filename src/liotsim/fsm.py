@@ -140,13 +140,15 @@ class NodeConfig:
     profile: EnergyProfile
     harvester: HarvesterCurve
     supercap: Supercap  # initial buffer state
-    margin: float = 0.05
+    margin: Optional[float] = None  # None: 0.05 for a BLE node, 0.0 for a LIoT node
     sensors: tuple[str, ...] = protocol.SENSOR_CHANNELS
     adv_mode: str = "fixed"  # one of ADV_MODES
     backoff_s: float = 60.0
     efficiency: float = 1.0  # share of the harvest that charging stores
 
     def __post_init__(self) -> None:
+        if self.margin is None:
+            object.__setattr__(self, "margin", 0.0 if self.kind is LIOT else 0.05)
         store_floats(self, "margin", "backoff_s", "efficiency")
         if not self.margin >= 0:
             raise FieldError("margin", "must be >= 0")
@@ -423,42 +425,32 @@ def sleep_or_back_off(cfg: NodeConfig, sleep: Optional[float]) -> float:
     return cfg.backoff_s if sleep is None else sleep
 
 
-def _local_sleep(state: NodeState, cfg: NodeConfig, p_harv: float) -> Optional[float]:
-    """schedule_next_cycle at harvest power p_harv, solved only when it
-    differs from the power of the node's last local solve (the solve
-    depends only on cfg and the power)."""
-    if p_harv != state.sleep_memo[0]:
-        state.sleep_memo = (p_harv, schedule_next_cycle(cfg, p_harv))
-    return state.sleep_memo[1]
-
-
-def _feasible(state: NodeState, cfg: NodeConfig, p_harv: float) -> bool:
-    """Whether the local solve at harvest power p_harv is feasible (not
-    None).  A harvest above sleep power always is (see solve_sleep_time),
-    so only one at or below it is solved."""
-    return p_harv > state.load_mw[SLEEPING] or _local_sleep(state, cfg, p_harv) is not None
-
-
 def _funded_wake(state: NodeState, cfg: NodeConfig, now: float,
                  light: LightTable) -> float:
     """The first time from now at which the energy gate of advance holds, or
     the end of the run if none comes before it.
 
-    Walks the light table's pieces from the node's cursor at sleep load with
-    accrue_energy's own arithmetic, so accrue_energy reaches the voltage the
-    walk checks.  In a piece of positive net power P (a harvest above sleep
-    power, so a feasible solve) V^2 crosses funded_v_sq at
-    t + (funded_v_sq - V0^2) * C / (2P); that time moves up by float steps
-    until the voltage there passes the gate, so a wake never falls an ulp
-    short.  Elsewhere V^2 holds or falls, so the gate can hold only from a
-    piece's start.
+    Walks the light table's pieces by index from the node's cursor at sleep
+    load with accrue_energy's own arithmetic, so accrue_energy reaches the
+    voltage the walk checks.  The node's cursor stays behind the walk, so a
+    fill at the table's end drops no piece the walk has yet to read, and the
+    walk's index moves down by the pieces it dropped.  In a piece of
+    positive net power P (a harvest above sleep power) V^2 crosses
+    funded_v_sq at t + (funded_v_sq - V0^2) * C / (2P); that time moves up
+    by float steps until the voltage there passes the gate, so a wake never
+    falls an ulp short.  Elsewhere V^2 holds or falls, so the gate can hold
+    only from a piece's start.
     """
     p_load = state.load_mw[SLEEPING]
     c, v_min, v_max, v_min_sq, need_sq = state.cap
     efficiency, sqrt, run_end = cfg.efficiency, math.sqrt, light.end_s
+    i, ends, power = state.light_i, light.ends, state.p_harv
     t, v = now, state.voltage_v
-    for end, p_harv in light.ahead(state):
-        if v * v >= need_sq and _feasible(state, cfg, p_harv):
+    while t < run_end:
+        if i == len(ends):  # past the filled pieces: the table fills more
+            i -= light.fill()
+        end, p_harv = ends[i], power[i]
+        if v * v >= need_sq and p_harv > p_load:
             return t
         t_end = end if end < run_end else run_end
         p_w = (p_harv - p_load) * 1e-3
@@ -484,6 +476,7 @@ def _funded_wake(state: NodeState, cfg: NodeConfig, now: float,
                 step += step
             return t_end
         t = t_end
+        i += 1
     return run_end
 
 
@@ -495,9 +488,14 @@ def _finish_cycle(
     assigned_sleep: Optional[float] = None,
 ) -> None:
     """Close the cycle and sleep: the gateway's assigned sleep verbatim, else
-    the local solve at the harvest power in force."""
+    the local solve at the harvest power in force, solved only when that
+    power differs from the one of the node's last local solve (the solve
+    depends only on cfg and the power)."""
     if assigned_sleep is None:
-        sleep = _local_sleep(state, cfg, state.p_harv[state.light_i])
+        p_harv = state.p_harv[state.light_i]
+        if p_harv != state.sleep_memo[0]:
+            state.sleep_memo = (p_harv, schedule_next_cycle(cfg, p_harv))
+        sleep = state.sleep_memo[1]
     else:
         sleep = assigned_sleep
     _close_cycle(state, cfg, now, fail_reason, sleep_or_back_off(cfg, sleep))
@@ -526,11 +524,12 @@ def advance(
     """Handle the expiry of the current phase deadline; returns the frame to send.
 
     A wake is gated on energy: the node starts its burst only when its
-    supercap holds the profile's active energy above v_min and the local
-    solve at the harvest power in force is feasible.  Otherwise it sleeps on,
-    with no record, to the first time both hold (_funded_wake).  A burst
-    that browns out all the same (an await phase run on to its timeout)
-    closes its cycle and sleeps the back-off.
+    supercap holds the profile's active energy above v_min and the harvest
+    power in force is above sleep power, where the local solve is feasible
+    (see solve_sleep_time).  Otherwise it sleeps on, with no record, to the
+    first time both hold (_funded_wake).  A burst that browns out all the
+    same (an await phase run on to its timeout) closes its cycle and sleeps
+    the back-off.
     """
     if state.depleted and state.phase is not SLEEPING:
         # Brown-out mid-cycle: abort, recover in sleep, count the cycle failed.
@@ -540,8 +539,8 @@ def advance(
     phase = state.phase
 
     if phase is SLEEPING:
-        v = state.voltage_v
-        if v * v < state.cap[4] or not _feasible(state, cfg, state.p_harv[state.light_i]):
+        v, p_harv = state.voltage_v, state.p_harv[state.light_i]
+        if v * v < state.cap[4] or p_harv <= state.load_mw[SLEEPING]:
             _set_phase(state, cfg, SLEEPING, _funded_wake(state, cfg, now, light))
             return None
         state.depleted = False  # a funded wake is above v_min
@@ -550,8 +549,7 @@ def advance(
             return None
         # LIoT: read the LDR and open the session with an IR uplink; the
         # gateway reads the harvest power the reading implies.
-        session = ExchangeSession(LIOT_SCRIPT, state.frames,
-                                  harvest_mw=state.p_harv[state.light_i])
+        session = ExchangeSession(LIOT_SCRIPT, state.frames, harvest_mw=p_harv)
         state.session = session
         out = exchange_step(session, None)
         # The uplink and the wait for the request share the gw_request stage.
@@ -626,9 +624,7 @@ def advance(
     raise FsmError(f"unhandled phase {phase!r} for {cfg.kind.value} node")
 
 
-def receive(
-    state: NodeState, cfg: NodeConfig, frame: Frame, now: float
-) -> Optional[Frame]:
+def receive(state: NodeState, frame: Frame) -> Optional[Frame]:
     """Handle a frame delivered to this node; returns the frame to send."""
     if state.depleted:
         return None  # a browned-out node neither processes nor emits

@@ -225,13 +225,6 @@ def _change_points(profile: IlluminationProfile, duration_s: float) -> Iterator[
     yield from map(float, range(second, math.floor(duration_s) + 1))
 
 
-@dataclass(slots=True)
-class _Cursor:
-    """A place in a LightTable that is not a node's, kept up to date by fill."""
-
-    light_i: int
-
-
 class LightTable:
     """The harvest power in force during one run, as a table of constant
     pieces that all of its nodes share.
@@ -240,9 +233,11 @@ class LightTable:
     the next change point (inf after the last), and power[curve][i] is each
     of the run's harvester curves at the lux in force at the piece's start.
     A node walks the table with its cursor NodeState.light_i (see
-    fsm.accrue_energy), and may read ahead of it (see ahead).  The table
-    fills LIGHT_CHUNK pieces at a time, and first drops those before every
-    reader's cursor.  A fill builds its chunk as columns: the ends from the
+    fsm.accrue_energy), and its energy wait reads ahead of the cursor by
+    index (see fsm._funded_wake).  The table fills LIGHT_CHUNK pieces at a
+    time, and first drops those before every node's cursor; a walk that
+    reaches the table's end subtracts what fill returns, the pieces dropped,
+    from its index.  A fill builds its chunk as columns: the ends from the
     change points, the luxes of the pieces' starts in one
     IlluminationProfile.lux_column call, and each curve's power in one
     HarvesterCurve.power_column call, so no per-piece lux_at or power_mw
@@ -255,7 +250,7 @@ class LightTable:
         self.end_s = duration_s
         self.ends: list[float] = []
         self.power: dict[HarvesterCurve, list[float]] = {c: [] for c in curves}
-        self.readers: list[Union[NodeState, _Cursor]] = []
+        self.readers: list[NodeState] = []
         self._points = _change_points(profile, duration_s)
         self._next = next(self._points)  # start of the first piece not filled
         self.fill()
@@ -265,37 +260,18 @@ class LightTable:
         state.light_i, state.p_harv = 0, self.power[harvester]
         self.readers.append(state)
 
-    def ahead(self, state: NodeState) -> Iterator[tuple[float, float]]:
-        """(end, harvest power) of each piece from the node's cursor on, up to
-        the piece in force at the end of the run, filling the table as the
-        walk reaches its end.  While the walk is open its place is a
-        reader's cursor, so a fill keeps the pieces it has yet to read."""
-        walk = _Cursor(state.light_i)
-        self.readers.append(walk)
-        ends, power = self.ends, state.p_harv
-        try:
-            while True:
-                if walk.light_i == len(ends):
-                    self.fill()
-                end = ends[walk.light_i]
-                yield end, power[walk.light_i]
-                if end >= self.end_s:
-                    return
-                walk.light_i += 1
-        finally:
-            self.readers.remove(walk)
-
-    def fill(self) -> None:
-        """Drop the pieces before every reader's cursor, then append up to
+    def fill(self) -> int:
+        """Drop the pieces before every node's cursor, then append up to
         LIGHT_CHUNK pieces; the columns shrink and grow in place, and the
-        cursors move with them."""
+        cursors move with them.  Returns the number of pieces dropped, by
+        which an index held outside the cursors moves down."""
         passed = min((st.light_i for st in self.readers), default=0)
         for column in (self.ends, *self.power.values()):
             del column[:passed]
         for st in self.readers:
             st.light_i -= passed
         if self._next == math.inf:
-            return
+            return passed
         ends = list(islice(self._points, LIGHT_CHUNK))
         if len(ends) < LIGHT_CHUNK:
             ends.append(math.inf)
@@ -304,6 +280,7 @@ class LightTable:
         self.ends += ends
         for curve, column in self.power.items():
             column += curve.power_column(luxes)
+        return passed
 
 
 @dataclass(frozen=True)
@@ -613,7 +590,7 @@ class _Kernel:
                 if node is not None:
                     state, cfg, _ = node
                     fsm.accrue_energy(state, cfg, time, light)
-                    out = fsm.receive(state, cfg, subject, time)
+                    out = fsm.receive(state, subject)
                     if out is not None:
                         self._send(out, time)
 

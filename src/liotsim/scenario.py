@@ -121,9 +121,9 @@ def _finite(v: Any, path: str) -> float:
     return v
 
 
-def _number(d: dict, key: str, path: str, default=None) -> Optional[float]:
+def _number(d: dict, key: str, path: str) -> Optional[float]:
     if key not in d:
-        return default
+        return None
     return _finite(d[key], _at(path, key))
 
 
@@ -242,9 +242,7 @@ def _parse_node(spec: dict, path: str) -> NodeConfig:
         harvester=_parse_harvester(spec.get("harvester", default_preset),
                                    f"{path}.harvester"),
         supercap=_parse_supercap(spec["supercap"], f"{path}.supercap"),
-        # NodeConfig's default margin is a BLE node's; a LIoT node takes none.
-        margin=_number(spec, "margin", path,
-                       default=0.0 if kind is NodeKind.LIOT else None),
+        margin=_number(spec, "margin", path),
         sensors=sensors,
         adv_mode=spec.get("adv_mode"),
         backoff_s=_number(spec, "backoff_s", path),

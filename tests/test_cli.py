@@ -55,6 +55,41 @@ def test_solve_direct_harvest_power(capsys):
     assert "620.000 s" in out
 
 
+# The LIoT build's Table 2 profile, written out as a file would give it.
+LIOT_PROFILE_DOC = {
+    "voltage_v": 3.3,
+    "sleep_current_ma": 0.087,
+    "stages": [
+        {"name": "gw_request", "current_ma": 12.69, "duration_s": 0.428},
+        {"name": "liot_sensor_read", "current_ma": 17.73, "duration_s": 0.525},
+        {"name": "liot_data_upload", "current_ma": 14.58, "duration_s": 3.58},
+        {"name": "liot_sleep_set", "current_ma": 9.81, "duration_s": 0.078},
+    ],
+}
+
+
+@pytest.mark.parametrize("doc, argv, sleep", [
+    ({"profile": "liot-table2", "harvester": "liot-table2"}, ["--lux", "700"],
+     "620.000 s"),
+    (LIOT_PROFILE_DOC, ["--harvest-mw", "1.2"], "238.669 s"),
+], ids=["built-in names", "bare profile"])
+def test_solve_profile_file_matches_the_built_in(capsys, tmp_path, doc, argv, sleep):
+    path = tmp_path / "profile.yaml"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "solve", "--profile", str(path), *argv)
+    assert code == EXIT_OK
+    assert f"sleep time:       {sleep}" in out
+    assert out == run_cli(capsys, "solve", "--profile", "liot-table2", *argv)[1]
+
+
+def test_solve_bare_profile_file_needs_a_harvest_power(capsys, tmp_path):
+    path = tmp_path / "profile.yaml"
+    path.write_text(yaml.safe_dump(LIOT_PROFILE_DOC), encoding="utf-8")
+    code, _, err = run_cli(capsys, "solve", "--profile", str(path), "--lux", "700")
+    assert code == EXIT_VALIDATION
+    assert "profile file has no harvester curve; use --harvest-mw" in err
+
+
 def test_solve_zero_harvest_is_infeasible(capsys):
     code, out, _ = run_cli(capsys, "solve", "--profile", "ble-table1",
                            "--harvest-mw", "0")

@@ -123,6 +123,23 @@ def test_solver_boundaries():
             solve_sleep_time(BLE_PROFILE, bad)
 
 
+def test_solver_is_infeasible_at_sleep_power_even_when_that_covers_the_burst():
+    # Sleep current one ulp below the one stage's: P_sleep*T_a rounds to at
+    # least E_active, so sleep power would read as covering the burst.
+    current = 11.092366396989023
+    profile = EnergyProfile(
+        voltage_v=2.4704941714275743,
+        active_stages=(Stage(StageName.SENSOR_READ, current, 4.963164291404688),),
+        sleep_current_ma=math.nextafter(current, 0),
+    )
+    p_sleep = profile.sleep_power_mw
+    t_active, e_active = active_totals(profile)
+    assert p_sleep * t_active >= e_active * 1e3
+    assert solve_sleep_time(profile, p_sleep) is None
+    assert solve_sleep_time(profile, math.nextafter(p_sleep, 0)) is None
+    assert solve_sleep_time(profile, math.nextafter(p_sleep, math.inf)) == 0.0
+
+
 def test_implied_power_values():
     # Oracles: (E_active + P_sleep*T_s) / (T_a + T_s) computed directly.
     t_a, e_a = active_totals(BLE_PROFILE)

@@ -195,7 +195,7 @@ def _ble_exchanging(cfg: NodeConfig):
     advertised = state.phase_deadline
     adv = advance(state, cfg, advertised, rng=rng, light=light)
     conn = exchange_step(state.session, adv)
-    receive(state, cfg, conn, advertised + adv.airtime_s + conn.airtime_s)
+    receive(state, conn)
     began = state.phase_deadline
     request = advance(state, cfg, began, rng=rng, light=light)
     assert state.phase is Phase.EXCHANGING
@@ -207,7 +207,7 @@ def test_out_of_sequence_frame_in_exchange_is_recorded_as_a_violation():
     cfg = ble_cfg()
     state, light, conn, _, began = _ble_exchanging(cfg)
     # A second connection request is out of sequence in the exchange.
-    assert receive(state, cfg, conn, began + 0.1) is None
+    assert receive(state, conn) is None
     assert state.session.fail_reason is FailReason.PROTOCOL_VIOLATION
     while not state.records:
         advance(state, cfg, state.phase_deadline, rng=random.Random(0), light=light)
@@ -243,7 +243,7 @@ def _awaiting(phase: Phase):
         # The wait shares the gw_request stage with the uplink before it.
         return state, light, cfg, uplinked, state.phase_deadline - uplinked, sleep_set
     assert exchange_step(state.session, uplink) is request
-    receive(state, cfg, request, uplinked + request.airtime_s)
+    receive(state, request)
     advance(state, cfg, state.phase_deadline, rng=rng, light=light)
     assert state.phase is Phase.SENSING
     data = advance(state, cfg, state.phase_deadline, rng=rng, light=light)
@@ -276,9 +276,9 @@ def test_an_unanswered_await_runs_on_once_and_times_out_at_twice_its_length(phas
 
 @pytest.mark.parametrize("phase", AWAIT_PHASES, ids=lambda p: p.value)
 def test_an_await_whose_session_failed_closes_at_its_nominal_deadline(phase):
-    state, light, cfg, began, _, stray = _awaiting(phase)
+    state, light, cfg, _, _, stray = _awaiting(phase)
     deadline = state.phase_deadline
-    assert receive(state, cfg, stray, began + stray.airtime_s) is None
+    assert receive(state, stray) is None
     assert advance(state, cfg, deadline, rng=random.Random(0), light=light) is None
     assert state.phase is Phase.SLEEPING
     (record,) = state.records
@@ -310,9 +310,9 @@ def test_end_run_records_the_open_session_as_it_stands():
     cfg = ble_cfg()
     light = LightTable(IlluminationProfile(lux=700.0), 100.0, [cfg.harvester])
     pending, _, _, _, _ = _ble_exchanging(cfg)
-    delivered, _, _, request, began = _ble_exchanging(cfg)
-    data = receive(delivered, cfg, request, began + 0.1)
-    receive(delivered, cfg, exchange_step(delivered.session, data), began + 0.5)
+    delivered, _, _, request, _ = _ble_exchanging(cfg)
+    data = receive(delivered, request)
+    receive(delivered, exchange_step(delivered.session, data))
     assert delivered.session.outcome is SessionOutcome.DELIVERED
     for state in (pending, delivered):
         light.attach(state, cfg.harvester)
@@ -353,7 +353,7 @@ def test_depleted_node_emits_nothing():
     frame = Frame(src=GATEWAY_ID, dst="ble-1", link=LinkType.BLE_ADV,
                   kind=FrameKind.CONN_REQ, payload_bytes=22, airtime_s=0.003,
                   channel=37)
-    assert receive(state, cfg, frame, 5.0) is None
+    assert receive(state, frame) is None
     # A node at v_min sleeps on at its wake deadline, with no record, until
     # its supercap holds one active burst above v_min: from v_min at 0 s,
     # V^2 rises by 2P/C a second at the net harvest P over sleep power.
@@ -460,7 +460,7 @@ def test_receive_holds_serves_or_refuses_each_frame_in_each_phase(cfg):
             link = LINK_FOR_KIND[kind]
             frame = Frame(GATEWAY_ID, cfg.node_id, link, kind, 1, 0.01,
                           {LinkType.BLE_ADV: 37, LinkType.BLE_CONN: 5}.get(link))
-            out = receive(state, cfg, frame, 1.0)
+            out = receive(state, frame)
             where = (phase, kind, expected)
             if expected == "held":
                 assert out is None and session.held is frame, where

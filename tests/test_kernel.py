@@ -178,6 +178,23 @@ def test_light_schedule_change_points(monkeypatch):
     assert light.power[curve] == powers(jittered, [11.0, 12.0])
 
 
+def test_fill_returns_the_pieces_it_drops(monkeypatch):
+    # A walk ahead of its node holds an index, not a cursor: at the table's
+    # end it subtracts what fill returns and reads on from the same piece.
+    monkeypatch.setattr(kernel, "LIGHT_CHUNK", 4)
+    light = LightTable(IlluminationProfile(jitter_pct=0.1), 12.0, [BLE_HARVESTER])
+    state, _ = _attached_node(light)
+    k = state.light_i = 3
+    before = list(light.ends)
+    walk = len(before)  # the walk has read every filled piece
+    assert light.fill() == k
+    assert state.light_i == 0
+    assert light.ends[:walk - k] == before[k:]
+    assert light.ends[walk - k - 1] == before[walk - 1]
+    # The walk's next piece is the first one the fill appended.
+    assert light.ends[walk - k] == before[-1] + 1.0
+
+
 @st.composite
 def light_walks(draw):
     """A light profile, its run length and the times at which each of one to
@@ -1052,7 +1069,19 @@ def _eighteen_node_scenario() -> Scenario:
     )
 
 
-@pytest.mark.parametrize("make", [_pinned_four_node_scenario, _eighteen_node_scenario])
+def _cold_start_scenario() -> Scenario:
+    """A BLE node booted at v_min under jittered light: its energy wait
+    walks the table ahead of its cursor, across fills that drop pieces."""
+    return Scenario(
+        duration_s=1800.0,
+        nodes=(ble_node(supercap=Supercap(0.4, 3.3)),),
+        illumination=IlluminationProfile(jitter_pct=0.05, jitter_seed=3),
+        seed=2,
+    )
+
+
+@pytest.mark.parametrize("make", [_pinned_four_node_scenario, _eighteen_node_scenario,
+                                  _cold_start_scenario])
 def test_light_chunk_size_changes_nothing(monkeypatch, make):
     sc = make()
     digest = _run_digest(shared_run(sc))
@@ -1062,12 +1091,18 @@ def test_light_chunk_size_changes_nothing(monkeypatch, make):
     fill = LightTable.fill
 
     def bounded_fill(light):
-        fill(light)
+        # A walk asks for a fill when its index reaches the table's end.
+        asked = len(light.ends)
+        dropped = fill(light)
         tables.append(light)
-        # Right after a fill the table holds the pieces from the slowest
-        # node's cursor to the fastest one's, plus at most one chunk.
+        # Right after a fill the slowest node's cursor is at the table's
+        # start, and the table holds the pieces up to the fastest node's
+        # cursor or the walk's index, whichever is further, plus at most one
+        # chunk.
         cursors = [state.light_i for state in light.readers] or [0]
-        assert len(light.ends) <= max(cursors) - min(cursors) + chunk
+        assert min(cursors) == 0
+        assert len(light.ends) <= max(*cursors, asked - dropped) + chunk
+        return dropped
 
     monkeypatch.setattr(LightTable, "fill", bounded_fill)
     assert _run_digest(run(sc)) == digest

@@ -15,6 +15,7 @@ from liotsim.energy import (
     StageName,
     Supercap,
 )
+from liotsim.fsm import NodeConfig, NodeKind
 from liotsim.kernel import (
     MAX_CYCLES,
     ChannelModel,
@@ -64,6 +65,18 @@ def test_minimal_document_fills_defaults():
     assert node.margin == 0.0
     assert node.profile.sleep_current_ma == pytest.approx(0.087)
     assert node.sensors == ("temperature", "humidity", "pressure", "gas")
+
+
+@pytest.mark.parametrize("kind, margin", [("liot", 0.0), ("ble", 0.05)])
+def test_a_node_built_in_python_takes_the_margin_of_a_scenario_file(kind, margin):
+    doc = minimal_doc()
+    doc["nodes"][0]["kind"] = kind
+    parsed = scenario_from_dict(doc).nodes[0]
+    built = NodeConfig(node_id=parsed.node_id, kind=NodeKind(kind),
+                       profile=parsed.profile, harvester=parsed.harvester,
+                       supercap=parsed.supercap)
+    assert built.margin == parsed.margin == margin
+    assert built == parsed
 
 
 def test_profile_missing_a_phase_stage_is_a_scenario_error():
