@@ -12,7 +12,7 @@ from typing import Optional
 
 import yaml
 
-from . import kernel, metrics, scenario as scenario_mod
+from . import fsm, kernel, metrics, scenario as scenario_mod
 from .energy import (
     active_totals,
     builtin_harvester,
@@ -78,7 +78,9 @@ def cmd_solve(args) -> int:
         p_harv = harvester.power_mw(args.lux)
     margin = args.margin
     if margin is None:
-        margin = 0.05 if args.profile == "ble-table1" else 0.0
+        # A profile that can run a BLE node solves with a BLE node's margin.
+        ble = not fsm.missing_stages(profile, fsm.BLE)
+        margin = fsm.DEFAULT_MARGIN[fsm.BLE] if ble else 0.0
 
     sleep = solve_sleep_time(profile, p_harv)
     t_active, e_active = active_totals(profile)
@@ -242,8 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lux", type=float, help="illuminance; uses the harvester curve")
     p.add_argument("--harvest-mw", type=float, help="harvest power directly, in mW")
     p.add_argument("--margin", type=float, default=None,
-                   help="duty-cycle stretch fraction (default 0.05 for ble-table1, "
-                        "0 otherwise)")
+                   help="duty-cycle stretch fraction (default 0.05 for a profile "
+                        "that holds every stage of a BLE node, 0 otherwise)")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("simulate", help="run one scenario")

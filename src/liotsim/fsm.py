@@ -124,6 +124,10 @@ LEGAL_TRANSITIONS: dict[NodeKind, dict[Phase, frozenset[Phase]]] = {
 # The handshake each kind of node runs.
 _SCRIPT = {NodeKind.BLE: BLE_SCRIPT, NodeKind.LIOT: LIOT_SCRIPT}
 
+# The duty-cycle margin of a node whose config gives none (see
+# schedule_next_cycle).
+DEFAULT_MARGIN = {NodeKind.BLE: 0.05, NodeKind.LIOT: 0.0}
+
 # How a BLE node times its advertising: the profile's stage duration, or a
 # uniform draw from 0.5 to 4 s.
 ADV_MODES = ("fixed", "uniform")
@@ -140,7 +144,7 @@ class NodeConfig:
     profile: EnergyProfile
     harvester: HarvesterCurve
     supercap: Supercap  # initial buffer state
-    margin: Optional[float] = None  # None: 0.05 for a BLE node, 0.0 for a LIoT node
+    margin: Optional[float] = None  # None: DEFAULT_MARGIN of the node's kind
     sensors: tuple[str, ...] = protocol.SENSOR_CHANNELS
     adv_mode: str = "fixed"  # one of ADV_MODES
     backoff_s: float = 60.0
@@ -148,7 +152,7 @@ class NodeConfig:
 
     def __post_init__(self) -> None:
         if self.margin is None:
-            object.__setattr__(self, "margin", 0.0 if self.kind is LIOT else 0.05)
+            object.__setattr__(self, "margin", DEFAULT_MARGIN[self.kind])
         store_floats(self, "margin", "backoff_s", "efficiency")
         if not self.margin >= 0:
             raise FieldError("margin", "must be >= 0")
@@ -158,8 +162,7 @@ class NodeConfig:
             raise FieldError("backoff_s", "must be > 0")
         if not 0 < self.efficiency <= 1:
             raise FieldError("efficiency", "must lie in (0, 1]")
-        have = {s.name for s in self.profile.active_stages}
-        missing = set(_PHASE_STAGE[self.kind].values()) - have
+        missing = missing_stages(self.profile, self.kind)
         if missing:
             raise ValueError(
                 f"profile lacks stages for {self.kind.value} node: "
@@ -175,6 +178,12 @@ class NodeConfig:
                 f"between v_min and v_max, less than the "
                 f"{active_totals(self.profile)[1]:.4g} J of one active burst",
             )
+
+
+def missing_stages(profile: EnergyProfile, kind: NodeKind) -> set[StageName]:
+    """The stages a node of this kind runs that the profile lacks."""
+    have = {s.name for s in profile.active_stages}
+    return set(_PHASE_STAGE[kind].values()) - have
 
 
 def funded_v_sq(cfg: NodeConfig) -> float:
@@ -428,55 +437,42 @@ def sleep_or_back_off(cfg: NodeConfig, sleep: Optional[float]) -> float:
 def _funded_wake(state: NodeState, cfg: NodeConfig, now: float,
                  light: LightTable) -> float:
     """The first time from now at which the energy gate of advance holds, or
-    the end of the run if none comes before it.
+    the end of the run if none comes before it; the node sleeps on to it.
 
-    Walks the light table's pieces by index from the node's cursor at sleep
-    load with accrue_energy's own arithmetic, so accrue_energy reaches the
-    voltage the walk checks.  The node's cursor stays behind the walk, so a
-    fill at the table's end drops no piece the walk has yet to read, and the
-    walk's index moves down by the pieces it dropped.  In a piece of
-    positive net power P (a harvest above sleep power) V^2 crosses
-    funded_v_sq at t + (funded_v_sq - V0^2) * C / (2P); that time moves up
-    by float steps until the voltage there passes the gate, so a wake never
-    falls an ulp short.  Elsewhere V^2 holds or falls, so the gate can hold
-    only from a piece's start.
+    The node sleeps at a constant load, so the wait runs it forward with
+    accrue_energy, one light piece at a time, as the wake's own
+    accrue_energy call would; that call then has nothing left to do.  The
+    gate is checked on the node's voltage and the power at its cursor.  In
+    a piece of positive net power P (a harvest above sleep power) V^2
+    crosses funded_v_sq at t + (funded_v_sq - V0^2) * C / (2P); that time
+    moves up by float steps until the voltage accrue_energy reaches there
+    passes the gate, so a wake never falls an ulp short.  Elsewhere V^2
+    holds or falls, so the gate can hold only from a piece's start.
     """
     p_load = state.load_mw[SLEEPING]
-    c, v_min, v_max, v_min_sq, need_sq = state.cap
-    efficiency, sqrt, run_end = cfg.efficiency, math.sqrt, light.end_s
-    i, ends, power = state.light_i, light.ends, state.p_harv
-    t, v = now, state.voltage_v
+    c, _, v_max, _, need_sq = state.cap
+    ends, power, run_end = light.ends, state.p_harv, light.end_s
+    t = now
     while t < run_end:
-        if i == len(ends):  # past the filled pieces: the table fills more
-            i -= light.fill()
-        end, p_harv = ends[i], power[i]
-        if v * v >= need_sq and p_harv > p_load:
-            return t
-        t_end = end if end < run_end else run_end
-        p_w = (p_harv - p_load) * 1e-3
-        if p_w > 0:
-            p_w *= efficiency
-        v0_sq = v**2
-        two_p_w = 2.0 * p_w
-        v_sq = v0_sq + two_p_w * (t_end - t) / c
-        if v_sq < v_min_sq:
-            v = v_min
-        else:
-            v = sqrt(v_sq)
-            if v_max < v:
-                v = v_max
-        if p_w > 0 and v * v >= need_sq:
+        i = state.light_i
+        p_harv, t_end = power[i], min(ends[i], run_end)
+        if p_harv > p_load:
+            v = state.voltage_v
+            if v * v >= need_sq:
+                return t
+            v0_sq = v**2
+            two_p_w = 2.0 * ((p_harv - p_load) * 1e-3 * cfg.efficiency)
             wake = t + (need_sq - v0_sq) * c / two_p_w
             step = math.ulp(wake)
             while wake < t_end:
-                v_wake = min(sqrt(v0_sq + two_p_w * (wake - t) / c), v_max)
+                v_wake = min(math.sqrt(v0_sq + two_p_w * (wake - t) / c), v_max)
                 if v_wake * v_wake >= need_sq:
-                    return wake
+                    t_end = wake
+                    break
                 wake += step
                 step += step
-            return t_end
+        accrue_energy(state, cfg, t_end, light)
         t = t_end
-        i += 1
     return run_end
 
 
@@ -527,9 +523,10 @@ def advance(
     supercap holds the profile's active energy above v_min and the harvest
     power in force is above sleep power, where the local solve is feasible
     (see solve_sleep_time).  Otherwise it sleeps on, with no record, to the
-    first time both hold (_funded_wake).  A burst that browns out all the
-    same (an await phase run on to its timeout) closes its cycle and sleeps
-    the back-off.
+    first time both hold: _funded_wake integrates the node to it, so the
+    wake's own accrue_energy call has nothing left to do.  A burst that
+    browns out all the same (an await phase run on to its timeout) closes
+    its cycle and sleeps the back-off.
     """
     if state.depleted and state.phase is not SLEEPING:
         # Brown-out mid-cycle: abort, recover in sleep, count the cycle failed.

@@ -232,16 +232,14 @@ class LightTable:
     Piece i runs from the previous piece's end (0 for the first) to ends[i],
     the next change point (inf after the last), and power[curve][i] is each
     of the run's harvester curves at the lux in force at the piece's start.
-    A node walks the table with its cursor NodeState.light_i (see
-    fsm.accrue_energy), and its energy wait reads ahead of the cursor by
-    index (see fsm._funded_wake).  The table fills LIGHT_CHUNK pieces at a
-    time, and first drops those before every node's cursor; a walk that
-    reaches the table's end subtracts what fill returns, the pieces dropped,
-    from its index.  A fill builds its chunk as columns: the ends from the
-    change points, the luxes of the pieces' starts in one
-    IlluminationProfile.lux_column call, and each curve's power in one
-    HarvesterCurve.power_column call, so no per-piece lux_at or power_mw
-    call is made.
+    A node walks the table with its cursor NodeState.light_i, which only
+    fsm.accrue_energy moves; the node's energy wait moves it through
+    accrue_energy too (see fsm._funded_wake).  The table fills LIGHT_CHUNK
+    pieces at a time, and first drops those before every node's cursor.  A
+    fill builds its chunk as columns: the ends from the change points, the
+    luxes of the pieces' starts in one IlluminationProfile.lux_column call,
+    and each curve's power in one HarvesterCurve.power_column call, so no
+    per-piece lux_at or power_mw call is made.
     """
 
     def __init__(self, profile: IlluminationProfile, duration_s: float,
@@ -260,18 +258,17 @@ class LightTable:
         state.light_i, state.p_harv = 0, self.power[harvester]
         self.readers.append(state)
 
-    def fill(self) -> int:
+    def fill(self) -> None:
         """Drop the pieces before every node's cursor, then append up to
         LIGHT_CHUNK pieces; the columns shrink and grow in place, and the
-        cursors move with them.  Returns the number of pieces dropped, by
-        which an index held outside the cursors moves down."""
+        cursors move with them."""
         passed = min((st.light_i for st in self.readers), default=0)
         for column in (self.ends, *self.power.values()):
             del column[:passed]
         for st in self.readers:
             st.light_i -= passed
         if self._next == math.inf:
-            return passed
+            return
         ends = list(islice(self._points, LIGHT_CHUNK))
         if len(ends) < LIGHT_CHUNK:
             ends.append(math.inf)
@@ -280,7 +277,6 @@ class LightTable:
         self.ends += ends
         for curve, column in self.power.items():
             column += curve.power_column(luxes)
-        return passed
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from .energy import (
     builtin_harvester,
     builtin_profile,
 )
-from .fsm import NodeConfig, NodeKind
+from .fsm import BLE, DEFAULT_MARGIN, LIOT, NodeConfig, NodeKind
 from .kernel import (
     ChannelModel,
     GatewayConfig,
@@ -365,7 +365,7 @@ def preset_dict(name: str) -> dict:
                     "v_min": 3.3,
                     "v_max": 4.5,
                 },
-                "margin": 0.05 if is_ble else 0.0,
+                "margin": DEFAULT_MARGIN[BLE if is_ble else LIOT],
             }
         ],
     }

@@ -68,18 +68,40 @@ LIOT_PROFILE_DOC = {
 }
 
 
-@pytest.mark.parametrize("doc, argv, sleep", [
+# The BLE build's Table 1 profile, written out likewise.
+BLE_PROFILE_DOC = {
+    "voltage_v": 3.3,
+    "sleep_current_ma": 0.070,
+    "stages": [
+        {"name": "sensor_read", "current_ma": 7.550, "duration_s": 0.260},
+        {"name": "ble_advertise", "current_ma": 0.400, "duration_s": 4.000},
+        {"name": "ble_data_exchange", "current_ma": 0.800, "duration_s": 1.300},
+    ],
+}
+
+
+# A profile given as a file takes the margin of the node kind whose stages
+# it holds, as the built-in of that kind does.
+@pytest.mark.parametrize("doc, argv, builtin, lines", [
     ({"profile": "liot-table2", "harvester": "liot-table2"}, ["--lux", "700"],
-     "620.000 s"),
-    (LIOT_PROFILE_DOC, ["--harvest-mw", "1.2"], "238.669 s"),
-], ids=["built-in names", "bare profile"])
-def test_solve_profile_file_matches_the_built_in(capsys, tmp_path, doc, argv, sleep):
+     "liot-table2", ["sleep time:       620.000 s"]),
+    (LIOT_PROFILE_DOC, ["--harvest-mw", "1.2"], "liot-table2",
+     ["sleep time:       238.669 s"]),
+    ({"profile": "ble-table1", "harvester": "ble-table1"}, ["--lux", "700"],
+     "ble-table1", ["duty cycle:       19.322 s (margin 5%)", "samples per 8 h:  1490"]),
+    (BLE_PROFILE_DOC, ["--harvest-mw", "0.98665"], "ble-table1",
+     ["duty cycle:       19.322 s (margin 5%)", "samples per 8 h:  1490"]),
+], ids=["built-in names", "bare profile", "BLE built-in names",
+        "bare BLE profile"])
+def test_solve_profile_file_matches_the_built_in(capsys, tmp_path, doc, argv, builtin,
+                                                 lines):
     path = tmp_path / "profile.yaml"
     path.write_text(yaml.safe_dump(doc), encoding="utf-8")
     code, out, _ = run_cli(capsys, "solve", "--profile", str(path), *argv)
     assert code == EXIT_OK
-    assert f"sleep time:       {sleep}" in out
-    assert out == run_cli(capsys, "solve", "--profile", "liot-table2", *argv)[1]
+    for line in lines:
+        assert line in out.splitlines()
+    assert out == run_cli(capsys, "solve", "--profile", builtin, *argv)[1]
 
 
 def test_solve_bare_profile_file_needs_a_harvest_power(capsys, tmp_path):

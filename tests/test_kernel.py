@@ -178,23 +178,6 @@ def test_light_schedule_change_points(monkeypatch):
     assert light.power[curve] == powers(jittered, [11.0, 12.0])
 
 
-def test_fill_returns_the_pieces_it_drops(monkeypatch):
-    # A walk ahead of its node holds an index, not a cursor: at the table's
-    # end it subtracts what fill returns and reads on from the same piece.
-    monkeypatch.setattr(kernel, "LIGHT_CHUNK", 4)
-    light = LightTable(IlluminationProfile(jitter_pct=0.1), 12.0, [BLE_HARVESTER])
-    state, _ = _attached_node(light)
-    k = state.light_i = 3
-    before = list(light.ends)
-    walk = len(before)  # the walk has read every filled piece
-    assert light.fill() == k
-    assert state.light_i == 0
-    assert light.ends[:walk - k] == before[k:]
-    assert light.ends[walk - k - 1] == before[walk - 1]
-    # The walk's next piece is the first one the fill appended.
-    assert light.ends[walk - k] == before[-1] + 1.0
-
-
 @st.composite
 def light_walks(draw):
     """A light profile, its run length and the times at which each of one to
@@ -1018,7 +1001,7 @@ def test_jittered_lossy_four_node_run_is_pinned():
     frames = result.frames
     assert (len(frames), sum(1 for f in frames if not f.delivered)) == (2141, 66)
     assert _run_digest(result) == (
-        "e3334cca5da78bcb72287839935457e304703cfaef37116b9e81a2cca3ceec88")
+        "79663b4e79d4d2b13e1cd88875cd75ee97ec55443a2d82762822839845ce2e8a")
 
 
 def test_each_run_builds_each_nodes_frames_once(monkeypatch):
@@ -1071,7 +1054,7 @@ def _eighteen_node_scenario() -> Scenario:
 
 def _cold_start_scenario() -> Scenario:
     """A BLE node booted at v_min under jittered light: its energy wait
-    walks the table ahead of its cursor, across fills that drop pieces."""
+    runs its cursor forward across fills that drop pieces."""
     return Scenario(
         duration_s=1800.0,
         nodes=(ble_node(supercap=Supercap(0.4, 3.3)),),
@@ -1091,23 +1074,53 @@ def test_light_chunk_size_changes_nothing(monkeypatch, make):
     fill = LightTable.fill
 
     def bounded_fill(light):
-        # A walk asks for a fill when its index reaches the table's end.
-        asked = len(light.ends)
-        dropped = fill(light)
+        fill(light)
         tables.append(light)
         # Right after a fill the slowest node's cursor is at the table's
         # start, and the table holds the pieces up to the fastest node's
-        # cursor or the walk's index, whichever is further, plus at most one
-        # chunk.
+        # cursor plus at most one chunk.
         cursors = [state.light_i for state in light.readers] or [0]
         assert min(cursors) == 0
-        assert len(light.ends) <= max(*cursors, asked - dropped) + chunk
-        return dropped
+        assert len(light.ends) <= max(cursors) + chunk
 
     monkeypatch.setattr(LightTable, "fill", bounded_fill)
     assert _run_digest(run(sc)) == digest
     # Each second of the run is a piece: the table filled many times over.
     assert len(tables) > sc.duration_s / chunk
+
+
+@pytest.mark.parametrize("make", [_pinned_four_node_scenario, _cold_start_scenario])
+def test_the_wait_sleeps_its_node_on_to_the_wake(monkeypatch, make):
+    # The energy wait integrates its node up to the wake it returns, so the
+    # node is funded there and the kernel's accrue_energy call at the wake
+    # has nothing left to do.
+    sc = make()
+    funded_wake, accrue_energy = fsm._funded_wake, fsm.accrue_energy
+    pending, checked = {}, []
+
+    def kept_wake(state, cfg, now, light):
+        wake = funded_wake(state, cfg, now, light)
+        if wake < sc.duration_s:
+            assert state.last_energy_update == wake
+            assert state.voltage_v**2 >= fsm.funded_v_sq(cfg)
+            pending[id(state)] = wake
+        return wake
+
+    def checked_accrue(state, cfg, now, light):
+        if pending.get(id(state)) != now:
+            return accrue_energy(state, cfg, now, light)
+        del pending[id(state)]
+        before = (state.voltage_v, state.volts.tobytes(), state.cycle_consumed_j,
+                  state.cycle_harvested_j)
+        accrue_energy(state, cfg, now, light)
+        assert (state.voltage_v, state.volts.tobytes(), state.cycle_consumed_j,
+                state.cycle_harvested_j) == before
+        checked.append(now)
+
+    monkeypatch.setattr(fsm, "_funded_wake", kept_wake)
+    monkeypatch.setattr(fsm, "accrue_energy", checked_accrue)
+    run(sc)
+    assert checked and not pending
 
 
 def test_local_sleep_follows_the_light_back():

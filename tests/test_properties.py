@@ -317,8 +317,9 @@ def test_every_burst_is_funded_and_every_wait_is_the_shortest(doc):
         return out
 
     def kept_wake(state, cfg, now, light):
+        v = state.voltage_v  # the wait runs the node on to its wake
         wake = funded_wake(state, cfg, now, light)
-        waits.append((cfg.node_id, now, state.voltage_v, wake))
+        waits.append((cfg.node_id, now, v, wake))
         return wake
 
     with pytest.MonkeyPatch.context() as mp:
@@ -339,7 +340,6 @@ def test_every_burst_is_funded_and_every_wait_is_the_shortest(doc):
         assert wake <= _first_funded_ms(pieces, cfg, now, v, sc.duration_s) + 1e-9
         if wake == sc.duration_s:
             continue  # a wake at the end of the run never comes
-        # A wake before the end starts a burst: at once, or after a wait of a
-        # few ulps when a frame that came in the wait moved V's last bits.
+        # A wake before the end starts a burst at once.
         assert now < wake
-        assert any(b == node_id and wake <= t <= wake + 1e-6 for b, t, _ in bursts)
+        assert any(b == node_id and t == wake for b, t, _ in bursts)
