@@ -147,19 +147,16 @@ class NodeConfig:
     margin: Optional[float] = None  # None: DEFAULT_MARGIN of the node's kind
     sensors: tuple[str, ...] = protocol.SENSOR_CHANNELS
     adv_mode: str = "fixed"  # one of ADV_MODES
-    backoff_s: float = 60.0
     efficiency: float = 1.0  # share of the harvest that charging stores
 
     def __post_init__(self) -> None:
         if self.margin is None:
             object.__setattr__(self, "margin", DEFAULT_MARGIN[self.kind])
-        store_floats(self, "margin", "backoff_s", "efficiency")
+        store_floats(self, "margin", "efficiency")
         if not self.margin >= 0:
             raise FieldError("margin", "must be >= 0")
         if self.adv_mode not in ADV_MODES:
             raise FieldError("adv_mode", f"must be one of {list(ADV_MODES)}")
-        if not self.backoff_s > 0:
-            raise FieldError("backoff_s", "must be > 0")
         if not 0 < self.efficiency <= 1:
             raise FieldError("efficiency", "must lie in (0, 1]")
         missing = missing_stages(self.profile, self.kind)
@@ -246,8 +243,8 @@ def initial_state(
     cfg: NodeConfig, first_sleep_s: Optional[float], sample_interval_s: float = math.inf
 ) -> NodeState:
     """Node boots asleep, charging, and wakes after its first solved sleep;
-    None (infeasible) backs off as _finish_cycle does.  Like every wake, that
-    one starts a burst only if the energy gate of advance lets it.
+    None (infeasible) sleeps the floor as _finish_cycle does.  Like every
+    wake, that one starts a burst only if the energy gate of advance lets it.
 
     The voltage trace samples every sample_interval_s; without an interval
     it holds only the boot voltage.
@@ -266,7 +263,7 @@ def initial_state(
         volts=array("d", (cap.voltage_v,)),
         sample_interval_s=sample_interval_s,
     )
-    state.phase_deadline = sleep_or_back_off(cfg, first_sleep_s)
+    state.phase_deadline = sleep_or_floor(cfg, first_sleep_s)
     return state
 
 
@@ -406,9 +403,10 @@ def _set_phase(
 
 def _close_cycle(
     state: NodeState, cfg: NodeConfig, now: float,
-    fail_reason: Optional[FailReason], sleep: float,
+    fail_reason: Optional[FailReason], sleep: Optional[float],
 ) -> None:
-    """Record the open cycle with its session's outcome, then sleep.
+    """Record the open cycle with its session's outcome, then sleep (see
+    sleep_or_floor).
 
     A pending session fails with fail_reason; one that has already ended
     keeps its own outcome.  A cycle without a session (a BLE node that
@@ -425,13 +423,17 @@ def _close_cycle(
     state.cycle_consumed_j = 0.0
     state.cycle_harvested_j = 0.0
     state.session = None
-    _set_phase(state, cfg, SLEEPING, now + sleep)
+    _set_phase(state, cfg, SLEEPING, now + sleep_or_floor(cfg, sleep))
 
 
-def sleep_or_back_off(cfg: NodeConfig, sleep: Optional[float]) -> float:
-    """The sleep to arm: sleep, or the node's back-off when sleep is None
-    (infeasible); the energy gate of advance then decides the wake."""
-    return cfg.backoff_s if sleep is None else sleep
+def sleep_or_floor(cfg: NodeConfig, sleep: Optional[float]) -> float:
+    """The sleep to arm: sleep, or where it is None (an infeasible solve, a
+    brown-out) the node's floor, the sleep solved at its curve's highest
+    power, which no solve undercuts; inf where that is infeasible too, as no
+    wake could pass the energy gate of advance.  The gate then decides."""
+    if sleep is None:
+        sleep = solve_sleep_time(cfg.profile, cfg.harvester.points[-1][1])
+    return math.inf if sleep is None else sleep
 
 
 def _funded_wake(state: NodeState, cfg: NodeConfig, now: float,
@@ -494,7 +496,7 @@ def _finish_cycle(
         sleep = state.sleep_memo[1]
     else:
         sleep = assigned_sleep
-    _close_cycle(state, cfg, now, fail_reason, sleep_or_back_off(cfg, sleep))
+    _close_cycle(state, cfg, now, fail_reason, sleep)
 
 
 def _await_or_time_out(state: NodeState, cfg: NodeConfig, now: float) -> None:
@@ -526,11 +528,11 @@ def advance(
     first time both hold: _funded_wake integrates the node to it, so the
     wake's own accrue_energy call has nothing left to do.  A burst that
     browns out all the same (an await phase run on to its timeout) closes
-    its cycle and sleeps the back-off.
+    its cycle and sleeps the floor (see sleep_or_floor).
     """
     if state.depleted and state.phase is not SLEEPING:
         # Brown-out mid-cycle: abort, recover in sleep, count the cycle failed.
-        _close_cycle(state, cfg, now, FailReason.BROWN_OUT, cfg.backoff_s)
+        _close_cycle(state, cfg, now, FailReason.BROWN_OUT, None)
         return None
 
     phase = state.phase

@@ -289,9 +289,9 @@ def gateway_sleep_s(cfg: NodeConfig, p_harv_mw: float) -> float:
     harvest power p_harv_mw under the node's curve.
 
     The balance-point sleep, used verbatim; 0 when the harvest covers
-    continuous operation, the node's back-off when it cannot cover sleep.
+    continuous operation, the node's floor when it cannot cover sleep.
     """
-    return fsm.sleep_or_back_off(cfg, solve_sleep_time(cfg.profile, p_harv_mw))
+    return fsm.sleep_or_floor(cfg, solve_sleep_time(cfg.profile, p_harv_mw))
 
 
 # Largest run a scenario may ask for: a leap year, and trace samples over
@@ -352,9 +352,9 @@ def shortest_cycle_s(cfg: NodeConfig) -> float:
     """A lower bound on the length of each of the node's cycles.
 
     A cycle is the sleep armed when the cycle before it closed, then a
-    burst (see fsm.advance).  That sleep is never shorter than the sleep
-    solved at the curve's highest power, without margin, or than the
-    back-off:
+    burst (see fsm.advance).  That sleep is never shorter than the node's
+    floor (fsm.sleep_or_floor), the sleep solved at the curve's highest
+    power, without margin:
     - a local solve (fsm.schedule_next_cycle) adds the margin to the solved
       sleep, and a LIoT node's assigned sleep (gateway_sleep_s) is the
       solved sleep, both at the power of some lux;
@@ -363,7 +363,7 @@ def shortest_cycle_s(cfg: NodeConfig) -> float:
       from the power that covers the burst on; a curve is non-decreasing
       and clamps above its last point, so its last point's power gives the
       shortest solve (None there means infeasible at every lux);
-    - an infeasible solve and a brown-out arm the back-off;
+    - an infeasible solve and a brown-out arm the floor, inf where None;
     - a wake that the energy gate of fsm.advance refuses starts no burst and
       closes no cycle: the node sleeps on to a later wake, which only
       lengthens the cycle.
@@ -373,13 +373,11 @@ def shortest_cycle_s(cfg: NodeConfig) -> float:
     Each cycle record but a RUN_ENDED one closes a whole cycle, so a run of
     d seconds closes at most d / shortest_cycle_s(cfg) + 1 records.
     """
-    # The solved sleep at the curve's top, or the back-off where that is None.
-    sleep = min(gateway_sleep_s(cfg, cfg.harvester.points[-1][1]), cfg.backoff_s)
     if cfg.kind is NodeKind.BLE:
         burst = cfg.profile.stage(StageName.SENSOR_READ).duration_s
     else:
         burst = handshake_frames(cfg.node_id, LIOT_SCRIPT, cfg.sensors)[0].airtime_s
-    return sleep + burst
+    return fsm.sleep_or_floor(cfg, None) + burst
 
 
 def estimated_cycles(sc: Scenario) -> float:

@@ -217,7 +217,7 @@ def _parse_node(spec: dict, path: str) -> NodeConfig:
     _check_keys(
         spec,
         {"id", "kind", "profile", "harvester", "supercap", "margin", "sensors",
-         "adv_mode", "backoff_s", "efficiency"},
+         "adv_mode", "efficiency"},
         {"id", "kind", "supercap"},
         path,
     )
@@ -245,7 +245,6 @@ def _parse_node(spec: dict, path: str) -> NodeConfig:
         margin=_number(spec, "margin", path),
         sensors=sensors,
         adv_mode=spec.get("adv_mode"),
-        backoff_s=_number(spec, "backoff_s", path),
         efficiency=_number(spec, "efficiency", path),
     )
 

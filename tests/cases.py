@@ -79,8 +79,9 @@ BAD_VALUES = (
     ("nodes.0", {"id": "b1", "kind": "ble", "sensors": ["temperature"],
                  "supercap": {"capacitance_f": 0.4, "voltage_v": 4.4}},
      "nodes[0].sensors"),
+    # A retired key is rejected as unknown, not ignored.
+    ("nodes.0.backoff_s", 60, "nodes[0].backoff_s"),
     # Range rules live in the value types; each is reported at its own key.
-    ("nodes.0.backoff_s", 0, "nodes[0].backoff_s"),
     ("nodes.0.efficiency", 0, "nodes[0].efficiency"),
     ("nodes.0.margin", -1, "nodes[0].margin"),
     ("nodes.0.supercap.capacitance_f", 0, "nodes[0].supercap.capacitance_f"),
@@ -138,11 +139,11 @@ def bad_value_cases(*rows):
     return params
 
 
-def ble_fleet_year(n_nodes: int) -> dict:
-    """n_nodes ble-700lx nodes for a leap year, sampled every 1e7 s: within
-    the trace-sample limit, so only the cycle budget can reject it."""
-    doc = preset_dict("ble-700lx")
+def fleet_year(preset: str, n_nodes: int) -> dict:
+    """n_nodes nodes of the preset for a leap year, sampled every 1e7 s:
+    within the trace-sample limit, so only the cycle budget can reject it."""
+    doc = preset_dict(preset)
     node = doc["nodes"][0]
-    doc["nodes"] = [{**node, "id": f"ble-{i}"} for i in range(n_nodes)]
+    doc["nodes"] = [{**node, "id": f"{node['kind']}-{i}"} for i in range(n_nodes)]
     doc.update(duration_s=366 * 86400.0, sample_interval_s=1e7)
     return doc

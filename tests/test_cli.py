@@ -10,7 +10,7 @@ import warnings
 import pytest
 import yaml
 
-from cases import BAD_VALUES, bad_value_cases, ble_fleet_year, shared_run
+from cases import BAD_VALUES, bad_value_cases, fleet_year, shared_run
 from liotsim import cli, metrics, scenario
 from liotsim.cli import (
     EXIT_INFEASIBLE,
@@ -218,7 +218,7 @@ def test_simulate_rejects_coerced_gateway_values(capsys, tmp_path, key, value, p
 def test_simulate_rejects_a_run_over_the_cycle_budget(capsys, tmp_path):
     # About 1.7e7 cycle records, past the limit of 1.5e7.
     path = tmp_path / "fleet.yaml"
-    path.write_text(yaml.safe_dump(ble_fleet_year(7)), encoding="utf-8")
+    path.write_text(yaml.safe_dump(fleet_year("ble-700lx", 7)), encoding="utf-8")
     code, _, err = run_cli(capsys, "simulate", "--scenario", str(path))
     assert code == EXIT_VALIDATION
     assert "invalid scenario: duration_s: 7 node(s) x 3.16224e+07 s" in err

@@ -22,7 +22,7 @@ from liotsim.energy import (
     stage_energy,
     supercap_segment,
 )
-from liotsim.fsm import NodeConfig, NodeKind, schedule_next_cycle
+from liotsim.fsm import NodeConfig, NodeKind, schedule_next_cycle, sleep_or_floor
 from liotsim.kernel import gateway_sleep_s
 
 V = 3.3
@@ -229,7 +229,7 @@ def test_the_solve_is_the_sleep_and_its_callers_read_it_alike(data):
                      margin=data.draw(st.sampled_from([0.0, 0.05])))
     local, assigned = schedule_next_cycle(cfg, p), gateway_sleep_s(cfg, p)
     if sleep is None:
-        assert local is None and assigned == cfg.backoff_s
+        assert local is None and assigned == sleep_or_floor(cfg, None)
     elif sleep == 0.0:
         assert local == assigned == 0.0
     else:

@@ -28,6 +28,7 @@ from liotsim.fsm import (
     phase_power_mw,
     receive,
     schedule_next_cycle,
+    sleep_or_floor,
 )
 from liotsim.kernel import IlluminationProfile, LightTable
 from liotsim.protocol import (
@@ -102,26 +103,63 @@ def test_finish_cycle_arms_the_gateway_assigned_sleep_verbatim():
     assert record.outcome is SessionOutcome.DELIVERED
 
 
-def test_an_infeasible_first_sleep_backs_off_and_solves_again_at_wake():
-    # Dark until 100 s, then 700 lx on a curve that harvests nothing at 0 lx.
+def test_an_infeasible_first_sleep_sleeps_the_floor_and_solves_again_at_wake():
+    # Dark until 1000 s, then 700 lx on a curve that harvests nothing at 0 lx.
     cfg = liot_cfg(harvester=HarvesterCurve(
         points=((0.0, 0.0), (700.0, LIOT_HARVESTER.power_mw(700.0)))))
     assert schedule_next_cycle(cfg, cfg.harvester.power_mw(0.0)) is None
     state = initial_state(cfg, None)
-    assert (state.phase, state.phase_deadline) == (Phase.SLEEPING, cfg.backoff_s)
-    light = LightTable(IlluminationProfile(kind="step", steps=((0.0, 0.0), (100.0, 700.0))),
-                       1000.0, [cfg.harvester])
+    floor = sleep_or_floor(cfg, None)
+    assert floor == pytest.approx(620.0, abs=1e-9)
+    assert (state.phase, state.phase_deadline) == (Phase.SLEEPING, floor)
+    light = LightTable(IlluminationProfile(kind="step", steps=((0.0, 0.0), (1000.0, 700.0))),
+                       2000.0, [cfg.harvester])
     light.attach(state, cfg.harvester)
     # Still infeasible at the wake: the node sleeps on, with no record, to
     # the start of the light in which its solve is feasible...
-    accrue_energy(state, cfg, cfg.backoff_s, light)
-    assert advance(state, cfg, cfg.backoff_s, rng=random.Random(0), light=light) is None
-    assert (state.phase, state.phase_deadline) == (Phase.SLEEPING, 100.0)
+    accrue_energy(state, cfg, floor, light)
+    assert advance(state, cfg, floor, rng=random.Random(0), light=light) is None
+    assert (state.phase, state.phase_deadline) == (Phase.SLEEPING, 1000.0)
     assert len(state.records) == 0
     # ...and starts its burst there.
-    accrue_energy(state, cfg, 100.0, light)
-    uplink = advance(state, cfg, 100.0, rng=random.Random(0), light=light)
+    accrue_energy(state, cfg, 1000.0, light)
+    uplink = advance(state, cfg, 1000.0, rng=random.Random(0), light=light)
     assert state.phase is Phase.UPLINKING and uplink.kind is FrameKind.NODE_ID_LUX
+
+
+@pytest.mark.parametrize("make_cfg,builtin,floor", [
+    (ble_cfg, BLE_HARVESTER, 12.842), (liot_cfg, LIOT_HARVESTER, 620.0),
+], ids=["ble", "liot"])
+@pytest.mark.parametrize("fail_reason", [FailReason.NO_GATEWAY, FailReason.BROWN_OUT])
+def test_a_cycle_closed_in_the_dark_sleeps_the_floor_then_the_gate_decides(
+        make_cfg, builtin, floor, fail_reason):
+    # A curve through (0, 0) up to the built-in's 700-lx power: the floor is
+    # the sleep solved there, the shortest that any solve arms.
+    cfg = make_cfg(harvester=HarvesterCurve(
+        points=((0.0, 0.0), (700.0, builtin.power_mw(700.0)))))
+    assert sleep_or_floor(cfg, None) == pytest.approx(floor, abs=1e-9)
+    # Dark from 5 s; the light is back 1 s after the cycle closes at 10 s.
+    state = initial_state(cfg, 100.0)
+    light = LightTable(IlluminationProfile(
+        kind="step", steps=((0.0, 700.0), (5.0, 0.0), (11.0, 700.0))), 1e4, [cfg.harvester])
+    light.attach(state, cfg.harvester)
+    accrue_energy(state, cfg, 10.0, light)
+    state.phase = Phase.SENSING
+    if fail_reason is FailReason.BROWN_OUT:
+        state.depleted = True
+        assert advance(state, cfg, 10.0, rng=random.Random(0), light=light) is None
+    else:  # the local solve in the dark is infeasible
+        assert schedule_next_cycle(cfg, state.p_harv[state.light_i]) is None
+        _finish_cycle(state, cfg, 10.0, fail_reason)
+    (record,) = state.records
+    assert record.fail_reason is fail_reason
+    wake = 10.0 + sleep_or_floor(cfg, None)
+    assert (state.phase, state.phase_deadline) == (Phase.SLEEPING, wake)
+    # The node's one timer is at the floor's end, not at 11 s, and there the
+    # funded node starts its burst.
+    accrue_energy(state, cfg, wake, light)
+    advance(state, cfg, wake, rng=random.Random(0), light=light)
+    assert state.phase is not Phase.SLEEPING and len(state.records) == 1
 
 
 def test_schedule_continuous_when_harvest_covers_active_power():

@@ -463,8 +463,7 @@ def _scenario_of(num) -> Scenario:
                             for s in BLE_PROFILE.active_stages))
     return Scenario(
         duration_s=num(100),
-        nodes=(ble_node(profile=profile, margin=num(0), backoff_s=num(60),
-                        efficiency=num(1),
+        nodes=(ble_node(profile=profile, margin=num(0), efficiency=num(1),
                         harvester=HarvesterCurve(((num(0), num(0)), (num(700), num(1)))),
                         supercap=Supercap(num(1), num(4), num(3), num(5))),),
         channel=ChannelModel(loss={LinkType.BLE_ADV: num(0), LinkType.BLE_CONN: num(1)}),
@@ -643,13 +642,30 @@ def test_two_liot_nodes_share_one_optical_transceiver():
     (LIOT_HARVESTER, 500.0, pytest.approx(1350.0, abs=0.01)),
     # Harvest covers the whole active burst: the node runs continuously.
     (HarvesterCurve(points=((0.0, 500.0),)), 700.0, 0.0),
-    # Harvest cannot even cover sleep: the node backs off.
-    (HarvesterCurve(points=((0.0, 0.0),)), 700.0, 60.0),
+    # Harvest cannot cover sleep at any lux: the node sleeps its floor,
+    # which no wake ends.
+    (HarvesterCurve(points=((0.0, 0.0),)), 700.0, math.inf),
 ], ids=["700lx", "500lx", "continuous", "infeasible"])
 def test_gateway_assigned_sleep(harvester, lux, expected):
     cfg = liot_node(harvester=harvester)
-    assert cfg.backoff_s == 60.0
     assert kernel.gateway_sleep_s(cfg, harvester.power_mw(lux)) == expected
+
+
+def test_a_node_that_no_lux_funds_sleeps_through_the_run():
+    # Harvest cannot cover sleep at any lux: the floor is inf, so each node
+    # sleeps from boot to the end in one segment at sleep power and closes
+    # no record.
+    dark = HarvesterCurve(points=((0.0, 0.0),))
+    nodes = (ble_node(harvester=dark), liot_node(harvester=dark))
+    assert [kernel.shortest_cycle_s(cfg) for cfg in nodes] == [math.inf, math.inf]
+    result = run(Scenario(duration_s=3600.0, nodes=nodes, sample_interval_s=7.0))
+    for cfg in nodes:
+        nr = result.nodes[cfg.node_id]
+        assert len(nr.record_columns) == 0
+        assert nr.total_consumed_j == pytest.approx(cfg.profile.sleep_power_mw * 3.6)
+        assert nr.trace[-1][0] == 3600.0
+        for t, v in nr.trace:
+            assert v == supercap_segment(cfg.supercap, -cfg.profile.sleep_power_mw, t)[0]
 
 
 def test_subset_upload_still_delivers():
@@ -840,7 +856,7 @@ def test_inline_sampling_equals_supercap_segment_across_v_max(monkeypatch):
 
 def test_inline_sampling_equals_supercap_segment_down_to_v_min(monkeypatch):
     calls = _check_accrue_against_supercap_segment(monkeypatch)
-    # Dark from 300 s to 2000 s: the node backs off and drains to v_min.
+    # Dark from 300 s to 2000 s: the node sleeps the floor and drains to v_min.
     dark_harvester = HarvesterCurve(
         points=((0.0, 0.0), (700.0, BLE_HARVESTER.power_mw(700.0))))
     sc = Scenario(

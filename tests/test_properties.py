@@ -88,15 +88,14 @@ def test_trace_follows_the_sampling_rule_and_nothing_else_moves(doc, interval_s)
 
 @st.composite
 def fast_cycling_scenarios(draw) -> dict:
-    """small_scenarios whose nodes may boot at v_min, back off for as little
-    as 0.5 s, harvest nothing in the dark, or harvest enough to run
-    continuously, so that their cycles come near the shortest that
-    kernel.shortest_cycle_s allows."""
+    """small_scenarios whose nodes may boot at v_min, harvest nothing in the
+    dark (and so sleep the floor), or harvest enough to run continuously, so
+    that their cycles come near the shortest that kernel.shortest_cycle_s
+    allows."""
     doc = draw(small_scenarios())
     for node in doc["nodes"]:
         v_boot = node["supercap"]["voltage_v"]
         node["supercap"]["voltage_v"] = draw(st.sampled_from((3.3, 3.31, v_boot)))
-        node["backoff_s"] = draw(st.sampled_from((0.5, 5.0, 60.0)))
         gain = draw(st.sampled_from((1.0, 10.0, 1000.0)))
         curve = builtin_harvester(node["harvester"])
         points = [[lux, p * gain] for lux, p in curve.points]

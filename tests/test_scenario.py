@@ -6,7 +6,7 @@ import re
 import pytest
 import yaml
 
-from cases import BAD_VALUES, bad_value_cases, ble_fleet_year
+from cases import BAD_VALUES, bad_value_cases, fleet_year
 from liotsim.energy import (
     BLE_PROFILE,
     FieldError,
@@ -210,18 +210,25 @@ def test_cycle_budget_bounds_records_and_frames():
     assert MAX_CYCLES * (33 + 17 * longest_script) * 9 / 8 + 8e7 <= 2 * 2**30
     # A ble-700lx node's shortest cycle is its 12.842-s sleep solved at
     # 700 lx, its curve's top, plus its 0.26-s sensor read: 2.41e6 a year.
-    assert len(scenario_from_dict(ble_fleet_year(6)).nodes) == 6
-    with pytest.raises(ScenarioError, match=r"7 node\(s\) x 3\.16224e\+07 s is an "
-                       r"estimated 1\.69e\+07 cycles, above the limit of 15,000,000"):
-        scenario_from_dict(ble_fleet_year(7))
+    # A liot-700lx node's is its 620-s sleep there plus its first uplink's
+    # 0.186875-s airtime: 5.10e4 a year.
+    for preset, accepted, estimate in [("ble-700lx", 6, "1.69e+07"),
+                                       ("liot-700lx", 294, "1.5e+07")]:
+        assert len(scenario_from_dict(fleet_year(preset, accepted)).nodes) == accepted
+        rejected = accepted + 1
+        with pytest.raises(ScenarioError, match=re.escape(
+                f"{rejected} node(s) x 3.16224e+07 s is an estimated {estimate} "
+                "cycles, above the limit of 15,000,000")) as exc:
+            scenario_from_dict(fleet_year(preset, rejected))
+        assert exc.value.path == "duration_s"
     with pytest.raises(ScenarioError) as exc:
-        scenario_from_dict(ble_fleet_year(1000))
+        scenario_from_dict(fleet_year("ble-700lx", 1000))
     assert exc.value.path == "duration_s"
 
 
 def test_a_scenario_built_in_python_obeys_the_run_size_limits():
     sc = load_preset("ble-700lx")
-    fleet = scenario_from_dict(ble_fleet_year(6))
+    fleet = scenario_from_dict(fleet_year("ble-700lx", 6))
     nodes = (*fleet.nodes, dataclasses.replace(fleet.nodes[0], node_id="ble-6"))
     for base, changes, field, message in [
         (sc, {"duration_s": 1e9}, "duration_s",
@@ -362,7 +369,7 @@ def _bad_fields():
         (cap, "capacitance_f", 0.0), (cap, "voltage_v", 0.0),
         (cap, "v_min", -1.0), (cap, "v_max", -1.0),
         (sc.nodes[0], "margin", -1.0), (sc.nodes[0], "adv_mode", "bar"),
-        (sc.nodes[0], "backoff_s", 0.0), (sc.nodes[0], "efficiency", 0.0),
+        (sc.nodes[0], "supercap", Supercap(0.001, 4.2)), (sc.nodes[0], "efficiency", 0.0),
         (sc.nodes[0], "efficiency", 1.5),
         (light, "kind", "foo"), (light, "lux", -5.0),
         (light, "mean", -1.0), (light, "amplitude", -1.0), (light, "period_s", 0.0),
