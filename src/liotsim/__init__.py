@@ -17,9 +17,8 @@ from .energy import (
     implied_harvest_power,
     solve_sleep_time,
     stage_energy,
-    supercap_segment,
 )
-from .fsm import NodeConfig, NodeKind, NodeState, Phase, schedule_next_cycle
+from .fsm import NodeConfig, NodeKind, NodeState, schedule_next_cycle
 from .kernel import (
     ChannelModel,
     GatewayConfig,

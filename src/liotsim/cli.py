@@ -78,8 +78,8 @@ def cmd_solve(args) -> int:
         p_harv = harvester.power_mw(args.lux)
     margin = args.margin
     if margin is None:
-        # A profile that can run a BLE node solves with a BLE node's margin.
-        ble = not fsm.missing_stages(profile, fsm.BLE)
+        # A profile that a BLE node accepts solves with a BLE node's margin.
+        ble = not fsm.burst_mismatch(profile, fsm.BLE)
         margin = fsm.DEFAULT_MARGIN[fsm.BLE] if ble else 0.0
 
     sleep = solve_sleep_time(profile, p_harv)

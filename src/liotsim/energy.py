@@ -8,7 +8,6 @@ supercapacitor buffer.  All functions are pure and operate on value types.
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional
@@ -83,6 +82,10 @@ class EnergyProfile:
             raise FieldError("sleep_current_ma", "must be > 0")
         if not self.active_stages:
             raise ValueError("profile needs at least one active stage")
+        names = [s.name for s in self.active_stages]
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise ValueError(f"stage {name.value!r} is given twice")
         if self.sleep_current_ma >= min(s.current_ma for s in self.active_stages):
             raise ValueError("sleep current must be below every active-stage current")
         # Summed once, for active_totals; not a field, so no config_hash sees it.
@@ -229,29 +232,6 @@ class Supercap:
             raise FieldError("v_max", "must be > 0")
         if not (self.v_min <= self.voltage_v <= self.v_max):
             raise ValueError("need v_min <= voltage <= v_max")
-
-
-def supercap_segment(
-    cap: Supercap, p_net_mw: float, dt_s: float, efficiency: float = 1.0
-) -> tuple[float, bool]:
-    """Voltage after holding a constant net power for dt_s from cap's state.
-
-    Returns (voltage, depleted).  Under constant net power the stored energy
-    0.5*C*V^2 changes linearly, so V^2 = V0^2 + 2*P*t/C; charging (positive
-    p_net) is scaled by the round-trip efficiency factor, discharge is taken
-    at face value.  V^2 reaches v_max^2 (or v_min^2) at the single time
-    t* = (bound^2 - V0^2) * C / (2*P); from t* on the voltage is exactly the
-    bound, and a segment that passes v_min raises the depleted flag.  The
-    voltage is returned as a float so that sampling one segment at many
-    times builds no states.
-    """
-    p_w = p_net_mw * 1e-3
-    if p_w > 0:
-        p_w *= efficiency
-    v_sq = cap.voltage_v**2 + 2.0 * p_w * dt_s / cap.capacitance_f
-    if v_sq < cap.v_min**2:
-        return cap.v_min, True
-    return min(math.sqrt(v_sq), cap.v_max), False
 
 
 # --- Built-in presets -------------------------------------------------------

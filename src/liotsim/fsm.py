@@ -1,15 +1,17 @@
 """Duty-cycle state machine for one sensor node.
 
 The kernel drives each node with timer and frame-delivery callbacks; the
-functions here perform the phase transitions, debit the supercapacitor for
-the elapsed phase, return the protocol frames of the two node variants, and
-keep the node's cycle records, its one account of sessions and energy.
+functions here move a node through the stages of its burst and back to
+sleep, debit the supercapacitor for the elapsed stage, return the protocol
+frames of the two node variants, and keep the node's cycle records, its one
+account of sessions and energy.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate, repeat
@@ -55,70 +57,53 @@ class NodeKind(str, Enum):
     LIOT = "liot"
 
 
-class Phase(str, Enum):
-    SLEEPING = "sleeping"
-    SENSING = "sensing"
-    ADVERTISING = "advertising"
-    EXCHANGING = "exchanging"
-    UPLINKING = "uplinking"
-    AWAITING_REQUEST = "awaiting_request"
-    UPLOADING = "uploading"
-    AWAITING_SLEEP_SET = "awaiting_sleep_set"
-
-
 # Module constants for the members the FSM tests on every event (see the
-# note above protocol.ADV_ESS).
+# note above protocol.ADV_ESS).  A node's phase is the stage it is in, SLEEP
+# while asleep.
 BLE = NodeKind.BLE
 LIOT = NodeKind.LIOT
-SLEEPING = Phase.SLEEPING
-SENSING = Phase.SENSING
-ADVERTISING = Phase.ADVERTISING
-EXCHANGING = Phase.EXCHANGING
-UPLINKING = Phase.UPLINKING
-AWAITING_REQUEST = Phase.AWAITING_REQUEST
-UPLOADING = Phase.UPLOADING
-AWAITING_SLEEP_SET = Phase.AWAITING_SLEEP_SET
+SLEEP = StageName.SLEEP
+SENSOR_READ = StageName.SENSOR_READ
+BLE_ADVERTISE = StageName.BLE_ADVERTISE
+BLE_DATA_EXCHANGE = StageName.BLE_DATA_EXCHANGE
+GW_REQUEST = StageName.GW_REQUEST
+LIOT_SENSOR_READ = StageName.LIOT_SENSOR_READ
+LIOT_DATA_UPLOAD = StageName.LIOT_DATA_UPLOAD
+LIOT_SLEEP_SET = StageName.LIOT_SLEEP_SET
 
-# Each frame kind the gateway sends a node: the phase that serves it, and
-# the phases that hold it until a phase boundary consumes it.  The kind in
-# any other phase, or a kind not listed, is a protocol violation.
-_NODE_INBOX: dict[FrameKind, tuple[Optional[Phase], tuple[Phase, ...]]] = {
-    CONN_REQ: (None, (ADVERTISING,)),
-    ESS_ATTR_REQUEST: (EXCHANGING, ()),
-    CONFIG_OR_DISCONNECT: (EXCHANGING, ()),
-    SENSOR_REQUEST: (None, (UPLINKING, AWAITING_REQUEST)),
-    SLEEP_SET: (AWAITING_SLEEP_SET, (UPLOADING,)),
+# The stages of each kind's burst, in order; a node's profile holds exactly
+# these (see burst_mismatch).
+BURST: dict[NodeKind, tuple[StageName, ...]] = {
+    NodeKind.BLE: (SENSOR_READ, BLE_ADVERTISE, BLE_DATA_EXCHANGE),
+    NodeKind.LIOT: (GW_REQUEST, LIOT_SENSOR_READ, LIOT_DATA_UPLOAD, LIOT_SLEEP_SET),
 }
 
-_PHASE_STAGE: dict[NodeKind, dict[Phase, StageName]] = {
-    NodeKind.BLE: {
-        Phase.SENSING: StageName.SENSOR_READ,
-        Phase.ADVERTISING: StageName.BLE_ADVERTISE,
-        Phase.EXCHANGING: StageName.BLE_DATA_EXCHANGE,
-    },
-    NodeKind.LIOT: {
-        Phase.UPLINKING: StageName.GW_REQUEST,
-        Phase.AWAITING_REQUEST: StageName.GW_REQUEST,
-        Phase.SENSING: StageName.LIOT_SENSOR_READ,
-        Phase.UPLOADING: StageName.LIOT_DATA_UPLOAD,
-        Phase.AWAITING_SLEEP_SET: StageName.LIOT_SLEEP_SET,
-    },
+# Each frame kind the gateway sends a node: the stage that serves it, and
+# the stages that hold it until a stage boundary consumes it.  The kind in
+# any other stage, or a kind not listed, is a protocol violation.
+_NODE_INBOX: dict[FrameKind, tuple[Optional[StageName], tuple[StageName, ...]]] = {
+    CONN_REQ: (None, (BLE_ADVERTISE,)),
+    ESS_ATTR_REQUEST: (BLE_DATA_EXCHANGE, ()),
+    CONFIG_OR_DISCONNECT: (BLE_DATA_EXCHANGE, ()),
+    SENSOR_REQUEST: (None, (GW_REQUEST,)),
+    SLEEP_SET: (LIOT_SLEEP_SET, (LIOT_DATA_UPLOAD,)),
 }
 
 
-def _burst_transitions(burst: list[Phase]) -> dict[Phase, frozenset[Phase]]:
-    """The phases each phase may move to: sleep goes on or starts the burst,
-    each phase moves to the next or aborts to sleep, the last ends in sleep."""
-    table = {SLEEPING: frozenset({SLEEPING, burst[0]})}
-    for phase, after in zip(burst, burst[1:]):
-        table[phase] = frozenset({after, SLEEPING})
-    table[burst[-1]] = frozenset({SLEEPING})
+def _burst_transitions(
+    burst: tuple[StageName, ...]
+) -> dict[StageName, frozenset[StageName]]:
+    """The stages each phase may move to: sleep goes on or starts the burst,
+    each stage moves to the next or aborts to sleep, the last ends in sleep."""
+    table = {SLEEP: frozenset({SLEEP, burst[0]})}
+    for stage, after in zip(burst, burst[1:]):
+        table[stage] = frozenset({after, SLEEP})
+    table[burst[-1]] = frozenset({SLEEP})
     return table
 
 
-# A node's burst runs through its phases in _PHASE_STAGE order.
-LEGAL_TRANSITIONS: dict[NodeKind, dict[Phase, frozenset[Phase]]] = {
-    kind: _burst_transitions(list(stages)) for kind, stages in _PHASE_STAGE.items()
+LEGAL_TRANSITIONS: dict[NodeKind, dict[StageName, frozenset[StageName]]] = {
+    kind: _burst_transitions(burst) for kind, burst in BURST.items()
 }
 
 # The handshake each kind of node runs.
@@ -159,12 +144,11 @@ class NodeConfig:
             raise FieldError("adv_mode", f"must be one of {list(ADV_MODES)}")
         if not 0 < self.efficiency <= 1:
             raise FieldError("efficiency", "must lie in (0, 1]")
-        missing = missing_stages(self.profile, self.kind)
-        if missing:
-            raise ValueError(
-                f"profile lacks stages for {self.kind.value} node: "
-                f"{sorted(m.value for m in missing)}"
-            )
+        mismatch = burst_mismatch(self.profile, self.kind)
+        if mismatch:
+            raise FieldError("profile", f"a {self.kind.value} node runs the stages "
+                             f"{[n.value for n in BURST[self.kind]]}, each once; "
+                             f"this profile {mismatch}")
         # A node waits for V^2 >= funded_v_sq before each burst (see advance),
         # so a supercap that cannot reach it would wait forever.
         cap = self.supercap
@@ -177,10 +161,16 @@ class NodeConfig:
             )
 
 
-def missing_stages(profile: EnergyProfile, kind: NodeKind) -> set[StageName]:
-    """The stages a node of this kind runs that the profile lacks."""
-    have = {s.name for s in profile.active_stages}
-    return set(_PHASE_STAGE[kind].values()) - have
+def burst_mismatch(profile: EnergyProfile, kind: NodeKind) -> str:
+    """'' when the profile's stages are exactly the burst of a node of this
+    kind, each once; else the stages it lacks and those it has beyond them,
+    a second copy of a burst stage included.  The node's burst draws only
+    its own stages' energy, while the solve and the energy gate count every
+    stage of the profile, so the two must agree."""
+    have = Counter(s.name.value for s in profile.active_stages)
+    need = Counter(name.value for name in BURST[kind])
+    return "; ".join(f"{label} {sorted(names.elements())}" for label, names in (
+        ("lacks", need - have), ("has extra", have - need)) if names)
 
 
 def funded_v_sq(cfg: NodeConfig) -> float:
@@ -204,12 +194,12 @@ class NodeState:
     """What the node's next event reads; its run's outputs are the records
     and the voltage trace (volts)."""
 
-    phase: Phase
+    phase: StageName  # the stage the node is in, SLEEP while asleep
     phase_deadline: float
     voltage_v: float  # supercap voltage; capacitance and limits are cfg.supercap's
     # Constants of the run, looked up once from cfg by initial_state:
-    load_mw: dict[Phase, float]  # phase_power_mw of each of the node's phases
-    stage_s: dict[Phase, float]  # duration of the stage of each active phase
+    load_mw: dict[StageName, float]  # phase_power_mw of each of the node's phases
+    stage_s: dict[StageName, float]  # duration of each stage of the burst
     # (C, v_min, v_max, v_min**2, funded_v_sq(cfg))
     cap: tuple[float, float, float, float, float]
     frames: tuple[Frame, ...]  # handshake_frames of the node's script
@@ -217,11 +207,11 @@ class NodeState:
     # the open cycle starts where the last record ends.
     records: RecordColumns
     depleted: bool = False
-    # An await phase's timeout, twice its nominal length after it was
-    # entered; None once the phase has run on to it (see _await_or_time_out).
+    # An await stage's timeout, twice its nominal wait after the wait began
+    # (for gw_request, after the uplink); None once the stage has run on to
+    # it (see _await_or_time_out).
     timeout_s: Optional[float] = None
     session: Optional[ExchangeSession] = None
-    gw_request_end: float = 0.0
     # (p_harv, schedule_next_cycle(cfg, p_harv)) of the node's last local solve
     sleep_memo: tuple[float, Optional[float]] = (math.nan, None)
     # Cursor into the run's LightTable and its harvester's power column there
@@ -251,12 +241,11 @@ def initial_state(
     """
     cap = cfg.supercap
     state = NodeState(
-        phase=SLEEPING,
+        phase=SLEEP,
         phase_deadline=0.0,
         voltage_v=cap.voltage_v,
         load_mw={p: phase_power_mw(cfg, p) for p in LEGAL_TRANSITIONS[cfg.kind]},
-        stage_s={phase: cfg.profile.stage(name).duration_s
-                 for phase, name in _PHASE_STAGE[cfg.kind].items()},
+        stage_s={s.name: s.duration_s for s in cfg.profile.active_stages},
         cap=(cap.capacitance_f, cap.v_min, cap.v_max, cap.v_min**2, funded_v_sq(cfg)),
         frames=handshake_frames(cfg.node_id, _SCRIPT[cfg.kind], cfg.sensors),
         records=RecordColumns(cfg.node_id, cap.voltage_v),
@@ -280,11 +269,10 @@ def schedule_next_cycle(cfg: NodeConfig, p_harv_mw: float) -> Optional[float]:
     return (t_active + sleep) * (1.0 + cfg.margin) - t_active
 
 
-def phase_power_mw(cfg: NodeConfig, phase: Phase) -> float:
-    if phase is SLEEPING:
+def phase_power_mw(cfg: NodeConfig, phase: StageName) -> float:
+    if phase is SLEEP:
         return cfg.profile.sleep_power_mw
-    stage = cfg.profile.stage(_PHASE_STAGE[cfg.kind][phase])
-    return stage.current_ma * cfg.profile.voltage_v
+    return cfg.profile.stage(phase).current_ma * cfg.profile.voltage_v
 
 
 def accrue_energy(
@@ -293,15 +281,18 @@ def accrue_energy(
     """Close the node's energy segment: integrate harvest minus load up to now.
 
     The load is constant since the last checkpoint, so each piece of the
-    light table the node's cursor walks has constant net power.  Each piece
-    is integrated in closed form with its harvest power; sample
-    times inside a piece are sampled from it.  Every voltage is
-    supercap_segment's, written out here with V0^2 and 2*P hoisted per piece
-    (the same floats: the expression still evaluates left to right).  A
-    sample time on a piece's end takes the piece-end voltage, which is the
-    same expression at the same time, computed once.  Samples are only
-    appended: the run's voltage stats are taken from the trace after the
-    run.  The cursor ends on the piece in force at now.
+    light table the node's cursor walks has constant net power P.  Each
+    piece is integrated in closed form with its harvest power: the stored
+    energy 0.5*C*V^2 changes linearly, so V^2 = V0^2 + 2*P*t/C, clamped to
+    [v_min, v_max], with charging scaled by the efficiency.  Sample times
+    inside a piece are sampled from it.  Every voltage equals the tests'
+    reference, supercap_segment in tests/cases.py, written out here with
+    V0^2 and 2*P hoisted per piece (the same floats: the expression still
+    evaluates left to right).  A sample time on a piece's end takes the
+    piece-end voltage, which is the same expression at the same time,
+    computed once.  Samples are only appended: the run's voltage stats are
+    taken from the trace after the run.  The cursor ends on the piece in
+    force at now.
     """
     t = state.last_energy_update
     if now <= t:
@@ -389,7 +380,7 @@ def end_run(
 
 
 def _set_phase(
-    state: NodeState, cfg: NodeConfig, phase: Phase, deadline: float
+    state: NodeState, cfg: NodeConfig, phase: StageName, deadline: float
 ) -> None:
     allowed = LEGAL_TRANSITIONS[cfg.kind].get(state.phase, frozenset())
     if phase not in allowed:
@@ -423,7 +414,7 @@ def _close_cycle(
     state.cycle_consumed_j = 0.0
     state.cycle_harvested_j = 0.0
     state.session = None
-    _set_phase(state, cfg, SLEEPING, now + sleep_or_floor(cfg, sleep))
+    _set_phase(state, cfg, SLEEP, now + sleep_or_floor(cfg, sleep))
 
 
 def sleep_or_floor(cfg: NodeConfig, sleep: Optional[float]) -> float:
@@ -451,7 +442,7 @@ def _funded_wake(state: NodeState, cfg: NodeConfig, now: float,
     passes the gate, so a wake never falls an ulp short.  Elsewhere V^2
     holds or falls, so the gate can hold only from a piece's start.
     """
-    p_load = state.load_mw[SLEEPING]
+    p_load = state.load_mw[SLEEP]
     c, _, v_max, _, need_sq = state.cap
     ends, power, run_end = light.ends, state.p_harv, light.end_s
     t = now
@@ -501,7 +492,7 @@ def _finish_cycle(
 
 def _await_or_time_out(state: NodeState, cfg: NodeConfig, now: float) -> None:
     """An await step that expires unanswered runs on once, to the timeout_s
-    set where the phase was entered, then fails the cycle with a timeout.
+    set where the stage was entered, then fails the cycle with a timeout.
     A session that has already ended can no longer be answered, so its cycle
     closes at the nominal deadline with the session's own outcome."""
     if state.session.outcome is PENDING and state.timeout_s is not None:
@@ -527,59 +518,62 @@ def advance(
     (see solve_sleep_time).  Otherwise it sleeps on, with no record, to the
     first time both hold: _funded_wake integrates the node to it, so the
     wake's own accrue_energy call has nothing left to do.  A burst that
-    browns out all the same (an await phase run on to its timeout) closes
+    browns out all the same (an await stage run on to its timeout) closes
     its cycle and sleeps the floor (see sleep_or_floor).
     """
-    if state.depleted and state.phase is not SLEEPING:
+    if state.depleted and state.phase is not SLEEP:
         # Brown-out mid-cycle: abort, recover in sleep, count the cycle failed.
         _close_cycle(state, cfg, now, FailReason.BROWN_OUT, None)
         return None
 
     phase = state.phase
 
-    if phase is SLEEPING:
+    if phase is SLEEP:
         v, p_harv = state.voltage_v, state.p_harv[state.light_i]
-        if v * v < state.cap[4] or p_harv <= state.load_mw[SLEEPING]:
-            _set_phase(state, cfg, SLEEPING, _funded_wake(state, cfg, now, light))
+        if v * v < state.cap[4] or p_harv <= state.load_mw[SLEEP]:
+            _set_phase(state, cfg, SLEEP, _funded_wake(state, cfg, now, light))
             return None
         state.depleted = False  # a funded wake is above v_min
         if cfg.kind is BLE:
-            _set_phase(state, cfg, SENSING, now + state.stage_s[SENSING])
+            _set_phase(state, cfg, SENSOR_READ, now + state.stage_s[SENSOR_READ])
             return None
         # LIoT: read the LDR and open the session with an IR uplink; the
-        # gateway reads the harvest power the reading implies.
+        # gateway reads the harvest power the reading implies.  The uplink
+        # and the wait for the request share the gw_request stage, whose
+        # timeout is twice the wait that follows the uplink.
         session = ExchangeSession(LIOT_SCRIPT, state.frames, harvest_mw=p_harv)
         state.session = session
         out = exchange_step(session, None)
-        # The uplink and the wait for the request share the gw_request stage.
-        state.gw_request_end = now + state.stage_s[UPLINKING]
-        _set_phase(state, cfg, UPLINKING, now + out.airtime_s)
+        uplink_end = now + out.airtime_s
+        gw_end = now + state.stage_s[GW_REQUEST]
+        state.timeout_s = uplink_end + 2.0 * max(gw_end - uplink_end, 1e-9)
+        _set_phase(state, cfg, GW_REQUEST, gw_end)
         return out
 
-    if phase is SENSING and cfg.kind is BLE:
+    if phase is SENSOR_READ:
         session = ExchangeSession(BLE_SCRIPT, state.frames)
         state.session = session
         out = exchange_step(session, None)
         if cfg.adv_mode == "fixed":
-            adv = state.stage_s[ADVERTISING]
+            adv = state.stage_s[BLE_ADVERTISE]
         else:
             adv = rng.uniform(0.5, 4.0)
-        _set_phase(state, cfg, ADVERTISING, now + adv)
+        _set_phase(state, cfg, BLE_ADVERTISE, now + adv)
         return out
 
-    if phase is ADVERTISING:
+    if phase is BLE_ADVERTISE:
         session = state.session
         held = session.held
         if held is not None:
             session.held = None
-            nominal = state.stage_s[EXCHANGING]
+            nominal = state.stage_s[BLE_DATA_EXCHANGE]
             state.timeout_s = now + 2.0 * nominal
-            _set_phase(state, cfg, EXCHANGING, now + nominal)
+            _set_phase(state, cfg, BLE_DATA_EXCHANGE, now + nominal)
             return exchange_step(session, held)
         _finish_cycle(state, cfg, now, FailReason.NO_GATEWAY)
         return None
 
-    if phase is EXCHANGING or phase is AWAITING_SLEEP_SET:
+    if phase is BLE_DATA_EXCHANGE or phase is LIOT_SLEEP_SET:
         # A BLE session has no assigned sleep, so both end the same way.
         session = state.session
         if session is not None and session.outcome is DELIVERED:
@@ -588,29 +582,25 @@ def advance(
             _await_or_time_out(state, cfg, now)
         return None
 
-    if phase is UPLINKING:
-        state.timeout_s = now + 2.0 * max(state.gw_request_end - now, 1e-9)
-        _set_phase(state, cfg, AWAITING_REQUEST, state.gw_request_end)
-        return None
-
-    if phase is AWAITING_REQUEST:
+    if phase is GW_REQUEST:
         if state.session.held is not None:
-            _set_phase(state, cfg, SENSING, now + state.stage_s[SENSING])
+            _set_phase(state, cfg, LIOT_SENSOR_READ,
+                       now + state.stage_s[LIOT_SENSOR_READ])
         else:
             _await_or_time_out(state, cfg, now)
         return None
 
-    if phase is SENSING and cfg.kind is LIOT:
+    if phase is LIOT_SENSOR_READ:
         session = state.session
         held = session.held
         session.held = None
-        _set_phase(state, cfg, UPLOADING, now + state.stage_s[UPLOADING])
+        _set_phase(state, cfg, LIOT_DATA_UPLOAD, now + state.stage_s[LIOT_DATA_UPLOAD])
         return exchange_step(session, held)
 
-    if phase is UPLOADING:
-        nominal = state.stage_s[AWAITING_SLEEP_SET]
+    if phase is LIOT_DATA_UPLOAD:
+        nominal = state.stage_s[LIOT_SLEEP_SET]
         state.timeout_s = now + 2.0 * nominal
-        _set_phase(state, cfg, AWAITING_SLEEP_SET, now + nominal)
+        _set_phase(state, cfg, LIOT_SLEEP_SET, now + nominal)
         session = state.session
         held = session.held
         if held is not None:

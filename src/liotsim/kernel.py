@@ -41,17 +41,15 @@ from . import fsm, metrics
 from .energy import (
     FieldError,
     HarvesterCurve,
-    StageName,
     as_float,
     float_pairs,
     fold_sum,
     solve_sleep_time,
     store_floats,
 )
-from .fsm import NodeConfig, NodeKind, NodeState
+from .fsm import NodeConfig, NodeState
 from .protocol import (
     GATEWAY_ID,
-    LIOT_SCRIPT,
     NODE_ID_LUX,
     PENDING,
     SENSOR_DATA,
@@ -59,7 +57,6 @@ from .protocol import (
     Frame,
     LinkType,
     exchange_step,
-    handshake_frames,
 )
 
 
@@ -367,17 +364,13 @@ def shortest_cycle_s(cfg: NodeConfig) -> float:
     - a wake that the energy gate of fsm.advance refuses starts no burst and
       closes no cycle: the node sleeps on to a later wake, which only
       lengthens the cycle.
-    A burst lasts at least its first phase, even when it browns out, since
-    fsm.advance checks for a brown-out only at a phase deadline: a BLE
-    node's sensor read, or the airtime of a LIoT node's first uplink frame.
+    A burst lasts at least its first stage, even when it browns out, since
+    fsm.advance checks for a brown-out only at a stage deadline.
     Each cycle record but a RUN_ENDED one closes a whole cycle, so a run of
     d seconds closes at most d / shortest_cycle_s(cfg) + 1 records.
     """
-    if cfg.kind is NodeKind.BLE:
-        burst = cfg.profile.stage(StageName.SENSOR_READ).duration_s
-    else:
-        burst = handshake_frames(cfg.node_id, LIOT_SCRIPT, cfg.sensors)[0].airtime_s
-    return fsm.sleep_or_floor(cfg, None) + burst
+    first = cfg.profile.stage(fsm.BURST[cfg.kind][0]).duration_s
+    return fsm.sleep_or_floor(cfg, None) + first
 
 
 def estimated_cycles(sc: Scenario) -> float:

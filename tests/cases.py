@@ -1,11 +1,13 @@
 """Malformed and oversized scenario documents shared by the scenario and CLI
-tests, and the runs that tests share."""
+tests, the runs that tests share, and the closed-form supercap voltage that
+the energy tests check the simulator against."""
 
 import math
 from collections import Counter
 
 import pytest
 
+from liotsim.energy import Supercap
 from liotsim.kernel import RunResult, Scenario, run
 from liotsim.scenario import preset_dict
 
@@ -23,12 +25,38 @@ def shared_run(scenario: Scenario) -> RunResult:
     return _RUNS[key]
 
 
+def supercap_segment(
+    cap: Supercap, p_net_mw: float, dt_s: float, efficiency: float = 1.0
+) -> tuple[float, bool]:
+    """Voltage after holding a constant net power for dt_s from cap's state:
+    the reference that fsm.accrue_energy's inline closed form is checked
+    against.
+
+    Returns (voltage, depleted).  Under constant net power the stored energy
+    0.5*C*V^2 changes linearly, so V^2 = V0^2 + 2*P*t/C; charging (positive
+    p_net) is scaled by the round-trip efficiency factor, discharge is taken
+    at face value.  V^2 reaches v_max^2 (or v_min^2) at the single time
+    t* = (bound^2 - V0^2) * C / (2*P); from t* on the voltage is exactly the
+    bound, and a segment that passes v_min raises the depleted flag.  The
+    voltage is returned as a float so that sampling one segment at many
+    times builds no states.
+    """
+    p_w = p_net_mw * 1e-3
+    if p_w > 0:
+        p_w *= efficiency
+    v_sq = cap.voltage_v**2 + 2.0 * p_w * dt_s / cap.capacitance_f
+    if v_sq < cap.v_min**2:
+        return cap.v_min, True
+    return min(math.sqrt(v_sq), cap.v_max), False
+
+
 def _liot_profile(voltage_v=3.3, sleep_current_ma=0.087, current_ma=12.69,
-                  duration_s=0.428) -> dict:
+                  duration_s=0.428, extra=()) -> dict:
     """An inline LIoT profile document; current_ma and duration_s are its
-    first stage's."""
+    first stage's, and the stages named in extra follow its own."""
     stages = [{"name": name, "current_ma": 10.0, "duration_s": 0.5}
-              for name in ("liot_sensor_read", "liot_data_upload", "liot_sleep_set")]
+              for name in ("liot_sensor_read", "liot_data_upload", "liot_sleep_set",
+                           *extra)]
     first = {"name": "gw_request", "current_ma": current_ma, "duration_s": duration_s}
     return {"voltage_v": voltage_v, "sleep_current_ma": sleep_current_ma,
             "stages": [first, *stages]}
@@ -121,6 +149,10 @@ BAD_VALUES = (
     # A supercap that cannot hold one burst between v_min and v_max: the
     # node would never be funded to start one.
     ("nodes.0.supercap.capacitance_f", 0.04, "nodes[0].supercap"),
+    # A profile holds exactly its node's stages, each once: an extra stage
+    # or a second copy would count in the solve and the gate, never drawn.
+    ("nodes.0.profile", _liot_profile(extra=("sensor_read",)), "nodes[0].profile"),
+    ("nodes.0.profile", _liot_profile(extra=("liot_sleep_set",)), "nodes[0].profile"),
 )
 
 

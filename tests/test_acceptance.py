@@ -25,9 +25,8 @@ from liotsim.energy import (
     implied_harvest_power,
     solve_sleep_time,
     stage_energy,
-    supercap_segment,
 )
-from cases import shared_run
+from cases import shared_run, supercap_segment
 from liotsim.kernel import run
 from liotsim.metrics import export_records, load_records
 from liotsim.scenario import load_preset, preset_dict, scenario_from_dict

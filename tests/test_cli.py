@@ -104,6 +104,25 @@ def test_solve_profile_file_matches_the_built_in(capsys, tmp_path, doc, argv, bu
     assert out == run_cli(capsys, "solve", "--profile", builtin, *argv)[1]
 
 
+def test_solve_takes_the_ble_margin_only_for_a_profile_a_ble_node_accepts(
+        capsys, tmp_path):
+    path = tmp_path / "profile.yaml"
+    # The BLE stages and a gw_request: no node kind runs this burst.
+    gw_request = LIOT_PROFILE_DOC["stages"][0]
+    doc = {**BLE_PROFILE_DOC, "stages": [*BLE_PROFILE_DOC["stages"], gw_request]}
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "solve", "--profile", str(path),
+                           "--harvest-mw", "0.98665")
+    assert code == EXIT_OK and "(margin 0%)" in out
+    # A second sensor_read is no profile at all.
+    doc["stages"][-1] = BLE_PROFILE_DOC["stages"][0]
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, "solve", "--profile", str(path),
+                             "--harvest-mw", "0.98665")
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert "profile: stage 'sensor_read' is given twice" in err
+
+
 def test_solve_bare_profile_file_needs_a_harvest_power(capsys, tmp_path):
     path = tmp_path / "profile.yaml"
     path.write_text(yaml.safe_dump(LIOT_PROFILE_DOC), encoding="utf-8")

@@ -20,8 +20,8 @@ from liotsim.energy import (
     implied_harvest_power,
     solve_sleep_time,
     stage_energy,
-    supercap_segment,
 )
+from cases import supercap_segment
 from liotsim.fsm import NodeConfig, NodeKind, schedule_next_cycle, sleep_or_floor
 from liotsim.kernel import gateway_sleep_s
 
@@ -309,6 +309,12 @@ def test_supercap_closed_cycle_returns_to_start(steps):
         v, _ = supercap_segment(cur, -p, dt)
         cur = replace(cur, voltage_v=v)
     assert cur.voltage_v == pytest.approx(cap.voltage_v, rel=1e-9)
+
+
+def test_a_profile_rejects_a_stage_given_twice():
+    read = BLE_PROFILE.active_stages[0]
+    with pytest.raises(ValueError, match="stage 'sensor_read' is given twice"):
+        replace(BLE_PROFILE, active_stages=(*BLE_PROFILE.active_stages, read))
 
 
 def test_supercap_segment_lands_exactly_on_v_max():

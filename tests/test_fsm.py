@@ -9,16 +9,18 @@ from liotsim.energy import (
     HarvesterCurve,
     LIOT_HARVESTER,
     LIOT_PROFILE,
+    FieldError,
+    Stage,
     StageName,
     Supercap,
     active_totals,
 )
 from liotsim.fsm import (
+    BURST,
     LEGAL_TRANSITIONS,
     FsmError,
     NodeConfig,
     NodeKind,
-    Phase,
     _close_cycle,
     _finish_cycle,
     accrue_energy,
@@ -44,6 +46,9 @@ from liotsim.protocol import (
     SessionOutcome,
     exchange_step,
 )
+
+
+S = StageName
 
 
 def ble_cfg(**kw) -> NodeConfig:
@@ -92,12 +97,12 @@ def test_finish_cycle_arms_the_gateway_assigned_sleep_verbatim():
     # At 500 lx the node's own solve would give about 1350 s.
     cfg = liot_cfg()
     state, _ = lit_state(cfg, 1.0, lux=500.0)
-    state.phase = Phase.AWAITING_SLEEP_SET
+    state.phase = S.LIOT_SLEEP_SET
     state.session = ExchangeSession(LIOT_SCRIPT, state.frames,
                                     outcome=SessionOutcome.DELIVERED,
                                     assigned_sleep_s=620.0)
     _finish_cycle(state, cfg, 10.0, None, state.session.assigned_sleep_s)
-    assert state.phase is Phase.SLEEPING
+    assert state.phase is S.SLEEP
     assert state.phase_deadline - 10.0 == 620.0
     (record,) = state.records
     assert record.outcome is SessionOutcome.DELIVERED
@@ -111,7 +116,7 @@ def test_an_infeasible_first_sleep_sleeps_the_floor_and_solves_again_at_wake():
     state = initial_state(cfg, None)
     floor = sleep_or_floor(cfg, None)
     assert floor == pytest.approx(620.0, abs=1e-9)
-    assert (state.phase, state.phase_deadline) == (Phase.SLEEPING, floor)
+    assert (state.phase, state.phase_deadline) == (S.SLEEP, floor)
     light = LightTable(IlluminationProfile(kind="step", steps=((0.0, 0.0), (1000.0, 700.0))),
                        2000.0, [cfg.harvester])
     light.attach(state, cfg.harvester)
@@ -119,12 +124,12 @@ def test_an_infeasible_first_sleep_sleeps_the_floor_and_solves_again_at_wake():
     # the start of the light in which its solve is feasible...
     accrue_energy(state, cfg, floor, light)
     assert advance(state, cfg, floor, rng=random.Random(0), light=light) is None
-    assert (state.phase, state.phase_deadline) == (Phase.SLEEPING, 1000.0)
+    assert (state.phase, state.phase_deadline) == (S.SLEEP, 1000.0)
     assert len(state.records) == 0
     # ...and starts its burst there.
     accrue_energy(state, cfg, 1000.0, light)
     uplink = advance(state, cfg, 1000.0, rng=random.Random(0), light=light)
-    assert state.phase is Phase.UPLINKING and uplink.kind is FrameKind.NODE_ID_LUX
+    assert state.phase is S.GW_REQUEST and uplink.kind is FrameKind.NODE_ID_LUX
 
 
 @pytest.mark.parametrize("make_cfg,builtin,floor", [
@@ -144,7 +149,7 @@ def test_a_cycle_closed_in_the_dark_sleeps_the_floor_then_the_gate_decides(
         kind="step", steps=((0.0, 700.0), (5.0, 0.0), (11.0, 700.0))), 1e4, [cfg.harvester])
     light.attach(state, cfg.harvester)
     accrue_energy(state, cfg, 10.0, light)
-    state.phase = Phase.SENSING
+    state.phase = BURST[cfg.kind][0]
     if fail_reason is FailReason.BROWN_OUT:
         state.depleted = True
         assert advance(state, cfg, 10.0, rng=random.Random(0), light=light) is None
@@ -154,12 +159,12 @@ def test_a_cycle_closed_in_the_dark_sleeps_the_floor_then_the_gate_decides(
     (record,) = state.records
     assert record.fail_reason is fail_reason
     wake = 10.0 + sleep_or_floor(cfg, None)
-    assert (state.phase, state.phase_deadline) == (Phase.SLEEPING, wake)
+    assert (state.phase, state.phase_deadline) == (S.SLEEP, wake)
     # The node's one timer is at the floor's end, not at 11 s, and there the
     # funded node starts its burst.
     accrue_energy(state, cfg, wake, light)
     advance(state, cfg, wake, rng=random.Random(0), light=light)
-    assert state.phase is not Phase.SLEEPING and len(state.records) == 1
+    assert state.phase is not S.SLEEP and len(state.records) == 1
 
 
 def test_schedule_continuous_when_harvest_covers_active_power():
@@ -175,12 +180,10 @@ def test_schedule_infeasible_returns_none():
 
 
 def test_phase_power_lookup():
-    assert phase_power_mw(ble_cfg(), Phase.SLEEPING) == pytest.approx(0.231)
-    assert phase_power_mw(ble_cfg(), Phase.EXCHANGING) == pytest.approx(0.8 * 3.3)
-    assert phase_power_mw(liot_cfg(), Phase.UPLOADING) == pytest.approx(14.58 * 3.3)
-    assert phase_power_mw(liot_cfg(), Phase.AWAITING_REQUEST) == pytest.approx(
-        12.69 * 3.3
-    )
+    assert phase_power_mw(ble_cfg(), S.SLEEP) == pytest.approx(0.231)
+    assert phase_power_mw(ble_cfg(), S.BLE_DATA_EXCHANGE) == pytest.approx(0.8 * 3.3)
+    assert phase_power_mw(liot_cfg(), S.LIOT_DATA_UPLOAD) == pytest.approx(14.58 * 3.3)
+    assert phase_power_mw(liot_cfg(), S.GW_REQUEST) == pytest.approx(12.69 * 3.3)
 
 
 def test_profile_stage_mismatch_rejected():
@@ -199,21 +202,36 @@ def test_profile_missing_a_phase_stage_rejected():
         liot_cfg(profile=profile)
 
 
+@pytest.mark.parametrize("make_cfg,extra", [
+    (ble_cfg, Stage(StageName.GW_REQUEST, 12.69, 0.428)),
+    (liot_cfg, Stage(StageName.SENSOR_READ, 7.55, 0.26)),
+], ids=["ble", "liot"])
+def test_a_profile_with_a_stage_beyond_the_burst_is_rejected(make_cfg, extra):
+    # The burst never draws an extra stage's energy, yet the solve and the
+    # energy gate would count it.
+    profile = make_cfg().profile
+    with pytest.raises(FieldError) as exc:
+        make_cfg(profile=dataclasses.replace(
+            profile, active_stages=(*profile.active_stages, extra)))
+    assert exc.value.field == "profile"
+    assert f"has extra ['{extra.name.value}']" in exc.value.message
+
+
 def test_ble_cycle_walkthrough_emits_adv_then_sleeps_without_gateway():
     cfg = ble_cfg()
     rng = random.Random(0)
     state, light = lit_state(cfg, 13.76)
     out = advance(state, cfg, 13.76, rng=rng, light=light)
-    assert state.phase is Phase.SENSING and out is None
+    assert state.phase is S.SENSOR_READ and out is None
     assert state.session is None
     out = advance(state, cfg, state.phase_deadline, rng=rng, light=light)
-    assert state.phase is Phase.ADVERTISING
+    assert state.phase is S.BLE_ADVERTISE
     assert state.session is not None
     assert out.kind is FrameKind.ADV_ESS
     assert len(state.records) == 0
     # No connection request: the advertising window expires into sleep.
     out = advance(state, cfg, state.phase_deadline, rng=rng, light=light)
-    assert state.phase is Phase.SLEEPING and out is None
+    assert state.phase is S.SLEEP and out is None
     (record,) = state.records
     assert record.fail_reason.value == "no_gateway"
     assert record.outcome is SessionOutcome.FAILED
@@ -221,11 +239,12 @@ def test_ble_cycle_walkthrough_emits_adv_then_sleeps_without_gateway():
 
 
 def _ble_exchanging(cfg: NodeConfig):
-    """A BLE node walked into EXCHANGING, the gateway's steps played by hand.
+    """A BLE node walked into its data exchange, the gateway's steps played
+    by hand.
 
     Returns the node state, its light table, the connection request it took,
     the attribute request its exchange opened with and the time it entered
-    EXCHANGING.
+    the exchange.
     """
     rng = random.Random(0)
     state, light = lit_state(cfg, 1.0)
@@ -236,7 +255,7 @@ def _ble_exchanging(cfg: NodeConfig):
     receive(state, conn)
     began = state.phase_deadline
     request = advance(state, cfg, began, rng=rng, light=light)
-    assert state.phase is Phase.EXCHANGING
+    assert state.phase is S.BLE_DATA_EXCHANGE
     assert request.kind is FrameKind.ESS_ATTR_REQUEST
     return state, light, conn, request, began
 
@@ -257,14 +276,14 @@ def test_out_of_sequence_frame_in_exchange_is_recorded_as_a_violation():
     assert record.end_s == began + 1.3
 
 
-def _awaiting(phase: Phase):
-    """A node walked into the await phase phase, the gateway's steps played
+def _awaiting(stage: StageName):
+    """A node walked into the await stage stage, the gateway's steps played
     by hand and its answer withheld.
 
-    Returns the node state, its light table, its config, the time it entered
-    the phase, the phase's nominal length and a frame out of sequence there.
+    Returns the node state, its light table, its config, the time its wait
+    began, the wait's nominal length and a frame out of sequence there.
     """
-    if phase is Phase.EXCHANGING:
+    if stage is S.BLE_DATA_EXCHANGE:
         cfg = ble_cfg()
         state, light, conn, _, began = _ble_exchanging(cfg)
         return state, light, cfg, began, cfg.profile.stage(
@@ -273,52 +292,53 @@ def _awaiting(phase: Phase):
     rng = random.Random(0)
     state, light = lit_state(cfg, 1.0)
     uplink = advance(state, cfg, 1.0, rng=rng, light=light)
-    uplinked = state.phase_deadline
-    advance(state, cfg, uplinked, rng=rng, light=light)
-    assert state.phase is Phase.AWAITING_REQUEST
+    assert state.phase is S.GW_REQUEST
     request, sleep_set = state.frames[1], state.frames[3]
-    if phase is Phase.AWAITING_REQUEST:
-        # The wait shares the gw_request stage with the uplink before it.
+    if stage is S.GW_REQUEST:
+        # The uplink and the wait after it share the gw_request stage.
+        uplinked = 1.0 + uplink.airtime_s
         return state, light, cfg, uplinked, state.phase_deadline - uplinked, sleep_set
     assert exchange_step(state.session, uplink) is request
     receive(state, request)
     advance(state, cfg, state.phase_deadline, rng=rng, light=light)
-    assert state.phase is Phase.SENSING
+    assert state.phase is S.LIOT_SENSOR_READ
     data = advance(state, cfg, state.phase_deadline, rng=rng, light=light)
     assert data.kind is FrameKind.SENSOR_DATA
     began = state.phase_deadline
     advance(state, cfg, began, rng=rng, light=light)
-    assert state.phase is Phase.AWAITING_SLEEP_SET
+    assert state.phase is S.LIOT_SLEEP_SET
     return state, light, cfg, began, cfg.profile.stage(
         StageName.LIOT_SLEEP_SET).duration_s, request
 
 
-AWAIT_PHASES = (Phase.EXCHANGING, Phase.AWAITING_REQUEST, Phase.AWAITING_SLEEP_SET)
+# Each await stage, by what the node does there.
+AWAIT_STAGES = {"exchanging": S.BLE_DATA_EXCHANGE, "awaiting_request": S.GW_REQUEST,
+                "awaiting_sleep_set": S.LIOT_SLEEP_SET}
 
 
-@pytest.mark.parametrize("phase", AWAIT_PHASES, ids=lambda p: p.value)
-def test_an_unanswered_await_runs_on_once_and_times_out_at_twice_its_length(phase):
-    state, light, cfg, began, nominal, _ = _awaiting(phase)
+@pytest.mark.parametrize("stage", AWAIT_STAGES.values(), ids=list(AWAIT_STAGES))
+def test_an_unanswered_await_runs_on_once_and_times_out_at_twice_its_length(stage):
+    state, light, cfg, began, nominal, _ = _awaiting(stage)
     rng = random.Random(0)
     assert advance(state, cfg, state.phase_deadline, rng=rng, light=light) is None
-    assert state.phase is phase
+    assert state.phase is stage
     assert len(state.records) == 0
     timeout = began + 2.0 * nominal
     assert state.phase_deadline == timeout
     assert advance(state, cfg, timeout, rng=rng, light=light) is None
-    assert state.phase is Phase.SLEEPING
+    assert state.phase is S.SLEEP
     (record,) = state.records
     assert (record.outcome, record.fail_reason, record.end_s) == (
         SessionOutcome.FAILED, FailReason.TIMEOUT, timeout)
 
 
-@pytest.mark.parametrize("phase", AWAIT_PHASES, ids=lambda p: p.value)
-def test_an_await_whose_session_failed_closes_at_its_nominal_deadline(phase):
-    state, light, cfg, _, _, stray = _awaiting(phase)
+@pytest.mark.parametrize("stage", AWAIT_STAGES.values(), ids=list(AWAIT_STAGES))
+def test_an_await_whose_session_failed_closes_at_its_nominal_deadline(stage):
+    state, light, cfg, _, _, stray = _awaiting(stage)
     deadline = state.phase_deadline
     assert receive(state, stray) is None
     assert advance(state, cfg, deadline, rng=random.Random(0), light=light) is None
-    assert state.phase is Phase.SLEEPING
+    assert state.phase is S.SLEEP
     (record,) = state.records
     assert (record.outcome, record.fail_reason, record.end_s) == (
         SessionOutcome.FAILED, FailReason.PROTOCOL_VIOLATION, deadline)
@@ -398,7 +418,7 @@ def test_depleted_node_emits_nothing():
     state.voltage_v = 3.3  # cfg.supercap.v_min
     accrue_energy(state, cfg, 10.0, light)
     out = advance(state, cfg, 10.0, rng=random.Random(0), light=light)
-    assert out is None and state.phase is Phase.SLEEPING
+    assert out is None and state.phase is S.SLEEP
     assert len(state.records) == 0
     net_w = (cfg.harvester.power_mw(0.0) - cfg.profile.sleep_power_mw) * 1e-3
     e_active = active_totals(cfg.profile)[1]
@@ -409,17 +429,17 @@ def test_depleted_node_emits_nothing():
     c, v_min = cfg.supercap.capacitance_f, cfg.supercap.v_min
     assert 0.5 * c * (state.voltage_v**2 - v_min**2) == pytest.approx(e_active, rel=1e-12)
     assert advance(state, cfg, wake, rng=random.Random(0), light=light) is None
-    assert state.phase is Phase.SENSING and not state.depleted
+    assert state.phase is S.SENSOR_READ and not state.depleted
 
 
 def test_illegal_transition_raises():
     cfg = ble_cfg()
     state = initial_state(cfg, 10.0)
-    state.phase = Phase.EXCHANGING
+    state.phase = S.BLE_DATA_EXCHANGE
     from liotsim.fsm import _set_phase
 
     with pytest.raises(FsmError):
-        _set_phase(state, cfg, Phase.SENSING, 1.0)
+        _set_phase(state, cfg, S.SENSOR_READ, 1.0)
 
 
 def test_margin_zero_liot_cycle_is_exact():
@@ -437,33 +457,31 @@ def test_legal_transition_tables_cover_all_phases():
 def test_legal_transitions_follow_each_burst_in_order():
     assert LEGAL_TRANSITIONS == {
         NodeKind.BLE: {
-            P.SLEEPING: {P.SLEEPING, P.SENSING},
-            P.SENSING: {P.ADVERTISING, P.SLEEPING},
-            P.ADVERTISING: {P.EXCHANGING, P.SLEEPING},
-            P.EXCHANGING: {P.SLEEPING},
+            S.SLEEP: {S.SLEEP, S.SENSOR_READ},
+            S.SENSOR_READ: {S.BLE_ADVERTISE, S.SLEEP},
+            S.BLE_ADVERTISE: {S.BLE_DATA_EXCHANGE, S.SLEEP},
+            S.BLE_DATA_EXCHANGE: {S.SLEEP},
         },
         NodeKind.LIOT: {
-            P.SLEEPING: {P.SLEEPING, P.UPLINKING},
-            P.UPLINKING: {P.AWAITING_REQUEST, P.SLEEPING},
-            P.AWAITING_REQUEST: {P.SENSING, P.SLEEPING},
-            P.SENSING: {P.UPLOADING, P.SLEEPING},
-            P.UPLOADING: {P.AWAITING_SLEEP_SET, P.SLEEPING},
-            P.AWAITING_SLEEP_SET: {P.SLEEPING},
+            S.SLEEP: {S.SLEEP, S.GW_REQUEST},
+            S.GW_REQUEST: {S.LIOT_SENSOR_READ, S.SLEEP},
+            S.LIOT_SENSOR_READ: {S.LIOT_DATA_UPLOAD, S.SLEEP},
+            S.LIOT_DATA_UPLOAD: {S.LIOT_SLEEP_SET, S.SLEEP},
+            S.LIOT_SLEEP_SET: {S.SLEEP},
         },
     }
 
 
-K, P = FrameKind, Phase
+K = FrameKind
 # What a node does with each frame the gateway may send it, in each of its
 # phases; every combination not listed is a protocol violation.
 RECEIVE_OUTCOMES = {
-    (NodeKind.BLE, P.ADVERTISING, K.CONN_REQ): "held",
-    (NodeKind.BLE, P.EXCHANGING, K.ESS_ATTR_REQUEST): "served",
-    (NodeKind.BLE, P.EXCHANGING, K.CONFIG_OR_DISCONNECT): "served",
-    (NodeKind.LIOT, P.UPLINKING, K.SENSOR_REQUEST): "held",
-    (NodeKind.LIOT, P.AWAITING_REQUEST, K.SENSOR_REQUEST): "held",
-    (NodeKind.LIOT, P.UPLOADING, K.SLEEP_SET): "held",
-    (NodeKind.LIOT, P.AWAITING_SLEEP_SET, K.SLEEP_SET): "served",
+    (NodeKind.BLE, S.BLE_ADVERTISE, K.CONN_REQ): "held",
+    (NodeKind.BLE, S.BLE_DATA_EXCHANGE, K.ESS_ATTR_REQUEST): "served",
+    (NodeKind.BLE, S.BLE_DATA_EXCHANGE, K.CONFIG_OR_DISCONNECT): "served",
+    (NodeKind.LIOT, S.GW_REQUEST, K.SENSOR_REQUEST): "held",
+    (NodeKind.LIOT, S.LIOT_DATA_UPLOAD, K.SLEEP_SET): "held",
+    (NodeKind.LIOT, S.LIOT_SLEEP_SET, K.SLEEP_SET): "served",
 }
 
 

@@ -14,7 +14,7 @@ from itertools import islice, takewhile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cases import shared_run
+from cases import shared_run, supercap_segment
 from liotsim.energy import (
     BLE_HARVESTER,
     BLE_PROFILE,
@@ -22,7 +22,6 @@ from liotsim.energy import (
     LIOT_PROFILE,
     HarvesterCurve,
     Supercap,
-    supercap_segment,
 )
 from liotsim import fsm, kernel
 from liotsim.fsm import NodeConfig, NodeKind
@@ -47,6 +46,7 @@ from liotsim.protocol import (
     FailReason,
     Frame,
     LinkType,
+    SessionOutcome,
 )
 from liotsim.scenario import (
     PRESET_NAMES,
@@ -668,6 +668,48 @@ def test_a_node_that_no_lux_funds_sleeps_through_the_run():
             assert v == supercap_segment(cfg.supercap, -cfg.profile.sleep_power_mw, t)[0]
 
 
+@pytest.mark.parametrize("preset,cycle", [
+    ("ble-700lx", 13.102), ("ble-500lx", 13.102),
+    ("liot-700lx", 620.428), ("liot-500lx", 620.428),
+])
+def test_the_shortest_cycle_is_the_floor_plus_the_bursts_first_stage(preset, cycle):
+    # The floor is the sleep solved at the curve's top, 700 lx, for both
+    # presets of a kind; the first stage is sensor_read or gw_request.
+    (cfg,) = load_preset(preset).nodes
+    assert kernel.shortest_cycle_s(cfg) == pytest.approx(cycle, abs=1e-9)
+
+
+@pytest.mark.parametrize("preset,duration", [("ble-700lx", 120.0),
+                                             ("liot-700lx", 1300.0)])
+def test_a_delivered_cycle_visits_its_bursts_stages_with_one_timer_each(
+        monkeypatch, preset, duration):
+    advance, visited = fsm.advance, []
+
+    def kept_advance(state, cfg, now, **kw):
+        out = advance(state, cfg, now, **kw)
+        visited.append(state.phase)
+        return out
+
+    monkeypatch.setattr(fsm, "advance", kept_advance)
+    doc = preset_dict(preset)
+    doc["duration_s"] = duration
+    sc = scenario_from_dict(doc)
+    (records,) = (nr.records for nr in run(sc).nodes.values())
+    # The phase after each timer event from a wake to the close of its
+    # cycle; a wake that the energy gate refuses stays asleep.
+    bursts, burst = [], []
+    for phase in visited:
+        if phase is not fsm.SLEEP:
+            burst.append(phase)
+        elif burst:
+            bursts.append((*burst, phase))
+            burst = []
+    # Each closes one record, and at these lengths every one delivers.
+    assert len(bursts) == len(records) >= 2
+    assert {r.outcome for r in records} == {SessionOutcome.DELIVERED}
+    assert set(bursts) == {(*fsm.BURST[sc.nodes[0].kind], fsm.SLEEP)}
+
+
 def test_subset_upload_still_delivers():
     # A short (subset) upload ends before the full-upload stage window, so
     # the sleep assignment arrives early and must be held, not rejected.
@@ -1017,7 +1059,7 @@ def test_jittered_lossy_four_node_run_is_pinned():
     frames = result.frames
     assert (len(frames), sum(1 for f in frames if not f.delivered)) == (2141, 66)
     assert _run_digest(result) == (
-        "79663b4e79d4d2b13e1cd88875cd75ee97ec55443a2d82762822839845ce2e8a")
+        "a54ef9a586ce107dce7302eb5f35bba4b9cbf8d3567601f76bda4ee6b0dbd8a9")
 
 
 def test_each_run_builds_each_nodes_frames_once(monkeypatch):

@@ -309,9 +309,9 @@ def test_every_burst_is_funded_and_every_wait_is_the_shortest(doc):
     bursts, waits = [], []
 
     def checked_advance(state, cfg, now, **kw):
-        asleep = state.phase is fsm.Phase.SLEEPING
+        asleep = state.phase is fsm.SLEEP
         out = advance(state, cfg, now, **kw)
-        if asleep and state.phase is not fsm.Phase.SLEEPING:
+        if asleep and state.phase is not fsm.SLEEP:
             bursts.append((cfg.node_id, now, state.voltage_v))
         return out
 

@@ -91,7 +91,7 @@ def test_profile_missing_a_phase_stage_is_a_scenario_error():
     }
     with pytest.raises(ScenarioError, match="liot_data_upload") as exc:
         scenario_from_dict(doc)
-    assert exc.value.path == "nodes[0]"
+    assert exc.value.path == "nodes[0].profile"
 
 
 def test_unknown_key_error_carries_its_path():
@@ -210,8 +210,8 @@ def test_cycle_budget_bounds_records_and_frames():
     assert MAX_CYCLES * (33 + 17 * longest_script) * 9 / 8 + 8e7 <= 2 * 2**30
     # A ble-700lx node's shortest cycle is its 12.842-s sleep solved at
     # 700 lx, its curve's top, plus its 0.26-s sensor read: 2.41e6 a year.
-    # A liot-700lx node's is its 620-s sleep there plus its first uplink's
-    # 0.186875-s airtime: 5.10e4 a year.
+    # A liot-700lx node's is its 620-s sleep there plus its 0.428-s
+    # gw_request stage: 5.10e4 a year.
     for preset, accepted, estimate in [("ble-700lx", 6, "1.69e+07"),
                                        ("liot-700lx", 294, "1.5e+07")]:
         assert len(scenario_from_dict(fleet_year(preset, accepted)).nodes) == accepted
