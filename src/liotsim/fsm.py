@@ -105,6 +105,8 @@ def _burst_transitions(
 LEGAL_TRANSITIONS: dict[NodeKind, dict[StageName, frozenset[StageName]]] = {
     kind: _burst_transitions(burst) for kind, burst in BURST.items()
 }
+# The moves of a phase the table does not list: none.
+_NO_MOVES: frozenset[StageName] = frozenset()
 
 # The handshake each kind of node runs.
 _SCRIPT = {NodeKind.BLE: BLE_SCRIPT, NodeKind.LIOT: LIOT_SCRIPT}
@@ -285,7 +287,8 @@ def accrue_energy(
     piece is integrated in closed form with its harvest power: the stored
     energy 0.5*C*V^2 changes linearly, so V^2 = V0^2 + 2*P*t/C, clamped to
     [v_min, v_max], with charging scaled by the efficiency.  Sample times
-    inside a piece are sampled from it.  Every voltage equals the tests'
+    inside a piece are sampled from it, without the clamps when neither of
+    the piece's ends would be clamped.  Every voltage equals the tests'
     reference, supercap_segment in tests/cases.py, written out here with
     V0^2 and 2*P hoisted per piece (the same floats: the expression still
     evaluates left to right).  A sample time on a piece's end takes the
@@ -328,17 +331,29 @@ def accrue_energy(
             v_end = sqrt(v_sq)
             if v_max < v_end:
                 v_end = v_max
-        while sample_t < t_end:
-            v_sq = v0_sq + two_p_w * (sample_t - t) / c
-            if v_sq < v_min_sq:
-                v_s = v_min
+        if sample_t < t_end:
+            # V^2 is monotone in the sample time, and so is each float step
+            # of its expression, so samples inside the piece lie between its
+            # two ends; where neither end lies below v_min or above v_max,
+            # no sample does, and the clamps would change nothing.
+            lo, hi = (v0_sq, v_sq) if v0_sq < v_sq else (v_sq, v0_sq)
+            if v_min_sq <= lo and sqrt(hi) <= v_max:
+                while sample_t < t_end:
+                    append(sqrt(v0_sq + two_p_w * (sample_t - t) / c))
+                    last = sample_t
+                    sample_t += dt
             else:
-                v_s = sqrt(v_sq)
-                if v_max < v_s:
-                    v_s = v_max
-            append(v_s)
-            last = sample_t
-            sample_t += dt
+                while sample_t < t_end:
+                    v_sq = v0_sq + two_p_w * (sample_t - t) / c
+                    if v_sq < v_min_sq:
+                        v_s = v_min
+                    else:
+                        v_s = sqrt(v_sq)
+                        if v_max < v_s:
+                            v_s = v_max
+                    append(v_s)
+                    last = sample_t
+                    sample_t += dt
         if sample_t == t_end:
             append(v_end)
             last = sample_t
@@ -382,7 +397,7 @@ def end_run(
 def _set_phase(
     state: NodeState, cfg: NodeConfig, phase: StageName, deadline: float
 ) -> None:
-    allowed = LEGAL_TRANSITIONS[cfg.kind].get(state.phase, frozenset())
+    allowed = LEGAL_TRANSITIONS[cfg.kind].get(state.phase, _NO_MOVES)
     if phase not in allowed:
         raise FsmError(
             f"illegal transition {state.phase.value} -> {phase.value} "

@@ -171,7 +171,9 @@ class IlluminationProfile:
 
         A step profile bisects its step starts for each start.  The jitter
         of a second comes from one generator, reseeded from the second's
-        seed string, and is drawn once for all the starts in that second.
+        seed string, and is drawn once for all the starts in that second; a
+        second whose starts are all dark draws none, as its factor would
+        only multiply 0.0.
         No clamp at 0 is needed: every lux, step lux and mean - amplitude is
         validated >= 0, and a jitter factor lies in (0, 2).
         """
@@ -187,10 +189,14 @@ class IlluminationProfile:
             luxes = [mean + amplitude * sin(two_pi * floor(t) / period) for t in starts]
         if self.jitter_pct > 0:
             p, prefix = self.jitter_pct, f"{self.jitter_seed}|lux|"
-            rng, second = random.Random(f"{prefix}{math.floor(starts[0])}"), None
+            rng, second = None, None
             for k, t in enumerate(starts):
+                if luxes[k] == 0.0:  # dark: 0.0 times any factor, so no draw
+                    continue
                 if (s := math.floor(t)) != second:
-                    if second is not None:
+                    if rng is None:
+                        rng = random.Random(f"{prefix}{s}")
+                    else:
                         rng.seed(f"{prefix}{s}")
                     second, factor = s, 1.0 + rng.uniform(-p, p)
                 luxes[k] *= factor
@@ -509,8 +515,7 @@ class _Kernel:
     # -- gateway -------------------------------------------------------------
 
     def _gateway_receive(self, frame: Frame, now: float) -> None:
-        if not self.sc.gateway.present:
-            return
+        """A frame that reached a present gateway (see run)."""
         node = self.nodes.get(frame.src)
         if node is None:
             return
@@ -534,8 +539,22 @@ class _Kernel:
     # -- main loop -----------------------------------------------------------
 
     def run(self) -> RunResult:
+        """Pop events in (time, insertion) order until the run ends.
+
+        A node's next deadline that comes strictly before every queued event
+        is run in place, without a push and a pop: the heap would hand it
+        back next all the same.  A deadline equal to the first queued time
+        goes through the heap, so an event queued earlier at that time keeps
+        its turn, and a node that sleeps to the run's end meets RUN_ENDED
+        there instead of waking at it again and again.
+
+        The per-event functions are looked up once a run, not at import, so
+        that a wrapper put on the module before the run sees every call.
+        """
         sc, light, nodes = self.sc, self.light, self.nodes
         heap, push, pop, seq = self._heap, heapq.heappush, heapq.heappop, self._seq
+        accrue, advance, receive = fsm.accrue_energy, fsm.advance, fsm.receive
+        send, gateway_present = self._send, sc.gateway.present
         for cfg in sc.nodes:
             p_harv = light.power[cfg.harvester][0]
             first = fsm.schedule_next_cycle(cfg, p_harv)
@@ -555,13 +574,21 @@ class _Kernel:
             clock = time
 
             if kind is TIMER_FIRED:
-                # A node's one timer: pushed after its last advance, at its deadline.
+                # A node's one timer, at its deadline after its last advance;
+                # RUN_ENDED stays queued, so the heap is never empty here.
                 state, cfg, rng = nodes[subject]
-                fsm.accrue_energy(state, cfg, time, light)
-                out = fsm.advance(state, cfg, time, rng=rng, light=light)
-                if out is not None:
-                    self._send(out, time)
-                push(heap, (state.phase_deadline, next(seq), TIMER_FIRED, subject))
+                while True:
+                    accrue(state, cfg, time, light)
+                    out = advance(state, cfg, time, rng=rng, light=light)
+                    if out is not None:
+                        send(out, time)
+                    time = state.phase_deadline
+                    if not time < heap[0][0]:
+                        break
+                    if time < clock:
+                        raise RuntimeError("causality violation: event in the past")
+                    clock = time
+                push(heap, (time, next(seq), TIMER_FIRED, subject))
                 continue
 
             if kind is RUN_ENDED:
@@ -571,15 +598,16 @@ class _Kernel:
 
             dst = subject.dst  # FRAME_DELIVERED
             if dst == GATEWAY_ID:
-                self._gateway_receive(subject, time)
+                if gateway_present:
+                    self._gateway_receive(subject, time)
             else:
                 node = nodes.get(dst)
                 if node is not None:
                     state, cfg, _ = node
-                    fsm.accrue_energy(state, cfg, time, light)
-                    out = fsm.receive(state, subject)
+                    accrue(state, cfg, time, light)
+                    out = receive(state, subject)
                     if out is not None:
-                        self._send(out, time)
+                        send(out, time)
 
         return self._result()
 

@@ -387,16 +387,22 @@ def resolve_scenario_dict(ref: str) -> dict:
     return load_mapping(ref)
 
 
+def _list_index(items: list, part: str, path: str) -> int:
+    """part as an index of items: ASCII decimal digits naming one of them.
+    A sign, a space, an underscore or another script's digits, all of which
+    int() takes, raise instead of naming some other item."""
+    if not (part.isascii() and part.isdigit()) or int(part) >= len(items):
+        raise ScenarioError(path, "no such list index")
+    return int(part)
+
+
 def set_by_path(doc: dict, dotted: str, value: Any) -> None:
     """Set a schema value by dotted path, e.g. 'illumination.lux' or 'nodes.0.margin'."""
     parts = dotted.split(".")
     target: Any = doc
     for i, part in enumerate(parts[:-1]):
         if isinstance(target, list):
-            try:
-                target = target[int(part)]
-            except (ValueError, IndexError):
-                raise ScenarioError(".".join(parts[: i + 1]), "no such list index")
+            target = target[_list_index(target, part, ".".join(parts[: i + 1]))]
         elif isinstance(target, dict):
             if part not in target:
                 target[part] = {}
@@ -405,10 +411,7 @@ def set_by_path(doc: dict, dotted: str, value: Any) -> None:
             raise ScenarioError(".".join(parts[: i + 1]), "path descends into a scalar")
     leaf = parts[-1]
     if isinstance(target, list):
-        try:
-            target[int(leaf)] = value
-        except (ValueError, IndexError):
-            raise ScenarioError(dotted, "no such list index")
+        target[_list_index(target, leaf, dotted)] = value
     elif isinstance(target, dict):
         target[leaf] = value
     else:

@@ -1,8 +1,10 @@
 """Malformed and oversized scenario documents shared by the scenario and CLI
-tests, the runs that tests share, and the closed-form supercap voltage that
-the energy tests check the simulator against."""
+tests, the runs that tests share, and the references that the tests check
+the simulator against: the closed-form supercap voltage and the lux at a
+time."""
 
 import math
+import random
 from collections import Counter
 
 import pytest
@@ -48,6 +50,33 @@ def supercap_segment(
     if v_sq < cap.v_min**2:
         return cap.v_min, True
     return min(math.sqrt(v_sq), cap.v_max), False
+
+
+def reference_step_lux(steps, t):
+    """The lux of a step profile at t, by a linear scan of its steps."""
+    lux = steps[0][1]
+    for start, step_lux in steps:
+        if start <= t:
+            lux = step_lux
+    return lux
+
+
+def reference_lux(profile, t):
+    """The lux at t, one time at a time: the reference that
+    IlluminationProfile.lux_column is checked against.  A scan over the
+    steps, and a fresh generator seeded for the second of t when jitter is
+    on, drawn whatever the lux."""
+    if profile.kind == "constant":
+        v = profile.lux
+    elif profile.kind == "step":
+        v = reference_step_lux(profile.steps, t)
+    else:
+        v = profile.mean + profile.amplitude * math.sin(
+            2.0 * math.pi * math.floor(t) / profile.period_s)
+    if profile.jitter_pct > 0:
+        rng = random.Random(f"{profile.jitter_seed}|lux|{math.floor(t)}")
+        v *= 1.0 + rng.uniform(-profile.jitter_pct, profile.jitter_pct)
+    return max(v, 0.0)
 
 
 def _liot_profile(voltage_v=3.3, sleep_current_ma=0.087, current_ma=12.69,

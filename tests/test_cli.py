@@ -352,6 +352,14 @@ def test_sweep_rejects_fewer_than_one_job(capsys, jobs):
     assert out == "" and "--jobs" in err
 
 
+def test_sweep_rejects_a_signed_list_index(capsys):
+    # nodes.-1 would set the last node's margin if int() read the index.
+    code, out, err = run_cli(capsys, "sweep", "--scenario", "ble-700lx",
+                             "--param", "nodes.-1.margin", "--values", "0.1")
+    assert code == EXIT_VALIDATION
+    assert out == "" and "nodes.-1: no such list index" in err
+
+
 def test_sweep_over_seed_takes_integral_values(capsys, tmp_path):
     # --values parses numbers as floats; 1.0 and 2.0 must still be seeds.
     out = str(tmp_path / "seeds.csv")

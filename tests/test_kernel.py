@@ -12,9 +12,9 @@ import sys
 from itertools import islice, takewhile
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from cases import shared_run, supercap_segment
+from cases import reference_lux, reference_step_lux, shared_run, supercap_segment
 from liotsim.energy import (
     BLE_HARVESTER,
     BLE_PROFILE,
@@ -114,15 +114,6 @@ def test_illumination_sinusoid():
     assert prof.lux_at(100.9) == prof.lux_at(100.0) < prof.lux_at(101.0)
 
 
-def _reference_step_lux(steps, t):
-    """The lux of a step profile at t, by a linear scan of its steps."""
-    lux = steps[0][1]
-    for start, step_lux in steps:
-        if start <= t:
-            lux = step_lux
-    return lux
-
-
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(0.001, 1e6), max_size=40, unique=True),
        st.lists(st.floats(0.0, 2e6), max_size=20), st.data())
@@ -133,7 +124,7 @@ def test_step_lux_is_the_last_step_started(starts, times, data):
     # The step starts themselves, and the floats just before them.
     on_steps = [t for t, _ in steps] + [math.nextafter(t, 0.0) for t, _ in steps]
     for t in times + on_steps:
-        assert prof.lux_at(t) == _reference_step_lux(steps, t)
+        assert prof.lux_at(t) == reference_step_lux(steps, t)
 
 
 def _attached_node(light, node=None):
@@ -211,6 +202,9 @@ def light_walks(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(light_walks())
+# A piece one float wide, from a step start to the next whole second.
+@example((IlluminationProfile(kind="step", steps=((0.0, 0.0), (32.99999999999999, 1.0)),
+                              jitter_pct=0.1), 33.0, [[]], []))
 def test_light_schedule_answers_what_the_profile_says(case):
     # A small chunk makes the nodes walk across many fills and drops.
     with pytest.MonkeyPatch.context() as mp:
@@ -272,7 +266,14 @@ def _check_light_walks(profile, duration, walks, order):
     assert starts[0] == 0.0 and ends[-1] == math.inf
     assert list(starts[1:]) == list(ends[:-1])
     assert starts[-1] <= duration
-    assert all(profile.lux_at((a + min(b, duration)) / 2) == profile.lux_at(a)
+
+    def inside(a, b):
+        """The piece's midpoint, or its start where the piece is one float
+        wide and the midpoint rounds to its end."""
+        mid = (a + min(b, duration)) / 2
+        return mid if mid < b else a
+
+    assert all(profile.lux_at(inside(a, b)) == profile.lux_at(a)
                for a, b in zip(starts, ends))
     change_points = {t for t, _ in profile.steps}
     if profile.jitter_pct > 0 or profile.kind == "sinusoid":
@@ -301,22 +302,6 @@ def test_illumination_jitter_is_seeded_and_bounded():
     assert all(630.0 <= v <= 770.0 for v in vals)
     assert vals == [prof.lux_at(t) for t in (0.0, 100.0, 200.5)]
     assert prof.lux_at(200.1) == prof.lux_at(200.9)  # per-second granularity
-
-
-def _reference_lux(profile, t):
-    """The lux at t, one time at a time: a scan over the steps, and a
-    fresh generator seeded for the second of t when jitter is on."""
-    if profile.kind == "constant":
-        v = profile.lux
-    elif profile.kind == "step":
-        v = _reference_step_lux(profile.steps, t)
-    else:
-        v = profile.mean + profile.amplitude * math.sin(
-            2.0 * math.pi * math.floor(t) / profile.period_s)
-    if profile.jitter_pct > 0:
-        rng = random.Random(f"{profile.jitter_seed}|lux|{math.floor(t)}")
-        v *= 1.0 + rng.uniform(-profile.jitter_pct, profile.jitter_pct)
-    return max(v, 0.0)
 
 
 def _reference_power(curve, lux):
@@ -381,7 +366,7 @@ def test_light_columns_equal_the_value_at_a_time_reference(case):
     profile, chunk, times, curve = case
     for starts in (chunk, times):
         luxes = profile.lux_column(starts)
-        assert _bits(luxes) == _bits(_reference_lux(profile, t) for t in starts)
+        assert _bits(luxes) == _bits(reference_lux(profile, t) for t in starts)
         # The luxes forth and back, and the curve's points and their neighbours.
         xs = [x for x, _ in curve.points]
         luxes += [*luxes[::-1], *xs, *(math.nextafter(x, 0.0) for x in xs),
@@ -391,12 +376,37 @@ def test_light_columns_equal_the_value_at_a_time_reference(case):
             _reference_power(curve, x) for x in luxes)
     # The one-value cases are the columns' and keep their errors.
     for t in [*chunk, *times]:
-        assert profile.lux_at(t) == _reference_lux(profile, t)
+        assert profile.lux_at(t) == reference_lux(profile, t)
     for bad in (-1.0, -1e-300, math.nan):
         with pytest.raises(ValueError):
             profile.lux_at(bad)
         with pytest.raises(ValueError):
             curve.power_mw(bad)
+
+
+def test_a_dark_start_draws_no_jitter(monkeypatch):
+    # Dark at 0 s, so the first lit second is not the first start's; dark
+    # again from 30.5 s, and lit again from 60.5 s: seconds 30 and 60 each
+    # hold a lit and a dark start.
+    profile = IlluminationProfile(
+        kind="step", steps=((0.0, 0.0), (5.0, 700.0), (30.5, 0.0), (60.5, 650.0)),
+        jitter_pct=0.05, jitter_seed=3)
+    starts = list(kernel._change_points(profile, 90.0))
+    expected = [reference_lux(profile, t) for t in starts]
+    seeds, seed = [], random.Random.seed
+
+    def counted_seed(self, a=None, version=2):
+        seeds.append(a)
+        return seed(self, a, version)
+
+    monkeypatch.setattr(random.Random, "seed", counted_seed)
+    assert _bits(profile.lux_column(starts)) == _bits(expected)
+    assert 0.0 in expected
+    # One seed for each second with a lit start, none for a dark one.
+    lit = dict.fromkeys(math.floor(t) for t in starts
+                        if reference_step_lux(profile.steps, t) > 0)
+    assert seeds == [f"3|lux|{s}" for s in lit]
+    assert 0 not in lit and 45 not in lit and {5, 30, 60} <= lit.keys()
 
 
 def test_deliver_degenerate_probabilities():
@@ -915,6 +925,46 @@ def test_inline_sampling_equals_supercap_segment_down_to_v_min(monkeypatch):
     assert trace[-1][0] == 2500.0
 
 
+@st.composite
+def accrue_scenarios(draw):
+    """A short run of a BLE and a LIoT node for checking every accrue_energy
+    call: a grid of 0.1 s to 100 s, one node booting at v_min and the other
+    at v_max, step light with or without jitter, and dark spells that a
+    curve through (0, 0) makes dark, so that sampled pieces clamp at either
+    limit or at neither.
+    """
+    times = draw(st.lists(st.floats(1.0, 700.0), max_size=4, unique=True))
+    luxes = st.sampled_from((0.0, 0.0, 300.0, 500.0, 700.0, 1000.0))
+    steps = ((0.0, draw(st.sampled_from((0.0, 700.0)))),
+             *((t, draw(luxes)) for t in sorted(times)))
+    jitter = draw(st.sampled_from((0.0, 0.05, 0.3)))
+    dark_is_dark = draw(st.booleans())
+    nodes = []
+    for make, curve, boot in zip((ble_node, liot_node), (BLE_HARVESTER, LIOT_HARVESTER),
+                                 draw(st.permutations((3.3, 4.5)))):
+        if dark_is_dark:
+            curve = HarvesterCurve(points=((0.0, 0.0), (700.0, curve.power_mw(700.0))))
+        nodes.append(make(supercap=Supercap(0.4, boot), harvester=curve,
+                          efficiency=draw(st.sampled_from((1.0, 0.8)))))
+    return Scenario(
+        duration_s=draw(st.floats(20.0, 700.0)),
+        nodes=tuple(nodes),
+        illumination=IlluminationProfile(kind="step", steps=steps, jitter_pct=jitter,
+                                         jitter_seed=draw(st.integers(0, 9))),
+        sample_interval_s=draw(st.sampled_from((0.1, 1.0, 100.0))
+                               | st.floats(-1.0, 2.0).map(lambda e: 10.0**e)),
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(accrue_scenarios())
+def test_every_accrue_energy_call_equals_supercap_segment(sc):
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _check_accrue_against_supercap_segment(mp)
+        run(sc)
+    assert calls
+
+
 def test_inline_sampling_on_piece_ends_equals_supercap_segment(monkeypatch):
     calls = _check_accrue_against_supercap_segment(monkeypatch)
     # Jittered light changes every second and the grid is 1 s, so every
@@ -1060,6 +1110,23 @@ def test_jittered_lossy_four_node_run_is_pinned():
     assert (len(frames), sum(1 for f in frames if not f.delivered)) == (2141, 66)
     assert _run_digest(result) == (
         "a54ef9a586ce107dce7302eb5f35bba4b9cbf8d3567601f76bda4ee6b0dbd8a9")
+
+
+def test_events_of_equal_time_keep_their_queue_order():
+    # Two copies of ble-700lx's node share every deadline.  An event runs
+    # in place only when it comes strictly before the queue's first, so at
+    # each tie ble-1's event, queued first, still runs first.
+    doc = preset_dict("ble-700lx")
+    node = doc["nodes"][0]
+    doc["nodes"] = [{**node, "id": "ble-1"}, {**node, "id": "ble-2"}]
+    doc.update(duration_s=600.0, channel={"loss": 0.0, "seed": 0})
+    result = run(scenario_from_dict(doc))
+    first, second = islice(result.log, 2)
+    assert (first.kind, first.src, second.kind, second.src) == (
+        "adv_ess", "ble-1", "adv_ess", "ble-2")
+    assert first.sent_s == second.sent_s == pytest.approx(14.0221)
+    assert _run_digest(result) == (
+        "6fda2df6f4c827a05a202baabef6ebf3397a9a85550b7f8772741cd644941a8e")
 
 
 def test_each_run_builds_each_nodes_frames_once(monkeypatch):

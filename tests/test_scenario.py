@@ -330,6 +330,18 @@ def test_set_by_path():
         set_by_path(doc, "duration_s.deeper", 1.0)
 
 
+# int() reads each of these as 0, or -1 for the last item; as a list index
+# none of them names an item.
+@pytest.mark.parametrize("index", ["-1", " 0", "0 ", "0_0", "+0", "\u0660", ""])
+def test_a_list_index_is_ascii_decimal_digits_only(index):
+    doc = minimal_doc()
+    for dotted in (f"nodes.{index}.margin", f"nodes.{index}"):
+        with pytest.raises(ScenarioError, match="no such list index") as exc:
+            set_by_path(doc, dotted, 0.1)
+        assert exc.value.path == f"nodes.{index}"
+    assert doc == minimal_doc()
+
+
 def test_per_link_loss_overrides_the_scalar_for_listed_links_only():
     doc = preset_dict("ble-700lx")
     doc["duration_s"] = 600.0
