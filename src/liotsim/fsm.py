@@ -208,6 +208,10 @@ class NodeState:
     # One record per closed cycle (a sleep period plus the active burst);
     # the open cycle starts where the last record ends.
     records: RecordColumns
+    # Set when a closed segment drains V to v_min, cleared by a funded wake.
+    # Exact where advance reads it, since each timer closes the segment first;
+    # a delivery closes it only when the node may have reached v_min since
+    # it opened (see receive).
     depleted: bool = False
     # An await stage's timeout, twice its nominal wait after the wait began
     # (for gw_request, after the uplink); None once the stage has run on to
@@ -282,20 +286,23 @@ def accrue_energy(
 ) -> None:
     """Close the node's energy segment: integrate harvest minus load up to now.
 
-    The load is constant since the last checkpoint, so each piece of the
-    light table the node's cursor walks has constant net power P.  Each
-    piece is integrated in closed form with its harvest power: the stored
-    energy 0.5*C*V^2 changes linearly, so V^2 = V0^2 + 2*P*t/C, clamped to
-    [v_min, v_max], with charging scaled by the efficiency.  Sample times
-    inside a piece are sampled from it, without the clamps when neither of
-    the piece's ends would be clamped.  Every voltage equals the tests'
-    reference, supercap_segment in tests/cases.py, written out here with
-    V0^2 and 2*P hoisted per piece (the same floats: the expression still
-    evaluates left to right).  A sample time on a piece's end takes the
-    piece-end voltage, which is the same expression at the same time,
-    computed once.  Samples are only appended: the run's voltage stats are
-    taken from the trace after the run.  The cursor ends on the piece in
-    force at now.
+    A segment runs from one stage boundary (a timer, which changes the load)
+    to the next; _funded_wake closes it at each light piece it walks,
+    end_run at the end of the run, and a delivery only where the node may
+    have drained to v_min (see receive).  The load is constant since the
+    last checkpoint, so each piece of the light table the node's cursor
+    walks has constant net power P.  Each piece is integrated in closed form
+    with its harvest power: the stored energy 0.5*C*V^2 changes linearly, so
+    V^2 = V0^2 + 2*P*t/C, clamped to [v_min, v_max], with charging scaled by
+    the efficiency.  Sample times inside a piece are sampled from it,
+    without the clamps when neither of the piece's ends would be clamped.
+    Every voltage equals the tests' reference, supercap_segment in
+    tests/cases.py, written out here with V0^2 and 2*P hoisted per piece
+    (the same floats: the expression still evaluates left to right).  A
+    sample time on a piece's end takes the piece-end voltage, which is the
+    same expression at the same time, computed once.  Samples are only
+    appended: the run's voltage stats are taken from the trace after the
+    run.  The cursor ends on the piece in force at now.
     """
     t = state.last_energy_update
     if now <= t:
@@ -628,10 +635,30 @@ def advance(
     raise FsmError(f"unhandled phase {phase!r} for {cfg.kind.value} node")
 
 
-def receive(state: NodeState, frame: Frame) -> Optional[Frame]:
-    """Handle a frame delivered to this node; returns the frame to send."""
+def receive(
+    state: NodeState, cfg: NodeConfig, frame: Frame, now: float, light: LightTable
+) -> Optional[Frame]:
+    """Handle a frame delivered to this node at now; returns the frame to send.
+
+    A delivery does not change the node's load, so it closes the node's
+    energy segment only when the node may have drained to v_min since the
+    segment opened.  Harvest is >= 0, efficiency only scales charging and
+    the v_max clamp never takes V^2 below its start less the load's drain,
+    so V^2 >= V0^2 - 2*P_load*(now - t0)/C all through the segment.  Where
+    that bound stays above v_min^2, by a slack of 1e-9 * v_max^2 that covers
+    the rounding of accrue_energy's chain (a few ulps of v_max^2 a piece),
+    V has not reached v_min and depleted is already exact; elsewhere
+    accrue_energy closes the segment before depleted is read.
+    """
     if state.depleted:
         return None  # a browned-out node neither processes nor emits
+    c, _, v_max, v_min_sq, _ = state.cap
+    v = state.voltage_v
+    drain = 2e-3 * state.load_mw[state.phase] * (now - state.last_energy_update) / c
+    if v * v - drain < v_min_sq + 1e-9 * v_max * v_max:
+        accrue_energy(state, cfg, now, light)
+        if state.depleted:
+            return None
     session = state.session
     if session is None or session.outcome is not PENDING:
         return None

@@ -6,11 +6,14 @@ and multi-node scenario execution.  One kernel owns all of its state;
 identical scenario and seed give byte-identical results.
 
 Energy needs no clock of its own: light is piecewise constant, so each
-node's supercap is integrated in closed form whenever one of its own events
-closes the segment since its previous one (see fsm.accrue_energy).  A run
-builds its light once, as a LightTable of constant pieces that holds each
-piece's end and its harvest power per harvester; every node walks it with
-its own cursor, and light reaches a node only as that power.
+node's supercap is integrated in closed form over each segment of constant
+load, from one of its timers to the next (see fsm.accrue_energy).  A frame
+delivered to a node leaves the load as it was, so it closes the segment only
+where the node may have drained to v_min since the segment opened (see
+fsm.receive).  A run builds its light once, as a LightTable of constant
+pieces that holds each piece's end and its harvest power per harvester;
+every node walks it with its own cursor, and light reaches a node only as
+that power.
 """
 
 from __future__ import annotations
@@ -604,8 +607,7 @@ class _Kernel:
                 node = nodes.get(dst)
                 if node is not None:
                     state, cfg, _ = node
-                    accrue(state, cfg, time, light)
-                    out = receive(state, subject)
+                    out = receive(state, cfg, subject, time, light)
                     if out is not None:
                         send(out, time)
 

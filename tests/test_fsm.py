@@ -2,6 +2,7 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from liotsim.energy import (
     BLE_HARVESTER,
@@ -252,7 +253,7 @@ def _ble_exchanging(cfg: NodeConfig):
     advertised = state.phase_deadline
     adv = advance(state, cfg, advertised, rng=rng, light=light)
     conn = exchange_step(state.session, adv)
-    receive(state, conn)
+    receive(state, cfg, conn, advertised, light)
     began = state.phase_deadline
     request = advance(state, cfg, began, rng=rng, light=light)
     assert state.phase is S.BLE_DATA_EXCHANGE
@@ -264,7 +265,7 @@ def test_out_of_sequence_frame_in_exchange_is_recorded_as_a_violation():
     cfg = ble_cfg()
     state, light, conn, _, began = _ble_exchanging(cfg)
     # A second connection request is out of sequence in the exchange.
-    assert receive(state, conn) is None
+    assert receive(state, cfg, conn, began, light) is None
     assert state.session.fail_reason is FailReason.PROTOCOL_VIOLATION
     while not state.records:
         advance(state, cfg, state.phase_deadline, rng=random.Random(0), light=light)
@@ -299,7 +300,7 @@ def _awaiting(stage: StageName):
         uplinked = 1.0 + uplink.airtime_s
         return state, light, cfg, uplinked, state.phase_deadline - uplinked, sleep_set
     assert exchange_step(state.session, uplink) is request
-    receive(state, request)
+    receive(state, cfg, request, 1.0 + uplink.airtime_s, light)
     advance(state, cfg, state.phase_deadline, rng=rng, light=light)
     assert state.phase is S.LIOT_SENSOR_READ
     data = advance(state, cfg, state.phase_deadline, rng=rng, light=light)
@@ -334,9 +335,9 @@ def test_an_unanswered_await_runs_on_once_and_times_out_at_twice_its_length(stag
 
 @pytest.mark.parametrize("stage", AWAIT_STAGES.values(), ids=list(AWAIT_STAGES))
 def test_an_await_whose_session_failed_closes_at_its_nominal_deadline(stage):
-    state, light, cfg, _, _, stray = _awaiting(stage)
+    state, light, cfg, began, _, stray = _awaiting(stage)
     deadline = state.phase_deadline
-    assert receive(state, stray) is None
+    assert receive(state, cfg, stray, began, light) is None
     assert advance(state, cfg, deadline, rng=random.Random(0), light=light) is None
     assert state.phase is S.SLEEP
     (record,) = state.records
@@ -368,9 +369,9 @@ def test_end_run_records_the_open_session_as_it_stands():
     cfg = ble_cfg()
     light = LightTable(IlluminationProfile(lux=700.0), 100.0, [cfg.harvester])
     pending, _, _, _, _ = _ble_exchanging(cfg)
-    delivered, _, _, request, _ = _ble_exchanging(cfg)
-    data = receive(delivered, request)
-    receive(delivered, exchange_step(delivered.session, data))
+    delivered, own_light, _, request, began = _ble_exchanging(cfg)
+    data = receive(delivered, cfg, request, began, own_light)
+    receive(delivered, cfg, exchange_step(delivered.session, data), began, own_light)
     assert delivered.session.outcome is SessionOutcome.DELIVERED
     for state in (pending, delivered):
         light.attach(state, cfg.harvester)
@@ -411,7 +412,7 @@ def test_depleted_node_emits_nothing():
     frame = Frame(src=GATEWAY_ID, dst="ble-1", link=LinkType.BLE_ADV,
                   kind=FrameKind.CONN_REQ, payload_bytes=22, airtime_s=0.003,
                   channel=37)
-    assert receive(state, frame) is None
+    assert receive(state, cfg, frame, 10.0, light) is None
     # A node at v_min sleeps on at its wake deadline, with no record, until
     # its supercap holds one active burst above v_min: from v_min at 0 s,
     # V^2 rises by 2P/C a second at the net harvest P over sleep power.
@@ -508,7 +509,7 @@ def test_receive_holds_serves_or_refuses_each_frame_in_each_phase(cfg):
     for phase in LEGAL_TRANSITIONS[cfg.kind]:
         for kind in FrameKind:
             expected = RECEIVE_OUTCOMES.get((cfg.kind, phase, kind), "violation")
-            state = initial_state(cfg, 1.0)
+            state, light = lit_state(cfg, 1.0)
             state.phase = phase
             session = state.session = _session_awaiting(cfg, state.frames, kind)
             # Both sessions send the node's frames, so they return the same ones.
@@ -516,7 +517,7 @@ def test_receive_holds_serves_or_refuses_each_frame_in_each_phase(cfg):
             link = LINK_FOR_KIND[kind]
             frame = Frame(GATEWAY_ID, cfg.node_id, link, kind, 1, 0.01,
                           {LinkType.BLE_ADV: 37, LinkType.BLE_CONN: 5}.get(link))
-            out = receive(state, frame)
+            out = receive(state, cfg, frame, 0.0, light)
             where = (phase, kind, expected)
             if expected == "held":
                 assert out is None and session.held is frame, where
@@ -527,3 +528,59 @@ def test_receive_holds_serves_or_refuses_each_frame_in_each_phase(cfg):
             else:
                 assert out is None and session.held is None, where
                 assert session.fail_reason is FailReason.PROTOCOL_VIOLATION, where
+
+
+@st.composite
+def deliveries(draw):
+    """A node in any phase, booted anywhere from v_min to v_max, charging
+    below 100 % efficiency, under step light of dark and bright pieces, and
+    the time of a frame delivered to it: anywhere in the light, within a
+    few ulps of the time at which its load alone would drain it to v_min,
+    or a relative step of 1e-16 to 0.1 short of that time."""
+    make = draw(st.sampled_from((ble_cfg, liot_cfg)))
+    bright = HarvesterCurve(points=((0.0, 0.0), (700.0, draw(st.floats(0.01, 60.0)))))
+    cfg = make(supercap=Supercap(0.4, draw(st.floats(3.3, 4.5))), harvester=bright,
+               efficiency=draw(st.floats(0.05, 1.0, exclude_max=True)))
+    phase = draw(st.sampled_from(list(LEGAL_TRANSITIONS[cfg.kind])))
+    starts, t = [], 0.0
+    for lux in draw(st.lists(st.sampled_from((0.0, 700.0)), min_size=1, max_size=8)):
+        starts.append((t, lux))
+        t += draw(st.floats(0.001, 30.0))
+    cap = cfg.supercap
+    drained = (cap.voltage_v**2 - cap.v_min**2) * cap.capacitance_f / (
+        2e-3 * phase_power_mw(cfg, phase))
+    now = draw(st.floats(0.0, t + 10.0)
+               | st.integers(-64, 64).map(lambda k: drained * (1.0 + k * 2.0**-52))
+               | st.floats(-16.0, -1.0).map(lambda e: drained * (1.0 - 10.0**e)))
+    return cfg, phase, IlluminationProfile(kind="step", steps=tuple(starts)), max(now, 0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(deliveries())
+# Two dark pieces, and a delivery when the sleep load alone has drained the
+# node to v_min: there the bound reads v_min^2 to the last bit, while
+# accrue_energy's two-piece chain rounds below it, so only the bound's slack
+# makes the delivery close the segment.
+@example((ble_cfg(supercap=Supercap(0.4, 3.875), harvester=HarvesterCurve(
+    points=((0.0, 0.0), (700.0, 1.0)))), S.SLEEP, IlluminationProfile(
+    kind="step", steps=((0.0, 0.0), (1.0, 0.0))), 3571.9696969696984))
+def test_a_delivery_leaves_the_segment_open_only_above_v_min(case):
+    cfg, phase, profile, now = case
+
+    def booted():
+        state = initial_state(cfg, 1.0)
+        state.phase = phase
+        light = LightTable(profile, 1e7, [cfg.harvester])
+        light.attach(state, cfg.harvester)
+        return state, light
+
+    state, light = booted()
+    frame = Frame(GATEWAY_ID, cfg.node_id, LinkType.BLE_ADV, FrameKind.CONN_REQ,
+                  22, 0.003, 37)
+    assert receive(state, cfg, frame, now, light) is None  # no session to serve
+    if state.last_energy_update == now:
+        return  # the delivery closed the segment
+    # The segment stayed open, so the node stayed above v_min up to now.
+    closed, light = booted()
+    accrue_energy(closed, cfg, now, light)
+    assert not closed.depleted

@@ -582,6 +582,58 @@ def test_a_burst_that_outruns_its_energy_browns_out_and_counts_as_sent():
         assert r.scap_v_end == 3.3
 
 
+def test_a_delivery_that_finds_its_node_below_v_min_drops_the_frame(monkeypatch):
+    # The profile's 0.7-s data exchange funds the burst, which starts from
+    # exactly V_need (boot at v_min, a harvest just above sleep power), so
+    # the node drains below v_min in the exchange's extended await.  The
+    # gateway's config_or_disconnect lands there, 1.29 s into the exchange
+    # and before its 1.4-s timeout: its delivery must close the node's
+    # energy segment to find the brown-out, or the session would deliver.
+    doc = preset_dict("ble-700lx")
+    doc.update(duration_s=15000.0, channel={"loss": 0.0, "seed": 0})
+    node = doc["nodes"][0]
+    node["supercap"]["voltage_v"] = 3.3
+    node["harvester"] = {"points": [[0, 0.232], [700, 0.232]]}
+    node["profile"] = {"voltage_v": 3.3, "sleep_current_ma": 0.070, "stages": [
+        {"name": "sensor_read", "current_ma": 7.550, "duration_s": 0.260},
+        {"name": "ble_advertise", "current_ma": 0.400, "duration_s": 4.000},
+        {"name": "ble_data_exchange", "current_ma": 0.800, "duration_s": 0.7}]}
+    accrue, closed = fsm.accrue_energy, []
+
+    def recorded(state, cfg, now, light):
+        closed.append(now)
+        accrue(state, cfg, now, light)
+
+    monkeypatch.setattr(fsm, "accrue_energy", recorded)
+    result = run(scenario_from_dict(doc))
+    (record,) = result.records
+    *_, request, _, answer = result.frames
+    assert (request.kind, answer.kind, answer.delivered) == (
+        "ess_attr_request", "config_or_disconnect", True)
+    assert 1.2 < answer.arrival_s - request.sent_s < 1.4
+    assert (record.outcome, record.fail_reason) == (
+        SessionOutcome.FAILED, FailReason.BROWN_OUT)
+    assert answer.arrival_s in closed
+    assert record.end_s == pytest.approx(request.sent_s + 2 * 0.7)
+    assert record.scap_v_end == 3.3
+
+
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_a_delivery_does_not_close_its_nodes_energy_segment(monkeypatch, preset):
+    # A preset's node never waits for energy and never nears v_min, so its
+    # segments close only at its timers, each before an advance, and at the
+    # run's end: the frames delivered to it split none.
+    calls = dict.fromkeys(("accrue_energy", "advance"), 0)
+    for name in calls:
+        def counted(*args, _fn=getattr(fsm, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(fsm, name, counted)
+    result = run(load_preset(preset))
+    assert any(f.dst != GATEWAY_ID and f.delivered for f in result.frames)
+    assert calls["accrue_energy"] == calls["advance"] + 1
+
+
 @pytest.mark.parametrize("preset,sent,received", [("liot-700lx", 46, 46),
                                                    ("ble-700lx", 1490, 1478)])
 def test_a_node_started_at_v_min_waits_to_fund_its_bursts(preset, sent, received):
@@ -1013,7 +1065,7 @@ EDGE_RUNS = {
         "liot-700lx", {"duration_s": 1000.5, "sample_interval_s": 7.0},
         144, (1000.5, 4.3131763658558695),
         (1, 1, 4.2898932372591165, 4.235, 4.362380774523844),
-        1, "2665b5b6b10dc46c", 0),
+        1, "7fef8bbcc55faa6c", 0),
     "mid-session-end": (
         "liot-700lx", {"duration_s": 622.0},
         623, (622.0, 4.30683460153058),
@@ -1021,16 +1073,16 @@ EDGE_RUNS = {
         0, "e3b0c44298fc1c14", 1),
     "near-v-min": (
         "ble-500lx", {"sample_interval_s": 60.0, "nodes.0.supercap.voltage_v": 3.31},
-        481, (28800.0, 3.7743418916157143),
-        (1050, 953, 3.539712539782298, 3.31, 3.7752458886424605),
-        1050, "bcb51f45824f758d", 0),
+        481, (28800.0, 3.7743418916156646),
+        (1050, 953, 3.5397125397823115, 3.31, 3.775245888642413),
+        1050, "cbcdf8336b1b8a80", 0),
     "jittered-off-grid-interval": (
         "ble-700lx", {"duration_s": 3600.0, "sample_interval_s": 0.37,
                       "illumination": {"kind": "constant", "lux": 300.0,
                                        "jitter_pct": 0.1, "jitter_seed": 0}},
         9731, (3600.0, 4.497681812889823),
-        (131, 131, 4.487429679508789, 4.463, 4.5),
-        131, "b90babf28c96f88d", 0),
+        (131, 131, 4.487429679508803, 4.463, 4.5),
+        131, "758b0b97506087e9", 0),
 }
 
 
@@ -1109,7 +1161,7 @@ def test_jittered_lossy_four_node_run_is_pinned():
     frames = result.frames
     assert (len(frames), sum(1 for f in frames if not f.delivered)) == (2141, 66)
     assert _run_digest(result) == (
-        "a54ef9a586ce107dce7302eb5f35bba4b9cbf8d3567601f76bda4ee6b0dbd8a9")
+        "103de92fa6b7acd9d83baac279cf9b279cee28bd9b202be6edd8d1b60e424f31")
 
 
 def test_events_of_equal_time_keep_their_queue_order():
@@ -1126,7 +1178,7 @@ def test_events_of_equal_time_keep_their_queue_order():
         "adv_ess", "ble-1", "adv_ess", "ble-2")
     assert first.sent_s == second.sent_s == pytest.approx(14.0221)
     assert _run_digest(result) == (
-        "6fda2df6f4c827a05a202baabef6ebf3397a9a85550b7f8772741cd644941a8e")
+        "8157a69b9a99e294dbf7d814febdb0040dc3a3c884e41d85b73eaf67d68c9d4f")
 
 
 def test_each_run_builds_each_nodes_frames_once(monkeypatch):
