@@ -233,6 +233,12 @@ class NodeState:
     volts: array = field(default_factory=lambda: array("d"))
     sample_interval_s: float = math.inf
     last_sample_s: float = 0.0
+    # The summary's voltage stats, folded as each sample is appended: the
+    # trapezoid area under volts so far, in voltage_stats' expression and
+    # order, and the lowest and highest sample (see accrue_energy).
+    volts_area: float = 0.0
+    volts_lo: float = math.inf
+    volts_hi: float = -math.inf
 
 
 def initial_state(
@@ -257,6 +263,8 @@ def initial_state(
         records=RecordColumns(cfg.node_id, cap.voltage_v),
         volts=array("d", (cap.voltage_v,)),
         sample_interval_s=sample_interval_s,
+        volts_lo=cap.voltage_v,
+        volts_hi=cap.voltage_v,
     )
     state.phase_deadline = sleep_or_floor(cfg, first_sleep_s)
     return state
@@ -300,9 +308,12 @@ def accrue_energy(
     tests/cases.py, written out here with V0^2 and 2*P hoisted per piece
     (the same floats: the expression still evaluates left to right).  A
     sample time on a piece's end takes the piece-end voltage, which is the
-    same expression at the same time, computed once.  Samples are only
-    appended: the run's voltage stats are taken from the trace after the
-    run.  The cursor ends on the piece in force at now.
+    same expression at the same time, computed once.  Each sample adds its
+    trapezoid to volts_area with voltage_stats' expression, on the same
+    floats in the same order, so the run's voltage stats need no second walk
+    over the trace.  A piece's samples are monotone in time (see below), so
+    only its first and last are compared with volts_lo and volts_hi.  The
+    cursor ends on the piece in force at now.
     """
     t = state.last_energy_update
     if now <= t:
@@ -317,7 +328,10 @@ def accrue_energy(
     # Most calls take no sample; only those that do load the trace's state.
     sampling = sample_t <= now
     if sampling:
-        append = state.volts.append
+        volts = state.volts
+        append = volts.append
+        v_last = volts[-1]
+        area, v_lo, v_hi = state.volts_area, state.volts_lo, state.volts_hi
     i, ends, power = state.light_i, light.ends, state.p_harv
     n_ends = len(ends)
     harvested = 0.0
@@ -343,10 +357,14 @@ def accrue_energy(
             # of its expression, so samples inside the piece lie between its
             # two ends; where neither end lies below v_min or above v_max,
             # no sample does, and the clamps would change nothing.
+            first = len(volts)
             lo, hi = (v0_sq, v_sq) if v0_sq < v_sq else (v_sq, v0_sq)
             if v_min_sq <= lo and sqrt(hi) <= v_max:
                 while sample_t < t_end:
-                    append(sqrt(v0_sq + two_p_w * (sample_t - t) / c))
+                    v_s = sqrt(v0_sq + two_p_w * (sample_t - t) / c)
+                    append(v_s)
+                    area += 0.5 * (v_last + v_s) * (sample_t - last)
+                    v_last = v_s
                     last = sample_t
                     sample_t += dt
             else:
@@ -359,10 +377,26 @@ def accrue_energy(
                         if v_max < v_s:
                             v_s = v_max
                     append(v_s)
+                    area += 0.5 * (v_last + v_s) * (sample_t - last)
+                    v_last = v_s
                     last = sample_t
                     sample_t += dt
+            # Monotone samples: the piece's extremes are its first and last.
+            v_a, v_b = volts[first], v_last
+            if v_b < v_a:
+                v_a, v_b = v_b, v_a
+            if v_a < v_lo:
+                v_lo = v_a
+            if v_hi < v_b:
+                v_hi = v_b
         if sample_t == t_end:
             append(v_end)
+            area += 0.5 * (v_last + v_end) * (sample_t - last)
+            v_last = v_end
+            if v_end < v_lo:
+                v_lo = v_end
+            elif v_hi < v_end:
+                v_hi = v_end
             last = sample_t
             sample_t += dt
         v = v_end
@@ -378,6 +412,7 @@ def accrue_energy(
     state.voltage_v = v
     if sampling:
         state.last_sample_s = last
+        state.volts_area, state.volts_lo, state.volts_hi = area, v_lo, v_hi
     state.cycle_consumed_j += p_load * 1e-3 * (now - state.last_energy_update)
     state.cycle_harvested_j += harvested
     state.last_energy_update = now
@@ -387,15 +422,19 @@ def end_run(
     state: NodeState, cfg: NodeConfig, end: float, light: LightTable
 ) -> None:
     """Close the node's last energy segment at the end of the run, and sample
-    the voltage there unless a sample time falls on the end; the run's
-    voltage stats are taken from the finished trace.
+    the voltage there unless a sample time falls on the end, folding that
+    sample into the voltage stats as accrue_energy folds its own.
 
     A session still open is recorded as it stands: delivered if it was, else
     failed with its own reason or, while pending, RUN_ENDED.
     """
     accrue_energy(state, cfg, end, light)
     if state.last_sample_s < end:
-        state.volts.append(state.voltage_v)
+        v = state.voltage_v
+        state.volts_area += 0.5 * (state.volts[-1] + v) * (end - state.last_sample_s)
+        state.volts_lo = min(state.volts_lo, v)
+        state.volts_hi = max(state.volts_hi, v)
+        state.volts.append(v)
         state.last_sample_s = end
     if state.session is not None:  # the sleep this arms never comes
         _close_cycle(state, cfg, end, FailReason.RUN_ENDED, 0.0)

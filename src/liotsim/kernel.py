@@ -628,10 +628,15 @@ class _Kernel:
             )
             for node_id, (state, _, _) in self.nodes.items()
         }
+        # Each node folded its voltage stats as it sampled (see
+        # fsm.accrue_energy); its trace starts at 0 s, so it spans
+        # last_sample_s.
         node_summaries = tuple(
             metrics.summarize_node(
                 node_id, cfg.kind.value, state.records.outcomes(),
-                metrics.voltage_stats(nodes[node_id].sample_times(), state.volts))
+                metrics.finish_voltage_stats(state.volts_area, state.last_sample_s,
+                                             state.volts[0], state.volts_lo,
+                                             state.volts_hi))
             for node_id, (state, cfg, _) in self.nodes.items()
         )
         summary = metrics.RunSummary(

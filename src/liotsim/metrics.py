@@ -142,10 +142,19 @@ def voltage_stats(
     for t1, v1 in zip(times, islice(volts, 1, None)):
         area += 0.5 * (v0 + v1) * (t1 - t0)
         t0, v0 = t1, v1
-    lo, hi = min(volts), max(volts)
-    span = t0 - first
+    return finish_voltage_stats(area, t0 - first, volts[0], min(volts), max(volts))
+
+
+def finish_voltage_stats(
+    area: float, span: float, first_v: float, lo: float, hi: float
+) -> tuple[float, float, float]:
+    """(avg, min, max) of a trace from its trapezoid area over its time span,
+    its first sample and its extremes; a trace that spans no time averages
+    its first sample.  voltage_stats finishes with it, and so does a run,
+    which folds the area and extremes as it samples (see fsm.accrue_energy).
+    """
     if span <= 0:
-        return volts[0], lo, hi
+        return first_v, lo, hi
     # area / span rounds outside [lo, hi] when the span is tiny.
     return min(max(area / span, lo), hi), lo, hi
 

@@ -533,6 +533,28 @@ def test_exported_files_never_reach_the_row_reader(capsys, tmp_path, monkeypatch
                                 for nid, (times, volts) in traces.items()}
 
 
+def test_report_takes_voltage_stats_once_per_node(capsys, tmp_path, monkeypatch):
+    """simulate folds the stats as it samples; report applies voltage_stats
+    to each node's trace read back, once."""
+    calls = []
+    stats = metrics.voltage_stats
+
+    def counted(*args):
+        calls.append(args)
+        return stats(*args)
+
+    monkeypatch.setattr(metrics, "voltage_stats", counted)
+    out_dir = tmp_path / "out"
+    code, _, _ = run_cli(capsys, "simulate", "--scenario", EXAMPLE, "--duration", "1300",
+                         "--out", str(out_dir))
+    assert code == EXIT_OK and calls == []
+    code, out, _ = run_cli(capsys, "report", "--records", str(out_dir / "records.csv"),
+                           "--trace", str(out_dir / "trace.csv"))
+    assert code == EXIT_OK
+    assert [line.split()[0] for line in out.splitlines()[1:]] == ["ble-1", "liot-1"]
+    assert len(calls) == 2
+
+
 def test_report_missing_file(capsys, tmp_path):
     for path in (tmp_path / "nope.csv", tmp_path):  # missing, then a directory
         code, _, err = run_cli(capsys, "report", "--records", str(path))

@@ -23,7 +23,7 @@ from liotsim.energy import (
     HarvesterCurve,
     Supercap,
 )
-from liotsim import fsm, kernel
+from liotsim import fsm, kernel, metrics
 from liotsim.fsm import NodeConfig, NodeKind
 from liotsim.kernel import (
     ILLUMINATION_KINDS,
@@ -1055,6 +1055,13 @@ def _records_digest(records) -> str:
     return h.hexdigest()[:16]
 
 
+def _preset_with(preset: str, changes: dict) -> Scenario:
+    doc = preset_dict(preset)
+    for path, value in changes.items():
+        set_by_path(doc, path, value)
+    return scenario_from_dict(doc)
+
+
 # (preset, document changes, len(trace), trace[-1], summary (sent, received,
 # scap_avg_v, scap_min_v, scap_max_v), number and digest of the cycles closed
 # before the end, run_ended records after them), each recorded when the trace
@@ -1090,10 +1097,7 @@ EDGE_RUNS = {
 def test_voltage_stats_and_trace_view_on_edge_runs(case):
     (preset, changes, n_samples, last, summary, n_closed, digest,
      n_run_ended) = EDGE_RUNS[case]
-    doc = preset_dict(preset)
-    for path, value in changes.items():
-        set_by_path(doc, path, value)
-    result = run(scenario_from_dict(doc))
+    result = run(_preset_with(preset, changes))
     (nr,) = result.nodes.values()
     (node,) = result.summary.nodes
     trace = nr.trace
@@ -1108,6 +1112,61 @@ def test_voltage_stats_and_trace_view_on_edge_runs(case):
     assert _records_digest(closed) == digest
     assert [(r.fail_reason, r.end_s, r.scap_v_end) for r in tail] == (
         [(FailReason.RUN_ENDED, *last)] * n_run_ended)
+
+
+# Runs whose samples reach every place where accrue_energy and end_run fold
+# the voltage stats: (scenario, a v_min or v_max its trace reaches, or None).
+FOLD_RUNS = {
+    # Sleeps charge into v_max, so the clamped sample loop runs.
+    "ble-700lx": (lambda: load_preset("ble-700lx"), 4.5),
+    # A curve through (0, 0) and a dark step drain the node to v_min: falling
+    # pieces, whose first sample is their highest.
+    "dark-to-v-min": (lambda: _preset_with("ble-700lx", {
+        "duration_s": 5000.0,
+        "illumination": {"kind": "step",
+                         "steps": [[0.0, 700.0], [600.0, 0.0], [4000.0, 700.0]]},
+        "nodes.0.harvester": {"points": [[0.0, 0.0], [700.0, 0.99]]},
+        "nodes.0.supercap.voltage_v": 3.6}), 3.3),
+    # Jittered light changes every second: samples on light pieces' ends.
+    "scenario-example": (lambda: load_scenario_file(DOCS_EXAMPLE), None),
+    "grid-0.1s": (lambda: _preset_with(
+        "liot-700lx", {"duration_s": 3600.0, "sample_interval_s": 0.1}), None),
+    "grid-0.37s": (lambda: _preset_with(
+        "ble-500lx", {"duration_s": 3600.0, "sample_interval_s": 0.37}), None),
+    # Only the boot sample and end_run's.
+    "grid-past-the-end": (lambda: _preset_with(
+        "liot-700lx", {"duration_s": 1000.0, "sample_interval_s": 5000.0}), None),
+    "off-grid-end": (lambda: _preset_with(
+        "liot-700lx", {"duration_s": 1000.5, "sample_interval_s": 7.0}), None),
+}
+
+
+@pytest.mark.parametrize("case", FOLD_RUNS)
+def test_folded_voltage_stats_equal_voltage_stats_of_the_trace(case):
+    """The summary's stats, folded as the run samples, are voltage_stats of
+    the finished trace and its min() and max(), bit for bit."""
+    make, bound = FOLD_RUNS[case]
+    result = shared_run(make())
+    for node in result.summary.nodes:
+        nr = result.nodes[node.node_id]
+        stats = (node.scap_avg_v, node.scap_min_v, node.scap_max_v)
+        assert stats == voltage_stats(nr.sample_times(), nr.volts)
+        assert stats[1:] == (min(nr.volts), max(nr.volts))
+    assert bound is None or bound in stats[1:]
+
+
+def test_a_run_never_walks_its_trace_again(monkeypatch):
+    calls = []
+    stats = metrics.voltage_stats
+
+    def counted(*args):
+        calls.append(args)
+        return stats(*args)
+
+    monkeypatch.setattr(metrics, "voltage_stats", counted)
+    for preset in PRESET_NAMES:
+        run(load_preset(preset))
+    assert calls == []
 
 
 def _pinned_four_node_scenario() -> Scenario:
