@@ -34,6 +34,15 @@ def store_floats(obj, *names: str) -> None:
         object.__setattr__(obj, name, as_float(getattr(obj, name)))
 
 
+def require_ints(obj, *names: str) -> None:
+    """Raise FieldError for the first named field of obj that is not an int
+    (a bool is not one), e.g. a seed of 2.5."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise FieldError(name, "must be an integer")
+
+
 def float_pairs(pairs) -> tuple[tuple, ...]:
     """pairs as a tuple of tuples, each number passed through as_float."""
     return tuple(tuple(map(as_float, pair)) for pair in pairs)

@@ -140,6 +140,14 @@ class NodeConfig:
         if self.margin is None:
             object.__setattr__(self, "margin", DEFAULT_MARGIN[self.kind])
         store_floats(self, "margin", "efficiency")
+        # The kernel routes every frame addressed to the gateway's id there.
+        if self.node_id == protocol.GATEWAY_ID:
+            raise FieldError("node_id", f"{protocol.GATEWAY_ID!r} is the gateway's id")
+        bad = [s for s in self.sensors if s not in protocol.SENSOR_CHANNELS]
+        if bad:
+            raise FieldError("sensors", f"unknown channel {bad[0]!r}")
+        if not self.sensors or len(set(self.sensors)) != len(self.sensors):
+            raise FieldError("sensors", "must name at least one channel, each once")
         if not self.margin >= 0:
             raise FieldError("margin", "must be >= 0")
         if self.adv_mode not in ADV_MODES:
@@ -302,8 +310,7 @@ def accrue_energy(
     walks has constant net power P.  Each piece is integrated in closed form
     with its harvest power: the stored energy 0.5*C*V^2 changes linearly, so
     V^2 = V0^2 + 2*P*t/C, clamped to [v_min, v_max], with charging scaled by
-    the efficiency.  Sample times inside a piece are sampled from it,
-    without the clamps when neither of the piece's ends would be clamped.
+    the efficiency.  Sample times inside a piece are sampled from it.
     Every voltage equals the tests' reference, supercap_segment in
     tests/cases.py, written out here with V0^2 and 2*P hoisted per piece
     (the same floats: the expression still evaluates left to right).  A
@@ -353,35 +360,23 @@ def accrue_energy(
             if v_max < v_end:
                 v_end = v_max
         if sample_t < t_end:
-            # V^2 is monotone in the sample time, and so is each float step
-            # of its expression, so samples inside the piece lie between its
-            # two ends; where neither end lies below v_min or above v_max,
-            # no sample does, and the clamps would change nothing.
             first = len(volts)
-            lo, hi = (v0_sq, v_sq) if v0_sq < v_sq else (v_sq, v0_sq)
-            if v_min_sq <= lo and sqrt(hi) <= v_max:
-                while sample_t < t_end:
-                    v_s = sqrt(v0_sq + two_p_w * (sample_t - t) / c)
-                    append(v_s)
-                    area += 0.5 * (v_last + v_s) * (sample_t - last)
-                    v_last = v_s
-                    last = sample_t
-                    sample_t += dt
-            else:
-                while sample_t < t_end:
-                    v_sq = v0_sq + two_p_w * (sample_t - t) / c
-                    if v_sq < v_min_sq:
-                        v_s = v_min
-                    else:
-                        v_s = sqrt(v_sq)
-                        if v_max < v_s:
-                            v_s = v_max
-                    append(v_s)
-                    area += 0.5 * (v_last + v_s) * (sample_t - last)
-                    v_last = v_s
-                    last = sample_t
-                    sample_t += dt
-            # Monotone samples: the piece's extremes are its first and last.
+            while sample_t < t_end:
+                v_sq = v0_sq + two_p_w * (sample_t - t) / c
+                if v_sq < v_min_sq:
+                    v_s = v_min
+                else:
+                    v_s = sqrt(v_sq)
+                    if v_max < v_s:
+                        v_s = v_max
+                append(v_s)
+                area += 0.5 * (v_last + v_s) * (sample_t - last)
+                v_last = v_s
+                last = sample_t
+                sample_t += dt
+            # V^2 is monotone in the sample time, and so is each float step
+            # of its expression and each clamp, so the piece's samples are
+            # monotone: its extremes are its first and last.
             v_a, v_b = volts[first], v_last
             if v_b < v_a:
                 v_a, v_b = v_b, v_a

@@ -47,6 +47,7 @@ from .energy import (
     as_float,
     float_pairs,
     fold_sum,
+    require_ints,
     solve_sleep_time,
     store_floats,
 )
@@ -83,6 +84,7 @@ class ChannelModel:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        require_ints(self, "seed")
         if isinstance(self.loss, dict):
             loss = {link: as_float(p) for link, p in self.loss.items()}
             object.__setattr__(self, "loss", loss)
@@ -143,13 +145,15 @@ class IlluminationProfile:
     def __post_init__(self) -> None:
         store_floats(self, "lux", "mean", "amplitude", "period_s", "jitter_pct")
         object.__setattr__(self, "steps", float_pairs(self.steps))
+        require_ints(self, "jitter_seed")
         if self.kind not in ILLUMINATION_KINDS:
             raise FieldError("kind", f"must be one of {list(ILLUMINATION_KINDS)}")
         for name in ("lux", "mean", "amplitude"):
             if not getattr(self, name) >= 0:
                 raise FieldError(name, "must be >= 0")
-        if not self.period_s > 0:
-            raise FieldError("period_s", "must be > 0")
+        # Light is held per whole second, so a shorter period only aliases.
+        if not self.period_s >= 1:
+            raise FieldError("period_s", "must be >= 1 s")
         if not (0.0 <= self.jitter_pct < 1.0):
             raise FieldError("jitter_pct", "must be in [0, 1)")
         if self.kind == "step":
@@ -289,6 +293,10 @@ class LightTable:
 class GatewayConfig:
     present: bool = True
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.present, bool):
+            raise FieldError("present", "expected a boolean")
+
 
 def gateway_sleep_s(cfg: NodeConfig, p_harv_mw: float) -> float:
     """Sleep the gateway assigns a LIoT node whose lux reading implies the
@@ -325,6 +333,7 @@ class Scenario:
 
     def __post_init__(self) -> None:
         store_floats(self, "duration_s", "sample_interval_s")
+        require_ints(self, "seed")
         if not self.duration_s > 0:
             raise FieldError("duration_s", "must be > 0")
         if not self.nodes:
@@ -465,13 +474,7 @@ class NodeResult:
 class RunResult:
     summary: metrics.RunSummary
     nodes: dict[str, NodeResult]
-    log: FrameLog
-
-    @property
-    def frames(self) -> FrameLog:
-        """The frame log itself, an alias of log: its length is the frame
-        count, and iterating it builds one FrameLogEntry at a time."""
-        return self.log
+    frames: FrameLog  # len() is the frame count; iterating builds each entry
 
     @property
     def records(self) -> list[metrics.CycleRecord]:
@@ -495,10 +498,10 @@ class _Kernel:
         # Each node's (state, cfg, rng), so that an event looks its node up once.
         self.nodes: dict[str, tuple[NodeState, NodeConfig, random.Random]] = {}
         self.link_loss = {link: scenario.channel.loss_for(link) for link in LinkType}
-        self.log = FrameLog()
-        self._log_sent = self.log.sent_s.append
-        self._log_frame = self.log.frames.append
-        self._log_delivered = self.log.delivered.append
+        self.frames = FrameLog()
+        self._log_sent = self.frames.sent_s.append
+        self._log_frame = self.frames.frames.append
+        self._log_delivered = self.frames.delivered.append
         self.gw_liot_busy: Optional[ExchangeSession] = None
         self.light = LightTable(scenario.illumination, scenario.duration_s,
                                 [cfg.harvester for cfg in scenario.nodes])
@@ -519,10 +522,7 @@ class _Kernel:
 
     def _gateway_receive(self, frame: Frame, now: float) -> None:
         """A frame that reached a present gateway (see run)."""
-        node = self.nodes.get(frame.src)
-        if node is None:
-            return
-        state, cfg, _ = node
+        state, cfg, _ = self.nodes[frame.src]
         session = state.session
         if session is None or session.outcome is not PENDING:
             return
@@ -604,12 +604,11 @@ class _Kernel:
                 if gateway_present:
                     self._gateway_receive(subject, time)
             else:
-                node = nodes.get(dst)
-                if node is not None:
-                    state, cfg, _ = node
-                    out = receive(state, cfg, subject, time, light)
-                    if out is not None:
-                        send(out, time)
+                # No node takes the gateway's id, so dst is one of the run's nodes.
+                state, cfg, _ = nodes[dst]
+                out = receive(state, cfg, subject, time, light)
+                if out is not None:
+                    send(out, time)
 
         return self._result()
 
@@ -645,7 +644,7 @@ class _Kernel:
             config_hash=scenario_fingerprint(self.sc),
             nodes=node_summaries,
         )
-        return RunResult(summary=summary, nodes=nodes, log=self.log)
+        return RunResult(summary=summary, nodes=nodes, frames=self.frames)
 
 
 def run(scenario: Scenario) -> RunResult:

@@ -33,11 +33,7 @@ from .kernel import (
     Scenario,
     per_frame_loss_for_session_pdr,
 )
-from .protocol import (
-    BLE_SCRIPT,
-    SENSOR_CHANNELS,
-    LinkType,
-)
+from .protocol import BLE_SCRIPT, LinkType
 
 SCHEMA_VERSION = 1
 
@@ -89,14 +85,20 @@ def _check_kind_keys(d: dict, kind: str, owners: dict[str, str], path: str) -> N
             raise ScenarioError(_at(path, key), f"only kind {owner} takes this key")
 
 
+# A field whose key in the document has another name.
+_DOCUMENT_KEY = {"node_id": "id"}
+
+
 def _build(cls, path: str, **fields):
     """cls(**fields), leaving out the fields the document does not give (None)
     so that the type's defaults apply.  The type's own rules decide: a broken
-    rule of one field is reported at path.field, a rule across fields at path."""
+    rule of one field is reported at the field's key in path, a rule across
+    fields at path."""
     try:
         return cls(**{k: v for k, v in fields.items() if v is not None})
     except FieldError as exc:
-        raise ScenarioError(_at(path, exc.field), exc.message) from None
+        key = _DOCUMENT_KEY.get(exc.field, exc.field)
+        raise ScenarioError(_at(path, key), exc.message) from None
     except ValueError as exc:
         raise ScenarioError(path, str(exc)) from None
 
@@ -127,16 +129,14 @@ def _number(d: dict, key: str, path: str) -> Optional[float]:
     return _finite(d[key], _at(path, key))
 
 
-def _integer(d: dict, key: str, path: str) -> Optional[int]:
-    """An integer key; an integral float such as 2.0 counts, 1.5 does not."""
+def _integer(d: dict, key: str, path: str) -> Any:
+    """An integer key's number, an integral float such as 2.0 as its int;
+    the type rejects any other float."""
     if key not in d:
         return None
-    path = _at(path, key)
     v = d[key]
-    _finite(v, path)
-    if isinstance(v, float) and not v.is_integer():
-        raise ScenarioError(path, "must be an integer")
-    return int(v)
+    _finite(v, _at(path, key))
+    return int(v) if isinstance(v, float) and v.is_integer() else v
 
 
 def _loss(d: dict, key: Any, path: str) -> Optional[float]:
@@ -230,9 +230,6 @@ def _parse_node(spec: dict, path: str) -> NodeConfig:
     if sensors is not None:
         if not isinstance(sensors, list) or not all(isinstance(s, str) for s in sensors):
             raise ScenarioError(f"{path}.sensors", "expected a list of channel names")
-        bad = [s for s in sensors if s not in SENSOR_CHANNELS]
-        if bad:
-            raise ScenarioError(f"{path}.sensors", f"unknown channel {bad[0]!r}")
         sensors = tuple(sensors)
     return _build(
         NodeConfig, path,
@@ -291,10 +288,7 @@ def _parse_channel(spec: dict, path: str) -> ChannelModel:
 
 def _parse_gateway(spec: dict, path: str) -> GatewayConfig:
     _check_keys(spec, {"present"}, set(), path)
-    present = spec.get("present")
-    if present is not None and not isinstance(present, bool):
-        raise ScenarioError(f"{path}.present", "expected a boolean")
-    return _build(GatewayConfig, path, present=present)
+    return _build(GatewayConfig, path, present=spec.get("present"))
 
 
 def scenario_from_dict(doc: dict) -> Scenario:

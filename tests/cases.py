@@ -182,6 +182,16 @@ BAD_VALUES = (
     # or a second copy would count in the solve and the gate, never drawn.
     ("nodes.0.profile", _liot_profile(extra=("sensor_read",)), "nodes[0].profile"),
     ("nodes.0.profile", _liot_profile(extra=("liot_sleep_set",)), "nodes[0].profile"),
+    # The kernel routes every frame addressed to the gateway's id there.
+    ("nodes.0.id", "gw", "nodes[0].id"),
+    # Light is held per whole second, so a period under 1 s only aliases.
+    ("illumination", {"kind": "sinusoid", "mean": 600, "amplitude": 100,
+                      "period_s": 1.0e-320}, "illumination.period_s"),
+    ("illumination", {"kind": "sinusoid", "mean": 600, "amplitude": 100,
+                      "period_s": 0.5}, "illumination.period_s"),
+    # A node uploads known channels, each once, at least one.
+    ("nodes.0.sensors", ["temperature", "temperature"], "nodes[0].sensors"),
+    ("nodes.0.sensors", [], "nodes[0].sensors"),
 )
 
 

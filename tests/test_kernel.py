@@ -1205,7 +1205,7 @@ def _run_digest(result) -> str:
         h.update(repr((node_id, nr.last_sample_s, nr.total_consumed_j,
                        nr.total_harvested_j)).encode())
         h.update(nr.volts.tobytes())
-    for f in result.log:
+    for f in result.frames:
         h.update(repr((f.sent_s, f.arrival_s, f.src, f.dst, f.link, f.kind,
                        f.payload_bytes, f.channel, f.delivered)).encode())
     return h.hexdigest()
@@ -1232,7 +1232,7 @@ def test_events_of_equal_time_keep_their_queue_order():
     doc["nodes"] = [{**node, "id": "ble-1"}, {**node, "id": "ble-2"}]
     doc.update(duration_s=600.0, channel={"loss": 0.0, "seed": 0})
     result = run(scenario_from_dict(doc))
-    first, second = islice(result.log, 2)
+    first, second = islice(result.frames, 2)
     assert (first.kind, first.src, second.kind, second.src) == (
         "adv_ess", "ble-1", "adv_ess", "ble-2")
     assert first.sent_s == second.sent_s == pytest.approx(14.0221)
@@ -1266,10 +1266,10 @@ def test_each_run_builds_each_nodes_frames_once(monkeypatch):
         own = {cfg.node_id: st.frames for cfg, st in zip(sc.nodes, states)}
         assert [f for frames in own.values() for f in frames] == built
         # Every session of a node sends and is answered with its node's frames.
-        for f in result.log.frames:
+        for f in result.frames.frames:
             node = f.src if f.dst == GATEWAY_ID else f.dst
             assert any(f is mine for mine in own[node])
-        assert {id(f) for f in result.log.frames} == {id(f) for f in built}
+        assert {id(f) for f in result.frames.frames} == {id(f) for f in built}
 
 
 def _eighteen_node_scenario() -> Scenario:
@@ -1428,8 +1428,8 @@ def test_records_and_frame_log_take_a_few_bytes_each():
     assert len(records) == len(nr.records) > 4000
     assert sum(map(nbytes, (records.end_s, records.scap_v_end, records.consumed_j,
                             records.harvested_j, records.codes))) <= 40 * len(records)
-    log = result.log
-    assert len(log) == len(result.frames) > 20000
+    log = result.frames
+    assert len(log) > 20000
     # The node's five frames are built once, so the log holds a pointer to each.
     assert len(set(map(id, log.frames))) < 20
     frame_bytes = (nbytes(log.sent_s) + nbytes(log.delivered)
@@ -1447,14 +1447,13 @@ def test_frame_log_lists_lost_frames_and_repeats():
     a, b = run(sc), run(sc)
     frames = a.frames
     assert frames == b.frames
-    assert a.frames is a.log
     # Each entry is its logged frame's, arriving one airtime after it is sent.
     assert [(f.arrival_s, f.src, f.dst, f.link, f.kind, f.payload_bytes, f.channel)
             for f in frames] == [
         (sent + lf.airtime_s, lf.src, lf.dst, lf.link.value, lf.kind.value,
          lf.payload_bytes, lf.channel)
-        for sent, lf in zip(a.log.sent_s, a.log.frames)]
-    assert [f.delivered for f in frames] == [d == 1 for d in a.log.delivered]
+        for sent, lf in zip(frames.sent_s, frames.frames)]
+    assert [f.delivered for f in frames] == [d == 1 for d in frames.delivered]
     assert all(type(f.delivered) is bool for f in frames)
     records = a.records
     assert records == b.records and records is not a.records

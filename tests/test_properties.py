@@ -114,8 +114,8 @@ def test_no_run_closes_more_records_than_its_estimate(doc):
     assert sum(closed.values()) <= estimated_cycles(sc)
     # Each cycle logs at most one handshake's frames.
     script = {fsm.NodeKind.BLE: BLE_SCRIPT, fsm.NodeKind.LIOT: LIOT_SCRIPT}
-    assert len(result.log) <= sum(len(script[cfg.kind]) * closed[cfg.node_id]
-                                  for cfg in sc.nodes)
+    assert len(result.frames) <= sum(len(script[cfg.kind]) * closed[cfg.node_id]
+                                     for cfg in sc.nodes)
 
 
 @settings(max_examples=30, deadline=None)

@@ -19,11 +19,12 @@ from liotsim.fsm import NodeConfig, NodeKind
 from liotsim.kernel import (
     MAX_CYCLES,
     ChannelModel,
+    GatewayConfig,
     IlluminationProfile,
     per_frame_loss_for_session_pdr,
     run,
 )
-from liotsim.protocol import BLE_SCRIPT, LIOT_SCRIPT, LinkType
+from liotsim.protocol import BLE_SCRIPT, GATEWAY_ID, LIOT_SCRIPT, LinkType
 from liotsim.scenario import (
     PRESET_NAMES,
     SCHEMA_VERSION,
@@ -396,6 +397,17 @@ def _bad_fields():
         (ChannelModel(), "loss", True), (ChannelModel(), "loss", "0.1"),
         (ChannelModel(), "loss", None), (ChannelModel(), "loss", [0.1]),
         (ChannelModel(), "loss", {LinkType.BLE_ADV: True}),
+        # Light is held per whole second: a shorter period only aliases, and
+        # a subnormal one made lux_column call sin(inf).
+        (sinusoid, "period_s", 1.0e-320), (sinusoid, "period_s", 0.5),
+        # Rules a scenario file's parser once kept to itself.
+        (sc.nodes[0], "node_id", GATEWAY_ID),
+        (sc.nodes[0], "sensors", ("foo",)),
+        (sc.nodes[0], "sensors", ("temperature", "temperature")),
+        (sc.nodes[0], "sensors", ()),
+        (GatewayConfig(), "present", "no"),
+        (sc, "seed", 2.5), (sc, "seed", True),
+        (ChannelModel(), "seed", 1.5), (light, "jitter_seed", True),
     ]
     return [pytest.param(value, field, bad, id=f"{type(value).__name__}.{field}-{i}")
             for i, (value, field, bad) in enumerate(rows)]
