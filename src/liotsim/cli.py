@@ -149,7 +149,8 @@ def cmd_simulate(args) -> int:
         sc = scenario_mod.scenario_from_dict(doc)
     except ScenarioError as exc:
         raise CliError(f"invalid scenario: {exc}", EXIT_VALIDATION)
-    result = kernel.run(sc)
+    # Only an export reads the trace, so only --out keeps it.
+    result = kernel.run(sc, trace=bool(args.out))
     if args.out:
         _write_outputs(result, args.out, args.format or "csv")
     _print_summary(result.summary)

@@ -140,6 +140,8 @@ class NodeConfig:
         if self.margin is None:
             object.__setattr__(self, "margin", DEFAULT_MARGIN[self.kind])
         store_floats(self, "margin", "efficiency")
+        if not isinstance(self.node_id, str):
+            raise FieldError("node_id", "expected a string")
         # The kernel routes every frame addressed to the gateway's id there.
         if self.node_id == protocol.GATEWAY_ID:
             raise FieldError("node_id", f"{protocol.GATEWAY_ID!r} is the gateway's id")
@@ -201,8 +203,9 @@ def sample_times(interval_s: float) -> Iterator[float]:
 
 @dataclass(slots=True)
 class NodeState:
-    """What the node's next event reads; its run's outputs are the records
-    and the voltage trace (volts)."""
+    """What the node's next event reads; its run's outputs are the records,
+    the folded voltage stats and, when the run keeps it, the voltage trace
+    (volts)."""
 
     phase: StageName  # the stage the node is in, SLEEP while asleep
     phase_deadline: float
@@ -236,28 +239,32 @@ class NodeState:
     last_energy_update: float = 0.0
     # Supercap voltage at sample_times(sample_interval_s), filled as the
     # energy segments containing them close (a sample on a light piece's end
-    # is that piece's end voltage, the same float); last_sample_s is the time
-    # of volts[-1].
-    volts: array = field(default_factory=lambda: array("d"))
+    # is that piece's end voltage, the same float), or None when the run
+    # keeps no trace; either way every sample is taken and folded below.
+    # last_sample_v is the sample at last_sample_s, the latest one taken.
+    volts: Optional[array] = None
     sample_interval_s: float = math.inf
     last_sample_s: float = 0.0
-    # The summary's voltage stats, folded as each sample is appended: the
-    # trapezoid area under volts so far, in voltage_stats' expression and
-    # order, and the lowest and highest sample (see accrue_energy).
+    last_sample_v: float = 0.0
+    # The summary's voltage stats, folded as each sample is taken: the
+    # trapezoid area under the samples so far, in voltage_stats' expression
+    # and order, and the lowest and highest sample (see accrue_energy).
     volts_area: float = 0.0
     volts_lo: float = math.inf
     volts_hi: float = -math.inf
 
 
 def initial_state(
-    cfg: NodeConfig, first_sleep_s: Optional[float], sample_interval_s: float = math.inf
+    cfg: NodeConfig, first_sleep_s: Optional[float], sample_interval_s: float = math.inf,
+    trace: bool = False,
 ) -> NodeState:
     """Node boots asleep, charging, and wakes after its first solved sleep;
     None (infeasible) sleeps the floor as _finish_cycle does.  Like every
     wake, that one starts a burst only if the energy gate of advance lets it.
 
-    The voltage trace samples every sample_interval_s; without an interval
-    it holds only the boot voltage.
+    The node samples its voltage every sample_interval_s, from the boot
+    voltage on; without an interval it takes only that one.  With trace it
+    keeps the samples in volts, else only their voltage stats.
     """
     cap = cfg.supercap
     state = NodeState(
@@ -269,8 +276,9 @@ def initial_state(
         cap=(cap.capacitance_f, cap.v_min, cap.v_max, cap.v_min**2, funded_v_sq(cfg)),
         frames=handshake_frames(cfg.node_id, _SCRIPT[cfg.kind], cfg.sensors),
         records=RecordColumns(cfg.node_id, cap.voltage_v),
-        volts=array("d", (cap.voltage_v,)),
+        volts=array("d", (cap.voltage_v,)) if trace else None,
         sample_interval_s=sample_interval_s,
+        last_sample_v=cap.voltage_v,
         volts_lo=cap.voltage_v,
         volts_hi=cap.voltage_v,
     )
@@ -319,8 +327,10 @@ def accrue_energy(
     trapezoid to volts_area with voltage_stats' expression, on the same
     floats in the same order, so the run's voltage stats need no second walk
     over the trace.  A piece's samples are monotone in time (see below), so
-    only its first and last are compared with volts_lo and volts_hi.  The
-    cursor ends on the piece in force at now.
+    only its first and last are compared with volts_lo and volts_hi.  Every
+    sample is taken and folded; it is appended to volts only when the node
+    keeps a trace, and the next call's first trapezoid starts from
+    last_sample_v.  The cursor ends on the piece in force at now.
     """
     t = state.last_energy_update
     if now <= t:
@@ -332,12 +342,13 @@ def accrue_energy(
     dt, last = state.sample_interval_s, state.last_sample_s
     # The same repeated addition as sample_times.
     sample_t = last + dt
-    # Most calls take no sample; only those that do load the trace's state.
+    # Most calls take no sample; only those that do load the samples' state.
     sampling = sample_t <= now
     if sampling:
-        volts = state.volts
-        append = volts.append
-        v_last = volts[-1]
+        volts = state.volts  # None when the run keeps no trace
+        if volts is not None:
+            append = volts.append
+        v_last = state.last_sample_v
         area, v_lo, v_hi = state.volts_area, state.volts_lo, state.volts_hi
     i, ends, power = state.light_i, light.ends, state.p_harv
     n_ends = len(ends)
@@ -360,7 +371,7 @@ def accrue_energy(
             if v_max < v_end:
                 v_end = v_max
         if sample_t < t_end:
-            first = len(volts)
+            v_a = None
             while sample_t < t_end:
                 v_sq = v0_sq + two_p_w * (sample_t - t) / c
                 if v_sq < v_min_sq:
@@ -369,7 +380,10 @@ def accrue_energy(
                     v_s = sqrt(v_sq)
                     if v_max < v_s:
                         v_s = v_max
-                append(v_s)
+                if volts is not None:
+                    append(v_s)
+                if v_a is None:
+                    v_a = v_s
                 area += 0.5 * (v_last + v_s) * (sample_t - last)
                 v_last = v_s
                 last = sample_t
@@ -377,7 +391,7 @@ def accrue_energy(
             # V^2 is monotone in the sample time, and so is each float step
             # of its expression and each clamp, so the piece's samples are
             # monotone: its extremes are its first and last.
-            v_a, v_b = volts[first], v_last
+            v_b = v_last
             if v_b < v_a:
                 v_a, v_b = v_b, v_a
             if v_a < v_lo:
@@ -385,7 +399,8 @@ def accrue_energy(
             if v_hi < v_b:
                 v_hi = v_b
         if sample_t == t_end:
-            append(v_end)
+            if volts is not None:
+                append(v_end)
             area += 0.5 * (v_last + v_end) * (sample_t - last)
             v_last = v_end
             if v_end < v_lo:
@@ -406,7 +421,7 @@ def accrue_energy(
     state.light_i = i
     state.voltage_v = v
     if sampling:
-        state.last_sample_s = last
+        state.last_sample_s, state.last_sample_v = last, v_last
         state.volts_area, state.volts_lo, state.volts_hi = area, v_lo, v_hi
     state.cycle_consumed_j += p_load * 1e-3 * (now - state.last_energy_update)
     state.cycle_harvested_j += harvested
@@ -418,7 +433,8 @@ def end_run(
 ) -> None:
     """Close the node's last energy segment at the end of the run, and sample
     the voltage there unless a sample time falls on the end, folding that
-    sample into the voltage stats as accrue_energy folds its own.
+    sample into the voltage stats as accrue_energy folds its own (and
+    appending it to volts only when the node keeps a trace).
 
     A session still open is recorded as it stands: delivered if it was, else
     failed with its own reason or, while pending, RUN_ENDED.
@@ -426,11 +442,12 @@ def end_run(
     accrue_energy(state, cfg, end, light)
     if state.last_sample_s < end:
         v = state.voltage_v
-        state.volts_area += 0.5 * (state.volts[-1] + v) * (end - state.last_sample_s)
+        state.volts_area += 0.5 * (state.last_sample_v + v) * (end - state.last_sample_s)
         state.volts_lo = min(state.volts_lo, v)
         state.volts_hi = max(state.volts_hi, v)
-        state.volts.append(v)
-        state.last_sample_s = end
+        if state.volts is not None:
+            state.volts.append(v)
+        state.last_sample_s, state.last_sample_v = end, v
     if state.session is not None:  # the sleep this arms never comes
         _close_cycle(state, cfg, end, FailReason.RUN_ENDED, 0.0)
 

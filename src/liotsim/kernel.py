@@ -309,15 +309,16 @@ def gateway_sleep_s(cfg: NodeConfig, p_harv_mw: float) -> float:
 
 
 # Largest run a scenario may ask for: a leap year, and trace samples over
-# all nodes (8 bytes of voltage each, so 80 MB at the limit; reading the
-# (t, V) view also builds a tuple and a time float for every sample).
+# all nodes (8 bytes of voltage each where the run keeps its trace, so 80 MB
+# at the limit; reading the (t, V) view also builds a tuple and a time float
+# for every sample).
 MAX_DURATION_S = 366 * 86400.0
 MAX_TRACE_SAMPLES = 10**7
 # Cycles a run may be estimated to close over all of its nodes (see
 # shortest_cycle_s).  A cycle keeps one record (33 B of RecordColumns) and
 # at most one handshake of up to 5 frames (17 B each in the FrameLog), so
 # the limit's records and frames take 1.77e9 B; with the columns' growth
-# slack (at most 1/8) and 80 MB of trace at its limit, under 2 GiB.
+# slack (at most 1/8) and 80 MB of kept trace at its limit, under 2 GiB.
 MAX_CYCLES = 15_000_000
 
 
@@ -436,19 +437,61 @@ class FrameLog:
                                 f.kind.value, f.payload_bytes, f.channel, delivered == 1)
 
 
-@dataclass
+class _TraceReplay:
+    """The voltage samples of a run made without trace: one traced rerun of
+    its scenario, made at the first read of any of its nodes' samples and
+    kept for all of them.  The kernel is deterministic, so these are the
+    samples the run took."""
+
+    __slots__ = ("scenario", "volts")
+
+    def __init__(self, scenario: Scenario):
+        self.scenario = scenario
+        self.volts: Optional[dict[str, array]] = None
+
+    def node_volts(self, node_id: str) -> array:
+        if self.volts is None:
+            # The module's run, looked up now, so a wrapper put on it sees this.
+            traced = run(self.scenario, trace=True)
+            self.volts = {nid: nr.volts for nid, nr in traced.nodes.items()}
+        return self.volts[node_id]
+
+
+@dataclass(eq=False)
 class NodeResult:
+    """One node's outputs: its cycle records, and its supercap voltage
+    samples, read through volts.  A run made with trace keeps the samples; a
+    run made without keeps only their stats in its summary, and the first
+    read of volts, sample_times(), samples() or trace reruns its scenario
+    once (see _TraceReplay).  Equality compares the samples through volts."""
+
     record_columns: metrics.RecordColumns
     # Supercap voltage samples: volts[i] is at the i-th of
     # fsm.sample_times(sample_interval_s), except that the last one is at
     # last_sample_s, the end of the run when that falls between two times.
     sample_interval_s: float
-    volts: array
+    _volts: Optional[array] = dataclasses.field(compare=False)  # None: not kept
     last_sample_s: float
     # The records' energy sums plus the unrecorded final cycle's.
     total_consumed_j: float = 0.0
     total_harvested_j: float = 0.0
     trailing_consumed_j: float = 0.0  # consumed in the unrecorded final cycle
+    _replay: Optional[_TraceReplay] = dataclasses.field(
+        default=None, compare=False, repr=False)
+
+    @property
+    def volts(self) -> array:
+        """The voltage samples, from the replay on a run that kept none."""
+        if self._volts is None:
+            self._volts = self._replay.node_volts(self.record_columns.node_id)
+        return self._volts
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, NodeResult):
+            return NotImplemented
+        return all(getattr(self, f.name) == getattr(other, f.name)
+                   for f in dataclasses.fields(self) if f.compare
+                   ) and self.volts == other.volts
 
     @property
     def records(self) -> list[metrics.CycleRecord]:
@@ -483,13 +526,14 @@ class RunResult:
 
     @property
     def traces(self) -> dict[str, list[tuple[float, float]]]:
-        """Each node's (t, V) samples, built anew on each read."""
+        """Each node's (t, V) samples, built anew on each read; on a run made
+        without trace, the first read reruns it once (see NodeResult)."""
         return {nid: nr.trace for nid, nr in self.nodes.items()}
 
 
 class _Kernel:
-    def __init__(self, scenario: Scenario):
-        self.sc = scenario
+    def __init__(self, scenario: Scenario, trace: bool):
+        self.sc, self.trace = scenario, trace
         self._heap: list[tuple[float, int, EventKind, object]] = []
         self._seq = count(1)  # insertion order, to break ties in time
         self.rng_channel = random.Random(
@@ -561,7 +605,7 @@ class _Kernel:
         for cfg in sc.nodes:
             p_harv = light.power[cfg.harvester][0]
             first = fsm.schedule_next_cycle(cfg, p_harv)
-            state = fsm.initial_state(cfg, first, sc.sample_interval_s)
+            state = fsm.initial_state(cfg, first, sc.sample_interval_s, self.trace)
             state.sleep_memo = (p_harv, first)
             light.attach(state, cfg.harvester)
             rng = random.Random(f"{sc.seed}|node|{cfg.node_id}")
@@ -613,28 +657,30 @@ class _Kernel:
         return self._result()
 
     def _result(self) -> RunResult:
+        replay = None if self.trace else _TraceReplay(self.sc)
         nodes = {
             node_id: NodeResult(
                 record_columns=state.records,
                 sample_interval_s=state.sample_interval_s,
-                volts=state.volts,
+                _volts=state.volts,
                 last_sample_s=state.last_sample_s,
                 total_consumed_j=fold_sum(state.records.consumed_j)
                 + state.cycle_consumed_j,
                 total_harvested_j=fold_sum(state.records.harvested_j)
                 + state.cycle_harvested_j,
                 trailing_consumed_j=state.cycle_consumed_j,
+                _replay=replay,
             )
             for node_id, (state, _, _) in self.nodes.items()
         }
         # Each node folded its voltage stats as it sampled (see
-        # fsm.accrue_energy); its trace starts at 0 s, so it spans
-        # last_sample_s.
+        # fsm.accrue_energy); its samples start at 0 s with the boot voltage,
+        # so they span last_sample_s.
         node_summaries = tuple(
             metrics.summarize_node(
                 node_id, cfg.kind.value, state.records.outcomes(),
                 metrics.finish_voltage_stats(state.volts_area, state.last_sample_s,
-                                             state.volts[0], state.volts_lo,
+                                             cfg.supercap.voltage_v, state.volts_lo,
                                              state.volts_hi))
             for node_id, (state, cfg, _) in self.nodes.items()
         )
@@ -647,6 +693,12 @@ class _Kernel:
         return RunResult(summary=summary, nodes=nodes, frames=self.frames)
 
 
-def run(scenario: Scenario) -> RunResult:
-    """Execute a scenario to completion; deterministic for a given seed."""
-    return _Kernel(scenario).run()
+def run(scenario: Scenario, *, trace: bool = False) -> RunResult:
+    """Execute a scenario to completion; deterministic for a given seed.
+
+    Every run takes every voltage sample and folds it into its summary's
+    voltage stats.  With trace it also keeps the samples, 8 bytes each;
+    without, the first read of a node's samples reruns the scenario once
+    with trace (see NodeResult).
+    """
+    return _Kernel(scenario, trace).run()

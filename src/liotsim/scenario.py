@@ -222,8 +222,6 @@ def _parse_node(spec: dict, path: str) -> NodeConfig:
         path,
     )
     kind = _member(NodeKind, spec["kind"], f"{path}.kind")
-    if not isinstance(spec["id"], str):
-        raise ScenarioError(f"{path}.id", "expected a string")
     default_preset = "ble-table1" if kind is NodeKind.BLE else "liot-table2"
     _check_kind_keys(spec, kind.value, _NODE_KIND_KEYS, path)
     sensors = spec.get("sensors")

@@ -18,12 +18,13 @@ _RUNS: dict[str, RunResult] = {}
 
 
 def shared_run(scenario: Scenario) -> RunResult:
-    """kernel.run(scenario), run once a test session and shared by every
-    test that only reads the result.  A test that changes a result, patches
-    the program or checks that a run repeats runs its own."""
+    """kernel.run(scenario, trace=True), run once a test session and shared
+    by every test that only reads the result; it keeps its trace, so a test
+    that reads the trace reruns nothing.  A test that changes a result,
+    patches the program or checks that a run repeats runs its own."""
     key = repr(scenario)
     if key not in _RUNS:
-        _RUNS[key] = run(scenario)
+        _RUNS[key] = run(scenario, trace=True)
     return _RUNS[key]
 
 

@@ -647,6 +647,27 @@ def test_report_on_a_malformed_export_exits_2(capsys, tmp_path, case):
     assert "Traceback" not in err
 
 
+def test_simulate_keeps_the_trace_only_to_export_it(capsys, tmp_path, monkeypatch):
+    """simulate without --out prints the summary, which folds the samples
+    as the run takes them, so its run keeps no trace; with --out the run
+    keeps the trace it exports, and the table is the same."""
+    traces = []
+    kernel_run = cli.kernel.run
+
+    def kept(sc, *, trace=False):
+        traces.append(trace)
+        return kernel_run(sc, trace=trace)
+
+    monkeypatch.setattr(cli.kernel, "run", kept)
+    argv = ("simulate", "--scenario", "liot-700lx", "--duration", "1300")
+    code, table, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    code, exported, _ = run_cli(capsys, *argv, "--out", str(tmp_path))
+    assert code == EXIT_OK
+    assert traces == [False, True]
+    assert exported == table
+
+
 def test_export_and_read_back_hold_no_whole_trace(tmp_path):
     """simulate --out writes a chunk of lines at a time, and report reads a
     trace into two float columns: neither holds a (t, V) object per sample,

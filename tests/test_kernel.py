@@ -840,10 +840,10 @@ def test_a_second_ble_node_leaves_the_first_as_it_was_at_loss_0():
     # second node then moves the first one's losses.
     doc = preset_dict("ble-700lx")
     doc["channel"]["loss"] = 0.0
-    alone = run(scenario_from_dict(doc)).nodes["ble-1"]
+    alone = run(scenario_from_dict(doc), trace=True).nodes["ble-1"]
     doc["nodes"].append({"id": "ble-2", "kind": "ble", "adv_mode": "uniform",
                          "supercap": {"capacitance_f": 0.4, "voltage_v": 4.3}})
-    paired = run(scenario_from_dict(doc)).nodes["ble-1"]
+    paired = run(scenario_from_dict(doc), trace=True).nodes["ble-1"]
     assert (len(alone.record_columns), len(alone.volts)) == (1490, 28801)
     for name in ("end_s", "scap_v_end", "consumed_j", "harvested_j", "codes"):
         assert (bytes(getattr(alone.record_columns, name))
@@ -950,7 +950,7 @@ def test_inline_sampling_equals_supercap_segment_across_v_max(monkeypatch):
             kind="step", steps=((0.0, 700.0), (700.5, 650.0)), jitter_pct=0.05),
         sample_interval_s=0.7,
     )
-    result = run(sc)
+    result = run(sc, trace=True)
     assert calls
     for nr in result.nodes.values():
         volts = [v for _, v in nr.trace]
@@ -970,7 +970,7 @@ def test_inline_sampling_equals_supercap_segment_down_to_v_min(monkeypatch):
             kind="step", steps=((0.0, 700.0), (300.0, 0.0), (2000.0, 700.0))),
         sample_interval_s=1.3,
     )
-    trace = run(sc).nodes["ble-1"].trace
+    trace = run(sc, trace=True).nodes["ble-1"].trace
     assert calls
     assert any(v == 3.3 for _, v in trace)
     assert trace[-1][1] > 3.3  # recovers once the light is back
@@ -1013,7 +1013,7 @@ def accrue_scenarios(draw):
 def test_every_accrue_energy_call_equals_supercap_segment(sc):
     with pytest.MonkeyPatch.context() as mp:
         calls = _check_accrue_against_supercap_segment(mp)
-        run(sc)
+        run(sc, trace=True)
     assert calls
 
 
@@ -1034,7 +1034,7 @@ def test_inline_sampling_on_piece_ends_equals_supercap_segment(monkeypatch):
             jitter_pct=0.05),
         sample_interval_s=1.0,
     )
-    result = run(sc)
+    result = run(sc, trace=True)
     assert calls
     liot, ble = result.nodes["liot-1"].trace, result.nodes["ble-1"].trace
     for trace in (liot, ble):
@@ -1097,7 +1097,7 @@ EDGE_RUNS = {
 def test_voltage_stats_and_trace_view_on_edge_runs(case):
     (preset, changes, n_samples, last, summary, n_closed, digest,
      n_run_ended) = EDGE_RUNS[case]
-    result = run(_preset_with(preset, changes))
+    result = run(_preset_with(preset, changes), trace=True)
     (nr,) = result.nodes.values()
     (node,) = result.summary.nodes
     trace = nr.trace
@@ -1167,6 +1167,37 @@ def test_a_run_never_walks_its_trace_again(monkeypatch):
     for preset in PRESET_NAMES:
         run(load_preset(preset))
     assert calls == []
+
+
+def test_reading_a_default_runs_trace_reruns_it_once(monkeypatch):
+    # A run made without trace keeps no samples.  The first read of any
+    # node's samples reruns the scenario once with trace, through
+    # kernel.run, for every node; no later read, of any view, reruns it.
+    calls = []
+    kernel_run = kernel.run
+
+    def counted(scenario, **kwargs):
+        calls.append(kwargs)
+        return kernel_run(scenario, **kwargs)
+
+    monkeypatch.setattr(kernel, "run", counted)
+    sc = Scenario(duration_s=1300.5, nodes=(ble_node(), liot_node()),
+                  channel=ChannelModel(loss=0.05), sample_interval_s=0.9)
+    traced = run(sc, trace=True)
+    result = kernel.run(sc)
+    assert calls == [{}]
+    assert all(nr._volts is None for nr in result.nodes.values())
+    first = next(iter(result.nodes))
+    assert result.nodes[first].volts == traced.nodes[first].volts
+    assert calls == [{}, {"trace": True}]
+    for node_id, nr in result.nodes.items():
+        ref = traced.nodes[node_id]
+        assert nr.volts == ref.volts
+        assert list(nr.sample_times()) == list(ref.sample_times())
+        assert list(nr.samples()) == nr.trace == ref.trace
+    assert result.traces == traced.traces
+    assert result == traced
+    assert calls == [{}, {"trace": True}]
 
 
 def _pinned_four_node_scenario() -> Scenario:
@@ -1320,7 +1351,7 @@ def test_light_chunk_size_changes_nothing(monkeypatch, make):
         assert len(light.ends) <= max(cursors) + chunk
 
     monkeypatch.setattr(LightTable, "fill", bounded_fill)
-    assert _run_digest(run(sc)) == digest
+    assert _run_digest(run(sc, trace=True)) == digest
     # Each second of the run is a piece: the table filled many times over.
     assert len(tables) > sc.duration_s / chunk
 
@@ -1355,7 +1386,7 @@ def test_the_wait_sleeps_its_node_on_to_the_wake(monkeypatch, make):
 
     monkeypatch.setattr(fsm, "_funded_wake", kept_wake)
     monkeypatch.setattr(fsm, "accrue_energy", checked_accrue)
-    run(sc)
+    run(sc, trace=True)
     assert checked and not pending
 
 

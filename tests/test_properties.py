@@ -61,7 +61,8 @@ def small_scenarios(draw) -> dict:
 @settings(max_examples=20, deadline=None)
 @given(small_scenarios(), st.sampled_from((0.1, 0.37, 1.0, 60.0, 3600.0)))
 def test_trace_follows_the_sampling_rule_and_nothing_else_moves(doc, interval_s):
-    result = shared_run(scenario_from_dict({**doc, "sample_interval_s": interval_s}))
+    sc = scenario_from_dict({**doc, "sample_interval_s": interval_s})
+    result = shared_run(sc)
     at_1s = shared_run(scenario_from_dict({**doc, "sample_interval_s": 1.0}))
     end = doc["duration_s"]
     boot_v = {n["id"]: n["supercap"]["voltage_v"] for n in doc["nodes"]}
@@ -84,6 +85,16 @@ def test_trace_follows_the_sampling_rule_and_nothing_else_moves(doc, interval_s)
             1 for r in nr.records if r.outcome is SessionOutcome.DELIVERED)
         check_records_are_the_account(nr, result.frames, node_id,
                                       boot_v[node_id], end)
+    # A run that keeps no trace takes and folds the same samples (shared_run
+    # keeps its trace); nothing here reads the trace, so nothing reruns.
+    untraced = run(sc)
+    assert untraced.summary == result.summary
+    assert untraced.frames == result.frames
+    for node_id, nr in untraced.nodes.items():
+        ref = result.nodes[node_id]
+        assert nr.record_columns == ref.record_columns
+        assert (nr.total_consumed_j, nr.total_harvested_j, nr.trailing_consumed_j) == (
+            ref.total_consumed_j, ref.total_harvested_j, ref.trailing_consumed_j)
 
 
 @st.composite

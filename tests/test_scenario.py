@@ -408,6 +408,9 @@ def _bad_fields():
         (GatewayConfig(), "present", "no"),
         (sc, "seed", 2.5), (sc, "seed", True),
         (ChannelModel(), "seed", 1.5), (light, "jitter_seed", True),
+        # A node id is a string: 7 ran as node 7, and a list failed the
+        # scenario's unique-id check with a bare TypeError.
+        (sc.nodes[0], "node_id", 7), (sc.nodes[0], "node_id", ["a"]),
     ]
     return [pytest.param(value, field, bad, id=f"{type(value).__name__}.{field}-{i}")
             for i, (value, field, bad) in enumerate(rows)]
