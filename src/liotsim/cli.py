@@ -47,12 +47,7 @@ def _load_profile_arg(ref: str):
             f"profile {ref!r} is neither a built-in preset nor a file", EXIT_VALIDATION
         )
     try:
-        doc = scenario_mod.load_mapping(ref)
-        profile = scenario_mod._parse_profile(doc.get("profile", doc), "profile")
-        harvester = None
-        if "harvester" in doc:
-            harvester = scenario_mod._parse_harvester(doc["harvester"], "harvester")
-        return profile, harvester
+        return scenario_mod.load_profile_file(ref)
     except OSError as exc:
         raise CliError(str(exc), EXIT_IO)
     except (ScenarioError, yaml.YAMLError) as exc:
@@ -219,10 +214,12 @@ def cmd_report(args) -> int:
         raise CliError(f"cannot parse input: {exc}", EXIT_VALIDATION)
     print(f"{'node':<10} {'sent':>6} {'received':>9} {'PDR':>6} "
           f"{'avg SCap (V)':>13}")
-    for node_id in sorted(records):
+    # A node whose run closed no cycle has trace rows but no records.
+    for node_id in sorted(records.keys() | traces.keys()):
         times, volts = traces.get(node_id, ((), ()))
+        outcomes = records[node_id].outcomes() if node_id in records else []
         # Records do not carry the node kind, and the table does not show it.
-        n = metrics.summarize_node(node_id, "", records[node_id].outcomes(),
+        n = metrics.summarize_node(node_id, "", outcomes,
                                    metrics.voltage_stats(times, volts))
         # Without voltage samples there is no average to show.
         avg = f"{n.scap_avg_v:>13.3f}" if volts else f"{'-':>13}"

@@ -8,6 +8,7 @@ supercapacitor buffer.  All functions are pure and operate on value types.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional
@@ -22,16 +23,26 @@ class FieldError(ValueError):
         self.message = message
 
 
-def as_float(value):
-    """value as the equal float when it is an int (not a bool), else itself."""
-    return float(value) if type(value) is int else value
+def as_float(value, field: str) -> float:
+    """value as a finite float, the one number rule of every value type: an
+    int (not a bool) as the equal float, so that equal values are stored, and
+    hashed into a config_hash, alike; a float as itself.  Anything else, and
+    an int too large for a float, raises FieldError(field, ...)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise FieldError(field, "expected a number")
+    try:
+        number = float(value)
+    except OverflowError:
+        raise FieldError(field, "must be finite") from None
+    if not math.isfinite(number):
+        raise FieldError(field, "must be finite")
+    return number
 
 
 def store_floats(obj, *names: str) -> None:
-    """Store each named field of the frozen dataclass obj with as_float, so
-    that equal values are stored, and hashed into a config_hash, alike."""
+    """Store each named field of the frozen dataclass obj through as_float."""
     for name in names:
-        object.__setattr__(obj, name, as_float(getattr(obj, name)))
+        object.__setattr__(obj, name, as_float(getattr(obj, name), name))
 
 
 def require_ints(obj, *names: str) -> None:
@@ -43,9 +54,14 @@ def require_ints(obj, *names: str) -> None:
             raise FieldError(name, "must be an integer")
 
 
-def float_pairs(pairs) -> tuple[tuple, ...]:
-    """pairs as a tuple of tuples, each number passed through as_float."""
-    return tuple(tuple(map(as_float, pair)) for pair in pairs)
+def float_pairs(pairs, field: str) -> tuple[tuple[float, float], ...]:
+    """pairs, a list or tuple of [number, number] pairs such as curve points,
+    as a tuple of tuples of as_float; any other shape raises FieldError."""
+    if not isinstance(pairs, (list, tuple)) or not all(
+        isinstance(p, (list, tuple)) and len(p) == 2 for p in pairs
+    ):
+        raise FieldError(field, "expected a list of [number, number] pairs")
+    return tuple((as_float(a, field), as_float(b, field)) for a, b in pairs)
 
 
 class StageName(str, Enum):
@@ -181,7 +197,7 @@ class HarvesterCurve:
     points: tuple[tuple[float, float], ...]  # (lux, milliwatts)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "points", float_pairs(self.points))
+        object.__setattr__(self, "points", float_pairs(self.points, "points"))
         if not self.points:
             raise FieldError("points", "curve needs at least one point")
         luxes = [p[0] for p in self.points]

@@ -86,15 +86,17 @@ class ChannelModel:
     def __post_init__(self) -> None:
         require_ints(self, "seed")
         if isinstance(self.loss, dict):
-            loss = {link: as_float(p) for link, p in self.loss.items()}
-            object.__setattr__(self, "loss", loss)
-            probs = list(loss.values())
+            links = {link.value for link in LinkType}
+            if not links.issuperset(self.loss):
+                raise FieldError("loss", f"keys must be among {sorted(links)}")
+            object.__setattr__(self, "loss", {
+                LinkType(link): as_float(p, "loss") for link, p in self.loss.items()})
+            probs = self.loss.values()
         else:
             store_floats(self, "loss")
             probs = [self.loss]
-        if any(isinstance(p, bool) or not isinstance(p, (int, float))
-               or not 0.0 <= p <= 1.0 for p in probs):
-            raise FieldError("loss", "loss probabilities must be numbers in [0, 1]")
+        if not all(0.0 <= p <= 1.0 for p in probs):
+            raise FieldError("loss", "must lie in [0, 1]")
 
     def loss_for(self, link: LinkType) -> float:
         if isinstance(self.loss, dict):
@@ -144,7 +146,7 @@ class IlluminationProfile:
 
     def __post_init__(self) -> None:
         store_floats(self, "lux", "mean", "amplitude", "period_s", "jitter_pct")
-        object.__setattr__(self, "steps", float_pairs(self.steps))
+        object.__setattr__(self, "steps", float_pairs(self.steps, "steps"))
         require_ints(self, "jitter_seed")
         if self.kind not in ILLUMINATION_KINDS:
             raise FieldError("kind", f"must be one of {list(ILLUMINATION_KINDS)}")

@@ -2,14 +2,13 @@
 
 The schema is versioned; unknown keys are rejected with their location so a
 typo in a config never silently changes a run.  The parser checks only the
-document's shape, keys, value types and names; each value type checks and
+document's shape, keys and names; each value type checks and
 defaults its own fields (see _build).  The four presets reproduce
 the 8-hour evaluation scenarios of the two node builds at 700 and 500 lx.
 """
 
 from __future__ import annotations
 
-import math
 from enum import Enum
 from typing import Any, Optional
 
@@ -111,49 +110,27 @@ def _member(enum: type[Enum], value: Any, path: str):
     raise ScenarioError(path, f"must be one of {[m.value for m in enum]}")
 
 
-def _finite(v: Any, path: str) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ScenarioError(path, "expected a number")
-    try:
-        v = float(v)
-    except OverflowError:
-        v = math.inf
-    if not math.isfinite(v):
-        raise ScenarioError(path, "must be finite")
-    return v
-
-
-def _number(d: dict, key: str, path: str) -> Optional[float]:
-    if key not in d:
-        return None
-    return _finite(d[key], _at(path, key))
-
-
-def _integer(d: dict, key: str, path: str) -> Any:
-    """An integer key's number, an integral float such as 2.0 as its int;
-    the type rejects any other float."""
-    if key not in d:
-        return None
-    v = d[key]
-    _finite(v, _at(path, key))
+def _integer(d: dict, key: str) -> Any:
+    """An integer key's value, an integral float such as 2.0 read as its int;
+    the type rejects any other value that is not an int."""
+    v = d.get(key)
     return int(v) if isinstance(v, float) and v.is_integer() else v
 
 
-def _loss(d: dict, key: Any, path: str) -> Optional[float]:
-    """A loss probability; the channel checks it too, but without its key."""
-    v = _number(d, key, path)
-    if v is not None and not 0.0 <= v <= 1.0:
-        raise ScenarioError(_at(path, key), "must lie in [0, 1]")
-    return v
-
-
-def _pairs(spec: Any, path: str) -> tuple[tuple[float, float], ...]:
-    """A list of [number, number] pairs, e.g. curve points or light steps."""
-    if not isinstance(spec, (list, tuple)) or not all(
-        isinstance(p, (list, tuple)) and len(p) == 2 for p in spec
-    ):
-        raise ScenarioError(path, "expected a list of [number, number] pairs")
-    return tuple((_finite(a, path), _finite(b, path)) for a, b in spec)
+def _loss(d: dict, key: Any, path: str) -> Any:
+    """d[key], a loss the channel's rule accepts, reported at its own key:
+    the channel reports a per-link loss without its link, and never sees a
+    scalar loss that the per-link losses override on every link."""
+    if key not in d:
+        return None
+    # A mapping is a loss per link to the channel, never a loss in the file.
+    if isinstance(d[key], dict):
+        raise ScenarioError(_at(path, key), "expected a number")
+    try:
+        ChannelModel(loss=d[key])
+    except FieldError as exc:
+        raise ScenarioError(_at(path, key), exc.message) from None
+    return d[key]
 
 
 def _parse_profile(spec: Any, path: str) -> EnergyProfile:
@@ -177,14 +154,14 @@ def _parse_profile(spec: Any, path: str) -> EnergyProfile:
                     {"name", "current_ma", "duration_s"}, spath)
         stages.append(_build(
             Stage, spath, name=_member(StageName, st["name"], f"{spath}.name"),
-            current_ma=_number(st, "current_ma", spath),
-            duration_s=_number(st, "duration_s", spath),
+            current_ma=st["current_ma"],
+            duration_s=st["duration_s"],
         ))
     return _build(
         EnergyProfile, path,
-        voltage_v=_number(spec, "voltage_v", path),
+        voltage_v=spec["voltage_v"],
         active_stages=tuple(stages),
-        sleep_current_ma=_number(spec, "sleep_current_ma", path),
+        sleep_current_ma=spec["sleep_current_ma"],
     )
 
 
@@ -195,14 +172,13 @@ def _parse_harvester(spec: Any, path: str) -> HarvesterCurve:
         except KeyError as exc:
             raise ScenarioError(path, str(exc)) from None
     _check_keys(spec, {"points"}, {"points"}, path)
-    return _build(HarvesterCurve, path,
-                  points=_pairs(spec["points"], f"{path}.points"))
+    return _build(HarvesterCurve, path, points=spec["points"])
 
 
 def _parse_supercap(spec: dict, path: str) -> Supercap:
     _check_keys(spec, {"capacitance_f", "voltage_v", "v_min", "v_max"},
                 {"capacitance_f", "voltage_v"}, path)
-    return _build(Supercap, path, **{k: _number(spec, k, path) for k in spec})
+    return _build(Supercap, path, **spec)
 
 
 # Node keys that only one kind of node reads.
@@ -226,7 +202,7 @@ def _parse_node(spec: dict, path: str) -> NodeConfig:
     _check_kind_keys(spec, kind.value, _NODE_KIND_KEYS, path)
     sensors = spec.get("sensors")
     if sensors is not None:
-        if not isinstance(sensors, list) or not all(isinstance(s, str) for s in sensors):
+        if not isinstance(sensors, list):
             raise ScenarioError(f"{path}.sensors", "expected a list of channel names")
         sensors = tuple(sensors)
     return _build(
@@ -237,10 +213,10 @@ def _parse_node(spec: dict, path: str) -> NodeConfig:
         harvester=_parse_harvester(spec.get("harvester", default_preset),
                                    f"{path}.harvester"),
         supercap=_parse_supercap(spec["supercap"], f"{path}.supercap"),
-        margin=_number(spec, "margin", path),
+        margin=spec.get("margin"),
         sensors=sensors,
         adv_mode=spec.get("adv_mode"),
-        efficiency=_number(spec, "efficiency", path),
+        efficiency=spec.get("efficiency"),
     )
 
 
@@ -252,17 +228,9 @@ def _parse_illumination(spec: dict, path: str) -> IlluminationProfile:
         set(),
         path,
     )
-    profile = _build(
-        IlluminationProfile, path,
-        kind=spec.get("kind"),
-        lux=_number(spec, "lux", path),
-        steps=_pairs(spec["steps"], f"{path}.steps") if "steps" in spec else None,
-        mean=_number(spec, "mean", path),
-        amplitude=_number(spec, "amplitude", path),
-        period_s=_number(spec, "period_s", path),
-        jitter_pct=_number(spec, "jitter_pct", path),
-        jitter_seed=_integer(spec, "jitter_seed", path),
-    )
+    # Each key names its field.
+    profile = _build(IlluminationProfile, path,
+                     **{**spec, "jitter_seed": _integer(spec, "jitter_seed")})
     _check_kind_keys(spec, profile.kind, _LIGHT_KIND_KEYS, path)
     return profile
 
@@ -281,7 +249,7 @@ def _parse_channel(spec: dict, path: str) -> ChannelModel:
         # A link the mapping does not list keeps the scalar loss.
         scalar = ChannelModel.loss if loss is None else loss
         loss = {link: per_link.get(link, scalar) for link in LinkType}
-    return _build(ChannelModel, path, loss=loss, seed=_integer(spec, "seed", path))
+    return _build(ChannelModel, path, loss=loss, seed=_integer(spec, "seed"))
 
 
 def _parse_gateway(spec: dict, path: str) -> GatewayConfig:
@@ -308,13 +276,13 @@ def scenario_from_dict(doc: dict) -> Scenario:
         raise ScenarioError("nodes", "expected a list")
     return _build(
         Scenario, "",
-        duration_s=_number(doc, "duration_s", ""),
+        duration_s=doc["duration_s"],
         nodes=tuple(_parse_node(n, f"nodes[{i}]") for i, n in enumerate(nodes_spec)),
         channel=_parse_channel(doc.get("channel", {}), "channel"),
         illumination=_parse_illumination(doc.get("illumination", {}), "illumination"),
         gateway=_parse_gateway(doc.get("gateway", {}), "gateway"),
-        seed=_integer(doc, "seed", ""),
-        sample_interval_s=_number(doc, "sample_interval_s", ""),
+        seed=_integer(doc, "seed"),
+        sample_interval_s=doc.get("sample_interval_s"),
     )
 
 
@@ -325,6 +293,21 @@ def load_mapping(path: str) -> dict:
     if not isinstance(doc, dict):
         raise ScenarioError("", f"{path} does not contain a mapping")
     return doc
+
+
+def load_profile_file(path: str) -> tuple[EnergyProfile, Optional[HarvesterCurve]]:
+    """The profile of a profile file, and its harvester curve if it gives one.
+
+    The file holds either a profile mapping, or a mapping of a profile and
+    an optional harvester, each inline or a built-in name.
+    """
+    doc = load_mapping(path)
+    if "profile" not in doc:
+        return _parse_profile(doc, "profile"), None
+    _check_keys(doc, {"profile", "harvester"}, {"profile"}, "")
+    harvester = doc.get("harvester")
+    return (_parse_profile(doc["profile"], "profile"),
+            None if harvester is None else _parse_harvester(harvester, "harvester"))
 
 
 def load_scenario_file(path: str) -> Scenario:

@@ -193,6 +193,17 @@ BAD_VALUES = (
     # A node uploads known channels, each once, at least one.
     ("nodes.0.sensors", ["temperature", "temperature"], "nodes[0].sensors"),
     ("nodes.0.sensors", [], "nodes[0].sensors"),
+    # A scalar loss that every link overrides is still checked, at its key.
+    ("channel", {"loss": 1.5, "per_link_loss": {
+        "ble_adv": 0.0, "ble_conn": 0.0, "ir_uplink": 0.0, "vlc_downlink": 0.0}},
+     "channel.loss"),
+    ("channel.per_link_loss", {"ble_adv": None}, "channel.per_link_loss.ble_adv"),
+    # A loss in the file is a number: a mapping ran lossless on every link.
+    ("channel.loss", {"bl_adv": 0.5}, "channel.loss"),
+    ("channel.per_link_loss", {"ble_adv": {"ble_adv": 0.5}}, "channel.per_link_loss.ble_adv"),
+    # The node's channel rule rejects a sensor that is not a channel name.
+    ("nodes.0.sensors", [7], "nodes[0].sensors"),
+    ("nodes.0.sensors", [["temperature"]], "nodes[0].sensors"),
 )
 
 

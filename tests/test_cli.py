@@ -131,6 +131,15 @@ def test_solve_bare_profile_file_needs_a_harvest_power(capsys, tmp_path):
     assert "profile file has no harvester curve; use --harvest-mw" in err
 
 
+def test_solve_profile_file_rejects_an_unknown_key(capsys, tmp_path):
+    path = tmp_path / "profile.yaml"
+    doc = {"profile": "ble-table1", "harvester": "ble-table1", "margn": 0.5}
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, "solve", "--profile", str(path), "--lux", "700")
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert err == "error: margn: unknown key\n"
+
+
 def test_solve_zero_harvest_is_infeasible(capsys):
     code, out, _ = run_cli(capsys, "solve", "--profile", "ble-table1",
                            "--harvest-mw", "0")
@@ -421,12 +430,14 @@ def test_report_round_trip(capsys, tmp_path):
 def test_report_matches_the_simulate_table(capsys, tmp_path):
     # Both tables count the cycle records, so they agree.  The second run
     # ends during liot-1's first session, which is recorded as run_ended:
-    # one packet sent, none received.
+    # one packet sent, none received.  The third ends before liot-1's first
+    # wake: no record, only trace rows, and both tables list it.
     for preset, duration, row in (
         ("ble-700lx", [], ["1490", "1479"]),
         ("liot-700lx", ["--duration", "622"], ["1", "0", "0.000", "4.300"]),
+        ("liot-700lx", ["--duration", "100"], ["0", "0", "0.000", "4.245"]),
     ):
-        out_dir = str(tmp_path / preset)
+        out_dir = str(tmp_path / "-".join([preset, *duration]))
         code, simulated, _ = run_cli(capsys, "simulate", "--scenario", preset,
                                      *duration, "--out", out_dir)
         assert code == EXIT_OK
@@ -437,7 +448,7 @@ def test_report_matches_the_simulate_table(capsys, tmp_path):
         )
         assert code == EXIT_OK
         node, _kind, *columns = simulated.splitlines()[1].split()
-        assert reported.splitlines()[1].split() == [node, *columns]
+        assert [line.split() for line in reported.splitlines()[1:]] == [[node, *columns]]
         assert columns[:len(row)] == row
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import pickle
 import re
@@ -411,6 +412,24 @@ def _bad_fields():
         # A node id is a string: 7 ran as node 7, and a list failed the
         # scenario's unique-id check with a bare TypeError.
         (sc.nodes[0], "node_id", 7), (sc.nodes[0], "node_id", ["a"]),
+        # Every number is finite: infinite ones ran (a supercap stuck at
+        # 4.000 V, a margin that sent no packet), a string raised a bare
+        # TypeError and an int too large for a float an OverflowError.
+        (cap, "capacitance_f", math.inf),
+        (HarvesterCurve(((0.0, 0.0),)), "points", ((0, 0), (700, math.nan))),
+        (step, "steps", ((0, 700), (math.inf, 500))),
+        (light, "lux", math.inf), (stage, "duration_s", math.inf),
+        (sc.nodes[0], "margin", math.inf), (sc, "sample_interval_s", math.inf),
+        (light, "lux", "7"), (cap, "capacitance_f", 10**400),
+        (ChannelModel(), "loss", 10**400),
+        # A loss mapping names links only: a misspelt one ran lossless.
+        (ChannelModel(), "loss", {"bl_adv": 0.5}),
+        (sinusoid, "mean", math.inf), (sinusoid, "amplitude", math.nan),
+        (sinusoid, "period_s", math.inf), (light, "jitter_pct", "x"),
+        (BLE_PROFILE, "voltage_v", math.inf), (BLE_PROFILE, "sleep_current_ma", "x"),
+        (cap, "v_min", math.nan), (cap, "v_max", math.inf),
+        (sc.nodes[0], "efficiency", "x"), (stage, "duration_s", math.nan),
+        (stage, "current_ma", "x"), (sc, "duration_s", math.nan),
     ]
     return [pytest.param(value, field, bad, id=f"{type(value).__name__}.{field}-{i}")
             for i, (value, field, bad) in enumerate(rows)]
