@@ -2,7 +2,7 @@
 
 Virtual clock with a heap of (time, insertion seq, kind, subject) tuples, a
 gateway agent, a seeded Bernoulli loss channel, time-varying illumination,
-and multi-node scenario execution.  One kernel owns all of its state;
+and multi-node scenario execution.  One run call owns all of its state;
 identical scenario and seed give byte-identical results.
 
 Energy needs no clock of its own: light is piecewise constant, so each
@@ -533,174 +533,144 @@ class RunResult:
         return {nid: nr.trace for nid, nr in self.nodes.items()}
 
 
-class _Kernel:
-    def __init__(self, scenario: Scenario, trace: bool):
-        self.sc, self.trace = scenario, trace
-        self._heap: list[tuple[float, int, EventKind, object]] = []
-        self._seq = count(1)  # insertion order, to break ties in time
-        self.rng_channel = random.Random(
-            f"{scenario.seed}|channel|{scenario.channel.seed}"
-        )
-        # Each node's (state, cfg, rng), so that an event looks its node up once.
-        self.nodes: dict[str, tuple[NodeState, NodeConfig, random.Random]] = {}
-        self.link_loss = {link: scenario.channel.loss_for(link) for link in LinkType}
-        self.frames = FrameLog()
-        self._log_sent = self.frames.sent_s.append
-        self._log_frame = self.frames.frames.append
-        self._log_delivered = self.frames.delivered.append
-        self.gw_liot_busy: Optional[ExchangeSession] = None
-        self.light = LightTable(scenario.illumination, scenario.duration_s,
-                                [cfg.harvester for cfg in scenario.nodes])
-
-    # -- plumbing ------------------------------------------------------------
-
-    def _send(self, frame: Frame, now: float) -> None:
-        """Log a frame; only a delivered one becomes an event (losses time out)."""
-        ok = deliver(self.link_loss[frame.link], self.rng_channel)
-        self._log_sent(now)
-        self._log_frame(frame)
-        self._log_delivered(ok)
-        if ok:
-            heapq.heappush(self._heap, (now + frame.airtime_s, next(self._seq),
-                                        FRAME_DELIVERED, frame))
-
-    # -- gateway -------------------------------------------------------------
-
-    def _gateway_receive(self, frame: Frame, now: float) -> None:
-        """A frame that reached a present gateway (see run)."""
-        state, cfg, _ = self.nodes[frame.src]
-        session = state.session
-        if session is None or session.outcome is not PENDING:
-            return
-        if frame.kind is NODE_ID_LUX:
-            # Single optical transceiver: one LIoT session serviced at a time.
-            # A session that has ended, delivered or failed, leaves it free.
-            busy = self.gw_liot_busy
-            if busy is not None and busy is not session and busy.outcome is PENDING:
-                return  # the transceiver is occupied
-            self.gw_liot_busy = session
-        elif frame.kind is SENSOR_DATA:
-            session.assigned_sleep_s = gateway_sleep_s(cfg, session.harvest_mw)
-        out = exchange_step(session, frame)
-        if out is not None:
-            self._send(out, now)
-
-    # -- main loop -----------------------------------------------------------
-
-    def run(self) -> RunResult:
-        """Pop events in (time, insertion) order until the run ends.
-
-        A node's next deadline that comes strictly before every queued event
-        is run in place, without a push and a pop: the heap would hand it
-        back next all the same.  A deadline equal to the first queued time
-        goes through the heap, so an event queued earlier at that time keeps
-        its turn, and a node that sleeps to the run's end meets RUN_ENDED
-        there instead of waking at it again and again.
-
-        The per-event functions are looked up once a run, not at import, so
-        that a wrapper put on the module before the run sees every call.
-        """
-        sc, light, nodes = self.sc, self.light, self.nodes
-        heap, push, pop, seq = self._heap, heapq.heappush, heapq.heappop, self._seq
-        accrue, advance, receive = fsm.accrue_energy, fsm.advance, fsm.receive
-        send, gateway_present = self._send, sc.gateway.present
-        for cfg in sc.nodes:
-            p_harv = light.power[cfg.harvester][0]
-            first = fsm.schedule_next_cycle(cfg, p_harv)
-            state = fsm.initial_state(cfg, first, sc.sample_interval_s, self.trace)
-            state.sleep_memo = (p_harv, first)
-            light.attach(state, cfg.harvester)
-            rng = random.Random(f"{sc.seed}|node|{cfg.node_id}")
-            nodes[cfg.node_id] = (state, cfg, rng)
-            push(heap, (state.phase_deadline, next(seq), TIMER_FIRED, cfg.node_id))
-        push(heap, (sc.duration_s, next(seq), RUN_ENDED, None))
-
-        clock = 0.0
-        while heap:
-            time, _, kind, subject = pop(heap)
-            if time < clock:
-                raise RuntimeError("causality violation: event in the past")
-            clock = time
-
-            if kind is TIMER_FIRED:
-                # A node's one timer, at its deadline after its last advance;
-                # RUN_ENDED stays queued, so the heap is never empty here.
-                state, cfg, rng = nodes[subject]
-                while True:
-                    accrue(state, cfg, time, light)
-                    out = advance(state, cfg, time, rng=rng, light=light)
-                    if out is not None:
-                        send(out, time)
-                    time = state.phase_deadline
-                    if not time < heap[0][0]:
-                        break
-                    if time < clock:
-                        raise RuntimeError("causality violation: event in the past")
-                    clock = time
-                push(heap, (time, next(seq), TIMER_FIRED, subject))
-                continue
-
-            if kind is RUN_ENDED:
-                for state, cfg, _ in nodes.values():
-                    fsm.end_run(state, cfg, time, light)
-                break
-
-            dst = subject.dst  # FRAME_DELIVERED
-            if dst == GATEWAY_ID:
-                if gateway_present:
-                    self._gateway_receive(subject, time)
-            else:
-                # No node takes the gateway's id, so dst is one of the run's nodes.
-                state, cfg, _ = nodes[dst]
-                out = receive(state, cfg, subject, time, light)
-                if out is not None:
-                    send(out, time)
-
-        return self._result()
-
-    def _result(self) -> RunResult:
-        replay = None if self.trace else _TraceReplay(self.sc)
-        nodes = {
-            node_id: NodeResult(
-                record_columns=state.records,
-                sample_interval_s=state.sample_interval_s,
-                _volts=state.volts,
-                last_sample_s=state.last_sample_s,
-                total_consumed_j=fold_sum(state.records.consumed_j)
-                + state.cycle_consumed_j,
-                total_harvested_j=fold_sum(state.records.harvested_j)
-                + state.cycle_harvested_j,
-                trailing_consumed_j=state.cycle_consumed_j,
-                _replay=replay,
-            )
-            for node_id, (state, _, _) in self.nodes.items()
-        }
-        # Each node folded its voltage stats as it sampled (see
-        # fsm.accrue_energy); its samples start at 0 s with the boot voltage,
-        # so they span last_sample_s.
-        node_summaries = tuple(
-            metrics.summarize_node(
-                node_id, cfg.kind.value, state.records.outcomes(),
-                metrics.finish_voltage_stats(state.volts_area, state.last_sample_s,
-                                             cfg.supercap.voltage_v, state.volts_lo,
-                                             state.volts_hi))
-            for node_id, (state, cfg, _) in self.nodes.items()
-        )
-        summary = metrics.RunSummary(
-            duration_s=self.sc.duration_s,
-            seed=self.sc.seed,
-            config_hash=scenario_fingerprint(self.sc),
-            nodes=node_summaries,
-        )
-        return RunResult(summary=summary, nodes=nodes, frames=self.frames)
-
-
 def run(scenario: Scenario, *, trace: bool = False) -> RunResult:
     """Execute a scenario to completion; deterministic for a given seed.
+
+    Pop events in (time, insertion) order until the run ends.  A node's next
+    deadline that comes strictly before every queued event is run in place,
+    without a push and a pop: the heap would hand it back next all the same.
+    A deadline equal to the first queued time goes through the heap, so an
+    event queued earlier at that time keeps its turn, and a node that sleeps
+    to the run's end meets RUN_ENDED there instead of waking at it again and
+    again.
 
     Every run takes every voltage sample and folds it into its summary's
     voltage stats.  With trace it also keeps the samples, 8 bytes each;
     without, the first read of a node's samples reruns the scenario once
     with trace (see NodeResult).
+
+    The per-event functions are looked up once a run, not at import, so that
+    a wrapper put on the module before the run sees every call.
     """
-    return _Kernel(scenario, trace).run()
+    sc = scenario
+    heap: list[tuple[float, int, EventKind, object]] = []
+    push, pop, seq = heapq.heappush, heapq.heappop, count(1)  # seq breaks time ties
+    rng_channel = random.Random(f"{sc.seed}|channel|{sc.channel.seed}")
+    link_loss = {link: sc.channel.loss_for(link) for link in LinkType}
+    frames = FrameLog()
+    log_sent, log_frame = frames.sent_s.append, frames.frames.append
+    log_delivered = frames.delivered.append
+    light = LightTable(sc.illumination, sc.duration_s, [cfg.harvester for cfg in sc.nodes])
+    # Each node's (state, cfg, rng), so that an event looks its node up once.
+    nodes: dict[str, tuple[NodeState, NodeConfig, random.Random]] = {}
+    # The LIoT session the gateway's one optical transceiver last took on.
+    gw_liot_busy: Optional[ExchangeSession] = None
+    accrue, advance, receive = fsm.accrue_energy, fsm.advance, fsm.receive
+    delivers, exchange, assigned_sleep = deliver, exchange_step, gateway_sleep_s
+    gateway_present = sc.gateway.present
+
+    def send(frame: Frame, now: float) -> None:
+        """Log a frame; only a delivered one becomes an event (losses time out)."""
+        ok = delivers(link_loss[frame.link], rng_channel)
+        log_sent(now)
+        log_frame(frame)
+        log_delivered(ok)
+        if ok:
+            push(heap, (now + frame.airtime_s, next(seq), FRAME_DELIVERED, frame))
+
+    for cfg in sc.nodes:
+        p_harv = light.power[cfg.harvester][0]
+        first = fsm.schedule_next_cycle(cfg, p_harv)
+        state = fsm.initial_state(cfg, first, sc.sample_interval_s, trace)
+        state.sleep_memo = (p_harv, first)
+        light.attach(state, cfg.harvester)
+        rng = random.Random(f"{sc.seed}|node|{cfg.node_id}")
+        nodes[cfg.node_id] = (state, cfg, rng)
+        push(heap, (state.phase_deadline, next(seq), TIMER_FIRED, cfg.node_id))
+    push(heap, (sc.duration_s, next(seq), RUN_ENDED, None))
+
+    clock = 0.0
+    while heap:
+        time, _, kind, subject = pop(heap)
+        if time < clock:
+            raise RuntimeError("causality violation: event in the past")
+        clock = time
+
+        if kind is TIMER_FIRED:
+            # A node's one timer, at its deadline after its last advance;
+            # RUN_ENDED stays queued, so the heap is never empty here.
+            state, cfg, rng = nodes[subject]
+            while True:
+                accrue(state, cfg, time, light)
+                out = advance(state, cfg, time, rng=rng, light=light)
+                if out is not None:
+                    send(out, time)
+                time = state.phase_deadline
+                if not time < heap[0][0]:
+                    break
+                if time < clock:
+                    raise RuntimeError("causality violation: event in the past")
+                clock = time
+            push(heap, (time, next(seq), TIMER_FIRED, subject))
+            continue
+
+        if kind is RUN_ENDED:
+            for state, cfg, _ in nodes.values():
+                fsm.end_run(state, cfg, time, light)
+            break
+
+        frame = subject  # FRAME_DELIVERED
+        if frame.dst != GATEWAY_ID:
+            # No node takes the gateway's id, so dst is one of the run's nodes.
+            state, cfg, _ = nodes[frame.dst]
+            out = receive(state, cfg, frame, time, light)
+        elif not gateway_present:
+            continue
+        else:  # the gateway's side of its node's session
+            state, cfg, _ = nodes[frame.src]
+            session = state.session
+            if session is None or session.outcome is not PENDING:
+                continue
+            if frame.kind is NODE_ID_LUX:
+                # Single optical transceiver: one LIoT session serviced at a
+                # time.  A session that has ended, delivered or failed, leaves
+                # it free.
+                busy = gw_liot_busy
+                if busy is not None and busy is not session and busy.outcome is PENDING:
+                    continue  # the transceiver is occupied
+                gw_liot_busy = session
+            elif frame.kind is SENSOR_DATA:
+                session.assigned_sleep_s = assigned_sleep(cfg, session.harvest_mw)
+            out = exchange(session, frame)
+        if out is not None:
+            send(out, time)
+
+    replay = None if trace else _TraceReplay(sc)
+    results = {
+        node_id: NodeResult(
+            record_columns=state.records,
+            sample_interval_s=state.sample_interval_s,
+            _volts=state.volts,
+            last_sample_s=state.last_sample_s,
+            total_consumed_j=fold_sum(state.records.consumed_j) + state.cycle_consumed_j,
+            total_harvested_j=fold_sum(state.records.harvested_j)
+            + state.cycle_harvested_j,
+            trailing_consumed_j=state.cycle_consumed_j,
+            _replay=replay,
+        )
+        for node_id, (state, _, _) in nodes.items()
+    }
+    # Each node folded its voltage stats as it sampled (see fsm.accrue_energy);
+    # its samples start at 0 s with the boot voltage, so they span
+    # last_sample_s.
+    node_summaries = tuple(
+        metrics.summarize_node(
+            node_id, cfg.kind.value, state.records.outcomes(),
+            metrics.finish_voltage_stats(state.volts_area, state.last_sample_s,
+                                         cfg.supercap.voltage_v, state.volts_lo,
+                                         state.volts_hi))
+        for node_id, (state, cfg, _) in nodes.items()
+    )
+    summary = metrics.RunSummary(duration_s=sc.duration_s, seed=sc.seed,
+                                 config_hash=scenario_fingerprint(sc), nodes=node_summaries)
+    return RunResult(summary=summary, nodes=results, frames=frames)

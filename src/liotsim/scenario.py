@@ -271,6 +271,9 @@ def scenario_from_dict(doc: dict) -> Scenario:
     if version > SCHEMA_VERSION:
         raise ScenarioError("version", f"schema version {version} is newer than "
                                        f"supported version {SCHEMA_VERSION}")
+    if version < 1:
+        raise ScenarioError("version", f"schema version {version} does not exist; "
+                                       "versions start at 1")
     nodes_spec = doc["nodes"]
     if not isinstance(nodes_spec, list):
         raise ScenarioError("nodes", "expected a list")

@@ -204,6 +204,9 @@ BAD_VALUES = (
     # The node's channel rule rejects a sensor that is not a channel name.
     ("nodes.0.sensors", [7], "nodes[0].sensors"),
     ("nodes.0.sensors", [["temperature"]], "nodes[0].sensors"),
+    # Schema versions start at 1: a version below it names no schema.
+    ("version", 0, "version"),
+    ("version", -5, "version"),
 )
 
 

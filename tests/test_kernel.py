@@ -634,6 +634,23 @@ def test_a_delivery_does_not_close_its_nodes_energy_segment(monkeypatch, preset)
     assert calls["accrue_energy"] == calls["advance"] + 1
 
 
+def test_wrappers_put_on_the_modules_before_a_run_see_every_call(monkeypatch):
+    # The run looks its per-event functions up on their modules when it
+    # starts, so a wrapper put there before it sees each call: one delivery
+    # decision per logged frame, and one accrue_energy per advance plus one
+    # at the run's end.  No trace is read, so the run is not replayed.
+    calls = {}
+    for module, name in ((kernel, "deliver"), (fsm, "accrue_energy"), (fsm, "advance")):
+        calls[name] = 0
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    result = run(load_preset("ble-700lx"))
+    assert calls["deliver"] == len(result.frames) > 0
+    assert calls["accrue_energy"] == calls["advance"] + 1 > 1
+
+
 @pytest.mark.parametrize("preset,sent,received", [("liot-700lx", 46, 46),
                                                    ("ble-700lx", 1490, 1478)])
 def test_a_node_started_at_v_min_waits_to_fund_its_bursts(preset, sent, received):
