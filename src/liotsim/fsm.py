@@ -5,6 +5,10 @@ functions here move a node through the stages of its burst and back to
 sleep, debit the supercapacitor for the elapsed stage, return the protocol
 frames of the two node variants, and keep the node's cycle records, its one
 account of sessions and energy.
+
+BURST is the one statement of each kind's stage order: advance makes every
+move, to the burst's next stage or to sleep (end_run only closes a cycle),
+and a whole-run property in tests/test_properties.py checks every move.
 """
 
 from __future__ import annotations
@@ -89,24 +93,6 @@ _NODE_INBOX: dict[FrameKind, tuple[Optional[StageName], tuple[StageName, ...]]] 
     SLEEP_SET: (LIOT_SLEEP_SET, (LIOT_DATA_UPLOAD,)),
 }
 
-
-def _burst_transitions(
-    burst: tuple[StageName, ...]
-) -> dict[StageName, frozenset[StageName]]:
-    """The stages each phase may move to: sleep goes on or starts the burst,
-    each stage moves to the next or aborts to sleep, the last ends in sleep."""
-    table = {SLEEP: frozenset({SLEEP, burst[0]})}
-    for stage, after in zip(burst, burst[1:]):
-        table[stage] = frozenset({after, SLEEP})
-    table[burst[-1]] = frozenset({SLEEP})
-    return table
-
-
-LEGAL_TRANSITIONS: dict[NodeKind, dict[StageName, frozenset[StageName]]] = {
-    kind: _burst_transitions(burst) for kind, burst in BURST.items()
-}
-# The moves of a phase the table does not list: none.
-_NO_MOVES: frozenset[StageName] = frozenset()
 
 # The handshake each kind of node runs.
 _SCRIPT = {NodeKind.BLE: BLE_SCRIPT, NodeKind.LIOT: LIOT_SCRIPT}
@@ -271,7 +257,7 @@ def initial_state(
         phase=SLEEP,
         phase_deadline=0.0,
         voltage_v=cap.voltage_v,
-        load_mw={p: phase_power_mw(cfg, p) for p in LEGAL_TRANSITIONS[cfg.kind]},
+        load_mw={p: phase_power_mw(cfg, p) for p in (SLEEP, *BURST[cfg.kind])},
         stage_s={s.name: s.duration_s for s in cfg.profile.active_stages},
         cap=(cap.capacitance_f, cap.v_min, cap.v_max, cap.v_min**2, funded_v_sq(cfg)),
         frames=handshake_frames(cfg.node_id, _SCRIPT[cfg.kind], cfg.sensors),
@@ -452,19 +438,6 @@ def end_run(
         _close_cycle(state, cfg, end, FailReason.RUN_ENDED, 0.0)
 
 
-def _set_phase(
-    state: NodeState, cfg: NodeConfig, phase: StageName, deadline: float
-) -> None:
-    allowed = LEGAL_TRANSITIONS[cfg.kind].get(state.phase, _NO_MOVES)
-    if phase not in allowed:
-        raise FsmError(
-            f"illegal transition {state.phase.value} -> {phase.value} "
-            f"for {cfg.kind.value} node"
-        )
-    state.phase = phase
-    state.phase_deadline = deadline
-
-
 def _close_cycle(
     state: NodeState, cfg: NodeConfig, now: float,
     fail_reason: Optional[FailReason], sleep: Optional[float],
@@ -487,7 +460,7 @@ def _close_cycle(
     state.cycle_consumed_j = 0.0
     state.cycle_harvested_j = 0.0
     state.session = None
-    _set_phase(state, cfg, SLEEP, now + sleep_or_floor(cfg, sleep))
+    state.phase, state.phase_deadline = SLEEP, now + sleep_or_floor(cfg, sleep)
 
 
 def sleep_or_floor(cfg: NodeConfig, sleep: Optional[float]) -> float:
@@ -604,11 +577,12 @@ def advance(
     if phase is SLEEP:
         v, p_harv = state.voltage_v, state.p_harv[state.light_i]
         if v * v < state.cap[4] or p_harv <= state.load_mw[SLEEP]:
-            _set_phase(state, cfg, SLEEP, _funded_wake(state, cfg, now, light))
+            state.phase_deadline = _funded_wake(state, cfg, now, light)
             return None
         state.depleted = False  # a funded wake is above v_min
         if cfg.kind is BLE:
-            _set_phase(state, cfg, SENSOR_READ, now + state.stage_s[SENSOR_READ])
+            state.phase, state.phase_deadline = (
+                SENSOR_READ, now + state.stage_s[SENSOR_READ])
             return None
         # LIoT: read the LDR and open the session with an IR uplink; the
         # gateway reads the harvest power the reading implies.  The uplink
@@ -620,7 +594,7 @@ def advance(
         uplink_end = now + out.airtime_s
         gw_end = now + state.stage_s[GW_REQUEST]
         state.timeout_s = uplink_end + 2.0 * max(gw_end - uplink_end, 1e-9)
-        _set_phase(state, cfg, GW_REQUEST, gw_end)
+        state.phase, state.phase_deadline = GW_REQUEST, gw_end
         return out
 
     if phase is SENSOR_READ:
@@ -631,7 +605,7 @@ def advance(
             adv = state.stage_s[BLE_ADVERTISE]
         else:
             adv = rng.uniform(0.5, 4.0)
-        _set_phase(state, cfg, BLE_ADVERTISE, now + adv)
+        state.phase, state.phase_deadline = BLE_ADVERTISE, now + adv
         return out
 
     if phase is BLE_ADVERTISE:
@@ -641,7 +615,7 @@ def advance(
             session.held = None
             nominal = state.stage_s[BLE_DATA_EXCHANGE]
             state.timeout_s = now + 2.0 * nominal
-            _set_phase(state, cfg, BLE_DATA_EXCHANGE, now + nominal)
+            state.phase, state.phase_deadline = BLE_DATA_EXCHANGE, now + nominal
             return exchange_step(session, held)
         _finish_cycle(state, cfg, now, FailReason.NO_GATEWAY)
         return None
@@ -657,8 +631,8 @@ def advance(
 
     if phase is GW_REQUEST:
         if state.session.held is not None:
-            _set_phase(state, cfg, LIOT_SENSOR_READ,
-                       now + state.stage_s[LIOT_SENSOR_READ])
+            state.phase, state.phase_deadline = (
+                LIOT_SENSOR_READ, now + state.stage_s[LIOT_SENSOR_READ])
         else:
             _await_or_time_out(state, cfg, now)
         return None
@@ -667,13 +641,14 @@ def advance(
         session = state.session
         held = session.held
         session.held = None
-        _set_phase(state, cfg, LIOT_DATA_UPLOAD, now + state.stage_s[LIOT_DATA_UPLOAD])
+        state.phase, state.phase_deadline = (
+            LIOT_DATA_UPLOAD, now + state.stage_s[LIOT_DATA_UPLOAD])
         return exchange_step(session, held)
 
     if phase is LIOT_DATA_UPLOAD:
         nominal = state.stage_s[LIOT_SLEEP_SET]
         state.timeout_s = now + 2.0 * nominal
-        _set_phase(state, cfg, LIOT_SLEEP_SET, now + nominal)
+        state.phase, state.phase_deadline = LIOT_SLEEP_SET, now + nominal
         session = state.session
         held = session.held
         if held is not None:

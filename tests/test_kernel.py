@@ -6,6 +6,7 @@ import json
 import math
 import os
 import random
+import statistics
 import struct
 import subprocess
 import sys
@@ -787,6 +788,26 @@ def test_a_delivered_cycle_visits_its_bursts_stages_with_one_timer_each(
     assert len(bursts) == len(records) >= 2
     assert {r.outcome for r in records} == {SessionOutcome.DELIVERED}
     assert set(bursts) == {(*fsm.BURST[sc.nodes[0].kind], fsm.SLEEP)}
+
+
+def test_the_median_gap_between_deliveries_is_the_papers_period():
+    # The paper's nodes reach the gateway every 19.3 and 624.6 s at 700 lx.
+    # A gap runs from 0, or from a delivered cycle's end, to the next
+    # delivered end; the last runs to the end of the run.  Every LIoT cycle
+    # delivers, so its gaps are all one period.
+    for preset, period in (("ble-700lx", 19.3), ("ble-500lx", 27.4),
+                           ("liot-700lx", 624.6), ("liot-500lx", 1354.6)):
+        sc = load_preset(preset)
+        (columns,) = (nr.record_columns for nr in shared_run(sc).nodes.values())
+        outcomes = columns.outcomes()
+        ends = [0.0, *(end for end, outcome in zip(columns.end_s, outcomes)
+                       if outcome is SessionOutcome.DELIVERED), sc.duration_s]
+        gaps = [b - a for a, b in zip(ends, ends[1:])]
+        median = statistics.median(gaps)
+        assert abs(median - period) <= 0.1, (preset, median)
+        if sc.nodes[0].kind is NodeKind.LIOT:
+            assert set(outcomes) == {SessionOutcome.DELIVERED}, preset
+            assert max(gaps) == pytest.approx(median, rel=1e-12), preset
 
 
 def test_subset_upload_still_delivers():

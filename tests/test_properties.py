@@ -9,7 +9,7 @@ from itertools import takewhile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cases import shared_run
 from liotsim import fsm
@@ -129,22 +129,59 @@ def test_no_run_closes_more_records_than_its_estimate(doc):
                                      for cfg in sc.nodes)
 
 
+# The stages that await the gateway: one that expires unanswered runs on
+# once, to its timeout.
+AWAIT_STAGES = (fsm.GW_REQUEST, fsm.BLE_DATA_EXCHANGE, fsm.LIOT_SLEEP_SET)
+
+
+def both_kinds() -> dict:
+    """The 700-lx BLE and LIoT preset nodes together, for half an hour."""
+    nodes = [preset_dict(f"{kind}-700lx")["nodes"][0] for kind in ("ble", "liot")]
+    return {**preset_dict("ble-700lx"), "duration_s": 1800.0, "nodes": nodes}
+
+
 @settings(max_examples=30, deadline=None)
-@given(fast_cycling_scenarios(), st.sampled_from((0.0, 0.2, 1.0)))
-def test_every_timer_fires_at_its_nodes_deadline(doc, loss):
+@given(fast_cycling_scenarios(), st.sampled_from((0.0, 0.2, 1.0)), st.booleans(),
+       st.sampled_from(fsm.ADV_MODES))
+# Every move of both bursts, each await stage's run-on included, whatever
+# the draws reach.
+@example(both_kinds(), 0.2, True, "uniform")
+def test_every_timer_fires_at_its_nodes_deadline(doc, loss, present, adv_mode):
     # A node has one timer at a time, the one pushed after its last advance,
     # so no timer is ever superseded: each advance comes at the deadline the
-    # node's previous one set.
-    advance, calls = fsm.advance, []
+    # node's previous one set.  Each advance makes one move of its node's
+    # burst order: to sleep, to the burst's next stage, or an await stage's
+    # run-on to its timeout; a delivery moves no node.
+    advance, receive, calls = fsm.advance, fsm.receive, []
 
     def checked(state, cfg, now, **kw):
         assert now == state.phase_deadline
         calls.append(now)
-        return advance(state, cfg, now, **kw)
+        before, timeout = state.phase, state.timeout_s
+        out = advance(state, cfg, now, **kw)
+        after = state.phase
+        if after is before and before in AWAIT_STAGES:
+            assert state.phase_deadline == timeout and state.timeout_s is None
+        else:
+            order = (fsm.SLEEP, *fsm.BURST[cfg.kind], fsm.SLEEP)
+            assert after is fsm.SLEEP or after is order[order.index(before) + 1], (
+                before, after)
+        return out
+
+    def unmoved(state, cfg, frame, now, light):
+        phase = (state.phase, state.phase_deadline)
+        out = receive(state, cfg, frame, now, light)
+        assert (state.phase, state.phase_deadline) == phase
+        return out
 
     doc["channel"] = {"loss": loss, "seed": 0}
+    doc["gateway"] = {"present": present}
+    for node in doc["nodes"]:
+        if node["kind"] == "ble":
+            node["adv_mode"] = adv_mode
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fsm, "advance", checked)
+        mp.setattr(fsm, "receive", unmoved)
         result = run(scenario_from_dict(doc))
     # Every record but a run_ended one is closed by an advance.
     assert len(calls) >= sum(1 for r in result.records
