@@ -200,6 +200,8 @@ def cmd_sweep(args) -> int:
             writer.writeheader()
             writer.writerows(rows)
     except OSError as exc:
+        if not args.out:
+            raise _stdout_lost(exc)
         raise CliError(f"cannot write {args.out}: {exc}", EXIT_IO)
     return EXIT_OK
 
@@ -274,13 +276,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _stdout_lost(exc: OSError) -> CliError:
+    """The error of a write to stdout that failed, e.g. because its reader
+    closed the pipe.  fd 1 then points at the null device, as in the recipe
+    of Python's signal docs, so that the flush at exit does not fail again."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+    return CliError(f"cannot write stdout: {exc}", EXIT_IO)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+    except BrokenPipeError as exc:  # stdout's reader has gone
+        error = _stdout_lost(exc)
     except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        error = exc
+    else:
+        try:
+            sys.stdout.flush()  # a buffered print fails here, not at exit
+            return code
+        except OSError as exc:
+            error = _stdout_lost(exc)
+    print(f"error: {error}", file=sys.stderr)
+    return error.code
 
 
 if __name__ == "__main__":

@@ -19,6 +19,7 @@ from liotsim.cli import (
     EXIT_VALIDATION,
     main,
 )
+from liotsim.protocol import SessionOutcome
 from liotsim.scenario import set_by_path
 
 
@@ -91,8 +92,12 @@ BLE_PROFILE_DOC = {
      "ble-table1", ["duty cycle:       19.322 s (margin 5%)", "samples per 8 h:  1490"]),
     (BLE_PROFILE_DOC, ["--harvest-mw", "0.98665"], "ble-table1",
      ["duty cycle:       19.322 s (margin 5%)", "samples per 8 h:  1490"]),
+    # A harvest that covers the burst: no sleep, and no margin on the burst.
+    (BLE_PROFILE_DOC, ["--harvest-mw", "50"], "ble-table1",
+     ["sleep time:       0 s (harvest covers continuous operation)",
+      "duty cycle:       5.560 s (margin 5%)", "samples per 8 h:  5179"]),
 ], ids=["built-in names", "bare profile", "BLE built-in names",
-        "bare BLE profile"])
+        "bare BLE profile", "bare BLE profile, continuous"])
 def test_solve_profile_file_matches_the_built_in(capsys, tmp_path, doc, argv, builtin,
                                                  lines):
     path = tmp_path / "profile.yaml"
@@ -404,6 +409,20 @@ def test_sweep_out_is_closed_when_its_write_fails(capsys):
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--profile", "ble-table1", "--harvest-mw", "50"],
+    ["sweep", "--scenario", "liot-700lx", "--param", "duration_s", "--values", "100"],
+], ids=["solve", "sweep"])
+def test_a_closed_stdout_exits_4_and_nothing_fails_at_exit(capsys, monkeypatch, argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # as under `liotsim ... | head -c1`
+    stdout = open(write_end, "w", buffering=1)
+    monkeypatch.setattr("sys.stdout", stdout)
+    assert main(argv) == EXIT_IO
+    assert capsys.readouterr().err == "error: cannot write stdout: [Errno 32] Broken pipe\n"
+    stdout.close()  # the flush at exit, which the broken pipe would fail again
+
+
 def test_sweep_validates_before_running(capsys):
     code, _, err = run_cli(
         capsys, "sweep", "--scenario", "liot-700lx",
@@ -411,6 +430,11 @@ def test_sweep_validates_before_running(capsys):
     )
     assert code == EXIT_VALIDATION
     assert "2.0" in err
+    # An infinite capacitance is rejected at its key, not run.
+    code, _, err = run_cli(capsys, "sweep", "--scenario", "ble-700lx", "--param",
+                           "nodes.0.supercap.capacitance_f", "--values", "0.4,inf")
+    assert code == EXIT_VALIDATION
+    assert "nodes[0].supercap.capacitance_f: must be finite" in err
 
 
 def test_report_round_trip(capsys, tmp_path):
@@ -537,8 +561,10 @@ def test_exported_files_never_reach_the_row_reader(capsys, tmp_path, monkeypatch
     records = metrics.load_record_columns(str(out_dir / f"records.{fmt}"))
     traces = metrics.load_trace_columns(str(out_dir / f"trace.{fmt}"))
     nodes = json.loads((out_dir / "summary.json").read_text(encoding="utf-8"))["nodes"]
-    sent = {node["node_id"]: node["packets_sent"] for node in nodes}
-    assert {nid: len(c) for nid, c in records.items()} == sent
+    counts = {node["node_id"]: (node["packets_sent"], node["packets_received"])
+              for node in nodes}
+    assert {nid: (len(c), c.outcomes().count(SessionOutcome.DELIVERED))
+            for nid, c in records.items()} == counts
     assert {n["node_id"]: (n["scap_avg_v"], n["scap_min_v"], n["scap_max_v"])
             for n in nodes} == {nid: metrics.voltage_stats(times, volts)
                                 for nid, (times, volts) in traces.items()}

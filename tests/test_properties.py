@@ -13,8 +13,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from cases import shared_run
 from liotsim import fsm
-from liotsim.energy import builtin_harvester
-from liotsim.kernel import LightTable, estimated_cycles, run, shortest_cycle_s
+from liotsim.energy import active_totals, builtin_harvester
+from liotsim.kernel import LightTable, estimated_cycles, gateway_sleep_s, run, shortest_cycle_s
 from liotsim.metrics import export_records, load_records, voltage_stats
 from liotsim.protocol import (
     BLE_SCRIPT,
@@ -390,3 +390,28 @@ def test_every_burst_is_funded_and_every_wait_is_the_shortest(doc):
         # A wake before the end starts a burst at once.
         assert now < wake
         assert any(b == node_id and t == wake for b, t, _ in bursts)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(("ble", "liot")), st.floats(500.0, 1000.0), st.floats(0.0, 0.5),
+       st.floats(3.3, 4.5))
+@example("ble", 560.0, 0.0, 3.3)
+@example("liot", 690.0, 0.2, 4.235)
+def test_under_constant_light_each_gap_is_the_burst_and_the_armed_sleep(kind, lux, margin,
+                                                                         v_boot):
+    # At loss 0 every stage ends at its nominal time: after its first delivery
+    # a node delivers once per burst and armed sleep, a BLE node's own solve
+    # stretched by its margin, or the LIoT node's assignment, without one.
+    doc = preset_dict(f"{kind}-700lx")
+    doc["nodes"][0].update(margin=margin, supercap={"capacitance_f": 0.4, "voltage_v": v_boot})
+    doc.update(duration_s={"ble": 600.0, "liot": 10800.0}[kind], sample_interval_s=3600.0,
+               illumination={"kind": "constant", "lux": lux}, channel={"loss": 0.0})
+    sc = scenario_from_dict(doc)
+    (cfg,) = sc.nodes
+    solve = fsm.schedule_next_cycle if kind == "ble" else gateway_sleep_s
+    sleep = solve(cfg, cfg.harvester.power_mw(lux))
+    assert sleep > 0
+    ends = [r.end_s for r in run(sc).records if r.outcome is SessionOutcome.DELIVERED]
+    assert len(ends) >= 3
+    for before, after in zip(ends, ends[1:]):
+        assert after - before == pytest.approx(active_totals(cfg.profile)[0] + sleep, rel=1e-9)
